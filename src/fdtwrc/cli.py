@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from .baselines import parse_scheme
-from .harness import ExperimentSpec, emit, run_experiment, table_to_csv
+from .harness import ExperimentSpec, emit, run_experiment, table_to_csv, table_to_json
 from .model import SystemConfig, db_to_linear
 
 log = logging.getLogger("fdtwrc")
@@ -106,6 +106,8 @@ def main(argv=None):
         if args.out:
             emit(table, args.format, args.out)
             log.info("wrote %s (%d rows)", args.out, len(table.rows))
+        elif args.format == "json":
+            sys.stdout.write(table_to_json(table))
         else:
             sys.stdout.write(table_to_csv(table))
         return 0

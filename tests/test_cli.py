@@ -41,6 +41,14 @@ def test_stdout_when_no_out(capsys):
     assert captured.out.startswith("sweep_value,scheme,")
 
 
+def test_json_stdout_when_no_out(capsys):
+    rc = main(["sumrate", "--trials", "1", "--schemes", "fd2", "--format", "json"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["metadata"]["kind"] == "sumrate_vs_source_snr"
+    assert [r["scheme"] for r in doc["rows"]] == ["fd2"]
+
+
 def test_bad_scheme_exits_nonzero(capsys):
     rc = main(["sumrate", "--trials", "1", "--schemes", "bogus"])
     assert rc == 1

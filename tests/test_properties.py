@@ -1,0 +1,78 @@
+"""Property tests of the sum-rate solver over randomized system configurations.
+
+Configurations span m_t in [2, 8], m_r in [1, 8], source and relay SNRs from
+-10 to 60 dB, residual SI variances from 0 to 1 (linear) and an asymmetric
+B-side link gain.  RuntimeWarnings are errors, so a 0/0 or an overflow that
+min/max clamping would hide fails the test.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fdtwrc.model import (
+    SystemConfig,
+    combiner_or_endpoint,
+    db_to_linear,
+    relay_null_basis,
+    relay_output_power,
+    sample_channels,
+    zf_residual,
+)
+from fdtwrc.sum_rate import dc_objective, max_sum_rate, solve_txbf_p2
+
+configs = st.builds(
+    lambda m_t, m_r, p_src_db, p_relay_db, si, gain_br_db: replace(
+        SystemConfig(), m_t=m_t, m_r=m_r,
+        p_a_max=db_to_linear(p_src_db), p_b_max=db_to_linear(p_src_db),
+        p_r_max=db_to_linear(p_relay_db),
+        sigma2_a=si[0], sigma2_b=si[1], sigma2_r=si[2],
+        gain_br=db_to_linear(gain_br_db)),
+    st.integers(2, 8), st.integers(1, 8),
+    st.floats(-10.0, 60.0), st.floats(-10.0, 60.0),
+    st.tuples(*[st.floats(0.0, 1.0)] * 3),
+    st.floats(-20.0, 20.0),
+)
+
+
+def zf_ok(ch, w_t, w_r):
+    return zf_residual(ch, w_t, w_r) <= 1e-9 * max(
+        1.0, np.linalg.norm(ch.h_rr) * np.linalg.norm(w_t))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(cfg=configs, seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.0, 1.0),
+       power_share=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+def test_sum_rate_invariants(cfg, seed, alpha, power_share):
+    ch = sample_channels(cfg, seed)
+    w_r = combiner_or_endpoint(ch, alpha)
+    p_a, p_b = power_share[0] * cfg.p_a_max, power_share[1] * cfg.p_b_max
+
+    w_t, states = solve_txbf_p2(ch, w_r, p_a, p_b, cfg, return_states=True)
+    assert zf_ok(ch, w_t, w_r)
+    vals = [s.f_value for s in states]
+    p_r = relay_output_power(ch, w_t, w_r, p_a, p_b)
+    if cfg.m_t > 2:
+        assert abs(p_r - cfg.p_r_max) <= 1e-8 * max(1.0, cfg.p_r_max)
+    else:
+        # null dimension 1: the transmit power is searched numerically, and
+        # where the objective is flat to rounding (a silent source, a
+        # near-zero combiner gain) the search may stop below the budget;
+        # the power it keeps must still score as well as the full budget
+        assert p_r <= cfg.p_r_max * (1.0 + 1e-9)
+        w_full = math.sqrt(states[0].p_prime) * relay_null_basis(ch, w_r)[:, 0]
+        full = dc_objective(ch, w_r, p_a, p_b, abs(np.vdot(ch.h_ra, w_full)) ** 2,
+                            abs(np.vdot(ch.h_rb, w_full)) ** 2)
+        assert vals[-1] >= full - 1e-12 * max(1.0, full)
+    assert np.all(np.isfinite(vals))
+    assert np.all(np.diff(vals) >= -1e-9)
+
+    pt = max_sum_rate(ch, cfg)
+    assert np.isfinite(pt.sum_rate) and pt.sum_rate >= 0.0
+    assert zf_ok(ch, pt.beamformer.w_t, pt.beamformer.w_r)
+    assert pt.powers.p_r <= cfg.p_r_max * (1.0 + 1e-9) + 1e-9

@@ -1,9 +1,11 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fdtwrc.baselines import upper_bound_solve
 from fdtwrc.model import (
     SystemConfig,
     receive_combiner,
@@ -251,6 +253,83 @@ class TestSolveTxbfP2:
             assert zf_residual(ch, w_t, w_r) <= 1e-9 * max(1.0, np.linalg.norm(ch.h_rr) * np.linalg.norm(w_t))
 
 
+def _txbf_value(ch, w_r, p_a, p_b, w_t):
+    return dc_objective(ch, w_r, p_a, p_b, abs(np.vdot(ch.h_ra, w_t)) ** 2,
+                        abs(np.vdot(ch.h_rb, w_t)) ** 2)
+
+
+def _full_budget(cfg, ch, w_r, p_a, p_b):
+    rx_a = abs(np.vdot(w_r, ch.h_ar)) ** 2
+    rx_b = abs(np.vdot(w_r, ch.h_br)) ** 2
+    return cfg.p_r_max / (p_a * rx_a + p_b * rx_b + 1.0)
+
+
+# 60 inner problems each at null dimension 2 (m_t = 3) and 3 (m_t = 4)
+EXACTNESS_CASES = [(1000 + seed, m_t) for m_t in (3, 4) for seed in range(60)]
+
+
+class TestSolveTxbfP2Exactness:
+    """The frontier search solves the inner problem: it matches or beats the
+    paper's DC iteration and a brute-force sample of the reduced sphere."""
+
+    def test_not_below_converged_dc_iteration(self):
+        for seed, m_t in EXACTNESS_CASES:
+            cfg, ch, w_r, p_a, p_b = instance(seed, m_t=m_t)
+            ctx = _tx_context(ch, w_r)
+            assert ctx.n == m_t - 1
+            p_prime = _full_budget(cfg, ch, w_r, p_a, p_b)
+            # the unconstrained-direction cold start, z along the image of h_ra
+            anchor = (p_prime * ctx.na2, p_prime * ctx.nb2 * ctx.r**2)
+            prev = dc_objective(ch, w_r, p_a, p_b, *anchor)
+            for _ in range(1000):
+                anchor = dc_step(ch, w_r, p_a, p_b, anchor, cfg, ctx=ctx, p_prime=p_prime)[:2]
+                val = dc_objective(ch, w_r, p_a, p_b, *anchor)
+                if val - prev < cfg.conv_tol:
+                    break
+                prev = val
+            w_t = solve_txbf_p2(ch, w_r, p_a, p_b, cfg)
+            assert _txbf_value(ch, w_r, p_a, p_b, w_t) >= val - 1e-9
+
+    def test_not_below_sampled_directions(self):
+        for seed, m_t in EXACTNESS_CASES:
+            cfg, ch, w_r, p_a, p_b = instance(seed, m_t=m_t)
+            rx_a = abs(np.vdot(w_r, ch.h_ar)) ** 2
+            rx_b = abs(np.vdot(w_r, ch.h_br)) ** 2
+            p_prime = _full_budget(cfg, ch, w_r, p_a, p_b)
+            n_t = relay_null_basis(ch, w_r)
+            z = crandn(np.random.default_rng(seed), 20_000, n_t.shape[1])
+            w = math.sqrt(p_prime) * (z / np.linalg.norm(z, axis=1, keepdims=True)) @ n_t.T
+            s_a = np.abs(w @ ch.h_ra.conj()) ** 2
+            s_b = np.abs(w @ ch.h_rb.conj()) ** 2
+            sampled = np.max(
+                np.log2(1 + p_b * rx_b * s_a / (s_a + p_a * abs(ch.h_aa) ** 2 + 1))
+                + np.log2(1 + p_a * rx_a * s_b / (s_b + p_b * abs(ch.h_bb) ** 2 + 1)))
+            w_t = solve_txbf_p2(ch, w_r, p_a, p_b, cfg)
+            assert _txbf_value(ch, w_r, p_a, p_b, w_t) >= sampled - 1e-9
+
+    def test_warm_start_never_lost(self):
+        for seed, m_t in EXACTNESS_CASES:
+            cfg, ch, w_r, p_a, p_b = instance(seed, m_t=m_t)
+            rng = np.random.default_rng(seed)
+            n_t = relay_null_basis(ch, w_r)
+            p_prime = _full_budget(cfg, ch, w_r, p_a, p_b)
+            cold = solve_txbf_p2(ch, w_r, p_a, p_b, cfg)
+            # warm starts below the budget: a random direction, the cold answer
+            # itself (a tie with the frontier) and the cold answer nudged off it
+            z_cold = unit(n_t.conj().T @ cold)
+            nudged = unit(z_cold + 1e-4 * crandn(rng, n_t.shape[1]))
+            for z0 in (unit(crandn(rng, n_t.shape[1])), z_cold, nudged):
+                w0 = 0.5 * math.sqrt(p_prime) * (n_t @ z0)
+                at_budget = math.sqrt(p_prime) * (n_t @ z0)
+                w_t, states = solve_txbf_p2(ch, w_r, p_a, p_b, cfg, w_t_init=w0,
+                                            return_states=True)
+                val = _txbf_value(ch, w_r, p_a, p_b, w_t)
+                assert val >= _txbf_value(ch, w_r, p_a, p_b, at_budget) - 1e-12
+                assert val >= _txbf_value(ch, w_r, p_a, p_b, cold) - 1e-12
+                assert abs(val - states[-1].f_value) <= 1e-12 * max(1.0, val)
+                assert len(states) in (1, 2)
+
+
 class TestSolvePowerP2:
     def test_full_power_wins_with_weak_si(self):
         cfg = replace(CFG, p_r_max=1000.0, sigma2_a=1e-6, sigma2_b=1e-6)
@@ -369,6 +448,14 @@ class TestMaxSumRate:
         for alpha in np.linspace(0, 1, CFG.alpha_grid):
             end = optimize_fixed_alpha_p2(ch, float(alpha), CFG)
             assert pt.sum_rate >= end.sum_rate - 1e-9
+
+    def test_zero_relay_budget(self):
+        cfg = replace(CFG, p_r_max=0.0)
+        ch = sample_channels(cfg, 17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert max_sum_rate(ch, cfg).sum_rate == 0.0
+            assert upper_bound_solve(ch, "sum_rate", cfg).sum_rate == 0.0
 
     def test_structural_invariants(self):
         for seed in range(10):
