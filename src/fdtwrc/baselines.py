@@ -25,7 +25,14 @@ from .model import (
     strip_source_si,
     zero_loopback,
 )
-from .rate_region import Infeasible, _alpha_search, _max_rate_given_gamma, region_sweep
+from .rate_region import (
+    Infeasible,
+    _alpha_search,
+    _max_rate_given_gamma,
+    _p_prime,
+    _rx_gains,
+    region_sweep,
+)
 from .sum_rate import max_sum_rate, optimize_fixed_alpha_p2
 
 __all__ = [
@@ -267,31 +274,26 @@ def fd_oneway_direction_rate(channels, direction, config):
 
 
 def fd_oneway_region(channels, n_points, config):
-    """Time-sharing segment between the two one-way operating points."""
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
+    """Time-sharing segment ((1-f) R_A, f R_B) for n_points fractions f from
+    0 (the A-max end) to 1."""
     r_a = fd_oneway_direction_rate(channels, "B_to_A", config)
     r_b = fd_oneway_direction_rate(channels, "A_to_B", config)
-    return [(t * r_a, (1.0 - t) * r_b) for t in np.linspace(0.0, 1.0, n_points)]
+    return [((1.0 - f) * r_a, f * r_b) for f in np.linspace(0.0, 1.0, n_points)]
 
 
-def fd_oneway_sum_rate(channels, config, time_share="optimal"):
-    """Sum rate of the time-shared one-way scheme.
+def fd_oneway_sum_rate(channels, config):
+    """Rate pair (R_A, R_B) of the sum-rate-optimal time share of the one-way
+    scheme.
 
-    'optimal' picks the sum-rate-maximizing share over the segment
-    (t R_A, (1-t) R_B), which is degenerate: serve only the better
-    direction.  'half' is the equal split (R_A + R_B) / 2.  The optimal
-    share is the default because the equal split cannot reproduce the
-    reported gain of this benchmark over the HD scheme (1.09 vs 1.22) nor
-    the relay-SNR crossover near 5 dB, while the optimal share does.
+    The sum rate is linear along the time-sharing segment, so its maximum
+    sits at an end: only the better direction is served.  The equal split
+    reproduces neither the reported gain of this benchmark over the HD
+    scheme (1.09 vs 1.22) nor the relay-SNR crossover near 5 dB; the
+    optimal share does.
     """
     r_a = fd_oneway_direction_rate(channels, "B_to_A", config)
     r_b = fd_oneway_direction_rate(channels, "A_to_B", config)
-    if time_share == "optimal":
-        return max(r_a, r_b)
-    if time_share == "half":
-        return 0.5 * (r_a + r_b)
-    raise ValueError(f"unknown time_share {time_share!r}")
+    return (r_a, 0.0) if r_a >= r_b else (0.0, r_b)
 
 
 def upper_bound_solve(channels, objective, config, r_b=None, proposed=None):
@@ -336,9 +338,7 @@ def local_csi_sum_rate(channels, config, seed):
     v = rng.standard_normal(n_t.shape[1]) + 1j * rng.standard_normal(n_t.shape[1])
     z = v / np.linalg.norm(v)
     p_a, p_b = config.p_a_max, config.p_b_max
-    rx_a = abs(np.vdot(w_r, channels.h_ar)) ** 2
-    rx_b = abs(np.vdot(w_r, channels.h_br)) ** 2
-    budget = config.p_r_max / (p_a * rx_a + p_b * rx_b + 1.0)
+    budget = _p_prime(config.p_r_max, p_a, p_b, *_rx_gains(channels, w_r))
     w_t = math.sqrt(budget) * (n_t @ z)
     pt = make_operating_point(channels, w_t, w_r, 0.5, p_a, p_b, trace=[])
     return OperatingPoint(

@@ -5,6 +5,11 @@ XOR trial index) and evaluates every requested scheme on that same
 realization, so scheme comparisons are paired and adding a scheme never
 changes the channel stream.  Trials run in a process pool; aggregation is
 order-independent, so results do not depend on the worker count.
+
+Because of the XOR, master seeds that differ only in bits below the trial
+count draw the same set of realizations, in a different order: 20240 and
+20241 share all of their first 1000 trial seeds.  Such runs are not
+independent samples.
 """
 
 import csv
@@ -21,7 +26,8 @@ import numpy as np
 from . import __version__
 from .baselines import (
     SchemeId,
-    fd_oneway_direction_rate,
+    fd_oneway_region,
+    fd_oneway_sum_rate,
     hd_anc_region,
     hd_anc_solve,
     local_csi_sum_rate,
@@ -47,6 +53,39 @@ SUM_RATE_KINDS = {
 }
 REGION_KINDS = {"rate_region", "asymmetric_region"}
 
+
+def _rates(pt):
+    return pt.rate_a, pt.rate_b
+
+
+def _region_pairs(entries):
+    return [(math.nan, math.nan) if pt is None else _rates(pt) for _, pt in entries]
+
+
+# scheme -> (sum-rate fn, region fn or None).  A sum-rate fn maps (channels,
+# config, trial seed, the trial's proposed point) to its rate pair (R_A,
+# R_B); a region fn maps (channels, config, n_points) to one rate pair per
+# boundary point.  The lambdas look the solvers up in this module when
+# called, so rebinding a module attribute (as a tracer does) reaches them.
+SCHEMES = {
+    SchemeId.PROPOSED_FD: (
+        lambda ch, cfg, tseed, proposed: _rates(proposed),
+        lambda ch, cfg, n: _region_pairs(rate_region(ch, n, cfg))),
+    SchemeId.HD_ANC: (
+        lambda ch, cfg, tseed, proposed: _rates(hd_anc_solve(ch, "sum_rate", cfg)),
+        lambda ch, cfg, n: _region_pairs(hd_anc_region(ch, n, cfg))),
+    SchemeId.FD_ONEWAY: (
+        lambda ch, cfg, tseed, proposed: fd_oneway_sum_rate(ch, cfg),
+        lambda ch, cfg, n: fd_oneway_region(ch, n, cfg)),
+    SchemeId.FD_UPPER_BOUND: (
+        lambda ch, cfg, tseed, proposed: _rates(
+            upper_bound_solve(ch, "sum_rate", cfg, proposed=proposed)),
+        lambda ch, cfg, n: _region_pairs(upper_bound_region(ch, n, cfg))),
+    SchemeId.LOCAL_CSI: (
+        lambda ch, cfg, tseed, proposed: _rates(local_csi_sum_rate(ch, cfg, seed=tseed)),
+        None),
+}
+
 CSV_COLUMNS = ("sweep_value", "scheme", "mean_RA", "se_RA", "mean_RB", "se_RB",
                "mean_sum", "se_sum", "gain_vs_hd")
 
@@ -69,8 +108,11 @@ class ExperimentSpec:
             raise ValueError("sweep must be nonempty")
         if not self.schemes:
             raise ValueError("at least one scheme is required")
-        if self.kind in REGION_KINDS and SchemeId.LOCAL_CSI in self.schemes:
-            raise ValueError("local_csi has no region objective")
+        for scheme in self.schemes:
+            if scheme not in SCHEMES:
+                raise ValueError(f"unknown scheme {scheme!r}")
+            if self.kind in REGION_KINDS and SCHEMES[scheme][1] is None:
+                raise ValueError(f"{scheme_cli_name(scheme)} has no region objective")
 
 
 @dataclass
@@ -117,70 +159,17 @@ def config_for(kind, base, value):
     raise ValueError(f"unknown experiment kind {kind!r}")
 
 
-def _eval_sum_rate_trial(channels, config, schemes, tseed):
-    out = {}
-    need_proposed = SchemeId.PROPOSED_FD in schemes or SchemeId.FD_UPPER_BOUND in schemes
-    proposed = max_sum_rate(channels, config) if need_proposed else None
-    for scheme in schemes:
-        if scheme is SchemeId.PROPOSED_FD:
-            pt = proposed
-            out[scheme] = (pt.rate_a, pt.rate_b, pt.sum_rate)
-        elif scheme is SchemeId.HD_ANC:
-            pt = hd_anc_solve(channels, "sum_rate", config)
-            out[scheme] = (pt.rate_a, pt.rate_b, pt.sum_rate)
-        elif scheme is SchemeId.FD_ONEWAY:
-            r_a = fd_oneway_direction_rate(channels, "B_to_A", config)
-            r_b = fd_oneway_direction_rate(channels, "A_to_B", config)
-            if r_a >= r_b:  # sum-rate-optimal time share serves one direction
-                out[scheme] = (r_a, 0.0, r_a)
-            else:
-                out[scheme] = (0.0, r_b, r_b)
-        elif scheme is SchemeId.FD_UPPER_BOUND:
-            pt = upper_bound_solve(channels, "sum_rate", config, proposed=proposed)
-            out[scheme] = (pt.rate_a, pt.rate_b, pt.sum_rate)
-        elif scheme is SchemeId.LOCAL_CSI:
-            pt = local_csi_sum_rate(channels, config, seed=tseed)
-            out[scheme] = (pt.rate_a, pt.rate_b, pt.sum_rate)
-        else:
-            raise ValueError(scheme)
-    return out
-
-
-def _region_pairs(entries):
-    pairs = []
-    for _, pt in entries:
-        if pt is None:
-            pairs.append((math.nan, math.nan))
-        else:
-            pairs.append((pt.rate_a, pt.rate_b))
-    return pairs
-
-
-def _eval_region_trial(channels, config, schemes, n_points):
-    out = {}
-    for scheme in schemes:
-        if scheme is SchemeId.PROPOSED_FD:
-            out[scheme] = _region_pairs(rate_region(channels, n_points, config))
-        elif scheme is SchemeId.HD_ANC:
-            out[scheme] = _region_pairs(hd_anc_region(channels, n_points, config))
-        elif scheme is SchemeId.FD_UPPER_BOUND:
-            out[scheme] = _region_pairs(upper_bound_region(channels, n_points, config))
-        elif scheme is SchemeId.FD_ONEWAY:
-            r_a = fd_oneway_direction_rate(channels, "B_to_A", config)
-            r_b = fd_oneway_direction_rate(channels, "A_to_B", config)
-            fr = np.linspace(0.0, 1.0, n_points)
-            out[scheme] = [((1.0 - f) * r_a, f * r_b) for f in fr]
-        else:
-            raise ValueError(scheme)
-    return out
-
-
 def _run_task(payload):
+    """One trial: scheme -> its rate pair (sum-rate kinds) or one rate pair
+    per boundary point (region kinds)."""
     kind, config, schemes, tseed, n_points = payload
     channels = sample_channels(config, tseed)
     if kind in REGION_KINDS:
-        return _eval_region_trial(channels, config, schemes, n_points)
-    return _eval_sum_rate_trial(channels, config, schemes, tseed)
+        return {s: SCHEMES[s][1](channels, config, n_points) for s in schemes}
+    # ub reuses the trial's proposed point
+    need_proposed = SchemeId.PROPOSED_FD in schemes or SchemeId.FD_UPPER_BOUND in schemes
+    proposed = max_sum_rate(channels, config) if need_proposed else None
+    return {s: SCHEMES[s][0](channels, config, tseed, proposed) for s in schemes}
 
 
 def _mean_se(values):
@@ -218,49 +207,33 @@ def run_experiment(spec, workers=None, keep_samples=False):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_task, payloads, chunksize=chunk))
 
+    # (sweep value, its trials' results, boundary point index): a region
+    # run has one trial set and a point per sweep fraction, a sum-rate run
+    # one trial set per sweep value and a single pair per trial
+    if region:
+        cells = [(f, results, j) for j, f in enumerate(spec.sweep)]
+    else:
+        t = spec.trials
+        cells = [(v, results[i * t:(i + 1) * t], None) for i, v in enumerate(spec.sweep)]
     rows = []
     samples = {} if keep_samples else None
-    if region:
-        fractions = list(spec.sweep)
-        per_scheme = {s: [r[s] for r in results] for s in spec.schemes}
-        hd_mean_sum = {}
-        if SchemeId.HD_ANC in spec.schemes:
-            for i, f in enumerate(fractions):
-                sums = [p[i][0] + p[i][1] for p in per_scheme[SchemeId.HD_ANC]]
-                hd_mean_sum[f], _ = _mean_se(sums)
-        for i, f in enumerate(fractions):
-            for scheme in spec.schemes:
-                ras = [p[i][0] for p in per_scheme[scheme]]
-                rbs = [p[i][1] for p in per_scheme[scheme]]
-                sums = [a + b for a, b in zip(ras, rbs)]
-                m_ra, se_ra = _mean_se(ras)
-                m_rb, se_rb = _mean_se(rbs)
-                m_s, se_s = _mean_se(sums)
-                gain = m_s / hd_mean_sum[f] if hd_mean_sum.get(f) else math.nan
-                rows.append(ResultRow(f, scheme_cli_name(scheme), m_ra, se_ra,
-                                      m_rb, se_rb, m_s, se_s, gain))
-                if keep_samples:
-                    samples[(f, scheme_cli_name(scheme))] = list(zip(ras, rbs))
-    else:
-        n_vals = len(spec.sweep)
-        for i, value in enumerate(spec.sweep):
-            chunk = results[i * spec.trials:(i + 1) * spec.trials]
-            hd_mean = math.nan
-            if SchemeId.HD_ANC in spec.schemes:
-                hd_mean, _ = _mean_se([c[SchemeId.HD_ANC][2] for c in chunk])
-            for scheme in spec.schemes:
-                ras = [c[scheme][0] for c in chunk]
-                rbs = [c[scheme][1] for c in chunk]
-                sums = [c[scheme][2] for c in chunk]
-                m_ra, se_ra = _mean_se(ras)
-                m_rb, se_rb = _mean_se(rbs)
-                m_s, se_s = _mean_se(sums)
-                gain = m_s / hd_mean if hd_mean and not math.isnan(hd_mean) else math.nan
-                rows.append(ResultRow(value, scheme_cli_name(scheme), m_ra, se_ra,
-                                      m_rb, se_rb, m_s, se_s, gain))
-                if keep_samples:
-                    samples[(value, scheme_cli_name(scheme))] = sums
-        assert len(rows) == n_vals * len(spec.schemes)
+    for value, trials, j in cells:
+        pairs = {s: [res[s] if j is None else res[s][j] for res in trials]
+                 for s in spec.schemes}
+        sums = {s: [a + b for a, b in p] for s, p in pairs.items()}
+        hd_mean = _mean_se(sums[SchemeId.HD_ANC])[0] if SchemeId.HD_ANC in sums else math.nan
+        for scheme in spec.schemes:
+            ras = [p[0] for p in pairs[scheme]]
+            rbs = [p[1] for p in pairs[scheme]]
+            m_ra, se_ra = _mean_se(ras)
+            m_rb, se_rb = _mean_se(rbs)
+            m_s, se_s = _mean_se(sums[scheme])
+            gain = m_s / hd_mean if hd_mean and not math.isnan(hd_mean) else math.nan
+            rows.append(ResultRow(value, scheme_cli_name(scheme), m_ra, se_ra,
+                                  m_rb, se_rb, m_s, se_s, gain))
+            if keep_samples:
+                samples[(value, scheme_cli_name(scheme))] = (
+                    list(zip(ras, rbs)) if region else sums[scheme])
 
     metadata = {
         "kind": spec.kind,

@@ -27,7 +27,6 @@ __all__ = [
     "linear_to_db",
     "sample_channels",
     "receive_combiner",
-    "assemble_relay_matrix",
     "sinr_pair",
     "relay_output_power",
     "zf_residual",
@@ -86,6 +85,9 @@ class SystemConfig:
             raise ValueError("conv_tol must be positive")
         if self.alpha_grid < 2 or self.grid_points < 2:
             raise ValueError("alpha_grid and grid_points must be >= 2")
+        if self.gain_br == 0:
+            raise ValueError("gain_br must be positive: with no B-side link the "
+                             "receive combiner and B's rate are undefined")
 
 
 @dataclass(frozen=True)
@@ -260,13 +262,6 @@ def combiner_or_endpoint(channels, alpha):
         inner = np.vdot(h_br, h_ar)
         phase = inner / abs(inner) if abs(inner) > 0 else 1.0
         return (h_br / nb) * phase
-
-
-def assemble_relay_matrix(w_t, w_r):
-    """Rank-one relay matrix W = w_t w_r^H mapping receive space to transmit space."""
-    w_t = np.asarray(w_t, dtype=complex).reshape(-1)
-    w_r = np.asarray(w_r, dtype=complex).reshape(-1)
-    return np.outer(w_t, w_r.conj())
 
 
 def sinr_pair(channels, w_t, w_r, p_a, p_b):

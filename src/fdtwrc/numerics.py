@@ -1,8 +1,5 @@
-"""Complex linear-algebra and root-finding kernels shared by all solvers.
-
-Vectors and matrices are plain numpy arrays of complex dtype; "column space"
-always refers to the columns of a 2-D array (1-D inputs are treated as a
-single column).
+"""Numerical kernels shared by all solvers: the null-space basis of a
+complex vector, real cubic roots and a grid + golden-section 1-D maximizer.
 """
 
 import math
@@ -10,48 +7,12 @@ import math
 import numpy as np
 
 __all__ = [
-    "RankDeficientError",
-    "orth_projector",
-    "orth_complement_projector",
     "null_space_basis",
     "real_cubic_roots",
     "maximize_1d",
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-class RankDeficientError(ValueError):
-    """Raised when a matrix does not have full column rank."""
-
-
-def _as_matrix(x):
-    x = np.asarray(x, dtype=complex)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2:
-        raise ValueError(f"expected a vector or matrix, got ndim={x.ndim}")
-    return x
-
-
-def orth_projector(x):
-    """Projector onto the column space of ``x``: X (X^H X)^-1 X^H.
-
-    ``x`` must have full column rank (smallest singular value above
-    1e-12 times the largest), otherwise RankDeficientError is raised.
-    """
-    x = _as_matrix(x)
-    sv = np.linalg.svd(x, compute_uv=False)
-    if sv.size == 0 or sv[-1] <= 1e-12 * sv[0]:
-        raise RankDeficientError("matrix is (numerically) rank deficient")
-    xh = x.conj().T
-    return x @ np.linalg.solve(xh @ x, xh)
-
-
-def orth_complement_projector(x):
-    """Projector onto the orthogonal complement of the column space of ``x``."""
-    p = orth_projector(x)
-    return np.eye(p.shape[0], dtype=complex) - p
 
 
 def null_space_basis(v):

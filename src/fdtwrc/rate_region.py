@@ -15,11 +15,11 @@ from .model import (
     make_operating_point,
     relay_null_basis,
 )
-from .numerics import _golden_max, null_space_basis
+from .numerics import _golden_max
 
 __all__ = [
     "Infeasible",
-    "P1Subproblem",
+    "boundary_range",
     "boundary_unit_vector",
     "solve_txbf_p1",
     "solve_power_p1",
@@ -27,7 +27,6 @@ __all__ = [
     "optimize_fixed_alpha_p1",
     "max_rate_given_rb",
     "rate_region",
-    "region_csv_rows",
 ]
 
 
@@ -46,37 +45,91 @@ class Infeasible(Exception):
 
 
 @dataclass
-class P1Subproblem:
-    """Reduced transmit-beamformer problem after the ZF substitution.
+class _TxContext:
+    """ZF null-space reduction of one (channels, w_r) pair, shared by the
+    rate-region (P1) and sum-rate (P2) transmit beamformers.
 
-    gamma_b is the SINR target, gamma_b_bar the transformed gain threshold
-    on |h_rb^H w_t|^2, p_bar the norm-squared budget for w_t.  d1/d2 are the
-    unit null-space images of h_rb/h_ra, r = |d2^H d1|, phi its argument and
-    q the normalized boundary level (set only when both constraints bind).
+    w_t = sqrt(budget) n_t z with unit z; a_t/b_t are the null-space images
+    of h_ra/h_rb, d2/d1 their unit directions (None when zero), r = |d2^H d1|,
+    phi its argument and n the null-space dimension.
     """
 
-    gamma_b: float
-    gamma_b_bar: float
-    p_bar: float
     n_t: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
+    a_t: np.ndarray
+    b_t: np.ndarray
+    na2: float
+    nb2: float
+    d1: np.ndarray | None
+    d2: np.ndarray | None
     r: float
     phi: float
-    q: float | None = None
+    n: int
 
 
-def _unit_orthogonal(d):
-    return null_space_basis(d)[:, 0]
+def _tx_context(channels, w_r):
+    n_t = relay_null_basis(channels, w_r)
+    a_t = n_t.conj().T @ channels.h_ra
+    b_t = n_t.conj().T @ channels.h_rb
+    na2 = float(np.vdot(a_t, a_t).real)
+    nb2 = float(np.vdot(b_t, b_t).real)
+    d2 = a_t / math.sqrt(na2) if na2 > 1e-300 else None
+    d1 = b_t / math.sqrt(nb2) if nb2 > 1e-300 else None
+    if d1 is not None and d2 is not None:
+        inner = complex(np.vdot(d2, d1))
+        r = min(abs(inner), 1.0)
+        phi = cmath.phase(inner) if abs(inner) > 0 else 0.0
+    else:
+        r, phi = 0.0, 0.0
+    return _TxContext(n_t, a_t, b_t, na2, nb2, d1, d2, r, phi, n_t.shape[1])
+
+
+def _rx_gains(channels, w_r):
+    return (abs(np.vdot(w_r, channels.h_ar)) ** 2,
+            abs(np.vdot(w_r, channels.h_br)) ** 2)
+
+
+def _p_prime(p_r_max, p_a, p_b, rx_a, rx_b):
+    """Norm-squared budget of w_t that spends the relay power exactly."""
+    return p_r_max / (p_a * rx_a + p_b * rx_b + 1.0)
+
+
+def _orth_to(vectors, dim):
+    """A unit vector orthogonal to the given (independent-ish) vectors."""
+    cols = [v for v in vectors if v is not None]
+    if not cols:
+        e = np.zeros(dim, dtype=complex)
+        e[0] = 1.0
+        return e
+    m = np.stack(cols, axis=1)
+    q, _ = np.linalg.qr(m, mode="complete")
+    k = np.linalg.matrix_rank(m, tol=1e-9)
+    return q[:, k]
+
+
+def boundary_range(r, q, null_dim=None):
+    """Range (lo, hi) of |d2^H z|^2 over unit z with |d1^H z|^2 = q, r = |d2^H d1|.
+
+    With c = r sqrt(q) and cc = sqrt((1-q)(1-r^2)), hi = (c + cc)^2 (the
+    boundary-vector value) and lo = max(0, c - cc)^2; in a two-dimensional
+    null space the residual mass is pinned to the (d1, d2) plane and lo is
+    (c - cc)^2.  Without ``null_dim`` only hi is computed (lo is None).
+    Elementwise for an array q in [0, 1].
+    """
+    c = r * np.sqrt(q)
+    cc = np.sqrt((1.0 - q) * max(0.0, 1.0 - r**2))
+    hi = (c + cc) ** 2
+    if null_dim is None:
+        return None, hi
+    return ((c - cc) if null_dim == 2 else np.maximum(0.0, c - cc)) ** 2, hi
 
 
 def boundary_unit_vector(d1, d2, q):
     """Maximize |d2^H z|^2 over unit z with |d1^H z|^2 = q.
 
     Closed form: z = (r*g - sqrt(q)) e^{j(pi-phi)} d1 + g d2 with
-    g = sqrt((1-q)/(1-r^2)), which attains |d2^H z|^2 =
-    (r sqrt(q) + sqrt((1-q)(1-r^2)))^2.  For collinear d1, d2 the value is
-    pinned to q and the leftover mass goes to any orthogonal direction.
+    g = sqrt((1-q)/(1-r^2)), which attains ``boundary_range(r, q, .)[1]``.
+    For collinear d1, d2 the value is pinned to q and the leftover mass goes
+    to any orthogonal direction.
     """
     d1 = np.asarray(d1, dtype=complex).reshape(-1)
     d2 = np.asarray(d2, dtype=complex).reshape(-1)
@@ -92,7 +145,7 @@ def boundary_unit_vector(d1, d2, q):
             if q < 1.0 - 1e-9:
                 raise Infeasible("collinear_1d", "cannot meet |d1^H z|^2 = q < 1 in dimension 1")
             return cmath.exp(-1j * phi) * d1
-        z = math.sqrt(q) * cmath.exp(-1j * phi) * d1 + math.sqrt(1.0 - q) * _unit_orthogonal(d1)
+        z = math.sqrt(q) * cmath.exp(-1j * phi) * d1 + math.sqrt(1.0 - q) * _orth_to([d1], d1.size)
         return z / np.linalg.norm(z)
     g = math.sqrt((1.0 - q) / one_minus_r2)
     b = (r * g - math.sqrt(q)) * cmath.exp(1j * (math.pi - phi))
@@ -102,66 +155,42 @@ def boundary_unit_vector(d1, d2, q):
 
 def lemma_value(r, q):
     """Optimal |d2^H z|^2 of the boundary problem: (r sqrt(q) + sqrt((1-q)(1-r^2)))^2."""
-    return (r * math.sqrt(q) + math.sqrt(max(0.0, (1.0 - q) * (1.0 - r * r)))) ** 2
+    return float(boundary_range(r, q)[1])
 
 
-def reduce_txbf_p1(channels, w_r, p_a, p_b, gamma_b, p_r_max, n_t=None):
-    """Steps 1-2 of the beamformer solve: gates plus the reduced problem data."""
-    rx_gain_a = abs(np.vdot(w_r, channels.h_ar)) ** 2
-    rx_gain_b = abs(np.vdot(w_r, channels.h_br)) ** 2
-    if gamma_b <= 0.0:
-        gb_bar = 0.0
-    else:
-        margin = p_a * rx_gain_a - gamma_b
-        if margin <= 0.0:
-            raise Infeasible("sinr_gate")
-        gb_bar = gamma_b * (p_b * abs(channels.h_bb) ** 2 + 1.0) / margin
-    p_bar = p_r_max / (p_a * rx_gain_a + p_b * rx_gain_b + 1.0)
-    if n_t is None:
-        n_t = relay_null_basis(channels, w_r)
-    a_t = n_t.conj().T @ channels.h_ra
-    b_t = n_t.conj().T @ channels.h_rb
-    na = np.linalg.norm(a_t)
-    nb = np.linalg.norm(b_t)
-    if p_bar * nb**2 < gb_bar * (1.0 - 1e-12):
-        raise Infeasible("beam_power_gate")
-    d2 = a_t / na if na > 1e-150 else None
-    d1 = b_t / nb if nb > 1e-150 else None
-    if d1 is not None and d2 is not None:
-        inner = complex(np.vdot(d2, d1))
-        r, phi = abs(inner), cmath.phase(inner) if abs(inner) > 0 else 0.0
-    else:
-        r, phi = 0.0, 0.0
-    sub = P1Subproblem(gamma_b=gamma_b, gamma_b_bar=gb_bar, p_bar=p_bar, n_t=n_t,
-                       d1=d1, d2=d2, r=r, phi=phi)
-    return sub, na, nb
-
-
-def solve_txbf_p1(channels, w_r, p_a, p_b, gamma_b, p_r_max, n_t=None):
+def solve_txbf_p1(channels, w_r, p_a, p_b, gamma_b, p_r_max, ctx=None):
     """Transmit beamformer maximizing the gain toward A under the B-SINR
     threshold, the relay power budget (met with equality) and ZF.
 
+    The threshold becomes |b_t^H z|^2 >= gamma_b_bar / p_bar on the unit
+    null-space vector z; when the unconstrained maximizer z = d2 misses it,
+    both constraints bind and z is the boundary vector at that level.
     Raises Infeasible with the failing gate in ``stage``.
     """
-    sub, na, nb = reduce_txbf_p1(channels, w_r, p_a, p_b, gamma_b, p_r_max, n_t)
-    n_t, p_bar, gb_bar = sub.n_t, sub.p_bar, sub.gamma_b_bar
+    if ctx is None:
+        ctx = _tx_context(channels, w_r)
+    rx_a, rx_b = _rx_gains(channels, w_r)
+    if gamma_b <= 0.0:
+        gb_bar = 0.0
+    else:
+        margin = p_a * rx_a - gamma_b
+        if margin <= 0.0:
+            raise Infeasible("sinr_gate")
+        gb_bar = gamma_b * (p_b * abs(channels.h_bb) ** 2 + 1.0) / margin
+    p_bar = _p_prime(p_r_max, p_a, p_b, rx_a, rx_b)
+    if p_bar * ctx.nb2 < gb_bar * (1.0 - 1e-12):
+        raise Infeasible("beam_power_gate")
     scale = math.sqrt(p_bar)
-    if na <= 1e-150:
+    if ctx.d2 is None:
         # gain toward A is zero for every admissible direction; return a
         # feasible one (the B-aligned direction maximizes slack)
-        if gb_bar <= 0.0 or nb <= 1e-150:
-            z = np.zeros(n_t.shape[1], dtype=complex)
-            z[0] = 1.0
-        else:
-            z = sub.d1
-        return scale * (n_t @ z)
-    w_t = scale * (n_t @ sub.d2)  # unconstrained maximizer at full budget
+        z = ctx.d1 if gb_bar > 0.0 and ctx.d1 is not None else _orth_to([], ctx.n)
+        return scale * (ctx.n_t @ z)
+    w_t = scale * (ctx.n_t @ ctx.d2)  # unconstrained maximizer at full budget
     if abs(np.vdot(channels.h_rb, w_t)) ** 2 >= gb_bar * (1.0 - 1e-12):
         return w_t
-    # both constraints active
-    sub.q = min(gb_bar / (p_bar * nb**2), 1.0)
-    z = boundary_unit_vector(sub.d1, sub.d2, sub.q)
-    return scale * (n_t @ z)
+    z = boundary_unit_vector(ctx.d1, ctx.d2, min(gb_bar / (p_bar * ctx.nb2), 1.0))
+    return scale * (ctx.n_t @ z)
 
 
 def _feasible_vertices(lines_ge, lines_le, box, tol=1e-9):
@@ -291,7 +320,7 @@ def optimize_fixed_alpha_p1(channels, alpha, gamma_b, config, fixed_powers=None)
     SINR values is nondecreasing.
     """
     w_r = combiner_or_endpoint(channels, alpha)
-    n_t = relay_null_basis(channels, w_r)
+    ctx = _tx_context(channels, w_r)
     inits = [(config.p_a_max, config.p_b_max)] if fixed_powers is None else [tuple(fixed_powers)]
     if fixed_powers is None:
         inits.append((config.p_a_max, 0.0))
@@ -299,7 +328,7 @@ def optimize_fixed_alpha_p1(channels, alpha, gamma_b, config, fixed_powers=None)
     powers = None
     for cand in inits:
         try:
-            w_t = solve_txbf_p1(channels, w_r, cand[0], cand[1], gamma_b, config.p_r_max, n_t)
+            w_t = solve_txbf_p1(channels, w_r, cand[0], cand[1], gamma_b, config.p_r_max, ctx)
             powers = cand
             break
         except Infeasible:
@@ -317,7 +346,7 @@ def optimize_fixed_alpha_p1(channels, alpha, gamma_b, config, fixed_powers=None)
         if gamma_a - prev < config.conv_tol or fixed_powers is not None:
             break
         prev = gamma_a
-        w_t = solve_txbf_p1(channels, w_r, powers[0], powers[1], gamma_b, config.p_r_max, n_t)
+        w_t = solve_txbf_p1(channels, w_r, powers[0], powers[1], gamma_b, config.p_r_max, ctx)
     return make_operating_point(channels, w_t, w_r, alpha, powers[0], powers[1], trace)
 
 
@@ -411,16 +440,3 @@ def rate_region(channels, n_points, config):
     B's largest feasible single-target rate."""
     cap = math.log2(1.0 + config.p_a_max * float(np.vdot(channels.h_ar, channels.h_ar).real))
     return region_sweep(lambda r_b: max_rate_given_rb(channels, r_b, config), cap, n_points)
-
-
-def region_csv_rows(entries):
-    """CSV serialization of a region sweep: one row per boundary target."""
-    rows = ["r_b_target,rate_a,rate_b,p_a,p_b,alpha,feasible"]
-    for r_b, pt in entries:
-        if pt is None:
-            rows.append(f"{r_b:.6g},,,,,,0")
-        else:
-            rows.append(
-                f"{r_b:.6g},{pt.rate_a:.6g},{pt.rate_b:.6g},{pt.powers.p_a:.6g},"
-                f"{pt.powers.p_b:.6g},{pt.beamformer.alpha:.6g},1")
-    return rows

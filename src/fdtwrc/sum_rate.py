@@ -19,13 +19,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import combiner_or_endpoint, make_operating_point, relay_null_basis
+from .model import combiner_or_endpoint, make_operating_point
 from .numerics import maximize_1d, real_cubic_roots
-from .rate_region import _alpha_search, boundary_unit_vector
+from .rate_region import (  # noqa: F401  (_TxContext is re-exported)
+    _alpha_search,
+    _orth_to,
+    _p_prime,
+    _rx_gains,
+    _tx_context,
+    _TxContext,
+    boundary_range,
+    boundary_unit_vector,
+)
 
 __all__ = [
     "DCState",
-    "ReducedCoords",
     "dc_objective",
     "dc_linearized_objective",
     "feasible_set_bounds",
@@ -52,29 +60,9 @@ class DCState:
     k: int
 
 
-@dataclass
-class ReducedCoords:
-    """Coordinates of a unit null-space vector z relative to (d1, d2).
-
-    z = b e^{-j phi} d1 + g e^{j psi} d2 + sqrt(delta2) u0 with real b, g;
-    psi is used only when the null space is two-dimensional, delta2 is the
-    norm-squared residual carried by a direction orthogonal to span{d1, d2}.
-    """
-
-    b: float
-    g: float
-    psi: float
-    delta2: float
-
-
 def _sum_rate_bits(e_a, e_b, k_a, k_b, s_a, s_b):
     return (np.log2(1.0 + e_a * s_a / (s_a + k_a))
             + np.log2(1.0 + e_b * s_b / (s_b + k_b)))
-
-
-def _rx_gains(channels, w_r):
-    return (abs(np.vdot(w_r, channels.h_ar)) ** 2,
-            abs(np.vdot(w_r, channels.h_br)) ** 2)
 
 
 def _coeffs(channels, w_r, p_a, p_b):
@@ -108,61 +96,6 @@ def dc_linearized_objective(channels, w_r, p_a, p_b, s_a, s_b, anchor):
     return f_val - g_lin
 
 
-@dataclass
-class _TxContext:
-    """Per-(channels, w_r) reduction reused across dc steps."""
-
-    n_t: np.ndarray
-    a_t: np.ndarray
-    b_t: np.ndarray
-    na2: float
-    nb2: float
-    d1: np.ndarray | None
-    d2: np.ndarray | None
-    r: float
-    phi: float
-    n: int
-
-
-def _tx_context(channels, w_r, n_t=None):
-    if n_t is None:
-        n_t = relay_null_basis(channels, w_r)
-    a_t = n_t.conj().T @ channels.h_ra
-    b_t = n_t.conj().T @ channels.h_rb
-    na2 = float(np.vdot(a_t, a_t).real)
-    nb2 = float(np.vdot(b_t, b_t).real)
-    d2 = a_t / math.sqrt(na2) if na2 > 1e-300 else None
-    d1 = b_t / math.sqrt(nb2) if nb2 > 1e-300 else None
-    if d1 is not None and d2 is not None:
-        inner = complex(np.vdot(d2, d1))
-        r = min(abs(inner), 1.0)
-        phi = cmath.phase(inner) if abs(inner) > 0 else 0.0
-    else:
-        r, phi = 0.0, 0.0
-    return _TxContext(n_t, a_t, b_t, na2, nb2, d1, d2, r, phi, n_t.shape[1])
-
-
-def _sa_bounds(ctx, p_prime, q, tight_dim2):
-    """Reachable range of s_a on the slice |d1^H z|^2 = q.
-
-    The generic bounds are [max(0, c-cc)^2, (c+cc)^2] (scaled); with a
-    two-dimensional null space the residual mass is pinned to the d2-plane
-    and only [|c-cc|^2, (c+cc)^2] is reachable.
-    """
-    if ctx.na2 <= 1e-300:
-        return 0.0, 0.0
-    q = min(max(q, 0.0), 1.0)
-    c = ctx.r * math.sqrt(q)
-    cc = math.sqrt(max(0.0, (1.0 - q) * (1.0 - ctx.r**2)))
-    top = p_prime * ctx.na2
-    hi = top * (c + cc) ** 2
-    if tight_dim2 and ctx.n == 2:
-        lo = top * (c - cc) ** 2
-    else:
-        lo = top * max(0.0, c - cc) ** 2
-    return lo, hi
-
-
 def feasible_set_bounds(channels, w_r, p_prime, s_b, null_dim=None):
     """Range of s_a compatible with a given s_b under the ZF and budget
     constraints; pass null_dim=2 for the exact two-dimensional range."""
@@ -170,81 +103,49 @@ def feasible_set_bounds(channels, w_r, p_prime, s_b, null_dim=None):
     s_b_top = p_prime * ctx.nb2
     if s_b < -1e-9 * max(1.0, s_b_top) or s_b > s_b_top * (1.0 + 1e-9) + 1e-12:
         raise ValueError(f"s_b={s_b} outside [0, {s_b_top}]")
-    q = s_b / s_b_top if s_b_top > 0 else 0.0
-    return _sa_bounds(ctx, p_prime, q, tight_dim2=(null_dim == 2))
-
-
-def _orth_to(vectors, dim):
-    """A unit vector orthogonal to the given (independent-ish) vectors."""
-    cols = [v for v in vectors if v is not None]
-    if not cols:
-        e = np.zeros(dim, dtype=complex)
-        e[0] = 1.0
-        return e
-    m = np.stack(cols, axis=1)
-    q, _ = np.linalg.qr(m, mode="complete")
-    k = np.linalg.matrix_rank(m, tol=1e-9)
-    return q[:, k]
+    q = min(max(s_b / s_b_top, 0.0), 1.0) if s_b_top > 0 else 0.0
+    # any dimension other than 2 gives the generic lower end
+    lo, hi = boundary_range(ctx.r, q, ctx.n if null_dim == 2 else 3)
+    top = p_prime * ctx.na2
+    return top * lo, top * hi
 
 
 def _reconstruct(ctx, p_prime, q, s_a):
     """Unit z with |d1^H z|^2 = q and |d2^H z|^2 = s_a / (p_prime ||a_t||^2).
 
-    Returns (z, ReducedCoords).  Boundary targets reduce to the closed-form
-    boundary vector; interior targets spend the residual mass either on a
-    direction orthogonal to span{d1, d2} (null dimension >= 3) or on the
-    relative phase psi (dimension 2).
+    Boundary targets reduce to the closed-form boundary vector; interior
+    targets spend the residual mass either on a direction orthogonal to
+    span{d1, d2} (null dimension >= 3) or on the relative phase psi of the
+    two components (dimension 2).
     """
     n = ctx.n
     if n == 1:
-        return np.ones(1, dtype=complex), ReducedCoords(0.0, 1.0, 0.0, 0.0)
+        return np.ones(1, dtype=complex)
     q = min(max(q, 0.0), 1.0)
     if ctx.na2 <= 1e-300:
         d1 = ctx.d1 if ctx.d1 is not None else _orth_to([], n)
-        u = _orth_to([d1], n)
-        z = math.sqrt(q) * d1 + math.sqrt(1.0 - q) * u
-        return z, ReducedCoords(math.sqrt(q), 0.0, 0.0, 1.0 - q)
+        return math.sqrt(q) * d1 + math.sqrt(1.0 - q) * _orth_to([d1], n)
     top_a = p_prime * ctx.na2
     t = math.sqrt(min(max(s_a / top_a, 0.0), 1.0)) if top_a > 0 else 0.0
     if ctx.nb2 <= 1e-300:
-        u = _orth_to([ctx.d2], n)
-        z = t * ctx.d2 + math.sqrt(max(0.0, 1.0 - t * t)) * u
-        return z, ReducedCoords(0.0, t, 0.0, 1.0 - t * t)
+        return t * ctx.d2 + math.sqrt(max(0.0, 1.0 - t * t)) * _orth_to([ctx.d2], n)
     r, phi = ctx.r, ctx.phi
     cp = math.sqrt(max(0.0, 1.0 - r * r))
+    if cp < 1e-8 or t >= math.sqrt(boundary_range(r, q)[1]) - 1e-12:
+        return boundary_unit_vector(ctx.d1, ctx.d2, q)
     c = r * math.sqrt(q)
-    cc = math.sqrt(1.0 - q) * cp
-    if cp < 1e-8:
-        z = boundary_unit_vector(ctx.d1, ctx.d2, q)
-        gg = math.sqrt((1.0 - q) / max(1.0 - r * r, 1e-10)) if r < 1.0 else 0.0
-        return z, ReducedCoords(math.sqrt(q) - r * gg, gg, 0.0, 0.0)
-    if t >= c + cc - 1e-12:
-        g = math.sqrt((1.0 - q) / (1.0 - r * r))
-        z = boundary_unit_vector(ctx.d1, ctx.d2, q)
-        return z, ReducedCoords(math.sqrt(q) - r * g, g, 0.0, 0.0)
     e2 = (ctx.d2 - (r * cmath.exp(-1j * phi)) * ctx.d1) / cp
-    sq = math.sqrt(q)
+    z = math.sqrt(q) * cmath.exp(-1j * phi) * ctx.d1
     if n >= 3:
         m = (t - c) / cp if t >= c else -(c - t) / cp
         m = min(max(m, -math.sqrt(1.0 - q)), math.sqrt(1.0 - q))
-        delta2 = max(0.0, 1.0 - q - m * m)
-        u0 = _orth_to([ctx.d1, ctx.d2], n)
-        z = sq * cmath.exp(-1j * phi) * ctx.d1 + m * e2 + math.sqrt(delta2) * u0
-        coords = ReducedCoords(sq - r * m / cp, m / cp, 0.0, delta2)
+        z = z + m * e2 + math.sqrt(max(0.0, 1.0 - q - m * m)) * _orth_to([ctx.d1, ctx.d2], n)
     else:
         m = math.sqrt(1.0 - q)
         denom = 2.0 * c * m * cp
-        if denom <= 1e-300:
-            cos_psi = 1.0
-        else:
-            cos_psi = (t * t - c * c - (m * cp) ** 2) / denom
-        psi = math.acos(min(max(cos_psi, -1.0), 1.0))
-        z = sq * cmath.exp(-1j * phi) * ctx.d1 + (m * cmath.exp(1j * psi)) * e2
-        b = math.sqrt(max(0.0, (1.0 - t * t) / (1.0 - r * r)))
-        g = math.sqrt(max(0.0, (1.0 - q) / (1.0 - r * r)))
-        coords = ReducedCoords(b, g, psi, 0.0)
-    nz = np.linalg.norm(z)
-    return z / nz, coords
+        cos_psi = 1.0 if denom <= 1e-300 else (t * t - c * c - (m * cp) ** 2) / denom
+        z = z + (m * cmath.exp(1j * math.acos(min(max(cos_psi, -1.0), 1.0)))) * e2
+    return z / np.linalg.norm(z)
 
 
 def dc_step(channels, w_r, p_a, p_b, anchor, config, ctx=None, p_prime=None):
@@ -273,11 +174,8 @@ def dc_step(channels, w_r, p_a, p_b, anchor, config, ctx=None, p_prime=None):
         s_b_arr = np.asarray(s_b_arr, dtype=float)
         q = s_b_arr / s_b_top if s_b_top > 0 else np.zeros_like(s_b_arr)
         np.clip(q, 0.0, 1.0, out=q)
-        c = ctx.r * np.sqrt(q)
-        cc = np.sqrt(np.maximum(0.0, (1.0 - q) * (1.0 - ctx.r**2)))
-        hi = top_a * (c + cc) ** 2
-        lo = top_a * (c - cc) ** 2 if ctx.n == 2 else top_a * np.maximum(0.0, c - cc) ** 2
-        s_a = np.clip(s_a_star, lo, hi)
+        lo, hi = boundary_range(ctx.r, q, ctx.n)
+        s_a = np.clip(s_a_star, top_a * lo, top_a * hi)
         val = (np.log2((e_a + 1.0) * s_a + k_a) + np.log2((e_b + 1.0) * s_b_arr + k_b)
                - lam_a * s_a - lam_b * s_b_arr)
         return val
@@ -288,29 +186,25 @@ def dc_step(channels, w_r, p_a, p_b, anchor, config, ctx=None, p_prime=None):
                                   grid_points=grid_points, vectorized=True)
     else:
         s_b_best = 0.0
-    q = s_b_best / s_b_top if s_b_top > 0 else 0.0
-    lo, hi = _sa_bounds(ctx, p_prime, q, tight_dim2=True)
-    s_a_best = min(max(s_a_star, lo), hi)
+    q = min(s_b_best / s_b_top, 1.0) if s_b_top > 0 else 0.0
+    lo, hi = boundary_range(ctx.r, q, ctx.n)
+    s_a_best = float(min(max(s_a_star, top_a * lo), top_a * hi))
     f_new = float(_sum_rate_bits(e_a, e_b, k_a, k_b, s_a_best, s_b_best))
     f_old = float(_sum_rate_bits(e_a, e_b, k_a, k_b, s_a_k, s_b_k))
     if f_new < f_old - 1e-12:
         s_a_best, s_b_best = s_a_k, s_b_k
         q = s_b_best / s_b_top if s_b_top > 0 else 0.0
-    z, _ = _reconstruct(ctx, p_prime, q, s_a_best)
-    w_t = math.sqrt(p_prime) * (ctx.n_t @ z)
+    w_t = math.sqrt(p_prime) * (ctx.n_t @ _reconstruct(ctx, p_prime, q, s_a_best))
     return s_a_best, s_b_best, w_t
-
-
-def _p_prime(p_r_max, p_a, p_b, rx_a, rx_b):
-    return p_r_max / (p_a * rx_a + p_b * rx_b + 1.0)
 
 
 def solve_txbf_p2(channels, w_r, p_a, p_b, config, w_t_init=None, ctx=None,
                   return_states=False):
     """Transmit beamformer maximizing the sum rate at fixed powers/combiner.
 
-    Null dimension 1: the direction is forced and only the transmit power
-    is searched on (0, budget].  Otherwise the sum rate increases in both
+    Null dimension 1: the direction is forced and the sum rate is
+    nondecreasing in the transmit power, so the full budget is the answer.
+    Otherwise the sum rate increases in both
     quadratic forms, so its maximum over the convex reachable (s_a, s_b)
     set lies on the upper frontier s_a = s_a_max(q), q = s_b / s_b_max at
     full budget; a 1-D search over q in [0, 1] therefore solves the inner
@@ -326,24 +220,16 @@ def solve_txbf_p2(channels, w_r, p_a, p_b, config, w_t_init=None, ctx=None,
         ctx = _tx_context(channels, w_r)
     e_a, e_b, k_a, k_b, rx_a, rx_b = _coeffs(channels, w_r, p_a, p_b)
     p_prime = _p_prime(config.p_r_max, p_a, p_b, rx_a, rx_b)
-    ga = ctx.na2  # |n^H h_ra|^2 per unit transmit power, n the forced direction
-    gb = ctx.nb2
-
-    if ctx.n == 1:
-        def f(pt):
-            return _sum_rate_bits(e_a, e_b, k_a, k_b, pt * ga, pt * gb)
-        pt_best, _ = maximize_1d(f, 0.0, p_prime, tol=max(1e-12, 1e-6 * p_prime),
-                                 grid_points=config.grid_points, vectorized=True)
-        w_t = math.sqrt(pt_best) * ctx.n_t[:, 0]
-        states = [DCState(pt_best * ga, pt_best * gb, p_prime,
-                          float(f(np.array([pt_best]))[0]), 0)]
-        return (w_t, states) if return_states else w_t
-
     def state(z, k):
         s_a = p_prime * abs(np.vdot(ctx.a_t, z)) ** 2
         s_b = p_prime * abs(np.vdot(ctx.b_t, z)) ** 2
         return DCState(s_a, s_b, p_prime,
                        float(_sum_rate_bits(e_a, e_b, k_a, k_b, s_a, s_b)), k)
+
+    if ctx.n == 1:
+        start = state(np.ones(1, dtype=complex), 0)
+        w_t = math.sqrt(p_prime) * ctx.n_t[:, 0]
+        return (w_t, [start]) if return_states else w_t
 
     # start point: unconstrained direction (z along the null-space image of
     # h_ra, or of h_rb if that is zero), replaced by the warm start when
@@ -363,13 +249,12 @@ def solve_txbf_p2(channels, w_r, p_a, p_b, config, w_t_init=None, ctx=None,
     top_a = p_prime * ctx.na2
 
     def frontier(q):
-        c = ctx.r * np.sqrt(q)
-        cc = np.sqrt(np.maximum(0.0, (1.0 - q) * (1.0 - ctx.r**2)))
-        return _sum_rate_bits(e_a, e_b, k_a, k_b, top_a * (c + cc) ** 2, q * s_b_top)
+        s_a = top_a * boundary_range(ctx.r, q)[1]
+        return _sum_rate_bits(e_a, e_b, k_a, k_b, s_a, q * s_b_top)
 
     q_best, _ = maximize_1d(frontier, 0.0, 1.0, tol=_FRONTIER_TOL,
                             grid_points=config.grid_points, vectorized=True)
-    z, _ = _reconstruct(ctx, p_prime, q_best, _sa_bounds(ctx, p_prime, q_best, True)[1])
+    z = _reconstruct(ctx, p_prime, q_best, top_a * boundary_range(ctx.r, q_best)[1])
     front = state(z, 1)
     if front.f_value > start.f_value:
         z_best, states = z, [start, front]

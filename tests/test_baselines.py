@@ -192,32 +192,33 @@ class TestFdOneway:
         pts = fd_oneway_region(ch, 5, CFG)
         r_a = fd_oneway_direction_rate(ch, "B_to_A", CFG)
         r_b = fd_oneway_direction_rate(ch, "A_to_B", CFG)
-        assert np.allclose(pts[0], (0.0, r_b))   # t = 0
-        assert np.allclose(pts[-1], (r_a, 0.0))  # t = 1
+        assert np.allclose(pts[0], (r_a, 0.0))   # fraction 0: the A-max end
+        assert np.allclose(pts[-1], (0.0, r_b))  # fraction 1
         assert np.allclose(pts[2], (0.5 * r_a, 0.5 * r_b))
 
     def test_sum_rate_variants(self):
         ch = sample_channels(CFG, 13)
         r_a = fd_oneway_direction_rate(ch, "B_to_A", CFG)
         r_b = fd_oneway_direction_rate(ch, "A_to_B", CFG)
-        assert fd_oneway_sum_rate(ch, CFG, time_share="half") == 0.5 * (r_a + r_b)
-        assert fd_oneway_sum_rate(ch, CFG) == max(r_a, r_b)
-        assert fd_oneway_sum_rate(ch, CFG) >= fd_oneway_sum_rate(ch, CFG, time_share="half")
+        pair = fd_oneway_sum_rate(ch, CFG)
+        assert pair == ((r_a, 0.0) if r_a >= r_b else (0.0, r_b))
+        assert sum(pair) == max(r_a, r_b)
+        assert sum(pair) >= 0.5 * (r_a + r_b)  # never below the equal split
 
     def test_half_share_symmetric_statistic(self):
         vals_sum, vals_a = [], []
         for t in range(300):
             ch = sample_channels(CFG, 3000 + t)
-            vals_sum.append(fd_oneway_sum_rate(ch, CFG, time_share="half"))
-            vals_a.append(fd_oneway_direction_rate(ch, "B_to_A", CFG))
+            r_a = fd_oneway_direction_rate(ch, "B_to_A", CFG)
+            vals_sum.append(0.5 * (r_a + fd_oneway_direction_rate(ch, "A_to_B", CFG)))
+            vals_a.append(r_a)
         assert abs(np.mean(vals_sum) - np.mean(vals_a)) < 0.1
 
     def test_beats_half_of_one_way_capacities(self):
         ch = zero_loopback(sample_channels(CFG, 14))
-        half = fd_oneway_sum_rate(ch, CFG, time_share="half")
         r_a = fd_oneway_direction_rate(ch, "B_to_A", CFG)
         r_b = fd_oneway_direction_rate(ch, "A_to_B", CFG)
-        assert half >= 0.5 * min(r_a, r_b)
+        assert sum(fd_oneway_sum_rate(ch, CFG)) >= 0.5 * (r_a + r_b) >= 0.5 * min(r_a, r_b)
 
 
 class TestUpperBound:

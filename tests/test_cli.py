@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import fdtwrc.harness
 from fdtwrc.cli import main
 from fdtwrc.harness import read_table
 
@@ -68,3 +69,16 @@ def test_config_file_override(tmp_path):
     rc = main(["sumrate", "--trials", "1", "--schemes", "fd2", "--config", str(cfg),
                "--out", str(out)])
     assert rc == 0
+
+
+def test_zero_b_link_gain_config_exits_before_any_trial(tmp_path, monkeypatch, capsys):
+    def no_trial(payload):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(fdtwrc.harness, "_run_task", no_trial)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gain_br": 0}))
+    rc = main(["sumrate", "--trials", "1", "--schemes", "proposed,localcsi",
+               "--config", str(cfg), "--workers", "1"])
+    assert rc == 1
+    assert "gain_br" in capsys.readouterr().err

@@ -5,9 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fdtwrc.harness
 from fdtwrc.baselines import SchemeId
 from fdtwrc.harness import (
     CSV_COLUMNS,
+    REGION_KINDS,
+    SCHEMES,
     ExperimentSpec,
     ResultRow,
     ResultTable,
@@ -44,6 +47,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ExperimentSpec(kind="rate_region", schemes=(SchemeId.LOCAL_CSI,),
                            sweep=(0.0, 1.0), trials=1, seed=0)
+
+    def test_unknown_scheme(self):
+        with pytest.raises(ValueError):
+            ExperimentSpec(kind="sumrate_vs_source_snr", schemes=("proposed",),
+                           sweep=(1.0,), trials=1, seed=0)
 
     def test_antenna_sweep_floor(self):
         with pytest.raises(ValueError):
@@ -140,6 +148,39 @@ class TestRunExperiment:
         assert t.rows[0].mean_ra > 0
         assert t.rows[0].mean_rb == 0.0
         assert t.rows[-1].mean_ra == 0.0
+
+
+class TestSchemeTable:
+    def test_one_entry_per_scheme(self):
+        assert set(SCHEMES) == set(SchemeId)
+        assert all(len(entry) == 2 and callable(entry[0]) for entry in SCHEMES.values())
+
+    @pytest.mark.parametrize("kind", sorted(REGION_KINDS))
+    def test_region_kinds_reject_schemes_without_region(self, kind):
+        for scheme, (_, region_fn) in SCHEMES.items():
+            if region_fn is None:
+                with pytest.raises(ValueError, match="no region objective"):
+                    ExperimentSpec(kind=kind, schemes=(SchemeId.HD_ANC, scheme),
+                                   sweep=(0.0, 1.0), trials=1, seed=0)
+            else:
+                ExperimentSpec(kind=kind, schemes=(scheme,), sweep=(0.0, 1.0),
+                               trials=1, seed=0)
+
+    def test_solvers_are_looked_up_at_call_time(self, monkeypatch):
+        # a rebound module attribute (a tracer's wrapper) must be the one
+        # the run calls
+        calls = []
+        solve = fdtwrc.harness.hd_anc_solve
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(fdtwrc.harness, "hd_anc_solve", counting)
+        spec = ExperimentSpec(kind="sumrate_vs_source_snr", schemes=FASTPAIR,
+                              sweep=(10.0,), trials=2, seed=4, base=BASE)
+        run_experiment(spec, workers=1)
+        assert calls == ["sum_rate", "sum_rate"]
 
 
 def _tiny_table():

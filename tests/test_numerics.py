@@ -1,64 +1,11 @@
 import numpy as np
 import pytest
 
-from fdtwrc.numerics import (
-    RankDeficientError,
-    maximize_1d,
-    null_space_basis,
-    orth_complement_projector,
-    orth_projector,
-    real_cubic_roots,
-)
+from fdtwrc.numerics import maximize_1d, null_space_basis, real_cubic_roots
 
 
 def crandn(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-
-
-class TestOrthProjector:
-    def test_canonical_basis_column(self):
-        e1 = np.array([1.0, 0.0, 0.0], dtype=complex)
-        assert np.allclose(orth_projector(e1), np.diag([1.0, 0.0, 0.0]))
-
-    def test_full_space(self):
-        assert np.allclose(orth_projector(np.eye(2, dtype=complex)), np.eye(2))
-
-    def test_random_tall_matrix(self):
-        rng = np.random.default_rng(0)
-        x = crandn(rng, 4, 2)
-        p = orth_projector(x)
-        assert abs(np.trace(p).real - 2.0) < 1e-10
-        assert abs(np.trace(p).imag) < 1e-10
-        assert np.linalg.norm(p @ p - p) < 1e-10
-        assert np.linalg.norm(p - p.conj().T) < 1e-10
-
-    def test_rank_deficient_raises(self):
-        x = np.ones((3, 2), dtype=complex)  # identical columns
-        with pytest.raises(RankDeficientError):
-            orth_projector(x)
-
-    def test_complement_examples(self):
-        e1 = np.array([1.0, 0.0], dtype=complex)
-        assert np.allclose(orth_complement_projector(e1), np.diag([0.0, 1.0]))
-        assert np.allclose(orth_complement_projector(np.eye(2, dtype=complex)),
-                           np.zeros((2, 2)))
-
-    def test_complement_annihilates(self):
-        rng = np.random.default_rng(1)
-        x = crandn(rng, 3)
-        pc = orth_complement_projector(x)
-        assert np.linalg.norm(pc @ x) < 1e-10
-
-    def test_projector_pair_identities(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            m = rng.integers(2, 6)
-            k = rng.integers(1, m)
-            x = crandn(rng, m, k)
-            p = orth_projector(x)
-            pc = orth_complement_projector(x)
-            assert np.linalg.norm(p + pc - np.eye(m)) < 1e-10
-            assert np.linalg.norm(p @ x - x) < 1e-10
 
 
 class TestNullSpaceBasis:

@@ -1,4 +1,5 @@
-"""Property tests of the sum-rate solver over randomized system configurations.
+"""Property tests of the transmit-beamformer and sum-rate solvers over
+randomized system configurations.
 
 Configurations span m_t in [2, 8], m_r in [1, 8], source and relay SNRs from
 -10 to 60 dB, residual SI variances from 0 to 1 (linear) and an asymmetric
@@ -6,7 +7,6 @@ B-side link gain.  RuntimeWarnings are errors, so a 0/0 or an overflow that
 min/max clamping would hide fails the test.
 """
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -18,12 +18,13 @@ from fdtwrc.model import (
     SystemConfig,
     combiner_or_endpoint,
     db_to_linear,
-    relay_null_basis,
     relay_output_power,
     sample_channels,
+    sinr_pair,
     zf_residual,
 )
-from fdtwrc.sum_rate import dc_objective, max_sum_rate, solve_txbf_p2
+from fdtwrc.rate_region import Infeasible, solve_txbf_p1
+from fdtwrc.sum_rate import max_sum_rate, solve_txbf_p2
 
 configs = st.builds(
     lambda m_t, m_r, p_src_db, p_relay_db, si, gain_br_db: replace(
@@ -57,18 +58,7 @@ def test_sum_rate_invariants(cfg, seed, alpha, power_share):
     assert zf_ok(ch, w_t, w_r)
     vals = [s.f_value for s in states]
     p_r = relay_output_power(ch, w_t, w_r, p_a, p_b)
-    if cfg.m_t > 2:
-        assert abs(p_r - cfg.p_r_max) <= 1e-8 * max(1.0, cfg.p_r_max)
-    else:
-        # null dimension 1: the transmit power is searched numerically, and
-        # where the objective is flat to rounding (a silent source, a
-        # near-zero combiner gain) the search may stop below the budget;
-        # the power it keeps must still score as well as the full budget
-        assert p_r <= cfg.p_r_max * (1.0 + 1e-9)
-        w_full = math.sqrt(states[0].p_prime) * relay_null_basis(ch, w_r)[:, 0]
-        full = dc_objective(ch, w_r, p_a, p_b, abs(np.vdot(ch.h_ra, w_full)) ** 2,
-                            abs(np.vdot(ch.h_rb, w_full)) ** 2)
-        assert vals[-1] >= full - 1e-12 * max(1.0, full)
+    assert abs(p_r - cfg.p_r_max) <= 1e-8 * max(1.0, cfg.p_r_max)
     assert np.all(np.isfinite(vals))
     assert np.all(np.diff(vals) >= -1e-9)
 
@@ -76,3 +66,27 @@ def test_sum_rate_invariants(cfg, seed, alpha, power_share):
     assert np.isfinite(pt.sum_rate) and pt.sum_rate >= 0.0
     assert zf_ok(ch, pt.beamformer.w_t, pt.beamformer.w_r)
     assert pt.powers.p_r <= cfg.p_r_max * (1.0 + 1e-9) + 1e-9
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(cfg=configs, seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.0, 1.0),
+       power_share=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       target_share=st.floats(0.0, 1.5))
+def test_txbf_p1_invariants(cfg, seed, alpha, power_share, target_share):
+    ch = sample_channels(cfg, seed)
+    w_r = combiner_or_endpoint(ch, alpha)
+    p_a, p_b = power_share[0] * cfg.p_a_max, power_share[1] * cfg.p_b_max
+    # B's SINR target as a share of what A's full uplink could carry; above
+    # 1 the SINR gate must refuse it
+    gamma_b = target_share * p_a * abs(np.vdot(w_r, ch.h_ar)) ** 2
+    try:
+        w_t = solve_txbf_p1(ch, w_r, p_a, p_b, gamma_b, cfg.p_r_max)
+    except Infeasible as exc:
+        assert exc.stage in {"sinr_gate", "beam_power_gate"}
+        return
+    assert zf_ok(ch, w_t, w_r)
+    p_r = relay_output_power(ch, w_t, w_r, p_a, p_b)
+    assert abs(p_r - cfg.p_r_max) <= 1e-8 * max(1.0, cfg.p_r_max)
+    _, g_b = sinr_pair(ch, w_t, w_r, p_a, p_b)
+    assert g_b >= gamma_b * (1.0 - 1e-8)

@@ -25,7 +25,6 @@ from fdtwrc.rate_region import (
     optimize_fixed_alpha_p1,
     power_p1_stepwise,
     rate_region,
-    region_csv_rows,
     solve_power_p1,
     solve_txbf_p1,
 )
@@ -348,13 +347,3 @@ class TestRateRegion:
             end_b.append(entries[1][1].rate_b)
         ratio = np.mean(end_a) / np.mean(end_b)
         assert 0.75 < ratio < 1.25
-
-    def test_csv_rows(self):
-        ch = sample_channels(CFG, 16)
-        rows = region_csv_rows(rate_region(ch, 3, CFG))
-        assert rows[0] == "r_b_target,rate_a,rate_b,p_a,p_b,alpha,feasible"
-        assert len(rows) == 4
-        for line in rows[1:]:
-            fields = line.split(",")
-            assert len(fields) == 7
-            assert fields[-1] in ("0", "1")

@@ -252,6 +252,19 @@ class TestSolveTxbfP2:
             assert abs(p_r - cfg.p_r_max) < 1e-7
             assert zf_residual(ch, w_t, w_r) <= 1e-9 * max(1.0, np.linalg.norm(ch.h_rr) * np.linalg.norm(w_t))
 
+    @pytest.mark.parametrize("alpha", [1e-8, 0.0])
+    def test_null_dimension_one_spends_full_budget(self, alpha):
+        # A silent (p_a = 0) and a near-zero (alpha = 1e-8) or zero
+        # (alpha = 0) combiner gain for B leave the objective flat to
+        # rounding in the transmit power; the relay must still spend its
+        # whole budget
+        cfg = SystemConfig(m_t=2, m_r=2, p_a_max=1.0, p_b_max=1.0, p_r_max=1.0,
+                           sigma2_r=1.0, gain_br=2.0)
+        ch = sample_channels(cfg, 0)
+        w_r = receive_combiner(ch, alpha)
+        w_t = solve_txbf_p2(ch, w_r, 0.0, 1.0, cfg)
+        assert abs(relay_output_power(ch, w_t, w_r, 0.0, 1.0) - cfg.p_r_max) <= 1e-12
+
 
 def _txbf_value(ch, w_r, p_a, p_b, w_t):
     return dc_objective(ch, w_r, p_a, p_b, abs(np.vdot(ch.h_ra, w_t)) ** 2,
