@@ -28,6 +28,7 @@ from .model import (
 from .rate_region import (
     Infeasible,
     _alpha_search,
+    _gamma_feasibility,
     _max_rate_given_gamma,
     _p_prime,
     _rx_gains,
@@ -132,6 +133,19 @@ def _hd_gammas(x, red, config):
     return gamma_a, gamma_b, scale2
 
 
+def _hd_starts(red, n0=3000, seed=0):
+    """The n0 seeded start matrices of ``_hd_search`` and the generator that
+    continues its stream; the same for every call with the same seed."""
+    kt, kr = red.a_t.size, red.a_r.size
+    rng = np.random.default_rng(seed)
+    return rng, rng.standard_normal((n0, kt, kr)) + 1j * rng.standard_normal((n0, kt, kr))
+
+
+def _hd_meets_target(gamma_b, r_b):
+    """Which per-phase B SINRs meet the halved-rate target r_b."""
+    return gamma_b >= (2.0 ** (2.0 * r_b) - 1.0) * (1.0 - 1e-9)
+
+
 def _hd_search(red, config, value_fn, n0=3000, stages=80, batch=192, seed=0):
     """Batched random-restart hill climbing over the reduced relay matrix.
 
@@ -139,8 +153,7 @@ def _hd_search(red, config, value_fn, n0=3000, stages=80, batch=192, seed=0):
     infeasible candidate).  Deterministic for a fixed seed.
     """
     kt, kr = red.a_t.size, red.a_r.size
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n0, kt, kr)) + 1j * rng.standard_normal((n0, kt, kr))
+    rng, x = _hd_starts(red, n0, seed)
     ga, gb, _ = _hd_gammas(x, red, config)
     vals = value_fn(ga, gb)
     i = int(np.argmax(vals))
@@ -200,10 +213,8 @@ def hd_anc_solve(channels, objective, config, r_b=None, relay_matrix="full"):
         x, val = _hd_search(red, config, value)
         return _hd_point(hd_channels, x, red, config, trace_value=0.5 * val)
     if objective == "region_point":
-        gamma_target = 2.0 ** (2.0 * r_b) - 1.0
-
         def value(ga, gb):
-            return np.where(gb >= gamma_target * (1.0 - 1e-9), ga, -np.inf)
+            return np.where(_hd_meets_target(gb, r_b), ga, -np.inf)
         x, val = _hd_search(red, config, value)
         if x is None:
             raise Infeasible("hd_region_target")
@@ -227,12 +238,28 @@ def _hd_rank_one(channels, objective, config, r_b):
 
 
 def hd_anc_region(channels, n_points, config, relay_matrix="full"):
+    """HD region sweep.  A target counts as feasible when the rank-one P1
+    gates pass (``rank_one``), or when one of the full search's seeded start
+    matrices meets it: the cases in which ``hd_anc_solve`` returns a point."""
     cap = 0.5 * math.log2(
         1.0 + config.p_a_max * float(np.vdot(channels.h_ar, channels.h_ar).real))
+    hd_channels = strip_source_si(zero_loopback(channels))
+    if relay_matrix == "rank_one":
+        feasible = _gamma_feasibility(hd_channels, config,
+                                      fixed_powers=(config.p_a_max, config.p_b_max))
+
+        def is_feasible(r_b):
+            return feasible(2.0 ** (2.0 * r_b) - 1.0)
+    else:
+        red = _hd_reduce(hd_channels)
+        _, gb_start, _ = _hd_gammas(_hd_starts(red)[1], red, config)
+
+        def is_feasible(r_b):
+            return bool(np.any(_hd_meets_target(gb_start, r_b)))
     return region_sweep(
         lambda r_b: hd_anc_solve(channels, "region_point", config, r_b=r_b,
                                  relay_matrix=relay_matrix),
-        cap, n_points)
+        is_feasible, cap, n_points)
 
 
 def _complement_projector_or_identity(v):
@@ -323,9 +350,10 @@ def upper_bound_solve(channels, objective, config, r_b=None, proposed=None):
 
 def upper_bound_region(channels, n_points, config):
     cap = math.log2(1.0 + config.p_a_max * float(np.vdot(channels.h_ar, channels.h_ar).real))
+    feasible = _gamma_feasibility(zero_loopback(channels), config)
     return region_sweep(
         lambda r_b: upper_bound_solve(channels, "region_point", config, r_b=r_b),
-        cap, n_points)
+        lambda r_b: feasible(2.0**r_b - 1.0), cap, n_points)
 
 
 def local_csi_sum_rate(channels, config, seed):

@@ -18,6 +18,7 @@ import json
 import logging
 import math
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -185,9 +186,12 @@ def _mean_se(values):
 def run_experiment(spec, workers=None, keep_samples=False):
     """Run every (sweep value, trial, scheme) cell and aggregate.
 
-    Deterministic in ``spec``: the i-th trial of every sweep value uses the
-    seed ``spec.seed ^ i``.  ``workers=1`` forces serial execution.
+    Rows and samples are deterministic in ``spec``: the i-th trial of every
+    sweep value uses the seed ``spec.seed ^ i``.  ``workers=1`` forces
+    serial execution.  The metadata also records the numpy version, the
+    worker count, the cpu count and the run's wall time (``runtime_s``).
     """
+    t_start = time.perf_counter()
     if workers is None:
         workers = min(os.cpu_count() or 1, 16)
     region = spec.kind in REGION_KINDS
@@ -246,6 +250,10 @@ def run_experiment(spec, workers=None, keep_samples=False):
             "sigma2_r", "gain_br", "alpha_grid", "iter_max", "conv_tol", "grid_points")},
         "version": __version__,
         "gain_definition": "ratio of mean sum rates (scheme mean / hd mean)",
+        "numpy_version": np.__version__,
+        "workers": workers,
+        "cpu_count": os.cpu_count(),
+        "runtime_s": time.perf_counter() - t_start,
     }
     return ResultTable(rows=rows, metadata=metadata, samples=samples)
 

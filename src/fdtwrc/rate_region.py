@@ -33,10 +33,16 @@ __all__ = [
 class Infeasible(Exception):
     """A solver subproblem has an empty feasible set.
 
-    ``stage`` tells the failing gate apart: 'sinr_gate' (source A cannot push
-    enough SINR to B at its current power), 'beam_power_gate' (the ZF null
-    space cannot carry the required gain within the relay budget) or
-    'power_polygon' (empty power-allocation polygon).
+    ``stage`` names the failing step:
+
+    - 'sinr_gate': source A cannot push enough SINR to B at its current power;
+    - 'beam_power_gate': the ZF null space cannot carry the required gain
+      within the relay budget;
+    - 'collinear_1d': a one-dimensional null space cannot meet a boundary
+      level q < 1 (``boundary_unit_vector``);
+    - 'power_polygon': empty power-allocation polygon;
+    - 'alpha_grid': no combiner setting on the grid is feasible;
+    - 'hd_region_target': no HD start matrix meets B's target.
     """
 
     def __init__(self, stage, message=""):
@@ -158,6 +164,28 @@ def lemma_value(r, q):
     return float(boundary_range(r, q)[1])
 
 
+def _p1_gates(channels, rx_a, rx_b, nb2, p_a, p_b, gamma_b, p_r_max):
+    """The two gates of the P1 beamformer, from the combiner's receive gains
+    and ||b_t||^2 alone.
+
+    Returns (gb_bar, p_bar): B's required transmit gain |h_rb^H w_t|^2 and
+    the budget ||w_t||^2 that spends the relay power.  Raises Infeasible
+    ('sinr_gate' or 'beam_power_gate') when no transmit beamformer meets
+    B's SINR threshold gamma_b at powers (p_a, p_b).
+    """
+    if gamma_b <= 0.0:
+        gb_bar = 0.0
+    else:
+        margin = p_a * rx_a - gamma_b
+        if margin <= 0.0:
+            raise Infeasible("sinr_gate")
+        gb_bar = gamma_b * (p_b * abs(channels.h_bb) ** 2 + 1.0) / margin
+    p_bar = _p_prime(p_r_max, p_a, p_b, rx_a, rx_b)
+    if p_bar * nb2 < gb_bar * (1.0 - 1e-12):
+        raise Infeasible("beam_power_gate")
+    return gb_bar, p_bar
+
+
 def solve_txbf_p1(channels, w_r, p_a, p_b, gamma_b, p_r_max, ctx=None):
     """Transmit beamformer maximizing the gain toward A under the B-SINR
     threshold, the relay power budget (met with equality) and ZF.
@@ -170,16 +198,7 @@ def solve_txbf_p1(channels, w_r, p_a, p_b, gamma_b, p_r_max, ctx=None):
     if ctx is None:
         ctx = _tx_context(channels, w_r)
     rx_a, rx_b = _rx_gains(channels, w_r)
-    if gamma_b <= 0.0:
-        gb_bar = 0.0
-    else:
-        margin = p_a * rx_a - gamma_b
-        if margin <= 0.0:
-            raise Infeasible("sinr_gate")
-        gb_bar = gamma_b * (p_b * abs(channels.h_bb) ** 2 + 1.0) / margin
-    p_bar = _p_prime(p_r_max, p_a, p_b, rx_a, rx_b)
-    if p_bar * ctx.nb2 < gb_bar * (1.0 - 1e-12):
-        raise Infeasible("beam_power_gate")
+    gb_bar, p_bar = _p1_gates(channels, rx_a, rx_b, ctx.nb2, p_a, p_b, gamma_b, p_r_max)
     scale = math.sqrt(p_bar)
     if ctx.d2 is None:
         # gain toward A is zero for every admissible direction; return a
@@ -219,7 +238,9 @@ def _feasible_vertices(lines_ge, lines_le, box, tol=1e-9):
             continue
         ok = True
         for a, b, c in lines_ge:
-            s = max(abs(a) * p_a_max, abs(b) * p_b_max, abs(c), 1.0)
+            # scaled by the terms at the vertex, not at the box corner, so an
+            # accepted vertex misses B's SINR threshold by at most ~tol relative
+            s = max(abs(a * x), abs(b * y), abs(c), 1e-300)
             if a * x + b * y < c - tol * s:
                 ok = False
                 break
@@ -311,6 +332,12 @@ def power_p1_stepwise(channels, w_t, w_r, gamma_b, config):
     return float(min(max(p_a, 0.0), pa_max)), float(min(max(p_b, 0.0), pb_max))
 
 
+def _p1_start_powers(config, fixed_powers):
+    if fixed_powers is not None:
+        return [tuple(fixed_powers)]
+    return [(config.p_a_max, config.p_b_max), (config.p_a_max, 0.0)]
+
+
 def optimize_fixed_alpha_p1(channels, alpha, gamma_b, config, fixed_powers=None):
     """Alternate the beamformer and power solves for one combiner setting.
 
@@ -321,9 +348,7 @@ def optimize_fixed_alpha_p1(channels, alpha, gamma_b, config, fixed_powers=None)
     """
     w_r = combiner_or_endpoint(channels, alpha)
     ctx = _tx_context(channels, w_r)
-    inits = [(config.p_a_max, config.p_b_max)] if fixed_powers is None else [tuple(fixed_powers)]
-    if fixed_powers is None:
-        inits.append((config.p_a_max, 0.0))
+    inits = _p1_start_powers(config, fixed_powers)
     w_t = None
     powers = None
     for cand in inits:
@@ -350,13 +375,17 @@ def optimize_fixed_alpha_p1(channels, alpha, gamma_b, config, fixed_powers=None)
     return make_operating_point(channels, w_t, w_r, alpha, powers[0], powers[1], trace)
 
 
+def _alpha_grid(config):
+    return np.linspace(0.0, 1.0, config.alpha_grid)
+
+
 def _alpha_search(evaluate, config, tol=1e-3):
     """Grid + golden search over the combiner parameter.
 
     ``evaluate(alpha)`` returns an OperatingPoint or raises Infeasible; the
     best feasible point over the grid and the refinement is returned.
     """
-    alphas = np.linspace(0.0, 1.0, config.alpha_grid)
+    alphas = _alpha_grid(config)
     best = {"point": None, "value": -math.inf, "alpha": None}
 
     def objective(alpha):
@@ -384,6 +413,37 @@ def _max_rate_given_gamma(channels, gamma_b, config, fixed_powers=None):
         lambda a: optimize_fixed_alpha_p1(channels, a, gamma_b, config, fixed_powers), config)
 
 
+def _gamma_feasibility(channels, config, fixed_powers=None):
+    """``is_feasible(gamma_b)``: whether ``_max_rate_given_gamma`` succeeds at
+    B's SINR target gamma_b, decided without running it.
+
+    ``_alpha_search`` raises only when every grid combiner raises, and
+    ``optimize_fixed_alpha_p1`` raises only when its first beamformer solve
+    fails the gates at every start power: past the gates the start
+    beamformer meets B's target, and each later power and beamformer step
+    keeps a feasible point (up to the solvers' tolerances).  The gates need
+    only the receive gains and ||b_t||^2 of each grid combiner, computed
+    here once.
+    """
+    combiners = []
+    for alpha in _alpha_grid(config):
+        w_r = combiner_or_endpoint(channels, float(alpha))
+        combiners.append((*_rx_gains(channels, w_r), _tx_context(channels, w_r).nb2))
+    inits = _p1_start_powers(config, fixed_powers)
+
+    def is_feasible(gamma_b):
+        for rx_a, rx_b, nb2 in combiners:
+            for p_a, p_b in inits:
+                try:
+                    _p1_gates(channels, rx_a, rx_b, nb2, p_a, p_b, gamma_b, config.p_r_max)
+                    return True
+                except Infeasible:
+                    pass
+        return False
+
+    return is_feasible
+
+
 def max_rate_given_rb(channels, r_b, config):
     """Best operating point for A subject to B achieving rate r_b."""
     if r_b < 0:
@@ -391,30 +451,32 @@ def max_rate_given_rb(channels, r_b, config):
     return _max_rate_given_gamma(channels, 2.0**r_b - 1.0, config)
 
 
-def region_sweep(point_solver, r_b_cap, n_points, bisect_steps=24):
+def region_sweep(point_solver, is_feasible, r_b_cap, n_points, bisect_steps=24):
     """Generic boundary sweep used by the proposed scheme and the baselines.
 
-    ``point_solver(r_b)`` returns an OperatingPoint or raises Infeasible.
-    B's largest feasible target is located by bisection on [0, r_b_cap],
-    the boundary is sampled at n_points targets and non-monotone raw
-    sweeps are repaired by carrying dominating higher-target points down.
+    ``point_solver(r_b)`` returns an OperatingPoint or raises Infeasible;
+    ``is_feasible(r_b)`` says, without solving, whether it succeeds.  B's
+    largest feasible target is located by bisection of ``is_feasible`` on
+    [0, r_b_cap], the boundary is sampled at n_points targets (the only
+    point solves) and non-monotone raw sweeps are repaired by carrying
+    dominating higher-target points down.
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
 
-    def feasible(r_b):
+    def point_or_none(r_b):
         try:
             return point_solver(r_b)
         except Infeasible:
             return None
 
     lo, hi = 0.0, r_b_cap
-    if feasible(hi) is not None:
+    if is_feasible(hi):
         lo = hi
     else:
         for _ in range(bisect_steps):
             mid = 0.5 * (lo + hi)
-            if feasible(mid) is not None:
+            if is_feasible(mid):
                 lo = mid
             else:
                 hi = mid
@@ -422,7 +484,7 @@ def region_sweep(point_solver, r_b_cap, n_points, bisect_steps=24):
     targets = np.linspace(0.0, r_b_max, n_points)
     entries = []
     for r_b in targets:
-        entries.append((float(r_b), feasible(float(r_b))))
+        entries.append((float(r_b), point_or_none(float(r_b))))
     # monotone repair: replace points dominated by a higher-target point
     best = None
     for k in range(len(entries) - 1, -1, -1):
@@ -439,4 +501,6 @@ def rate_region(channels, n_points, config):
     (r_b target, OperatingPoint-or-None) pairs, swept from r_b = 0 up to
     B's largest feasible single-target rate."""
     cap = math.log2(1.0 + config.p_a_max * float(np.vdot(channels.h_ar, channels.h_ar).real))
-    return region_sweep(lambda r_b: max_rate_given_rb(channels, r_b, config), cap, n_points)
+    feasible = _gamma_feasibility(channels, config)
+    return region_sweep(lambda r_b: max_rate_given_rb(channels, r_b, config),
+                        lambda r_b: feasible(2.0**r_b - 1.0), cap, n_points)

@@ -48,6 +48,8 @@ from fdtwrc.sum_rate import (
     _tx_context,
 )
 
+pytestmark = pytest.mark.acceptance
+
 BASE = SystemConfig()
 ALL4 = (SchemeId.PROPOSED_FD, SchemeId.HD_ANC, SchemeId.FD_ONEWAY, SchemeId.FD_UPPER_BOUND)
 

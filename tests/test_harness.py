@@ -219,6 +219,17 @@ class TestEmit:
         assert back.metadata["kind"] == "sumrate_vs_source_snr"
         assert back.rows == table.rows
 
+    def test_json_carries_run_metadata(self, tmp_path):
+        spec = ExperimentSpec(kind="sumrate_vs_source_snr", schemes=FAST,
+                              sweep=(10.0,), trials=2, seed=5, base=BASE)
+        path = tmp_path / "run.json"
+        emit(run_experiment(spec, workers=1), "json", path)
+        meta = json.loads(path.read_text())["metadata"]
+        assert meta["numpy_version"] == np.__version__
+        assert meta["workers"] == 1
+        assert isinstance(meta["cpu_count"], int) and meta["cpu_count"] >= 1
+        assert math.isfinite(meta["runtime_s"]) and meta["runtime_s"] > 0.0
+
     def test_empty_table_guard(self, tmp_path):
         path = tmp_path / "never.csv"
         with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
-"""Property tests of the transmit-beamformer and sum-rate solvers over
-randomized system configurations.
+"""Property tests of the transmit-beamformer, sum-rate and rate-region
+solvers over randomized system configurations.
 
 Configurations span m_t in [2, 8], m_r in [1, 8], source and relay SNRs from
 -10 to 60 dB, residual SI variances from 0 to 1 (linear) and an asymmetric
@@ -23,7 +23,7 @@ from fdtwrc.model import (
     sinr_pair,
     zf_residual,
 )
-from fdtwrc.rate_region import Infeasible, solve_txbf_p1
+from fdtwrc.rate_region import Infeasible, rate_region, solve_txbf_p1
 from fdtwrc.sum_rate import max_sum_rate, solve_txbf_p2
 
 configs = st.builds(
@@ -90,3 +90,18 @@ def test_txbf_p1_invariants(cfg, seed, alpha, power_share, target_share):
     assert abs(p_r - cfg.p_r_max) <= 1e-8 * max(1.0, cfg.p_r_max)
     _, g_b = sinr_pair(ch, w_t, w_r, p_a, p_b)
     assert g_b >= gamma_b * (1.0 - 1e-8)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(cfg=configs, seed=st.integers(0, 2**32 - 1))
+def test_rate_region_invariants(cfg, seed):
+    entries = rate_region(sample_channels(cfg, seed), 4, cfg)
+    targets = [r_b for r_b, _ in entries]
+    assert targets[0] == 0.0
+    assert np.all(np.diff(targets) >= 0.0)
+    assert entries[-1][1] is not None
+    for r_b, pt in entries:
+        assert pt.rate_b >= r_b - 1e-9
+    rates_a = [pt.rate_a for _, pt in entries]
+    assert np.all(np.diff(rates_a) <= 1e-12)  # the sweep's repair tolerance

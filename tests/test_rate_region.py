@@ -4,9 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fdtwrc.baselines import hd_anc_region, hd_anc_solve, upper_bound_region, upper_bound_solve
 from fdtwrc.model import (
     SystemConfig,
     combiner_or_endpoint,
+    db_to_linear,
     effective_gains,
     receive_combiner,
     relay_null_basis,
@@ -337,6 +339,16 @@ class TestRateRegion:
             assert zf_residual(ch, pt.beamformer.w_t, pt.beamformer.w_r) <= 1e-9 * max(
                 1.0, np.linalg.norm(ch.h_rr) * np.linalg.norm(pt.beamformer.w_t))
 
+    def test_high_snr_endpoint_meets_target(self):
+        # 48 dB sources: a power vertex missing B's SINR threshold by 1.5e-8
+        # relative passed a tolerance scaled by p_b_max, so the endpoint
+        # point fell 1.5e-9 bits short of its target
+        cfg = replace(CFG, m_t=2, m_r=7, p_a_max=db_to_linear(48.0),
+                      p_b_max=db_to_linear(48.0), p_r_max=1.0, sigma2_a=0.0,
+                      sigma2_b=1.0, sigma2_r=0.0, gain_br=1.0)
+        for r_b, pt in rate_region(sample_channels(cfg, 0), 4, cfg):
+            assert pt.rate_b >= r_b - 1e-9
+
     def test_symmetry_statistic(self):
         # symmetric fading: the two endpoint rates agree on average
         end_a, end_b = [], []
@@ -347,3 +359,72 @@ class TestRateRegion:
             end_b.append(entries[1][1].rate_b)
         ratio = np.mean(end_a) / np.mean(end_b)
         assert 0.75 < ratio < 1.25
+
+
+def _bisect_on_point_solver(point_solver, cap, steps=24):
+    """Reference: B's largest feasible target found by bisection in which
+    every probe is a full point solve.  Returns the final (lo, hi)."""
+    def solves(r_b):
+        try:
+            point_solver(r_b)
+            return True
+        except Infeasible:
+            return False
+
+    lo, hi = 0.0, cap
+    if solves(hi):
+        return hi, hi
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if solves(mid) else (lo, mid)
+    return lo, hi
+
+
+def _endpoint_cases():
+    rng = np.random.default_rng(2718)
+    random_cases = []
+    for k in range(40):
+        p_a, p_b, p_r = rng.uniform(-10.0, 40.0, 3)
+        si = 10.0 ** rng.uniform(-4.0, 0.0, 3)
+        cfg = replace(CFG, m_t=int(rng.integers(2, 6)), m_r=int(rng.integers(1, 6)),
+                      p_a_max=db_to_linear(p_a), p_b_max=db_to_linear(p_b),
+                      p_r_max=db_to_linear(p_r), sigma2_a=si[0], sigma2_b=si[1],
+                      sigma2_r=si[2], gain_br=db_to_linear(rng.uniform(-20.0, 20.0)))
+        random_cases.append((cfg, 3000 + k))
+    return [(CFG, 2900 + t) for t in range(20)] + random_cases
+
+
+# scheme -> (region sweep, point solver, pre-log of B's rate cap)
+REGION_SCHEMES = {
+    "proposed": (lambda ch, cfg, n: rate_region(ch, n, cfg),
+                 lambda ch, cfg, r_b: max_rate_given_rb(ch, r_b, cfg), 1.0),
+    "ub": (lambda ch, cfg, n: upper_bound_region(ch, n, cfg),
+           lambda ch, cfg, r_b: upper_bound_solve(ch, "region_point", cfg, r_b=r_b), 1.0),
+    "hd_full": (lambda ch, cfg, n: hd_anc_region(ch, n, cfg),
+                lambda ch, cfg, r_b: hd_anc_solve(ch, "region_point", cfg, r_b=r_b), 0.5),
+    "hd_rank_one": (lambda ch, cfg, n: hd_anc_region(ch, n, cfg, relay_matrix="rank_one"),
+                    lambda ch, cfg, r_b: hd_anc_solve(ch, "region_point", cfg, r_b=r_b,
+                                                      relay_matrix="rank_one"), 0.5),
+}
+
+
+class TestRegionEndpoint:
+    """The sweep's feasibility test finds the endpoint that bisection over
+    full point solves finds, bit for bit."""
+
+    @pytest.mark.parametrize("scheme", sorted(REGION_SCHEMES))
+    def test_matches_bisection_over_point_solver(self, scheme):
+        region, solve, pre_log = REGION_SCHEMES[scheme]
+        below_cap = 0
+        for cfg, seed in _endpoint_cases():
+            ch = sample_channels(cfg, seed)
+            cap = pre_log * math.log2(1.0 + cfg.p_a_max * float(np.vdot(ch.h_ar, ch.h_ar).real))
+            (r_b_max, pt), = region(ch, cfg, 2)[1:]
+            lo, hi = _bisect_on_point_solver(lambda r_b: solve(ch, cfg, r_b), cap)
+            assert r_b_max == lo, (cfg, seed)
+            assert pt is not None and pt.rate_b >= r_b_max - 1e-6
+            if r_b_max < cap:
+                below_cap += 1
+                with pytest.raises(Infeasible):
+                    solve(ch, cfg, hi)
+        assert below_cap >= 20
