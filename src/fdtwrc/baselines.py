@@ -9,6 +9,7 @@ reuses the proposed solvers on a realization whose relay loopback is
 zeroed, which removes the ZF restriction while keeping source SI.
 """
 
+import copy
 import enum
 import math
 from dataclasses import dataclass
@@ -133,12 +134,16 @@ def _hd_gammas(x, red, config):
     return gamma_a, gamma_b, scale2
 
 
-def _hd_starts(red, n0=3000, seed=0):
-    """The n0 seeded start matrices of ``_hd_search`` and the generator that
-    continues its stream; the same for every call with the same seed."""
+def _hd_starts(red, config, n0=3000, seed=0):
+    """The n0 seeded start matrices of ``_hd_search``, their SINR pairs and
+    the generator that continues their stream, as (x, gamma_a, gamma_b,
+    rng).  ``_hd_search`` copies the generator, so one set serves every
+    search of a region sweep."""
     kt, kr = red.a_t.size, red.a_r.size
     rng = np.random.default_rng(seed)
-    return rng, rng.standard_normal((n0, kt, kr)) + 1j * rng.standard_normal((n0, kt, kr))
+    x = rng.standard_normal((n0, kt, kr)) + 1j * rng.standard_normal((n0, kt, kr))
+    gamma_a, gamma_b, _ = _hd_gammas(x, red, config)
+    return x, gamma_a, gamma_b, rng
 
 
 def _hd_meets_target(gamma_b, r_b):
@@ -146,15 +151,16 @@ def _hd_meets_target(gamma_b, r_b):
     return gamma_b >= (2.0 ** (2.0 * r_b) - 1.0) * (1.0 - 1e-9)
 
 
-def _hd_search(red, config, value_fn, n0=3000, stages=80, batch=192, seed=0):
-    """Batched random-restart hill climbing over the reduced relay matrix.
+def _hd_search(red, config, value_fn, starts, stages=80, batch=192):
+    """Batched random-restart hill climbing over the reduced relay matrix
+    from the scored ``_hd_starts``; deterministic for given starts.
 
     value_fn maps (gamma_a, gamma_b) arrays to scores (-inf marks an
-    infeasible candidate).  Deterministic for a fixed seed.
+    infeasible candidate).
     """
     kt, kr = red.a_t.size, red.a_r.size
-    rng, x = _hd_starts(red, n0, seed)
-    ga, gb, _ = _hd_gammas(x, red, config)
+    x, ga, gb, rng = starts
+    rng = copy.deepcopy(rng)
     vals = value_fn(ga, gb)
     i = int(np.argmax(vals))
     if not np.isfinite(vals[i]):
@@ -207,15 +213,20 @@ def hd_anc_solve(channels, objective, config, r_b=None, relay_matrix="full"):
         return _hd_rank_one(channels, objective, config, r_b)
     hd_channels = strip_source_si(zero_loopback(channels))
     red = _hd_reduce(hd_channels)
+    return _hd_full(hd_channels, red, _hd_starts(red, config), objective, config, r_b)
+
+
+def _hd_full(hd_channels, red, starts, objective, config, r_b):
+    """Full-matrix HD solve on the stripped channels from given starts."""
     if objective == "sum_rate":
         def value(ga, gb):
             return np.log2(1.0 + ga) + np.log2(1.0 + gb)
-        x, val = _hd_search(red, config, value)
+        x, val = _hd_search(red, config, value, starts)
         return _hd_point(hd_channels, x, red, config, trace_value=0.5 * val)
     if objective == "region_point":
         def value(ga, gb):
             return np.where(_hd_meets_target(gb, r_b), ga, -np.inf)
-        x, val = _hd_search(red, config, value)
+        x, val = _hd_search(red, config, value, starts)
         if x is None:
             raise Infeasible("hd_region_target")
         return _hd_point(hd_channels, x, red, config, trace_value=val)
@@ -240,7 +251,9 @@ def _hd_rank_one(channels, objective, config, r_b):
 def hd_anc_region(channels, n_points, config, relay_matrix="full"):
     """HD region sweep.  A target counts as feasible when the rank-one P1
     gates pass (``rank_one``), or when one of the full search's seeded start
-    matrices meets it: the cases in which ``hd_anc_solve`` returns a point."""
+    matrices meets it: the cases in which ``hd_anc_solve`` returns a point.
+    The full search reduces the channels and scores its starts once per
+    sweep; every point solve reuses them."""
     cap = 0.5 * math.log2(
         1.0 + config.p_a_max * float(np.vdot(channels.h_ar, channels.h_ar).real))
     hd_channels = strip_source_si(zero_loopback(channels))
@@ -250,16 +263,19 @@ def hd_anc_region(channels, n_points, config, relay_matrix="full"):
 
         def is_feasible(r_b):
             return feasible(2.0 ** (2.0 * r_b) - 1.0)
+
+        def point_solver(r_b):
+            return _hd_rank_one(channels, "region_point", config, r_b)
     else:
         red = _hd_reduce(hd_channels)
-        _, gb_start, _ = _hd_gammas(_hd_starts(red)[1], red, config)
+        starts = _hd_starts(red, config)
 
         def is_feasible(r_b):
-            return bool(np.any(_hd_meets_target(gb_start, r_b)))
-    return region_sweep(
-        lambda r_b: hd_anc_solve(channels, "region_point", config, r_b=r_b,
-                                 relay_matrix=relay_matrix),
-        is_feasible, cap, n_points)
+            return bool(np.any(_hd_meets_target(starts[2], r_b)))
+
+        def point_solver(r_b):
+            return _hd_full(hd_channels, red, starts, "region_point", config, r_b)
+    return region_sweep(point_solver, is_feasible, cap, n_points)
 
 
 def _complement_projector_or_identity(v):

@@ -9,7 +9,7 @@ w_r^H H_rr w_t = 0 removes the relay's own loopback term from the model.
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -72,6 +72,9 @@ class SystemConfig:
     grid_points: int = 201
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.m_t < 2:
             raise ValueError("m_t >= 2 is required for transmit-side ZF")
         if self.m_r < 1:

@@ -1,6 +1,7 @@
-"""Rate-region machinery: closed-form transmit beamformer, vertex power
-allocation, alternating loop with a 1-D combiner search, and the boundary
-sweep over source B's target rate.
+"""Rate-region machinery: closed-form transmit beamformer, closed-form
+power allocation (the largest feasible p_b on the line where B's SINR
+target binds), alternating loop with a 1-D combiner search, and the
+boundary sweep over source B's target rate.
 """
 
 import cmath
@@ -23,7 +24,6 @@ __all__ = [
     "boundary_unit_vector",
     "solve_txbf_p1",
     "solve_power_p1",
-    "power_p1_stepwise",
     "optimize_fixed_alpha_p1",
     "max_rate_given_rb",
     "rate_region",
@@ -159,11 +159,6 @@ def boundary_unit_vector(d1, d2, q):
     return z / np.linalg.norm(z)
 
 
-def lemma_value(r, q):
-    """Optimal |d2^H z|^2 of the boundary problem: (r sqrt(q) + sqrt((1-q)(1-r^2)))^2."""
-    return float(boundary_range(r, q)[1])
-
-
 def _p1_gates(channels, rx_a, rx_b, nb2, p_a, p_b, gamma_b, p_r_max):
     """The two gates of the P1 beamformer, from the combiner's receive gains
     and ||b_t||^2 alone.
@@ -212,124 +207,60 @@ def solve_txbf_p1(channels, w_r, p_a, p_b, gamma_b, p_r_max, ctx=None):
     return scale * (ctx.n_t @ z)
 
 
-def _feasible_vertices(lines_ge, lines_le, box, tol=1e-9):
-    """Vertices of {x : a.x >= c for ge-lines, a.x <= c for le-lines, x in box}."""
-    p_a_max, p_b_max = box
-    all_lines = [(a, b, c) for a, b, c in lines_ge + lines_le]
-    all_lines += [(1.0, 0.0, 0.0), (1.0, 0.0, p_a_max), (0.0, 1.0, 0.0), (0.0, 1.0, p_b_max)]
-    pts = []
-    n = len(all_lines)
-    for i in range(n):
-        a1, b1, c1 = all_lines[i]
-        for j in range(i + 1, n):
-            a2, b2, c2 = all_lines[j]
-            det = a1 * b2 - a2 * b1
-            norm = max(abs(a1), abs(b1), 1e-300) * max(abs(a2), abs(b2), 1e-300)
-            if abs(det) <= 1e-14 * norm:
-                continue
-            x = (c1 * b2 - c2 * b1) / det
-            y = (a1 * c2 - a2 * c1) / det
-            pts.append((x, y))
-    out = []
-    for x, y in pts:
-        if not (-tol * max(1.0, p_a_max) <= x <= p_a_max * (1 + tol) + tol):
-            continue
-        if not (-tol * max(1.0, p_b_max) <= y <= p_b_max * (1 + tol) + tol):
-            continue
-        ok = True
-        for a, b, c in lines_ge:
-            # scaled by the terms at the vertex, not at the box corner, so an
-            # accepted vertex misses B's SINR threshold by at most ~tol relative
-            s = max(abs(a * x), abs(b * y), abs(c), 1e-300)
-            if a * x + b * y < c - tol * s:
-                ok = False
-                break
-        if ok:
-            for a, b, c in lines_le:
-                s = max(abs(a) * p_a_max, abs(b) * p_b_max, abs(c), 1.0)
-                if a * x + b * y > c + tol * s:
-                    ok = False
-                    break
-        if ok:
-            out.append((min(max(x, 0.0), p_a_max), min(max(y, 0.0), p_b_max)))
-    return out
-
-
 def solve_power_p1(channels, w_t, w_r, gamma_b, config):
     """Source powers maximizing A's SINR subject to B's SINR threshold, the
-    relay budget and the power box.
+    relay budget and the power box, in closed form.
 
-    The objective is linear-fractional, so its maximum over the feasible
-    polygon sits at a vertex; all pairwise intersections of the two
-    constraint lines and the box edges are enumerated and filtered.
+    With the gains T_a, T_b, R_a, R_b of ``effective_gains``, A's SINR
+    p_b T_a R_b / (T_a + p_a |h_aa|^2 + 1) never increases in p_a, so at
+    each p_b the best p_a is the smallest one that meets B's target:
+    p_a = c + k p_b with c = gamma_b (T_b + 1) / (T_b R_a) and
+    k = gamma_b |h_bb|^2 / (T_b R_a), both 0 when gamma_b = 0.  Along that
+    line the objective is p_b K / (a + b p_b) with K = T_a R_b,
+    a = T_a + 1 + c |h_aa|^2 > 0 and b = k |h_aa|^2 >= 0, which increases
+    in p_b.  Lowering p_a keeps the box and the relay budget, so the line
+    is feasible on an interval of p_b starting at 0, and the optimum is
+    its end: the least of p_b_max, the crossing with p_a = p_a_max and the
+    crossing with the relay-budget line.  When even p_b = 0 is infeasible
+    the polygon is empty and Infeasible('power_polygon') is raised.
+
+    The box and the relay line are met within 1e-9 relative.  The corner
+    p_b_max therefore wins whenever it is feasible within that tolerance,
+    which matters because the beamformer spends the budget exactly at the
+    current powers.  Objective ties, within 1e-12 max(1, value), go to the
+    lowest p_a (by more than 1e-12), then the highest p_b.  The polygon's
+    lowest p_a is c, at p_b = 0 where A's SINR is 0; so (c, 0) is returned
+    when the optimum's SINR is below 1e-12 (a combiner orthogonal to h_br,
+    say) and its p_a exceeds c by more than 1e-12.
     """
     g = effective_gains(channels, w_t, w_r)
-    haa2 = abs(channels.h_aa) ** 2
-    hbb2 = abs(channels.h_bb) ** 2
-    nt2 = float(np.vdot(w_t, w_t).real)
-    # SINR-B:  tx_gain_b*rx_gain_a * p_a - gamma_b*hbb2 * p_b >= gamma_b*(tx_gain_b+1)
-    ge = [(g.tx_gain_b * g.rx_gain_a, -gamma_b * hbb2, gamma_b * (g.tx_gain_b + 1.0))] if gamma_b > 0 else []
-    # relay power: nt2*rx_gain_a * p_a + nt2*rx_gain_b * p_b <= p_r_max - nt2
-    le = [(nt2 * g.rx_gain_a, nt2 * g.rx_gain_b, config.p_r_max - nt2)]
-    verts = _feasible_vertices(ge, le, (config.p_a_max, config.p_b_max))
-    if not verts:
-        raise Infeasible("power_polygon")
-    best, best_val = None, -1.0
-    for p_a, p_b in verts:
-        val = p_b * g.tx_gain_a * g.rx_gain_b / (g.tx_gain_a + p_a * haa2 + 1.0)
-        # objective ties (e.g. with no source SI) resolve to the lowest p_a,
-        # then the highest p_b, so near-duplicate vertices pick the exact corner
-        tol = 1e-12 * max(1.0, best_val)
-        better = val > best_val + tol
-        tied = best is not None and val > best_val - tol
-        if better or (tied and (p_a < best[0] - 1e-12
-                                or (abs(p_a - best[0]) <= 1e-12 and p_b > best[1]))):
-            best, best_val = (p_a, p_b), val
-    return best
-
-
-def power_p1_stepwise(channels, w_t, w_r, gamma_b, config):
-    """The stepwise power rule (cases 1-4) kept as a cross-check.
-
-    Returns (p_a, p_b) or None when a step falls outside the box or fails
-    its own gates.  Step 4 solves the two active-constraint equations as a
-    2x2 linear system rather than transcribing a printed closed form.
-    """
-    g = effective_gains(channels, w_t, w_r)
-    hbb2 = abs(channels.h_bb) ** 2
-    nt2 = float(np.vdot(w_t, w_t).real)
-    pa_max, pb_max, pr_max = config.p_a_max, config.p_b_max, config.p_r_max
-    denom = g.tx_gain_b * g.rx_gain_a
-    if gamma_b > 0 and pa_max * denom <= gamma_b:
-        return None  # step-1 necessary gate: infeasible
-    # step 2: ignore the relay power constraint
-    if gamma_b <= 0:
-        cand = (0.0, pb_max)
+    p_a_max, p_b_max = config.p_a_max, config.p_b_max
+    if gamma_b > 0:
+        den = g.tx_gain_b * g.rx_gain_a
+        if den <= 0.0:
+            raise Infeasible("power_polygon")
+        c = gamma_b * (g.tx_gain_b + 1.0) / den
+        k = gamma_b * abs(channels.h_bb) ** 2 / den
     else:
-        pa_for_full_pb = gamma_b * (g.tx_gain_b + pb_max * hbb2 + 1.0) / denom
-        if pa_max >= pa_for_full_pb:
-            cand = (pa_for_full_pb, pb_max)
-        else:
-            if hbb2 > 0:
-                pb = (pa_max * denom / gamma_b - 1.0 - g.tx_gain_b) / hbb2
-            else:
-                pb = pb_max if pa_max * denom >= gamma_b * (g.tx_gain_b + 1.0) else None
-            if pb is None or pb < 0:
-                return None
-            cand = (pa_max, min(pb_max, pb))
-    # step 3: accept if the relay power constraint holds
-    if nt2 * (cand[0] * g.rx_gain_a + cand[1] * g.rx_gain_b + 1.0) <= pr_max * (1 + 1e-12):
-        return cand
-    # step 4: both the SINR and relay constraints active
-    a = np.array([[denom, -gamma_b * hbb2],
-                  [nt2 * g.rx_gain_a, nt2 * g.rx_gain_b]])
-    rhs = np.array([gamma_b * (g.tx_gain_b + 1.0), pr_max - nt2])
-    if abs(np.linalg.det(a)) <= 1e-14 * max(1.0, np.abs(a).max() ** 2):
-        return None
-    p_a, p_b = np.linalg.solve(a, rhs)
-    if not (-1e-12 <= p_a <= pa_max * (1 + 1e-12) and -1e-12 <= p_b <= pb_max * (1 + 1e-12)):
-        return None
-    return float(min(max(p_a, 0.0), pa_max)), float(min(max(p_b, 0.0), pb_max))
+        c = k = 0.0
+    # relay power: r_a p_a + r_b p_b <= cap
+    nt2 = float(np.vdot(w_t, w_t).real)
+    r_a, r_b, cap = nt2 * g.rx_gain_a, nt2 * g.rx_gain_b, config.p_r_max - nt2
+    relay_top = cap + 1e-9 * max(r_a * p_a_max, r_b * p_b_max, abs(cap), 1.0)
+    p_a_top = p_a_max * (1.0 + 1e-9) + 1e-9
+    if c > p_a_top or r_a * c > relay_top:
+        raise Infeasible("power_polygon")
+    p_b = p_b_max
+    if c + k * p_b > p_a_top:
+        p_b = (p_a_max - c) / k
+    if r_a * (c + k * p_b) + r_b * p_b > relay_top:
+        p_b = (cap - r_a * c) / (r_a * k + r_b)
+    p_b = min(max(p_b, 0.0), p_b_max)
+    p_a = min(c + k * p_b, p_a_max)
+    gamma_a = p_b * g.tx_gain_a * g.rx_gain_b / (g.tx_gain_a + p_a * abs(channels.h_aa) ** 2 + 1.0)
+    if gamma_a < 1e-12 and p_a - min(c, p_a_max) > 1e-12:
+        return min(c, p_a_max), 0.0
+    return p_a, p_b
 
 
 def _p1_start_powers(config, fixed_powers):

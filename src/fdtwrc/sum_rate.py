@@ -21,13 +21,12 @@ import numpy as np
 
 from .model import combiner_or_endpoint, make_operating_point
 from .numerics import maximize_1d, real_cubic_roots
-from .rate_region import (  # noqa: F401  (_TxContext is re-exported)
+from .rate_region import (
     _alpha_search,
     _orth_to,
     _p_prime,
     _rx_gains,
     _tx_context,
-    _TxContext,
     boundary_range,
     boundary_unit_vector,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "DCState",
     "dc_objective",
     "dc_linearized_objective",
-    "feasible_set_bounds",
     "dc_step",
     "solve_txbf_p2",
     "solve_power_p2",
@@ -94,20 +92,6 @@ def dc_linearized_objective(channels, w_r, p_a, p_b, s_a, s_b, anchor):
              + (s_a - s_a_k) / (_LN2 * (s_a_k + k_a))
              + (s_b - s_b_k) / (_LN2 * (s_b_k + k_b)))
     return f_val - g_lin
-
-
-def feasible_set_bounds(channels, w_r, p_prime, s_b, null_dim=None):
-    """Range of s_a compatible with a given s_b under the ZF and budget
-    constraints; pass null_dim=2 for the exact two-dimensional range."""
-    ctx = _tx_context(channels, w_r)
-    s_b_top = p_prime * ctx.nb2
-    if s_b < -1e-9 * max(1.0, s_b_top) or s_b > s_b_top * (1.0 + 1e-9) + 1e-12:
-        raise ValueError(f"s_b={s_b} outside [0, {s_b_top}]")
-    q = min(max(s_b / s_b_top, 0.0), 1.0) if s_b_top > 0 else 0.0
-    # any dimension other than 2 gives the generic lower end
-    lo, hi = boundary_range(ctx.r, q, ctx.n if null_dim == 2 else 3)
-    top = p_prime * ctx.na2
-    return top * lo, top * hi
 
 
 def _reconstruct(ctx, p_prime, q, s_a):
@@ -264,10 +248,6 @@ def solve_txbf_p2(channels, w_r, p_a, p_b, config, w_t_init=None, ctx=None,
     return (w_t, states) if return_states else w_t
 
 
-def _poly_mul(p, q):
-    return np.convolve(p, q)
-
-
 def solve_power_p2(channels, w_t, w_r, config):
     """Source powers maximizing the sum rate at a fixed beamformer.
 
@@ -317,7 +297,7 @@ def solve_power_p2(channels, w_t, w_r, config):
                 term = np.array([sgn * bi])
                 for j, (aj, bj) in enumerate(lins):
                     if j != i:
-                        term = _poly_mul(term, np.array([bj, aj]))  # descending powers
+                        term = np.convolve(term, np.array([bj, aj]))  # descending powers
                 num[-term.size:] += term
             if np.max(np.abs(num)) > 0:
                 for root in real_cubic_roots(*num):

@@ -33,7 +33,6 @@ from fdtwrc.oracles import (
 from fdtwrc.rate_region import (
     Infeasible,
     boundary_unit_vector,
-    lemma_value,
     optimize_fixed_alpha_p1,
     solve_power_p1,
     solve_txbf_p1,

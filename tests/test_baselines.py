@@ -8,6 +8,7 @@ from fdtwrc.baselines import (
     SchemeId,
     _hd_reduce,
     _hd_search,
+    _hd_starts,
     fd_oneway_direction_rate,
     fd_oneway_region,
     fd_oneway_sum_rate,
@@ -65,8 +66,8 @@ class TestHdAnc:
         ch = sample_channels(CFG, 1)
         red = _hd_reduce(strip_source_si(zero_loopback(ch)))
         value = lambda ga, gb: np.log2(1 + ga) + np.log2(1 + gb)
-        _, v0 = _hd_search(red, CFG, value, seed=0)
-        _, v1 = _hd_search(red, CFG, value, seed=123)
+        _, v0 = _hd_search(red, CFG, value, _hd_starts(red, CFG, seed=0))
+        _, v1 = _hd_search(red, CFG, value, _hd_starts(red, CFG, seed=123))
         assert abs(v0 - v1) < 1e-3 * max(1.0, v0)
 
     def test_half_prelog_identity(self):

@@ -82,3 +82,18 @@ def test_zero_b_link_gain_config_exits_before_any_trial(tmp_path, monkeypatch, c
                "--config", str(cfg), "--workers", "1"])
     assert rc == 1
     assert "gain_br" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", ['{"p_r_max": NaN}', '{"sigma2_a": Infinity}'])
+def test_non_finite_config_exits_before_any_trial(override, tmp_path, monkeypatch, capsys):
+    # json.load accepts NaN and Infinity, so the config must refuse them
+    def no_trial(payload):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(fdtwrc.harness, "_run_task", no_trial)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(override)
+    rc = main(["sumrate", "--trials", "1", "--schemes", "proposed,localcsi",
+               "--config", str(cfg), "--workers", "1"])
+    assert rc == 1
+    assert "must be finite" in capsys.readouterr().err

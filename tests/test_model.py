@@ -49,6 +49,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             SystemConfig(iter_max=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["p_a_max", "p_b_max", "p_r_max", "sigma2_a", "sigma2_b",
+                                      "sigma2_r", "gain_br", "conv_tol"])
+    def test_non_finite_float_rejected(self, name, value):
+        # NaN slips through every "< 0" check, and an infinite budget or
+        # variance yields NaN rates, so neither may reach a solver
+        with pytest.raises(ValueError, match=name):
+            SystemConfig(**{name: value})
+
     def test_zero_b_link_gain_rejected(self):
         # h_br = 0 leaves the receive combiner undefined, so the config is
         # refused up front instead of failing inside a run

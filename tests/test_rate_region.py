@@ -21,11 +21,10 @@ from fdtwrc.model import (
 from fdtwrc.oracles import grid_power_oracle, lagrangian_boundary_oracle, sampled_beamformer_oracle
 from fdtwrc.rate_region import (
     Infeasible,
+    boundary_range,
     boundary_unit_vector,
-    lemma_value,
     max_rate_given_rb,
     optimize_fixed_alpha_p1,
-    power_p1_stepwise,
     rate_region,
     solve_power_p1,
     solve_txbf_p1,
@@ -67,7 +66,7 @@ class TestBoundaryUnitVector:
             assert abs(abs(np.vdot(d1, z)) ** 2 - q) < 1e-10
             achieved = abs(np.vdot(d2, z)) ** 2
             r = abs(np.vdot(d2, d1))
-            assert abs(achieved - lemma_value(r, q)) < 1e-10
+            assert abs(achieved - boundary_range(r, q)[1]) < 1e-10
             oracle = lagrangian_boundary_oracle(d1, d2, q)
             assert abs(achieved - oracle.best_value) < 1e-8
 
@@ -198,35 +197,6 @@ class TestSolvePowerP1:
             lip = g.tx_gain_a * g.rx_gain_b * (1.0 + CFG.p_b_max * abs(ch.h_aa) ** 2)
             assert val >= oracle.best_value - 2.0 * lip * oracle.resolution - 1e-9
         assert hits >= 15
-
-    def test_stepwise_cross_check(self):
-        agree, used = 0, 0
-        for seed in range(1000):
-            ch, w_r, p_a, p_b, gamma_b = random_txbf_instance(10_000 + seed)
-            try:
-                w_t = solve_txbf_p1(ch, w_r, p_a, p_b, gamma_b, CFG.p_r_max)
-                pa_v, pb_v = solve_power_p1(ch, w_t, w_r, gamma_b, CFG)
-            except Infeasible:
-                continue
-            step = power_p1_stepwise(ch, w_t, w_r, gamma_b, CFG)
-            if step is None:
-                continue
-            pa_s, pb_s = step
-            g = effective_gains(ch, w_t, w_r)
-            nt2 = float(np.vdot(w_t, w_t).real)
-            # only compare when the stepwise answer is feasible
-            sinr_ok = (pa_s * g.tx_gain_b * g.rx_gain_a
-                       >= gamma_b * (g.tx_gain_b + pb_s * abs(ch.h_bb) ** 2 + 1.0) * (1 - 1e-9))
-            power_ok = nt2 * (pa_s * g.rx_gain_a + pb_s * g.rx_gain_b + 1.0) <= CFG.p_r_max * (1 + 1e-9)
-            if not (sinr_ok and power_ok):
-                continue
-            used += 1
-            obj = lambda pa, pb: pb * g.tx_gain_a * g.rx_gain_b / (
-                g.tx_gain_a + pa * abs(ch.h_aa) ** 2 + 1.0)
-            if abs(obj(pa_s, pb_s) - obj(pa_v, pb_v)) <= 1e-9 * max(1.0, obj(pa_v, pb_v)):
-                agree += 1
-        assert used >= 400
-        assert agree == used
 
 
 class TestAlternationP1:
