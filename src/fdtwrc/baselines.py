@@ -12,7 +12,7 @@ zeroed, which removes the ZF restriction while keeping source SI.
 import copy
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .rate_region import (
     _max_rate_given_gamma,
     _p_prime,
     _rx_gains,
+    rate_region,
     region_sweep,
 )
 from .sum_rate import max_sum_rate, optimize_fixed_alpha_p2
@@ -52,34 +53,21 @@ __all__ = [
 
 
 class SchemeId(enum.Enum):
-    PROPOSED_FD = "proposed_fd"
-    HD_ANC = "hd_anc"
-    FD_ONEWAY = "fd_oneway"
-    FD_UPPER_BOUND = "fd_upper_bound"
-    LOCAL_CSI = "local_csi"
+    """The five schemes; each value is the scheme's CLI and table name."""
 
-
-_CLI_NAMES = {
-    "proposed": SchemeId.PROPOSED_FD,
-    "hd": SchemeId.HD_ANC,
-    "fd2": SchemeId.FD_ONEWAY,
-    "ub": SchemeId.FD_UPPER_BOUND,
-    "localcsi": SchemeId.LOCAL_CSI,
-}
+    PROPOSED_FD = "proposed"
+    HD_ANC = "hd"
+    FD_ONEWAY = "fd2"
+    FD_UPPER_BOUND = "ub"
+    LOCAL_CSI = "localcsi"
 
 
 def parse_scheme(name):
     try:
-        return _CLI_NAMES[name.strip().lower()]
-    except KeyError:
-        raise ValueError(f"unknown scheme {name!r}; choose from {sorted(_CLI_NAMES)}")
-
-
-def scheme_cli_name(scheme):
-    for k, v in _CLI_NAMES.items():
-        if v is scheme:
-            return k
-    raise ValueError(scheme)
+        return SchemeId(name.strip().lower())
+    except ValueError:
+        raise ValueError(f"unknown scheme {name!r}; choose from "
+                         f"{sorted(s.value for s in SchemeId)}") from None
 
 
 def _halved(channels, point):
@@ -339,37 +327,29 @@ def fd_oneway_sum_rate(channels, config):
     return (r_a, 0.0) if r_a >= r_b else (0.0, r_b)
 
 
-def upper_bound_solve(channels, objective, config, r_b=None, proposed=None):
-    """Proposed solver with the relay loopback zeroed (ZF constraint gone).
+def upper_bound_solve(channels, config, proposed=None):
+    """Sum-rate solver with the relay loopback zeroed (ZF constraint gone).
 
-    Source SI stays.  For the sum-rate objective the ZF-constrained
-    solution is also evaluated (it is feasible here and scores the same
-    rates), and the better of the two is returned, so the bound dominates
-    the proposed scheme per realization by construction.
+    Source SI stays.  The ZF-constrained solution ``proposed`` is also
+    evaluated (it is feasible here and scores the same rates), and the
+    better of the two is returned, so the bound dominates the proposed
+    scheme per realization by construction.
     """
     ub_channels = zero_loopback(channels)
-    if objective == "sum_rate":
-        pt = max_sum_rate(ub_channels, config)
-        if proposed is None:
-            proposed = max_sum_rate(channels, config)
-        if proposed.sum_rate > pt.sum_rate:
-            pt = make_operating_point(
-                ub_channels, proposed.beamformer.w_t, proposed.beamformer.w_r,
-                proposed.beamformer.alpha, proposed.powers.p_a, proposed.powers.p_b,
-                trace=proposed.trace)
-        return pt
-    if objective == "region_point":
-        gamma_b = 2.0**r_b - 1.0
-        return _max_rate_given_gamma(ub_channels, gamma_b, config)
-    raise ValueError(f"unknown objective {objective!r}")
+    pt = max_sum_rate(ub_channels, config)
+    if proposed is None:
+        proposed = max_sum_rate(channels, config)
+    if proposed.sum_rate > pt.sum_rate:
+        pt = make_operating_point(
+            ub_channels, proposed.beamformer.w_t, proposed.beamformer.w_r,
+            proposed.beamformer.alpha, proposed.powers.p_a, proposed.powers.p_b,
+            trace=proposed.trace)
+    return pt
 
 
 def upper_bound_region(channels, n_points, config):
-    cap = math.log2(1.0 + config.p_a_max * float(np.vdot(channels.h_ar, channels.h_ar).real))
-    feasible = _gamma_feasibility(zero_loopback(channels), config)
-    return region_sweep(
-        lambda r_b: upper_bound_solve(channels, "region_point", config, r_b=r_b),
-        lambda r_b: feasible(2.0**r_b - 1.0), cap, n_points)
+    """The proposed region sweep with the relay loopback zeroed."""
+    return rate_region(zero_loopback(channels), n_points, config)
 
 
 def local_csi_sum_rate(channels, config, seed):
@@ -385,7 +365,4 @@ def local_csi_sum_rate(channels, config, seed):
     budget = _p_prime(config.p_r_max, p_a, p_b, *_rx_gains(channels, w_r))
     w_t = math.sqrt(budget) * (n_t @ z)
     pt = make_operating_point(channels, w_t, w_r, 0.5, p_a, p_b, trace=[])
-    return OperatingPoint(
-        beamformer=pt.beamformer, powers=pt.powers, gamma_a=pt.gamma_a,
-        gamma_b=pt.gamma_b, rate_a=pt.rate_a, rate_b=pt.rate_b,
-        trace=[pt.sum_rate], pre_log=1.0)
+    return replace(pt, trace=[pt.sum_rate])

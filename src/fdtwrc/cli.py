@@ -5,7 +5,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -41,10 +41,15 @@ def _add_common(p, default_schemes):
 
 
 def _base_config(args):
-    fields = {}
+    overrides = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            fields.update(json.load(fh))
+            overrides = json.load(fh)
+        if not isinstance(overrides, dict):
+            raise ValueError(f"{args.config} must hold a JSON object of SystemConfig fields")
+    unknown = sorted(set(overrides) - {f.name for f in fields(SystemConfig)})
+    if unknown:
+        raise ValueError(f"unknown SystemConfig field {', '.join(unknown)} in {args.config}")
     p_src = db_to_linear(args.snr_source)
     si = db_to_linear(args.si)
     base = SystemConfig(
@@ -53,7 +58,7 @@ def _base_config(args):
         sigma2_a=si, sigma2_b=si, sigma2_r=si,
         gain_br=db_to_linear(args.gain_br),
     )
-    return replace(base, **fields) if fields else base
+    return replace(base, **overrides)
 
 
 def _schemes(args):

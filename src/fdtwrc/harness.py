@@ -32,7 +32,6 @@ from .baselines import (
     hd_anc_region,
     hd_anc_solve,
     local_csi_sum_rate,
-    scheme_cli_name,
     upper_bound_region,
     upper_bound_solve,
 )
@@ -49,8 +48,6 @@ SUM_RATE_KINDS = {
     "sumrate_vs_relay_snr",
     "sumrate_vs_si",
     "sumrate_vs_antennas",
-    "asymmetric_sumrate",
-    "local_csi_sweep",
 }
 REGION_KINDS = {"rate_region", "asymmetric_region"}
 
@@ -80,7 +77,7 @@ SCHEMES = {
         lambda ch, cfg, n: fd_oneway_region(ch, n, cfg)),
     SchemeId.FD_UPPER_BOUND: (
         lambda ch, cfg, tseed, proposed: _rates(
-            upper_bound_solve(ch, "sum_rate", cfg, proposed=proposed)),
+            upper_bound_solve(ch, cfg, proposed=proposed)),
         lambda ch, cfg, n: _region_pairs(upper_bound_region(ch, n, cfg))),
     SchemeId.LOCAL_CSI: (
         lambda ch, cfg, tseed, proposed: _rates(local_csi_sum_rate(ch, cfg, seed=tseed)),
@@ -113,7 +110,7 @@ class ExperimentSpec:
             if scheme not in SCHEMES:
                 raise ValueError(f"unknown scheme {scheme!r}")
             if self.kind in REGION_KINDS and SCHEMES[scheme][1] is None:
-                raise ValueError(f"{scheme_cli_name(scheme)} has no region objective")
+                raise ValueError(f"{scheme.value} has no region objective")
 
 
 @dataclass
@@ -142,7 +139,7 @@ def trial_seed(seed, t):
 
 def config_for(kind, base, value):
     """Map a sweep value onto the configuration field it drives."""
-    if kind in ("sumrate_vs_source_snr", "asymmetric_sumrate", "local_csi_sweep"):
+    if kind == "sumrate_vs_source_snr":
         p = db_to_linear(value)
         return replace(base, p_a_max=p, p_b_max=p)
     if kind == "sumrate_vs_relay_snr":
@@ -233,15 +230,15 @@ def run_experiment(spec, workers=None, keep_samples=False):
             m_rb, se_rb = _mean_se(rbs)
             m_s, se_s = _mean_se(sums[scheme])
             gain = m_s / hd_mean if hd_mean and not math.isnan(hd_mean) else math.nan
-            rows.append(ResultRow(value, scheme_cli_name(scheme), m_ra, se_ra,
+            rows.append(ResultRow(value, scheme.value, m_ra, se_ra,
                                   m_rb, se_rb, m_s, se_s, gain))
             if keep_samples:
-                samples[(value, scheme_cli_name(scheme))] = (
+                samples[(value, scheme.value)] = (
                     list(zip(ras, rbs)) if region else sums[scheme])
 
     metadata = {
         "kind": spec.kind,
-        "schemes": [scheme_cli_name(s) for s in spec.schemes],
+        "schemes": [s.value for s in spec.schemes],
         "sweep": list(spec.sweep),
         "trials": spec.trials,
         "seed": spec.seed,

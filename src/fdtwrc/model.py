@@ -9,7 +9,9 @@ w_r^H H_rr w_t = 0 removes the relay's own loopback term from the model.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -51,10 +53,13 @@ def linear_to_db(x):
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Antenna counts, power budgets, residual-SI variances and solver knobs.
+    """Antenna counts, power budgets and residual-SI variances: the nine
+    settable fields.
 
-    m_t must be at least 2 so the ZF constraint can always be satisfied
-    through the transmit-side null space.
+    m_t must be an integer of at least 2 so the ZF constraint can always be
+    satisfied through the transmit-side null space.  The solvers' search
+    constants (combiner grid size, alternation cap and tolerance, 1-D grid
+    size) are fixed class attributes, not per-run options.
     """
 
     m_t: int = 3
@@ -66,15 +71,22 @@ class SystemConfig:
     sigma2_b: float = 0.01
     sigma2_r: float = 0.01
     gain_br: float = 1.0
-    alpha_grid: int = 21
-    iter_max: int = 40
-    conv_tol: float = 1e-6
-    grid_points: int = 201
+    alpha_grid: ClassVar[int] = 21
+    iter_max: ClassVar[int] = 40
+    conv_tol: ClassVar[float] = 1e-6
+    grid_points: ClassVar[int] = 201
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type is float and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+            value = getattr(self, f.name)
+            # numpy numbers pass; strings, null, JSON booleans and (for the
+            # counts) non-integers do not
+            kind, what = ((numbers.Integral, "an integer") if f.type is int
+                          else (numbers.Real, "a real number"))
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
+            if f.type is float and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.m_t < 2:
             raise ValueError("m_t >= 2 is required for transmit-side ZF")
         if self.m_r < 1:
@@ -82,12 +94,6 @@ class SystemConfig:
         for name in ("p_a_max", "p_b_max", "p_r_max", "sigma2_a", "sigma2_b", "sigma2_r", "gain_br"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.iter_max < 1:
-            raise ValueError("iter_max must be >= 1")
-        if self.conv_tol <= 0:
-            raise ValueError("conv_tol must be positive")
-        if self.alpha_grid < 2 or self.grid_points < 2:
-            raise ValueError("alpha_grid and grid_points must be >= 2")
         if self.gain_br == 0:
             raise ValueError("gain_br must be positive: with no B-side link the "
                              "receive combiner and B's rate are undefined")
@@ -221,13 +227,13 @@ def sample_channels(config, seed):
     return ChannelRealization(h_ar, h_br, h_ra, h_rb, complex(h_aa), complex(h_bb), h_rr)
 
 
-def receive_combiner(channels, alpha, normalize=True):
+def receive_combiner(channels, alpha):
     """Receive combiner mixing the h_br direction with its complement.
 
     w_r(alpha) = alpha * u_par + sqrt(1-alpha) * u_perp, where u_par/u_perp
     are the unit projections of h_ar onto span{h_br} and its complement.
     The raw combination has norm sqrt(alpha^2 + 1 - alpha) <= 1; it is
-    rescaled to unit norm unless ``normalize=False``.
+    rescaled to unit norm.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
@@ -248,9 +254,7 @@ def receive_combiner(channels, alpha, normalize=True):
         raise DegenerateGeometryError("h_ar parallel to h_br; fall back to alpha=1 endpoint")
     u_perp = perp / perp_norm
     w = alpha * u_par + math.sqrt(1.0 - alpha) * u_perp
-    if normalize:
-        w = w / np.linalg.norm(w)
-    return w
+    return w / np.linalg.norm(w)
 
 
 def combiner_or_endpoint(channels, alpha):

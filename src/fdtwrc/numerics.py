@@ -104,8 +104,10 @@ def maximize_1d(f, lo, hi, tol=1e-8, grid_points=201, vectorized=False):
 
     Dense-grid scan (``grid_points`` samples) followed by golden-section
     refinement around the best grid point, down to interval width ``tol``.
-    With ``vectorized=True`` the grid is evaluated with a single array call.
-    Returns ``(x_best, f(x_best))``; the result is never below any grid value.
+    When every grid value is -inf (an infeasible grid) there is no
+    refinement.  With ``vectorized=True`` the grid is evaluated with a
+    single array call.  Returns ``(x_best, f(x_best))``; the result is never
+    below any grid value.
     """
     if hi < lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
@@ -122,6 +124,8 @@ def maximize_1d(f, lo, hi, tol=1e-8, grid_points=201, vectorized=False):
         fs = f
     i = int(np.argmax(ys))
     best = (float(xs[i]), float(ys[i]))
+    if best[1] == -math.inf:
+        return best
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, grid_points - 1)])
     if b - a > tol:

@@ -16,7 +16,7 @@ from .model import (
     make_operating_point,
     relay_null_basis,
 )
-from .numerics import _golden_max
+from .numerics import maximize_1d
 
 __all__ = [
     "Infeasible",
@@ -306,18 +306,14 @@ def optimize_fixed_alpha_p1(channels, alpha, gamma_b, config, fixed_powers=None)
     return make_operating_point(channels, w_t, w_r, alpha, powers[0], powers[1], trace)
 
 
-def _alpha_grid(config):
-    return np.linspace(0.0, 1.0, config.alpha_grid)
-
-
-def _alpha_search(evaluate, config, tol=1e-3):
-    """Grid + golden search over the combiner parameter.
+def _alpha_search(evaluate, config):
+    """Grid + golden search over the combiner parameter, refined to a width
+    of 1e-3.
 
     ``evaluate(alpha)`` returns an OperatingPoint or raises Infeasible; the
     best feasible point over the grid and the refinement is returned.
     """
-    alphas = _alpha_grid(config)
-    best = {"point": None, "value": -math.inf, "alpha": None}
+    best = {"point": None, "value": -math.inf}
 
     def objective(alpha):
         try:
@@ -326,16 +322,12 @@ def _alpha_search(evaluate, config, tol=1e-3):
             return -math.inf
         val = pt.trace[-1] if pt.trace else pt.sum_rate
         if val > best["value"]:
-            best.update(point=pt, value=val, alpha=float(alpha))
+            best.update(point=pt, value=val)
         return val
 
-    vals = [objective(a) for a in alphas]
+    maximize_1d(objective, 0.0, 1.0, tol=1e-3, grid_points=config.alpha_grid)
     if best["point"] is None:
         raise Infeasible("alpha_grid", "no feasible combiner setting on the grid")
-    i = int(np.argmax(vals))
-    lo = float(alphas[max(i - 1, 0)])
-    hi = float(alphas[min(i + 1, len(alphas) - 1)])
-    _golden_max(objective, lo, hi, tol, (float(alphas[i]), vals[i]))
     return best["point"]
 
 
@@ -357,7 +349,7 @@ def _gamma_feasibility(channels, config, fixed_powers=None):
     here once.
     """
     combiners = []
-    for alpha in _alpha_grid(config):
+    for alpha in np.linspace(0.0, 1.0, config.alpha_grid):
         w_r = combiner_or_endpoint(channels, float(alpha))
         combiners.append((*_rx_gains(channels, w_r), _tx_context(channels, w_r).nb2))
     inits = _p1_start_powers(config, fixed_powers)
@@ -382,7 +374,11 @@ def max_rate_given_rb(channels, r_b, config):
     return _max_rate_given_gamma(channels, 2.0**r_b - 1.0, config)
 
 
-def region_sweep(point_solver, is_feasible, r_b_cap, n_points, bisect_steps=24):
+# bisection steps locating B's largest feasible target on [0, r_b_cap]
+_BISECT_STEPS = 24
+
+
+def region_sweep(point_solver, is_feasible, r_b_cap, n_points):
     """Generic boundary sweep used by the proposed scheme and the baselines.
 
     ``point_solver(r_b)`` returns an OperatingPoint or raises Infeasible;
@@ -405,7 +401,7 @@ def region_sweep(point_solver, is_feasible, r_b_cap, n_points, bisect_steps=24):
     if is_feasible(hi):
         lo = hi
     else:
-        for _ in range(bisect_steps):
+        for _ in range(_BISECT_STEPS):
             mid = 0.5 * (lo + hi)
             if is_feasible(mid):
                 lo = mid

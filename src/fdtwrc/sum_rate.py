@@ -49,13 +49,9 @@ _FRONTIER_TOL = 1e-6
 
 @dataclass
 class DCState:
-    """One transmit-beamformer state: quadratic-form values, budget and objective."""
+    """One transmit-beamformer state, scored by its sum rate."""
 
-    s_a: float
-    s_b: float
-    p_prime: float
     f_value: float
-    k: int
 
 
 def _sum_rate_bits(e_a, e_b, k_a, k_b, s_a, s_b):
@@ -204,14 +200,13 @@ def solve_txbf_p2(channels, w_r, p_a, p_b, config, w_t_init=None, ctx=None,
         ctx = _tx_context(channels, w_r)
     e_a, e_b, k_a, k_b, rx_a, rx_b = _coeffs(channels, w_r, p_a, p_b)
     p_prime = _p_prime(config.p_r_max, p_a, p_b, rx_a, rx_b)
-    def state(z, k):
+    def state(z):
         s_a = p_prime * abs(np.vdot(ctx.a_t, z)) ** 2
         s_b = p_prime * abs(np.vdot(ctx.b_t, z)) ** 2
-        return DCState(s_a, s_b, p_prime,
-                       float(_sum_rate_bits(e_a, e_b, k_a, k_b, s_a, s_b)), k)
+        return DCState(float(_sum_rate_bits(e_a, e_b, k_a, k_b, s_a, s_b)))
 
     if ctx.n == 1:
-        start = state(np.ones(1, dtype=complex), 0)
+        start = state(np.ones(1, dtype=complex))
         w_t = math.sqrt(p_prime) * ctx.n_t[:, 0]
         return (w_t, [start]) if return_states else w_t
 
@@ -220,12 +215,12 @@ def solve_txbf_p2(channels, w_r, p_a, p_b, config, w_t_init=None, ctx=None,
     # that scores higher
     z_start = (ctx.d2 if ctx.d2 is not None
                else ctx.d1 if ctx.d1 is not None else _orth_to([], ctx.n))
-    start = state(z_start, 0)
+    start = state(z_start)
     if w_t_init is not None:
         zi = ctx.n_t.conj().T @ w_t_init
         nz = np.linalg.norm(zi)
         if nz > 1e-150:
-            warm = state(zi / nz, 0)
+            warm = state(zi / nz)
             if warm.f_value > start.f_value:
                 z_start, start = zi / nz, warm
 
@@ -239,7 +234,7 @@ def solve_txbf_p2(channels, w_r, p_a, p_b, config, w_t_init=None, ctx=None,
     q_best, _ = maximize_1d(frontier, 0.0, 1.0, tol=_FRONTIER_TOL,
                             grid_points=config.grid_points, vectorized=True)
     z = _reconstruct(ctx, p_prime, q_best, top_a * boundary_range(ctx.r, q_best)[1])
-    front = state(z, 1)
+    front = state(z)
     if front.f_value > start.f_value:
         z_best, states = z, [start, front]
     else:

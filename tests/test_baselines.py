@@ -16,7 +16,6 @@ from fdtwrc.baselines import (
     hd_anc_solve,
     local_csi_sum_rate,
     parse_scheme,
-    scheme_cli_name,
     upper_bound_solve,
 )
 from fdtwrc.model import (
@@ -26,7 +25,7 @@ from fdtwrc.model import (
     zero_loopback,
     zf_residual,
 )
-from fdtwrc.rate_region import Infeasible
+from fdtwrc.rate_region import Infeasible, max_rate_given_rb
 from fdtwrc.sum_rate import max_sum_rate, optimize_fixed_alpha_p2
 from fdtwrc.rate_region import _alpha_search
 
@@ -36,7 +35,7 @@ CFG = SystemConfig()
 class TestSchemeId:
     def test_parse_round_trip(self):
         for name in ("proposed", "hd", "fd2", "ub", "localcsi"):
-            assert scheme_cli_name(parse_scheme(name)) == name
+            assert parse_scheme(name).value == name
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
@@ -227,19 +226,19 @@ class TestUpperBound:
         cfg = replace(CFG, sigma2_r=0.0)
         ch = sample_channels(cfg, 15)
         prop = max_sum_rate(ch, cfg)
-        ub = upper_bound_solve(ch, "sum_rate", cfg, proposed=prop)
+        ub = upper_bound_solve(ch, cfg, proposed=prop)
         assert abs(ub.sum_rate - prop.sum_rate) < 1e-12
 
     def test_dominates_proposed(self):
         for seed in range(8):
             ch = sample_channels(CFG, 300 + seed)
             prop = max_sum_rate(ch, CFG)
-            ub = upper_bound_solve(ch, "sum_rate", CFG, proposed=prop)
+            ub = upper_bound_solve(ch, CFG, proposed=prop)
             assert ub.sum_rate >= prop.sum_rate - 1e-6
 
     def test_region_point(self):
         ch = sample_channels(CFG, 16)
-        pt = upper_bound_solve(ch, "region_point", CFG, r_b=0.5)
+        pt = max_rate_given_rb(zero_loopback(ch), 0.5, CFG)
         assert pt.rate_b >= 0.5 - 1e-6
 
 

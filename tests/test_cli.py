@@ -64,18 +64,53 @@ def test_missing_subcommand_raises():
 
 def test_config_file_override(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"alpha_grid": 5, "iter_max": 3}))
-    out = tmp_path / "o.csv"
+    cfg.write_text(json.dumps({"m_r": 2, "sigma2_r": 0.1}))
+    out = tmp_path / "o.json"
     rc = main(["sumrate", "--trials", "1", "--schemes", "fd2", "--config", str(cfg),
-               "--out", str(out)])
+               "--format", "json", "--out", str(out)])
     assert rc == 0
+    base = json.loads(out.read_text())["metadata"]["base_config"]
+    assert (base["m_t"], base["m_r"], base["sigma2_r"]) == (3, 2, 0.1)
+
+
+def _no_trial(payload):
+    raise AssertionError("a trial ran")
+
+
+@pytest.mark.parametrize("key", ["foo", "alpha_grid", "iter_max", "conv_tol", "grid_points"])
+def test_unknown_config_key_exits_before_any_trial(key, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(fdtwrc.harness, "_run_task", _no_trial)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 5}))
+    rc = main(["sumrate", "--trials", "1", "--schemes", "fd2", "--config", str(cfg),
+               "--workers", "1"])
+    assert rc == 1
+    assert f"error: unknown SystemConfig field {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[1]", '["m_t"]', "3", "null"])
+def test_non_object_config_exits_before_any_trial(text, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(fdtwrc.harness, "_run_task", _no_trial)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    rc = main(["sumrate", "--trials", "1", "--schemes", "fd2", "--config", str(cfg),
+               "--workers", "1"])
+    assert rc == 1
+    assert "must hold a JSON object" in capsys.readouterr().err
+
+
+def test_non_integer_count_config_exits_before_any_trial(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(fdtwrc.harness, "_run_task", _no_trial)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m_t": 2.5}))
+    rc = main(["sumrate", "--trials", "1", "--schemes", "proposed,localcsi",
+               "--config", str(cfg), "--workers", "1"])
+    assert rc == 1
+    assert "m_t must be an integer" in capsys.readouterr().err
 
 
 def test_zero_b_link_gain_config_exits_before_any_trial(tmp_path, monkeypatch, capsys):
-    def no_trial(payload):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(fdtwrc.harness, "_run_task", no_trial)
+    monkeypatch.setattr(fdtwrc.harness, "_run_task", _no_trial)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"gain_br": 0}))
     rc = main(["sumrate", "--trials", "1", "--schemes", "proposed,localcsi",
@@ -87,10 +122,7 @@ def test_zero_b_link_gain_config_exits_before_any_trial(tmp_path, monkeypatch, c
 @pytest.mark.parametrize("override", ['{"p_r_max": NaN}', '{"sigma2_a": Infinity}'])
 def test_non_finite_config_exits_before_any_trial(override, tmp_path, monkeypatch, capsys):
     # json.load accepts NaN and Infinity, so the config must refuse them
-    def no_trial(payload):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(fdtwrc.harness, "_run_task", no_trial)
+    monkeypatch.setattr(fdtwrc.harness, "_run_task", _no_trial)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(override)
     rc = main(["sumrate", "--trials", "1", "--schemes", "proposed,localcsi",

@@ -44,14 +44,32 @@ class TestConfig:
             SystemConfig(m_t=1)
         with pytest.raises(ValueError):
             SystemConfig(p_a_max=-1.0)
-        with pytest.raises(ValueError):
-            SystemConfig(conv_tol=0.0)
-        with pytest.raises(ValueError):
-            SystemConfig(iter_max=0)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", True])
+    @pytest.mark.parametrize("name", ["m_t", "m_r"])
+    def test_non_integer_count_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SystemConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", ["10", None, 1j, False])
+    @pytest.mark.parametrize("name", ["p_a_max", "sigma2_r", "gain_br"])
+    def test_non_real_float_field_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            SystemConfig(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = SystemConfig(m_t=np.int64(4), m_r=np.int32(2))
+        assert (cfg.m_t, cfg.m_r) == (4, 2)
+
+    @pytest.mark.parametrize("name", ["alpha_grid", "iter_max", "conv_tol", "grid_points"])
+    def test_search_constants_are_not_fields(self, name):
+        assert getattr(SystemConfig(), name) == getattr(SystemConfig, name)
+        with pytest.raises(TypeError):
+            SystemConfig(**{name: getattr(SystemConfig, name)})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("name", ["p_a_max", "p_b_max", "p_r_max", "sigma2_a", "sigma2_b",
-                                      "sigma2_r", "gain_br", "conv_tol"])
+                                      "sigma2_r", "gain_br"])
     def test_non_finite_float_rejected(self, name, value):
         # NaN slips through every "< 0" check, and an infinite budget or
         # variance yields NaN rates, so neither may reach a solver
@@ -120,17 +138,23 @@ class TestReceiveCombiner:
         ch = sample_channels(replace(CFG, m_r=2, m_t=2), 1)
         ch = replace(ch, h_br=np.array([1.0, 0.0], dtype=complex),
                      h_ar=np.array([1.0, 1.0], dtype=complex) / np.sqrt(2))
-        w_raw = receive_combiner(ch, 0.5, normalize=False)
-        assert np.allclose(w_raw, [0.5, math.sqrt(0.5)])
         w = receive_combiner(ch, 0.5)
+        assert np.allclose(w * math.sqrt(0.75), [0.5, math.sqrt(0.5)])
         assert abs(np.linalg.norm(w) - 1.0) < 1e-12
 
     def test_norm_below_one_before_renormalization(self):
         ch = sample_channels(CFG, 11)
+        # the unit combiner's components along u_par and u_perp are the raw
+        # weights alpha and sqrt(1 - alpha) over the raw norm
+        inner = np.vdot(unit(ch.h_br), ch.h_ar)
+        u_par = unit(ch.h_br) * inner / abs(inner)
+        u_perp = unit(ch.h_ar - u_par * np.vdot(u_par, ch.h_ar))
         for alpha in (0.2, 0.5, 0.8):
-            w_raw = receive_combiner(ch, alpha, normalize=False)
-            expected = math.sqrt(alpha**2 + 1.0 - alpha)
-            assert abs(np.linalg.norm(w_raw) - expected) < 1e-10
+            w = receive_combiner(ch, alpha)
+            norm = math.sqrt(alpha**2 + 1.0 - alpha)
+            assert norm < 1.0
+            assert abs(np.vdot(u_par, w) * norm - alpha) < 1e-10
+            assert abs(np.vdot(u_perp, w) * norm - math.sqrt(1.0 - alpha)) < 1e-10
 
     def test_parallel_channels_raise_and_fall_back(self):
         ch = sample_channels(replace(CFG, m_r=1), 3)

@@ -91,6 +91,17 @@ class TestMaximize1d:
         with pytest.raises(ValueError):
             maximize_1d(lambda x: x, 1.0, 0.0)
 
+    def test_all_infeasible_grid_is_not_refined(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return -np.inf
+
+        x, v = maximize_1d(f, 0.0, 1.0, tol=1e-6, grid_points=9)
+        assert len(calls) == 9
+        assert v == -np.inf and 0.0 <= x <= 1.0
+
     def test_degenerate_interval(self):
         assert maximize_1d(lambda x: x * 2, 0.5, 0.5) == (0.5, 1.0)
 

@@ -152,7 +152,7 @@ def test_scheme_ordering_per_realization(cfg, seed):
     # one feasible point of it (full powers, balanced combiner)
     ch = sample_channels(cfg, seed)
     proposed = max_sum_rate(ch, cfg)
-    ub = upper_bound_solve(ch, "sum_rate", cfg, proposed=proposed)
+    ub = upper_bound_solve(ch, cfg, proposed=proposed)
     local = local_csi_sum_rate(ch, cfg, seed)
     assert ub.sum_rate >= proposed.sum_rate - 1e-9
     assert proposed.sum_rate >= local.sum_rate - 1e-9

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fdtwrc.baselines import hd_anc_region, hd_anc_solve, upper_bound_region, upper_bound_solve
+from fdtwrc.baselines import hd_anc_region, hd_anc_solve, upper_bound_region
 from fdtwrc.model import (
     SystemConfig,
     combiner_or_endpoint,
@@ -21,6 +21,7 @@ from fdtwrc.model import (
 from fdtwrc.oracles import grid_power_oracle, lagrangian_boundary_oracle, sampled_beamformer_oracle
 from fdtwrc.rate_region import (
     Infeasible,
+    _alpha_search,
     boundary_range,
     boundary_unit_vector,
     max_rate_given_rb,
@@ -234,6 +235,20 @@ class TestAlternationP1:
             assert np.all(np.diff(pt.trace) >= -1e-9)
 
 
+class TestAlphaSearch:
+    def test_all_infeasible_raises_after_the_grid(self):
+        alphas = []
+
+        def evaluate(alpha):
+            alphas.append(alpha)
+            raise Infeasible("sinr_gate")
+
+        with pytest.raises(Infeasible) as exc:
+            _alpha_search(evaluate, CFG)
+        assert exc.value.stage == "alpha_grid"
+        assert alphas == list(np.linspace(0.0, 1.0, CFG.alpha_grid))
+
+
 class TestMaxRateGivenRb:
     def test_zero_target_dominates_alpha_one_endpoint(self):
         ch = sample_channels(CFG, 11)
@@ -369,7 +384,7 @@ REGION_SCHEMES = {
     "proposed": (lambda ch, cfg, n: rate_region(ch, n, cfg),
                  lambda ch, cfg, r_b: max_rate_given_rb(ch, r_b, cfg), 1.0),
     "ub": (lambda ch, cfg, n: upper_bound_region(ch, n, cfg),
-           lambda ch, cfg, r_b: upper_bound_solve(ch, "region_point", cfg, r_b=r_b), 1.0),
+           lambda ch, cfg, r_b: max_rate_given_rb(zero_loopback(ch), r_b, cfg), 1.0),
     "hd_full": (lambda ch, cfg, n: hd_anc_region(ch, n, cfg),
                 lambda ch, cfg, r_b: hd_anc_solve(ch, "region_point", cfg, r_b=r_b), 0.5),
     "hd_rank_one": (lambda ch, cfg, n: hd_anc_region(ch, n, cfg, relay_matrix="rank_one"),

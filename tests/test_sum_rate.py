@@ -430,10 +430,10 @@ class TestAlternationP2:
         assert pt.powers.p_a == cfg.p_a_max
         assert pt.powers.p_b == cfg.p_b_max
 
-    def test_huge_conv_tol_single_iteration(self):
-        cfg = replace(CFG, conv_tol=1e9)
-        ch = sample_channels(cfg, 14)
-        pt = optimize_fixed_alpha_p2(ch, 0.5, cfg)
+    def test_huge_conv_tol_single_iteration(self, monkeypatch):
+        monkeypatch.setattr(SystemConfig, "conv_tol", 1e9)
+        ch = sample_channels(CFG, 14)
+        pt = optimize_fixed_alpha_p2(ch, 0.5, CFG)
         assert len(pt.trace) == 1
 
     def test_deterministic_golden_trace(self):
@@ -468,7 +468,7 @@ class TestMaxSumRate:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert max_sum_rate(ch, cfg).sum_rate == 0.0
-            assert upper_bound_solve(ch, "sum_rate", cfg).sum_rate == 0.0
+            assert upper_bound_solve(ch, cfg).sum_rate == 0.0
 
     def test_structural_invariants(self):
         for seed in range(10):
