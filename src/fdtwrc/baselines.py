@@ -4,7 +4,10 @@ FD relaying, the no-relay-SI upper bound, and the local-CSI variant.
 HD has no self-interference and full fixed powers, so only the relay matrix
 is optimized; the default optimizes the full matrix over its useful
 subspaces (the benchmark the reported gains are measured against), with the
-conservative rank-one restriction available as a variant.  The upper bound
+conservative rank-one restriction available as a variant.  ``hd_anc_solve``
+maximizes the HD sum rate; an HD region sweep runs up to B's largest
+target, which is the best scored start for the full search and the P1
+gate bound at full powers for the rank-one variant.  The upper bound
 reuses the proposed solvers on a realization whose relay loopback is
 zeroed, which removes the ZF restriction while keeping source SI.
 """
@@ -29,7 +32,7 @@ from .model import (
 from .rate_region import (
     Infeasible,
     _alpha_search,
-    _gamma_feasibility,
+    _gamma_b_max,
     _max_rate_given_gamma,
     _p_prime,
     _rx_gains,
@@ -185,85 +188,75 @@ def _hd_point(channels, x, red, config, trace_value):
         trace=[trace_value], pre_log=0.5)
 
 
-def hd_anc_solve(channels, objective, config, r_b=None, relay_matrix="full"):
-    """Two-phase HD analog network coding benchmark.
+def hd_anc_solve(channels, config, relay_matrix="full"):
+    """Two-phase HD analog network coding benchmark, at its best sum rate.
 
     Both sources use full power and there is no self-interference, so only
     the relay matrix is optimized; rates carry the 1/2 pre-log of the two
     transmission phases.  ``relay_matrix='full'`` optimizes the full matrix
     over its useful subspaces (the benchmark strength the reported gains
     are measured against); ``'rank_one'`` restricts to the same rank-one
-    machinery as the proposed scheme, a weaker conservative variant.  For a
-    region point the target r_b lives in the halved-rate domain, so the
-    per-phase SINR threshold is 2**(2 r_b) - 1.
+    machinery as the proposed scheme, a weaker conservative variant.
     """
+    hd_channels = strip_source_si(zero_loopback(channels))
     if relay_matrix == "rank_one":
-        return _hd_rank_one(channels, objective, config, r_b)
-    hd_channels = strip_source_si(zero_loopback(channels))
-    red = _hd_reduce(hd_channels)
-    return _hd_full(hd_channels, red, _hd_starts(red, config), objective, config, r_b)
-
-
-def _hd_full(hd_channels, red, starts, objective, config, r_b):
-    """Full-matrix HD solve on the stripped channels from given starts."""
-    if objective == "sum_rate":
-        def value(ga, gb):
-            return np.log2(1.0 + ga) + np.log2(1.0 + gb)
-        x, val = _hd_search(red, config, value, starts)
-        return _hd_point(hd_channels, x, red, config, trace_value=0.5 * val)
-    if objective == "region_point":
-        def value(ga, gb):
-            return np.where(_hd_meets_target(gb, r_b), ga, -np.inf)
-        x, val = _hd_search(red, config, value, starts)
-        if x is None:
-            raise Infeasible("hd_region_target")
-        return _hd_point(hd_channels, x, red, config, trace_value=val)
-    raise ValueError(f"unknown objective {objective!r}")
-
-
-def _hd_rank_one(channels, objective, config, r_b):
-    hd_channels = strip_source_si(zero_loopback(channels))
-    powers = (config.p_a_max, config.p_b_max)
-    if objective == "sum_rate":
+        powers = (config.p_a_max, config.p_b_max)
         pt = _alpha_search(
             lambda a: optimize_fixed_alpha_p2(hd_channels, a, config, fixed_powers=powers),
             config)
         return _halved(hd_channels, pt)
-    if objective == "region_point":
-        gamma_b = 2.0 ** (2.0 * r_b) - 1.0
-        pt = _max_rate_given_gamma(hd_channels, gamma_b, config, fixed_powers=powers)
-        return _halved(hd_channels, pt)
-    raise ValueError(f"unknown objective {objective!r}")
+    red = _hd_reduce(hd_channels)
+
+    def value(ga, gb):
+        return np.log2(1.0 + ga) + np.log2(1.0 + gb)
+
+    x, val = _hd_search(red, config, value, _hd_starts(red, config))
+    return _hd_point(hd_channels, x, red, config, trace_value=0.5 * val)
 
 
-def hd_anc_region(channels, n_points, config, relay_matrix="full"):
-    """HD region sweep.  A target counts as feasible when the rank-one P1
-    gates pass (``rank_one``), or when one of the full search's seeded start
-    matrices meets it: the cases in which ``hd_anc_solve`` returns a point.
-    The full search reduces the channels and scores its starts once per
-    sweep; every point solve reuses them."""
-    cap = 0.5 * math.log2(
-        1.0 + config.p_a_max * float(np.vdot(channels.h_ar, channels.h_ar).real))
+def _hd_region(channels, config, relay_matrix):
+    """HD region point solve and B's largest target, as (point_solver,
+    r_b_max).
+
+    B's target r_b lives in the halved-rate domain, so the per-phase SINR
+    threshold is 2**(2 r_b) - 1.  ``rank_one`` maximizes A's rate with the
+    proposed P1 machinery at fixed full powers, and its largest target comes
+    from ``_gamma_b_max`` at those powers.  The full search reduces the
+    channels and scores its starts once; every point solve reuses them, and
+    B's largest target is the best start's, the largest at which one start
+    meets the target.
+    """
     hd_channels = strip_source_si(zero_loopback(channels))
     if relay_matrix == "rank_one":
-        feasible = _gamma_feasibility(hd_channels, config,
-                                      fixed_powers=(config.p_a_max, config.p_b_max))
-
-        def is_feasible(r_b):
-            return feasible(2.0 ** (2.0 * r_b) - 1.0)
+        powers = (config.p_a_max, config.p_b_max)
 
         def point_solver(r_b):
-            return _hd_rank_one(channels, "region_point", config, r_b)
+            pt = _max_rate_given_gamma(hd_channels, 2.0 ** (2.0 * r_b) - 1.0, config,
+                                       fixed_powers=powers)
+            return _halved(hd_channels, pt)
+
+        gamma_b_max = _gamma_b_max(hd_channels, config, fixed_powers=powers)
     else:
         red = _hd_reduce(hd_channels)
         starts = _hd_starts(red, config)
 
-        def is_feasible(r_b):
-            return bool(np.any(_hd_meets_target(starts[2], r_b)))
-
         def point_solver(r_b):
-            return _hd_full(hd_channels, red, starts, "region_point", config, r_b)
-    return region_sweep(point_solver, is_feasible, cap, n_points)
+            def value(ga, gb):
+                return np.where(_hd_meets_target(gb, r_b), ga, -np.inf)
+
+            x, val = _hd_search(red, config, value, starts)
+            if x is None:
+                raise Infeasible("hd_region_target")
+            return _hd_point(hd_channels, x, red, config, trace_value=val)
+
+        gamma_b_max = float(np.max(starts[2]))
+    return point_solver, 0.5 * math.log2(1.0 + gamma_b_max)
+
+
+def hd_anc_region(channels, n_points, config, relay_matrix="full"):
+    """HD region sweep of ``_hd_region``'s point solve from r_b = 0 up to
+    B's largest target."""
+    return region_sweep(*_hd_region(channels, config, relay_matrix), n_points)
 
 
 def _complement_projector_or_identity(v):

@@ -70,7 +70,7 @@ SCHEMES = {
         lambda ch, cfg, tseed, proposed: _rates(proposed),
         lambda ch, cfg, n: _region_pairs(rate_region(ch, n, cfg))),
     SchemeId.HD_ANC: (
-        lambda ch, cfg, tseed, proposed: _rates(hd_anc_solve(ch, "sum_rate", cfg)),
+        lambda ch, cfg, tseed, proposed: _rates(hd_anc_solve(ch, cfg)),
         lambda ch, cfg, n: _region_pairs(hd_anc_region(ch, n, cfg))),
     SchemeId.FD_ONEWAY: (
         lambda ch, cfg, tseed, proposed: fd_oneway_sum_rate(ch, cfg),

@@ -1,7 +1,8 @@
 """Rate-region machinery: closed-form transmit beamformer, closed-form
 power allocation (the largest feasible p_b on the line where B's SINR
-target binds), alternating loop with a 1-D combiner search, and the
-boundary sweep over source B's target rate.
+target binds), the alternating loop that the sum-rate solver shares, a 1-D
+combiner search, and the boundary sweep over source B's target rate up to
+its largest value, which the beamformer's gates give in closed form.
 """
 
 import cmath
@@ -15,6 +16,7 @@ from .model import (
     effective_gains,
     make_operating_point,
     relay_null_basis,
+    sinr_pair,
 )
 from .numerics import maximize_1d
 
@@ -263,10 +265,42 @@ def solve_power_p1(channels, w_t, w_r, gamma_b, config):
     return p_a, p_b
 
 
-def _p1_start_powers(config, fixed_powers):
-    if fixed_powers is not None:
-        return [tuple(fixed_powers)]
-    return [(config.p_a_max, config.p_b_max), (config.p_a_max, 0.0)]
+def _alternate(channels, alpha, config, starts, beam, power, score, fixed):
+    """The alternating loop of P1 and P2 for one combiner setting.
+
+    ``beam(w_r, ctx, powers, w_t)`` solves the transmit beamformer at the
+    given powers (``w_t`` is the previous beamformer, None on the first
+    solve) and may raise Infeasible; ``power(w_t, w_r)`` is the power step
+    and ``score(w_t, w_r, powers)`` the traced objective.  The first solve
+    uses the first start power it accepts (the last start's Infeasible
+    propagates).  Each iteration then runs the power step (skipped when
+    ``fixed``), scores the result and stops when the score improves by less
+    than conv_tol; otherwise the beamformer is re-solved at the new powers.
+    When iter_max is hit the returned beamformer is the one re-solved after
+    the last scored iteration, so the point's objective can exceed
+    ``trace[-1]``.
+    """
+    w_r = combiner_or_endpoint(channels, alpha)
+    ctx = _tx_context(channels, w_r)
+    for powers in starts:
+        try:
+            w_t = beam(w_r, ctx, powers, None)
+            break
+        except Infeasible:
+            if powers is starts[-1]:
+                raise
+    trace = []
+    prev = 0.0
+    for _ in range(config.iter_max):
+        if not fixed:
+            powers = power(w_t, w_r)
+        val = score(w_t, w_r, powers)
+        trace.append(val)
+        if val - prev < config.conv_tol or fixed:
+            break
+        prev = val
+        w_t = beam(w_r, ctx, powers, w_t)
+    return make_operating_point(channels, w_t, w_r, alpha, powers[0], powers[1], trace)
 
 
 def optimize_fixed_alpha_p1(channels, alpha, gamma_b, config, fixed_powers=None):
@@ -277,33 +311,17 @@ def optimize_fixed_alpha_p1(channels, alpha, gamma_b, config, fixed_powers=None)
     by less than conv_tol or iter_max is hit.  The trace of per-iteration
     SINR values is nondecreasing.
     """
-    w_r = combiner_or_endpoint(channels, alpha)
-    ctx = _tx_context(channels, w_r)
-    inits = _p1_start_powers(config, fixed_powers)
-    w_t = None
-    powers = None
-    for cand in inits:
-        try:
-            w_t = solve_txbf_p1(channels, w_r, cand[0], cand[1], gamma_b, config.p_r_max, ctx)
-            powers = cand
-            break
-        except Infeasible:
-            if cand is inits[-1]:
-                raise
-    trace = []
-    prev = 0.0
-    for _ in range(config.iter_max):
-        if fixed_powers is None:
-            powers = solve_power_p1(channels, w_t, w_r, gamma_b, config)
-        g = effective_gains(channels, w_t, w_r)
-        gamma_a = powers[1] * g.tx_gain_a * g.rx_gain_b / (
-            g.tx_gain_a + powers[0] * abs(channels.h_aa) ** 2 + 1.0)
-        trace.append(gamma_a)
-        if gamma_a - prev < config.conv_tol or fixed_powers is not None:
-            break
-        prev = gamma_a
-        w_t = solve_txbf_p1(channels, w_r, powers[0], powers[1], gamma_b, config.p_r_max, ctx)
-    return make_operating_point(channels, w_t, w_r, alpha, powers[0], powers[1], trace)
+    if fixed_powers is not None:
+        starts = [tuple(fixed_powers)]
+    else:
+        starts = [(config.p_a_max, config.p_b_max), (config.p_a_max, 0.0)]
+    return _alternate(
+        channels, alpha, config, starts,
+        beam=lambda w_r, ctx, p, _: solve_txbf_p1(
+            channels, w_r, p[0], p[1], gamma_b, config.p_r_max, ctx),
+        power=lambda w_t, w_r: solve_power_p1(channels, w_t, w_r, gamma_b, config),
+        score=lambda w_t, w_r, p: sinr_pair(channels, w_t, w_r, p[0], p[1])[0],
+        fixed=fixed_powers is not None)
 
 
 def _alpha_search(evaluate, config):
@@ -336,35 +354,30 @@ def _max_rate_given_gamma(channels, gamma_b, config, fixed_powers=None):
         lambda a: optimize_fixed_alpha_p1(channels, a, gamma_b, config, fixed_powers), config)
 
 
-def _gamma_feasibility(channels, config, fixed_powers=None):
-    """``is_feasible(gamma_b)``: whether ``_max_rate_given_gamma`` succeeds at
-    B's SINR target gamma_b, decided without running it.
+def _gamma_b_max(channels, config, fixed_powers=None):
+    """B's largest SINR target at which ``_max_rate_given_gamma`` succeeds.
 
     ``_alpha_search`` raises only when every grid combiner raises, and
     ``optimize_fixed_alpha_p1`` raises only when its first beamformer solve
-    fails the gates at every start power: past the gates the start
+    fails ``_p1_gates`` at every start power: past the gates the start
     beamformer meets B's target, and each later power and beamformer step
-    keeps a feasible point (up to the solvers' tolerances).  The gates need
-    only the receive gains and ||b_t||^2 of each grid combiner, computed
-    here once.
+    keeps a feasible point (up to the solvers' tolerances).  The gates at
+    (p_a_max, 0) dominate those at (p_a_max, p_b_max), and they pass exactly
+    when gamma_b <= p_a rx_a s_b / (s_b + p_b |h_bb|^2 + 1) with
+    s_b = p_bar ||b_t||^2: B's SINR when A sends at p_a, B at p_b and the
+    whole relay budget p_bar goes on the b_t direction.  The powers are
+    (p_a_max, 0), or ``fixed_powers``.  The result is the largest of these
+    SINRs over the grid combiners, backed off by 1e-9 relative because the
+    gate's margin p_a rx_a - gamma_b cancels near the bound.
     """
-    combiners = []
+    p_a, p_b = fixed_powers if fixed_powers is not None else (config.p_a_max, 0.0)
+    best = 0.0
     for alpha in np.linspace(0.0, 1.0, config.alpha_grid):
         w_r = combiner_or_endpoint(channels, float(alpha))
-        combiners.append((*_rx_gains(channels, w_r), _tx_context(channels, w_r).nb2))
-    inits = _p1_start_powers(config, fixed_powers)
-
-    def is_feasible(gamma_b):
-        for rx_a, rx_b, nb2 in combiners:
-            for p_a, p_b in inits:
-                try:
-                    _p1_gates(channels, rx_a, rx_b, nb2, p_a, p_b, gamma_b, config.p_r_max)
-                    return True
-                except Infeasible:
-                    pass
-        return False
-
-    return is_feasible
+        rx_a, rx_b = _rx_gains(channels, w_r)
+        s_b = _p_prime(config.p_r_max, p_a, p_b, rx_a, rx_b) * _tx_context(channels, w_r).nb2
+        best = max(best, p_a * rx_a * s_b / (s_b + p_b * abs(channels.h_bb) ** 2 + 1.0))
+    return best * (1.0 - 1e-9)
 
 
 def max_rate_given_rb(channels, r_b, config):
@@ -374,19 +387,13 @@ def max_rate_given_rb(channels, r_b, config):
     return _max_rate_given_gamma(channels, 2.0**r_b - 1.0, config)
 
 
-# bisection steps locating B's largest feasible target on [0, r_b_cap]
-_BISECT_STEPS = 24
-
-
-def region_sweep(point_solver, is_feasible, r_b_cap, n_points):
+def region_sweep(point_solver, r_b_max, n_points):
     """Generic boundary sweep used by the proposed scheme and the baselines.
 
     ``point_solver(r_b)`` returns an OperatingPoint or raises Infeasible;
-    ``is_feasible(r_b)`` says, without solving, whether it succeeds.  B's
-    largest feasible target is located by bisection of ``is_feasible`` on
-    [0, r_b_cap], the boundary is sampled at n_points targets (the only
-    point solves) and non-monotone raw sweeps are repaired by carrying
-    dominating higher-target points down.
+    ``r_b_max`` is B's largest target, at which it succeeds.  The boundary
+    is sampled at n_points targets from 0 to r_b_max and non-monotone raw
+    sweeps are repaired by carrying dominating higher-target points down.
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
@@ -397,17 +404,6 @@ def region_sweep(point_solver, is_feasible, r_b_cap, n_points):
         except Infeasible:
             return None
 
-    lo, hi = 0.0, r_b_cap
-    if is_feasible(hi):
-        lo = hi
-    else:
-        for _ in range(_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            if is_feasible(mid):
-                lo = mid
-            else:
-                hi = mid
-    r_b_max = lo
     targets = np.linspace(0.0, r_b_max, n_points)
     entries = []
     for r_b in targets:
@@ -426,8 +422,6 @@ def region_sweep(point_solver, is_feasible, r_b_cap, n_points):
 def rate_region(channels, n_points, config):
     """Boundary of the achievable (rate_a, rate_b) region as a list of
     (r_b target, OperatingPoint-or-None) pairs, swept from r_b = 0 up to
-    B's largest feasible single-target rate."""
-    cap = math.log2(1.0 + config.p_a_max * float(np.vdot(channels.h_ar, channels.h_ar).real))
-    feasible = _gamma_feasibility(channels, config)
+    B's largest feasible target, log2(1 + ``_gamma_b_max``)."""
     return region_sweep(lambda r_b: max_rate_given_rb(channels, r_b, config),
-                        lambda r_b: feasible(2.0**r_b - 1.0), cap, n_points)
+                        math.log2(1.0 + _gamma_b_max(channels, config)), n_points)

@@ -1,6 +1,7 @@
 """Sum-rate maximization: exact Pareto-frontier transmit beamformer in
 reduced coordinates, binary/active-constraint power allocation, and the
-alternating loop with the 1-D combiner search.
+alternating loop (shared with the rate region) with the 1-D combiner
+search.
 
 Given the combiner and the powers, the objective depends on w_t only through
 the two quadratic forms s_a = |h_ra^H w_t|^2 and s_b = |h_rb^H w_t|^2.  The
@@ -19,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import combiner_or_endpoint, make_operating_point
 from .numerics import maximize_1d, real_cubic_roots
 from .rate_region import (
     _alpha_search,
+    _alternate,
     _orth_to,
     _p_prime,
     _rx_gains,
@@ -320,25 +321,16 @@ def optimize_fixed_alpha_p2(channels, alpha, config, fixed_powers=None):
     Starts at full source powers; the beamformer solve is warm-started with
     the previous beamformer so the recorded sum-rate trace never decreases.
     """
-    w_r = combiner_or_endpoint(channels, alpha)
-    ctx = _tx_context(channels, w_r)
     powers = tuple(fixed_powers) if fixed_powers is not None else (config.p_a_max, config.p_b_max)
-    trace = []
-    prev = 0.0
-    w_t = None
-    for _ in range(config.iter_max):
-        w_t = solve_txbf_p2(channels, w_r, powers[0], powers[1], config,
-                            w_t_init=w_t, ctx=ctx)
-        if fixed_powers is None:
-            powers = solve_power_p2(channels, w_t, w_r, config)
-        val = dc_objective(channels, w_r, powers[0], powers[1],
-                           abs(np.vdot(channels.h_ra, w_t)) ** 2,
-                           abs(np.vdot(channels.h_rb, w_t)) ** 2)
-        trace.append(val)
-        if val - prev < config.conv_tol or fixed_powers is not None:
-            break
-        prev = val
-    return make_operating_point(channels, w_t, w_r, alpha, powers[0], powers[1], trace)
+    return _alternate(
+        channels, alpha, config, [powers],
+        beam=lambda w_r, ctx, p, w_t: solve_txbf_p2(
+            channels, w_r, p[0], p[1], config, w_t_init=w_t, ctx=ctx),
+        power=lambda w_t, w_r: solve_power_p2(channels, w_t, w_r, config),
+        score=lambda w_t, w_r, p: dc_objective(
+            channels, w_r, p[0], p[1],
+            abs(np.vdot(channels.h_ra, w_t)) ** 2, abs(np.vdot(channels.h_rb, w_t)) ** 2),
+        fixed=fixed_powers is not None)
 
 
 def max_sum_rate(channels, config):

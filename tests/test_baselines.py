@@ -7,6 +7,7 @@ import pytest
 from fdtwrc.baselines import (
     SchemeId,
     _hd_reduce,
+    _hd_region,
     _hd_search,
     _hd_starts,
     fd_oneway_direction_rate,
@@ -47,7 +48,7 @@ class TestHdAnc:
         # construction equivalence: the conservative variant is exactly the
         # zero-SI, no-ZF, fixed-power proposed solver with halved rates
         ch = sample_channels(CFG, 0)
-        hd = hd_anc_solve(ch, "sum_rate", CFG, relay_matrix="rank_one")
+        hd = hd_anc_solve(ch, CFG, relay_matrix="rank_one")
         stripped = strip_source_si(zero_loopback(ch))
         powers = (CFG.p_a_max, CFG.p_b_max)
         ref = _alpha_search(
@@ -57,8 +58,8 @@ class TestHdAnc:
     def test_full_dominates_rank_one(self):
         for seed in range(15):
             ch = sample_channels(CFG, 100 + seed)
-            full = hd_anc_solve(ch, "sum_rate", CFG)
-            r1 = hd_anc_solve(ch, "sum_rate", CFG, relay_matrix="rank_one")
+            full = hd_anc_solve(ch, CFG)
+            r1 = hd_anc_solve(ch, CFG, relay_matrix="rank_one")
             assert full.sum_rate >= r1.sum_rate - 1e-6
 
     def test_full_search_seed_stability(self):
@@ -73,14 +74,14 @@ class TestHdAnc:
         # doubling the reported rate and inverting the log recovers the
         # per-phase SINR
         ch = sample_channels(CFG, 2)
-        hd = hd_anc_solve(ch, "sum_rate", CFG)
+        hd = hd_anc_solve(ch, CFG)
         assert hd.pre_log == 0.5
         assert abs(2.0 ** (2.0 * hd.rate_a) - 1.0 - hd.gamma_a) < 1e-9 * (1 + hd.gamma_a)
         assert abs(2.0 ** (2.0 * hd.rate_b) - 1.0 - hd.gamma_b) < 1e-9 * (1 + hd.gamma_b)
 
     def test_gammas_recomputable_from_full_matrix(self):
         ch = sample_channels(CFG, 3)
-        hd = hd_anc_solve(ch, "sum_rate", CFG)
+        hd = hd_anc_solve(ch, CFG)
         w = hd.beamformer.w_full
         ga = (CFG.p_b_max * abs(ch.h_ra.conj() @ w @ ch.h_br) ** 2
               / (np.linalg.norm(ch.h_ra.conj() @ w) ** 2 + 1.0))
@@ -92,7 +93,7 @@ class TestHdAnc:
 
     def test_region_endpoint_matches_unconstrained_solve(self):
         ch = sample_channels(CFG, 4)
-        pt = hd_anc_solve(ch, "region_point", CFG, r_b=0.0)
+        pt = _hd_region(ch, CFG, "full")[0](0.0)
         # rate_a = 1/2 log2(1 + gamma) with gamma from the full-power form
         assert abs(pt.rate_a - 0.5 * math.log2(1.0 + pt.gamma_a)) < 1e-12
         assert pt.rate_b >= 0.0
@@ -111,7 +112,7 @@ class TestHdAnc:
         ch = sample_channels(CFG, 6)
         cap = 0.5 * math.log2(1.0 + CFG.p_a_max * float(np.vdot(ch.h_ar, ch.h_ar).real))
         with pytest.raises(Infeasible):
-            hd_anc_solve(ch, "region_point", CFG, r_b=cap + 0.5)
+            _hd_region(ch, CFG, "full")[0](cap + 0.5)
 
 
 class TestFdOneway:

@@ -27,7 +27,13 @@ from fdtwrc.model import (
     zf_residual,
 )
 from fdtwrc.oracles import grid_power_oracle
-from fdtwrc.rate_region import Infeasible, rate_region, solve_power_p1, solve_txbf_p1
+from fdtwrc.rate_region import (
+    Infeasible,
+    max_rate_given_rb,
+    rate_region,
+    solve_power_p1,
+    solve_txbf_p1,
+)
 from fdtwrc.sum_rate import max_sum_rate, solve_txbf_p2
 
 configs = st.builds(
@@ -100,11 +106,15 @@ def test_txbf_p1_invariants(cfg, seed, alpha, power_share, target_share):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(cfg=configs, seed=st.integers(0, 2**32 - 1))
 def test_rate_region_invariants(cfg, seed):
-    entries = rate_region(sample_channels(cfg, seed), 4, cfg)
+    ch = sample_channels(cfg, seed)
+    entries = rate_region(ch, 4, cfg)
     targets = [r_b for r_b, _ in entries]
     assert targets[0] == 0.0
     assert np.all(np.diff(targets) >= 0.0)
     assert entries[-1][1] is not None
+    if targets[-1] > 0.0:  # the endpoint is B's largest target to 1e-8
+        with pytest.raises(Infeasible):
+            max_rate_given_rb(ch, targets[-1] * (1.0 + 1e-8), cfg)
     for r_b, pt in entries:
         assert pt.rate_b >= r_b - 1e-9
     rates_a = [pt.rate_a for _, pt in entries]
