@@ -125,11 +125,18 @@ class ChannelRealization:
         return self.h_ra.size
 
     def validate(self):
-        assert self.h_br.shape == (self.m_r,)
-        assert self.h_rb.shape == (self.m_t,)
-        assert self.h_rr.shape == (self.m_r, self.m_t)
-        for arr in (self.h_ar, self.h_br, self.h_ra, self.h_rb, self.h_rr):
-            assert np.all(np.isfinite(arr.view(float)))
+        """Return self, or raise ValueError unless every channel has the shape
+        implied by m_r and m_t and every entry, the two scalars included, is
+        finite."""
+        shapes = {"h_ar": (self.m_r,), "h_br": (self.m_r,), "h_ra": (self.m_t,),
+                  "h_rb": (self.m_t,), "h_rr": (self.m_r, self.m_t)}
+        for name, shape in shapes.items():
+            if np.shape(getattr(self, name)) != shape:
+                raise ValueError(f"{name} has shape {np.shape(getattr(self, name))}, "
+                                 f"expected {shape}")
+        for name in ("h_ar", "h_br", "h_ra", "h_rb", "h_aa", "h_bb", "h_rr"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} has a non-finite entry")
         return self
 
 

@@ -31,6 +31,8 @@ __all__ = [
     "rate_region",
 ]
 
+_LN2 = math.log(2.0)
+
 
 class Infeasible(Exception):
     """A solver subproblem has an empty feasible set.
@@ -265,7 +267,7 @@ def solve_power_p1(channels, w_t, w_r, gamma_b, config):
     return p_a, p_b
 
 
-def _alternate(channels, alpha, config, starts, beam, power, score, fixed):
+def _alternate(channels, alpha, config, starts, beam, power, score):
     """The alternating loop of P1 and P2 for one combiner setting.
 
     ``beam(w_r, ctx, powers, w_t)`` solves the transmit beamformer at the
@@ -273,9 +275,9 @@ def _alternate(channels, alpha, config, starts, beam, power, score, fixed):
     solve) and may raise Infeasible; ``power(w_t, w_r)`` is the power step
     and ``score(w_t, w_r, powers)`` the traced objective.  The first solve
     uses the first start power it accepts (the last start's Infeasible
-    propagates).  Each iteration then runs the power step (skipped when
-    ``fixed``), scores the result and stops when the score improves by less
-    than conv_tol; otherwise the beamformer is re-solved at the new powers.
+    propagates).  Each iteration then runs the power step, scores the
+    result and stops when the score improves by less than conv_tol;
+    otherwise the beamformer is re-solved at the new powers.
     When iter_max is hit the returned beamformer is the one re-solved after
     the last scored iteration, so the point's objective can exceed
     ``trace[-1]``.
@@ -292,18 +294,17 @@ def _alternate(channels, alpha, config, starts, beam, power, score, fixed):
     trace = []
     prev = 0.0
     for _ in range(config.iter_max):
-        if not fixed:
-            powers = power(w_t, w_r)
+        powers = power(w_t, w_r)
         val = score(w_t, w_r, powers)
         trace.append(val)
-        if val - prev < config.conv_tol or fixed:
+        if val - prev < config.conv_tol:
             break
         prev = val
         w_t = beam(w_r, ctx, powers, w_t)
     return make_operating_point(channels, w_t, w_r, alpha, powers[0], powers[1], trace)
 
 
-def optimize_fixed_alpha_p1(channels, alpha, gamma_b, config, fixed_powers=None):
+def optimize_fixed_alpha_p1(channels, alpha, gamma_b, config):
     """Alternate the beamformer and power solves for one combiner setting.
 
     Starts from full source powers (falling back to (p_a_max, 0) if the
@@ -311,17 +312,12 @@ def optimize_fixed_alpha_p1(channels, alpha, gamma_b, config, fixed_powers=None)
     by less than conv_tol or iter_max is hit.  The trace of per-iteration
     SINR values is nondecreasing.
     """
-    if fixed_powers is not None:
-        starts = [tuple(fixed_powers)]
-    else:
-        starts = [(config.p_a_max, config.p_b_max), (config.p_a_max, 0.0)]
     return _alternate(
-        channels, alpha, config, starts,
+        channels, alpha, config, [(config.p_a_max, config.p_b_max), (config.p_a_max, 0.0)],
         beam=lambda w_r, ctx, p, _: solve_txbf_p1(
             channels, w_r, p[0], p[1], gamma_b, config.p_r_max, ctx),
         power=lambda w_t, w_r: solve_power_p1(channels, w_t, w_r, gamma_b, config),
-        score=lambda w_t, w_r, p: sinr_pair(channels, w_t, w_r, p[0], p[1])[0],
-        fixed=fixed_powers is not None)
+        score=lambda w_t, w_r, p: sinr_pair(channels, w_t, w_r, p[0], p[1])[0])
 
 
 def _alpha_search(evaluate, config):
@@ -349,42 +345,43 @@ def _alpha_search(evaluate, config):
     return best["point"]
 
 
-def _max_rate_given_gamma(channels, gamma_b, config, fixed_powers=None):
-    return _alpha_search(
-        lambda a: optimize_fixed_alpha_p1(channels, a, gamma_b, config, fixed_powers), config)
-
-
-def _gamma_b_max(channels, config, fixed_powers=None):
-    """B's largest SINR target at which ``_max_rate_given_gamma`` succeeds.
+def _gamma_b_max(channels, config):
+    """B's largest SINR target at which ``max_rate_given_rb`` succeeds.
 
     ``_alpha_search`` raises only when every grid combiner raises, and
     ``optimize_fixed_alpha_p1`` raises only when its first beamformer solve
-    fails ``_p1_gates`` at every start power: past the gates the start
+    fails ``_p1_gates`` at both start powers: past the gates the start
     beamformer meets B's target, and each later power and beamformer step
     keeps a feasible point (up to the solvers' tolerances).  The gates at
-    (p_a_max, 0) dominate those at (p_a_max, p_b_max), and they pass exactly
-    when gamma_b <= p_a rx_a s_b / (s_b + p_b |h_bb|^2 + 1) with
-    s_b = p_bar ||b_t||^2: B's SINR when A sends at p_a, B at p_b and the
-    whole relay budget p_bar goes on the b_t direction.  The powers are
-    (p_a_max, 0), or ``fixed_powers``.  The result is the largest of these
-    SINRs over the grid combiners, backed off by 1e-9 relative because the
-    gate's margin p_a rx_a - gamma_b cancels near the bound.
+    (p_a_max, 0) dominate those at (p_a_max, p_b_max), and there they pass
+    exactly when gamma_b <= p_a_max rx_a s_b / (s_b + 1) with
+    s_b = p_bar ||b_t||^2 and p_bar = p_r_max / (p_a_max rx_a + 1): B's SINR
+    when A sends at full power, B is silent and the whole relay budget goes
+    on the b_t direction.  The result is the largest of these SINRs over
+    the grid combiners, backed off by 1e-9 relative because the gate's
+    margin p_a rx_a - gamma_b cancels near the bound.
     """
-    p_a, p_b = fixed_powers if fixed_powers is not None else (config.p_a_max, 0.0)
+    p_a = config.p_a_max
     best = 0.0
     for alpha in np.linspace(0.0, 1.0, config.alpha_grid):
         w_r = combiner_or_endpoint(channels, float(alpha))
         rx_a, rx_b = _rx_gains(channels, w_r)
-        s_b = _p_prime(config.p_r_max, p_a, p_b, rx_a, rx_b) * _tx_context(channels, w_r).nb2
-        best = max(best, p_a * rx_a * s_b / (s_b + p_b * abs(channels.h_bb) ** 2 + 1.0))
+        s_b = _p_prime(config.p_r_max, p_a, 0.0, rx_a, rx_b) * _tx_context(channels, w_r).nb2
+        best = max(best, p_a * rx_a * s_b / (s_b + 1.0))
     return best * (1.0 - 1e-9)
 
 
 def max_rate_given_rb(channels, r_b, config):
-    """Best operating point for A subject to B achieving rate r_b."""
+    """Best operating point for A subject to B achieving rate r_b.
+
+    B's SINR threshold 2**r_b - 1 is computed with expm1, so a tiny target
+    (a weak B link) keeps its relative accuracy.
+    """
     if r_b < 0:
         raise ValueError("r_b must be nonnegative")
-    return _max_rate_given_gamma(channels, 2.0**r_b - 1.0, config)
+    gamma_b = math.expm1(r_b * _LN2)
+    return _alpha_search(
+        lambda a: optimize_fixed_alpha_p1(channels, a, gamma_b, config), config)
 
 
 def region_sweep(point_solver, r_b_max, n_points):
@@ -422,6 +419,7 @@ def region_sweep(point_solver, r_b_max, n_points):
 def rate_region(channels, n_points, config):
     """Boundary of the achievable (rate_a, rate_b) region as a list of
     (r_b target, OperatingPoint-or-None) pairs, swept from r_b = 0 up to
-    B's largest feasible target, log2(1 + ``_gamma_b_max``)."""
+    B's largest feasible target, log2(1 + ``_gamma_b_max``) (by log1p, which
+    keeps a tiny endpoint exact enough for the point solve to meet it)."""
     return region_sweep(lambda r_b: max_rate_given_rb(channels, r_b, config),
-                        math.log2(1.0 + _gamma_b_max(channels, config)), n_points)
+                        math.log1p(_gamma_b_max(channels, config)) / _LN2, n_points)

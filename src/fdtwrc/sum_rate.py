@@ -22,6 +22,7 @@ import numpy as np
 
 from .numerics import maximize_1d, real_cubic_roots
 from .rate_region import (
+    _LN2,
     _alpha_search,
     _alternate,
     _orth_to,
@@ -43,7 +44,6 @@ __all__ = [
     "max_sum_rate",
 ]
 
-_LN2 = math.log(2.0)
 # interval width in q at which the frontier search stops
 _FRONTIER_TOL = 1e-6
 
@@ -315,22 +315,20 @@ def solve_power_p2(channels, w_t, w_r, config):
     return best
 
 
-def optimize_fixed_alpha_p2(channels, alpha, config, fixed_powers=None):
+def optimize_fixed_alpha_p2(channels, alpha, config):
     """Alternate the transmit beamformer and the power rule for one combiner.
 
     Starts at full source powers; the beamformer solve is warm-started with
     the previous beamformer so the recorded sum-rate trace never decreases.
     """
-    powers = tuple(fixed_powers) if fixed_powers is not None else (config.p_a_max, config.p_b_max)
     return _alternate(
-        channels, alpha, config, [powers],
+        channels, alpha, config, [(config.p_a_max, config.p_b_max)],
         beam=lambda w_r, ctx, p, w_t: solve_txbf_p2(
             channels, w_r, p[0], p[1], config, w_t_init=w_t, ctx=ctx),
         power=lambda w_t, w_r: solve_power_p2(channels, w_t, w_r, config),
         score=lambda w_t, w_r, p: dc_objective(
             channels, w_r, p[0], p[1],
-            abs(np.vdot(channels.h_ra, w_t)) ** 2, abs(np.vdot(channels.h_rb, w_t)) ** 2),
-        fixed=fixed_powers is not None)
+            abs(np.vdot(channels.h_ra, w_t)) ** 2, abs(np.vdot(channels.h_rb, w_t)) ** 2))
 
 
 def max_sum_rate(channels, config):

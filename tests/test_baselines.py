@@ -27,8 +27,7 @@ from fdtwrc.model import (
     zf_residual,
 )
 from fdtwrc.rate_region import Infeasible, max_rate_given_rb
-from fdtwrc.sum_rate import max_sum_rate, optimize_fixed_alpha_p2
-from fdtwrc.rate_region import _alpha_search
+from fdtwrc.sum_rate import max_sum_rate
 
 CFG = SystemConfig()
 
@@ -44,23 +43,16 @@ class TestSchemeId:
 
 
 class TestHdAnc:
-    def test_rank_one_equals_half_of_stripped_fd_machinery(self):
-        # construction equivalence: the conservative variant is exactly the
-        # zero-SI, no-ZF, fixed-power proposed solver with halved rates
-        ch = sample_channels(CFG, 0)
-        hd = hd_anc_solve(ch, CFG, relay_matrix="rank_one")
-        stripped = strip_source_si(zero_loopback(ch))
-        powers = (CFG.p_a_max, CFG.p_b_max)
-        ref = _alpha_search(
-            lambda a: optimize_fixed_alpha_p2(stripped, a, CFG, fixed_powers=powers), CFG)
-        assert abs(hd.sum_rate - 0.5 * ref.sum_rate) < 1e-12
-
     def test_full_dominates_rank_one(self):
+        # the rank-one HD scheme at full powers: with no source SI each SINR
+        # grows with the partner's power, so the proposed sum-rate solver on
+        # the zero-SI, no-loopback realization keeps full powers, and half
+        # its sum rate is that scheme's
         for seed in range(15):
             ch = sample_channels(CFG, 100 + seed)
-            full = hd_anc_solve(ch, CFG)
-            r1 = hd_anc_solve(ch, CFG, relay_matrix="rank_one")
-            assert full.sum_rate >= r1.sum_rate - 1e-6
+            r1 = max_sum_rate(strip_source_si(zero_loopback(ch)), CFG)
+            assert (r1.powers.p_a, r1.powers.p_b) == (CFG.p_a_max, CFG.p_b_max)
+            assert hd_anc_solve(ch, CFG).sum_rate >= 0.5 * r1.sum_rate - 1e-6
 
     def test_full_search_seed_stability(self):
         ch = sample_channels(CFG, 1)
@@ -93,7 +85,7 @@ class TestHdAnc:
 
     def test_region_endpoint_matches_unconstrained_solve(self):
         ch = sample_channels(CFG, 4)
-        pt = _hd_region(ch, CFG, "full")[0](0.0)
+        pt = _hd_region(ch, CFG)[0](0.0)
         # rate_a = 1/2 log2(1 + gamma) with gamma from the full-power form
         assert abs(pt.rate_a - 0.5 * math.log2(1.0 + pt.gamma_a)) < 1e-12
         assert pt.rate_b >= 0.0
@@ -112,7 +104,7 @@ class TestHdAnc:
         ch = sample_channels(CFG, 6)
         cap = 0.5 * math.log2(1.0 + CFG.p_a_max * float(np.vdot(ch.h_ar, ch.h_ar).real))
         with pytest.raises(Infeasible):
-            _hd_region(ch, CFG, "full")[0](cap + 0.5)
+            _hd_region(ch, CFG)[0](cap + 0.5)
 
 
 class TestFdOneway:

@@ -262,6 +262,25 @@ class TestSerialization:
             assert np.array_equal(getattr(ch, name), getattr(back, name))
         assert ch.h_aa == back.h_aa and ch.h_bb == back.h_bb
 
+    @pytest.mark.parametrize("name, value", [
+        ("h_br", np.ones(2, dtype=complex)),
+        ("h_rb", np.ones(4, dtype=complex)),
+        ("h_rr", np.ones((3, 2), dtype=complex)),
+        ("h_ar", np.ones((3, 1), dtype=complex)),
+        ("h_ra", np.array([1.0, complex(math.nan, 0.0), 1.0])),
+        ("h_rr", np.full((3, 3), complex(0.0, math.inf))),
+        ("h_aa", complex(math.nan, 0.0)),
+        ("h_bb", complex(0.0, math.inf)),
+    ])
+    def test_bad_realization_rejected(self, name, value):
+        # a ValueError, not an assert, so the check also holds under python -O
+        ch = replace(sample_channels(CFG, 23), **{name: value})
+        with pytest.raises(ValueError, match=name):
+            ch.validate()
+        if name != "h_ar":  # json stores h_ar's values, not its shape
+            with pytest.raises(ValueError):
+                channels_from_json(channels_to_json(ch))
+
     def test_operating_point_report(self):
         ch = sample_channels(CFG, 22)
         w_r = receive_combiner(ch, 0.5)

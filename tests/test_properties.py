@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdtwrc.baselines import local_csi_sum_rate, upper_bound_solve
+from fdtwrc.baselines import hd_anc_solve, local_csi_sum_rate, upper_bound_solve
 from fdtwrc.model import (
     SystemConfig,
     combiner_or_endpoint,
@@ -24,6 +24,8 @@ from fdtwrc.model import (
     relay_output_power,
     sample_channels,
     sinr_pair,
+    strip_source_si,
+    zero_loopback,
     zf_residual,
 )
 from fdtwrc.oracles import grid_power_oracle
@@ -159,10 +161,16 @@ def test_power_p1_against_grid_oracle(cfg, seed, alpha, power_share, target_shar
 @given(cfg=configs, seed=st.integers(0, 2**32 - 1))
 def test_scheme_ordering_per_realization(cfg, seed):
     # ub drops the ZF restriction from the proposed problem, and localcsi is
-    # one feasible point of it (full powers, balanced combiner)
+    # one feasible point of it (full powers, balanced combiner).  With no SI
+    # and no loopback the proposed solver keeps full powers and, halved, is
+    # the rank-one HD scheme, which the full-matrix HD search must reach
     ch = sample_channels(cfg, seed)
     proposed = max_sum_rate(ch, cfg)
     ub = upper_bound_solve(ch, cfg, proposed=proposed)
     local = local_csi_sum_rate(ch, cfg, seed)
     assert ub.sum_rate >= proposed.sum_rate - 1e-9
     assert proposed.sum_rate >= local.sum_rate - 1e-9
+    rank_one = max_sum_rate(strip_source_si(zero_loopback(ch)), cfg)
+    assert (rank_one.powers.p_a, rank_one.powers.p_b) == (cfg.p_a_max, cfg.p_b_max)
+    assert (hd_anc_solve(ch, cfg).sum_rate
+            >= 0.5 * rank_one.sum_rate - 1e-6 * max(1.0, rank_one.sum_rate))
