@@ -34,14 +34,24 @@ def null_space_basis(v):
     return q[:, 1:]
 
 
+def _horner(coeffs, x):
+    # np.polyval's loop, on Python floats
+    y = 0.0
+    for c in coeffs:
+        y = y * x + c
+    return y
+
+
 def _polish_root(coeffs, x, steps=2):
-    # a couple of Newton steps against the polynomial we actually solved
-    der = np.polyder(coeffs)
+    # a couple of Newton steps against the polynomial we actually solved;
+    # the derivative's coefficients are np.polyder's
+    n = len(coeffs) - 1
+    der = [c * (n - k) for k, c in enumerate(coeffs[:-1])]
     for _ in range(steps):
-        d = np.polyval(der, x)
+        d = _horner(der, x)
         if d == 0.0:
             break
-        x = x - np.polyval(coeffs, x) / d
+        x = x - _horner(coeffs, x) / d
     return x
 
 
@@ -50,25 +60,35 @@ def real_cubic_roots(c3, c2, c1, c0):
 
     Degrades to the quadratic/linear problem when leading coefficients are
     negligible relative to the largest coefficient.  Roots come from the
-    companion-matrix eigenvalues; eigenvalues with relative imaginary part
-    below 1e-8 are accepted as real and polished by Newton iterations.
+    eigenvalues of the companion matrix that ``np.roots`` builds (trailing
+    zero coefficients give exact zero roots); eigenvalues with relative
+    imaginary part below 1e-8 are accepted as real and polished by Newton
+    iterations.  Equal, bit for bit, to ``np.roots`` plus a
+    ``np.polyval``/``np.polyder`` polish, in scalar arithmetic.
     """
-    coeffs = np.array([c3, c2, c1, c0], dtype=float)
-    scale = np.max(np.abs(coeffs))
-    if scale == 0.0 or not np.isfinite(scale):
+    coeffs = [float(c3), float(c2), float(c1), float(c0)]
+    if not all(map(math.isfinite, coeffs)) or not any(coeffs):
         raise ValueError("all-zero (or non-finite) polynomial has no defined roots")
-    trimmed = coeffs.copy()
+    scale = max(map(abs, coeffs))
     lead = 0
-    while lead < 3 and abs(trimmed[lead]) <= 1e-12 * scale:
+    while lead < 3 and abs(coeffs[lead]) <= 1e-12 * scale:
         lead += 1
-    trimmed = trimmed[lead:]
-    if trimmed.size == 1:
+    trimmed = coeffs[lead:]
+    if len(trimmed) == 1:
         return []  # nonzero constant: no roots
-    raw = np.roots(trimmed)
+    n = len(trimmed)
+    while trimmed[n - 1] == 0.0:
+        n -= 1
+    raw = []
+    if n > 1:
+        companion = np.diag(np.ones(n - 2), -1)
+        companion[0, :] = [-c / trimmed[0] for c in trimmed[1:n]]
+        raw = np.linalg.eigvals(companion).tolist()
+    raw += [0.0] * (len(trimmed) - n)
     roots = []
     for z in raw:
         if abs(z.imag) <= 1e-8 * max(1.0, abs(z.real)):
-            roots.append(_polish_root(trimmed, float(z.real)))
+            roots.append(_polish_root(trimmed, z.real))
     roots.sort()
     out = []
     for x in roots:
@@ -105,29 +125,31 @@ def maximize_1d(f, lo, hi, tol=1e-8, grid_points=201, vectorized=False):
     Dense-grid scan (``grid_points`` samples) followed by golden-section
     refinement around the best grid point, down to interval width ``tol``.
     When every grid value is -inf (an infeasible grid) there is no
-    refinement.  With ``vectorized=True`` the grid is evaluated with a
-    single array call.  Returns ``(x_best, f(x_best))``; the result is never
-    below any grid value.
+    refinement.  Every refinement step, and the single evaluation of a
+    degenerate interval, calls ``f`` with a Python float.  With
+    ``vectorized=True`` the grid is evaluated with a single call on the
+    ndarray of grid points, so ``f`` must take both an ndarray and a float;
+    a formula built from numpy ufuncs and float arithmetic gives the same
+    value for x as for element x of an array (squares by ``np.square``:
+    ``** 2`` on a numpy scalar calls pow, which can differ).  Returns
+    ``(x_best, f(x_best))``; the result is never below any grid value.
     """
     if hi < lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
     if hi == lo:
-        y = float(f(np.array([lo]))[0]) if vectorized else float(f(lo))
-        return lo, y
+        return lo, float(f(lo))
     grid_points = max(2, int(grid_points))
     xs = np.linspace(lo, hi, grid_points)
     if vectorized:
         ys = np.asarray(f(xs), dtype=float)
-        fs = lambda x: float(f(np.array([x]))[0])
     else:
         ys = np.array([f(x) for x in xs], dtype=float)
-        fs = f
     i = int(np.argmax(ys))
-    best = (float(xs[i]), float(ys[i]))
-    if best[1] == -math.inf:
-        return best
+    x_best, f_best = float(xs[i]), float(ys[i])
+    if f_best == -math.inf:
+        return x_best, f_best
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, grid_points - 1)])
     if b - a > tol:
-        best = _golden_max(fs, a, b, tol, best)
-    return best
+        x_best, f_best = _golden_max(f, a, b, tol, (x_best, f_best))
+    return x_best, float(f_best)

@@ -123,14 +123,16 @@ def boundary_range(r, q, null_dim=None):
     boundary-vector value) and lo = max(0, c - cc)^2; in a two-dimensional
     null space the residual mass is pinned to the (d1, d2) plane and lo is
     (c - cc)^2.  Without ``null_dim`` only hi is computed (lo is None).
-    Elementwise for an array q in [0, 1].
+    Elementwise for an array q in [0, 1]; a float q gives the same bits as
+    that element of an array (``np.square``, not the scalar ``** 2``, which
+    calls pow).
     """
     c = r * np.sqrt(q)
     cc = np.sqrt((1.0 - q) * max(0.0, 1.0 - r**2))
-    hi = (c + cc) ** 2
+    hi = np.square(c + cc)
     if null_dim is None:
         return None, hi
-    return ((c - cc) if null_dim == 2 else np.maximum(0.0, c - cc)) ** 2, hi
+    return np.square((c - cc) if null_dim == 2 else np.maximum(0.0, c - cc)), hi
 
 
 def boundary_unit_vector(d1, d2, q):

@@ -151,15 +151,12 @@ def dc_step(channels, w_r, p_a, p_b, anchor, config, ctx=None, p_prime=None):
     s_b_top = p_prime * ctx.nb2
     top_a = p_prime * ctx.na2
 
-    def surrogate(s_b_arr):
-        s_b_arr = np.asarray(s_b_arr, dtype=float)
-        q = s_b_arr / s_b_top if s_b_top > 0 else np.zeros_like(s_b_arr)
-        np.clip(q, 0.0, 1.0, out=q)
+    def surrogate(s_b):
+        q = np.clip(s_b / s_b_top if s_b_top > 0 else np.zeros_like(s_b), 0.0, 1.0)
         lo, hi = boundary_range(ctx.r, q, ctx.n)
         s_a = np.clip(s_a_star, top_a * lo, top_a * hi)
-        val = (np.log2((e_a + 1.0) * s_a + k_a) + np.log2((e_b + 1.0) * s_b_arr + k_b)
-               - lam_a * s_a - lam_b * s_b_arr)
-        return val
+        return (np.log2((e_a + 1.0) * s_a + k_a) + np.log2((e_b + 1.0) * s_b + k_b)
+                - lam_a * s_a - lam_b * s_b)
 
     if s_b_top > 0:
         s_b_best, _ = maximize_1d(surrogate, 0.0, s_b_top,
@@ -189,10 +186,13 @@ def solve_txbf_p2(channels, w_r, p_a, p_b, config, w_t_init=None, ctx=None,
     quadratic forms, so its maximum over the convex reachable (s_a, s_b)
     set lies on the upper frontier s_a = s_a_max(q), q = s_b / s_b_max at
     full budget; a 1-D search over q in [0, 1] therefore solves the inner
-    problem exactly.  The result is compared with the start point (the
-    unconstrained-direction cold start, or the warm start when it scores
-    higher) and the better one is returned, so a warm-started call never
-    scores below its warm start.  With ``return_states`` the states are
+    problem exactly.  The search evaluates the frontier on the ndarray of
+    grid points and on a Python float at each golden step; the formula is
+    numpy ufuncs and float arithmetic, so a step's value has the same bits
+    as an array element would.  The result is compared with the start
+    point (the unconstrained-direction cold start, or the warm start when
+    it scores higher) and the better one is returned, so a warm-started
+    call never scores below its warm start.  With ``return_states`` the states are
     ``[start, frontier]`` when the frontier wins and ``[start]`` otherwise.
     ``dc_step`` is the paper's DC iteration over the same set, kept as the
     oracle-tested reference.
@@ -244,6 +244,26 @@ def solve_txbf_p2(channels, w_r, p_a, p_b, config, w_t_init=None, ctx=None,
     return (w_t, states) if return_states else w_t
 
 
+def _stationarity_cubic(lins):
+    """Coefficients, in descending powers, of
+    sum_i s_i b_i prod_{j != i} (a_j + b_j x) with signs s = (+, -, +, -),
+    for the four (a_j, b_j) in ``lins``.
+
+    Float arithmetic in ``np.convolve``'s order (one product or a sum of two
+    per coefficient), so each coefficient equals the
+    ``np.convolve(term, [b_j, a_j])`` assembly bit for bit.
+    """
+    num = [0.0] * 4
+    for i, (sgn, (_, bi)) in enumerate(zip((1.0, -1.0, 1.0, -1.0), lins)):
+        term = [sgn * bi]
+        for j, (aj, bj) in enumerate(lins):
+            if j != i:
+                term = ([term[0] * bj] + [x * bj + y * aj for x, y in zip(term[1:], term)]
+                        + [term[-1] * aj])
+        num = [u + v for u, v in zip(num, term)]
+    return num
+
+
 def solve_power_p2(channels, w_t, w_r, config):
     """Source powers maximizing the sum rate at a fixed beamformer.
 
@@ -286,15 +306,7 @@ def solve_power_p2(channels, w_t, w_r, config):
             a1, b1 = a2, b2 + tx_a * rx_b
             a4, b4 = tx_b + 1.0, hbb2
             a3, b3 = a4 + tx_b * budget, b4 - tx_b * rx_b
-            lins = [(a1, b1), (a2, b2), (a3, b3), (a4, b4)]
-            signs = (1.0, -1.0, 1.0, -1.0)
-            num = np.zeros(4)
-            for i, (sgn, (_, bi)) in enumerate(zip(signs, lins)):
-                term = np.array([sgn * bi])
-                for j, (aj, bj) in enumerate(lins):
-                    if j != i:
-                        term = np.convolve(term, np.array([bj, aj]))  # descending powers
-                num[-term.size:] += term
+            num = _stationarity_cubic([(a1, b1), (a2, b2), (a3, b3), (a4, b4)])
             if np.max(np.abs(num)) > 0:
                 for root in real_cubic_roots(*num):
                     if pb_min < root < pb_max_c:

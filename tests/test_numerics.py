@@ -76,6 +76,71 @@ class TestRealCubicRoots:
                 assert any(lo - 1e-9 <= r <= hi + 1e-9 for r in roots), (c, lo, hi)
 
 
+def np_real_cubic_roots(c3, c2, c1, c0):
+    """The np.roots + np.polyder/np.polyval reference of real_cubic_roots."""
+    coeffs = np.array([c3, c2, c1, c0], dtype=float)
+    scale = np.max(np.abs(coeffs))
+    lead = 0
+    while lead < 3 and abs(coeffs[lead]) <= 1e-12 * scale:
+        lead += 1
+    trimmed = coeffs[lead:]
+    if trimmed.size == 1:
+        return []
+    der = np.polyder(trimmed)
+    roots = []
+    for z in np.roots(trimmed):
+        if abs(z.imag) <= 1e-8 * max(1.0, abs(z.real)):
+            x = float(z.real)
+            for _ in range(2):
+                d = np.polyval(der, x)
+                if d == 0.0:
+                    break
+                x = x - np.polyval(trimmed, x) / d
+            roots.append(x)
+    roots.sort()
+    out = []
+    for x in roots:
+        if not out or abs(x - out[-1]) > 1e-8 * max(1.0, abs(x)):
+            out.append(x)
+    return out
+
+
+def random_cubic(rng):
+    """Coefficients with zero, tiny leading, repeated-root and wide-range cases."""
+    kind = rng.integers(4)
+    if kind == 0:  # integer roots, often repeated
+        c = np.poly(rng.integers(-3, 4, size=3)) * rng.uniform(0.1, 10.0)
+    elif kind == 1:  # wide dynamic range
+        c = rng.standard_normal(4) * 10.0 ** rng.uniform(-6, 6, size=4)
+    else:
+        c = rng.uniform(-10, 10, size=4)
+    c[rng.random(4) < 0.25] = 0.0
+    if rng.random() < 0.2:
+        c[0] = 1e-13 * np.max(np.abs(c))  # negligible leading coefficient
+    if not np.any(c):
+        c[1] = 1.0
+    return [float(x) for x in c]
+
+
+class TestRealCubicRootsMatchesNumpy:
+    def test_bit_identical_to_np_roots_and_polish(self):
+        rng = np.random.default_rng(10)
+        zero_const = 0
+        for _ in range(4000):
+            c = random_cubic(rng)
+            zero_const += c[3] == 0.0
+            got = real_cubic_roots(*c)
+            ref = np_real_cubic_roots(*c)
+            assert np.array(got, dtype=float).tobytes() == np.array(ref, dtype=float).tobytes(), c
+        assert zero_const > 500
+
+    def test_zero_constant_gives_zero_root(self):
+        for c in ([1.0, -3.0, 2.0, 0.0], [0.0, 2.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]):
+            got = real_cubic_roots(*c)
+            assert 0.0 in got
+            assert got == np_real_cubic_roots(*c)
+
+
 class TestMaximize1d:
     def test_parabola(self):
         x, v = maximize_1d(lambda x: -((x - 0.3) ** 2), 0.0, 1.0, tol=1e-6)
@@ -133,3 +198,35 @@ class TestMaximize1d:
         v_dense = profile(dense).max()
         assert v >= v_dense - 1e-9
         assert abs(v - v_dense) <= 1e-7 * max(1.0, abs(v_dense))
+
+    def test_vectorized_grid_on_array_refinement_on_floats(self):
+        kinds = []
+
+        def f(x):
+            kinds.append(type(x))
+            return np.log2(1.0 + 3.0 * x / (x + 0.7)) - np.square(x - 0.4)
+
+        maximize_1d(f, 0.0, 1.0, tol=1e-9, grid_points=21, vectorized=True)
+        assert kinds[0] is np.ndarray
+        assert len(kinds) > 10 and all(k is float for k in kinds[1:])
+        kinds.clear()
+        maximize_1d(f, 0.25, 0.25, vectorized=True)
+        assert kinds == [float]
+
+    def test_vectorized_matches_one_element_array_refinement(self):
+        # golden steps used to evaluate f(np.array([x]))[0]; calling f on the
+        # float itself must select the same points and return the same answer
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            r, e_a, e_b, k_b, top = rng.uniform(0.0, 1.0, 5) * [1.0, 40.0, 40.0, 3.0, 8.0]
+
+            def f(q, r=r, e_a=e_a, e_b=e_b, k_b=k_b, top=top):
+                s_a = top * np.square(r * np.sqrt(q) + np.sqrt((1.0 - q) * (1.0 - r * r)))
+                s_b = q * top
+                return (np.log2(1.0 + e_a * s_a / (s_a + 1.0))
+                        + np.log2(1.0 + e_b * s_b / (s_b + k_b)))
+
+            new = maximize_1d(f, 0.0, 1.0, tol=1e-6, grid_points=21, vectorized=True)
+            old = maximize_1d(lambda x: float(f(np.array([x]))[0]), 0.0, 1.0, tol=1e-6,
+                              grid_points=21)
+            assert new == old

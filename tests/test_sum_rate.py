@@ -18,6 +18,8 @@ from fdtwrc.model import (
 from fdtwrc.oracles import dc_grid_oracle, grid_power_oracle
 from fdtwrc.rate_region import boundary_range
 from fdtwrc.sum_rate import (
+    _stationarity_cubic,
+    _sum_rate_bits,
     _tx_context,
     dc_linearized_objective,
     dc_objective,
@@ -422,6 +424,65 @@ class TestSolvePowerP2:
             assert relay_output_power(ch, w_t, w_r, p_a, p_b) <= cfg.p_r_max * (1 + 1e-9) + 1e-9
 
 
+def convolve_cubic(lins):
+    """np.convolve assembly of the stationarity cubic (descending powers)."""
+    num = np.zeros(4)
+    for i, (sgn, (_, bi)) in enumerate(zip((1.0, -1.0, 1.0, -1.0), lins)):
+        term = np.array([sgn * bi])
+        for j, (aj, bj) in enumerate(lins):
+            if j != i:
+                term = np.convolve(term, np.array([bj, aj]))
+        num[-term.size:] += term
+    return num
+
+
+class TestScalarKernels:
+    def test_stationarity_cubic_matches_convolve(self):
+        rng = np.random.default_rng(20)
+        for _ in range(5000):
+            lins = [tuple(rng.standard_normal(2) * 10.0 ** rng.uniform(-4, 4, size=2))
+                    for _ in range(4)]
+            if rng.random() < 0.2:
+                lins[rng.integers(4)] = (float(rng.standard_normal()), 0.0)
+            got = np.array(_stationarity_cubic(lins))
+            assert got.tobytes() == convolve_cubic(lins).tobytes(), lins
+
+    def test_stationarity_cubic_on_solver_coefficients(self):
+        # the (a_j, b_j) that solve_power_p2 builds, from real beamformers
+        for seed in range(40):
+            cfg, ch, w_r, p_a, p_b = instance(1100 + seed)
+            w_t = solve_txbf_p2(ch, w_r, p_a, p_b, cfg)
+            rx_a = abs(np.vdot(w_r, ch.h_ar)) ** 2
+            rx_b = abs(np.vdot(w_r, ch.h_br)) ** 2
+            tx_a = abs(np.vdot(ch.h_ra, w_t)) ** 2
+            tx_b = abs(np.vdot(ch.h_rb, w_t)) ** 2
+            haa2, hbb2 = abs(ch.h_aa) ** 2, abs(ch.h_bb) ** 2
+            budget = cfg.p_r_max / float(np.vdot(w_t, w_t).real) - 1.0
+            a2, b2 = tx_a + 1.0 + haa2 * budget / rx_a, -haa2 * rx_b / rx_a
+            a4, b4 = tx_b + 1.0, hbb2
+            lins = [(a2, b2 + tx_a * rx_b), (a2, b2), (a4 + tx_b * budget, b4 - tx_b * rx_b),
+                    (a4, b4)]
+            assert np.array(_stationarity_cubic(lins)).tobytes() == convolve_cubic(lins).tobytes()
+
+    @pytest.mark.parametrize("null_dim", [None, 2, 3])
+    def test_frontier_float_matches_array_element(self, null_dim):
+        # a golden step evaluates the frontier at a float q; it must give the
+        # bits a one-element array gave
+        rng = np.random.default_rng(21)
+        for _ in range(3000):
+            r = float(rng.uniform(0.0, 1.0))
+            q = float(rng.uniform(0.0, 1.0))
+            e_a, e_b, k_a, k_b, top_a, top_b = rng.uniform(0.0, 50.0, 6)
+            lo_f, hi_f = boundary_range(r, q, null_dim)
+            lo_v, hi_v = boundary_range(r, np.array([q]), null_dim)
+            assert np.float64(hi_f).tobytes() == hi_v[0].tobytes()
+            if null_dim is not None:
+                assert np.float64(lo_f).tobytes() == lo_v[0].tobytes()
+            f_val = _sum_rate_bits(e_a, e_b, k_a, k_b, top_a * hi_f, q * top_b)
+            v_val = _sum_rate_bits(e_a, e_b, k_a, k_b, top_a * hi_v, np.array([q]) * top_b)
+            assert np.float64(f_val).tobytes() == v_val[0].tobytes()
+
+
 class TestAlternationP2:
     def test_zero_si_keeps_full_power(self):
         cfg = replace(CFG, sigma2_a=0.0, sigma2_b=0.0, sigma2_r=0.0)
@@ -479,3 +540,24 @@ class TestMaxSumRate:
             assert 0 <= pt.powers.p_b <= CFG.p_b_max + 1e-9
             assert zf_residual(ch, pt.beamformer.w_t, pt.beamformer.w_r) <= 1e-9 * max(
                 1.0, np.linalg.norm(ch.h_rr) * np.linalg.norm(pt.beamformer.w_t))
+
+
+# max_sum_rate(sample_channels(CFG, seed), CFG).sum_rate for seeds 0..7, as
+# computed before the solver's golden steps and power-step cubic moved to
+# scalar arithmetic; a speed-up of the solver must not move them
+PINNED_SUM_RATES = [
+    4.428751047072099,
+    3.17878257727453,
+    2.7516907062783535,
+    3.7642135003966093,
+    5.008144288057904,
+    4.8690276375575605,
+    4.4528001343887755,
+    4.427437654630337,
+]
+
+
+@pytest.mark.parametrize("seed", range(len(PINNED_SUM_RATES)))
+def test_pinned_sum_rate(seed):
+    got = max_sum_rate(sample_channels(CFG, seed), CFG).sum_rate
+    assert got == pytest.approx(PINNED_SUM_RATES[seed], rel=1e-9, abs=0.0)
