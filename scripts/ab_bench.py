@@ -6,13 +6,16 @@ per-metric medians, quartiles and win counts of the end-to-end metrics
 named in ``BENCHMARK.json``:
 
     python3 scripts/ab_bench.py --base HEAD~1 --workload sumrate_all4 \\
-        --pairs 10 --seconds 42 --out BENCH_10.json
+        --pairs 10 --out BENCH_10.json
 
-``--base`` is a directory holding a checkout, or a git revision of this
-repository, which is exported with ``git archive`` into a temporary
-directory.  Each run uses the benchmark's own seed unless ``--seed`` is
-given; ``--held-out`` is passed on to ``run.py``.  An existing ``--out``
-file is extended: the new rows are added to (or replace) its rows.
+``--base`` is a git revision of this repository; its tree is exported
+with ``git archive`` into a temporary directory.  Every run lasts the
+benchmark's ``run_seconds`` and uses the benchmark's own seed unless
+``--seed`` is given; ``--held-out`` is passed on to ``run.py``.  Runs are
+compared pair by pair: a pair in which either side did not report a
+metric is left out of that metric's figures and counted in its
+``skipped_pairs``.  An existing ``--out`` file is extended: the new rows
+are added to (or replace) its rows.
 """
 
 import argparse
@@ -32,11 +35,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--base", required=True, help="base checkout directory or git revision")
+    p.add_argument("--base", required=True, help="git revision of the base")
     p.add_argument("--workload", action="append", required=True,
                    help="perfbench workload; repeat for several")
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=42.0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--held-out", action="store_true")
     p.add_argument("--out", required=True, help="JSON file to write (or extend)")
@@ -87,40 +89,53 @@ def run_once(checkout, workload, seconds, seed, held_out):
 
 
 def summary(values):
-    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    """Median and quartiles of ``values``; ``None`` when there are none."""
+    if not values:
+        return None
+    if len(values) == 1:
+        q1 = med = q3 = values[0]
+    else:
+        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3, "values": values}
 
 
 def compare(metric, better, base_runs, change_runs):
-    base = [r["metrics"][metric]["value"] for r in base_runs if metric in r["metrics"]]
-    change = [r["metrics"][metric]["value"] for r in change_runs if metric in r["metrics"]]
-    if len(base) != len(change) or len(base) < 1:
-        return None
+    """Pair run ``i`` of the base with run ``i`` of the change.
+
+    A pair in which either run lacks ``metric`` is skipped and counted, so a
+    failed run shows in the row instead of shifting the pairs after it.
+    """
+    pairs = [(b["metrics"][metric]["value"], c["metrics"][metric]["value"])
+             for b, c in zip(base_runs, change_runs, strict=True)
+             if metric in b["metrics"] and metric in c["metrics"]]
+    base = summary([x for x, _ in pairs])
+    change = summary([y for _, y in pairs])
     sign = 1.0 if better == "higher" else -1.0
-    b, c = summary(base), summary(change)
     return {
         "better": better,
-        "base": b,
-        "change": c,
-        "change_over_base": c["median"] / b["median"] if b["median"] else None,
-        "change_wins": sum(sign * (y - x) > 0 for x, y in zip(base, change)),
-        "ties": sum(y == x for x, y in zip(base, change)),
-        "pairs": len(base),
-        "base_iqr": b["q3"] - b["q1"],
+        "base": base,
+        "change": change,
+        "change_over_base": (change["median"] / base["median"]
+                             if pairs and base["median"] else None),
+        "change_wins": sum(sign * (y - x) > 0 for x, y in pairs),
+        "ties": sum(y == x for x, y in pairs),
+        "pairs": len(pairs),
+        "skipped_pairs": len(base_runs) - len(pairs),
+        "base_iqr": base["q3"] - base["q1"] if pairs else None,
     }
 
 
 def main(argv=None):
     args = parse_args(argv)
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
-        directions = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        bench = json.load(fh)
+    seconds = bench["run_seconds"]
+    directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    base_rev = subprocess.run(["git", "rev-parse", "--verify", args.base + "^{commit}"],
+                              cwd=ROOT, check=True, capture_output=True,
+                              text=True).stdout.strip()
     with tempfile.TemporaryDirectory(prefix="ab_bench_") as tmp:
-        base = Path(args.base)
-        base_rev = None
-        if not base.is_dir():
-            base_rev = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT, check=True,
-                                      capture_output=True, text=True).stdout.strip()
-            base = export_revision(base_rev, tmp)
+        base = export_revision(base_rev, tmp)
         rows = {}
         for workload in args.workload:
             runs = {"base": [], "change": []}
@@ -128,7 +143,7 @@ def main(argv=None):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 for side in order:
                     path = base if side == "base" else ROOT
-                    res = run_once(path, workload, args.seconds, args.seed, args.held_out)
+                    res = run_once(path, workload, seconds, args.seed, args.held_out)
                     runs[side].append(res)
                     print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
                           f"correct={res.get('correct')} "
@@ -140,16 +155,16 @@ def main(argv=None):
                 "workload": workload,
                 "seed": args.seed,
                 "held_out": args.held_out,
-                "seconds": args.seconds,
+                "seconds": seconds,
                 "pairs": args.pairs,
                 "all_correct": all(r.get("correct") for side in runs.values() for r in side),
-                "metrics": {m: cmp for m, better in directions.items()
-                            if (cmp := compare(m, better, runs["base"], runs["change"]))},
+                "metrics": {m: compare(m, better, runs["base"], runs["change"])
+                            for m, better in directions.items()},
             }
     out = Path(args.out)
     record = json.loads(out.read_text()) if out.exists() else {}
     record.setdefault("rows", {}).update(rows)
-    record["base"] = base_rev or git_commit(args.base) or str(args.base)
+    record["base"] = base_rev
     record["change"] = git_commit(ROOT) or str(ROOT)
     record["environment"] = {"cpu_count": os.cpu_count(), "python": platform.python_version(),
                              "machine": platform.machine()}

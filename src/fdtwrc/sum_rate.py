@@ -152,7 +152,7 @@ def dc_step(channels, w_r, p_a, p_b, anchor, config, ctx=None, p_prime=None):
     top_a = p_prime * ctx.na2
 
     def surrogate(s_b):
-        q = np.clip(s_b / s_b_top if s_b_top > 0 else np.zeros_like(s_b), 0.0, 1.0)
+        q = np.clip(s_b / s_b_top, 0.0, 1.0)
         lo, hi = boundary_range(ctx.r, q, ctx.n)
         s_a = np.clip(s_a_star, top_a * lo, top_a * hi)
         return (np.log2((e_a + 1.0) * s_a + k_a) + np.log2((e_b + 1.0) * s_b + k_b)
