@@ -21,8 +21,8 @@ from .model import (
     OperatingPoint,
     PowerAllocation,
     RelayBeamformer,
-    combiner_or_endpoint,
     make_operating_point,
+    receive_combiner,
     relay_null_basis,
     strip_source_si,
     zero_loopback,
@@ -260,20 +260,16 @@ def fd_oneway_direction_rate(channels, direction, config):
         p_src, h_in, h_out = config.p_a_max, channels.h_ar, channels.h_rb
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    p_r = config.p_r_max
-    # receive ZF: transmit beam matched to h_out, combiner nulls H_rr h_out
+    # (input, output) gains of receive ZF (transmit beam matched to h_out,
+    # combiner nulling H_rr h_out) and of transmit ZF (combiner matched to
+    # h_in, transmit beam nulling H_rr^H h_in)
     d = _complement_projector_or_identity(channels.h_rr @ h_out)
-    in_gain = float(np.linalg.norm(d @ h_in) ** 2)
-    out_gain = float(np.vdot(h_out, h_out).real)
-    gamma_rzf = (p_src * in_gain * p_r * out_gain
-                 / (p_src * in_gain + p_r * out_gain + 1.0))
-    # transmit ZF: combiner matched to h_in, transmit beam nulls H_rr^H h_in
     b = _complement_projector_or_identity(channels.h_rr.conj().T @ h_in)
-    in_gain_t = float(np.vdot(h_in, h_in).real)
-    out_gain_t = float(np.linalg.norm(b @ h_out) ** 2)
-    gamma_tzf = (p_src * in_gain_t * p_r * out_gain_t
-                 / (p_src * in_gain_t + p_r * out_gain_t + 1.0))
-    return math.log2(1.0 + max(gamma_rzf, gamma_tzf))
+    gains = ((float(np.linalg.norm(d @ h_in) ** 2), float(np.vdot(h_out, h_out).real)),
+             (float(np.vdot(h_in, h_in).real), float(np.linalg.norm(b @ h_out) ** 2)))
+    p_r = config.p_r_max
+    return math.log2(1.0 + max(p_src * g_in * p_r * g_out / (p_src * g_in + p_r * g_out + 1.0)
+                               for g_in, g_out in gains))
 
 
 def fd_oneway_region(channels, n_points, config):
@@ -328,7 +324,7 @@ def local_csi_sum_rate(channels, config, seed):
     """Receive-CSI-only operation: full source powers, a fixed balanced
     combiner, and a seeded arbitrary ZF transmit direction at full relay
     power."""
-    w_r = combiner_or_endpoint(channels, 0.5)
+    w_r = receive_combiner(channels, 0.5)
     n_t = relay_null_basis(channels, w_r)
     rng = np.random.default_rng([np.uint64(seed) & np.uint64(0xFFFFFFFFFFFFFFFF), 0x10CA1])
     v = rng.standard_normal(n_t.shape[1]) + 1j * rng.standard_normal(n_t.shape[1])

@@ -94,8 +94,9 @@ class SystemConfig:
         for name in ("p_a_max", "p_b_max", "p_r_max", "sigma2_a", "sigma2_b", "sigma2_r", "gain_br"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.gain_br == 0:
-            raise ValueError("gain_br must be positive: with no B-side link the "
+        if self.gain_br < 1e-100:
+            raise ValueError(f"gain_br must be at least 1e-100 (-1000 dB), got {self.gain_br!r}: "
+                             "with no B-side link, or one whose squared norms underflow, the "
                              "receive combiner and B's rate are undefined")
 
 
@@ -240,7 +241,10 @@ def receive_combiner(channels, alpha):
     w_r(alpha) = alpha * u_par + sqrt(1-alpha) * u_perp, where u_par/u_perp
     are the unit projections of h_ar onto span{h_br} and its complement.
     The raw combination has norm sqrt(alpha^2 + 1 - alpha) <= 1; it is
-    rescaled to unit norm.
+    rescaled to unit norm.  When h_ar is parallel to h_br (always when
+    m_r = 1) the complement is empty and every alpha gives the alpha = 1
+    endpoint, h_br / ||h_br|| phased along h_br^H h_ar.  Raises
+    DegenerateGeometryError when h_br is zero.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
@@ -250,32 +254,18 @@ def receive_combiner(channels, alpha):
         raise DegenerateGeometryError("h_br is zero; combiner direction undefined")
     inner = np.vdot(h_br, h_ar)  # h_br^H h_ar
     par = h_br * (inner / nb**2)
+    perp = h_ar - par
+    perp_norm = np.linalg.norm(perp)
+    if perp_norm < 1e-10:
+        return (h_br / nb) * (inner / abs(inner) if abs(inner) > 0 else 1.0)
     par_norm = np.linalg.norm(par)
     if par_norm > 1e-12 * np.linalg.norm(h_ar):
         u_par = par / par_norm
     else:
         u_par = h_br / nb  # orthogonal channels: the span direction is h_br itself
-    perp = h_ar - par
-    perp_norm = np.linalg.norm(perp)
-    if perp_norm < 1e-10:
-        raise DegenerateGeometryError("h_ar parallel to h_br; fall back to alpha=1 endpoint")
     u_perp = perp / perp_norm
     w = alpha * u_par + math.sqrt(1.0 - alpha) * u_perp
     return w / np.linalg.norm(w)
-
-
-def combiner_or_endpoint(channels, alpha):
-    """receive_combiner with the documented alpha=1 fallback for degenerate geometry."""
-    try:
-        return receive_combiner(channels, alpha)
-    except DegenerateGeometryError:
-        h_br, h_ar = channels.h_br, channels.h_ar
-        nb = np.linalg.norm(h_br)
-        if nb <= 1e-300:
-            raise
-        inner = np.vdot(h_br, h_ar)
-        phase = inner / abs(inner) if abs(inner) > 0 else 1.0
-        return (h_br / nb) * phase
 
 
 def sinr_pair(channels, w_t, w_r, p_a, p_b):

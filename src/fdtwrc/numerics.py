@@ -1,5 +1,5 @@
-"""Numerical kernels shared by all solvers: the null-space basis of a
-complex vector, real cubic roots and a grid + golden-section 1-D maximizer.
+"""Numerical kernels shared by all solvers: the null-space basis of complex
+vectors, real cubic roots and a grid + golden-section 1-D maximizer.
 """
 
 import math
@@ -16,22 +16,26 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def null_space_basis(v):
-    """Orthonormal basis of the null space of the row vector v^H.
+    """Orthonormal basis of the null space of V^H, for a length-M vector v
+    (one column) or an M x k matrix V of k < M linearly independent columns.
 
-    Returns an M x (M-1) matrix N with v^H N = 0 and N^H N = I.  Computed
-    from a unitary (QR) completion of v, so it is numerically stable; the
-    phase of the basis columns is unspecified.
+    Returns an M x (M-k) matrix N with V^H N = 0 and N^H N = I.  Computed
+    from a unitary (QR) completion of V, so it is numerically stable; the
+    phase of the basis columns is unspecified.  The columns' independence
+    is the caller's to ensure: only an all-zero V is refused.
     """
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    m = v.size
-    if m < 2:
-        raise ValueError("null space basis needs a vector of length >= 2")
+    v = np.asarray(v, dtype=complex)
+    if v.ndim == 1:
+        v = v[:, None]
+    m, k = v.shape
+    if m <= k:
+        raise ValueError("null space basis needs more rows than columns")
     nv = np.linalg.norm(v)
     if nv <= 1e-300 or not np.isfinite(nv):
         raise ValueError("cannot form the null space of a zero vector")
-    q, _ = np.linalg.qr(v[:, None], mode="complete")
-    # first column of q spans v, the rest span {x : v^H x = 0}
-    return q[:, 1:]
+    q, _ = np.linalg.qr(v, mode="complete")
+    # the first k columns of q span V, the rest span {x : V^H x = 0}
+    return q[:, k:]
 
 
 def _horner(coeffs, x):

@@ -12,13 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    combiner_or_endpoint,
     effective_gains,
     make_operating_point,
+    receive_combiner,
     relay_null_basis,
     sinr_pair,
 )
-from .numerics import maximize_1d
+from .numerics import maximize_1d, null_space_basis
 
 __all__ = [
     "Infeasible",
@@ -60,8 +60,11 @@ class _TxContext:
     rate-region (P1) and sum-rate (P2) transmit beamformers.
 
     w_t = sqrt(budget) n_t z with unit z; a_t/b_t are the null-space images
-    of h_ra/h_rb, d2/d1 their unit directions (None when zero), r = |d2^H d1|,
-    phi its argument and n the null-space dimension.
+    of h_ra/h_rb, na2/nb2 their squared norms and d2/d1 their unit
+    directions.  An image with squared norm at most 1e-300 has no direction:
+    its d is None and its squared norm 0, so every gate and search reads the
+    same decision.  r = |d2^H d1| and phi its argument (both 0 when a
+    direction is missing); n is the null-space dimension.
     """
 
     n_t: np.ndarray
@@ -90,7 +93,8 @@ def _tx_context(channels, w_r):
         phi = cmath.phase(inner) if abs(inner) > 0 else 0.0
     else:
         r, phi = 0.0, 0.0
-    return _TxContext(n_t, a_t, b_t, na2, nb2, d1, d2, r, phi, n_t.shape[1])
+    return _TxContext(n_t, a_t, b_t, na2 if d2 is not None else 0.0,
+                      nb2 if d1 is not None else 0.0, d1, d2, r, phi, n_t.shape[1])
 
 
 def _rx_gains(channels, w_r):
@@ -103,17 +107,9 @@ def _p_prime(p_r_max, p_a, p_b, rx_a, rx_b):
     return p_r_max / (p_a * rx_a + p_b * rx_b + 1.0)
 
 
-def _orth_to(vectors, dim):
-    """A unit vector orthogonal to the given (independent-ish) vectors."""
-    cols = [v for v in vectors if v is not None]
-    if not cols:
-        e = np.zeros(dim, dtype=complex)
-        e[0] = 1.0
-        return e
-    m = np.stack(cols, axis=1)
-    q, _ = np.linalg.qr(m, mode="complete")
-    k = np.linalg.matrix_rank(m, tol=1e-9)
-    return q[:, k]
+def _orth_to(*vectors):
+    """A unit vector orthogonal to the given linearly independent vectors."""
+    return null_space_basis(np.stack(vectors, axis=1))[:, 0]
 
 
 def boundary_range(r, q, null_dim=None):
@@ -135,34 +131,76 @@ def boundary_range(r, q, null_dim=None):
     return np.square((c - cc) if null_dim == 2 else np.maximum(0.0, c - cc)), hi
 
 
-def boundary_unit_vector(d1, d2, q):
-    """Maximize |d2^H z|^2 over unit z with |d1^H z|^2 = q.
+def _null_z(d1, d2, r, phi, n, q, t=None):
+    """Unit z in the n-dimensional null space with |d1^H z|^2 = q and
+    |d2^H z| = t; t=None asks for the boundary maximum
+    sqrt(boundary_range(r, q)[1]).  The P1 boundary, the P2 frontier and
+    ``dc_step``'s points are all built here.
 
-    Closed form: z = (r*g - sqrt(q)) e^{j(pi-phi)} d1 + g d2 with
-    g = sqrt((1-q)/(1-r^2)), which attains ``boundary_range(r, q, .)[1]``.
-    For collinear d1, d2 the value is pinned to q and the leftover mass goes
-    to any orthogonal direction.
+    With cp = sqrt(1 - r^2), e1 = e^{-j phi} d1 and the unit
+    e2 = (d2 - r e^{-j phi} d1) / cp orthogonal to d1, d2 = r e1 + cp e2,
+    so z = sqrt(q) e1 + m e2 + s e3 (e3 orthogonal to both) has
+    |d1^H z|^2 = q and |d2^H z| = |r sqrt(q) + cp m|.  The boundary is
+    m = sqrt(1 - q), s = 0, computed as z = (r g - sqrt(q)) e^{j(pi - phi)} d1
+    + g d2 with g = sqrt((1 - q) / (1 - r^2)).  Below it a null space of
+    dimension >= 3 takes the real m = (t - r sqrt(q)) / cp and puts the rest
+    of the mass on e3; in dimension 2 the mass is pinned to the (d1, d2)
+    plane and m = sqrt(1 - q) e^{j psi}, whose phase psi sets |d2^H z|.  A
+    direction that is None (the caller passes r = phi = 0) is replaced by
+    one orthogonal to the other (d1 by the first coordinate vector when
+    both are missing).  Collinear directions (1 - r^2 < 1e-10) pin
+    |d2^H z| to r sqrt(q), up to sqrt(1 - r^2), and the leftover mass goes
+    to a direction orthogonal to d1.  Dimension 1 has one direction, which
+    is returned whatever the targets.
+    """
+    if n == 1:
+        return np.ones(1, dtype=complex)
+    q = min(max(q, 0.0), 1.0)
+    if d1 is None:
+        d1 = np.eye(n, dtype=complex)[0] if d2 is None else _orth_to(d2)
+    if d2 is None:
+        d2 = _orth_to(d1)
+    one_minus_r2 = 1.0 - r * r
+    if one_minus_r2 < 1e-10:
+        z = math.sqrt(q) * cmath.exp(-1j * phi) * d1 + math.sqrt(1.0 - q) * _orth_to(d1)
+    elif t is None or t >= math.sqrt(boundary_range(r, q)[1]) - 1e-12:
+        g = math.sqrt((1.0 - q) / one_minus_r2)
+        b = (r * g - math.sqrt(q)) * cmath.exp(1j * (math.pi - phi))
+        z = b * d1 + g * d2
+    else:
+        cp = math.sqrt(one_minus_r2)
+        c = r * math.sqrt(q)
+        e2 = (d2 - (r * cmath.exp(-1j * phi)) * d1) / cp
+        z = math.sqrt(q) * cmath.exp(-1j * phi) * d1
+        if n >= 3:
+            m = (t - c) / cp if t >= c else -(c - t) / cp
+            m = min(max(m, -math.sqrt(1.0 - q)), math.sqrt(1.0 - q))
+            z = z + m * e2 + math.sqrt(max(0.0, 1.0 - q - m * m)) * _orth_to(d1, d2)
+        else:
+            m = math.sqrt(1.0 - q)
+            denom = 2.0 * c * m * cp
+            cos_psi = 1.0 if denom <= 1e-300 else (t * t - c * c - (m * cp) ** 2) / denom
+            z = z + (m * cmath.exp(1j * math.acos(min(max(cos_psi, -1.0), 1.0)))) * e2
+    return z / np.linalg.norm(z)
+
+
+def boundary_unit_vector(d1, d2, q):
+    """Maximize |d2^H z|^2 over unit z with |d1^H z|^2 = q, for unit d1, d2.
+
+    ``_null_z``'s boundary vector for r e^{j phi} = d2^H d1, which attains
+    ``boundary_range(r, q, .)[1]`` (pinned to about r^2 q for collinear d1,
+    d2).  In dimension 1 only q = 1 (within 1e-9) can be met; a smaller q
+    raises Infeasible('collinear_1d').
     """
     d1 = np.asarray(d1, dtype=complex).reshape(-1)
     d2 = np.asarray(d2, dtype=complex).reshape(-1)
     if not -1e-12 <= q <= 1.0 + 1e-12:
         raise ValueError("q must lie in [0, 1]")
-    q = min(max(q, 0.0), 1.0)
+    if d1.size < 2 and q < 1.0 - 1e-9:
+        raise Infeasible("collinear_1d", "cannot meet |d1^H z|^2 = q < 1 in dimension 1")
     inner = complex(np.vdot(d2, d1))
     r = abs(inner)
-    phi = cmath.phase(inner) if r > 0 else 0.0
-    one_minus_r2 = 1.0 - r * r
-    if one_minus_r2 < 1e-10:
-        if d1.size < 2:
-            if q < 1.0 - 1e-9:
-                raise Infeasible("collinear_1d", "cannot meet |d1^H z|^2 = q < 1 in dimension 1")
-            return cmath.exp(-1j * phi) * d1
-        z = math.sqrt(q) * cmath.exp(-1j * phi) * d1 + math.sqrt(1.0 - q) * _orth_to([d1], d1.size)
-        return z / np.linalg.norm(z)
-    g = math.sqrt((1.0 - q) / one_minus_r2)
-    b = (r * g - math.sqrt(q)) * cmath.exp(1j * (math.pi - phi))
-    z = b * d1 + g * d2
-    return z / np.linalg.norm(z)
+    return _null_z(d1, d2, r, cmath.phase(inner) if r > 0 else 0.0, d1.size, q)
 
 
 def _p1_gates(channels, rx_a, rx_b, nb2, p_a, p_b, gamma_b, p_r_max):
@@ -202,15 +240,13 @@ def solve_txbf_p1(channels, w_r, p_a, p_b, gamma_b, p_r_max, ctx=None):
     gb_bar, p_bar = _p1_gates(channels, rx_a, rx_b, ctx.nb2, p_a, p_b, gamma_b, p_r_max)
     scale = math.sqrt(p_bar)
     if ctx.d2 is None:
-        # gain toward A is zero for every admissible direction; return a
-        # feasible one (the B-aligned direction maximizes slack)
-        z = ctx.d1 if gb_bar > 0.0 and ctx.d1 is not None else _orth_to([], ctx.n)
-        return scale * (ctx.n_t @ z)
-    w_t = scale * (ctx.n_t @ ctx.d2)  # unconstrained maximizer at full budget
-    if abs(np.vdot(channels.h_rb, w_t)) ** 2 >= gb_bar * (1.0 - 1e-12):
-        return w_t
-    z = boundary_unit_vector(ctx.d1, ctx.d2, min(gb_bar / (p_bar * ctx.nb2), 1.0))
-    return scale * (ctx.n_t @ z)
+        q = 1.0  # no direction reaches A: B's direction has the most slack
+    else:
+        w_t = scale * (ctx.n_t @ ctx.d2)  # unconstrained maximizer at full budget
+        if abs(np.vdot(channels.h_rb, w_t)) ** 2 >= gb_bar * (1.0 - 1e-12):
+            return w_t
+        q = min(gb_bar / (p_bar * ctx.nb2), 1.0)
+    return scale * (ctx.n_t @ _null_z(ctx.d1, ctx.d2, ctx.r, ctx.phi, ctx.n, q))
 
 
 def solve_power_p1(channels, w_t, w_r, gamma_b, config):
@@ -284,7 +320,7 @@ def _alternate(channels, alpha, config, starts, beam, power, score):
     the last scored iteration, so the point's objective can exceed
     ``trace[-1]``.
     """
-    w_r = combiner_or_endpoint(channels, alpha)
+    w_r = receive_combiner(channels, alpha)
     ctx = _tx_context(channels, w_r)
     for powers in starts:
         try:
@@ -366,7 +402,7 @@ def _gamma_b_max(channels, config):
     p_a = config.p_a_max
     best = 0.0
     for alpha in np.linspace(0.0, 1.0, config.alpha_grid):
-        w_r = combiner_or_endpoint(channels, float(alpha))
+        w_r = receive_combiner(channels, float(alpha))
         rx_a, rx_b = _rx_gains(channels, w_r)
         s_b = _p_prime(config.p_r_max, p_a, 0.0, rx_a, rx_b) * _tx_context(channels, w_r).nb2
         best = max(best, p_a * rx_a * s_b / (s_b + 1.0))

@@ -14,7 +14,6 @@ subproblem over the same (s_a, s_b) set; it is not on the solver path and
 is kept as the reference that the oracle tests check.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -25,12 +24,11 @@ from .rate_region import (
     _LN2,
     _alpha_search,
     _alternate,
-    _orth_to,
+    _null_z,
     _p_prime,
     _rx_gains,
     _tx_context,
     boundary_range,
-    boundary_unit_vector,
 )
 
 __all__ = [
@@ -91,44 +89,6 @@ def dc_linearized_objective(channels, w_r, p_a, p_b, s_a, s_b, anchor):
     return f_val - g_lin
 
 
-def _reconstruct(ctx, p_prime, q, s_a):
-    """Unit z with |d1^H z|^2 = q and |d2^H z|^2 = s_a / (p_prime ||a_t||^2).
-
-    Boundary targets reduce to the closed-form boundary vector; interior
-    targets spend the residual mass either on a direction orthogonal to
-    span{d1, d2} (null dimension >= 3) or on the relative phase psi of the
-    two components (dimension 2).
-    """
-    n = ctx.n
-    if n == 1:
-        return np.ones(1, dtype=complex)
-    q = min(max(q, 0.0), 1.0)
-    if ctx.na2 <= 1e-300:
-        d1 = ctx.d1 if ctx.d1 is not None else _orth_to([], n)
-        return math.sqrt(q) * d1 + math.sqrt(1.0 - q) * _orth_to([d1], n)
-    top_a = p_prime * ctx.na2
-    t = math.sqrt(min(max(s_a / top_a, 0.0), 1.0)) if top_a > 0 else 0.0
-    if ctx.nb2 <= 1e-300:
-        return t * ctx.d2 + math.sqrt(max(0.0, 1.0 - t * t)) * _orth_to([ctx.d2], n)
-    r, phi = ctx.r, ctx.phi
-    cp = math.sqrt(max(0.0, 1.0 - r * r))
-    if cp < 1e-8 or t >= math.sqrt(boundary_range(r, q)[1]) - 1e-12:
-        return boundary_unit_vector(ctx.d1, ctx.d2, q)
-    c = r * math.sqrt(q)
-    e2 = (ctx.d2 - (r * cmath.exp(-1j * phi)) * ctx.d1) / cp
-    z = math.sqrt(q) * cmath.exp(-1j * phi) * ctx.d1
-    if n >= 3:
-        m = (t - c) / cp if t >= c else -(c - t) / cp
-        m = min(max(m, -math.sqrt(1.0 - q)), math.sqrt(1.0 - q))
-        z = z + m * e2 + math.sqrt(max(0.0, 1.0 - q - m * m)) * _orth_to([ctx.d1, ctx.d2], n)
-    else:
-        m = math.sqrt(1.0 - q)
-        denom = 2.0 * c * m * cp
-        cos_psi = 1.0 if denom <= 1e-300 else (t * t - c * c - (m * cp) ** 2) / denom
-        z = z + (m * cmath.exp(1j * math.acos(min(max(cos_psi, -1.0), 1.0)))) * e2
-    return z / np.linalg.norm(z)
-
-
 def dc_step(channels, w_r, p_a, p_b, anchor, config, ctx=None, p_prime=None):
     """One convex DC subproblem: maximize the linearized objective over the
     reachable (s_a, s_b) set, then rebuild a beamformer achieving the point.
@@ -172,8 +132,9 @@ def dc_step(channels, w_r, p_a, p_b, anchor, config, ctx=None, p_prime=None):
     if f_new < f_old - 1e-12:
         s_a_best, s_b_best = s_a_k, s_b_k
         q = s_b_best / s_b_top if s_b_top > 0 else 0.0
-    w_t = math.sqrt(p_prime) * (ctx.n_t @ _reconstruct(ctx, p_prime, q, s_a_best))
-    return s_a_best, s_b_best, w_t
+    t = math.sqrt(min(max(s_a_best / top_a, 0.0), 1.0)) if top_a > 0 else 0.0
+    z = _null_z(ctx.d1, ctx.d2, ctx.r, ctx.phi, ctx.n, q, t)
+    return s_a_best, s_b_best, math.sqrt(p_prime) * (ctx.n_t @ z)
 
 
 def solve_txbf_p2(channels, w_r, p_a, p_b, config, w_t_init=None, ctx=None,
@@ -215,7 +176,7 @@ def solve_txbf_p2(channels, w_r, p_a, p_b, config, w_t_init=None, ctx=None,
     # h_ra, or of h_rb if that is zero), replaced by the warm start when
     # that scores higher
     z_start = (ctx.d2 if ctx.d2 is not None
-               else ctx.d1 if ctx.d1 is not None else _orth_to([], ctx.n))
+               else _null_z(ctx.d1, ctx.d2, ctx.r, ctx.phi, ctx.n, 1.0))
     start = state(z_start)
     if w_t_init is not None:
         zi = ctx.n_t.conj().T @ w_t_init
@@ -234,7 +195,7 @@ def solve_txbf_p2(channels, w_r, p_a, p_b, config, w_t_init=None, ctx=None,
 
     q_best, _ = maximize_1d(frontier, 0.0, 1.0, tol=_FRONTIER_TOL,
                             grid_points=config.grid_points, vectorized=True)
-    z = _reconstruct(ctx, p_prime, q_best, top_a * boundary_range(ctx.r, q_best)[1])
+    z = _null_z(ctx.d1, ctx.d2, ctx.r, ctx.phi, ctx.n, q_best)
     front = state(z)
     if front.f_value > start.f_value:
         z_best, states = z, [start, front]

@@ -119,6 +119,15 @@ def test_zero_b_link_gain_config_exits_before_any_trial(tmp_path, monkeypatch, c
     assert "gain_br" in capsys.readouterr().err
 
 
+def test_b_link_gain_below_floor_exits_before_any_trial(monkeypatch, capsys):
+    # -3000 dB is 1e-300, below SystemConfig's gain_br floor of 1e-100
+    monkeypatch.setattr(fdtwrc.harness, "_run_task", _no_trial)
+    rc = main(["sumrate", "--trials", "1", "--schemes", "proposed", "--gain-br", "-3000",
+               "--workers", "1"])
+    assert rc == 1
+    assert "gain_br" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("override", ['{"p_r_max": NaN}', '{"sigma2_a": Infinity}'])
 def test_non_finite_config_exits_before_any_trial(override, tmp_path, monkeypatch, capsys):
     # json.load accepts NaN and Infinity, so the config must refuse them

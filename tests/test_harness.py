@@ -118,6 +118,20 @@ class TestRunExperiment:
         assert hd.gain_vs_hd == pytest.approx(1.0)
         assert fd2.gain_vs_hd == pytest.approx(fd2.mean_sum / hd.mean_sum)
 
+    def test_b_link_gain_floor_runs_finite(self):
+        # at the smallest accepted gain_br every scheme solves every trial
+        base = SystemConfig(gain_br=1e-100)
+        for kind, schemes, sweep in (
+                ("sumrate_vs_relay_snr", tuple(SchemeId), (10.0,)),
+                ("rate_region", (SchemeId.PROPOSED_FD, SchemeId.HD_ANC, SchemeId.FD_ONEWAY,
+                                 SchemeId.FD_UPPER_BOUND), (0.0, 0.5, 1.0))):
+            spec = ExperimentSpec(kind=kind, schemes=schemes, sweep=sweep, trials=3, seed=5,
+                                  base=base)
+            t = run_experiment(spec, workers=1, keep_samples=True)
+            assert len(t.rows) == len(schemes) * len(sweep)
+            assert all(math.isfinite(v) for r in t.rows for v in (r.mean_ra, r.mean_rb))
+            assert np.all(np.isfinite(np.asarray(list(t.samples.values()), dtype=float)))
+
     def test_se_shrinks_with_trials(self):
         spec100 = ExperimentSpec(kind="sumrate_vs_source_snr", schemes=FAST,
                                  sweep=(10.0,), trials=100, seed=5, base=BASE)

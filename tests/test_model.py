@@ -9,7 +9,6 @@ from fdtwrc.model import (
     SystemConfig,
     channels_from_json,
     channels_to_json,
-    combiner_or_endpoint,
     db_to_linear,
     effective_gains,
     linear_to_db,
@@ -81,6 +80,13 @@ class TestConfig:
         # refused up front instead of failing inside a run
         with pytest.raises(ValueError, match="gain_br"):
             SystemConfig(gain_br=0.0)
+
+    def test_b_link_gain_floor(self):
+        # below 1e-100 the B-side squared norms underflow toward subnormals,
+        # where the combiner turns NaN, so such a gain is refused as well
+        with pytest.raises(ValueError, match="gain_br"):
+            SystemConfig(gain_br=1e-300)
+        assert SystemConfig(gain_br=1e-100).gain_br == 1e-100
 
     def test_db_round_trip(self):
         for x in (0.01, 1.0, 100.0):
@@ -156,12 +162,19 @@ class TestReceiveCombiner:
             assert abs(np.vdot(u_par, w) * norm - alpha) < 1e-10
             assert abs(np.vdot(u_perp, w) * norm - math.sqrt(1.0 - alpha)) < 1e-10
 
-    def test_parallel_channels_raise_and_fall_back(self):
+    def test_parallel_channels_give_endpoint(self):
+        # with m_r = 1, h_ar is parallel to h_br and every alpha gives the
+        # alpha = 1 endpoint, phased along h_br^H h_ar
         ch = sample_channels(replace(CFG, m_r=1), 3)
+        inner = np.vdot(ch.h_br, ch.h_ar)
+        for alpha in (0.0, 0.5, 1.0):
+            w = receive_combiner(ch, alpha)
+            assert np.allclose(w, unit(ch.h_br) * inner / abs(inner), rtol=0.0, atol=1e-12)
+
+    def test_zero_h_br_raises(self):
+        ch = sample_channels(CFG, 3)
         with pytest.raises(DegenerateGeometryError):
-            receive_combiner(ch, 0.5)
-        w = combiner_or_endpoint(ch, 0.5)
-        assert abs(abs(np.vdot(unit(ch.h_br), w)) - 1.0) < 1e-10
+            receive_combiner(replace(ch, h_br=np.zeros_like(ch.h_br)), 0.5)
 
 
 class TestSignalModel:

@@ -30,11 +30,24 @@ class TestNullSpaceBasis:
             assert np.linalg.norm(v.conj() @ n) <= 1e-10 * np.linalg.norm(v)
             assert np.linalg.norm(n.conj().T @ n - np.eye(3)) <= 1e-10
 
+    def test_matrix_postconditions(self):
+        rng = np.random.default_rng(4)
+        for m, k in ((3, 2), (5, 2), (6, 3)):
+            v = crandn(rng, m, k)
+            n = null_space_basis(v)
+            assert n.shape == (m, m - k)
+            assert np.linalg.norm(v.conj().T @ n) <= 1e-10 * np.linalg.norm(v)
+            assert np.linalg.norm(n.conj().T @ n - np.eye(m - k)) <= 1e-10
+        v = crandn(rng, 4)
+        assert np.array_equal(null_space_basis(v[:, None]), null_space_basis(v))
+
     def test_errors(self):
         with pytest.raises(ValueError):
             null_space_basis(np.zeros(3, dtype=complex))
         with pytest.raises(ValueError):
             null_space_basis(np.array([1.0 + 0j]))
+        with pytest.raises(ValueError):
+            null_space_basis(np.ones((2, 2), dtype=complex))
 
 
 class TestRealCubicRoots:

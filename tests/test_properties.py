@@ -1,6 +1,6 @@
-"""Property tests of the transmit-beamformer, power, sum-rate and
-rate-region solvers, and of the per-realization scheme ordering, over
-randomized system configurations.
+"""Property tests of the null-space vector builder, the transmit-beamformer,
+power, sum-rate and rate-region solvers, and of the per-realization scheme
+ordering, over randomized system configurations.
 
 Configurations span m_t in [2, 8], m_r in [1, 8], source and relay SNRs from
 -10 to 60 dB, residual SI variances from 0 to 1 (linear) and an asymmetric
@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from fdtwrc.baselines import hd_anc_solve, local_csi_sum_rate, upper_bound_solve
 from fdtwrc.model import (
     SystemConfig,
-    combiner_or_endpoint,
     db_to_linear,
     effective_gains,
+    receive_combiner,
     relay_output_power,
     sample_channels,
     sinr_pair,
@@ -31,6 +31,8 @@ from fdtwrc.model import (
 from fdtwrc.oracles import grid_power_oracle
 from fdtwrc.rate_region import (
     Infeasible,
+    _null_z,
+    boundary_range,
     max_rate_given_rb,
     rate_region,
     solve_power_p1,
@@ -63,7 +65,7 @@ def zf_ok(ch, w_t, w_r):
        power_share=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
 def test_sum_rate_invariants(cfg, seed, alpha, power_share):
     ch = sample_channels(cfg, seed)
-    w_r = combiner_or_endpoint(ch, alpha)
+    w_r = receive_combiner(ch, alpha)
     p_a, p_b = power_share[0] * cfg.p_a_max, power_share[1] * cfg.p_b_max
 
     w_t, states = solve_txbf_p2(ch, w_r, p_a, p_b, cfg, return_states=True)
@@ -87,7 +89,7 @@ def test_sum_rate_invariants(cfg, seed, alpha, power_share):
        target_share=st.floats(0.0, 1.5))
 def test_txbf_p1_invariants(cfg, seed, alpha, power_share, target_share):
     ch = sample_channels(cfg, seed)
-    w_r = combiner_or_endpoint(ch, alpha)
+    w_r = receive_combiner(ch, alpha)
     p_a, p_b = power_share[0] * cfg.p_a_max, power_share[1] * cfg.p_b_max
     # B's SINR target as a share of what A's full uplink could carry; above
     # 1 the SINR gate must refuse it
@@ -130,7 +132,7 @@ def test_rate_region_invariants(cfg, seed):
        target_share=st.floats(0.0, 1.5))
 def test_power_p1_against_grid_oracle(cfg, seed, alpha, power_share, target_share):
     ch = sample_channels(cfg, seed)
-    w_r = combiner_or_endpoint(ch, alpha)
+    w_r = receive_combiner(ch, alpha)
     p_a, p_b = power_share[0] * cfg.p_a_max, power_share[1] * cfg.p_b_max
     try:
         w_t = solve_txbf_p1(ch, w_r, p_a, p_b, 0.0, cfg.p_r_max)
@@ -174,3 +176,36 @@ def test_scheme_ordering_per_realization(cfg, seed):
     assert (rank_one.powers.p_a, rank_one.powers.p_b) == (cfg.p_a_max, cfg.p_b_max)
     assert (hd_anc_solve(ch, cfg).sum_rate
             >= 0.5 * rank_one.sum_rate - 1e-6 * max(1.0, rank_one.sum_rate))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["generic", "collinear", "no_d1", "no_d2", "neither"]),
+       q=st.floats(0.0, 1.0), share=st.one_of(st.none(), st.floats(0.0, 1.0)))
+def test_null_z_meets_its_targets(n, seed, kind, q, share):
+    # d1, d2 as _tx_context hands them over: unit directions, None when
+    # missing, r = phi = 0 unless both are present; t is placed at ``share``
+    # of the slice's |d2^H z|^2 range, or None for the boundary maximum
+    rng = np.random.default_rng(seed)
+    pair = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    d1, d2 = pair / np.linalg.norm(pair, axis=1, keepdims=True)
+    if kind == "collinear":
+        d2 = d1 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    d1 = None if kind in ("no_d1", "neither") else d1
+    d2 = None if kind in ("no_d2", "neither") else d2
+    r, phi = 0.0, 0.0
+    if d1 is not None and d2 is not None:
+        inner = complex(np.vdot(d2, d1))
+        r, phi = min(abs(inner), 1.0), np.angle(inner)
+    lo, hi = boundary_range(r, q, n)
+    t = None if share is None else float(np.sqrt(lo + share * (hi - lo)))
+
+    z = _null_z(d1, d2, r, phi, n, q, t)
+    assert abs(np.linalg.norm(z) - 1.0) <= 1e-10
+    if d1 is not None:
+        assert abs(abs(np.vdot(d1, z)) ** 2 - q) <= 1e-10
+    if d2 is not None:
+        # collinear directions pin |d2^H z| to r sqrt(q), which the slice
+        # brackets within sqrt(1 - r^2)
+        tol = 1e-10 + (2.0 * np.sqrt(1.0 - r * r) if kind == "collinear" else 0.0)
+        assert abs(abs(np.vdot(d2, z)) - (np.sqrt(hi) if t is None else t)) <= tol

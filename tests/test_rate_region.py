@@ -7,7 +7,6 @@ import pytest
 from fdtwrc.baselines import _hd_region, hd_anc_region, upper_bound_region
 from fdtwrc.model import (
     SystemConfig,
-    combiner_or_endpoint,
     db_to_linear,
     effective_gains,
     receive_combiner,
@@ -302,7 +301,7 @@ class TestMaxRateGivenRb:
             gamma_b = 2.0**r_b - 1.0
             best = 0.0
             for alpha in np.linspace(0, 1, 9):
-                w_r = combiner_or_endpoint(ch, alpha)
+                w_r = receive_combiner(ch, alpha)
                 n_t = relay_null_basis(ch, w_r)
                 zs = rng.standard_normal((400, n_t.shape[1])) + 1j * rng.standard_normal((400, n_t.shape[1]))
                 zs /= np.linalg.norm(zs, axis=1, keepdims=True)
@@ -435,3 +434,28 @@ class TestRegionEndpoint:
                 with pytest.raises(Infeasible):
                     solve(ch, cfg, r_b_max * (1.0 + 1e-8))
         assert positive >= 20
+
+
+# per default-config seed 0..7: max_rate_given_rb(...).rate_a at half of B's
+# largest target, then the 3-point rate_region's endpoint target and the
+# endpoint's rate_b, as computed before the P1 boundary vector and the P2
+# frontier vector moved to one construction; a refactor must not move them
+PINNED_REGION = [
+    (3.3849058787391826, 2.086668372288081, 2.0866683722880808),
+    (0.9012294370331201, 3.2264215920647454, 3.2264215920647454),
+    (0.8268630675140421, 2.751690705049865, 2.751690705049865),
+    (1.5723739851675493, 3.863415784549863, 3.8634157845498627),
+    (3.528678869562893, 2.8767604291836526, 2.8767604291836526),
+    (3.4014734950563357, 2.7366915369931264, 2.736691536993126),
+    (2.7078903363971865, 3.4018585244767667, 3.4018585244767663),
+    (2.6592272602596347, 3.2105248817370624, 3.210524881737062),
+]
+
+
+@pytest.mark.parametrize("seed", range(len(PINNED_REGION)))
+def test_pinned_region(seed):
+    ch = sample_channels(CFG, seed)
+    (r_b_max, end), = rate_region(ch, 3, CFG)[2:]
+    half = max_rate_given_rb(ch, 0.5 * r_b_max, CFG).rate_a
+    got = (half, r_b_max, end.rate_b)
+    assert got == pytest.approx(PINNED_REGION[seed], rel=1e-9, abs=0.0)
