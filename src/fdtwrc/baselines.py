@@ -4,7 +4,8 @@ FD relaying, the no-relay-SI upper bound, and the local-CSI variant.
 HD has no self-interference and full fixed powers, so only the relay matrix
 is optimized, over its useful subspaces: the benchmark the reported gains
 are measured against.  ``hd_anc_solve`` maximizes the HD sum rate; an HD
-region sweep runs up to B's largest target, the best scored start's.  The
+region sweep runs up to B's largest target, the best scored start's, and
+solves all its boundary points in one lockstep search.  The
 upper bound reuses the proposed solvers on a realization whose relay
 loopback is zeroed, which removes the ZF restriction while keeping source
 SI.
@@ -31,7 +32,6 @@ from .model import (
 # tracer test requires it to wrap this module's binding
 from .rate_region import (
     _LN2,
-    Infeasible,
     _alpha_search,
     _p_prime,
     _rx_gains,
@@ -126,8 +126,8 @@ def _hd_gammas(x, red, config):
 def _hd_starts(red, config, seed=0):
     """The _HD_STARTS seeded start matrices of ``_hd_search``, their SINR
     pairs and the generator that continues their stream, as (x, gamma_a,
-    gamma_b, rng).  ``_hd_search`` copies the generator, so one set serves
-    every search of a region sweep."""
+    gamma_b, rng).  ``_hd_search`` copies the generator, so the starts can
+    be scored once and searched from again."""
     kt, kr = red.a_t.size, red.a_r.size
     rng = np.random.default_rng(seed)
     shape = (_HD_STARTS, kt, kr)
@@ -136,39 +136,46 @@ def _hd_starts(red, config, seed=0):
     return x, gamma_a, gamma_b, rng
 
 
-def _hd_meets_target(gamma_b, r_b):
-    """Which per-phase B SINRs meet the halved-rate target r_b."""
-    return gamma_b >= math.expm1(2.0 * r_b * _LN2) * (1.0 - 1e-9)
+def _hd_search(red, config, value_fn, n_rows, starts):
+    """Random-restart hill climbing over the reduced relay matrix from the
+    scored ``_hd_starts``, for n_rows objectives in lockstep; deterministic
+    for given starts.
 
-
-def _hd_search(red, config, value_fn, starts):
-    """Batched random-restart hill climbing over the reduced relay matrix
-    from the scored ``_hd_starts``; deterministic for given starts.
-
-    value_fn maps (gamma_a, gamma_b) arrays to scores (-inf marks an
-    infeasible candidate).
+    value_fn(gamma_a, gamma_b, rows) scores SINR arrays of shape (N,) (the
+    shared starts) or (len(rows), N) for the objectives ``rows`` as a
+    (len(rows), N) array, or (N,) for one row (-inf marks an infeasible
+    candidate).  Every row climbs from its own
+    best start with its own step size, but all rows share each stage's
+    random step draw, so a row's result does not depend on the others.
+    A row no start makes finite is dropped before the first stage.
+    Returns a (best_x, best_value) pair per row, (None, -inf) if dropped.
     """
     kt, kr = red.a_t.size, red.a_r.size
     x, ga, gb, rng = starts
     rng = copy.deepcopy(rng)
-    vals = value_fn(ga, gb)
-    i = int(np.argmax(vals))
-    if not np.isfinite(vals[i]):
-        return None, -math.inf
-    best_val, best_x = float(vals[i]), x[i]
-    sigma = 0.5
+    vals = value_fn(ga, gb, np.arange(n_rows)).reshape(n_rows, -1)
+    first = np.argmax(vals, axis=1)
+    rows = [k for k in range(n_rows) if np.isfinite(vals[k, first[k]])]
+    found = [(None, -math.inf)] * n_rows
+    if not rows:
+        return found
+    best_val = [float(vals[k, first[k]]) for k in rows]
+    best_x = x[first[rows]]
+    sigma = np.full(len(rows), 0.5)
     shape = (_HD_BATCH, kt, kr)
     for _ in range(_HD_STAGES):
         step = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        cand = best_x[None] + sigma * step
-        ga, gb, _ = _hd_gammas(cand, red, config)
-        vals = value_fn(ga, gb)
-        j = int(np.argmax(vals))
-        if vals[j] > best_val:
-            best_val, best_x = float(vals[j]), cand[j]
-        else:
-            sigma *= 0.8
-    return best_x, best_val
+        cand = best_x[:, None] + sigma[:, None, None, None] * step
+        ga, gb, _ = _hd_gammas(cand.reshape(-1, kt, kr), red, config)
+        vals = value_fn(ga.reshape(len(rows), -1), gb.reshape(len(rows), -1), rows)
+        for i, j in enumerate(vals.argmax(axis=1).tolist()):
+            if vals[i, j] > best_val[i]:
+                best_val[i], best_x[i] = float(vals[i, j]), cand[i, j]
+            else:
+                sigma[i] *= 0.8
+    for i, k in enumerate(rows):
+        found[k] = (best_x[i], best_val[i])
+    return found
 
 
 def _hd_point(channels, x, red, config, trace_value):
@@ -198,42 +205,46 @@ def hd_anc_solve(channels, config):
     hd_channels = strip_source_si(zero_loopback(channels))
     red = _hd_reduce(hd_channels)
 
-    def value(ga, gb):
+    def value(ga, gb, rows):
         return np.log2(1.0 + ga) + np.log2(1.0 + gb)
 
-    x, val = _hd_search(red, config, value, _hd_starts(red, config))
+    (x, val), = _hd_search(red, config, value, 1, _hd_starts(red, config))
     return _hd_point(hd_channels, x, red, config, trace_value=0.5 * val)
 
 
 def _hd_region(channels, config):
-    """HD region point solve and B's largest target, as (point_solver,
-    r_b_max).
+    """HD region solve over a list of B targets and B's largest target, as
+    (solve_targets, r_b_max).
 
-    B's target r_b lives in the halved-rate domain, so the per-phase SINR
-    threshold is 2**(2 r_b) - 1, computed with expm1 (and the endpoint with
-    log1p) so that a tiny threshold survives the round trip.  The channels
-    are reduced and the starts scored once; every point solve reuses them,
-    and B's largest target is the best start's, the largest at which one
-    start meets the target.
+    ``solve_targets(targets)`` runs one lockstep ``_hd_search`` that
+    maximizes A's SINR at each target and returns an OperatingPoint per
+    target, or None where no start meets it.  B's target r_b lives in the
+    halved-rate domain, so the per-phase SINR threshold is 2**(2 r_b) - 1,
+    computed with expm1 (and the endpoint with log1p) so that a tiny
+    threshold survives the round trip; a threshold is backed off by 1e-9
+    relative.  The channels are reduced and the starts scored once, and B's
+    largest target is the best start's, the largest at which one start
+    meets the target.
     """
     hd_channels = strip_source_si(zero_loopback(channels))
     red = _hd_reduce(hd_channels)
     starts = _hd_starts(red, config)
 
-    def point_solver(r_b):
-        def value(ga, gb):
-            return np.where(_hd_meets_target(gb, r_b), ga, -np.inf)
+    def solve_targets(targets):
+        thresholds = np.array([math.expm1(2.0 * r_b * _LN2) * (1.0 - 1e-9)
+                               for r_b in targets])
 
-        x, val = _hd_search(red, config, value, starts)
-        if x is None:
-            raise Infeasible("hd_region_target")
-        return _hd_point(hd_channels, x, red, config, trace_value=val)
+        def value(ga, gb, rows):
+            return np.where(gb >= thresholds[rows, None], ga, -np.inf)
 
-    return point_solver, 0.5 * math.log1p(float(np.max(starts[2]))) / _LN2
+        return [None if x is None else _hd_point(hd_channels, x, red, config, trace_value=val)
+                for x, val in _hd_search(red, config, value, len(targets), starts)]
+
+    return solve_targets, 0.5 * math.log1p(float(np.max(starts[2]))) / _LN2
 
 
 def hd_anc_region(channels, n_points, config):
-    """HD region sweep of ``_hd_region``'s point solve from r_b = 0 up to
+    """HD region sweep of ``_hd_region``'s lockstep solve from r_b = 0 up to
     B's largest target."""
     return region_sweep(*_hd_region(channels, config), n_points)
 

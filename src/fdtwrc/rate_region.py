@@ -422,27 +422,19 @@ def max_rate_given_rb(channels, r_b, config):
         lambda a: optimize_fixed_alpha_p1(channels, a, gamma_b, config), config)
 
 
-def region_sweep(point_solver, r_b_max, n_points):
+def region_sweep(solve_targets, r_b_max, n_points):
     """Generic boundary sweep used by the proposed scheme and the baselines.
 
-    ``point_solver(r_b)`` returns an OperatingPoint or raises Infeasible;
-    ``r_b_max`` is B's largest target, at which it succeeds.  The boundary
-    is sampled at n_points targets from 0 to r_b_max and non-monotone raw
-    sweeps are repaired by carrying dominating higher-target points down.
+    ``solve_targets(targets)`` returns an OperatingPoint, or None where
+    infeasible, for each of a list of B targets; ``r_b_max`` is B's largest
+    target, at which it succeeds.  The boundary is sampled at n_points
+    targets from 0 to r_b_max and non-monotone raw sweeps are repaired by
+    carrying dominating higher-target points down.
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
-
-    def point_or_none(r_b):
-        try:
-            return point_solver(r_b)
-        except Infeasible:
-            return None
-
-    targets = np.linspace(0.0, r_b_max, n_points)
-    entries = []
-    for r_b in targets:
-        entries.append((float(r_b), point_or_none(float(r_b))))
+    targets = [float(r_b) for r_b in np.linspace(0.0, r_b_max, n_points)]
+    entries = list(zip(targets, solve_targets(targets)))
     # monotone repair: replace points dominated by a higher-target point
     best = None
     for k in range(len(entries) - 1, -1, -1):
@@ -454,10 +446,18 @@ def region_sweep(point_solver, r_b_max, n_points):
     return entries
 
 
+def _rate_or_none(channels, r_b, config):
+    try:
+        return max_rate_given_rb(channels, r_b, config)
+    except Infeasible:
+        return None
+
+
 def rate_region(channels, n_points, config):
     """Boundary of the achievable (rate_a, rate_b) region as a list of
     (r_b target, OperatingPoint-or-None) pairs, swept from r_b = 0 up to
     B's largest feasible target, log2(1 + ``_gamma_b_max``) (by log1p, which
     keeps a tiny endpoint exact enough for the point solve to meet it)."""
-    return region_sweep(lambda r_b: max_rate_given_rb(channels, r_b, config),
-                        math.log1p(_gamma_b_max(channels, config)) / _LN2, n_points)
+    return region_sweep(
+        lambda targets: [_rate_or_none(channels, r_b, config) for r_b in targets],
+        math.log1p(_gamma_b_max(channels, config)) / _LN2, n_points)

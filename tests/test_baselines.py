@@ -26,7 +26,7 @@ from fdtwrc.model import (
     zero_loopback,
     zf_residual,
 )
-from fdtwrc.rate_region import Infeasible, max_rate_given_rb
+from fdtwrc.rate_region import max_rate_given_rb
 from fdtwrc.sum_rate import max_sum_rate
 
 CFG = SystemConfig()
@@ -57,9 +57,9 @@ class TestHdAnc:
     def test_full_search_seed_stability(self):
         ch = sample_channels(CFG, 1)
         red = _hd_reduce(strip_source_si(zero_loopback(ch)))
-        value = lambda ga, gb: np.log2(1 + ga) + np.log2(1 + gb)
-        _, v0 = _hd_search(red, CFG, value, _hd_starts(red, CFG, seed=0))
-        _, v1 = _hd_search(red, CFG, value, _hd_starts(red, CFG, seed=123))
+        value = lambda ga, gb, rows: np.log2(1 + ga) + np.log2(1 + gb)
+        (_, v0), = _hd_search(red, CFG, value, 1, _hd_starts(red, CFG, seed=0))
+        (_, v1), = _hd_search(red, CFG, value, 1, _hd_starts(red, CFG, seed=123))
         assert abs(v0 - v1) < 1e-3 * max(1.0, v0)
 
     def test_half_prelog_identity(self):
@@ -85,7 +85,7 @@ class TestHdAnc:
 
     def test_region_endpoint_matches_unconstrained_solve(self):
         ch = sample_channels(CFG, 4)
-        pt = _hd_region(ch, CFG)[0](0.0)
+        pt, = _hd_region(ch, CFG)[0]([0.0])
         # rate_a = 1/2 log2(1 + gamma) with gamma from the full-power form
         assert abs(pt.rate_a - 0.5 * math.log2(1.0 + pt.gamma_a)) < 1e-12
         assert pt.rate_b >= 0.0
@@ -98,13 +98,148 @@ class TestHdAnc:
         assert np.all(np.diff(rates_a) <= 1e-6)
         for r_b, pt in entries:
             if pt is not None:
-                assert pt.rate_b >= r_b - 2e-3  # stochastic search slack
+                # a kept candidate has gamma_b >= (2**(2 r_b) - 1)(1 - 1e-9),
+                # so rate_b >= r_b + 0.5 log2(1 - 1e-9), about r_b - 7.2e-10
+                assert pt.rate_b >= r_b - 1e-9
 
     def test_region_infeasible_target(self):
         ch = sample_channels(CFG, 6)
         cap = 0.5 * math.log2(1.0 + CFG.p_a_max * float(np.vdot(ch.h_ar, ch.h_ar).real))
-        with pytest.raises(Infeasible):
-            _hd_region(ch, CFG)[0](cap + 0.5)
+        assert _hd_region(ch, CFG)[0]([cap + 0.5]) == [None]
+
+    @staticmethod
+    def _same_point(p, q):
+        return (p.rate_a, p.rate_b, p.gamma_a, p.gamma_b, p.trace,
+                p.beamformer.w_full.tobytes()) == (
+            q.rate_a, q.rate_b, q.gamma_a, q.gamma_b, q.trace,
+            q.beamformer.w_full.tobytes())
+
+    def test_lockstep_rows_equal_their_one_target_solves(self):
+        # the rows of one lockstep search share only the random step draws,
+        # so each point is bit for bit its own one-target search
+        for cfg, seed in ((CFG, 7), (replace(CFG, m_r=1), 8)):
+            ch = sample_channels(cfg, seed)
+            solve, r_b_max = _hd_region(ch, cfg)
+            targets = [float(t) for t in np.linspace(0.0, r_b_max, 9)]
+            for r_b, pt in zip(targets, solve(targets)):
+                one, = solve([r_b])
+                assert pt is not None and self._same_point(pt, one)
+
+    def test_infeasible_row_leaves_the_others_unchanged(self):
+        ch = sample_channels(CFG, 6)
+        cap = 0.5 * math.log2(1.0 + CFG.p_a_max * float(np.vdot(ch.h_ar, ch.h_ar).real))
+        solve, r_b_max = _hd_region(ch, CFG)
+        feasible = [0.0, 0.5 * r_b_max, r_b_max]
+        alone = solve(feasible)
+        mixed = solve(feasible[:2] + [cap + 0.5] + feasible[2:])
+        assert mixed[2] is None
+        for p, q in zip(alone, mixed[:2] + mixed[3:]):
+            assert p is not None and self._same_point(p, q)
+
+
+# per seed 0..7 (seeds 0-5 at the default config, 6 at m_r = 1, 7 at
+# m_t = 2, m_r = 6): hd_anc_solve's sum rate and the (rate_a, rate_b) pairs
+# of the 9-point hd_anc_region, as computed by the per-point HD search
+# before a sweep's point searches ran in lockstep; a batching of the search
+# must not move them
+PINNED_HD = [
+    (2.720298993889997,
+     [(2.0083326054486337, 0.040604155291441554),
+      (2.007017885896817, 0.12678481029471958),
+      (2.002382012632634, 0.25356948855206485),
+      (1.9947092533641761, 0.38035420307161116),
+      (1.9825453822618602, 0.5071389644178399),
+      (1.9623635887964193, 0.6339238039380422),
+      (1.9242166657900133, 0.7607085191437327),
+      (1.8293020702859832, 0.887493219478535),
+      (1.25150876936383, 1.0142778161348485)]),
+    (2.058541967952811,
+     [(0.8794963487351067, 0.011413754725716397),
+      (0.8762528517087671, 0.19889600030951465),
+      (0.8700435677585204, 0.3977886556752468),
+      (0.8604498606006892, 0.5966828037452241),
+      (0.8453529980620046, 0.7955768306834445),
+      (0.8199559824447177, 0.994472220239979),
+      (0.7733542649624103, 1.1933647041191249),
+      (0.6652727277380941, 1.392258709279281),
+      (0.15369601710918743, 1.591152927262132)]),
+    (2.0966265641436945,
+     [(1.0003829735234802, 0.32067193486978207),
+      (1.0003829735234802, 0.32067193486978207),
+      (0.9999901938755323, 0.37854860214698366),
+      (0.9933265440217293, 0.5678229175501741),
+      (0.9772000137101358, 0.7570971854002853),
+      (0.9470574833777384, 0.9463714947162215),
+      (0.8910280415108311, 1.1356457883751334),
+      (0.7715854865809414, 1.3249200859764867),
+      (0.2904990808796982, 1.5141944138951369)]),
+    (2.844591561396679,
+     [(1.6428791228648831, 0.0033159142322512197),
+      (1.6336733244253934, 0.23467207360598952),
+      (1.618214939971694, 0.46934322090089825),
+      (1.5950679781991894, 0.7040113091276363),
+      (1.5592232854102863, 0.9386816922221023),
+      (1.5004581820824634, 1.1733532810428298),
+      (1.365081927388593, 1.4080233397628552),
+      (1.1885802306269686, 1.6426929618130006),
+      (0.4736398091838857, 1.877363587505475)]),
+    (3.138301018977729,
+     [(2.0878080797005314, 0.20650506271159563),
+      (2.0878080797005314, 0.20650506271159563),
+      (2.086084854031555, 0.35799597305358744),
+      (2.0797103782447026, 0.5369938744564559),
+      (2.0671466110882792, 0.7159922599941643),
+      (2.0439986263975984, 0.8949897917622458),
+      (1.9983679835596106, 1.0739875881188043),
+      (1.8848054947801296, 1.252985401776115),
+      (1.0727141166160314, 1.431983292464763)]),
+    (2.869110412016913,
+     [(2.030956690092462, 0.18137458480306928),
+      (2.0309566900614167, 0.18137526395521092),
+      (2.027347476236442, 0.32967332975765473),
+      (2.015194340223503, 0.4945099911933816),
+      (1.9918172236513871, 0.6593466128879237),
+      (1.949454666005995, 0.8241832300636529),
+      (1.8681259003984918, 0.9890202030171807),
+      (1.685129811301568, 1.1538565678388875),
+      (1.0586248613321836, 1.3186931600137406)]),
+    (2.7513577736278325,
+     [(1.8176911273132785, 0.26932006853901497),
+      (1.8176911273132785, 0.26932006853901497),
+      (1.8169526386817585, 0.34260664397031315),
+      (1.8094190456692614, 0.5139099646540188),
+      (1.7918128454685278, 0.6852132920090558),
+      (1.757984612848544, 0.8565166073398891),
+      (1.6922421240294663, 1.0278199287943786),
+      (1.5425222364015614, 1.1991232504643288),
+      (0.5225134602115025, 1.3704265717665605)]),
+    (3.057440839379281,
+     [(2.2543133718101647, 0.14930811645073885),
+      (2.2537606602322677, 0.19080876363624502),
+      (2.2398103747390468, 0.3816174586291638),
+      (2.20800063194903, 0.5724262088232556),
+      (2.153108091995353, 0.7632350276544779),
+      (2.063015079892478, 0.9540436501377896),
+      (1.9124441743018015, 1.1448523853321098),
+      (1.636264034844331, 1.3356612065479878),
+      (0.9077669803485433, 1.5264698450006642)]),
+]
+
+
+def _pinned_hd_case(seed):
+    cfg = {6: replace(CFG, m_r=1), 7: replace(CFG, m_t=2, m_r=6)}.get(seed, CFG)
+    return sample_channels(cfg, seed), cfg
+
+
+@pytest.mark.parametrize("seed", range(len(PINNED_HD)))
+def test_pinned_hd(seed):
+    ch, cfg = _pinned_hd_case(seed)
+    sum_rate, pairs = PINNED_HD[seed]
+    assert hd_anc_solve(ch, cfg).sum_rate == pytest.approx(sum_rate, rel=1e-12, abs=0.0)
+    got = [(pt.rate_a, pt.rate_b) for _, pt in hd_anc_region(ch, 9, cfg)]
+    assert len(got) == len(pairs)
+    for g, p in zip(got, pairs):
+        assert g == pytest.approx(p, rel=1e-12, abs=0.0)
 
 
 class TestFdOneway:

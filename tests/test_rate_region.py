@@ -402,6 +402,15 @@ def _endpoint_cases():
     return [(CFG, 2900 + t) for t in range(20)] + random_cases + weak_cases
 
 
+def _hd_one_target(ch, cfg, r_b):
+    """The HD region solve at one target, raising Infeasible where it
+    returns None, as the proposed point solver does."""
+    pt, = _hd_region(ch, cfg)[0]([r_b])
+    if pt is None:
+        raise Infeasible("hd_region_target")
+    return pt
+
+
 # scheme -> (region sweep, point solver, pre-log of B's rate cap)
 REGION_SCHEMES = {
     "proposed": (lambda ch, cfg, n: rate_region(ch, n, cfg),
@@ -409,7 +418,7 @@ REGION_SCHEMES = {
     "ub": (lambda ch, cfg, n: upper_bound_region(ch, n, cfg),
            lambda ch, cfg, r_b: max_rate_given_rb(zero_loopback(ch), r_b, cfg), 1.0),
     "hd_full": (lambda ch, cfg, n: hd_anc_region(ch, n, cfg),
-                lambda ch, cfg, r_b: _hd_region(ch, cfg)[0](r_b), 0.5),
+                lambda ch, cfg, r_b: _hd_one_target(ch, cfg, r_b), 0.5),
 }
 
 
