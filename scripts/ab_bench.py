@@ -45,6 +45,10 @@ def parse_args(argv):
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2 (quartiles need two runs a side)")
+    if args.held_out and args.seed is None:
+        # run.py refuses the default seed as held out, and the rows would
+        # replace the default seed's rows of the same workloads in --out
+        p.error("--held-out needs a --seed other than the default")
     return args
 
 

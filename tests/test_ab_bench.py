@@ -55,3 +55,12 @@ def test_run_length_comes_from_the_benchmark():
     with pytest.raises(SystemExit):
         ab_bench.parse_args(["--base", "HEAD", "--workload", "w", "--out", "o.json",
                              "--seconds", "10"])
+
+
+def test_held_out_needs_its_own_seed():
+    with pytest.raises(SystemExit):
+        ab_bench.parse_args(["--base", "HEAD", "--workload", "w", "--out", "o.json",
+                             "--held-out"])
+    args = ab_bench.parse_args(["--base", "HEAD", "--workload", "w", "--out", "o.json",
+                                "--held-out", "--seed", "7"])
+    assert (args.held_out, args.seed) == (True, 7)
