@@ -418,7 +418,7 @@ REGION_SCHEMES = {
     "ub": (lambda ch, cfg, n: upper_bound_region(ch, n, cfg),
            lambda ch, cfg, r_b: max_rate_given_rb(zero_loopback(ch), r_b, cfg), 1.0),
     "hd_full": (lambda ch, cfg, n: hd_anc_region(ch, n, cfg),
-                lambda ch, cfg, r_b: _hd_one_target(ch, cfg, r_b), 0.5),
+                _hd_one_target, 0.5),
 }
 
 
