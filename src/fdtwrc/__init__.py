@@ -12,7 +12,6 @@ from .model import (  # noqa: F401
     RelayBeamformer,
     SystemConfig,
     db_to_linear,
-    linear_to_db,
     sample_channels,
 )
 from .rate_region import Infeasible, max_rate_given_rb, rate_region  # noqa: F401

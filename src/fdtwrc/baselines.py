@@ -24,6 +24,7 @@ from .model import (
     RelayBeamformer,
     make_operating_point,
     receive_combiner,
+    receive_gains,
     relay_null_basis,
     strip_source_si,
     zero_loopback,
@@ -34,7 +35,6 @@ from .rate_region import (
     _LN2,
     _alpha_search,
     _p_prime,
-    _rx_gains,
     rate_region,
     region_sweep,
 )
@@ -341,7 +341,7 @@ def local_csi_sum_rate(channels, config, seed):
     v = rng.standard_normal(n_t.shape[1]) + 1j * rng.standard_normal(n_t.shape[1])
     z = v / np.linalg.norm(v)
     p_a, p_b = config.p_a_max, config.p_b_max
-    budget = _p_prime(config.p_r_max, p_a, p_b, *_rx_gains(channels, w_r))
+    budget = _p_prime(config.p_r_max, p_a, p_b, *receive_gains(channels, w_r))
     w_t = math.sqrt(budget) * (n_t @ z)
     pt = make_operating_point(channels, w_t, w_r, 0.5, p_a, p_b, trace=[])
     return replace(pt, trace=[pt.sum_rate])

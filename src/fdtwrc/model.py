@@ -26,10 +26,10 @@ __all__ = [
     "EffectiveGains",
     "OperatingPoint",
     "db_to_linear",
-    "linear_to_db",
     "sample_channels",
     "receive_combiner",
     "sinr_pair",
+    "receive_gains",
     "relay_output_power",
     "zf_residual",
     "effective_gains",
@@ -45,10 +45,6 @@ class DegenerateGeometryError(ValueError):
 
 def db_to_linear(x_db):
     return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x):
-    return 10.0 * math.log10(x)
 
 
 @dataclass(frozen=True)
@@ -280,11 +276,15 @@ def sinr_pair(channels, w_t, w_r, p_a, p_b):
     return gamma_a, gamma_b
 
 
+def receive_gains(channels, w_r):
+    """The combiner's receive gains (|w_r^H h_ar|^2, |w_r^H h_br|^2)."""
+    return abs(np.vdot(w_r, channels.h_ar)) ** 2, abs(np.vdot(w_r, channels.h_br)) ** 2
+
+
 def relay_output_power(channels, w_t, w_r, p_a, p_b):
     """Relay transmit power p_a ||w_t||^2 |w_r^H h_ar|^2 + p_b ||w_t||^2 |w_r^H h_br|^2 + ||w_t||^2."""
     nt2 = float(np.vdot(w_t, w_t).real)
-    rx_a = abs(np.vdot(w_r, channels.h_ar)) ** 2
-    rx_b = abs(np.vdot(w_r, channels.h_br)) ** 2
+    rx_a, rx_b = receive_gains(channels, w_r)
     return nt2 * (p_a * rx_a + p_b * rx_b + 1.0)
 
 
@@ -294,11 +294,12 @@ def zf_residual(channels, w_t, w_r):
 
 
 def effective_gains(channels, w_t, w_r):
+    rx_a, rx_b = receive_gains(channels, w_r)
     return EffectiveGains(
         tx_gain_a=abs(np.vdot(channels.h_ra, w_t)) ** 2,
-        rx_gain_b=abs(np.vdot(w_r, channels.h_br)) ** 2,
+        rx_gain_b=rx_b,
         tx_gain_b=abs(np.vdot(channels.h_rb, w_t)) ** 2,
-        rx_gain_a=abs(np.vdot(w_r, channels.h_ar)) ** 2,
+        rx_gain_a=rx_a,
     )
 
 
@@ -316,7 +317,7 @@ def relay_null_basis(channels, w_r):
     return null_space_basis(v)
 
 
-def make_operating_point(channels, w_t, w_r, alpha, p_a, p_b, trace, pre_log=1.0):
+def make_operating_point(channels, w_t, w_r, alpha, p_a, p_b, trace):
     gamma_a, gamma_b = sinr_pair(channels, w_t, w_r, p_a, p_b)
     p_r = relay_output_power(channels, w_t, w_r, p_a, p_b)
     return OperatingPoint(
@@ -324,10 +325,9 @@ def make_operating_point(channels, w_t, w_r, alpha, p_a, p_b, trace, pre_log=1.0
         powers=PowerAllocation(p_a=p_a, p_b=p_b, p_r=p_r),
         gamma_a=gamma_a,
         gamma_b=gamma_b,
-        rate_a=pre_log * math.log2(1.0 + gamma_a),
-        rate_b=pre_log * math.log2(1.0 + gamma_b),
+        rate_a=math.log2(1.0 + gamma_a),
+        rate_b=math.log2(1.0 + gamma_b),
         trace=list(trace),
-        pre_log=pre_log,
     )
 
 

@@ -15,8 +15,8 @@ from .model import (
     effective_gains,
     make_operating_point,
     receive_combiner,
+    receive_gains,
     relay_null_basis,
-    sinr_pair,
 )
 from .numerics import maximize_1d, null_space_basis
 
@@ -46,7 +46,9 @@ class Infeasible(Exception):
       level q < 1 (``boundary_unit_vector``);
     - 'power_polygon': empty power-allocation polygon;
     - 'alpha_grid': no combiner setting on the grid is feasible;
-    - 'hd_region_target': no HD start matrix meets B's target.
+    - 'hd_region_target': no HD start matrix meets B's target.  No solver
+      raises it: the lockstep HD region solve returns None for such a
+      target, and only the tests' one-target HD helper raises it.
     """
 
     def __init__(self, stage, message=""):
@@ -59,12 +61,13 @@ class _TxContext:
     """ZF null-space reduction of one (channels, w_r) pair, shared by the
     rate-region (P1) and sum-rate (P2) transmit beamformers.
 
-    w_t = sqrt(budget) n_t z with unit z; a_t/b_t are the null-space images
-    of h_ra/h_rb, na2/nb2 their squared norms and d2/d1 their unit
-    directions.  An image with squared norm at most 1e-300 has no direction:
-    its d is None and its squared norm 0, so every gate and search reads the
-    same decision.  r = |d2^H d1| and phi its argument (both 0 when a
-    direction is missing); n is the null-space dimension.
+    rx_a/rx_b are the combiner's ``receive_gains``, computed once per
+    combiner.  w_t = sqrt(budget) n_t z with unit z; a_t/b_t are the
+    null-space images of h_ra/h_rb, na2/nb2 their squared norms and d2/d1
+    their unit directions.  An image with squared norm at most 1e-300 has
+    no direction: its d is None and its squared norm 0, so every gate and
+    search reads the same decision.  r = |d2^H d1| and phi its argument
+    (both 0 when a direction is missing); n is the null-space dimension.
     """
 
     n_t: np.ndarray
@@ -77,6 +80,8 @@ class _TxContext:
     r: float
     phi: float
     n: int
+    rx_a: float
+    rx_b: float
 
 
 def _tx_context(channels, w_r):
@@ -94,12 +99,8 @@ def _tx_context(channels, w_r):
     else:
         r, phi = 0.0, 0.0
     return _TxContext(n_t, a_t, b_t, na2 if d2 is not None else 0.0,
-                      nb2 if d1 is not None else 0.0, d1, d2, r, phi, n_t.shape[1])
-
-
-def _rx_gains(channels, w_r):
-    return (abs(np.vdot(w_r, channels.h_ar)) ** 2,
-            abs(np.vdot(w_r, channels.h_br)) ** 2)
+                      nb2 if d1 is not None else 0.0, d1, d2, r, phi, n_t.shape[1],
+                      *receive_gains(channels, w_r))
 
 
 def _p_prime(p_r_max, p_a, p_b, rx_a, rx_b):
@@ -203,9 +204,9 @@ def boundary_unit_vector(d1, d2, q):
     return _null_z(d1, d2, r, cmath.phase(inner) if r > 0 else 0.0, d1.size, q)
 
 
-def _p1_gates(channels, rx_a, rx_b, nb2, p_a, p_b, gamma_b, p_r_max):
+def _p1_gates(channels, ctx, p_a, p_b, gamma_b, p_r_max):
     """The two gates of the P1 beamformer, from the combiner's receive gains
-    and ||b_t||^2 alone.
+    and ||b_t||^2 alone (both read from ``ctx``).
 
     Returns (gb_bar, p_bar): B's required transmit gain |h_rb^H w_t|^2 and
     the budget ||w_t||^2 that spends the relay power.  Raises Infeasible
@@ -215,12 +216,12 @@ def _p1_gates(channels, rx_a, rx_b, nb2, p_a, p_b, gamma_b, p_r_max):
     if gamma_b <= 0.0:
         gb_bar = 0.0
     else:
-        margin = p_a * rx_a - gamma_b
+        margin = p_a * ctx.rx_a - gamma_b
         if margin <= 0.0:
             raise Infeasible("sinr_gate")
         gb_bar = gamma_b * (p_b * abs(channels.h_bb) ** 2 + 1.0) / margin
-    p_bar = _p_prime(p_r_max, p_a, p_b, rx_a, rx_b)
-    if p_bar * nb2 < gb_bar * (1.0 - 1e-12):
+    p_bar = _p_prime(p_r_max, p_a, p_b, ctx.rx_a, ctx.rx_b)
+    if p_bar * ctx.nb2 < gb_bar * (1.0 - 1e-12):
         raise Infeasible("beam_power_gate")
     return gb_bar, p_bar
 
@@ -236,8 +237,7 @@ def solve_txbf_p1(channels, w_r, p_a, p_b, gamma_b, p_r_max, ctx=None):
     """
     if ctx is None:
         ctx = _tx_context(channels, w_r)
-    rx_a, rx_b = _rx_gains(channels, w_r)
-    gb_bar, p_bar = _p1_gates(channels, rx_a, rx_b, ctx.nb2, p_a, p_b, gamma_b, p_r_max)
+    gb_bar, p_bar = _p1_gates(channels, ctx, p_a, p_b, gamma_b, p_r_max)
     scale = math.sqrt(p_bar)
     if ctx.d2 is None:
         q = 1.0  # no direction reaches A: B's direction has the most slack
@@ -251,7 +251,8 @@ def solve_txbf_p1(channels, w_r, p_a, p_b, gamma_b, p_r_max, ctx=None):
 
 def solve_power_p1(channels, w_t, w_r, gamma_b, config):
     """Source powers maximizing A's SINR subject to B's SINR threshold, the
-    relay budget and the power box, in closed form.
+    relay budget and the power box, in closed form.  Returns (p_a, p_b,
+    gamma_a): the powers and A's SINR there, the objective maximized.
 
     With the gains T_a, T_b, R_a, R_b of ``effective_gains``, A's SINR
     p_b T_a R_b / (T_a + p_a |h_aa|^2 + 1) never increases in p_a, so at
@@ -271,9 +272,9 @@ def solve_power_p1(channels, w_t, w_r, gamma_b, config):
     which matters because the beamformer spends the budget exactly at the
     current powers.  Objective ties, within 1e-12 max(1, value), go to the
     lowest p_a (by more than 1e-12), then the highest p_b.  The polygon's
-    lowest p_a is c, at p_b = 0 where A's SINR is 0; so (c, 0) is returned
-    when the optimum's SINR is below 1e-12 (a combiner orthogonal to h_br,
-    say) and its p_a exceeds c by more than 1e-12.
+    lowest p_a is c, at p_b = 0 where A's SINR is 0; so (c, 0, 0.0) is
+    returned when the optimum's SINR is below 1e-12 (a combiner orthogonal
+    to h_br, say) and its p_a exceeds c by more than 1e-12.
     """
     g = effective_gains(channels, w_t, w_r)
     p_a_max, p_b_max = config.p_a_max, config.p_b_max
@@ -301,24 +302,25 @@ def solve_power_p1(channels, w_t, w_r, gamma_b, config):
     p_a = min(c + k * p_b, p_a_max)
     gamma_a = p_b * g.tx_gain_a * g.rx_gain_b / (g.tx_gain_a + p_a * abs(channels.h_aa) ** 2 + 1.0)
     if gamma_a < 1e-12 and p_a - min(c, p_a_max) > 1e-12:
-        return min(c, p_a_max), 0.0
-    return p_a, p_b
+        return min(c, p_a_max), 0.0, 0.0
+    return p_a, p_b, gamma_a
 
 
-def _alternate(channels, alpha, config, starts, beam, power, score):
+def _alternate(channels, alpha, config, starts, beam, power):
     """The alternating loop of P1 and P2 for one combiner setting.
 
     ``beam(w_r, ctx, powers, w_t)`` solves the transmit beamformer at the
     given powers (``w_t`` is the previous beamformer, None on the first
-    solve) and may raise Infeasible; ``power(w_t, w_r)`` is the power step
-    and ``score(w_t, w_r, powers)`` the traced objective.  The first solve
-    uses the first start power it accepts (the last start's Infeasible
-    propagates).  Each iteration then runs the power step, scores the
-    result and stops when the score improves by less than conv_tol;
-    otherwise the beamformer is re-solved at the new powers.
-    When iter_max is hit the returned beamformer is the one re-solved after
-    the last scored iteration, so the point's objective can exceed
-    ``trace[-1]``.
+    solve) and may raise Infeasible; ``power(w_t, w_r)`` is the power step,
+    which returns (p_a, p_b, value) with value the objective it maximized.
+    The first solve uses the first start power it accepts (the last
+    start's Infeasible propagates).  Each iteration then runs the power
+    step, traces its value and stops when the value improves by less than
+    conv_tol; otherwise the beamformer is re-solved at the new powers.  A
+    point that stops that way is returned at the traced powers and
+    beamformer.  When iter_max is hit the returned beamformer is the one
+    re-solved after the last traced iteration, so the point's objective
+    can exceed ``trace[-1]``.
     """
     w_r = receive_combiner(channels, alpha)
     ctx = _tx_context(channels, w_r)
@@ -332,8 +334,7 @@ def _alternate(channels, alpha, config, starts, beam, power, score):
     trace = []
     prev = 0.0
     for _ in range(config.iter_max):
-        powers = power(w_t, w_r)
-        val = score(w_t, w_r, powers)
+        *powers, val = power(w_t, w_r)
         trace.append(val)
         if val - prev < config.conv_tol:
             break
@@ -354,8 +355,7 @@ def optimize_fixed_alpha_p1(channels, alpha, gamma_b, config):
         channels, alpha, config, [(config.p_a_max, config.p_b_max), (config.p_a_max, 0.0)],
         beam=lambda w_r, ctx, p, _: solve_txbf_p1(
             channels, w_r, p[0], p[1], gamma_b, config.p_r_max, ctx),
-        power=lambda w_t, w_r: solve_power_p1(channels, w_t, w_r, gamma_b, config),
-        score=lambda w_t, w_r, p: sinr_pair(channels, w_t, w_r, p[0], p[1])[0])
+        power=lambda w_t, w_r: solve_power_p1(channels, w_t, w_r, gamma_b, config))
 
 
 def _alpha_search(evaluate, config):
@@ -372,7 +372,7 @@ def _alpha_search(evaluate, config):
             pt = evaluate(float(alpha))
         except Infeasible:
             return -math.inf
-        val = pt.trace[-1] if pt.trace else pt.sum_rate
+        val = pt.trace[-1]
         if val > best["value"]:
             best.update(point=pt, value=val)
         return val
@@ -402,10 +402,9 @@ def _gamma_b_max(channels, config):
     p_a = config.p_a_max
     best = 0.0
     for alpha in np.linspace(0.0, 1.0, config.alpha_grid):
-        w_r = receive_combiner(channels, float(alpha))
-        rx_a, rx_b = _rx_gains(channels, w_r)
-        s_b = _p_prime(config.p_r_max, p_a, 0.0, rx_a, rx_b) * _tx_context(channels, w_r).nb2
-        best = max(best, p_a * rx_a * s_b / (s_b + 1.0))
+        ctx = _tx_context(channels, receive_combiner(channels, float(alpha)))
+        s_b = _p_prime(config.p_r_max, p_a, 0.0, ctx.rx_a, ctx.rx_b) * ctx.nb2
+        best = max(best, p_a * ctx.rx_a * s_b / (s_b + 1.0))
     return best * (1.0 - 1e-9)
 
 

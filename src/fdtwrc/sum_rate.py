@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import effective_gains, receive_gains
 from .numerics import maximize_1d, real_cubic_roots
 from .rate_region import (
     _LN2,
@@ -26,7 +27,6 @@ from .rate_region import (
     _alternate,
     _null_z,
     _p_prime,
-    _rx_gains,
     _tx_context,
     boundary_range,
 )
@@ -58,18 +58,17 @@ def _sum_rate_bits(e_a, e_b, k_a, k_b, s_a, s_b):
             + np.log2(1.0 + e_b * s_b / (s_b + k_b)))
 
 
-def _coeffs(channels, w_r, p_a, p_b):
-    rx_a, rx_b = _rx_gains(channels, w_r)
+def _coeffs(channels, rx_a, rx_b, p_a, p_b):
     e_a = p_b * rx_b
     e_b = p_a * rx_a
     k_a = p_a * abs(channels.h_aa) ** 2 + 1.0
     k_b = p_b * abs(channels.h_bb) ** 2 + 1.0
-    return e_a, e_b, k_a, k_b, rx_a, rx_b
+    return e_a, e_b, k_a, k_b
 
 
 def dc_objective(channels, w_r, p_a, p_b, s_a, s_b):
     """Sum rate as a function of the two quadratic forms of w_t."""
-    e_a, e_b, k_a, k_b, _, _ = _coeffs(channels, w_r, p_a, p_b)
+    e_a, e_b, k_a, k_b = _coeffs(channels, *receive_gains(channels, w_r), p_a, p_b)
     return float(_sum_rate_bits(e_a, e_b, k_a, k_b, s_a, s_b))
 
 
@@ -80,7 +79,7 @@ def dc_linearized_objective(channels, w_r, p_a, p_b, s_a, s_b, anchor):
     surrogate is a global lower bound of the true objective, tight at the
     anchor; that is what makes the DC iteration monotone.
     """
-    e_a, e_b, k_a, k_b, _, _ = _coeffs(channels, w_r, p_a, p_b)
+    e_a, e_b, k_a, k_b = _coeffs(channels, *receive_gains(channels, w_r), p_a, p_b)
     s_a_k, s_b_k = anchor
     f_val = np.log2((e_a + 1.0) * s_a + k_a) + np.log2((e_b + 1.0) * s_b + k_b)
     g_lin = (math.log2(s_a_k + k_a) + math.log2(s_b_k + k_b)
@@ -100,9 +99,9 @@ def dc_step(channels, w_r, p_a, p_b, anchor, config, ctx=None, p_prime=None):
     """
     if ctx is None:
         ctx = _tx_context(channels, w_r)
-    e_a, e_b, k_a, k_b, rx_a, rx_b = _coeffs(channels, w_r, p_a, p_b)
+    e_a, e_b, k_a, k_b = _coeffs(channels, ctx.rx_a, ctx.rx_b, p_a, p_b)
     if p_prime is None:
-        p_prime = _p_prime(config.p_r_max, p_a, p_b, rx_a, rx_b)
+        p_prime = _p_prime(config.p_r_max, p_a, p_b, ctx.rx_a, ctx.rx_b)
     grid_points = config.grid_points
     s_a_k, s_b_k = anchor
     lam_a = 1.0 / (_LN2 * (s_a_k + k_a))
@@ -160,8 +159,8 @@ def solve_txbf_p2(channels, w_r, p_a, p_b, config, w_t_init=None, ctx=None,
     """
     if ctx is None:
         ctx = _tx_context(channels, w_r)
-    e_a, e_b, k_a, k_b, rx_a, rx_b = _coeffs(channels, w_r, p_a, p_b)
-    p_prime = _p_prime(config.p_r_max, p_a, p_b, rx_a, rx_b)
+    e_a, e_b, k_a, k_b = _coeffs(channels, ctx.rx_a, ctx.rx_b, p_a, p_b)
+    p_prime = _p_prime(config.p_r_max, p_a, p_b, ctx.rx_a, ctx.rx_b)
     def state(z):
         s_a = p_prime * abs(np.vdot(ctx.a_t, z)) ** 2
         s_b = p_prime * abs(np.vdot(ctx.b_t, z)) ** 2
@@ -231,11 +230,14 @@ def solve_power_p2(channels, w_t, w_r, config):
     Candidates: the binary corners filtered by relay-budget feasibility,
     the endpoints of the active-budget curve p_a(p_b), and the real roots
     of the stationarity condition on that curve (a cubic assembled
-    numerically from the derivative of the two rate terms).
+    numerically from the derivative of the two rate terms).  Returns
+    (p_a, p_b, value) for the best feasible candidate, value being its sum
+    rate in ``sinr_pair``'s arithmetic.  The corner (0, 0) scores 0 and is
+    feasible whenever any candidate is, so (0.0, 0.0, 0.0) is returned
+    when no candidate scores higher, feasible or not.
     """
-    rx_a, rx_b = _rx_gains(channels, w_r)
-    tx_a = abs(np.vdot(channels.h_ra, w_t)) ** 2
-    tx_b = abs(np.vdot(channels.h_rb, w_t)) ** 2
+    g = effective_gains(channels, w_t, w_r)
+    tx_a, tx_b, rx_a, rx_b = g.tx_gain_a, g.tx_gain_b, g.rx_gain_a, g.rx_gain_b
     haa2 = abs(channels.h_aa) ** 2
     hbb2 = abs(channels.h_bb) ** 2
     nt2 = float(np.vdot(w_t, w_t).real)
@@ -250,10 +252,7 @@ def solve_power_p2(channels, w_t, w_r, config):
         gb = p_a * tx_b * rx_a / (tx_b + p_b * hbb2 + 1.0)
         return math.log2(1.0 + ga) + math.log2(1.0 + gb)
 
-    cands = [(0.0, 0.0)]
-    for c in ((pa_max, pb_max), (pa_max, 0.0), (0.0, pb_max)):
-        if feasible(*c):
-            cands.append(c)
+    cands = [c for c in ((pa_max, pb_max), (pa_max, 0.0), (0.0, pb_max)) if feasible(*c)]
     if budget > 0 and rx_a > 1e-300 and rx_b > 1e-300:
         pb_min = max(0.0, (budget - rx_a * pa_max) / rx_b)
         pb_max_c = min(pb_max, budget / rx_b)
@@ -276,15 +275,14 @@ def solve_power_p2(channels, w_t, w_r, config):
         cands.append((0.0, min(pb_max, budget / rx_b)))
     elif budget > 0 and rx_a > 1e-300:
         cands.append((min(pa_max, budget / rx_a), 0.0))
-    best, best_val = (0.0, 0.0), -math.inf
+    best = (0.0, 0.0, 0.0)
     for p_a, p_b in cands:
         p_a = min(max(p_a, 0.0), pa_max)
         p_b = min(max(p_b, 0.0), pb_max)
-        if not feasible(p_a, p_b):
-            continue
-        val = sum_rate(p_a, p_b)
-        if val > best_val:
-            best, best_val = (p_a, p_b), val
+        if feasible(p_a, p_b):
+            val = sum_rate(p_a, p_b)
+            if val > best[2]:
+                best = (p_a, p_b, val)
     return best
 
 
@@ -298,10 +296,7 @@ def optimize_fixed_alpha_p2(channels, alpha, config):
         channels, alpha, config, [(config.p_a_max, config.p_b_max)],
         beam=lambda w_r, ctx, p, w_t: solve_txbf_p2(
             channels, w_r, p[0], p[1], config, w_t_init=w_t, ctx=ctx),
-        power=lambda w_t, w_r: solve_power_p2(channels, w_t, w_r, config),
-        score=lambda w_t, w_r, p: dc_objective(
-            channels, w_r, p[0], p[1],
-            abs(np.vdot(channels.h_ra, w_t)) ** 2, abs(np.vdot(channels.h_rb, w_t)) ** 2))
+        power=lambda w_t, w_r: solve_power_p2(channels, w_t, w_r, config))
 
 
 def max_sum_rate(channels, config):

@@ -225,7 +225,7 @@ def test_criterion_5_oracle_equivalence():
             continue
         if done1 < 100:
             try:
-                pa1, pb1 = solve_power_p1(ch, w_t, w_r, gamma_b, BASE)
+                pa1, pb1, _ = solve_power_p1(ch, w_t, w_r, gamma_b, BASE)
             except Infeasible:
                 pa1 = None
             if pa1 is not None:
@@ -239,7 +239,7 @@ def test_criterion_5_oracle_equivalence():
                     p1_ok &= val >= rep.best_value - slack
         if done2 < 100:
             done2 += 1
-            pa2, pb2 = solve_power_p2(ch, w_t, w_r, BASE)
+            pa2, pb2, _ = solve_power_p2(ch, w_t, w_r, BASE)
             ga, gb = sinr_pair(ch, w_t, w_r, pa2, pb2)
             val = math.log2(1 + ga) + math.log2(1 + gb)
             rep = grid_power_oracle(ch, w_t, w_r, "p2", 400, BASE)
@@ -299,7 +299,7 @@ def test_criterion_6_structural_invariants():
         ch, w_r, p_a, p_b, gamma_b = _txbf_instance(60_000 + seed)
         try:
             w_t = solve_txbf_p1(ch, w_r, p_a, p_b, gamma_b, BASE.p_r_max)
-            pa, pb = solve_power_p1(ch, w_t, w_r, gamma_b, BASE)
+            pa, pb, _ = solve_power_p1(ch, w_t, w_r, gamma_b, BASE)
         except Infeasible:
             calls += 1
             continue
@@ -324,7 +324,7 @@ def test_criterion_6_structural_invariants():
     for seed in range(2000):
         ch, w_r, p_a, p_b, _ = _txbf_instance(80_000 + seed)
         w_t = solve_txbf_p2(ch, w_r, p_a, p_b, BASE)
-        pa, pb = solve_power_p2(ch, w_t, w_r, BASE)
+        pa, pb, _ = solve_power_p2(ch, w_t, w_r, BASE)
         calls += 1
         assert -1e-9 <= pa <= BASE.p_a_max + 1e-9
         assert -1e-9 <= pb <= BASE.p_b_max + 1e-9

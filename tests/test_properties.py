@@ -31,14 +31,16 @@ from fdtwrc.model import (
 from fdtwrc.oracles import grid_power_oracle
 from fdtwrc.rate_region import (
     Infeasible,
+    _gamma_b_max,
     _null_z,
     boundary_range,
     max_rate_given_rb,
+    optimize_fixed_alpha_p1,
     rate_region,
     solve_power_p1,
     solve_txbf_p1,
 )
-from fdtwrc.sum_rate import max_sum_rate, solve_txbf_p2
+from fdtwrc.sum_rate import max_sum_rate, optimize_fixed_alpha_p2, solve_txbf_p2
 
 configs = st.builds(
     lambda m_t, m_r, p_src_db, p_relay_db, si, gain_br_db: replace(
@@ -144,7 +146,7 @@ def test_power_p1_against_grid_oracle(cfg, seed, alpha, power_share, target_shar
     gamma_b = target_share * cfg.p_a_max * g.tx_gain_b * g.rx_gain_a / (g.tx_gain_b + 1.0)
     oracle = grid_power_oracle(ch, w_t, w_r, "p1", 400, cfg, gamma_b=gamma_b)
     try:
-        pa, pb = solve_power_p1(ch, w_t, w_r, gamma_b, cfg)
+        pa, pb, value = solve_power_p1(ch, w_t, w_r, gamma_b, cfg)
     except Infeasible:
         assert oracle.best_value == -np.inf
         return
@@ -153,9 +155,29 @@ def test_power_p1_against_grid_oracle(cfg, seed, alpha, power_share, target_shar
     load = nt2 * (cfg.p_a_max * g.rx_gain_a + cfg.p_b_max * g.rx_gain_b)
     assert relay_output_power(ch, w_t, w_r, pa, pb) <= cfg.p_r_max + 1e-8 * max(1.0, cfg.p_r_max, load)
     g_a, g_b = sinr_pair(ch, w_t, w_r, pa, pb)
+    assert value == g_a  # the objective it maximized, bit for bit
     assert g_b >= gamma_b * (1.0 - 1e-8)
     lip = g.tx_gain_a * g.rx_gain_b * (1.0 + cfg.p_b_max * abs(ch.h_aa) ** 2)
     assert g_a >= oracle.best_value - 2.0 * lip * oracle.resolution - 1e-9
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(cfg=configs, seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.0, 1.0),
+       target_share=st.floats(0.0, 1.0))
+def test_converged_trace_ends_at_the_point_objective(cfg, seed, alpha, target_share):
+    # a loop that stops before iter_max returns the point its last power
+    # step scored, so the traced objective is the point's own, exactly
+    ch = sample_channels(cfg, seed)
+    pt = optimize_fixed_alpha_p2(ch, alpha, cfg)
+    if len(pt.trace) < SystemConfig.iter_max:
+        assert pt.trace[-1] == pt.sum_rate
+    try:
+        pt = optimize_fixed_alpha_p1(ch, alpha, target_share * _gamma_b_max(ch, cfg), cfg)
+    except Infeasible:
+        return
+    if len(pt.trace) < SystemConfig.iter_max:
+        assert pt.trace[-1] == pt.gamma_a
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

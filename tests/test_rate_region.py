@@ -166,7 +166,7 @@ class TestSolvePowerP1:
         w_t = 0.05 * (n_t @ unit(crandn(np.random.default_rng(0), n_t.shape[1])))
         g = effective_gains(ch, w_t, w_r)
         gamma_b = 0.01 * CFG.p_a_max * g.tx_gain_b * g.rx_gain_a / (g.tx_gain_b + 1.0)
-        p_a, p_b = solve_power_p1(ch, w_t, w_r, gamma_b, CFG)
+        p_a, p_b, _ = solve_power_p1(ch, w_t, w_r, gamma_b, CFG)
         assert p_b == CFG.p_b_max
         expected_pa = gamma_b * (g.tx_gain_b + 1.0) / (g.tx_gain_b * g.rx_gain_a)
         assert abs(p_a - expected_pa) < 1e-9 * max(1.0, expected_pa)
@@ -186,7 +186,7 @@ class TestSolvePowerP1:
             ch, w_r, p_a, p_b, gamma_b = random_txbf_instance(300 + seed)
             try:
                 w_t = solve_txbf_p1(ch, w_r, p_a, p_b, gamma_b, CFG.p_r_max)
-                pa, pb = solve_power_p1(ch, w_t, w_r, gamma_b, CFG)
+                pa, pb, _ = solve_power_p1(ch, w_t, w_r, gamma_b, CFG)
             except Infeasible:
                 continue
             hits += 1
