@@ -1,15 +1,18 @@
 """A/B comparison of two fdtwrc checkouts on the perfbench workloads.
 
-Runs ``perfbench/run.py --trace 0`` in a base checkout and in this one
-(the change), alternating which goes first in each pair, and writes the
-per-metric medians, quartiles and win counts of the end-to-end metrics
-named in ``BENCHMARK.json``:
+Runs ``perfbench/run.py --trace 0`` in a base revision and in this
+checkout's HEAD (the change), alternating which goes first in each pair,
+and writes the per-metric medians, quartiles and win counts of the
+end-to-end metrics named in ``BENCHMARK.json``:
 
     python3 scripts/ab_bench.py --base HEAD~1 --workload sumrate_all4 \\
         --pairs 10 --out BENCH_10.json
 
-``--base`` is a git revision of this repository; its tree is exported
-with ``git archive`` into a temporary directory.  Every run lasts the
+``--base`` is a git revision of this repository.  Both sides run from
+trees exported with ``git archive`` into sibling directories of one
+temporary directory, so neither side runs in the working checkout.  The
+script refuses to start when tracked files have uncommitted changes,
+which the HEAD export would not hold.  Every run lasts the
 benchmark's ``run_seconds`` and uses the benchmark's own seed unless
 ``--seed`` is given; ``--held-out`` is passed on to ``run.py``.  Runs are
 compared pair by pair: a pair in which either side did not report a
@@ -52,22 +55,24 @@ def parse_args(argv):
     return args
 
 
+def git(*args, stdout=None):
+    """Run ``git args`` in this repository; return its output as text, or
+    None when it goes to the binary file ``stdout``."""
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, text=stdout is None,
+                          stdout=stdout or subprocess.PIPE).stdout
+
+
 def export_revision(rev, dest):
-    """Write the tree of git revision ``rev`` of this repository under ``dest``."""
-    archive = Path(dest) / "tree.tar"
+    """Write the tree of git revision ``rev`` of this repository into the
+    new directory ``dest``."""
+    dest = Path(dest)
+    archive = dest.with_suffix(".tar")
     with open(archive, "wb") as fh:
-        subprocess.run(["git", "archive", rev], cwd=ROOT, stdout=fh, check=True)
+        git("archive", rev, stdout=fh)
     with tarfile.open(archive) as tar:
-        tar.extractall(Path(dest) / "tree", filter="data")
+        tar.extractall(dest, filter="data")
     archive.unlink()
-    return Path(dest) / "tree"
-
-
-def git_commit(path):
-    """The checkout's HEAD, marked ``-dirty`` when its tree has changes."""
-    proc = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
-                          cwd=path, capture_output=True, text=True, check=False)
-    return proc.stdout.strip() if proc.returncode == 0 else None
+    return dest
 
 
 def run_once(checkout, workload, seconds, seed, held_out):
@@ -135,19 +140,21 @@ def main(argv=None):
         bench = json.load(fh)
     seconds = bench["run_seconds"]
     directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    base_rev = subprocess.run(["git", "rev-parse", "--verify", args.base + "^{commit}"],
-                              cwd=ROOT, check=True, capture_output=True,
-                              text=True).stdout.strip()
+    if git("status", "--porcelain", "--untracked-files=no").strip():
+        print("ab_bench: tracked files have uncommitted changes, which the HEAD "
+              "export would not hold; commit or stash them first", file=sys.stderr)
+        return 1
+    revs = {"base": git("rev-parse", "--verify", args.base + "^{commit}").strip(),
+            "change": git("rev-parse", "--verify", "HEAD^{commit}").strip()}
     with tempfile.TemporaryDirectory(prefix="ab_bench_") as tmp:
-        base = export_revision(base_rev, tmp)
+        trees = {side: export_revision(rev, Path(tmp) / side) for side, rev in revs.items()}
         rows = {}
         for workload in args.workload:
             runs = {"base": [], "change": []}
             for i in range(args.pairs):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 for side in order:
-                    path = base if side == "base" else ROOT
-                    res = run_once(path, workload, seconds, args.seed, args.held_out)
+                    res = run_once(trees[side], workload, seconds, args.seed, args.held_out)
                     runs[side].append(res)
                     print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
                           f"correct={res.get('correct')} "
@@ -168,8 +175,7 @@ def main(argv=None):
     out = Path(args.out)
     record = json.loads(out.read_text()) if out.exists() else {}
     record.setdefault("rows", {}).update(rows)
-    record["base"] = base_rev
-    record["change"] = git_commit(ROOT) or str(ROOT)
+    record["base"], record["change"] = revs["base"], revs["change"]
     record["environment"] = {"cpu_count": os.cpu_count(), "python": platform.python_version(),
                              "machine": platform.machine()}
     out.write_text(json.dumps(record, indent=1) + "\n")

