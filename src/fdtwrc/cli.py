@@ -10,17 +10,13 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .baselines import parse_scheme
-from .harness import ExperimentSpec, emit, run_experiment, table_to_csv, table_to_json
+from .harness import SWEEPS, ExperimentSpec, emit, run_experiment, table_to_csv, table_to_json
 from .model import SystemConfig, db_to_linear
 
 log = logging.getLogger("fdtwrc")
 
-_SWEEP_PARAMS = {
-    "source-snr": "sumrate_vs_source_snr",
-    "relay-snr": "sumrate_vs_relay_snr",
-    "si": "sumrate_vs_si",
-    "antennas": "sumrate_vs_antennas",
-}
+# sweep --param names the sum-rate kind: relay-snr is sumrate_vs_relay_snr
+_SWEEP_PREFIX = "sumrate_vs_"
 
 
 def _add_common(p, default_schemes):
@@ -81,7 +77,8 @@ def build_parser():
 
     sweep = sub.add_parser("sweep", help="sum rate against a swept parameter")
     _add_common(sweep, "proposed,hd,fd2")
-    sweep.add_argument("--param", choices=sorted(_SWEEP_PARAMS), required=True)
+    sweep.add_argument("--param", required=True, choices=sorted(
+        k.removeprefix(_SWEEP_PREFIX).replace("_", "-") for k in SWEEPS))
     sweep.add_argument("--values", required=True,
                        help="comma list of sweep values (dB, or counts for antennas)")
     return parser
@@ -97,13 +94,13 @@ def main(argv=None):
         base = _base_config(args)
         schemes = _schemes(args)
         if args.command == "region":
-            kind = "asymmetric_region" if args.gain_br != 0.0 else "rate_region"
+            kind = "rate_region"
             sweep_vals = tuple(np.linspace(0.0, 1.0, max(2, args.points)))
         elif args.command == "sumrate":
             kind = "sumrate_vs_source_snr"
             sweep_vals = (args.snr_source,)
         else:
-            kind = _SWEEP_PARAMS[args.param]
+            kind = _SWEEP_PREFIX + args.param.replace("-", "_")
             sweep_vals = tuple(float(v) for v in args.values.split(","))
         spec = ExperimentSpec(kind=kind, schemes=schemes, sweep=sweep_vals,
                               trials=args.trials, seed=args.seed, base=base)

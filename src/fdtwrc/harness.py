@@ -20,7 +20,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -39,17 +39,23 @@ from .model import SystemConfig, db_to_linear, sample_channels
 from .rate_region import rate_region
 from .sum_rate import max_sum_rate
 
-__all__ = ["ExperimentSpec", "ResultRow", "ResultTable", "run_experiment", "emit", "read_table"]
+__all__ = ["ExperimentSpec", "ResultRow", "ResultTable", "run_experiment", "emit"]
 
 log = logging.getLogger("fdtwrc.harness")
 
-SUM_RATE_KINDS = {
-    "sumrate_vs_source_snr",
-    "sumrate_vs_relay_snr",
-    "sumrate_vs_si",
-    "sumrate_vs_antennas",
+# sum-rate kind -> the configuration one sweep value gives (dB for the
+# powers and the residual SI, a count for the antennas)
+SWEEPS = {
+    "sumrate_vs_source_snr": lambda base, v: replace(
+        base, **dict.fromkeys(("p_a_max", "p_b_max"), db_to_linear(v))),
+    "sumrate_vs_relay_snr": lambda base, v: replace(base, p_r_max=db_to_linear(v)),
+    "sumrate_vs_si": lambda base, v: replace(
+        base, **dict.fromkeys(("sigma2_a", "sigma2_b", "sigma2_r"), db_to_linear(v))),
+    "sumrate_vs_antennas": lambda base, v: replace(
+        base, **dict.fromkeys(("m_t", "m_r"), int(round(v)))),
 }
-REGION_KINDS = {"rate_region", "asymmetric_region"}
+# a region run sweeps boundary fractions at the base configuration
+REGION_KINDS = {"rate_region"}
 
 
 def _rates(pt):
@@ -84,6 +90,7 @@ SCHEMES = {
         None),
 }
 
+# one column per ResultRow field, in field order
 CSV_COLUMNS = ("sweep_value", "scheme", "mean_RA", "se_RA", "mean_RB", "se_RB",
                "mean_sum", "se_sum", "gain_vs_hd")
 
@@ -98,7 +105,7 @@ class ExperimentSpec:
     base: SystemConfig = field(default_factory=SystemConfig)
 
     def __post_init__(self):
-        if self.kind not in SUM_RATE_KINDS | REGION_KINDS:
+        if self.kind not in SWEEPS and self.kind not in REGION_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -137,26 +144,6 @@ def trial_seed(seed, t):
     return int(np.uint64(seed) ^ np.uint64(t))
 
 
-def config_for(kind, base, value):
-    """Map a sweep value onto the configuration field it drives."""
-    if kind == "sumrate_vs_source_snr":
-        p = db_to_linear(value)
-        return replace(base, p_a_max=p, p_b_max=p)
-    if kind == "sumrate_vs_relay_snr":
-        return replace(base, p_r_max=db_to_linear(value))
-    if kind == "sumrate_vs_si":
-        s = db_to_linear(value)
-        return replace(base, sigma2_a=s, sigma2_b=s, sigma2_r=s)
-    if kind == "sumrate_vs_antennas":
-        m = int(round(value))
-        if m < 2:
-            raise ValueError("antenna sweep requires m >= 2")
-        return replace(base, m_t=m, m_r=m)
-    if kind in REGION_KINDS:
-        return base
-    raise ValueError(f"unknown experiment kind {kind!r}")
-
-
 def _run_task(payload):
     """One trial: scheme -> its rate pair (sum-rate kinds) or one rate pair
     per boundary point (region kinds)."""
@@ -193,9 +180,9 @@ def run_experiment(spec, workers=None, keep_samples=False):
         workers = min(os.cpu_count() or 1, 16)
     region = spec.kind in REGION_KINDS
     n_points = len(spec.sweep) if region else None
+    configs = [spec.base] if region else [SWEEPS[spec.kind](spec.base, v) for v in spec.sweep]
     payloads = []
-    for value in spec.sweep if not region else [0.0]:
-        config = config_for(spec.kind, spec.base, value)
+    for config in configs:
         for t in range(spec.trials):
             payloads.append((spec.kind, config, tuple(spec.schemes),
                              trial_seed(spec.seed, t), n_points))
@@ -264,27 +251,13 @@ def table_to_csv(table):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in table.rows:
-        writer.writerow([_fmt(r.sweep_value), r.scheme, _fmt(r.mean_ra), _fmt(r.se_ra),
-                         _fmt(r.mean_rb), _fmt(r.se_rb), _fmt(r.mean_sum),
-                         _fmt(r.se_sum), _fmt(r.gain_vs_hd)])
+        writer.writerow([v if isinstance(v, str) else _fmt(v) for v in astuple(r)])
     return buf.getvalue()
 
 
 def table_to_json(table):
-    doc = {
-        "metadata": table.metadata,
-        "rows": [
-            {
-                "sweep_value": r.sweep_value, "scheme": r.scheme,
-                "mean_RA": r.mean_ra, "se_RA": r.se_ra,
-                "mean_RB": r.mean_rb, "se_RB": r.se_rb,
-                "mean_sum": r.mean_sum, "se_sum": r.se_sum,
-                "gain_vs_hd": r.gain_vs_hd,
-            }
-            for r in table.rows
-        ],
-    }
-    return json.dumps(doc, indent=2)
+    rows = [dict(zip(CSV_COLUMNS, astuple(r))) for r in table.rows]
+    return json.dumps({"metadata": table.metadata, "rows": rows}, indent=2)
 
 
 def emit(table, fmt, path):
@@ -299,23 +272,3 @@ def emit(table, fmt, path):
             fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write result table to {path}: {exc}") from exc
-
-
-def read_table(path, fmt):
-    """Parse an emitted table back into rows of floats (round-trip support)."""
-    with open(path, encoding="utf-8") as fh:
-        if fmt == "json":
-            doc = json.load(fh)
-            rows = [ResultRow(r["sweep_value"], r["scheme"], r["mean_RA"], r["se_RA"],
-                              r["mean_RB"], r["se_RB"], r["mean_sum"], r["se_sum"],
-                              r["gain_vs_hd"]) for r in doc["rows"]]
-            return ResultTable(rows=rows, metadata=doc["metadata"])
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV header {header}")
-        rows = []
-        for rec in reader:
-            vals = [float(rec[0]), rec[1]] + [float(x) for x in rec[2:]]
-            rows.append(ResultRow(*vals))
-        return ResultTable(rows=rows, metadata={})

@@ -83,13 +83,12 @@ class SystemConfig:
                 raise ValueError(f"{f.name} must be {what}, got {value!r}")
             if f.type is float and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+            if f.type is float and value < 0:
+                raise ValueError(f"{f.name} must be nonnegative")
         if self.m_t < 2:
             raise ValueError("m_t >= 2 is required for transmit-side ZF")
         if self.m_r < 1:
             raise ValueError("m_r >= 1 is required")
-        for name in ("p_a_max", "p_b_max", "p_r_max", "sigma2_a", "sigma2_b", "sigma2_r", "gain_br"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
         if self.gain_br < 1e-100:
             raise ValueError(f"gain_br must be at least 1e-100 (-1000 dB), got {self.gain_br!r}: "
                              "with no B-side link, or one whose squared norms underflow, the "

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fdtwrc.baselines import SchemeId, local_csi_sum_rate, upper_bound_solve
+from fdtwrc.baselines import SchemeId
 from fdtwrc.harness import ExperimentSpec, run_experiment
 from fdtwrc.model import (
     SystemConfig,
@@ -43,7 +43,6 @@ from fdtwrc.sum_rate import (
     dc_linearized_objective,
     dc_objective,
     dc_step,
-    max_sum_rate,
     optimize_fixed_alpha_p2,
     solve_power_p2,
     solve_txbf_p2,
@@ -418,7 +417,7 @@ def test_criterion_7_region_dominance():
     enclosure_ok = all(m >= -1e-9 for m in margins)
 
     asym_base = replace(BASE, gain_br=0.1)
-    spec_a = ExperimentSpec(kind="asymmetric_region", schemes=(SchemeId.PROPOSED_FD,),
+    spec_a = ExperimentSpec(kind="rate_region", schemes=(SchemeId.PROPOSED_FD,),
                             sweep=fractions, trials=100, seed=20247, base=asym_base)
     table_a = run_experiment(spec_a)
     asym = [(row(table_a, f, "proposed").mean_ra, row(table_a, f, "proposed").mean_rb)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from fdtwrc.baselines import (
-    SchemeId,
     _hd_reduce,
     _hd_region,
     _hd_search,

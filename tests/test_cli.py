@@ -1,10 +1,19 @@
+import argparse
+import csv
 import json
 
 import pytest
 
 import fdtwrc.harness
-from fdtwrc.cli import main
-from fdtwrc.harness import read_table
+from fdtwrc.cli import build_parser, main
+from fdtwrc.harness import CSV_COLUMNS, SWEEPS
+
+
+def _csv_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        assert tuple(reader.fieldnames) == CSV_COLUMNS
+        return list(reader)
 
 
 def test_sumrate_writes_csv(tmp_path):
@@ -12,8 +21,7 @@ def test_sumrate_writes_csv(tmp_path):
     rc = main(["sumrate", "--trials", "2", "--seed", "3", "--schemes", "hd,fd2",
                "--out", str(out)])
     assert rc == 0
-    table = read_table(out, "csv")
-    assert {r.scheme for r in table.rows} == {"hd", "fd2"}
+    assert {r["scheme"] for r in _csv_rows(out)} == {"hd", "fd2"}
 
 
 def test_sweep_json(tmp_path):
@@ -26,13 +34,35 @@ def test_sweep_json(tmp_path):
     assert len(doc["rows"]) == 2
 
 
+def test_sweep_params_match_sweep_kinds(capsys):
+    # each --param choice runs its own SWEEPS kind, and every kind has one
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    param = next(a for a in sub.choices["sweep"]._actions if a.dest == "param")
+    kinds = []
+    for choice in param.choices:
+        rc = main(["sweep", "--param", choice, "--values", "2", "--trials", "1",
+                   "--schemes", "fd2", "--format", "json", "--workers", "1"])
+        assert rc == 0
+        kinds.append(json.loads(capsys.readouterr().out)["metadata"]["kind"])
+    assert sorted(kinds) == sorted(SWEEPS)
+
+
 def test_region_command(tmp_path):
     out = tmp_path / "region.csv"
     rc = main(["region", "--trials", "1", "--points", "3", "--schemes", "fd2",
                "--out", str(out)])
     assert rc == 0
-    table = read_table(out, "csv")
-    assert len(table.rows) == 3
+    assert len(_csv_rows(out)) == 3
+
+
+def test_weak_b_link_region_is_a_rate_region(capsys):
+    # the asymmetry lives in the base config, not in a second kind name
+    rc = main(["region", "--trials", "1", "--points", "3", "--schemes", "fd2",
+               "--gain-br", "-10", "--format", "json", "--workers", "1"])
+    assert rc == 0
+    meta = json.loads(capsys.readouterr().out)["metadata"]
+    assert meta["kind"] == "rate_region"
+    assert meta["base_config"]["gain_br"] == pytest.approx(0.1)
 
 
 def test_stdout_when_no_out(capsys):

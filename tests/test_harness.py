@@ -1,6 +1,7 @@
+import csv
 import json
 import math
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -11,17 +12,17 @@ from fdtwrc.harness import (
     CSV_COLUMNS,
     REGION_KINDS,
     SCHEMES,
+    SWEEPS,
     ExperimentSpec,
     ResultRow,
     ResultTable,
-    config_for,
     emit,
-    read_table,
     run_experiment,
     table_to_csv,
+    table_to_json,
     trial_seed,
 )
-from fdtwrc.model import SystemConfig, db_to_linear
+from fdtwrc.model import SystemConfig
 
 BASE = SystemConfig()
 FAST = (SchemeId.FD_ONEWAY,)
@@ -54,30 +55,45 @@ class TestSpecValidation:
                            sweep=(1.0,), trials=1, seed=0)
 
     def test_antenna_sweep_floor(self):
-        with pytest.raises(ValueError):
-            config_for("sumrate_vs_antennas", BASE, 1.0)
+        # SystemConfig refuses m_t < 2, so the sweep needs no check of its own
+        with pytest.raises(ValueError, match="m_t >= 2"):
+            SWEEPS["sumrate_vs_antennas"](BASE, 1.0)
 
 
 class TestConfigMapping:
     def test_source_snr(self):
-        cfg = config_for("sumrate_vs_source_snr", BASE, 20.0)
+        cfg = SWEEPS["sumrate_vs_source_snr"](BASE, 20.0)
         assert cfg.p_a_max == cfg.p_b_max == pytest.approx(100.0)
         assert cfg.p_r_max == BASE.p_r_max
 
     def test_relay_snr(self):
-        cfg = config_for("sumrate_vs_relay_snr", BASE, 0.0)
+        cfg = SWEEPS["sumrate_vs_relay_snr"](BASE, 0.0)
         assert cfg.p_r_max == pytest.approx(1.0)
 
     def test_si(self):
-        cfg = config_for("sumrate_vs_si", BASE, -10.0)
+        cfg = SWEEPS["sumrate_vs_si"](BASE, -10.0)
         assert cfg.sigma2_a == cfg.sigma2_b == cfg.sigma2_r == pytest.approx(0.1)
 
     def test_antennas(self):
-        cfg = config_for("sumrate_vs_antennas", BASE, 5.0)
+        cfg = SWEEPS["sumrate_vs_antennas"](BASE, 5.0)
         assert (cfg.m_t, cfg.m_r) == (5, 5)
 
-    def test_region_kind_passthrough(self):
-        assert config_for("rate_region", BASE, 0.3) is BASE
+    def test_region_kind_passthrough(self, monkeypatch):
+        # every trial of a region run draws its channels at the base config
+        base = SystemConfig(gain_br=0.1)
+        drawn = []
+        sample = fdtwrc.harness.sample_channels
+
+        def recording(config, seed):
+            drawn.append(config)
+            return sample(config, seed)
+
+        monkeypatch.setattr(fdtwrc.harness, "sample_channels", recording)
+        spec = ExperimentSpec(kind="rate_region", schemes=FAST, sweep=(0.0, 0.5, 1.0),
+                              trials=2, seed=0, base=base)
+        run_experiment(spec, workers=1)
+        assert len(drawn) == 2 and all(c is base for c in drawn)
+        assert not REGION_KINDS & SWEEPS.keys()
 
     def test_trial_seed_xor(self):
         assert trial_seed(12, 0) == 12
@@ -213,25 +229,41 @@ class TestEmit:
         assert lines[1] == "10,proposed,2.5,0.01,2.25,0.02,4.75,0.03,1.56"
         assert lines[2] == "10,hd,1.5,0.01,1.5,0.01,3,0.02,1"
 
+    def test_columns_follow_row_fields(self):
+        assert [c.lower() for c in CSV_COLUMNS] == [f.name for f in fields(ResultRow)]
+
     def test_round_trip_csv(self, tmp_path):
         table = _tiny_table()
         path = tmp_path / "out.csv"
         emit(table, "csv", path)
-        back = read_table(path, "csv")
-        for a, b in zip(table.rows, back.rows):
-            assert b.scheme == a.scheme
-            for field in ("sweep_value", "mean_ra", "se_ra", "mean_rb", "se_rb",
-                          "mean_sum", "se_sum", "gain_vs_hd"):
-                x, y = getattr(a, field), getattr(b, field)
-                assert abs(x - y) <= 1e-6 * max(1.0, abs(x))
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *recs = csv.reader(fh)
+        assert tuple(header) == CSV_COLUMNS
+        for row, rec in zip(table.rows, recs, strict=True):
+            assert rec[1] == row.scheme
+            back = [float(x) for x in rec[:1] + rec[2:]]
+            want = [v for v in astuple(row) if not isinstance(v, str)]
+            assert back == pytest.approx(want, rel=1e-6, abs=1e-6)
 
     def test_round_trip_json(self, tmp_path):
         table = _tiny_table()
         path = tmp_path / "out.json"
         emit(table, "json", path)
-        back = read_table(path, "json")
-        assert back.metadata["kind"] == "sumrate_vs_source_snr"
-        assert back.rows == table.rows
+        doc = json.loads(path.read_text())
+        assert doc["metadata"]["kind"] == "sumrate_vs_source_snr"
+        assert all(tuple(r) == CSV_COLUMNS for r in doc["rows"])
+        assert [ResultRow(*r.values()) for r in doc["rows"]] == table.rows
+
+    def test_csv_and_json_rows_agree(self):
+        spec = ExperimentSpec(kind="sumrate_vs_source_snr", schemes=FASTPAIR,
+                              sweep=(0.0, 10.0), trials=2, seed=9, base=BASE)
+        table = run_experiment(spec, workers=1)
+        header, *recs = csv.reader(table_to_csv(table).splitlines())
+        rows = json.loads(table_to_json(table))["rows"]
+        assert tuple(header) == CSV_COLUMNS and len(recs) == len(rows) == 4
+        for rec, row in zip(recs, rows):
+            assert tuple(row) == CSV_COLUMNS
+            assert rec == [v if isinstance(v, str) else f"{v:.6g}" for v in row.values()]
 
     def test_json_carries_run_metadata(self, tmp_path):
         spec = ExperimentSpec(kind="sumrate_vs_source_snr", schemes=FAST,

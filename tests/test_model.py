@@ -21,6 +21,7 @@ from fdtwrc.model import (
 )
 
 CFG = SystemConfig()
+FLOAT_FIELDS = ("p_a_max", "p_b_max", "p_r_max", "sigma2_a", "sigma2_b", "sigma2_r", "gain_br")
 
 
 def crandn(rng, *shape):
@@ -65,9 +66,13 @@ class TestConfig:
         with pytest.raises(TypeError):
             SystemConfig(**{name: getattr(SystemConfig, name)})
 
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_negative_float_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
+            SystemConfig(**{name: -1.0})
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("name", ["p_a_max", "p_b_max", "p_r_max", "sigma2_a", "sigma2_b",
-                                      "sigma2_r", "gain_br"])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
     def test_non_finite_float_rejected(self, name, value):
         # NaN slips through every "< 0" check, and an infinite budget or
         # variance yields NaN rates, so neither may reach a solver

@@ -16,7 +16,7 @@ from fdtwrc.model import (
     zero_loopback,
     zf_residual,
 )
-from fdtwrc.oracles import dc_grid_oracle, grid_power_oracle
+from fdtwrc.oracles import dc_grid_oracle
 from fdtwrc.rate_region import _tx_context, boundary_range
 from fdtwrc.sum_rate import (
     _stationarity_cubic,
