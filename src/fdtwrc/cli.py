@@ -57,10 +57,6 @@ def _base_config(args):
     return replace(base, **overrides)
 
 
-def _schemes(args):
-    return tuple(parse_scheme(s) for s in args.schemes.split(",") if s.strip())
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fdtwrc",
@@ -88,11 +84,14 @@ def main(argv=None):
     level = os.environ.get("FDTWRC_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):  # argparse reads "-30,-10" as an option
+        if argv[i] == "--values" and argv[i + 1][:1] == "-" and argv[i + 1][1:2] != "-":
+            argv[i:i + 2] = [f"--values={argv[i + 1]}"]
+    args = build_parser().parse_args(argv)
     try:
         base = _base_config(args)
-        schemes = _schemes(args)
+        schemes = tuple(parse_scheme(s) for s in args.schemes.split(",") if s.strip())
         if args.command == "region":
             kind = "rate_region"
             sweep_vals = tuple(np.linspace(0.0, 1.0, max(2, args.points)))

@@ -6,13 +6,13 @@ its largest value, which the beamformer's gates give in closed form.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
-    effective_gains,
     make_operating_point,
     receive_combiner,
     receive_gains,
@@ -95,6 +95,20 @@ def _tx_context(channels, w_r):
     return _TxContext(n_t, a_t, b_t, na2 if d2 is not None else 0.0,
                       nb2 if d1 is not None else 0.0, d1, d2, r, phi, n_t.shape[1],
                       *receive_gains(channels, w_r))
+
+
+def _combiners(channels):
+    """One realization's combiner table, alpha -> (w_r, its ``_tx_context``): each
+    built on first use, its arrays read-only, as all points at that alpha share them."""
+    @functools.cache
+    def combiner(alpha):
+        w_r = receive_combiner(channels, alpha)
+        ctx = _tx_context(channels, w_r)
+        for arr in (w_r, ctx.n_t, ctx.a_t, ctx.b_t, ctx.d1, ctx.d2):
+            if arr is not None:
+                arr.setflags(write=False)
+        return w_r, ctx
+    return combiner
 
 
 def _p_prime(p_r_max, p_a, p_b, rx_a, rx_b):
@@ -223,12 +237,12 @@ def solve_txbf_p1(channels, ctx, p_a, p_b, gamma_b, p_r_max):
     return scale * (ctx.n_t @ _null_z(ctx.d1, ctx.d2, ctx.r, ctx.phi, ctx.n, q))
 
 
-def solve_power_p1(channels, w_t, w_r, gamma_b, config):
+def solve_power_p1(channels, w_t, ctx, gamma_b, config):
     """Source powers maximizing A's SINR subject to B's SINR threshold, the
     relay budget and the power box, in closed form.  Returns (p_a, p_b,
     gamma_a): the powers and A's SINR there, the objective maximized.
 
-    With the gains T_a, T_b, R_a, R_b of ``effective_gains``, A's SINR
+    With w_t's gains T_a, T_b and R_a, R_b of the combiner's ``ctx``, A's SINR
     p_b T_a R_b / (T_a + p_a |h_aa|^2 + 1) never increases in p_a, so at
     each p_b the best p_a is the smallest one that meets B's target:
     p_a = c + k p_b with c = gamma_b (T_b + 1) / (T_b R_a) and
@@ -250,19 +264,19 @@ def solve_power_p1(channels, w_t, w_r, gamma_b, config):
     returned when the optimum's SINR is below 1e-12 (a combiner orthogonal
     to h_br, say) and its p_a exceeds c by more than 1e-12.
     """
-    g = effective_gains(channels, w_t, w_r)
+    tx_a, tx_b = abs(np.vdot(channels.h_ra, w_t)) ** 2, abs(np.vdot(channels.h_rb, w_t)) ** 2
     p_a_max, p_b_max = config.p_a_max, config.p_b_max
     if gamma_b > 0:
-        den = g.tx_gain_b * g.rx_gain_a
+        den = tx_b * ctx.rx_a
         if den <= 0.0:
             raise Infeasible("power_polygon")
-        c = gamma_b * (g.tx_gain_b + 1.0) / den
+        c = gamma_b * (tx_b + 1.0) / den
         k = gamma_b * abs(channels.h_bb) ** 2 / den
     else:
         c = k = 0.0
     # relay power: r_a p_a + r_b p_b <= cap
     nt2 = float(np.vdot(w_t, w_t).real)
-    r_a, r_b, cap = nt2 * g.rx_gain_a, nt2 * g.rx_gain_b, config.p_r_max - nt2
+    r_a, r_b, cap = nt2 * ctx.rx_a, nt2 * ctx.rx_b, config.p_r_max - nt2
     relay_top = cap + 1e-9 * max(r_a * p_a_max, r_b * p_b_max, abs(cap), 1.0)
     p_a_top = p_a_max * (1.0 + 1e-9) + 1e-9
     if c > p_a_top or r_a * c > relay_top:
@@ -274,20 +288,20 @@ def solve_power_p1(channels, w_t, w_r, gamma_b, config):
         p_b = (cap - r_a * c) / (r_a * k + r_b)
     p_b = min(max(p_b, 0.0), p_b_max)
     p_a = min(c + k * p_b, p_a_max)
-    gamma_a = p_b * g.tx_gain_a * g.rx_gain_b / (g.tx_gain_a + p_a * abs(channels.h_aa) ** 2 + 1.0)
+    gamma_a = p_b * tx_a * ctx.rx_b / (tx_a + p_a * abs(channels.h_aa) ** 2 + 1.0)
     if gamma_a < 1e-12 and p_a - min(c, p_a_max) > 1e-12:
         return min(c, p_a_max), 0.0, 0.0
     return p_a, p_b, gamma_a
 
 
-def _alternate(channels, alpha, config, starts, beam, power):
+def _alternate(channels, alpha, combiners, config, starts, beam, power):
     """The alternating loop of P1 and P2 for one combiner setting.
 
-    The combiner's ``_tx_context`` is built once.  ``beam(ctx, powers, w_t)``
-    solves the transmit beamformer at the given powers from it (``w_t`` is
-    the previous beamformer, None on the first solve) and may raise
-    Infeasible; ``power(w_t, w_r)`` is the power step, which returns
-    (p_a, p_b, value) with value the objective it maximized.
+    The combiner and its context ``ctx`` come from the ``_combiners`` table
+    (None: a fresh one).  ``beam(ctx, powers, w_t)`` solves the beamformer at
+    the given powers (``w_t`` is the previous one, None on the first solve)
+    and may raise Infeasible; ``power(w_t, ctx)`` is the power step, which
+    returns (p_a, p_b, value) with value the objective it maximized.
     The first solve uses the first start power it accepts (the last
     start's Infeasible propagates).  Each iteration then runs the power
     step, traces its value and stops when the value improves by less than
@@ -297,8 +311,7 @@ def _alternate(channels, alpha, config, starts, beam, power):
     re-solved after the last traced iteration, so the point's objective
     can exceed ``trace[-1]``.
     """
-    w_r = receive_combiner(channels, alpha)
-    ctx = _tx_context(channels, w_r)
+    w_r, ctx = (combiners or _combiners(channels))(alpha)
     for powers in starts:
         try:
             w_t = beam(ctx, powers, None)
@@ -309,7 +322,7 @@ def _alternate(channels, alpha, config, starts, beam, power):
     trace = []
     prev = 0.0
     for _ in range(config.iter_max):
-        *powers, val = power(w_t, w_r)
+        *powers, val = power(w_t, ctx)
         trace.append(val)
         if val - prev < config.conv_tol:
             break
@@ -318,7 +331,7 @@ def _alternate(channels, alpha, config, starts, beam, power):
     return make_operating_point(channels, w_t, w_r, alpha, powers[0], powers[1], trace)
 
 
-def optimize_fixed_alpha_p1(channels, alpha, gamma_b, config):
+def optimize_fixed_alpha_p1(channels, alpha, gamma_b, config, combiners=None):
     """Alternate the beamformer and power solves for one combiner setting.
 
     Starts from full source powers (falling back to (p_a_max, 0) if the
@@ -327,9 +340,10 @@ def optimize_fixed_alpha_p1(channels, alpha, gamma_b, config):
     SINR values is nondecreasing.
     """
     return _alternate(
-        channels, alpha, config, [(config.p_a_max, config.p_b_max), (config.p_a_max, 0.0)],
+        channels, alpha, combiners, config,
+        [(config.p_a_max, config.p_b_max), (config.p_a_max, 0.0)],
         beam=lambda ctx, p, _: solve_txbf_p1(channels, ctx, p[0], p[1], gamma_b, config.p_r_max),
-        power=lambda w_t, w_r: solve_power_p1(channels, w_t, w_r, gamma_b, config))
+        power=lambda w_t, ctx: solve_power_p1(channels, w_t, ctx, gamma_b, config))
 
 
 def _alpha_search(evaluate, config):
@@ -357,7 +371,7 @@ def _alpha_search(evaluate, config):
     return best["point"]
 
 
-def _gamma_b_max(channels, config):
+def _gamma_b_max(combiners, config):
     """B's largest SINR target at which ``max_rate_given_rb`` succeeds.
 
     ``_alpha_search`` raises only when every grid combiner raises, and
@@ -370,29 +384,30 @@ def _gamma_b_max(channels, config):
     s_b = p_bar ||b_t||^2 and p_bar = p_r_max / (p_a_max rx_a + 1): B's SINR
     when A sends at full power, B is silent and the whole relay budget goes
     on the b_t direction.  The result is the largest of these SINRs over
-    the grid combiners, backed off by 1e-9 relative because the gate's
-    margin p_a rx_a - gamma_b cancels near the bound.
+    the grid combiners of the ``_combiners`` table, backed off by 1e-9
+    relative because the gate's margin p_a rx_a - gamma_b cancels near it.
     """
     p_a = config.p_a_max
     best = 0.0
     for alpha in np.linspace(0.0, 1.0, config.alpha_grid):
-        ctx = _tx_context(channels, receive_combiner(channels, float(alpha)))
+        _, ctx = combiners(float(alpha))
         s_b = _p_prime(config.p_r_max, p_a, 0.0, ctx.rx_a, ctx.rx_b) * ctx.nb2
         best = max(best, p_a * ctx.rx_a * s_b / (s_b + 1.0))
     return best * (1.0 - 1e-9)
 
 
-def max_rate_given_rb(channels, r_b, config):
+def max_rate_given_rb(channels, r_b, config, combiners=None):
     """Best operating point for A subject to B achieving rate r_b.
 
     B's SINR threshold 2**r_b - 1 is computed with expm1, so a tiny target
-    (a weak B link) keeps its relative accuracy.
+    (a weak B link) keeps its relative accuracy.  ``combiners`` is a ``_combiners``
+    table that ``rate_region`` shares (None: built afresh); no answer depends on it.
     """
     if r_b < 0:
         raise ValueError("r_b must be nonnegative")
     gamma_b = math.expm1(r_b * _LN2)
     return _alpha_search(
-        lambda a: optimize_fixed_alpha_p1(channels, a, gamma_b, config), config)
+        lambda a: optimize_fixed_alpha_p1(channels, a, gamma_b, config, combiners), config)
 
 
 def region_sweep(solve_targets, r_b_max, n_points):
@@ -419,9 +434,9 @@ def region_sweep(solve_targets, r_b_max, n_points):
     return entries
 
 
-def _rate_or_none(channels, r_b, config):
+def _rate_or_none(channels, r_b, config, combiners):
     try:
-        return max_rate_given_rb(channels, r_b, config)
+        return max_rate_given_rb(channels, r_b, config, combiners=combiners)
     except Infeasible:
         return None
 
@@ -431,6 +446,7 @@ def rate_region(channels, n_points, config):
     (r_b target, OperatingPoint-or-None) pairs, swept from r_b = 0 up to
     B's largest feasible target, log2(1 + ``_gamma_b_max``) (by log1p, which
     keeps a tiny endpoint exact enough for the point solve to meet it)."""
+    combiners = _combiners(channels)
     return region_sweep(
-        lambda targets: [_rate_or_none(channels, r_b, config) for r_b in targets],
-        math.log1p(_gamma_b_max(channels, config)) / _LN2, n_points)
+        lambda targets: [_rate_or_none(channels, r_b, config, combiners) for r_b in targets],
+        math.log1p(_gamma_b_max(combiners, config)) / _LN2, n_points)

@@ -18,12 +18,13 @@ import math
 
 import numpy as np
 
-from .model import effective_gains, receive_gains
+from .model import receive_gains
 from .numerics import maximize_1d, real_cubic_roots
 from .rate_region import (
     _LN2,
     _alpha_search,
     _alternate,
+    _combiners,
     _null_z,
     _p_prime,
     boundary_range,
@@ -202,8 +203,9 @@ def _stationarity_cubic(lins):
     return num
 
 
-def solve_power_p2(channels, w_t, w_r, config):
-    """Source powers maximizing the sum rate at a fixed beamformer.
+def solve_power_p2(channels, w_t, ctx, config):
+    """Source powers maximizing the sum rate at a fixed beamformer and the
+    combiner whose ``_tx_context`` is ``ctx``.
 
     Candidates: the three binary corners, the endpoints of the
     active-budget curve p_a(p_b), and the real roots of the stationarity
@@ -214,16 +216,13 @@ def solve_power_p2(channels, w_t, w_r, config):
     feasible whenever any candidate is, so (0.0, 0.0, 0.0) is returned
     when no candidate scores higher, feasible or not.
     """
-    g = effective_gains(channels, w_t, w_r)
-    tx_a, tx_b, rx_a, rx_b = g.tx_gain_a, g.tx_gain_b, g.rx_gain_a, g.rx_gain_b
+    tx_a, tx_b = abs(np.vdot(channels.h_ra, w_t)) ** 2, abs(np.vdot(channels.h_rb, w_t)) ** 2
+    rx_a, rx_b = ctx.rx_a, ctx.rx_b
     haa2 = abs(channels.h_aa) ** 2
     hbb2 = abs(channels.h_bb) ** 2
     nt2 = float(np.vdot(w_t, w_t).real)
     pa_max, pb_max, pr_max = config.p_a_max, config.p_b_max, config.p_r_max
     budget = pr_max / nt2 - 1.0 if nt2 > 0 else math.inf  # cap on p_a rx_a + p_b rx_b
-
-    def feasible(p_a, p_b):
-        return p_a * rx_a + p_b * rx_b <= budget * (1.0 + 1e-12) + 1e-12
 
     def sum_rate(p_a, p_b):
         ga = p_b * tx_a * rx_b / (tx_a + p_a * haa2 + 1.0)
@@ -257,26 +256,27 @@ def solve_power_p2(channels, w_t, w_r, config):
     for p_a, p_b in cands:
         p_a = min(max(p_a, 0.0), pa_max)
         p_b = min(max(p_b, 0.0), pb_max)
-        if feasible(p_a, p_b):
+        if p_a * rx_a + p_b * rx_b <= budget * (1.0 + 1e-12) + 1e-12:  # relay budget
             val = sum_rate(p_a, p_b)
             if val > best[2]:
                 best = (p_a, p_b, val)
     return best
 
 
-def optimize_fixed_alpha_p2(channels, alpha, config):
+def optimize_fixed_alpha_p2(channels, alpha, config, combiners=None):
     """Alternate the transmit beamformer and the power rule for one combiner.
 
     Starts at full source powers; the beamformer solve is warm-started with
     the previous beamformer so the recorded sum-rate trace never decreases.
     """
     return _alternate(
-        channels, alpha, config, [(config.p_a_max, config.p_b_max)],
+        channels, alpha, combiners, config, [(config.p_a_max, config.p_b_max)],
         beam=lambda ctx, p, w_t: solve_txbf_p2(channels, ctx, p[0], p[1], config, w_t_init=w_t),
-        power=lambda w_t, w_r: solve_power_p2(channels, w_t, w_r, config))
+        power=lambda w_t, ctx: solve_power_p2(channels, w_t, ctx, config))
 
 
 def max_sum_rate(channels, config):
     """Best sum-rate operating point over the combiner parameter grid plus
-    golden refinement."""
-    return _alpha_search(lambda a: optimize_fixed_alpha_p2(channels, a, config), config)
+    golden refinement, reading one ``_combiners`` table."""
+    combiners = _combiners(channels)
+    return _alpha_search(lambda a: optimize_fixed_alpha_p2(channels, a, config, combiners), config)

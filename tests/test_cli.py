@@ -47,6 +47,20 @@ def test_sweep_params_match_sweep_kinds(capsys):
     assert sorted(kinds) == sorted(SWEEPS)
 
 
+def test_sweep_accepts_spaced_negative_values(capsys):
+    # "--values -30,-10" is not one plain number, so argparse alone would
+    # read it as an option
+    common = ["--param", "si", "--trials", "1", "--schemes", "fd2", "--workers", "1"]
+    assert main(["sweep", "--values", "-30,-10", *common]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["sweep", "--values=-30,-10", *common]) == 0
+    assert spaced == capsys.readouterr().out
+    assert [line.split(",")[0] for line in spaced.splitlines()[1:]] == ["-30", "-10"]
+    with pytest.raises(SystemExit) as exc:  # an option after --values is still no value
+        main(["sweep", "--values", "--trials", "1", "--param", "si"])
+    assert exc.value.code == 2
+
+
 def test_region_command(tmp_path):
     out = tmp_path / "region.csv"
     rc = main(["region", "--trials", "1", "--points", "3", "--schemes", "fd2",

@@ -31,6 +31,7 @@ from fdtwrc.model import (
 from fdtwrc.oracles import grid_power_oracle
 from fdtwrc.rate_region import (
     Infeasible,
+    _combiners,
     _gamma_b_max,
     _null_z,
     _tx_context,
@@ -145,7 +146,7 @@ def test_power_p1_against_grid_oracle(cfg, seed, alpha, power_share, target_shar
     gamma_b = target_share * cfg.p_a_max * g.tx_gain_b * g.rx_gain_a / (g.tx_gain_b + 1.0)
     oracle = grid_power_oracle(ch, w_t, w_r, "p1", 400, cfg, gamma_b=gamma_b)
     try:
-        pa, pb, value = solve_power_p1(ch, w_t, w_r, gamma_b, cfg)
+        pa, pb, value = solve_power_p1(ch, w_t, _tx_context(ch, w_r), gamma_b, cfg)
     except Infeasible:
         assert oracle.best_value == -np.inf
         return
@@ -171,8 +172,9 @@ def test_converged_trace_ends_at_the_point_objective(cfg, seed, alpha, target_sh
     pt = optimize_fixed_alpha_p2(ch, alpha, cfg)
     if len(pt.trace) < SystemConfig.iter_max:
         assert pt.trace[-1] == pt.sum_rate
+    gamma_b = target_share * _gamma_b_max(_combiners(ch), cfg)
     try:
-        pt = optimize_fixed_alpha_p1(ch, alpha, target_share * _gamma_b_max(ch, cfg), cfg)
+        pt = optimize_fixed_alpha_p1(ch, alpha, gamma_b, cfg)
     except Infeasible:
         return
     if len(pt.trace) < SystemConfig.iter_max:

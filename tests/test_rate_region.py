@@ -1,4 +1,5 @@
 import cmath
+import importlib
 import math
 from dataclasses import replace
 
@@ -28,6 +29,7 @@ from fdtwrc.rate_region import (
     max_rate_given_rb,
     optimize_fixed_alpha_p1,
     rate_region,
+    region_sweep,
     solve_power_p1,
     solve_txbf_p1,
 )
@@ -170,7 +172,7 @@ class TestSolvePowerP1:
         w_t = 0.05 * (n_t @ unit(crandn(np.random.default_rng(0), n_t.shape[1])))
         g = effective_gains(ch, w_t, w_r)
         gamma_b = 0.01 * CFG.p_a_max * g.tx_gain_b * g.rx_gain_a / (g.tx_gain_b + 1.0)
-        p_a, p_b, _ = solve_power_p1(ch, w_t, w_r, gamma_b, CFG)
+        p_a, p_b, _ = solve_power_p1(ch, w_t, _tx_context(ch, w_r), gamma_b, CFG)
         assert p_b == CFG.p_b_max
         expected_pa = gamma_b * (g.tx_gain_b + 1.0) / (g.tx_gain_b * g.rx_gain_a)
         assert abs(p_a - expected_pa) < 1e-9 * max(1.0, expected_pa)
@@ -182,7 +184,7 @@ class TestSolvePowerP1:
         # B-SINR target beyond what p_a = p_a_max can deliver
         gamma_b = 2.0 * CFG.p_a_max * g.tx_gain_b * g.rx_gain_a / (g.tx_gain_b + 1.0)
         with pytest.raises(Infeasible):
-            solve_power_p1(ch, w_t, w_r, gamma_b, CFG)
+            solve_power_p1(ch, w_t, _tx_context(ch, w_r), gamma_b, CFG)
 
     def test_against_grid_oracle(self):
         hits = 0
@@ -190,7 +192,7 @@ class TestSolvePowerP1:
             ch, w_r, p_a, p_b, gamma_b = random_txbf_instance(300 + seed)
             try:
                 w_t = solve_txbf_p1(ch, _tx_context(ch, w_r), p_a, p_b, gamma_b, CFG.p_r_max)
-                pa, pb, _ = solve_power_p1(ch, w_t, w_r, gamma_b, CFG)
+                pa, pb, _ = solve_power_p1(ch, w_t, _tx_context(ch, w_r), gamma_b, CFG)
             except Infeasible:
                 continue
             hits += 1
@@ -367,6 +369,64 @@ class TestRateRegion:
             end_b.append(entries[1][1].rate_b)
         ratio = np.mean(end_a) / np.mean(end_b)
         assert 0.75 < ratio < 1.25
+
+
+def _point_bits(pt):
+    """Every field of an operating point, arrays as bytes."""
+    if pt is None:
+        return None
+    b = pt.beamformer
+    return (pt.rate_a, pt.rate_b, pt.gamma_a, pt.gamma_b, pt.powers.p_a, pt.powers.p_b,
+            pt.powers.p_r, b.alpha, b.w_t.tobytes(), b.w_r.tobytes(), tuple(pt.trace))
+
+
+def _standalone_or_none(ch, r_b, cfg):
+    try:
+        return max_rate_given_rb(ch, r_b, cfg)
+    except Infeasible:
+        return None
+
+
+class TestCombinerTable:
+    """A region sweep shares one combiner table across its points and its
+    endpoint; the table is a memo, so it changes no answer."""
+
+    @pytest.mark.parametrize("cfg", [CFG, replace(CFG, m_r=1)], ids=["default", "m_r1"])
+    def test_points_equal_standalone_solves(self, cfg):
+        for seed in (20, 21):
+            ch = sample_channels(cfg, seed)
+            entries = rate_region(ch, 9, cfg)
+            # the same sweep (targets, repair) with a fresh table per point
+            ref = region_sweep(
+                lambda targets: [_standalone_or_none(ch, r_b, cfg) for r_b in targets],
+                entries[-1][0], 9)
+            assert [(r_b, _point_bits(pt)) for r_b, pt in entries] == [
+                (r_b, _point_bits(pt)) for r_b, pt in ref]
+
+    def test_one_context_per_distinct_alpha(self, monkeypatch):
+        mod = importlib.import_module("fdtwrc.rate_region")
+        builds, alphas = [], []
+        tx_context, point_solve = mod._tx_context, mod.optimize_fixed_alpha_p1
+
+        def counting_context(channels, w_r):
+            builds.append(w_r)
+            return tx_context(channels, w_r)
+
+        def recording_solve(channels, alpha, *args):
+            alphas.append(alpha)
+            return point_solve(channels, alpha, *args)
+
+        monkeypatch.setattr(mod, "_tx_context", counting_context)
+        monkeypatch.setattr(mod, "optimize_fixed_alpha_p1", recording_solve)
+        entries = rate_region(sample_channels(CFG, 22), 9, CFG)
+        # the endpoint reads the grid combiners, the point searches every alpha
+        distinct = set(alphas) | set(np.linspace(0.0, 1.0, CFG.alpha_grid).tolist())
+        assert len(builds) == len(distinct)
+        assert len(alphas) > 3 * len(distinct)  # the points revisit the grid
+        w_r = entries[0][1].beamformer.w_r
+        assert not w_r.flags.writeable
+        with pytest.raises(ValueError):
+            w_r[0] = 0.0
 
 
 def _bisect_on_point_solver(point_solver, cap, steps=24):

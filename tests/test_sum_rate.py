@@ -354,7 +354,7 @@ class TestSolvePowerP2:
         w_r = receive_combiner(ch, 0.5)
         n_t = relay_null_basis(ch, w_r)
         w_t = 0.3 * (n_t @ unit(crandn(np.random.default_rng(0), n_t.shape[1])))
-        p_a, p_b, _ = solve_power_p2(ch, w_t, w_r, cfg)
+        p_a, p_b, _ = solve_power_p2(ch, w_t, _tx_context(ch, w_r), cfg)
         # enumerate the three binary candidates explicitly
         def sr(pa, pb):
             g_a = pb * abs(np.vdot(ch.h_ra, w_t)) ** 2 * abs(np.vdot(w_r, ch.h_br)) ** 2 / (
@@ -375,20 +375,20 @@ class TestSolvePowerP2:
         w_r = receive_combiner(ch, 0.5)
         n_t = relay_null_basis(ch, w_r)
         w_t = 0.2 * (n_t @ unit(crandn(np.random.default_rng(3), n_t.shape[1])))
-        assert solve_power_p2(ch, w_t, w_r, cfg)[:2] == (cfg.p_a_max, cfg.p_b_max)
+        assert solve_power_p2(ch, w_t, _tx_context(ch, w_r), cfg)[:2] == (cfg.p_a_max, cfg.p_b_max)
 
     def test_degenerate_budget(self):
         cfg, ch, w_r, _, _ = instance(12)
         n_t = relay_null_basis(ch, w_r)
         z = unit(crandn(np.random.default_rng(1), n_t.shape[1]))
         w_t = math.sqrt(cfg.p_r_max) * (n_t @ z)  # P_R / ||w_t||^2 = 1
-        assert solve_power_p2(ch, w_t, w_r, cfg) == (0.0, 0.0, 0.0)
+        assert solve_power_p2(ch, w_t, _tx_context(ch, w_r), cfg) == (0.0, 0.0, 0.0)
 
     def test_against_curve_grid_oracle(self):
         for seed in range(30):
             cfg, ch, w_r, p_a0, p_b0 = instance(600 + seed)
             w_t = solve_txbf_p2(ch, _tx_context(ch, w_r), p_a0, p_b0, cfg)
-            p_a, p_b, _ = solve_power_p2(ch, w_t, w_r, cfg)
+            p_a, p_b, _ = solve_power_p2(ch, w_t, _tx_context(ch, w_r), cfg)
             rx_a = abs(np.vdot(w_r, ch.h_ar)) ** 2
             rx_b = abs(np.vdot(w_r, ch.h_br)) ** 2
             tx_a = abs(np.vdot(ch.h_ra, w_t)) ** 2
@@ -419,7 +419,7 @@ class TestSolvePowerP2:
         for seed in range(25):
             cfg, ch, w_r, p_a0, p_b0 = instance(700 + seed)
             w_t = solve_txbf_p2(ch, _tx_context(ch, w_r), p_a0, p_b0, cfg)
-            p_a, p_b, value = solve_power_p2(ch, w_t, w_r, cfg)
+            p_a, p_b, value = solve_power_p2(ch, w_t, _tx_context(ch, w_r), cfg)
             assert -1e-9 <= p_a <= cfg.p_a_max + 1e-9
             assert -1e-9 <= p_b <= cfg.p_b_max + 1e-9
             assert relay_output_power(ch, w_t, w_r, p_a, p_b) <= cfg.p_r_max * (1 + 1e-9) + 1e-9
