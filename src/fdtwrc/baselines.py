@@ -3,15 +3,15 @@ FD relaying, the no-relay-SI upper bound, and the local-CSI variant.
 
 HD has no self-interference and full fixed powers, so only the relay matrix
 is optimized, over its useful subspaces: the benchmark the reported gains
-are measured against.  ``hd_anc_solve`` maximizes the HD sum rate; an HD
-region sweep runs up to B's largest target, the best scored start's, and
-solves all its boundary points in one lockstep search.  The
-upper bound reuses the proposed solvers on a realization whose relay
+are measured against.  There each HD SINR is a rank-one quotient of
+Hermitian forms (``_hd_forms``).  ``hd_anc_solve`` maximizes the HD sum
+rate by a Newton ascent; an HD region sweep runs up to B's closed-form
+largest SINR and solves every boundary point exactly through a 1-D dual,
+all points in one batch.  No HD step is random.  The upper bound reuses the proposed solvers on a realization whose relay
 loopback is zeroed, which removes the ZF restriction while keeping source
 SI.
 """
 
-import copy
 import enum
 import math
 from dataclasses import dataclass, replace
@@ -72,12 +72,6 @@ def parse_scheme(name):
                          f"{sorted(s.value for s in SchemeId)}") from None
 
 
-# the HD search: seeded start matrices, hill-climbing stages, candidates per stage
-_HD_STARTS = 3000
-_HD_STAGES = 80
-_HD_BATCH = 192
-
-
 @dataclass
 class _HdReduced:
     """HD relay optimization reduced to the useful subspaces.
@@ -123,62 +117,306 @@ def _hd_gammas(x, red, config):
     return gamma_a, gamma_b, scale2
 
 
-def _hd_starts(red, config, seed=0):
-    """The _HD_STARTS seeded start matrices of ``_hd_search``, their SINR
-    pairs and the generator that continues their stream, as (x, gamma_a,
-    gamma_b, rng).  ``_hd_search`` copies the generator, so the starts can
-    be scored once and searched from again."""
-    kt, kr = red.a_t.size, red.a_r.size
-    rng = np.random.default_rng(seed)
-    shape = (_HD_STARTS, kt, kr)
-    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    gamma_a, gamma_b, _ = _hd_gammas(x, red, config)
-    return x, gamma_a, gamma_b, rng
+@dataclass
+class _HdForms:
+    """Each HD SINR as a rank-one quotient of Hermitian forms in y, the
+    reduced relay matrix in relay-power coordinates: vec(X) = k y
+    (row-major vec), X's relay power is ||y||^2 and
+
+        gamma_a(y) = p_b p_r |c_a^H y|^2 / y^H (I + p_r t_a) y,
+
+    and gamma_b likewise with a and b (and p_a, p_b) swapped.
+    """
+
+    k: np.ndarray
+    c_a: np.ndarray
+    c_b: np.ndarray
+    t_a: np.ndarray
+    t_b: np.ndarray
 
 
-def _hd_search(red, config, value_fn, n_rows, starts):
-    """Random-restart hill climbing over the reduced relay matrix from the
-    scored ``_hd_starts``, for n_rows objectives in lockstep; deterministic
-    for given starts.
+def _hd_forms(red, config):
+    """The ``_HdForms`` of a reduced realization.
 
-    value_fn(gamma_a, gamma_b, rows) scores SINR arrays of shape (N,) (the
-    shared starts) or (len(rows), N) for the objectives ``rows`` as a
-    (len(rows), N) array, or (N,) for one row (-inf marks an infeasible
-    candidate).  Every row climbs from its own
-    best start with its own step size, but all rows share each stage's
-    random step draw, so a row's result does not depend on the others.
-    A row no start makes finite is dropped before the first stage.
-    Returns a (best_x, best_value) pair per row, (None, -inf) if dropped.
+    Proof.  ``_hd_gammas`` rescales X to the budget, s = p_r / power(X) with
+    power(X) = p_a ||X a_r||^2 + p_b ||X b_r||^2 + ||X||_F^2, so
+    gamma_a = p_b |a_t^H X b_r|^2 s / (||X^H a_t||^2 s + 1); multiplying
+    through by power(X) / s gives p_b p_r |a_t^H X b_r|^2 /
+    (p_r ||X^H a_t||^2 + power(X)).  For x = vec(X), row-major,
+    a_t^H X b_r = (a_t kron conj(b_r))^H x, ||X^H a_t||^2 =
+    x^H (a_t a_t^H kron I) x and power(X) = x^H (I kron R) x with
+    R = I + p_a conj(a_r) a_r^T + p_b conj(b_r) b_r^T.  R = C C^H is
+    positive definite, so x = (I kron C^-H) y turns power(X) into ||y||^2
+    and the rest into c_a and t_a; B's SINR is the same with a and b
+    swapped.  Both denominators are at least ||y||^2 > 0, for p_r = 0 too.
     """
     kt, kr = red.a_t.size, red.a_r.size
-    x, ga, gb, rng = starts
-    rng = copy.deepcopy(rng)
-    vals = value_fn(ga, gb, np.arange(n_rows)).reshape(n_rows, -1)
-    first = np.argmax(vals, axis=1)
-    rows = [k for k in range(n_rows) if np.isfinite(vals[k, first[k]])]
-    found = [(None, -math.inf)] * n_rows
-    if not rows:
-        return found
-    best_val = [float(vals[k, first[k]]) for k in rows]
-    best_x = x[first[rows]]
-    sigma = np.full(len(rows), 0.5)
-    shape = (_HD_BATCH, kt, kr)
-    for _ in range(_HD_STAGES):
-        step = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        cand = best_x[:, None] + sigma[:, None, None, None] * step
-        ga, gb, _ = _hd_gammas(cand.reshape(-1, kt, kr), red, config)
-        vals = value_fn(ga.reshape(len(rows), -1), gb.reshape(len(rows), -1), rows)
-        for i, j in enumerate(vals.argmax(axis=1).tolist()):
-            if vals[i, j] > best_val[i]:
-                best_val[i], best_x[i] = float(vals[i, j]), cand[i, j]
-            else:
-                sigma[i] *= 0.8
-    for i, k in enumerate(rows):
-        found[k] = (best_x[i], best_val[i])
-    return found
+    r = (np.eye(kr) + config.p_a_max * np.outer(red.a_r.conj(), red.a_r)
+         + config.p_b_max * np.outer(red.b_r.conj(), red.b_r))
+    k = np.kron(np.eye(kt), np.linalg.inv(np.linalg.cholesky(r)).conj().T)
+
+    def transmit_form(t):
+        return k.conj().T @ np.kron(np.outer(t, t.conj()), np.eye(kr)) @ k
+
+    return _HdForms(k=k, c_a=k.conj().T @ np.kron(red.a_t, red.b_r.conj()),
+                    c_b=k.conj().T @ np.kron(red.b_t, red.a_r.conj()),
+                    t_a=transmit_form(red.a_t), t_b=transmit_form(red.b_t))
 
 
-def _hd_point(channels, x, red, config, trace_value):
+def _hd_gamma_b_max(forms, config):
+    """B's largest SINR, p_a p_r c_b^H D_b^-1 c_b with D_b = I + p_r t_b.
+
+    Proof: by Cauchy-Schwarz in the D_b inner product, |c_b^H y|^2 =
+    |(D_b^-1 c_b)^H D_b y|^2 <= (c_b^H D_b^-1 c_b)(y^H D_b y), with equality
+    at y = D_b^-1 c_b.
+    """
+    d_b = np.eye(forms.c_b.size) + config.p_r_max * forms.t_b
+    return config.p_a_max * config.p_r_max * float(
+        np.vdot(forms.c_b, np.linalg.solve(d_b, forms.c_b)).real)
+
+
+def _bloch(h):
+    """(h0, h) with w^H h w = h0 + h . r for each 2 x 2 Hermitian matrix
+    of a stack, where w w^H = (I + r . sigma) / 2 (sigma: the Pauli
+    matrices; unit w in C^2 is a unit r in R^3)."""
+    return (0.5 * (h[..., 0, 0] + h[..., 1, 1]).real,
+            np.stack([h[..., 0, 1].real, -h[..., 0, 1].imag,
+                      0.5 * (h[..., 0, 0] - h[..., 1, 1]).real], axis=-1))
+
+
+def _unit(v, fallback):
+    """v / |v| along the last axis, ``fallback`` where v = 0."""
+    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    return np.where(n > 0.0, v / np.where(n > 0.0, n, 1.0), fallback)
+
+
+def _best_in_plane(p, q):
+    """max w^H p w subject to w^H q w >= 0 over unit w in C^2, for stacks
+    of 2 x 2 Hermitian p and q.  Returns (w, value, nu): the maximizer, its
+    value (-inf where no unit w meets the constraint) and the constraint's
+    multiplier.
+
+    Proof.  In Bloch form (``_bloch``) the problem is max p0 + p . r
+    subject to q0 + q . r >= 0 over unit r in R^3.  The map r -> (p . r,
+    q . r) has rank at most 2, so the sphere and the ball have the same
+    image and |r| <= 1 may replace |r| = 1.  If r = p / |p| meets the
+    constraint, it is optimal.  Otherwise the constraint binds (a maximizer
+    strictly inside the half-space would be a local, hence the global,
+    maximizer over the ball, p / |p|), and on the disk {q . r = -q0,
+    |r| <= 1}, centred at a q/|q| with a = -q0 / |q| and of radius
+    b = sqrt(1 - a^2), the linear objective peaks at the centre plus b
+    times the unit part e of p orthogonal to q (any unit e orthogonal to q
+    when p is parallel to q).  The disk is empty when q0 + |q| < 0.  With
+    the ball's multiplier kappa = |p_perp| / b, stationarity p + nu q =
+    kappa r gives nu = (kappa a - p . q/|q|) / |q|.
+    """
+    p0, pv = _bloch(p)
+    q0, qv = _bloch(q)
+    ez = np.array([0.0, 0.0, 1.0])
+    qn = np.linalg.norm(qv, axis=-1)
+    q_hat = _unit(qv, ez)
+    r_free = _unit(pv, q_hat)
+    free = q0 + np.sum(qv * r_free, axis=-1) >= 0.0
+    a = np.clip(-q0 / np.where(qn > 0.0, qn, 1.0), -1.0, 1.0)
+    perp = pv - np.sum(pv * q_hat, axis=-1, keepdims=True) * q_hat
+    # twice: one pass leaves a rounding-sized component along q when p is
+    # nearly parallel to q, and that component moves the constraint
+    perp = perp - np.sum(perp * q_hat, axis=-1, keepdims=True) * q_hat
+    other = np.cross(q_hat, np.where(np.abs(q_hat[..., :1]) < 0.9, [1.0, 0.0, 0.0],
+                                     [0.0, 1.0, 0.0]))
+    e = _unit(perp, _unit(other, ez))
+    b = np.sqrt(1.0 - a * a)
+    r = np.where(free[..., None], r_free, a[..., None] * q_hat + b[..., None] * e)
+    value = np.where(free | (q0 + qn >= 0.0), p0 + np.sum(pv * r, axis=-1), -np.inf)
+    kappa = np.linalg.norm(perp, axis=-1) / np.where(b > 0.0, b, np.inf)
+    nu = np.where(free, 0.0, (kappa * a - np.sum(pv * q_hat, axis=-1))
+                  / np.where(qn > 0.0, qn, np.inf))
+    # back from r to w, dividing by the larger of 1 + r_z and 1 - r_z
+    up = r[..., 2:] >= 0.0
+    w = np.where(up, np.stack([1.0 + r[..., 2], r[..., 0] + 1j * r[..., 1]], axis=-1),
+                 np.stack([r[..., 0] - 1j * r[..., 1], 1.0 - r[..., 2]], axis=-1))
+    return w / np.sqrt(2.0 * (1.0 + np.abs(r[..., 2:]))), value, nu
+
+
+# step caps of the dual and sum-rate Newton loops, well above the steps
+# their convergence tests stop them at
+_HD_DUAL_STEPS = 60
+_HD_NEWTON_STEPS = 40
+
+
+def _hd_region_points(forms, config, thresholds):
+    """For each SINR threshold t, the y that maximizes gamma_a subject to
+    gamma_b >= t, and its gamma_a; (None, -inf) where t exceeds
+    ``_hd_gamma_b_max``.  A row's answer does not depend on the others.
+
+    Proof.  Whiten by D_a = I + p_r t_a = L L^H, v = L^H y: gamma_a =
+    g_a |alpha^H v|^2 / ||v||^2 and gamma_b = s_b |beta^H v|^2 / v^H G v
+    with unit alpha, beta along L^-1 c_a, L^-1 c_b, g_a = p_b p_r
+    ||L^-1 c_a||^2, s_b = p_a p_r ||L^-1 c_b||^2 and G = I + p_r L^-1
+    (t_b - t_a) L^-H (formed from the difference, so that G keeps its
+    accuracy when D_a and D_b are large).  If alpha meets the target it is
+    optimal.  Otherwise t > 0 and s_b > 0, and with tau = t / s_b and
+    M = beta beta^H - tau G the row is
+
+        max |alpha^H v|^2  subject to  ||v|| = 1,  v^H M v >= 0.
+
+    The joint numerical range {(v^H alpha alpha^H v, v^H M v) : ||v|| = 1}
+    is convex (Toeplitz-Hausdorff, for any dimension, 2 included), so the
+    Lagrangian dual has no gap: the optimum is min over mu >= 0 of
+    g(mu) = lambda_max(alpha alpha^H + mu M), a convex function with
+    g'(mu) = v1^H M v1 and g''(mu) = 2 sum_j |vj^H M v1|^2 / (l1 - lj)
+    from its eigenpairs (l_j, v_j) where l1 is simple.  It is minimized by
+    Newton steps kept inside the bracket that the slopes' signs give
+    (bisection inside it, doubling while no slope has been positive),
+    from the multiplier of the plane span{alpha, v_b}, v_b = G^-1 beta
+    being B's maximizer.  Primal: every step solves the problem exactly on
+    the span of the top two eigenvectors (``_best_in_plane``), which at
+    mu* holds a maximizer whether l1 is simple (v1, with g' = 0) or double
+    (a mix of v1 and v2 with v^H M v = 0 reaches l1); the best such point,
+    or v_b, is kept, so every answer is feasible.  A row stops when its
+    point is within 1e-13 relative of g(mu), a bound on the optimum by weak
+    duality, or when the Newton step stalls.
+    """
+    p_r = config.p_r_max
+    n = forms.c_a.size
+    ell_inv = np.linalg.inv(np.linalg.cholesky(np.eye(n) + p_r * forms.t_a))
+    a_w, b_w = ell_inv @ forms.c_a, ell_inv @ forms.c_b
+    alpha, beta = a_w / np.linalg.norm(a_w), b_w / np.linalg.norm(b_w)
+    g_a = config.p_b_max * p_r * float(np.vdot(a_w, a_w).real)
+    s_b = config.p_a_max * p_r * float(np.vdot(b_w, b_w).real)
+    g = np.eye(n) + p_r * (ell_inv @ (forms.t_b - forms.t_a) @ ell_inv.conj().T)
+    g = 0.5 * (g + g.conj().T)
+    t = np.asarray(thresholds, dtype=float)
+    feasible = t <= _hd_gamma_b_max(forms, config)
+    rows = np.flatnonzero(feasible & (s_b * abs(np.vdot(beta, alpha)) ** 2
+                                      < t * np.vdot(alpha, g @ alpha).real))
+    v = np.tile(alpha, (t.size, 1))
+    value = np.where(feasible, 1.0, -np.inf)
+    if rows.size:
+        aa = np.outer(alpha, alpha.conj())
+        m = np.outer(beta, beta.conj()) - (t[rows] / s_b)[:, None, None] * g
+        v_b = np.linalg.solve(g, beta)
+        v_b /= np.linalg.norm(v_b)
+        plane, _ = np.linalg.qr(np.stack([alpha, v_b], axis=1))
+        w, best, nu = _best_in_plane(plane.conj().T @ aa @ plane,
+                                     plane.conj().T @ m @ plane)
+        at_b = abs(np.vdot(alpha, v_b)) ** 2
+        best_v = np.where((best > at_b)[:, None], w @ plane.T, v_b)
+        best = np.maximum(best, at_b)
+        mu = np.where(nu > 0.0, nu, 1.0)
+        lo, hi = np.zeros(rows.size), np.full(rows.size, np.inf)
+        done = np.zeros(rows.size, dtype=bool)
+        for _ in range(_HD_DUAL_STEPS):
+            lam, vec = np.linalg.eigh(aa + mu[:, None, None] * m)
+            mv = vec.conj().transpose(0, 2, 1) @ m @ vec
+            top2 = vec[:, :, -2:]
+            w, val, _ = _best_in_plane(top2.conj().transpose(0, 2, 1) @ aa @ top2,
+                                       mv[:, -2:, -2:])
+            gain = (val > best) & ~done
+            best_v = np.where(gain[:, None], (top2 @ w[:, :, None])[:, :, 0], best_v)
+            best = np.where(gain, val, best)
+            done |= lam[:, -1] - best <= 1e-13 * lam[:, -1]
+            slope = mv[:, -1, -1].real
+            spread = lam[:, -1:] - lam[:, :-1]
+            curv = 2.0 * np.sum(np.abs(mv[:, :-1, -1]) ** 2 / np.maximum(
+                spread, 1e-15 * np.abs(lam).max(axis=1, keepdims=True) + 1e-300), axis=1)
+            lo = np.where(slope < 0.0, mu, lo)
+            hi = np.where(slope < 0.0, hi, mu)
+            newton = mu - slope / np.where(curv > 0.0, curv, np.inf)
+            step = np.where((lo < newton) & (newton < hi), newton,
+                            np.where(np.isfinite(hi), 0.5 * (lo + hi), 2.0 * mu + 1.0))
+            done |= np.abs(step - mu) <= 1e-10 * mu
+            if done.all():
+                break
+            mu = np.where(done, mu, step)
+        v[rows], value[rows] = best_v, best
+    y = v @ ell_inv.conj()  # rows of L^-H v
+    return [(None, -math.inf) if not ok else (y_k, g_a * val)
+            for ok, y_k, val in zip(feasible, y, value)]
+
+
+def _hd_max_sum_rate(forms, config):
+    """A y that maximizes ln(1 + gamma_a) + ln(1 + gamma_b), and that value.
+
+    Newton ascent in real coordinates z = (Re y, Im y), from six starts in
+    lockstep: D_a^-1 c_a and D_b^-1 c_b (each SINR's own maximizer, by
+    ``_hd_gamma_b_max``'s argument) and their four unit-phase sums
+    y_a + i^j y_b (unit y_a, y_b).  Each SINR is a quotient N / D of
+    quadratic forms in z, so, with gamma' = 2 (N z - gamma D z) / (z^T D z),
+    its Hessian is (2 N - 2 gamma D - gamma' (2 D z)^T - (2 D z) gamma'^T) /
+    (z^T D z), and those of ln(1 + gamma) follow by the chain rule.  The
+    objective is constant along z (scale) and J z (phase, y -> i y), so
+    both directions are projected out of the gradient and Hessian; the step
+    divides each remaining Hessian eigendirection's gradient component by
+    the eigenvalue's magnitude (the Newton step where the Hessian is
+    negative definite, an ascent direction elsewhere).  A start moves to the
+    best of the step scaled by 1, 1/2, ..., 1/2048 only if that raises its
+    objective, so each start's value never falls; all stop when every
+    start's Newton decrement is below 1e-14 relative.  The problem is not
+    concave, so this is a local method: the starts cover both single-user
+    optima and the phases between them.
+    """
+    n = forms.c_a.size
+    p_r = config.p_r_max
+
+    def real(h):
+        return np.block([[h.real, -h.imag], [h.imag, h.real]])
+
+    eye = np.eye(n)
+    d_a, d_b = eye + p_r * forms.t_a, eye + p_r * forms.t_b
+    pairs = [(real(config.p_b_max * p_r * np.outer(forms.c_a, forms.c_a.conj())), real(d_a)),
+             (real(config.p_a_max * p_r * np.outer(forms.c_b, forms.c_b.conj())), real(d_b))]
+    y_a, y_b = np.linalg.solve(d_a, forms.c_a), np.linalg.solve(d_b, forms.c_b)
+    y_a, y_b = y_a / np.linalg.norm(y_a), y_b / np.linalg.norm(y_b)
+    y = np.stack([y_a, y_b] + [y_a + 1j ** j * y_b for j in range(4)])
+    y = _unit(y, y_a)
+    z = np.concatenate([y.real, y.imag], axis=1)
+    turn = real(1j * eye)
+    ladder = 0.5 ** np.arange(12)
+
+    def quotients(z):
+        return [(np.sum(z * (z @ num), axis=-1), np.sum(z * (z @ den), axis=-1))
+                for num, den in pairs]
+
+    def objective(z):
+        return sum(np.log1p(nz / dz) for nz, dz in quotients(z))
+
+    f = objective(z)
+    for _ in range(_HD_NEWTON_STEPS):
+        grad = np.zeros_like(z)
+        hess = np.zeros(z.shape + (2 * n,))
+        for (nz, dz), (num, den) in zip(quotients(z), pairs):
+            gamma = (nz / dz)[:, None]
+            dz_vec = z @ den
+            dg = 2.0 * (z @ num - gamma * dz_vec) / dz[:, None]
+            d2g = (2.0 * num - 2.0 * gamma[:, :, None] * den
+                   - 2.0 * dg[:, :, None] * dz_vec[:, None, :]
+                   - 2.0 * dz_vec[:, :, None] * dg[:, None, :]) / dz[:, None, None]
+            grad += dg / (1.0 + gamma)
+            hess += (d2g / (1.0 + gamma[:, :, None])
+                     - dg[:, :, None] * dg[:, None, :] / (1.0 + gamma[:, :, None]) ** 2)
+        jz = z @ turn.T
+        proj = (np.eye(2 * n) - z[:, :, None] * z[:, None, :] - jz[:, :, None] * jz[:, None, :])
+        grad = (proj @ grad[:, :, None])[:, :, 0]
+        lam, vec = np.linalg.eigh(proj @ hess @ proj)
+        floor = 1e-12 * np.abs(lam).max(axis=1, keepdims=True) + 1e-300
+        coef = (grad[:, None, :] @ vec)[:, 0, :] / np.maximum(np.abs(lam), floor)
+        d = (vec @ coef[:, :, None])[:, :, 0]
+        if np.all(np.sum(grad * d, axis=1) <= 1e-14 * (1.0 + f)):
+            break
+        cand = _unit(z[:, None, :] + ladder[:, None] * d[:, None, :], z[:, None, :])
+        f_cand = objective(cand)
+        pick = np.argmax(f_cand, axis=1)
+        f_pick = f_cand[np.arange(len(z)), pick]
+        rise = f_pick > f
+        z = np.where(rise[:, None], cand[np.arange(len(z)), pick], z)
+        f = np.where(rise, f_pick, f)
+    best = int(np.argmax(f))
+    return z[best, :n] + 1j * z[best, n:], float(f[best])
+
+
+def _hd_point(y, red, forms, config, trace_value):
+    x = (forms.k @ y).reshape(red.a_t.size, red.a_r.size)
     gamma_a, gamma_b, scale2 = _hd_gammas(x[None], red, config)
     gamma_a, gamma_b = float(gamma_a[0]), float(gamma_b[0])
     w_full = math.sqrt(float(scale2[0])) * (red.u @ x @ red.v.conj().T)
@@ -195,56 +433,51 @@ def _hd_point(channels, x, red, config, trace_value):
         trace=[trace_value], pre_log=0.5)
 
 
+def _hd_setup(channels, config):
+    red = _hd_reduce(strip_source_si(zero_loopback(channels)))
+    return red, _hd_forms(red, config)
+
+
 def hd_anc_solve(channels, config):
     """Two-phase HD analog network coding benchmark, at its best sum rate.
 
     Both sources use full power and there is no self-interference, so only
-    the relay matrix is optimized, over its useful subspaces; rates carry
-    the 1/2 pre-log of the two transmission phases.
+    the relay matrix is optimized, over its useful subspaces, by
+    ``_hd_max_sum_rate``'s Newton ascent; rates carry the 1/2 pre-log of
+    the two transmission phases.
     """
-    hd_channels = strip_source_si(zero_loopback(channels))
-    red = _hd_reduce(hd_channels)
-
-    def value(ga, gb, rows):
-        return np.log2(1.0 + ga) + np.log2(1.0 + gb)
-
-    (x, val), = _hd_search(red, config, value, 1, _hd_starts(red, config))
-    return _hd_point(hd_channels, x, red, config, trace_value=0.5 * val)
+    red, forms = _hd_setup(channels, config)
+    y, value = _hd_max_sum_rate(forms, config)
+    return _hd_point(y, red, forms, config, trace_value=0.5 * value / _LN2)
 
 
 def _hd_region(channels, config):
     """HD region solve over a list of B targets and B's largest target, as
     (solve_targets, r_b_max).
 
-    ``solve_targets(targets)`` runs one lockstep ``_hd_search`` that
-    maximizes A's SINR at each target and returns an OperatingPoint per
-    target, or None where no start meets it.  B's target r_b lives in the
-    halved-rate domain, so the per-phase SINR threshold is 2**(2 r_b) - 1,
-    computed with expm1 (and the endpoint with log1p) so that a tiny
-    threshold survives the round trip; a threshold is backed off by 1e-9
-    relative.  The channels are reduced and the starts scored once, and B's
-    largest target is the best start's, the largest at which one start
-    meets the target.
+    ``solve_targets(targets)`` solves every target exactly in one batch
+    (``_hd_region_points``) and returns an OperatingPoint per target, or
+    None where the target exceeds B's largest SINR.  B's target r_b lives
+    in the halved-rate domain, so the per-phase SINR threshold is
+    2**(2 r_b) - 1, computed with expm1 (and the endpoint with log1p) so
+    that a tiny threshold survives the round trip; a threshold is backed
+    off by 1e-9 relative.  B's largest target is the closed-form
+    ``_hd_gamma_b_max``, backed off by 1e-9 relative as well, so the
+    endpoint is solved.
     """
-    hd_channels = strip_source_si(zero_loopback(channels))
-    red = _hd_reduce(hd_channels)
-    starts = _hd_starts(red, config)
+    red, forms = _hd_setup(channels, config)
 
     def solve_targets(targets):
-        thresholds = np.array([math.expm1(2.0 * r_b * _LN2) * (1.0 - 1e-9)
-                               for r_b in targets])
+        thresholds = [math.expm1(2.0 * r_b * _LN2) * (1.0 - 1e-9) for r_b in targets]
+        return [None if y is None else _hd_point(y, red, forms, config, trace_value=val)
+                for y, val in _hd_region_points(forms, config, thresholds)]
 
-        def value(ga, gb, rows):
-            return np.where(gb >= thresholds[rows, None], ga, -np.inf)
-
-        return [None if x is None else _hd_point(hd_channels, x, red, config, trace_value=val)
-                for x, val in _hd_search(red, config, value, len(targets), starts)]
-
-    return solve_targets, 0.5 * math.log1p(float(np.max(starts[2]))) / _LN2
+    gamma_b_max = _hd_gamma_b_max(forms, config) * (1.0 - 1e-9)
+    return solve_targets, 0.5 * math.log1p(gamma_b_max) / _LN2
 
 
 def hd_anc_region(channels, n_points, config):
-    """HD region sweep of ``_hd_region``'s lockstep solve from r_b = 0 up to
+    """HD region sweep of ``_hd_region``'s exact solve from r_b = 0 up to
     B's largest target."""
     return region_sweep(*_hd_region(channels, config), n_points)
 

@@ -1,14 +1,12 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fdtwrc.baselines import (
-    _hd_reduce,
     _hd_region,
-    _hd_search,
-    _hd_starts,
     fd_oneway_direction_rate,
     fd_oneway_region,
     fd_oneway_sum_rate,
@@ -27,6 +25,7 @@ from fdtwrc.model import (
 )
 from fdtwrc.rate_region import max_rate_given_rb
 from fdtwrc.sum_rate import max_sum_rate
+from reference_hd import reference_region, reference_sum_rate
 
 CFG = SystemConfig()
 
@@ -53,13 +52,14 @@ class TestHdAnc:
             assert (r1.powers.p_a, r1.powers.p_b) == (CFG.p_a_max, CFG.p_b_max)
             assert hd_anc_solve(ch, CFG).sum_rate >= 0.5 * r1.sum_rate - 1e-6
 
-    def test_full_search_seed_stability(self):
-        ch = sample_channels(CFG, 1)
-        red = _hd_reduce(strip_source_si(zero_loopback(ch)))
-        value = lambda ga, gb, rows: np.log2(1 + ga) + np.log2(1 + gb)
-        (_, v0), = _hd_search(red, CFG, value, 1, _hd_starts(red, CFG, seed=0))
-        (_, v1), = _hd_search(red, CFG, value, 1, _hd_starts(red, CFG, seed=123))
-        assert abs(v0 - v1) < 1e-3 * max(1.0, v0)
+    def test_repeat_calls_are_bit_identical(self):
+        # the HD path has no randomness: two calls return the same bits
+        for cfg, seed in ((CFG, 1), (replace(CFG, m_r=1), 9)):
+            ch = sample_channels(cfg, seed)
+            p, q = hd_anc_solve(ch, cfg), hd_anc_solve(ch, cfg)
+            assert self._same_point(p, q)
+            for (r, p), (s, q) in zip(hd_anc_region(ch, 9, cfg), hd_anc_region(ch, 9, cfg)):
+                assert r == s and self._same_point(p, q)
 
     def test_half_prelog_identity(self):
         # doubling the reported rate and inverting the log recovers the
@@ -114,8 +114,8 @@ class TestHdAnc:
             q.beamformer.w_full.tobytes())
 
     def test_lockstep_rows_equal_their_one_target_solves(self):
-        # the rows of one lockstep search share only the random step draws,
-        # so each point is bit for bit its own one-target search
+        # the rows of one batched dual solve share only the realization's
+        # forms, so each point is bit for bit its own one-target solve
         for cfg, seed in ((CFG, 7), (replace(CFG, m_r=1), 8)):
             ch = sample_channels(cfg, seed)
             solve, r_b_max = _hd_region(ch, cfg)
@@ -136,92 +136,125 @@ class TestHdAnc:
             assert p is not None and self._same_point(p, q)
 
 
+# configurations at the edge of the HD forms: no relay power (the quotients'
+# p_r factor vanishes), a silent source (one SINR is zero), a single relay
+# receive antenna (the reduced matrix is 2 x 1), more receive than transmit
+# antennas, and a B link at 1e-99 (every B-side form near underflow)
+DEGENERATE_HD = {
+    "p_r_max=0": replace(CFG, p_r_max=0.0),
+    "p_a_max=0": replace(CFG, p_a_max=0.0),
+    "p_b_max=0": replace(CFG, p_b_max=0.0),
+    "m_r=1": replace(CFG, m_r=1),
+    "m_t=2,m_r=6": replace(CFG, m_t=2, m_r=6),
+    "gain_br=1e-99": replace(CFG, gain_br=1e-99),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_HD))
+def test_degenerate_hd_inputs(name):
+    # no RuntimeWarning, finite answers, and nothing below the reference
+    # climb's sum rate or its rate for A at the same targets
+    cfg = DEGENERATE_HD[name]
+    ch = sample_channels(cfg, 11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        total = hd_anc_solve(ch, cfg).sum_rate
+        entries = hd_anc_region(ch, 9, cfg)
+    assert math.isfinite(total) and total >= reference_sum_rate(ch, cfg) - 1e-6
+    refs = reference_region(ch, cfg, [r_b for r_b, _ in entries])
+    for (r_b, pt), ref in zip(entries, refs):
+        assert math.isfinite(r_b) and pt is not None
+        assert math.isfinite(pt.rate_a) and math.isfinite(pt.rate_b)
+        if ref is not None:
+            assert pt.rate_a >= ref[0] - 1e-6
+
+
 # per seed 0..7 (seeds 0-5 at the default config, 6 at m_r = 1, 7 at
 # m_t = 2, m_r = 6): hd_anc_solve's sum rate and the (rate_a, rate_b) pairs
-# of the 9-point hd_anc_region, as computed by the per-point HD search
-# before a sweep's point searches ran in lockstep; a batching of the search
-# must not move them
+# of the 9-point hd_anc_region, as computed by the Newton sum-rate ascent
+# and the exact dual region solve up to the closed-form endpoint; the HD
+# path has no randomness, so a refactor must not move them
 PINNED_HD = [
-    (2.720298993889997,
-     [(2.0083326054486337, 0.040604155291441554),
-      (2.007017885896817, 0.12678481029471958),
-      (2.002382012632634, 0.25356948855206485),
-      (1.9947092533641761, 0.38035420307161116),
-      (1.9825453822618602, 0.5071389644178399),
-      (1.9623635887964193, 0.6339238039380422),
-      (1.9242166657900133, 0.7607085191437327),
-      (1.8293020702859832, 0.887493219478535),
-      (1.25150876936383, 1.0142778161348485)]),
-    (2.058541967952811,
-     [(0.8794963487351067, 0.011413754725716397),
-      (0.8762528517087671, 0.19889600030951465),
-      (0.8700435677585204, 0.3977886556752468),
-      (0.8604498606006892, 0.5966828037452241),
-      (0.8453529980620046, 0.7955768306834445),
-      (0.8199559824447177, 0.994472220239979),
-      (0.7733542649624103, 1.1933647041191249),
-      (0.6652727277380941, 1.392258709279281),
-      (0.15369601710918743, 1.591152927262132)]),
-    (2.0966265641436945,
-     [(1.0003829735234802, 0.32067193486978207),
-      (1.0003829735234802, 0.32067193486978207),
-      (0.9999901938755323, 0.37854860214698366),
-      (0.9933265440217293, 0.5678229175501741),
-      (0.9772000137101358, 0.7570971854002853),
-      (0.9470574833777384, 0.9463714947162215),
-      (0.8910280415108311, 1.1356457883751334),
-      (0.7715854865809414, 1.3249200859764867),
-      (0.2904990808796982, 1.5141944138951369)]),
-    (2.844591561396679,
-     [(1.6428791228648831, 0.0033159142322512197),
-      (1.6336733244253934, 0.23467207360598952),
-      (1.618214939971694, 0.46934322090089825),
-      (1.5950679781991894, 0.7040113091276363),
-      (1.5592232854102863, 0.9386816922221023),
-      (1.5004581820824634, 1.1733532810428298),
-      (1.365081927388593, 1.4080233397628552),
-      (1.1885802306269686, 1.6426929618130006),
-      (0.4736398091838857, 1.877363587505475)]),
-    (3.138301018977729,
-     [(2.0878080797005314, 0.20650506271159563),
-      (2.0878080797005314, 0.20650506271159563),
-      (2.086084854031555, 0.35799597305358744),
-      (2.0797103782447026, 0.5369938744564559),
-      (2.0671466110882792, 0.7159922599941643),
-      (2.0439986263975984, 0.8949897917622458),
-      (1.9983679835596106, 1.0739875881188043),
-      (1.8848054947801296, 1.252985401776115),
-      (1.0727141166160314, 1.431983292464763)]),
-    (2.869110412016913,
-     [(2.030956690092462, 0.18137458480306928),
-      (2.0309566900614167, 0.18137526395521092),
-      (2.027347476236442, 0.32967332975765473),
-      (2.015194340223503, 0.4945099911933816),
-      (1.9918172236513871, 0.6593466128879237),
-      (1.949454666005995, 0.8241832300636529),
-      (1.8681259003984918, 0.9890202030171807),
-      (1.685129811301568, 1.1538565678388875),
-      (1.0586248613321836, 1.3186931600137406)]),
+    (2.7202989940030546,
+     [(2.0083326055268813, 0.040606004194604764),
+      (2.0069226521514736, 0.13048747657936535),
+      (2.002024957698288, 0.2609749531784829),
+      (1.9938612371442646, 0.39146242979408385),
+      (1.980735435559547, 0.5219499064234402),
+      (1.9583237746214213, 0.6524373830642767),
+      (1.9139892886952263, 0.7829248597146936),
+      (1.7895340320353275, 0.913412336373105),
+      (0.1906867544279971, 1.0438998130381887)]),
+    (2.058541973807465,
+     [(0.8794963488620625, 0.011413473942397724),
+      (0.8762102550135367, 0.2006334930266734),
+      (0.8699137738189586, 0.4012669860958742),
+      (0.8601428645745619, 0.6019004791972777),
+      (0.8446850032939409, 0.8025339723230623),
+      (0.8187150587918418, 1.0031674654673093),
+      (0.7698918532254782, 1.2038009586255358),
+      (0.6540059459489677, 1.404434451794348),
+      (0.00257367616701123, 1.6050679449711749)]),
+    (2.09662656419632,
+     [(1.0003829739635965, 0.3206485343732162),
+      (1.0003829739635965, 0.3206485343732162),
+      (0.9999619438993718, 0.3806241648248041),
+      (0.9931457271468894, 0.5709362472863964),
+      (0.9767193741993985, 0.7612483297708749),
+      (0.9459594724985446, 0.9515604122729321),
+      (0.8885687421827025, 1.1418724947884917),
+      (0.7644094314495506, 1.3321845773144225),
+      (0.14043641271285612, 1.522496659848319)]),
+    (2.844591562560974,
+     [(1.6428791228893322, 0.0033142784061559673),
+      (1.6334222492246107, 0.2396420856772474),
+      (1.6175931508791754, 0.4792841714121315),
+      (1.59334464856323, 0.718926257188359),
+      (1.555400442247796, 0.9585683429942452),
+      (1.4930712242115005, 1.1982104288214046),
+      (1.3810613373091776, 1.4378525146638255),
+      (1.138209768204613, 1.6774946005171936),
+      (0.004973664743451844, 1.9171366863784138)]),
+    (3.138301019480667,
+     [(2.0878080797118144, 0.20650362028386235),
+      (2.0878080797118144, 0.20650362028386235),
+      (2.085997979978227, 0.3618772855465604),
+      (2.079415974965374, 0.5428159283652181),
+      (2.0664197279412204, 0.7237545712053733),
+      (2.0422915897244867, 0.904693214062257),
+      (1.993972747679212, 1.0856318569321572),
+      (1.8691201616767588, 1.266570499812187),
+      (0.2541318593054968, 1.447509142700099)]),
+    (2.8691104120949866,
+     [(2.0309566901397744, 0.18138088044527714),
+      (2.0309566901397744, 0.18138088044527714),
+      (2.0268027186006754, 0.34085337515025915),
+      (2.0134106797611464, 0.5112800627665794),
+      (1.9874492809561577, 0.6817067504028113),
+      (1.9393008889440004, 0.8521334380547656),
+      (1.8429018475723868, 1.0225601257191348),
+      (1.6069190380527754, 1.1929868133933053),
+      (0.1701804389626548, 1.3634135010752149)]),
     (2.7513577736278325,
-     [(1.8176911273132785, 0.26932006853901497),
-      (1.8176911273132785, 0.26932006853901497),
-      (1.8169526386817585, 0.34260664397031315),
-      (1.8094190456692614, 0.5139099646540188),
-      (1.7918128454685278, 0.6852132920090558),
-      (1.757984612848544, 0.8565166073398891),
-      (1.6922421240294663, 1.0278199287943786),
-      (1.5425222364015614, 1.1991232504643288),
-      (0.5225134602115025, 1.3704265717665605)]),
-    (3.057440839379281,
-     [(2.2543133718101647, 0.14930811645073885),
-      (2.2537606602322677, 0.19080876363624502),
-      (2.2398103747390468, 0.3816174586291638),
-      (2.20800063194903, 0.5724262088232556),
-      (2.153108091995353, 0.7632350276544779),
-      (2.063015079892478, 0.9540436501377896),
-      (1.9124441743018015, 1.1448523853321098),
-      (1.636264034844331, 1.3356612065479878),
-      (0.9077669803485433, 1.5264698450006642)]),
+     [(1.8176911273132785, 0.26932008622638365),
+      (1.8176911273132785, 0.26932008622638365),
+      (1.8169525616196855, 0.34261079636181063),
+      (1.8094186168794117, 0.5139161945842522),
+      (1.7918120665761013, 0.6852215928267394),
+      (1.7579818539038967, 0.8565269910850356),
+      (1.6922364851267193, 1.0278323893557981),
+      (1.5425023876917627, 1.1991377876363924),
+      (0.5057022379368569, 1.3704431859247401)]),
+    (3.057440839713518,
+     [(2.2543133718501815, 0.1493139573401635),
+      (2.253608465868048, 0.196386448264905),
+      (2.238464514448607, 0.39277289657078424),
+      (2.2042362649495884, 0.5891593449078742),
+      (2.1447311262270174, 0.7855457932687342),
+      (2.04569459784213, 0.9819322416477004),
+      (1.8762117993853904, 1.178318690040457),
+      (1.5493957306429476, 1.3747051384437172),
+      (0.141307146204898, 1.5710915868549775)]),
 ]
 
 

@@ -8,6 +8,7 @@ B-side link gain.  RuntimeWarnings are errors, so a 0/0 or an overflow that
 min/max clamping would hide fails the test.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdtwrc.baselines import hd_anc_solve, local_csi_sum_rate, upper_bound_solve
+from fdtwrc.baselines import hd_anc_region, hd_anc_solve, local_csi_sum_rate, upper_bound_solve
 from fdtwrc.model import (
     SystemConfig,
     db_to_linear,
@@ -43,6 +44,7 @@ from fdtwrc.rate_region import (
     solve_txbf_p1,
 )
 from fdtwrc.sum_rate import max_sum_rate, optimize_fixed_alpha_p2, solve_txbf_p2
+from reference_hd import reference_region, reference_sum_rate
 
 configs = st.builds(
     lambda m_t, m_r, p_src_db, p_relay_db, si, gain_br_db: replace(
@@ -199,6 +201,44 @@ def test_scheme_ordering_per_realization(cfg, seed):
     assert (rank_one.powers.p_a, rank_one.powers.p_b) == (cfg.p_a_max, cfg.p_b_max)
     assert (hd_anc_solve(ch, cfg).sum_rate
             >= 0.5 * rank_one.sum_rate - 1e-6 * max(1.0, rank_one.sum_rate))
+
+
+def hd_random_case(k):
+    """Realization and config k of the HD exactness sample: m_t and m_r in
+    2..5, source and relay powers in 10^[-0.5, 2], gain_br in 10^[-1, 0.5]."""
+    rng = np.random.default_rng([17, k])
+    cfg = replace(SystemConfig(), m_t=int(rng.integers(2, 6)), m_r=int(rng.integers(2, 6)),
+                  p_a_max=float(10.0 ** rng.uniform(-0.5, 2.0)),
+                  p_b_max=float(10.0 ** rng.uniform(-0.5, 2.0)),
+                  p_r_max=float(10.0 ** rng.uniform(-0.5, 2.0)),
+                  gain_br=float(10.0 ** rng.uniform(-1.0, 0.5)))
+    return sample_channels(cfg, 9000 + k), cfg
+
+
+def hd_margins(k):
+    """On HD case k: the exact sum rate minus the reference climb's, the
+    exact region's rate_a minus the climb's at each target where the climb
+    finds a point, and gamma_b over its threshold 2**(2 r_b) - 1 backed off
+    by 1e-9 at each target above 0."""
+    ch, cfg = hd_random_case(k)
+    sum_gap = hd_anc_solve(ch, cfg).sum_rate - reference_sum_rate(ch, cfg)
+    entries = hd_anc_region(ch, 9, cfg)
+    refs = reference_region(ch, cfg, [r_b for r_b, _ in entries])
+    rate_gaps = [pt.rate_a - ref[0] for (_, pt), ref in zip(entries, refs) if ref is not None]
+    ratios = [pt.gamma_b / (math.expm1(2.0 * r_b * math.log(2.0)) * (1.0 - 1e-9))
+              for r_b, pt in entries if r_b > 0.0]
+    return sum_gap, rate_gaps, ratios
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", range(24))
+def test_hd_reaches_the_reference_climb(k):
+    # the exact HD solvers never fall below the seeded climb they replace,
+    # and every region point meets its target up to rounding
+    sum_gap, rate_gaps, ratios = hd_margins(k)
+    assert sum_gap >= -1e-6
+    assert min(rate_gaps) >= -1e-6
+    assert min(ratios) >= 1.0 - 1e-9
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
