@@ -305,8 +305,12 @@ def _alternate(channels, alpha, combiners, config, starts, beam, power):
     The first solve uses the first start power it accepts (the last
     start's Infeasible propagates).  Each iteration then runs the power
     step, traces its value and stops when the value improves by less than
-    conv_tol; otherwise the beamformer is re-solved at the new powers.  A
-    point that stops that way is returned at the traced powers and
+    conv_tol or when the step returns exactly the powers the beamformer was
+    solved at; otherwise the beamformer is re-solved at the new powers.
+    That second stop changes no answer: at the same powers P1's beamformer
+    (which ignores its warm start) returns the same bits, and P2's the same
+    frontier point up to rounding, so a re-solve would only repeat the
+    step.  A point that stops is returned at the traced powers and
     beamformer.  When iter_max is hit the returned beamformer is the one
     re-solved after the last traced iteration, so the point's objective
     can exceed ``trace[-1]``.
@@ -319,16 +323,15 @@ def _alternate(channels, alpha, combiners, config, starts, beam, power):
         except Infeasible:
             if powers is starts[-1]:
                 raise
-    trace = []
-    prev = 0.0
+    trace, prev, step = [], 0.0, powers
     for _ in range(config.iter_max):
-        *powers, val = power(w_t, ctx)
+        *step, val = power(w_t, ctx)
         trace.append(val)
-        if val - prev < config.conv_tol:
+        if val - prev < config.conv_tol or tuple(step) == tuple(powers):
             break
-        prev = val
+        prev, powers = val, step
         w_t = beam(ctx, powers, w_t)
-    return make_operating_point(channels, w_t, w_r, alpha, powers[0], powers[1], trace)
+    return make_operating_point(channels, w_t, w_r, alpha, step[0], step[1], trace)
 
 
 def optimize_fixed_alpha_p1(channels, alpha, gamma_b, config, combiners=None):
@@ -336,8 +339,8 @@ def optimize_fixed_alpha_p1(channels, alpha, gamma_b, config, combiners=None):
 
     Starts from full source powers (falling back to (p_a_max, 0) if the
     first beamformer solve is infeasible) and stops when A's SINR improves
-    by less than conv_tol or iter_max is hit.  The trace of per-iteration
-    SINR values is nondecreasing.
+    by less than conv_tol, when the power step keeps the powers, or at
+    iter_max.  The trace of per-iteration SINR values is nondecreasing.
     """
     return _alternate(
         channels, alpha, combiners, config,

@@ -268,6 +268,8 @@ def optimize_fixed_alpha_p2(channels, alpha, config, combiners=None):
 
     Starts at full source powers; the beamformer solve is warm-started with
     the previous beamformer so the recorded sum-rate trace never decreases.
+    Stops when the sum rate improves by less than conv_tol, when the power
+    step keeps the powers, or at iter_max.
     """
     return _alternate(
         channels, alpha, combiners, config, [(config.p_a_max, config.p_b_max)],

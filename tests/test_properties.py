@@ -43,7 +43,12 @@ from fdtwrc.rate_region import (
     solve_power_p1,
     solve_txbf_p1,
 )
-from fdtwrc.sum_rate import max_sum_rate, optimize_fixed_alpha_p2, solve_txbf_p2
+from fdtwrc.sum_rate import (
+    max_sum_rate,
+    optimize_fixed_alpha_p2,
+    solve_power_p2,
+    solve_txbf_p2,
+)
 from reference_hd import reference_region, reference_sum_rate
 
 configs = st.builds(
@@ -181,6 +186,47 @@ def test_converged_trace_ends_at_the_point_objective(cfg, seed, alpha, target_sh
         return
     if len(pt.trace) < SystemConfig.iter_max:
         assert pt.trace[-1] == pt.gamma_a
+
+
+def stopped_on_kept_powers(trace):
+    """Whether an alternation with this trace stopped because its last power
+    step kept the powers: it ended before iter_max, and its last gain over
+    the previous value (0 before the first) is too large for conv_tol to
+    have stopped it.  A conv_tol stop can follow a power move (a first
+    value below conv_tol, say), so it need not be a power fixed point."""
+    gain = trace[-1] - (trace[-2] if len(trace) > 1 else 0.0)
+    return len(trace) < SystemConfig.iter_max and gain >= SystemConfig.conv_tol
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(cfg=configs, seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.0, 1.0),
+       target_share=st.floats(0.0, 1.0))
+def test_stopped_point_is_a_power_fixed_point(cfg, seed, alpha, target_share):
+    # a loop that stopped on kept powers stopped at a power fixed point: one
+    # more beamformer solve at the point's powers and one more power step
+    # return those powers and the traced value (P2 up to rounding, P1 bit
+    # for bit, since P1's beamformer ignores its warm start)
+    ch = sample_channels(cfg, seed)
+    combiners = _combiners(ch)
+    _, ctx = combiners(alpha)
+    pt = optimize_fixed_alpha_p2(ch, alpha, cfg, combiners)
+    if stopped_on_kept_powers(pt.trace):
+        p_a, p_b = pt.powers.p_a, pt.powers.p_b
+        w_t = solve_txbf_p2(ch, ctx, p_a, p_b, cfg, w_t_init=pt.beamformer.w_t)
+        *powers, value = solve_power_p2(ch, w_t, ctx, cfg)
+        assert powers == [p_a, p_b]
+        assert abs(value - pt.trace[-1]) <= 1e-12 * pt.trace[-1]
+    gamma_b = target_share * _gamma_b_max(combiners, cfg)
+    try:
+        pt = optimize_fixed_alpha_p1(ch, alpha, gamma_b, cfg, combiners)
+    except Infeasible:
+        return
+    if stopped_on_kept_powers(pt.trace):
+        p_a, p_b = pt.powers.p_a, pt.powers.p_b
+        w_t = solve_txbf_p1(ch, ctx, p_a, p_b, gamma_b, cfg.p_r_max)
+        assert np.array_equal(w_t, pt.beamformer.w_t)
+        assert solve_power_p1(ch, w_t, ctx, gamma_b, cfg) == (p_a, p_b, pt.trace[-1])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -23,6 +23,7 @@ from fdtwrc.oracles import grid_power_oracle, lagrangian_boundary_oracle, sample
 from fdtwrc.rate_region import (
     Infeasible,
     _alpha_search,
+    _alternate,
     _null_z,
     _tx_context,
     boundary_range,
@@ -248,16 +249,69 @@ ALTERNATING = {
 }
 
 
+# wrapper -> (channel config, seed, alpha) whose first three power steps all
+# move the powers, so only iter_max ends the loop.  At 0 dB SI, seed 143's P2
+# steps walk the relay-budget curve: (10, 10) -> (10, 0) -> (9.657, 1.260)
+# -> (9.637, 1.337) -> (9.636, 1.338)
+ITER_MAX_INPUTS = {
+    "p1": (CFG, 16, 0.5),
+    "p2": (replace(CFG, sigma2_a=1.0, sigma2_b=1.0, sigma2_r=1.0), 143, 0.35),
+}
+
+
+def stubbed_alternate(steps, starts=((10.0, 10.0),), refused=()):
+    """``_alternate`` with stub steps.  The beamformer stub raises Infeasible
+    at the powers in ``refused`` and otherwise records the powers it is
+    solved at; the power stub returns ``steps`` in turn, with the rising
+    values 1, 2, ... so that conv_tol never stops the loop.  Returns the
+    point, the recorded beamformer powers and the number of power calls."""
+    solved, steps = [], list(steps)
+    calls = iter(range(len(steps)))
+
+    def beam(ctx, powers, w_t):
+        if tuple(powers) in refused:
+            raise Infeasible("sinr_gate")
+        solved.append(tuple(powers))
+        return ctx.n_t[:, 0]
+
+    def power(w_t, ctx):
+        k = next(calls)
+        return (*steps[k], float(k + 1))
+
+    pt = _alternate(sample_channels(CFG, 16), 0.5, None, CFG, list(starts), beam, power)
+    return pt, solved, len(pt.trace)
+
+
 class TestAlternate:
     @pytest.mark.parametrize("name", sorted(ALTERNATING))
     def test_iter_max_bounds_the_trace(self, name, monkeypatch):
         monkeypatch.setattr(SystemConfig, "iter_max", 3)
         monkeypatch.setattr(SystemConfig, "conv_tol", -math.inf)
-        pt = ALTERNATING[name](sample_channels(CFG, 16), 0.5)
+        cfg, seed, alpha = ITER_MAX_INPUTS[name]
+        pt = ALTERNATING[name](sample_channels(cfg, seed), alpha)
         assert len(pt.trace) == 3
         # the beamformer re-solved after the last scored iteration is returned
         value = pt.gamma_a if name == "p1" else pt.sum_rate
         assert value >= pt.trace[-1] * (1.0 - 1e-9)
+
+    def test_kept_start_powers_stop_after_one_step(self):
+        pt, solved, power_calls = stubbed_alternate([(10.0, 10.0)])
+        assert solved == [(10.0, 10.0)] and power_calls == 1
+        assert pt.trace == [1.0] and (pt.powers.p_a, pt.powers.p_b) == (10.0, 10.0)
+
+    def test_one_move_then_hold_resolves_once(self):
+        pt, solved, power_calls = stubbed_alternate([(10.0, 4.0), (10.0, 4.0)])
+        assert solved == [(10.0, 10.0), (10.0, 4.0)] and power_calls == 2
+        assert pt.trace == [1.0, 2.0] and (pt.powers.p_a, pt.powers.p_b) == (10.0, 4.0)
+
+    def test_stop_compares_with_the_accepted_start(self):
+        # P1's start list: full powers are refused, (p_a_max, 0) is accepted,
+        # and a power step keeping (p_a_max, 0) stops the loop although it
+        # differs from starts[0]
+        pt, solved, power_calls = stubbed_alternate(
+            [(10.0, 0.0)], starts=[(10.0, 10.0), (10.0, 0.0)], refused={(10.0, 10.0)})
+        assert solved == [(10.0, 0.0)] and power_calls == 1
+        assert pt.trace == [1.0]
 
 
 class TestAlphaSearch:
