@@ -265,8 +265,7 @@ def stubbed_alternate(steps, starts=((10.0, 10.0),), refused=()):
     solved at; the power stub returns ``steps`` in turn, with the rising
     values 1, 2, ... so that conv_tol never stops the loop.  Returns the
     point, the recorded beamformer powers and the number of power calls."""
-    solved, steps = [], list(steps)
-    calls = iter(range(len(steps)))
+    solved, values = [], []
 
     def beam(ctx, powers, w_t):
         if tuple(powers) in refused:
@@ -275,11 +274,11 @@ def stubbed_alternate(steps, starts=((10.0, 10.0),), refused=()):
         return ctx.n_t[:, 0]
 
     def power(w_t, ctx):
-        k = next(calls)
-        return (*steps[k], float(k + 1))
+        values.append(float(len(values) + 1))
+        return (*steps[len(values) - 1], values[-1])
 
     pt = _alternate(sample_channels(CFG, 16), 0.5, None, CFG, list(starts), beam, power)
-    return pt, solved, len(pt.trace)
+    return pt, solved, len(values)
 
 
 class TestAlternate:
