@@ -230,19 +230,15 @@ def sample_channels(config, seed):
     return ChannelRealization(h_ar, h_br, h_ra, h_rb, complex(h_aa), complex(h_bb), h_rr)
 
 
-def receive_combiner(channels, alpha):
-    """Receive combiner mixing the h_br direction with its complement.
+def _combiner_basis(channels):
+    """The two unit directions that ``receive_combiner`` mixes, (u_par, u_perp).
 
-    w_r(alpha) = alpha * u_par + sqrt(1-alpha) * u_perp, where u_par/u_perp
-    are the unit projections of h_ar onto span{h_br} and its complement.
-    The raw combination has norm sqrt(alpha^2 + 1 - alpha) <= 1; it is
-    rescaled to unit norm.  When h_ar is parallel to h_br (always when
-    m_r = 1) the complement is empty and every alpha gives the alpha = 1
-    endpoint, h_br / ||h_br|| phased along h_br^H h_ar.  Raises
+    u_par/u_perp are the unit projections of h_ar onto span{h_br} and its
+    complement.  When h_ar is parallel to h_br (always when m_r = 1) the
+    complement is empty: u_perp is None and u_par is the combiner of every
+    alpha, h_br / ||h_br|| phased along h_br^H h_ar.  Raises
     DegenerateGeometryError when h_br is zero.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
     h_ar, h_br = channels.h_ar, channels.h_br
     nb = np.linalg.norm(h_br)
     if nb <= 1e-300:
@@ -252,13 +248,29 @@ def receive_combiner(channels, alpha):
     perp = h_ar - par
     perp_norm = np.linalg.norm(perp)
     if perp_norm < 1e-10:
-        return (h_br / nb) * (inner / abs(inner) if abs(inner) > 0 else 1.0)
+        return (h_br / nb) * (inner / abs(inner) if abs(inner) > 0 else 1.0), None
     par_norm = np.linalg.norm(par)
     if par_norm > 1e-12 * np.linalg.norm(h_ar):
         u_par = par / par_norm
     else:
         u_par = h_br / nb  # orthogonal channels: the span direction is h_br itself
-    u_perp = perp / perp_norm
+    return u_par, perp / perp_norm
+
+
+def receive_combiner(channels, alpha):
+    """Receive combiner mixing the h_br direction with its complement.
+
+    w_r(alpha) = alpha * u_par + sqrt(1-alpha) * u_perp, with the unit
+    directions of ``_combiner_basis``.  The raw combination has norm
+    sqrt(alpha^2 + 1 - alpha) <= 1; it is rescaled to unit norm.  When h_ar
+    is parallel to h_br every alpha gives the alpha = 1 endpoint.  Raises
+    DegenerateGeometryError when h_br is zero.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    u_par, u_perp = _combiner_basis(channels)
+    if u_perp is None:
+        return u_par
     w = alpha * u_par + math.sqrt(1.0 - alpha) * u_perp
     return w / np.linalg.norm(w)
 

@@ -1,5 +1,6 @@
 """Numerical kernels shared by all solvers: the null-space basis of complex
-vectors, real cubic roots and a grid + golden-section 1-D maximizer.
+vectors, real cubic roots (one polynomial, or the rows of an array) and a
+grid + golden-section 1-D maximizer.
 """
 
 import math
@@ -9,6 +10,7 @@ import numpy as np
 __all__ = [
     "null_space_basis",
     "real_cubic_roots",
+    "real_cubic_roots_rows",
     "maximize_1d",
 ]
 
@@ -17,25 +19,32 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 def null_space_basis(v):
     """Orthonormal basis of the null space of V^H, for a length-M vector v
-    (one column) or an M x k matrix V of k < M linearly independent columns.
+    (one column), an M x k matrix V of k < M linearly independent columns,
+    or a stack (..., M, k) of such matrices.
 
-    Returns an M x (M-k) matrix N with V^H N = 0 and N^H N = I.  Computed
-    from a unitary (QR) completion of V, so it is numerically stable; the
-    phase of the basis columns is unspecified.  The columns' independence
-    is the caller's to ensure: only an all-zero V is refused.
+    Returns an M x (M-k) matrix N (stacked like V) with V^H N = 0 and
+    N^H N = I.  Computed from a unitary (QR) completion of V, so it is
+    numerically stable; the phase of the basis columns is unspecified.  The
+    columns' independence is the caller's to ensure: only an all-zero V is
+    refused.  A stack is completed by one stacked QR call, which gives each
+    matrix the bits of its own call.
     """
     v = np.asarray(v, dtype=complex)
     if v.ndim == 1:
         v = v[:, None]
-    m, k = v.shape
+    m, k = v.shape[-2:]
     if m <= k:
         raise ValueError("null space basis needs more rows than columns")
-    nv = np.linalg.norm(v)
-    if nv <= 1e-300 or not np.isfinite(nv):
+    if v.ndim == 2:
+        smallest = largest = np.linalg.norm(v)
+    else:
+        norms = np.linalg.norm(v, axis=(-2, -1))
+        smallest, largest = norms.min(), norms.max()
+    if smallest <= 1e-300 or not np.isfinite(largest):
         raise ValueError("cannot form the null space of a zero vector")
     q, _ = np.linalg.qr(v, mode="complete")
     # the first k columns of q span V, the rest span {x : V^H x = 0}
-    return q[:, k:]
+    return q[..., k:]
 
 
 def _horner(coeffs, x):
@@ -67,63 +76,110 @@ def real_cubic_roots(c3, c2, c1, c0):
     eigenvalues of the companion matrix that ``np.roots`` builds (trailing
     zero coefficients give exact zero roots); eigenvalues with relative
     imaginary part below 1e-8 are accepted as real and polished by Newton
-    iterations.  Equal, bit for bit, to ``np.roots`` plus a
-    ``np.polyval``/``np.polyder`` polish, in scalar arithmetic.
+    iterations, and a root within 1e-8 relative of the previous one is
+    dropped.  Equal, bit for bit, to ``np.roots`` plus a
+    ``np.polyval``/``np.polyder`` polish.  This is the one-row case of
+    ``real_cubic_roots_rows``.
     """
-    coeffs = [float(c3), float(c2), float(c1), float(c0)]
-    if not all(map(math.isfinite, coeffs)) or not any(coeffs):
-        raise ValueError("all-zero (or non-finite) polynomial has no defined roots")
-    scale = max(map(abs, coeffs))
-    lead = 0
-    while lead < 3 and abs(coeffs[lead]) <= 1e-12 * scale:
-        lead += 1
-    trimmed = coeffs[lead:]
-    if len(trimmed) == 1:
-        return []  # nonzero constant: no roots
-    n = len(trimmed)
-    while trimmed[n - 1] == 0.0:
-        n -= 1
-    raw = []
-    if n > 1:
-        companion = np.diag(np.ones(n - 2), -1)
-        companion[0, :] = [-c / trimmed[0] for c in trimmed[1:n]]
-        raw = np.linalg.eigvals(companion).tolist()
-    raw += [0.0] * (len(trimmed) - n)
-    roots = []
-    for z in raw:
-        if abs(z.imag) <= 1e-8 * max(1.0, abs(z.real)):
-            roots.append(_polish_root(trimmed, z.real))
-    roots.sort()
     out = []
-    for x in roots:
-        if not out or abs(x - out[-1]) > 1e-8 * max(1.0, abs(x)):
+    for x in real_cubic_roots_rows([[c3, c2, c1, c0]])[0].tolist():
+        if x == x and (not out or abs(x - out[-1]) > 1e-8 * max(1.0, abs(x))):
             out.append(x)
     return out
 
 
-def _golden_max(f, a, b, tol, best):
-    """Golden-section refinement for a maximum on [a, b]; keeps best seen."""
+def real_cubic_roots_rows(coeffs):
+    """Real roots of each row (c3, c2, c1, c0) of a K x 4 array, as a K x 3
+    array, ascending along each row and padded with NaN.
+
+    Row by row: leading coefficients at most 1e-12 of the row's largest
+    |coefficient| are dropped, and the rest is solved as ``np.roots`` does:
+    the eigenvalues of the companion matrix of the polynomial stripped of
+    its trailing zero coefficients, plus one exact zero root per stripped
+    coefficient.  Eigenvalues with relative imaginary part at most 1e-8 are
+    accepted as real and polished by two Newton steps against the
+    polynomial.  The companion matrices of one size are solved by one
+    stacked ``eigvals`` call, which gives each matrix the bits of its own
+    call, so a row's roots do not depend on the other rows; the trimming
+    and the polish are a few float operations per row.  A row that is all
+    zero or not finite raises ValueError.
+    """
+    polys = []
+    for row in np.asarray(coeffs, dtype=float).reshape(-1, 4).tolist():
+        if not all(map(math.isfinite, row)) or not any(row):
+            raise ValueError("all-zero (or non-finite) polynomial has no defined roots")
+        scale = max(map(abs, row))
+        lead = 0
+        while lead < 3 and abs(row[lead]) <= 1e-12 * scale:
+            lead += 1
+        trimmed = row[lead:]
+        n = len(trimmed)
+        while n > 1 and trimmed[n - 1] == 0.0:
+            n -= 1
+        polys.append((trimmed, n))
+    raw = [[0.0] * (len(trimmed) - 1) for trimmed, _ in polys]
+    for n in {n for _, n in polys if n > 1}:
+        rows = [k for k, (_, nk) in enumerate(polys) if nk == n]
+        companion = np.zeros((len(rows), n - 1, n - 1))
+        companion[:, 0, :] = [[-c / polys[k][0][0] for c in polys[k][0][1:n]] for k in rows]
+        companion[:, 1:, :-1] += np.eye(n - 2)
+        for k, z in zip(rows, np.linalg.eigvals(companion).tolist()):
+            raw[k][:n - 1] = z
+    out = []
+    for (trimmed, _), zs in zip(polys, raw):
+        roots = sorted(_polish_root(trimmed, z.real) for z in zs
+                       if abs(z.imag) <= 1e-8 * max(1.0, abs(z.real)))
+        out.append(roots + [math.nan] * (3 - len(roots)))
+    return np.array(out).reshape(-1, 3)
+
+
+def _golden_max(f, a, b, tol, best, lookahead=False):
+    """Golden-section refinement for a maximum on [a, b]; keeps the first
+    best value among ``best`` and the points it evaluates, in their order.
+
+    With ``lookahead``, ``f`` takes an array, and each call evaluates the
+    point the search needs together with the two points that the next step
+    may need, one for each outcome of its comparison.  The values are
+    cached, so one call serves two steps, and the points used and the
+    result are those of the search without lookahead.
+    """
     x_best, f_best = best
+    cache = {}
+
+    def value(x, a, b, x1, x2):
+        # f at the step's point x, given the bracket and points after the step
+        nonlocal x_best, f_best
+        if not lookahead:
+            y = f(x)
+        else:
+            if x not in cache:
+                # the new point of the next step after f1 >= f2, and after f1 < f2
+                spare = ((x2 - _GOLDEN * (x2 - a), x1 + _GOLDEN * (b - x1))
+                         if b - a > tol else ())
+                xs = (x, x2, *spare) if x == x1 and x2 not in cache else (x, *spare)
+                cache.update(zip(xs, f(np.array(xs))))
+            y = cache[x]
+        if y > f_best:
+            x_best, f_best = x, y
+        return y
+
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
+    f1 = value(x1, a, b, x1, x2)
+    f2 = value(x2, a, b, x1, x2)
     while (b - a) > tol:
         if f1 >= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
+            f1 = value(x1, a, b, x1, x2)
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        if f1 > f_best:
-            x_best, f_best = x1, f1
-        if f2 > f_best:
-            x_best, f_best = x2, f2
+            f2 = value(x2, a, b, x1, x2)
     return x_best, f_best
 
 
-def maximize_1d(f, lo, hi, tol=1e-8, grid_points=201, vectorized=False):
+def maximize_1d(f, lo, hi, tol=1e-8, grid_points=201, vectorized=False, lookahead=False):
     """Maximize a scalar function on [lo, hi].
 
     Dense-grid scan (``grid_points`` samples) followed by golden-section
@@ -135,8 +191,13 @@ def maximize_1d(f, lo, hi, tol=1e-8, grid_points=201, vectorized=False):
     ndarray of grid points, so ``f`` must take both an ndarray and a float;
     a formula built from numpy ufuncs and float arithmetic gives the same
     value for x as for element x of an array (squares by ``np.square``:
-    ``** 2`` on a numpy scalar calls pow, which can differ).  Returns
-    ``(x_best, f(x_best))``; the result is never below any grid value.
+    ``** 2`` on a numpy scalar calls pow, which can differ).  With
+    ``lookahead`` as well, the refinement calls ``f`` on small arrays that
+    hold each step's point and the next step's two possible points
+    (``_golden_max``), so that a function whose cost is mostly per call
+    makes half as many calls; the result is the same.  Returns
+    ``(x_best, f(x_best))``: the first point with the largest value, in
+    the order the search uses them, so never below any grid value.
     """
     if hi < lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
@@ -155,5 +216,5 @@ def maximize_1d(f, lo, hi, tol=1e-8, grid_points=201, vectorized=False):
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, grid_points - 1)])
     if b - a > tol:
-        x_best, f_best = _golden_max(f, a, b, tol, (x_best, f_best))
+        x_best, f_best = _golden_max(f, a, b, tol, (x_best, f_best), lookahead and vectorized)
     return x_best, float(f_best)

@@ -1,8 +1,8 @@
 """Rate-region machinery: closed-form transmit beamformer, closed-form
 power allocation (the largest feasible p_b on the line where B's SINR
-target binds), the alternating loop that the sum-rate solver shares, a 1-D
-combiner search, and the boundary sweep over source B's target rate up to
-its largest value, which the beamformer's gates give in closed form.
+target binds), the alternating loop, the 1-D combiner search that the
+sum-rate solver shares, and the boundary sweep over source B's target rate
+up to its largest value, which the beamformer's gates give in closed form.
 """
 
 import cmath
@@ -128,12 +128,13 @@ def boundary_range(r, q, null_dim=None):
     boundary-vector value) and lo = max(0, c - cc)^2; in a two-dimensional
     null space the residual mass is pinned to the (d1, d2) plane and lo is
     (c - cc)^2.  Without ``null_dim`` only hi is computed (lo is None).
-    Elementwise for an array q in [0, 1]; a float q gives the same bits as
+    Elementwise for an array q in [0, 1], and for an array r broadcastable
+    against it (one r per row of a batch); a float q gives the same bits as
     that element of an array (``np.square``, not the scalar ``** 2``, which
     calls pow).
     """
     c = r * np.sqrt(q)
-    cc = np.sqrt((1.0 - q) * max(0.0, 1.0 - r**2))
+    cc = np.sqrt((1.0 - q) * np.maximum(0.0, 1.0 - r**2))
     hi = np.square(c + cc)
     if null_dim is None:
         return None, hi
@@ -295,7 +296,8 @@ def solve_power_p1(channels, w_t, ctx, gamma_b, config):
 
 
 def _alternate(channels, alpha, combiners, config, starts, beam, power):
-    """The alternating loop of P1 and P2 for one combiner setting.
+    """The alternating loop of P1 for one combiner setting (P2 runs the same
+    stop rules on a batch of combiners in ``sum_rate._alternate_rows``).
 
     The combiner and its context ``ctx`` come from the ``_combiners`` table
     (None: a fresh one).  ``beam(ctx, powers, w_t)`` solves the beamformer at
@@ -308,12 +310,11 @@ def _alternate(channels, alpha, combiners, config, starts, beam, power):
     conv_tol or when the step returns exactly the powers the beamformer was
     solved at; otherwise the beamformer is re-solved at the new powers.
     That second stop changes no answer: at the same powers P1's beamformer
-    (which ignores its warm start) returns the same bits, and P2's the same
-    frontier point up to rounding, so a re-solve would only repeat the
-    step.  A point that stops is returned at the traced powers and
-    beamformer.  When iter_max is hit the returned beamformer is the one
-    re-solved after the last traced iteration, so the point's objective
-    can exceed ``trace[-1]``.
+    (which ignores its warm start) returns the same bits, so a re-solve
+    would only repeat the step.  A point that stops is returned at the
+    traced powers and beamformer.  When iter_max is hit the returned
+    beamformer is the one re-solved after the last traced iteration, so
+    the point's objective can exceed ``trace[-1]``.
     """
     w_r, ctx = (combiners or _combiners(channels))(alpha)
     for powers in starts:
@@ -349,29 +350,50 @@ def optimize_fixed_alpha_p1(channels, alpha, gamma_b, config, combiners=None):
         power=lambda w_t, ctx: solve_power_p1(channels, w_t, ctx, gamma_b, config))
 
 
-def _alpha_search(evaluate, config):
+def _alpha_search(evaluate, config, lookahead=False):
     """Grid + golden search over the combiner parameter, refined to a width
     of 1e-3.
 
-    ``evaluate(alpha)`` returns an OperatingPoint or raises Infeasible; the
-    best feasible point over the grid and the refinement is returned.
+    ``evaluate(alphas)`` takes a sequence of combiner parameters and
+    returns ``(values, point)``: ``values[i]`` is the objective at
+    ``alphas[i]`` (-inf where infeasible) and ``point(i)`` builds its
+    OperatingPoint.  The grid is one call on its array, and each golden
+    step a call on its one alpha, or with ``lookahead`` a call on an array
+    of three alphas that serves two steps (``maximize_1d``).  Only the
+    point of the best feasible combiner, the first one searched among
+    equals, is built.
     """
-    best = {"point": None, "value": -math.inf}
+    points = {}
 
-    def objective(alpha):
-        try:
-            pt = evaluate(float(alpha))
-        except Infeasible:
-            return -math.inf
-        val = pt.trace[-1]
-        if val > best["value"]:
-            best.update(point=pt, value=val)
-        return val
+    def objective(alphas):
+        if isinstance(alphas, float):  # a golden step without lookahead
+            values, point = evaluate((alphas,))
+            points[alphas] = point, 0
+            return values[0]
+        values, point = evaluate(alphas)
+        points.update((alpha, (point, i)) for i, alpha in enumerate(alphas.tolist()))
+        return values
 
-    maximize_1d(objective, 0.0, 1.0, tol=1e-3, grid_points=config.alpha_grid)
-    if best["point"] is None:
+    alpha, value = maximize_1d(objective, 0.0, 1.0, tol=1e-3, grid_points=config.alpha_grid,
+                               vectorized=True, lookahead=lookahead)
+    if value == -math.inf:
         raise Infeasible("alpha_grid", "no feasible combiner setting on the grid")
-    return best["point"]
+    point, i = points[alpha]
+    return point(i)
+
+
+def _each(solve):
+    """``_alpha_search``'s evaluator from a one-combiner ``solve(alpha)``
+    that returns an OperatingPoint or raises Infeasible."""
+    def evaluate(alphas):
+        points = []
+        for alpha in alphas:
+            try:
+                points.append(solve(float(alpha)))
+            except Infeasible:
+                points.append(None)
+        return [-math.inf if pt is None else pt.trace[-1] for pt in points], points.__getitem__
+    return evaluate
 
 
 def _gamma_b_max(combiners, config):
@@ -410,7 +432,7 @@ def max_rate_given_rb(channels, r_b, config, combiners=None):
         raise ValueError("r_b must be nonnegative")
     gamma_b = math.expm1(r_b * _LN2)
     return _alpha_search(
-        lambda a: optimize_fixed_alpha_p1(channels, a, gamma_b, config, combiners), config)
+        _each(lambda a: optimize_fixed_alpha_p1(channels, a, gamma_b, config, combiners)), config)
 
 
 def region_sweep(solve_targets, r_b_max, n_points):

@@ -1,7 +1,7 @@
 """Sum-rate maximization: exact Pareto-frontier transmit beamformer in
-reduced coordinates, binary/active-constraint power allocation, and the
-alternating loop (shared with the rate region) with the 1-D combiner
-search.
+reduced coordinates, binary/active-constraint power allocation, the
+alternating loop and the 1-D combiner search, all evaluated on batches of
+combiners.
 
 Given the combiner and the powers, the objective depends on w_t only through
 the two quadratic forms s_a = |h_ra^H w_t|^2 and s_b = |h_rb^H w_t|^2.  The
@@ -12,21 +12,29 @@ it by a 1-D search along the frontier and rebuilds a unit vector achieving
 the chosen pair in closed form.  ``dc_step`` is the paper's convex DC
 subproblem over the same (s_a, s_b) set; it is not on the solver path and
 is kept as the reference that the oracle tests check.
+
+The combiner search evaluates its ``alpha_grid`` grid as one batch: the
+combiner table (``_combiner_table``), the frontier search, the power step
+and the re-solves of the combiners whose powers moved each run as a few
+numpy calls over arrays with one row per combiner (``_TxBatch``).  A golden
+step of the search is a batch of one, and so is a call with a single
+``_TxContext``: there is no other code path.
 """
 
+import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import receive_gains
-from .numerics import maximize_1d, real_cubic_roots
+from .model import _combiner_basis, make_operating_point, receive_gains
+from .numerics import maximize_1d, null_space_basis, real_cubic_roots_rows
 from .rate_region import (
     _LN2,
     _alpha_search,
-    _alternate,
-    _combiners,
     _null_z,
     _p_prime,
+    _TxContext,
     boundary_range,
 )
 
@@ -40,13 +48,21 @@ __all__ = [
     "max_sum_rate",
 ]
 
-# interval width in q at which the frontier search stops
+# grid spacing in q at which the frontier search stops
 _FRONTIER_TOL = 1e-6
+# distance, relative to the power box, within which a power candidate is a
+# box corner
+_CORNER_TOL = 1e-12
+
+
+def _rate_gain(e_a, e_b, k_a, k_b, s_a, s_b):
+    """(1 + gamma_a)(1 + gamma_b) at the quadratic forms (s_a, s_b): two to
+    the sum rate, which searches compare without taking logarithms."""
+    return ((1.0 + e_a) * s_a + k_a) / (s_a + k_a) * (((1.0 + e_b) * s_b + k_b) / (s_b + k_b))
 
 
 def _sum_rate_bits(e_a, e_b, k_a, k_b, s_a, s_b):
-    return (np.log2(1.0 + e_a * s_a / (s_a + k_a))
-            + np.log2(1.0 + e_b * s_b / (s_b + k_b)))
+    return np.log2(_rate_gain(e_a, e_b, k_a, k_b, s_a, s_b))
 
 
 def _coeffs(channels, rx_a, rx_b, p_a, p_b):
@@ -126,9 +142,194 @@ def dc_step(channels, ctx, p_a, p_b, anchor, config):
     return s_a_best, s_b_best, math.sqrt(p_prime) * (ctx.n_t @ z)
 
 
+@dataclass
+class _TxBatch:
+    """The ``_TxContext`` of K combiners that share the null dimension n, as
+    arrays with a leading axis of length K, the two sources' quantities side
+    by side (A's first).
+
+    n_t is K x m_t x n.  f is K x 2 x n with rows a_t^H and b_t^H, so that
+    ``f @ z`` gives both images' inner products with z; n2 holds their
+    squared norms (na2, nb2) and d (K x n x 2) their unit directions as
+    columns (d2, d1).  A missing direction is a zero column of d with a
+    False entry in ``has`` and a zero squared norm; r and phi are then 0,
+    as in ``_TxContext``.  rx holds the receive gains (rx_a, rx_b).
+    """
+
+    n_t: np.ndarray
+    f: np.ndarray
+    n2: np.ndarray
+    d: np.ndarray
+    has: np.ndarray
+    r: np.ndarray
+    phi: np.ndarray
+    n: int
+    rx: np.ndarray
+
+    def take(self, rows):
+        """The batch of the given rows."""
+        return _TxBatch(self.n_t[rows], self.f[rows], self.n2[rows], self.d[rows],
+                        self.has[rows], self.r[rows], self.phi[rows], self.n, self.rx[rows])
+
+    @classmethod
+    def stack(cls, ctxs):
+        """The batch of ``_TxContext``s of one null dimension, with their bits."""
+        zero = np.zeros(ctxs[0].n, dtype=complex)
+        col = lambda name: np.array([getattr(c, name) for c in ctxs])
+        d = [[zero if v is None else v for v in (c.d2, c.d1)] for c in ctxs]
+        return cls(col("n_t"), np.conj(np.stack([col("a_t"), col("b_t")], axis=1)),
+                   np.stack([col("na2"), col("nb2")], axis=1),
+                   np.array(d).transpose(0, 2, 1),
+                   np.array([[c.d2 is not None, c.d1 is not None] for c in ctxs]),
+                   col("r"), col("phi"), ctxs[0].n, np.stack([col("rx_a"), col("rx_b")], axis=1))
+
+
+def _tx_geometry(h_t, n_t):
+    """``_tx_context``'s images, squared norms, directions, r and phi for a
+    stack of null-space bases n_t (K x m_t x n), where h_t is the m_t x 2
+    matrix [h_ra, h_rb]; returns the ``_TxBatch`` fields but ``rx``, by name."""
+    images = np.conj(n_t).transpose(0, 2, 1) @ h_t  # K x n x 2: a_t, b_t
+    n2 = np.sum(np.square(images.real) + np.square(images.imag), axis=1)
+    has = n2 > 1e-300
+    d = images / np.sqrt(np.where(has, n2, 1.0))[:, None, :] * has[:, None, :]
+    inner = np.sum(np.conj(d[:, :, 0]) * d[:, :, 1], axis=1)
+    both = has[:, 0] & has[:, 1]
+    r = np.minimum(np.abs(inner), 1.0) * both
+    phi = np.angle(inner) * both
+    return dict(n_t=n_t, f=np.conj(images).transpose(0, 2, 1), n2=n2 * has, d=d, has=has,
+                r=r, phi=phi, n=n_t.shape[2])
+
+
+def _repeat(geo, k):
+    """``_tx_geometry`` fields of one basis repeated for k combiners."""
+    return geo if k == 1 else {name: x if name == "n" else np.repeat(x, k, axis=0)
+                               for name, x in geo.items()}
+
+
+def _combiner_table(channels):
+    """P2's combiner table of one realization.
+
+    ``table(alphas)`` takes a 1-D array of combiner parameters and returns
+    ``[(rows, w_r, batch)]``: the combiners ``w_r`` of those rows and their
+    ``_TxBatch``, one entry per null dimension (one entry, whose rows are
+    None, unless the loopback row w_r^H H_rr vanishes at some of the
+    combiners but not all).
+    Each combiner is ``receive_combiner``'s mix of ``_combiner_basis``'s two
+    directions, which are computed once per table, and each null-space
+    basis is ``relay_null_basis``'s, from one stacked QR call.  With a zero
+    loopback every basis is the identity, so the images, norms, directions,
+    r and phi are computed once per table and only the receive gains per
+    combiner.  The receive gains are ``receive_gains``'s, row by row, so a
+    point's objective recomputed by ``make_operating_point`` has the bits
+    that the power step scored.
+    """
+    u_par, u_perp = _combiner_basis(channels)
+    h_t = np.stack([channels.h_ra, channels.h_rb], axis=1)
+    eye = np.eye(channels.m_t, dtype=complex)[None]
+    free = None if channels.h_rr.any() else _tx_geometry(h_t, eye)
+    h_rr_conj = np.conj(channels.h_rr)
+    threshold = 1e-12 * max(1.0, np.linalg.norm(channels.h_rr))
+
+    def table(alphas):
+        if not np.all((alphas >= 0.0) & (alphas <= 1.0)):
+            raise ValueError("alpha must lie in [0, 1]")
+        if u_perp is None:
+            w_r = np.repeat(u_par[None], alphas.size, axis=0)
+        else:
+            w_r = alphas[:, None] * u_par + np.sqrt(1.0 - alphas)[:, None] * u_perp
+            w_r /= np.linalg.norm(w_r, axis=1, keepdims=True)
+        rx = np.array([receive_gains(channels, w) for w in w_r])
+        if free is not None:
+            return [(None, w_r, _TxBatch(**_repeat(free, alphas.size), rx=rx))]
+        v = (w_r[:, None, :] @ h_rr_conj)[:, 0]  # rows v^T with v = H_rr^H w_r
+        vanish = np.linalg.norm(v, axis=1) <= threshold
+        if not vanish.any():
+            geo = _tx_geometry(h_t, null_space_basis(v[:, :, None]))
+            return [(None, w_r, _TxBatch(**geo, rx=rx))]
+        groups = []  # the combiners whose loopback row vanishes keep every direction
+        for rows in (np.flatnonzero(~vanish), np.flatnonzero(vanish)):
+            if rows.size:
+                geo = (_repeat(_tx_geometry(h_t, eye), rows.size) if vanish[rows[0]]
+                       else _tx_geometry(h_t, null_space_basis(v[rows, :, None])))
+                groups.append((rows, w_r[rows], _TxBatch(**geo, rx=rx[rows])))
+        return groups
+
+    return table
+
+
+@functools.cache
+def _zoom_grids(points):
+    """The level offsets of ``_frontier_argmax``'s grids: [0, 1] itself,
+    then for each further grid the offsets from the last best level,
+    spaced 2h / (points - 1) on [-h, h] with h the last grid's spacing."""
+    grids = [np.linspace(0.0, 1.0, points)]
+    h = 1.0 / (points - 1)
+    while h > _FRONTIER_TOL:
+        grids.append(np.linspace(-h, h, points))
+        h = 2.0 * h / (points - 1)
+    for grid in grids:
+        grid.setflags(write=False)
+    return grids
+
+
+def _frontier_argmax(e_a, e_b, k_a, k_b, top_a, top_b, r, grid_points):
+    """Each row's frontier level q in [0, 1] of largest sum rate.
+
+    Zoomed grids, all rows at once: ``grid_points`` levels on [0, 1], then
+    as many on [q - h, q + h] (clipped to [0, 1]) around the best level q
+    of the last grid, whose spacing is h, until the spacing is at most
+    ``_FRONTIER_TOL`` (three grids at 201 points: spacings 5e-3, 5e-5 and
+    5e-7).  Returns each row's best level on the last grid; ties go to the
+    lowest level.  The last grid holds levels within its spacing of every
+    earlier best, so no earlier best is lost by more than the frontier's
+    change over that spacing.
+    """
+    e_a, e_b, k_a, k_b, top_a, top_b, r = (x[:, None] for x in (e_a, e_b, k_a, k_b,
+                                                                top_a, top_b, r))
+    rows = np.arange(r.shape[0])
+    first, *zooms = _zoom_grids(grid_points)
+    qs = first
+    for offsets in [None, *zooms]:
+        if offsets is not None:
+            qs = np.minimum(np.maximum(q[:, None] + offsets, 0.0), 1.0)
+        vals = _rate_gain(e_a, e_b, k_a, k_b, top_a * boundary_range(r, qs)[1], qs * top_b)
+        i = np.argmax(vals, axis=1)
+        q = qs[i] if offsets is None else qs[rows, i]
+    return q
+
+
+def _boundary_z(ctx, q):
+    """``_null_z``'s boundary vector (t=None) of each row of ``ctx`` at its
+    level q in [0, 1]: the rows with both directions and 1 - r^2 >= 1e-10
+    at once, in ``_null_z``'s formula, and the others by ``_null_z``
+    itself."""
+    one_minus_r2 = 1.0 - ctx.r * ctx.r
+    gen = ctx.has[:, 0] & ctx.has[:, 1] & (one_minus_r2 >= 1e-10)
+    g = np.sqrt((1.0 - q) / np.where(gen, one_minus_r2, 1.0))
+    b = (ctx.r * g - np.sqrt(q)) * np.exp(1j * (math.pi - ctx.phi))
+    z = b[:, None] * ctx.d[:, :, 1] + g[:, None] * ctx.d[:, :, 0]
+    if gen.all():
+        return z / np.linalg.norm(z, axis=1, keepdims=True)
+    z[gen] /= np.linalg.norm(z[gen], axis=1, keepdims=True)
+    for k in np.flatnonzero(~gen):
+        z[k] = _null_z(*_directions(ctx, k), float(ctx.r[k]), float(ctx.phi[k]), ctx.n,
+                       float(q[k]))
+    return z
+
+
+def _directions(ctx, k):
+    """Row k's (d1, d2) as ``_TxContext`` holds them (None when missing)."""
+    return (ctx.d[k, :, 1] if ctx.has[k, 1] else None,
+            ctx.d[k, :, 0] if ctx.has[k, 0] else None)
+
+
 def solve_txbf_p2(channels, ctx, p_a, p_b, config, w_t_init=None):
-    """Transmit beamformer maximizing the sum rate at fixed powers, for the
-    combiner whose ``_tx_context`` is ``ctx``.
+    """Transmit beamformers maximizing the sum rate at fixed powers, for a
+    batch of combiners: ``ctx`` is a ``_TxBatch`` with one row per combiner,
+    ``p_a``/``p_b`` arrays of its powers and ``w_t_init`` None or the rows'
+    warm starts; returns one beamformer per row (K x m_t).  A single
+    ``_TxContext`` with float powers and a vector warm start is a batch of
+    one and gets a vector back.
 
     Null dimension 1: the direction is forced and the sum rate is
     nondecreasing in the transmit power, so the full budget is the answer.
@@ -136,149 +337,293 @@ def solve_txbf_p2(channels, ctx, p_a, p_b, config, w_t_init=None):
     maximum over the convex reachable (s_a, s_b) set lies on the upper
     frontier s_a = s_a_max(q), q = s_b / s_b_max at full budget; a 1-D
     search over q in [0, 1] therefore solves the inner problem exactly.
-    The search evaluates the frontier on the ndarray of grid points and on
-    a Python float at each golden step; the formula is numpy ufuncs and
-    float arithmetic, so a step's value has the same bits as an array
-    element would.  The frontier point is returned only when its sum rate
-    exceeds that of the start point (the unconstrained-direction cold
-    start, or the warm start when it scores higher), so a warm-started
-    call never scores below its warm start.  ``dc_step`` is the paper's DC
-    iteration over the same set, kept as the oracle-tested reference.
+    The search (``_frontier_argmax``) runs zoomed grids over all rows at
+    once, down to a spacing of ``_FRONTIER_TOL`` in q.  A row's frontier
+    point is returned only when its sum rate exceeds that of its start
+    point (the unconstrained-direction cold start, or the warm start when
+    it scores higher), so a warm-started row never scores below its warm
+    start.  ``dc_step`` is the paper's DC iteration over the same set,
+    kept as the oracle-tested reference.
     """
-    p_prime = _p_prime(config.p_r_max, p_a, p_b, ctx.rx_a, ctx.rx_b)
+    one = isinstance(ctx, _TxContext)
+    if one:
+        ctx, p_a, p_b = _TxBatch.stack([ctx]), np.array([p_a], float), np.array([p_b], float)
+        w_t_init = None if w_t_init is None else np.asarray(w_t_init)[None]
+    rx_a, rx_b = ctx.rx[:, 0], ctx.rx[:, 1]
+    p_prime = _p_prime(config.p_r_max, p_a, p_b, rx_a, rx_b)
     if ctx.n == 1:
-        return math.sqrt(p_prime) * ctx.n_t[:, 0]
-    e_a, e_b, k_a, k_b = _coeffs(channels, ctx.rx_a, ctx.rx_b, p_a, p_b)
+        w_t = np.sqrt(p_prime)[:, None] * ctx.n_t[:, :, 0]
+        return w_t[0] if one else w_t
+    e_a, e_b, k_a, k_b = _coeffs(channels, rx_a, rx_b, p_a, p_b)
+    top = p_prime[:, None] * ctx.n2
+    q = _frontier_argmax(e_a, e_b, k_a, k_b, top[:, 0], top[:, 1], ctx.r, config.grid_points)
 
-    def state(z):
-        s_a = p_prime * abs(np.vdot(ctx.a_t, z)) ** 2
-        s_b = p_prime * abs(np.vdot(ctx.b_t, z)) ** 2
-        return float(_sum_rate_bits(e_a, e_b, k_a, k_b, s_a, s_b))
-
-    # start point: unconstrained direction (z along the null-space image of
-    # h_ra, or of h_rb if that is zero), replaced by the warm start when
-    # that scores higher
-    z_start = (ctx.d2 if ctx.d2 is not None
-               else _null_z(ctx.d1, ctx.d2, ctx.r, ctx.phi, ctx.n, 1.0))
-    start = state(z_start)
+    # candidates: the start point (z along the null-space image of h_ra, or
+    # of h_rb if that is zero), the warm start and the frontier point; the
+    # first of the highest scoring wins, so the warm start replaces the
+    # start and the frontier point both only when it scores higher
+    z = np.zeros((len(p_prime), ctx.n, 3), dtype=complex)
+    z[:, :, 0] = ctx.d[:, :, 0]
+    if not ctx.has[:, 0].all():
+        for k in np.flatnonzero(~ctx.has[:, 0]):
+            z[k, :, 0] = _null_z(_directions(ctx, k)[0], None, 0.0, 0.0, ctx.n, 1.0)
+    usable = np.zeros(len(p_prime), dtype=bool)
     if w_t_init is not None:
-        zi = ctx.n_t.conj().T @ w_t_init
-        nz = np.linalg.norm(zi)
-        if nz > 1e-150:
-            warm = state(zi / nz)
-            if warm > start:
-                z_start, start = zi / nz, warm
+        zi = (np.conj(ctx.n_t).transpose(0, 2, 1) @ w_t_init[:, :, None])[:, :, 0]
+        nz = np.linalg.norm(zi, axis=1)
+        usable = nz > 1e-150
+        z[:, :, 1] = zi / np.where(usable, nz, 1.0)[:, None]
+    z[:, :, 2] = _boundary_z(ctx, q)
+    s = p_prime[:, None, None] * np.square(np.abs(ctx.f @ z))  # K x 2 x 3: s_a, s_b
+    score = _rate_gain(e_a[:, None], e_b[:, None], k_a[:, None], k_b[:, None], s[:, 0], s[:, 1])
+    score[:, 1] = np.where(usable, score[:, 1], -math.inf)
+    z_best = z[np.arange(len(p_prime)), :, np.argmax(score, axis=1)]
+    w_t = np.sqrt(p_prime)[:, None] * (ctx.n_t @ z_best[:, :, None])[:, :, 0]
+    return w_t[0] if one else w_t
 
-    s_b_top = p_prime * ctx.nb2
-    top_a = p_prime * ctx.na2
 
-    def frontier(q):
-        s_a = top_a * boundary_range(ctx.r, q)[1]
-        return _sum_rate_bits(e_a, e_b, k_a, k_b, s_a, q * s_b_top)
-
-    q_best, _ = maximize_1d(frontier, 0.0, 1.0, tol=_FRONTIER_TOL,
-                            grid_points=config.grid_points, vectorized=True)
-    z = _null_z(ctx.d1, ctx.d2, ctx.r, ctx.phi, ctx.n, q_best)
-    z_best = z if state(z) > start else z_start
-    return math.sqrt(p_prime) * (ctx.n_t @ z_best)
+# the factors j != i of term i of the stationarity cubic, in increasing j
+_OTHERS = np.array([[j for j in range(4) if j != i] for i in range(4)])
 
 
 def _stationarity_cubic(lins):
     """Coefficients, in descending powers, of
     sum_i s_i b_i prod_{j != i} (a_j + b_j x) with signs s = (+, -, +, -),
-    for the four (a_j, b_j) in ``lins``.
+    for the four (a_j, b_j) in ``lins`` (4 x 2, or K x 4 x 2 for K
+    polynomials, giving K x 4).
 
     Float arithmetic in ``np.convolve``'s order (one product or a sum of two
-    per coefficient), so each coefficient equals the
-    ``np.convolve(term, [b_j, a_j])`` assembly bit for bit.
+    per coefficient, the terms added in turn), so each coefficient equals
+    the ``np.convolve(term, [b_j, a_j])`` assembly bit for bit; all terms
+    and polynomials are computed at once.
     """
-    num = [0.0] * 4
-    for i, (sgn, (_, bi)) in enumerate(zip((1.0, -1.0, 1.0, -1.0), lins)):
-        term = [sgn * bi]
-        for j, (aj, bj) in enumerate(lins):
-            if j != i:
-                term = ([term[0] * bj] + [x * bj + y * aj for x, y in zip(term[1:], term)]
-                        + [term[-1] * aj])
-        num = [u + v for u, v in zip(num, term)]
-    return num
+    lins = np.asarray(lins, dtype=float)
+    a, b = lins[..., _OTHERS, 0], lins[..., _OTHERS, 1]
+    term = (np.array([1.0, -1.0, 1.0, -1.0]) * lins[..., 1])[..., None]
+    for step in range(3):
+        grown = np.zeros(term.shape[:-1] + (term.shape[-1] + 1,))
+        grown[..., :-1] = term * b[..., step, None]
+        grown[..., 1:] += term * a[..., step, None]
+        term = grown
+    return term.sum(axis=-2) + 0.0
+
+
+def _snap_to_corner(p, p_max):
+    """The box bound, 0 or p_max, within ``_CORNER_TOL`` p_max of the power
+    p, or None when p is near neither."""
+    if abs(p - p_max) <= _CORNER_TOL * p_max:
+        return p_max
+    return 0.0 if p <= _CORNER_TOL * p_max else None
 
 
 def solve_power_p2(channels, w_t, ctx, config):
-    """Source powers maximizing the sum rate at a fixed beamformer and the
-    combiner whose ``_tx_context`` is ``ctx``.
+    """Source powers maximizing the sum rate at fixed beamformers, for a
+    batch of combiners: ``w_t`` holds one beamformer per row of the
+    ``_TxBatch`` ``ctx``.  Returns arrays (p_a, p_b, value), value being
+    each row's sum rate in ``sinr_pair``'s arithmetic, bit for bit.  A
+    single ``_TxContext`` and a vector ``w_t`` are a batch of one and get
+    floats back.
 
     Candidates: the three binary corners, the endpoints of the
     active-budget curve p_a(p_b), and the real roots of the stationarity
     condition on that curve (a cubic assembled numerically from the
-    derivative of the two rate terms).  Returns
-    (p_a, p_b, value) for the best feasible candidate, value being its sum
-    rate in ``sinr_pair``'s arithmetic.  The corner (0, 0) scores 0 and is
-    feasible whenever any candidate is, so (0.0, 0.0, 0.0) is returned
+    derivative of the two rate terms; the cubics of all rows are solved
+    together by ``real_cubic_roots_rows``).  Candidates are scored for all
+    rows at once, and the first best feasible one wins.  A winner off the
+    corners that lies within ``_CORNER_TOL`` of the power box's size from a
+    corner is that corner: the budget-curve arithmetic can land a few ulps
+    inside it, and a fixed point at a corner must return the corner's exact
+    powers for the alternation to see it.  The corner (0, 0) scores 0 and
+    is feasible whenever any candidate is, so (0.0, 0.0, 0.0) is returned
     when no candidate scores higher, feasible or not.
     """
-    tx_a, tx_b = abs(np.vdot(channels.h_ra, w_t)) ** 2, abs(np.vdot(channels.h_rb, w_t)) ** 2
-    rx_a, rx_b = ctx.rx_a, ctx.rx_b
+    one = isinstance(ctx, _TxContext)
+    if one:
+        ctx, w_t = _TxBatch.stack([ctx]), np.asarray(w_t)[None]
+    h_ra, h_rb = channels.h_ra, channels.h_rb
+    tx_a, tx_b, nt2 = np.array([(abs(np.vdot(h_ra, w)) ** 2, abs(np.vdot(h_rb, w)) ** 2,
+                                 np.vdot(w, w).real) for w in w_t]).T
+    rx_a, rx_b = ctx.rx.T
     haa2 = abs(channels.h_aa) ** 2
     hbb2 = abs(channels.h_bb) ** 2
-    nt2 = float(np.vdot(w_t, w_t).real)
     pa_max, pb_max, pr_max = config.p_a_max, config.p_b_max, config.p_r_max
-    budget = pr_max / nt2 - 1.0 if nt2 > 0 else math.inf  # cap on p_a rx_a + p_b rx_b
+    k = len(nt2)
+    # cap on p_a rx_a + p_b rx_b (inf where w_t is zero)
+    if nt2.all():
+        budget = pr_max / nt2 - 1.0
+    else:
+        budget = np.divide(pr_max, nt2, out=np.full(k, math.inf), where=nt2 > 0) - 1.0
 
-    def sum_rate(p_a, p_b):
-        ga = p_b * tx_a * rx_b / (tx_a + p_a * haa2 + 1.0)
-        gb = p_a * tx_b * rx_a / (tx_b + p_b * hbb2 + 1.0)
-        return math.log2(1.0 + ga) + math.log2(1.0 + gb)
+    # columns 0-2 are the corners, 3-4 the curve's ends (3 also the
+    # candidate of a single receive gain), 5-7 the stationary points; a
+    # missing candidate is NaN, which no comparison passes
+    live, gain_a, gain_b = budget > 0, rx_a > 1e-300, rx_b > 1e-300
+    both = live & gain_a & gain_b
+    bud, ra, rb = budget, rx_a, rx_b
+    if not both.all():  # the other rows get harmless stand-ins
+        bud, ra, rb = np.where(both, bud, 0.0), np.where(both, ra, 1.0), np.where(both, rb, 1.0)
+    pa, pb = np.empty((k, 8)), np.empty((k, 8))
+    pa[:, :3], pb[:, :3] = (pa_max, pa_max, 0.0), (pb_max, 0.0, pb_max)
+    pb[:, 3] = pb_lo = np.maximum(0.0, (bud - ra * pa_max) / rb)
+    pb[:, 4] = pb_hi = np.minimum(pb_max, bud / rb)
+    curve = both & (pb_lo <= pb_hi + 1e-15)
+    pb[:, 5:] = np.nan
+    if curve.any():
+        # stationarity of y(p_b) on the curve: sum of four rational terms
+        a2 = tx_a + 1.0 + haa2 * bud / ra
+        b2 = -haa2 * rb / ra
+        a4 = tx_b + 1.0
+        num = _stationarity_cubic(np.array([a2, b2 + tx_a * rb, a2, b2, a4 + tx_b * bud,
+                                            hbb2 - tx_b * rb, a4, np.full(k, hbb2)]
+                                           ).T.reshape(k, 4, 2))
+        solve = curve & (np.abs(num).max(axis=1) > 0)
+        roots = np.full((k, 3), np.nan)
+        if solve.all():
+            roots = real_cubic_roots_rows(num)
+        elif solve.any():
+            roots[solve] = real_cubic_roots_rows(num[solve])
+        pb[:, 5:] = np.where((pb_lo[:, None] < roots) & (roots < pb_hi[:, None]), roots, np.nan)
+    if not curve.all():
+        pb[~curve, 3:5] = np.nan
+    pa[:, 3:] = (bud[:, None] - pb[:, 3:] * rb[:, None]) / ra[:, None]
+    if (live & (gain_a != gain_b)).any():  # a single receive gain: one candidate
+        single_a, single_b = live & gain_a & ~gain_b, live & gain_b & ~gain_a
+        pa[single_a, 3], pb[single_a, 3] = budget[single_a] / rx_a[single_a], 0.0
+        pa[single_b, 3], pb[single_b, 3] = 0.0, budget[single_b] / rx_b[single_b]
+    pa = np.minimum(np.maximum(pa, 0.0), pa_max)
+    pb = np.minimum(np.maximum(pb, 0.0), pb_max)
+    rx_a, rx_b, tx_a, tx_b = (x[:, None] for x in (rx_a, rx_b, tx_a, tx_b))
+    ok = pa * rx_a + pb * rx_b <= (budget * (1.0 + 1e-12) + 1e-12)[:, None]  # relay budget
+    # candidates are ranked by (1 + gamma_a)(1 + gamma_b); the winner's
+    # value is recomputed below in sinr_pair's arithmetic
+    score = np.where(ok, (1.0 + pb * (tx_a * rx_b) / (tx_a + pa * haa2 + 1.0))
+                     * (1.0 + pa * (tx_b * rx_a) / (tx_b + pb * hbb2 + 1.0)), -math.inf)
+    out = np.zeros((k, 3))
+    for row, (j, s_row, cand_a, cand_b, ta, tb, r_a, r_b) in enumerate(zip(
+            score.argmax(axis=1).tolist(), score.tolist(), pa.tolist(), pb.tolist(),
+            tx_a[:, 0].tolist(), tx_b[:, 0].tolist(), rx_a[:, 0].tolist(), rx_b[:, 0].tolist())):
+        if not s_row[j] > 1.0:
+            continue
+        p_a, p_b = cand_a[j], cand_b[j]
+        if j >= 3:
+            snapped = _snap_to_corner(p_a, pa_max), _snap_to_corner(p_b, pb_max)
+            if None not in snapped:
+                p_a, p_b = snapped
+        # sinr_pair's arithmetic
+        g_a = p_b * ta * r_b / (ta + p_a * haa2 + 1.0)
+        g_b = p_a * tb * r_a / (tb + p_b * hbb2 + 1.0)
+        value = math.log2(1.0 + g_a) + math.log2(1.0 + g_b)
+        if value > 0.0:
+            out[row] = p_a, p_b, value
+    if one:
+        return tuple(out[0].tolist())
+    return out[:, 0], out[:, 1], out[:, 2]
 
-    cands = [(pa_max, pb_max), (pa_max, 0.0), (0.0, pb_max)]
-    if budget > 0 and rx_a > 1e-300 and rx_b > 1e-300:
-        pb_min = max(0.0, (budget - rx_a * pa_max) / rx_b)
-        pb_max_c = min(pb_max, budget / rx_b)
-        if pb_min <= pb_max_c + 1e-15:
-            pa_of = lambda pb: min(max((budget - pb * rx_b) / rx_a, 0.0), pa_max)
-            cands.append((pa_of(pb_min), pb_min))
-            cands.append((pa_of(pb_max_c), pb_max_c))
-            # stationarity of y(p_b) on the curve: sum of four rational terms
-            a2 = tx_a + 1.0 + haa2 * budget / rx_a
-            b2 = -haa2 * rx_b / rx_a
-            a1, b1 = a2, b2 + tx_a * rx_b
-            a4, b4 = tx_b + 1.0, hbb2
-            a3, b3 = a4 + tx_b * budget, b4 - tx_b * rx_b
-            num = _stationarity_cubic([(a1, b1), (a2, b2), (a3, b3), (a4, b4)])
-            if np.max(np.abs(num)) > 0:
-                for root in real_cubic_roots(*num):
-                    if pb_min < root < pb_max_c:
-                        cands.append((pa_of(root), root))
-    elif budget > 0 and rx_b > 1e-300:
-        cands.append((0.0, min(pb_max, budget / rx_b)))
-    elif budget > 0 and rx_a > 1e-300:
-        cands.append((min(pa_max, budget / rx_a), 0.0))
-    best = (0.0, 0.0, 0.0)
-    for p_a, p_b in cands:
-        p_a = min(max(p_a, 0.0), pa_max)
-        p_b = min(max(p_b, 0.0), pb_max)
-        if p_a * rx_a + p_b * rx_b <= budget * (1.0 + 1e-12) + 1e-12:  # relay budget
-            val = sum_rate(p_a, p_b)
-            if val > best[2]:
-                best = (p_a, p_b, val)
-    return best
+
+@dataclass
+class _P2Points:
+    """``optimize_fixed_alpha_p2``'s outcome at a batch of combiners: each
+    one's combiner, beamformer, the powers it stopped at and its trace.
+    ``values`` holds each trace's last value, and ``point(i)`` builds
+    combiner i's OperatingPoint."""
+
+    channels: object
+    alphas: np.ndarray
+    w_r: np.ndarray
+    w_t: np.ndarray
+    powers: np.ndarray
+    traces: list
+
+    @property
+    def values(self):
+        return np.array([trace[-1] for trace in self.traces])
+
+    def point(self, i):
+        return make_operating_point(self.channels, self.w_t[i], self.w_r[i],
+                                    float(self.alphas[i]), float(self.powers[i, 0]),
+                                    float(self.powers[i, 1]), self.traces[i])
+
+
+def _alternate_rows(channels, ctx, config):
+    """The alternating loop at every row of the ``_TxBatch`` ``ctx``, from
+    full source powers; returns (w_t, powers, traces), one row each.
+
+    Each row stops on its own when its sum rate improves by less than
+    conv_tol, when its power step returns exactly the powers its
+    beamformer was solved at, or at iter_max: ``rate_region._alternate``'s
+    rules.  The second stop changes no answer, as the beamformer solved
+    again at the same powers is the same frontier point up to rounding.
+    Only the rows still running are solved at each step, as one batch.  A row that stops keeps its
+    traced powers and the beamformer they were scored with; a row that
+    hits iter_max keeps the beamformer re-solved after its last traced
+    iteration, so its objective can exceed its last traced value.
+    """
+    k = len(ctx.rx)
+    powers = np.empty((k, 2))
+    powers[:] = config.p_a_max, config.p_b_max
+    w_t = solve_txbf_p2(channels, ctx, powers[:, 0], powers[:, 1], config)
+    traces = [[] for _ in range(k)]
+    prev = np.zeros(k)
+    live, rows = slice(None), list(range(k))  # the running rows
+    for _ in range(config.iter_max):
+        p_a, p_b, value = solve_power_p2(channels, w_t[live], ctx, config)
+        for row, val in zip(rows, value.tolist()):
+            traces[row].append(val)
+        kept = (p_a == powers[live, 0]) & (p_b == powers[live, 1])
+        going = ~((value - prev[live] < config.conv_tol) | kept)
+        powers[live, 0], powers[live, 1] = p_a, p_b
+        if not going.any():
+            break
+        if not going.all():
+            rows = [row for row, go in zip(rows, going.tolist()) if go]
+            live, ctx, value = np.array(rows), ctx.take(going), value[going]
+        prev[live] = value
+        w_t[live] = solve_txbf_p2(channels, ctx, powers[live, 0], powers[live, 1], config,
+                                  w_t_init=w_t[live])
+    return w_t, powers, traces
 
 
 def optimize_fixed_alpha_p2(channels, alpha, config, combiners=None):
-    """Alternate the transmit beamformer and the power rule for one combiner.
+    """Alternate the transmit beamformer and the power rule at each combiner
+    of a batch.
 
-    Starts at full source powers; the beamformer solve is warm-started with
-    the previous beamformer so the recorded sum-rate trace never decreases.
-    Stops when the sum rate improves by less than conv_tol, when the power
-    step keeps the powers, or at iter_max.
+    ``alpha`` is a 1-D array of combiner parameters, whose combiners come
+    from ``combiners``, a ``_combiner_table`` of the realization (None: a
+    fresh one); returns their ``_P2Points``.  A float ``alpha`` is a batch
+    of one and returns its OperatingPoint.  Each combiner starts at full
+    source powers; its beamformer solves are warm-started with the previous
+    beamformer, so its recorded sum-rate trace never decreases.  It stops
+    when the sum rate improves by less than conv_tol, when the power step
+    keeps the powers, or at iter_max (``_alternate_rows``).
     """
-    return _alternate(
-        channels, alpha, combiners, config, [(config.p_a_max, config.p_b_max)],
-        beam=lambda ctx, p, w_t: solve_txbf_p2(channels, ctx, p[0], p[1], config, w_t_init=w_t),
-        power=lambda w_t, ctx: solve_power_p2(channels, w_t, ctx, config))
+    alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
+    groups = (combiners or _combiner_table(channels))(alphas)
+    if len(groups) == 1:
+        _, w_r, ctx = groups[0]
+        w_t, powers, traces = _alternate_rows(channels, ctx, config)
+    else:
+        w_r = np.empty((alphas.size, channels.m_r), dtype=complex)
+        w_t = np.empty((alphas.size, channels.m_t), dtype=complex)
+        powers, traces = np.empty((alphas.size, 2)), [None] * alphas.size
+        for rows, group_w_r, ctx in groups:
+            w_r[rows] = group_w_r
+            w_t[rows], powers[rows], group_traces = _alternate_rows(channels, ctx, config)
+            for row, trace in zip(rows.tolist(), group_traces):
+                traces[row] = trace
+    points = _P2Points(channels, alphas, w_r, w_t, powers, traces)
+    return points if np.ndim(alpha) else points.point(0)
 
 
 def max_sum_rate(channels, config):
     """Best sum-rate operating point over the combiner parameter grid plus
-    golden refinement, reading one ``_combiners`` table."""
-    combiners = _combiners(channels)
-    return _alpha_search(lambda a: optimize_fixed_alpha_p2(channels, a, config, combiners), config)
+    golden refinement.  The grid is one batch of ``optimize_fixed_alpha_p2``
+    and each pair of golden steps a batch of three (the step's combiner and
+    the next step's two candidates), all reading one ``_combiner_table``;
+    only the winner's OperatingPoint is built."""
+    table = _combiner_table(channels)
+
+    def evaluate(alphas):
+        points = optimize_fixed_alpha_p2(channels, alphas, config, table)
+        return points.values, points.point
+
+    return _alpha_search(evaluate, config, lookahead=True)

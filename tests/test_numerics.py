@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fdtwrc.numerics import maximize_1d, null_space_basis, real_cubic_roots
+from fdtwrc.numerics import maximize_1d, null_space_basis, real_cubic_roots, real_cubic_roots_rows
 
 
 def crandn(rng, *shape):
@@ -40,6 +40,16 @@ class TestNullSpaceBasis:
             assert np.linalg.norm(n.conj().T @ n - np.eye(m - k)) <= 1e-10
         v = crandn(rng, 4)
         assert np.array_equal(null_space_basis(v[:, None]), null_space_basis(v))
+
+    def test_stack_matches_single_calls(self):
+        rng = np.random.default_rng(5)
+        v = crandn(rng, 7, 4, 1)
+        stacked = null_space_basis(v)
+        assert stacked.shape == (7, 4, 3)
+        for k in range(7):
+            assert np.array_equal(stacked[k], null_space_basis(v[k]))
+        with pytest.raises(ValueError):
+            null_space_basis(np.concatenate([v, np.zeros((1, 4, 1))]))
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -154,6 +164,28 @@ class TestRealCubicRootsMatchesNumpy:
             assert got == np_real_cubic_roots(*c)
 
 
+class TestRealCubicRootsRows:
+    def test_rows_match_single_polynomials(self):
+        # each row gives real_cubic_roots' roots, bit for bit, whatever the
+        # other rows' degrees (merged near-duplicates aside)
+        rng = np.random.default_rng(12)
+        rows = np.array([random_cubic(rng) for _ in range(3000)])
+        got = real_cubic_roots_rows(rows)
+        assert got.shape == (3000, 3)
+        for row, roots in zip(rows, got):
+            real = roots[~np.isnan(roots)]
+            assert np.all(np.diff(real) >= 0.0)
+            single = real_cubic_roots(*row)
+            merged = [x for i, x in enumerate(real.tolist())
+                      if i == 0 or abs(x - real[i - 1]) > 1e-8 * max(1.0, abs(x))]
+            assert merged == single, row
+
+    def test_zero_or_non_finite_row_raises(self):
+        for bad in ([0.0, 0.0, 0.0, 0.0], [1.0, np.nan, 0.0, 1.0], [np.inf, 1.0, 1.0, 1.0]):
+            with pytest.raises(ValueError):
+                real_cubic_roots_rows([[1.0, -6.0, 11.0, -6.0], bad])
+
+
 class TestMaximize1d:
     def test_parabola(self):
         x, v = maximize_1d(lambda x: -((x - 0.3) ** 2), 0.0, 1.0, tol=1e-6)
@@ -243,3 +275,29 @@ class TestMaximize1d:
             old = maximize_1d(lambda x: float(f(np.array([x]))[0]), 0.0, 1.0, tol=1e-6,
                               grid_points=21)
             assert new == old
+
+    def test_lookahead_uses_the_same_points_in_half_the_calls(self):
+        # lookahead evaluates each golden step's point with the next step's
+        # two possible points; the points the search uses, their order and
+        # the result are those without it
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            c = rng.uniform(-3, 3, size=6)
+            plain, batched, calls = [], [], []
+
+            def f_plain(x):
+                plain.extend(np.atleast_1d(x).tolist())
+                return np.polyval(c, x)
+
+            def f_batched(xs):
+                calls.append(len(xs))
+                batched.extend(xs.tolist())
+                return np.polyval(c, xs)
+
+            ref = maximize_1d(f_plain, -1.0, 1.0, tol=1e-4, grid_points=21, vectorized=True)
+            got = maximize_1d(f_batched, -1.0, 1.0, tol=1e-4, grid_points=21, vectorized=True,
+                              lookahead=True)
+            assert got == ref
+            assert set(plain) <= set(batched)
+            assert calls[0] == 21 and max(calls[1:]) <= 4
+            assert len(calls) - 1 <= (len(plain) - 21) // 2 + 1

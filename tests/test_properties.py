@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdtwrc.baselines import hd_anc_region, hd_anc_solve, local_csi_sum_rate, upper_bound_solve
@@ -44,6 +44,7 @@ from fdtwrc.rate_region import (
     solve_txbf_p1,
 )
 from fdtwrc.sum_rate import (
+    _combiner_table,
     max_sum_rate,
     optimize_fixed_alpha_p2,
     solve_power_p2,
@@ -208,15 +209,18 @@ def test_stopped_point_is_a_power_fixed_point(cfg, seed, alpha, target_share):
     # return those powers and the traced value (P2 up to rounding, P1 bit
     # for bit, since P1's beamformer ignores its warm start)
     ch = sample_channels(cfg, seed)
-    combiners = _combiners(ch)
-    _, ctx = combiners(alpha)
-    pt = optimize_fixed_alpha_p2(ch, alpha, cfg, combiners)
+    table = _combiner_table(ch)
+    [(_, _, batch)] = table(np.array([alpha]))
+    pt = optimize_fixed_alpha_p2(ch, alpha, cfg, table)
     if stopped_on_kept_powers(pt.trace):
         p_a, p_b = pt.powers.p_a, pt.powers.p_b
-        w_t = solve_txbf_p2(ch, ctx, p_a, p_b, cfg, w_t_init=pt.beamformer.w_t)
-        *powers, value = solve_power_p2(ch, w_t, ctx, cfg)
-        assert powers == [p_a, p_b]
-        assert abs(value - pt.trace[-1]) <= 1e-12 * pt.trace[-1]
+        w_t = solve_txbf_p2(ch, batch, np.array([p_a]), np.array([p_b]), cfg,
+                            w_t_init=pt.beamformer.w_t[None])
+        powers_a, powers_b, values = solve_power_p2(ch, w_t, batch, cfg)
+        assert [powers_a[0], powers_b[0]] == [p_a, p_b]
+        assert abs(values[0] - pt.trace[-1]) <= 1e-12 * pt.trace[-1]
+    combiners = _combiners(ch)
+    _, ctx = combiners(alpha)
     gamma_b = target_share * _gamma_b_max(combiners, cfg)
     try:
         pt = optimize_fixed_alpha_p1(ch, alpha, gamma_b, cfg, combiners)
@@ -247,6 +251,49 @@ def test_scheme_ordering_per_realization(cfg, seed):
     assert (rank_one.powers.p_a, rank_one.powers.p_b) == (cfg.p_a_max, cfg.p_b_max)
     assert (hd_anc_solve(ch, cfg).sum_rate
             >= 0.5 * rank_one.sum_rate - 1e-6 * max(1.0, rank_one.sum_rate))
+
+
+# corner cases of P2's batched solver, each applied to a random config
+P2_EDGES = {
+    "none": lambda cfg: cfg,
+    "null_dim_1": lambda cfg: replace(cfg, m_t=2),  # the forced direction
+    "single_rx_antenna": lambda cfg: replace(cfg, m_r=1),  # one combiner for every alpha
+    "zero_loopback": lambda cfg: cfg,  # ub's channels: the identity null space
+    "no_relay_power": lambda cfg: replace(cfg, p_r_max=0.0),  # w_t = 0, budget inf
+    "weak_b_link": lambda cfg: replace(cfg, gain_br=1e-90),
+    "si_0db": lambda cfg: replace(cfg, sigma2_a=1.0, sigma2_b=1.0, sigma2_r=1.0),  # powers move
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=70, deadline=None, derandomize=True, database=None)
+@given(cfg=configs, seed=st.integers(0, 2**32 - 1), edge=st.sampled_from(sorted(P2_EDGES)),
+       extra=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+@example(cfg=SystemConfig(), seed=143, edge="si_0db", extra=[0.35])
+@example(cfg=SystemConfig(), seed=16, edge="none", extra=[0.45])
+def test_batch_equals_batches_of_one(cfg, seed, edge, extra):
+    # P2's batched alternation treats its combiners independently: a batch
+    # of K combiners gives the powers, values and beamformers of K batches
+    # of one, including the rows that re-solve after their powers move, and
+    # the combiner search never ends below its best grid combiner
+    cfg = P2_EDGES[edge](cfg)
+    ch = sample_channels(cfg, seed)
+    if edge == "zero_loopback":
+        ch = zero_loopback(ch)
+    table = _combiner_table(ch)
+    alphas = np.concatenate([np.linspace(0.0, 1.0, cfg.alpha_grid), extra])
+    batch = optimize_fixed_alpha_p2(ch, alphas, cfg, table)
+    for k, alpha in enumerate(alphas):
+        one = optimize_fixed_alpha_p2(ch, alphas[k:k + 1], cfg, table)
+        assert np.array_equal(one.powers[0], batch.powers[k])
+        assert len(one.traces[0]) == len(batch.traces[k])
+        assert np.allclose(one.traces[0], batch.traces[k], rtol=1e-12, atol=0.0)
+        w_t = batch.w_t[k]
+        assert np.linalg.norm(one.w_t[0] - w_t) <= 1e-12 * np.linalg.norm(w_t)
+        pt = optimize_fixed_alpha_p2(ch, float(alpha), cfg)
+        assert pt.trace == batch.traces[k] and np.array_equal(pt.beamformer.w_t, w_t)
+    best_grid = max(batch.values[:cfg.alpha_grid])
+    assert max_sum_rate(ch, cfg).sum_rate >= best_grid * (1.0 - 1e-12)
 
 
 def hd_random_case(k):

@@ -24,6 +24,7 @@ from fdtwrc.rate_region import (
     Infeasible,
     _alpha_search,
     _alternate,
+    _each,
     _null_z,
     _tx_context,
     boundary_range,
@@ -322,7 +323,7 @@ class TestAlphaSearch:
             raise Infeasible("sinr_gate")
 
         with pytest.raises(Infeasible) as exc:
-            _alpha_search(evaluate, CFG)
+            _alpha_search(_each(evaluate), CFG)
         assert exc.value.stage == "alpha_grid"
         assert alphas == list(np.linspace(0.0, 1.0, CFG.alpha_grid))
 

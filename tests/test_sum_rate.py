@@ -16,9 +16,13 @@ from fdtwrc.model import (
     zero_loopback,
     zf_residual,
 )
+from fdtwrc.numerics import null_space_basis
 from fdtwrc.oracles import dc_grid_oracle
 from fdtwrc.rate_region import _tx_context, boundary_range
+from fdtwrc import sum_rate
 from fdtwrc.sum_rate import (
+    _combiner_table,
+    _frontier_argmax,
     _stationarity_cubic,
     _sum_rate_bits,
     dc_linearized_objective,
@@ -415,6 +419,23 @@ class TestSolvePowerP2:
                 best = max(best, float(np.max(sr(pas, pbs))))
             assert val >= best - 1e-5 * max(1.0, best)
 
+    @pytest.mark.parametrize("seed, loopback, alpha", [(16, True, 0.45), (11, False, 0.55)])
+    def test_corner_fixed_point_returns_the_corner(self, seed, loopback, alpha):
+        # at these combiners the beamformer solved at (10, 10) keeps full
+        # powers, but the budget curve through that corner, in the power
+        # step's arithmetic, ends a few ulps inside it; the step must return
+        # the corner itself, so the loop stops after one step
+        ch = sample_channels(CFG, seed)
+        ch = ch if loopback else zero_loopback(ch)
+        ctx = _tx_context(ch, receive_combiner(ch, alpha))
+        w_t = solve_txbf_p2(ch, ctx, 10.0, 10.0, CFG)
+        budget = CFG.p_r_max / float(np.vdot(w_t, w_t).real) - 1.0
+        ends = ((budget - 10.0 * ctx.rx_a) / ctx.rx_b, (budget - 10.0 * ctx.rx_b) / ctx.rx_a)
+        assert any(0.0 < abs(end - 10.0) <= 1e-12 for end in ends)
+        assert solve_power_p2(ch, w_t, ctx, CFG)[:2] == (10.0, 10.0)
+        pt = optimize_fixed_alpha_p2(ch, alpha, CFG)
+        assert len(pt.trace) == 1 and (pt.powers.p_a, pt.powers.p_b) == (10.0, 10.0)
+
     def test_box_and_relay_feasibility(self):
         for seed in range(25):
             cfg, ch, w_r, p_a0, p_b0 = instance(700 + seed)
@@ -468,10 +489,33 @@ class TestScalarKernels:
                     (a4, b4)]
             assert np.array(_stationarity_cubic(lins)).tobytes() == convolve_cubic(lins).tobytes()
 
+    def test_stationarity_cubic_rows_match_single_polynomials(self):
+        rng = np.random.default_rng(22)
+        lins = rng.standard_normal((300, 4, 2)) * 10.0 ** rng.uniform(-4, 4, (300, 4, 2))
+        lins[::7, 2, 1] = 0.0
+        got = _stationarity_cubic(lins)
+        assert got.shape == (300, 4)
+        for row, one in zip(got, lins):
+            assert row.tobytes() == _stationarity_cubic(one).tobytes()
+
+    def test_frontier_rows_match_batches_of_one(self):
+        # the zoomed-grid frontier search treats its rows independently: a
+        # batch returns, bit for bit, the levels its rows return alone
+        rng = np.random.default_rng(23)
+        cols = rng.uniform(0.0, 50.0, (6, 40))
+        r = rng.uniform(0.0, 1.0, 40)
+        r[:4] = (0.0, 1.0, 1.0 - 1e-12, 0.5)
+        cols[4:, 5] = 0.0  # a silent direction: a flat frontier
+        q = _frontier_argmax(*cols, r, CFG.grid_points)
+        assert np.all((q >= 0.0) & (q <= 1.0))
+        for k in range(40):
+            alone = _frontier_argmax(*cols[:, k:k + 1], r[k:k + 1], CFG.grid_points)
+            assert alone.tobytes() == q[k:k + 1].tobytes()
+
     @pytest.mark.parametrize("null_dim", [None, 2, 3])
     def test_frontier_float_matches_array_element(self, null_dim):
-        # a golden step evaluates the frontier at a float q; it must give the
-        # bits a one-element array gave
+        # dc_step's slice search evaluates the boundary at a float q in its
+        # golden steps; it must give the bits a one-element array gives
         rng = np.random.default_rng(21)
         for _ in range(3000):
             r = float(rng.uniform(0.0, 1.0))
@@ -485,6 +529,72 @@ class TestScalarKernels:
             f_val = _sum_rate_bits(e_a, e_b, k_a, k_b, top_a * hi_f, q * top_b)
             v_val = _sum_rate_bits(e_a, e_b, k_a, k_b, top_a * hi_v, np.array([q]) * top_b)
             assert np.float64(f_val).tobytes() == v_val[0].tobytes()
+
+
+class TestCombinerTable:
+    def test_rows_match_tx_context(self):
+        # the batched combiners and contexts are receive_combiner's and
+        # _tx_context's, up to rounding (directions up to a common phase)
+        for seed, kw in ((40, {}), (41, {"m_t": 4, "m_r": 2}), (42, {"sigma2_r": 0.0})):
+            cfg = replace(CFG, **kw)
+            ch = sample_channels(cfg, seed)
+            alphas = np.linspace(0.0, 1.0, 7)
+            [(rows, w_r, batch)] = _combiner_table(ch)(alphas)
+            assert rows is None and batch.n == (cfg.m_t if kw == {"sigma2_r": 0.0} else cfg.m_t - 1)
+            for k, alpha in enumerate(alphas):
+                ref_w_r = receive_combiner(ch, alpha)
+                ctx = _tx_context(ch, ref_w_r)
+                assert np.allclose(w_r[k], ref_w_r, rtol=0.0, atol=1e-13)
+                scale = 1e-12 * sum(float(np.vdot(h, h).real)
+                                    for h in (ch.h_ar, ch.h_br, ch.h_ra, ch.h_rb))
+                assert np.allclose(batch.n2[k], (ctx.na2, ctx.nb2), rtol=1e-12, atol=scale)
+                assert np.allclose(batch.rx[k], (ctx.rx_a, ctx.rx_b), rtol=1e-12, atol=scale)
+                assert abs(batch.r[k] - ctx.r) <= 1e-12
+                # same span, and the images' inner products are the same
+                assert np.allclose(batch.n_t[k] @ batch.n_t[k].conj().T,
+                                   ctx.n_t @ ctx.n_t.conj().T, atol=1e-12)
+                assert abs(np.vdot(batch.d[k, :, 0], batch.d[k, :, 1])
+                           - np.vdot(ctx.d2, ctx.d1)) <= 1e-12
+
+    def test_zero_loopback_geometry_computed_once(self, monkeypatch):
+        # with the loopback zeroed every null space is the whole space, so
+        # the images, norms, directions, r and phi are built once per table
+        calls = []
+        geometry = sum_rate._tx_geometry
+        monkeypatch.setattr(sum_rate, "_tx_geometry",
+                            lambda *args: calls.append(1) or geometry(*args))
+        ch = zero_loopback(sample_channels(CFG, 43))
+        table = _combiner_table(ch)
+        for alphas in (np.linspace(0.0, 1.0, 21), np.array([0.3]), np.array([0.1, 0.9])):
+            [(_, _, batch)] = table(alphas)
+            assert batch.n == CFG.m_t and len(batch.rx) == alphas.size
+        assert len(calls) == 1
+        proposed = max_sum_rate(sample_channels(CFG, 43), CFG)
+        calls.clear()
+        assert upper_bound_solve(sample_channels(CFG, 43), CFG, proposed).sum_rate > 0
+        assert len(calls) == 1  # the whole zero-loopback combiner search
+
+    def test_mixed_null_dimensions(self):
+        # h_br in the left null space of H_rr (m_r > m_t): at alpha = 1 the
+        # combiner is h_br's direction and its loopback row vanishes, so that
+        # combiner keeps the whole transmit space while the others lose one
+        # dimension; the batch splits into two groups and matches each
+        # combiner solved alone
+        cfg = replace(CFG, m_t=2, m_r=3)
+        ch = sample_channels(cfg, 44)
+        left_null = null_space_basis(ch.h_rr)[:, 0]
+        ch = replace(ch, h_br=left_null * 0.8)
+        alphas = np.linspace(0.0, 1.0, 5)
+        groups = _combiner_table(ch)(alphas)
+        assert sorted(batch.n for _, _, batch in groups) == [1, 2]
+        assert [rows.tolist() for rows, _, _ in groups] == [[0, 1, 2, 3], [4]]
+        points = optimize_fixed_alpha_p2(ch, alphas, cfg)
+        for k, alpha in enumerate(alphas):
+            alone = optimize_fixed_alpha_p2(ch, float(alpha), cfg)
+            assert alone.trace == points.traces[k]
+            assert np.array_equal(alone.beamformer.w_t, points.w_t[k])
+            assert zf_residual(ch, alone.beamformer.w_t, alone.beamformer.w_r) <= 1e-12
+        assert max_sum_rate(ch, cfg).sum_rate >= max(points.values) * (1.0 - 1e-12)
 
 
 class TestAlternationP2:
