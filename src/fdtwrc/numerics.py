@@ -138,10 +138,11 @@ def _golden_max(f, a, b, tol, best, lookahead=False):
     best value among ``best`` and the points it evaluates, in their order.
 
     With ``lookahead``, ``f`` takes an array, and each call evaluates the
-    point the search needs together with the two points that the next step
-    may need, one for each outcome of its comparison.  The values are
-    cached, so one call serves two steps, and the points used and the
-    result are those of the search without lookahead.
+    point the search needs (the first call both starting points) together
+    with the two points that the next step may need, one for each outcome
+    of its comparison.  The values are cached, so one call serves two
+    steps, and the points used and the result are those of the search
+    without lookahead.
     """
     x_best, f_best = best
     cache = {}

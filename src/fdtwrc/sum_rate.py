@@ -16,9 +16,10 @@ is kept as the reference that the oracle tests check.
 The combiner search evaluates its ``alpha_grid`` grid as one batch: the
 combiner table (``_combiner_table``), the frontier search, the power step
 and the re-solves of the combiners whose powers moved each run as a few
-numpy calls over arrays with one row per combiner (``_TxBatch``).  A golden
-step of the search is a batch of one, and so is a call with a single
-``_TxContext``: there is no other code path.
+numpy calls over arrays with one row per combiner (``_TxBatch``).  Its
+golden refinement evaluates three combiners per call, which serve two
+steps.  A call with a single ``_TxContext`` or a float alpha is a batch of
+one: there is no other code path.
 """
 
 import functools
