@@ -1,6 +1,6 @@
 """Numerical kernels shared by all solvers: the null-space basis of complex
-vectors, real cubic roots (one polynomial, or the rows of an array) and a
-grid + golden-section 1-D maximizer.
+vectors and a grid + golden-section 1-D maximizer; plus the real roots of
+one cubic, which no solver calls (see ``real_cubic_roots``).
 """
 
 import math
@@ -10,7 +10,6 @@ import numpy as np
 __all__ = [
     "null_space_basis",
     "real_cubic_roots",
-    "real_cubic_roots_rows",
     "maximize_1d",
 ]
 
@@ -72,65 +71,31 @@ def real_cubic_roots(c3, c2, c1, c0):
     """All real roots of c3 x^3 + c2 x^2 + c1 x + c0, sorted ascending.
 
     Degrades to the quadratic/linear problem when leading coefficients are
-    negligible relative to the largest coefficient.  Roots come from the
-    eigenvalues of the companion matrix that ``np.roots`` builds (trailing
-    zero coefficients give exact zero roots); eigenvalues with relative
-    imaginary part below 1e-8 are accepted as real and polished by Newton
-    iterations, and a root within 1e-8 relative of the previous one is
-    dropped.  Equal, bit for bit, to ``np.roots`` plus a
-    ``np.polyval``/``np.polyder`` polish.  This is the one-row case of
-    ``real_cubic_roots_rows``.
+    at most 1e-12 of the largest |coefficient|.  Roots are ``np.roots``'
+    companion-matrix eigenvalues (trailing zero coefficients give exact
+    zero roots); eigenvalues with relative imaginary part at most 1e-8 are
+    accepted as real and polished by two Newton steps, and a root within
+    1e-8 relative of the previous one is dropped.  Equal, bit for bit, to
+    ``np.roots`` plus a ``np.polyval``/``np.polyder`` polish.  An all-zero
+    or non-finite polynomial raises ValueError.
+
+    No solver calls it: the sum-rate power step solves its stationarity
+    condition as the quadratic it is.  It stays for the benchmark's
+    per-layer tracer, which wraps it by name.
     """
+    coeffs = [float(c) for c in (c3, c2, c1, c0)]
+    if not all(map(math.isfinite, coeffs)) or not any(coeffs):
+        raise ValueError("all-zero (or non-finite) polynomial has no defined roots")
+    scale = max(map(abs, coeffs))
+    while abs(coeffs[0]) <= 1e-12 * scale:
+        coeffs = coeffs[1:]
+    roots = sorted(_polish_root(coeffs, z.real) for z in np.roots(coeffs).tolist()
+                   if abs(z.imag) <= 1e-8 * max(1.0, abs(z.real)))
     out = []
-    for x in real_cubic_roots_rows([[c3, c2, c1, c0]])[0].tolist():
-        if x == x and (not out or abs(x - out[-1]) > 1e-8 * max(1.0, abs(x))):
+    for x in roots:
+        if not out or abs(x - out[-1]) > 1e-8 * max(1.0, abs(x)):
             out.append(x)
     return out
-
-
-def real_cubic_roots_rows(coeffs):
-    """Real roots of each row (c3, c2, c1, c0) of a K x 4 array, as a K x 3
-    array, ascending along each row and padded with NaN.
-
-    Row by row: leading coefficients at most 1e-12 of the row's largest
-    |coefficient| are dropped, and the rest is solved as ``np.roots`` does:
-    the eigenvalues of the companion matrix of the polynomial stripped of
-    its trailing zero coefficients, plus one exact zero root per stripped
-    coefficient.  Eigenvalues with relative imaginary part at most 1e-8 are
-    accepted as real and polished by two Newton steps against the
-    polynomial.  The companion matrices of one size are solved by one
-    stacked ``eigvals`` call, which gives each matrix the bits of its own
-    call, so a row's roots do not depend on the other rows; the trimming
-    and the polish are a few float operations per row.  A row that is all
-    zero or not finite raises ValueError.
-    """
-    polys = []
-    for row in np.asarray(coeffs, dtype=float).reshape(-1, 4).tolist():
-        if not all(map(math.isfinite, row)) or not any(row):
-            raise ValueError("all-zero (or non-finite) polynomial has no defined roots")
-        scale = max(map(abs, row))
-        lead = 0
-        while lead < 3 and abs(row[lead]) <= 1e-12 * scale:
-            lead += 1
-        trimmed = row[lead:]
-        n = len(trimmed)
-        while n > 1 and trimmed[n - 1] == 0.0:
-            n -= 1
-        polys.append((trimmed, n))
-    raw = [[0.0] * (len(trimmed) - 1) for trimmed, _ in polys]
-    for n in {n for _, n in polys if n > 1}:
-        rows = [k for k, (_, nk) in enumerate(polys) if nk == n]
-        companion = np.zeros((len(rows), n - 1, n - 1))
-        companion[:, 0, :] = [[-c / polys[k][0][0] for c in polys[k][0][1:n]] for k in rows]
-        companion[:, 1:, :-1] += np.eye(n - 2)
-        for k, z in zip(rows, np.linalg.eigvals(companion).tolist()):
-            raw[k][:n - 1] = z
-    out = []
-    for (trimmed, _), zs in zip(polys, raw):
-        roots = sorted(_polish_root(trimmed, z.real) for z in zs
-                       if abs(z.imag) <= 1e-8 * max(1.0, abs(z.real)))
-        out.append(roots + [math.nan] * (3 - len(roots)))
-    return np.array(out).reshape(-1, 3)
 
 
 def _golden_max(f, a, b, tol, best, lookahead=False):
@@ -180,23 +145,22 @@ def _golden_max(f, a, b, tol, best, lookahead=False):
     return x_best, f_best
 
 
-def maximize_1d(f, lo, hi, tol=1e-8, grid_points=201, vectorized=False, lookahead=False):
+def maximize_1d(f, lo, hi, tol=1e-8, grid_points=201, lookahead=False):
     """Maximize a scalar function on [lo, hi].
 
     Dense-grid scan (``grid_points`` samples) followed by golden-section
     refinement around the best grid point, down to interval width ``tol``.
     When every grid value is -inf (an infeasible grid) there is no
-    refinement.  Every refinement step, and the single evaluation of a
-    degenerate interval, calls ``f`` with a Python float.  With
-    ``vectorized=True`` the grid is evaluated with a single call on the
-    ndarray of grid points, so ``f`` must take both an ndarray and a float;
-    a formula built from numpy ufuncs and float arithmetic gives the same
-    value for x as for element x of an array (squares by ``np.square``:
-    ``** 2`` on a numpy scalar calls pow, which can differ).  With
-    ``lookahead`` as well, the refinement calls ``f`` on small arrays that
-    hold each step's point and the next step's two possible points
-    (``_golden_max``), so that a function whose cost is mostly per call
-    makes half as many calls; the result is the same.  Returns
+    refinement.  The grid is evaluated with a single call on the ndarray of
+    grid points; every refinement step, and the single evaluation of a
+    degenerate interval, calls ``f`` with a Python float.  So ``f`` must
+    take both an ndarray and a float; a formula built from numpy ufuncs and
+    float arithmetic gives the same value for x as for element x of an
+    array (squares by ``np.square``: ``** 2`` on a numpy scalar calls pow,
+    which can differ).  With ``lookahead``, the refinement calls ``f`` on
+    small arrays that hold each step's point and the next step's two
+    possible points (``_golden_max``), so that a function whose cost is
+    mostly per call makes half as many calls; the result is the same.  Returns
     ``(x_best, f(x_best))``: the first point with the largest value, in
     the order the search uses them, so never below any grid value.
     """
@@ -206,10 +170,7 @@ def maximize_1d(f, lo, hi, tol=1e-8, grid_points=201, vectorized=False, lookahea
         return lo, float(f(lo))
     grid_points = max(2, int(grid_points))
     xs = np.linspace(lo, hi, grid_points)
-    if vectorized:
-        ys = np.asarray(f(xs), dtype=float)
-    else:
-        ys = np.array([f(x) for x in xs], dtype=float)
+    ys = np.asarray(f(xs), dtype=float)
     i = int(np.argmax(ys))
     x_best, f_best = float(xs[i]), float(ys[i])
     if f_best == -math.inf:
@@ -217,5 +178,5 @@ def maximize_1d(f, lo, hi, tol=1e-8, grid_points=201, vectorized=False, lookahea
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, grid_points - 1)])
     if b - a > tol:
-        x_best, f_best = _golden_max(f, a, b, tol, (x_best, f_best), lookahead and vectorized)
+        x_best, f_best = _golden_max(f, a, b, tol, (x_best, f_best), lookahead)
     return x_best, float(f_best)

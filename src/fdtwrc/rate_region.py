@@ -375,7 +375,7 @@ def _alpha_search(evaluate, config, lookahead=False):
         return values
 
     alpha, value = maximize_1d(objective, 0.0, 1.0, tol=1e-3, grid_points=config.alpha_grid,
-                               vectorized=True, lookahead=lookahead)
+                               lookahead=lookahead)
     if value == -math.inf:
         raise Infeasible("alpha_grid", "no feasible combiner setting on the grid")
     point, i = points[alpha]

@@ -18,8 +18,9 @@ combiner table (``_combiner_table``), the frontier search, the power step
 and the re-solves of the combiners whose powers moved each run as a few
 numpy calls over arrays with one row per combiner (``_TxBatch``).  Its
 golden refinement evaluates three combiners per call, which serve two
-steps.  A call with a single ``_TxContext`` or a float alpha is a batch of
-one: there is no other code path.
+steps.  The power step's stationary points on the relay-budget curve are
+the roots of a quadratic, solved for all rows in closed form.  A float
+alpha is a batch of one: there is no other code path.
 """
 
 import functools
@@ -29,13 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import _combiner_basis, make_operating_point, receive_gains
-from .numerics import maximize_1d, null_space_basis, real_cubic_roots_rows
+from .numerics import maximize_1d, null_space_basis
 from .rate_region import (
     _LN2,
     _alpha_search,
     _null_z,
     _p_prime,
-    _TxContext,
     boundary_range,
 )
 
@@ -127,7 +127,7 @@ def dc_step(channels, ctx, p_a, p_b, anchor, config):
     if s_b_top > 0:
         s_b_best, _ = maximize_1d(surrogate, 0.0, s_b_top,
                                   tol=max(1e-12, 1e-3 * s_b_top),
-                                  grid_points=grid_points, vectorized=True)
+                                  grid_points=grid_points)
     else:
         s_b_best = 0.0
     q = min(s_b_best / s_b_top, 1.0) if s_b_top > 0 else 0.0
@@ -171,18 +171,6 @@ class _TxBatch:
         """The batch of the given rows."""
         return _TxBatch(self.n_t[rows], self.f[rows], self.n2[rows], self.d[rows],
                         self.has[rows], self.r[rows], self.phi[rows], self.n, self.rx[rows])
-
-    @classmethod
-    def stack(cls, ctxs):
-        """The batch of ``_TxContext``s of one null dimension, with their bits."""
-        zero = np.zeros(ctxs[0].n, dtype=complex)
-        col = lambda name: np.array([getattr(c, name) for c in ctxs])
-        d = [[zero if v is None else v for v in (c.d2, c.d1)] for c in ctxs]
-        return cls(col("n_t"), np.conj(np.stack([col("a_t"), col("b_t")], axis=1)),
-                   np.stack([col("na2"), col("nb2")], axis=1),
-                   np.array(d).transpose(0, 2, 1),
-                   np.array([[c.d2 is not None, c.d1 is not None] for c in ctxs]),
-                   col("r"), col("phi"), ctxs[0].n, np.stack([col("rx_a"), col("rx_b")], axis=1))
 
 
 def _tx_geometry(h_t, n_t):
@@ -328,9 +316,7 @@ def solve_txbf_p2(channels, ctx, p_a, p_b, config, w_t_init=None):
     """Transmit beamformers maximizing the sum rate at fixed powers, for a
     batch of combiners: ``ctx`` is a ``_TxBatch`` with one row per combiner,
     ``p_a``/``p_b`` arrays of its powers and ``w_t_init`` None or the rows'
-    warm starts; returns one beamformer per row (K x m_t).  A single
-    ``_TxContext`` with float powers and a vector warm start is a batch of
-    one and gets a vector back.
+    warm starts; returns one beamformer per row (K x m_t).
 
     Null dimension 1: the direction is forced and the sum rate is
     nondecreasing in the transmit power, so the full budget is the answer.
@@ -346,15 +332,10 @@ def solve_txbf_p2(channels, ctx, p_a, p_b, config, w_t_init=None):
     start.  ``dc_step`` is the paper's DC iteration over the same set,
     kept as the oracle-tested reference.
     """
-    one = isinstance(ctx, _TxContext)
-    if one:
-        ctx, p_a, p_b = _TxBatch.stack([ctx]), np.array([p_a], float), np.array([p_b], float)
-        w_t_init = None if w_t_init is None else np.asarray(w_t_init)[None]
     rx_a, rx_b = ctx.rx[:, 0], ctx.rx[:, 1]
     p_prime = _p_prime(config.p_r_max, p_a, p_b, rx_a, rx_b)
     if ctx.n == 1:
-        w_t = np.sqrt(p_prime)[:, None] * ctx.n_t[:, :, 0]
-        return w_t[0] if one else w_t
+        return np.sqrt(p_prime)[:, None] * ctx.n_t[:, :, 0]
     e_a, e_b, k_a, k_b = _coeffs(channels, rx_a, rx_b, p_a, p_b)
     top = p_prime[:, None] * ctx.n2
     q = _frontier_argmax(e_a, e_b, k_a, k_b, top[:, 0], top[:, 1], ctx.r, config.grid_points)
@@ -379,34 +360,7 @@ def solve_txbf_p2(channels, ctx, p_a, p_b, config, w_t_init=None):
     score = _rate_gain(e_a[:, None], e_b[:, None], k_a[:, None], k_b[:, None], s[:, 0], s[:, 1])
     score[:, 1] = np.where(usable, score[:, 1], -math.inf)
     z_best = z[np.arange(len(p_prime)), :, np.argmax(score, axis=1)]
-    w_t = np.sqrt(p_prime)[:, None] * (ctx.n_t @ z_best[:, :, None])[:, :, 0]
-    return w_t[0] if one else w_t
-
-
-# the factors j != i of term i of the stationarity cubic, in increasing j
-_OTHERS = np.array([[j for j in range(4) if j != i] for i in range(4)])
-
-
-def _stationarity_cubic(lins):
-    """Coefficients, in descending powers, of
-    sum_i s_i b_i prod_{j != i} (a_j + b_j x) with signs s = (+, -, +, -),
-    for the four (a_j, b_j) in ``lins`` (4 x 2, or K x 4 x 2 for K
-    polynomials, giving K x 4).
-
-    Float arithmetic in ``np.convolve``'s order (one product or a sum of two
-    per coefficient, the terms added in turn), so each coefficient equals
-    the ``np.convolve(term, [b_j, a_j])`` assembly bit for bit; all terms
-    and polynomials are computed at once.
-    """
-    lins = np.asarray(lins, dtype=float)
-    a, b = lins[..., _OTHERS, 0], lins[..., _OTHERS, 1]
-    term = (np.array([1.0, -1.0, 1.0, -1.0]) * lins[..., 1])[..., None]
-    for step in range(3):
-        grown = np.zeros(term.shape[:-1] + (term.shape[-1] + 1,))
-        grown[..., :-1] = term * b[..., step, None]
-        grown[..., 1:] += term * a[..., step, None]
-        term = grown
-    return term.sum(axis=-2) + 0.0
+    return np.sqrt(p_prime)[:, None] * (ctx.n_t @ z_best[:, :, None])[:, :, 0]
 
 
 def _snap_to_corner(p, p_max):
@@ -417,30 +371,67 @@ def _snap_to_corner(p, p_max):
     return 0.0 if p <= _CORNER_TOL * p_max else None
 
 
+def _stationary_points(tx_a, tx_b, rx_a, rx_b, budget, haa2, hbb2):
+    """Real roots, K x 2 with NaN for a missing one, of ``solve_power_p2``'s
+    stationarity quadratic on the budget curve, for all rows at once.
+
+    The pairs' factors are computed without cancellation:
+    a2 (b0 - b1) = a2 tx_a rx_b and e d - h c = -tx_b (rx_b d + h budget).
+    With coefficients A x^2 + B x + C, the roots are q/A and C/q for
+    q = -(B + sign(B) sqrt(B^2 - 4AC)) / 2, which is free of cancellation
+    too.  A leading coefficient at most 1e-12 of the row's largest
+    |coefficient| is dropped, leaving a linear equation (root -C/B) or
+    none; complex and non-finite roots are NaN.
+    """
+    a2 = tx_a + 1.0 + haa2 * budget / rx_a
+    b1 = -haa2 * rx_b / rx_a
+    b0 = b1 + tx_a * rx_b
+    d = tx_b + 1.0
+    c, e, h = d + tx_b * budget, hbb2 - tx_b * rx_b, hbb2
+    pair_a, pair_b = a2 * tx_a * rx_b, -tx_b * (rx_b * d + h * budget)
+    quad = np.array([pair_a * e * h + pair_b * b0 * b1,
+                     pair_a * (c * h + d * e) + pair_b * a2 * (b0 + b1),
+                     pair_a * c * d + pair_b * a2 * a2])
+    small = np.abs(quad) <= 1e-12 * np.abs(quad).max(axis=0)
+    quad[0, small[0]] = 0.0
+    quad[1, small[0] & small[1]] = 0.0
+    qa, qb, qc = quad
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
+        roots = np.stack([q / qa, qc / q], axis=1)
+    return np.where(np.isfinite(roots), roots, np.nan)
+
+
 def solve_power_p2(channels, w_t, ctx, config):
     """Source powers maximizing the sum rate at fixed beamformers, for a
     batch of combiners: ``w_t`` holds one beamformer per row of the
     ``_TxBatch`` ``ctx``.  Returns arrays (p_a, p_b, value), value being
-    each row's sum rate in ``sinr_pair``'s arithmetic, bit for bit.  A
-    single ``_TxContext`` and a vector ``w_t`` are a batch of one and get
-    floats back.
+    each row's sum rate in ``sinr_pair``'s arithmetic, bit for bit.
 
     Candidates: the three binary corners, the endpoints of the
-    active-budget curve p_a(p_b), and the real roots of the stationarity
-    condition on that curve (a cubic assembled numerically from the
-    derivative of the two rate terms; the cubics of all rows are solved
-    together by ``real_cubic_roots_rows``).  Candidates are scored for all
-    rows at once, and the first best feasible one wins.  A winner off the
-    corners that lies within ``_CORNER_TOL`` of the power box's size from a
-    corner is that corner: the budget-curve arithmetic can land a few ulps
-    inside it, and a fixed point at a corner must return the corner's exact
-    powers for the alternation to see it.  The corner (0, 0) scores 0 and
-    is feasible whenever any candidate is, so (0.0, 0.0, 0.0) is returned
-    when no candidate scores higher, feasible or not.
+    active-budget curve p_a(p_b), and the stationary points on that curve.
+    Along the curve p_a rx_a = budget - x rx_b with x = p_b, so
+    1 + gamma_a = (a2 + b0 x) / (a2 + b1 x) and
+    1 + gamma_b = (c + e x) / (d + h x), with h = |h_bb|^2,
+    b1 = -|h_aa|^2 rx_b / rx_a, b0 = b1 + tx_a rx_b,
+    a2 = tx_a + 1 + |h_aa|^2 budget / rx_a, d = tx_b + 1,
+    c = d + tx_b budget and e = h - tx_b rx_b.  The derivative of the log
+    of their product, times the four factors, is
+    sum_i s_i b_i prod_{j != i} (a_j + b_j x) with signs s = (+, -, +, -);
+    its x^3 coefficient is (1 - 1 + 1 - 1) b0 b1 e h = 0.  Each source's
+    two terms share a constant, so the stationary points are the roots of
+    the quadratic a2 (b0 - b1)(c + e x)(d + h x)
+    + (e d - h c)(a2 + b0 x)(a2 + b1 x) (``_stationary_points``).
+
+    Candidates are scored for all rows at once, and the first best feasible
+    one wins.  A winner off the corners that lies within ``_CORNER_TOL`` of
+    the power box's size from a corner is that corner: the budget-curve
+    arithmetic can land a few ulps inside it, and a fixed point at a corner
+    must return the corner's exact powers for the alternation to see it.
+    The corner (0, 0) scores 0 and is feasible whenever any candidate is,
+    so (0.0, 0.0, 0.0) is returned when no candidate scores higher,
+    feasible or not.
     """
-    one = isinstance(ctx, _TxContext)
-    if one:
-        ctx, w_t = _TxBatch.stack([ctx]), np.asarray(w_t)[None]
     h_ra, h_rb = channels.h_ra, channels.h_rb
     tx_a, tx_b, nt2 = np.array([(abs(np.vdot(h_ra, w)) ** 2, abs(np.vdot(h_rb, w)) ** 2,
                                  np.vdot(w, w).real) for w in w_t]).T
@@ -456,34 +447,22 @@ def solve_power_p2(channels, w_t, ctx, config):
         budget = np.divide(pr_max, nt2, out=np.full(k, math.inf), where=nt2 > 0) - 1.0
 
     # columns 0-2 are the corners, 3-4 the curve's ends (3 also the
-    # candidate of a single receive gain), 5-7 the stationary points; a
+    # candidate of a single receive gain), 5-6 the stationary points; a
     # missing candidate is NaN, which no comparison passes
     live, gain_a, gain_b = budget > 0, rx_a > 1e-300, rx_b > 1e-300
     both = live & gain_a & gain_b
     bud, ra, rb = budget, rx_a, rx_b
     if not both.all():  # the other rows get harmless stand-ins
         bud, ra, rb = np.where(both, bud, 0.0), np.where(both, ra, 1.0), np.where(both, rb, 1.0)
-    pa, pb = np.empty((k, 8)), np.empty((k, 8))
+    pa, pb = np.empty((k, 7)), np.empty((k, 7))
     pa[:, :3], pb[:, :3] = (pa_max, pa_max, 0.0), (pb_max, 0.0, pb_max)
     pb[:, 3] = pb_lo = np.maximum(0.0, (bud - ra * pa_max) / rb)
     pb[:, 4] = pb_hi = np.minimum(pb_max, bud / rb)
     curve = both & (pb_lo <= pb_hi + 1e-15)
-    pb[:, 5:] = np.nan
-    if curve.any():
-        # stationarity of y(p_b) on the curve: sum of four rational terms
-        a2 = tx_a + 1.0 + haa2 * bud / ra
-        b2 = -haa2 * rb / ra
-        a4 = tx_b + 1.0
-        num = _stationarity_cubic(np.array([a2, b2 + tx_a * rb, a2, b2, a4 + tx_b * bud,
-                                            hbb2 - tx_b * rb, a4, np.full(k, hbb2)]
-                                           ).T.reshape(k, 4, 2))
-        solve = curve & (np.abs(num).max(axis=1) > 0)
-        roots = np.full((k, 3), np.nan)
-        if solve.all():
-            roots = real_cubic_roots_rows(num)
-        elif solve.any():
-            roots[solve] = real_cubic_roots_rows(num[solve])
-        pb[:, 5:] = np.where((pb_lo[:, None] < roots) & (roots < pb_hi[:, None]), roots, np.nan)
+    # a zero w_t's infinite budget is off the curve
+    roots = _stationary_points(tx_a, tx_b, ra, rb, np.where(curve, bud, 0.0), haa2, hbb2)
+    inside = curve[:, None] & (pb_lo[:, None] < roots) & (roots < pb_hi[:, None])
+    pb[:, 5:] = np.where(inside, roots, np.nan)
     if not curve.all():
         pb[~curve, 3:5] = np.nan
     pa[:, 3:] = (bud[:, None] - pb[:, 3:] * rb[:, None]) / ra[:, None]
@@ -516,8 +495,6 @@ def solve_power_p2(channels, w_t, ctx, config):
         value = math.log2(1.0 + g_a) + math.log2(1.0 + g_b)
         if value > 0.0:
             out[row] = p_a, p_b, value
-    if one:
-        return tuple(out[0].tolist())
     return out[:, 0], out[:, 1], out[:, 2]
 
 

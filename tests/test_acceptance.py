@@ -44,9 +44,8 @@ from fdtwrc.sum_rate import (
     dc_objective,
     dc_step,
     optimize_fixed_alpha_p2,
-    solve_power_p2,
-    solve_txbf_p2,
 )
+from p2_rows import p2_row, power_row, txbf_row
 
 pytestmark = pytest.mark.acceptance
 
@@ -158,11 +157,12 @@ def test_criterion_4_antenna_sweep():
 def _txbf_instance(seed):
     rng = np.random.default_rng(seed)
     ch = sample_channels(BASE, seed)
-    w_r = receive_combiner(ch, rng.uniform(0, 1))
+    alpha = rng.uniform(0, 1)
+    w_r = receive_combiner(ch, alpha)
     p_a, p_b = rng.uniform(1, 10, size=2)
     rx_a = abs(np.vdot(w_r, ch.h_ar)) ** 2
     gamma_b = rng.uniform(0.05, 0.5) * p_a * rx_a
-    return ch, w_r, p_a, p_b, gamma_b
+    return ch, w_r, p_a, p_b, gamma_b, alpha
 
 
 def test_criterion_5_oracle_equivalence():
@@ -186,7 +186,7 @@ def test_criterion_5_oracle_equivalence():
     seed = 0
     while done < 100:
         seed += 1
-        ch, w_r, p_a, p_b, gamma_b = _txbf_instance(seed)
+        ch, w_r, p_a, p_b, gamma_b, _ = _txbf_instance(seed)
         try:
             w_t = solve_txbf_p1(ch, _tx_context(ch, w_r), p_a, p_b, gamma_b, BASE.p_r_max)
         except Infeasible:
@@ -221,7 +221,7 @@ def test_criterion_5_oracle_equivalence():
     seed = 1000
     while done1 < 100 or done2 < 100:
         seed += 1
-        ch, w_r, p_a, p_b, gamma_b = _txbf_instance(seed)
+        ch, w_r, p_a, p_b, gamma_b, alpha = _txbf_instance(seed)
         try:
             w_t = solve_txbf_p1(ch, _tx_context(ch, w_r), p_a, p_b, gamma_b, BASE.p_r_max)
         except Infeasible:
@@ -242,7 +242,7 @@ def test_criterion_5_oracle_equivalence():
                     p1_ok &= val >= rep.best_value - slack
         if done2 < 100:
             done2 += 1
-            pa2, pb2, _ = solve_power_p2(ch, w_t, _tx_context(ch, w_r), BASE)
+            pa2, pb2, _ = power_row(ch, w_t, p2_row(ch, alpha)[1], BASE)
             ga, gb = sinr_pair(ch, w_t, w_r, pa2, pb2)
             val = math.log2(1 + ga) + math.log2(1 + gb)
             rep = grid_power_oracle(ch, w_t, w_r, "p2", 400, BASE)
@@ -253,7 +253,7 @@ def test_criterion_5_oracle_equivalence():
     # dc step vs the (level, phase) grid oracle
     dc_worst = 0.0
     for k in range(100):
-        ch, w_r, p_a, p_b, _ = _txbf_instance(3000 + k)
+        ch, w_r, p_a, p_b, _, _ = _txbf_instance(3000 + k)
         ctx = _tx_context(ch, w_r)
         rng_k = np.random.default_rng(k)
         z0 = unit(crandn(rng_k, ctx.n))
@@ -285,7 +285,7 @@ def test_criterion_6_structural_invariants():
 
     # transmit beamformer P1: ZF residual, relay power equality, threshold
     for seed in range(3000):
-        ch, w_r, p_a, p_b, gamma_b = _txbf_instance(50_000 + seed)
+        ch, w_r, p_a, p_b, gamma_b, _ = _txbf_instance(50_000 + seed)
         try:
             w_t = solve_txbf_p1(ch, _tx_context(ch, w_r), p_a, p_b, gamma_b, BASE.p_r_max)
         except Infeasible:
@@ -299,7 +299,7 @@ def test_criterion_6_structural_invariants():
 
     # power allocation P1: box, relay cap, threshold
     for seed in range(2500):
-        ch, w_r, p_a, p_b, gamma_b = _txbf_instance(60_000 + seed)
+        ch, w_r, p_a, p_b, gamma_b, _ = _txbf_instance(60_000 + seed)
         try:
             w_t = solve_txbf_p1(ch, _tx_context(ch, w_r), p_a, p_b, gamma_b, BASE.p_r_max)
             pa, pb, _ = solve_power_p1(ch, w_t, _tx_context(ch, w_r), gamma_b, BASE)
@@ -315,24 +315,26 @@ def test_criterion_6_structural_invariants():
 
     # transmit beamformer P2: ZF, relay power cap, never below the cold start
     for seed in range(1500):
-        ch, w_r, p_a, p_b, _ = _txbf_instance(70_000 + seed)
-        ctx = _tx_context(ch, w_r)
-        w_t = solve_txbf_p2(ch, ctx, p_a, p_b, BASE)
+        ch, _, p_a, p_b, _, alpha = _txbf_instance(70_000 + seed)
+        w_r, batch = p2_row(ch, alpha)
+        w_t = txbf_row(ch, batch, p_a, p_b, BASE)
         calls += 1
         assert zf_ok(ch, w_t, w_r)
         assert relay_output_power(ch, w_t, w_r, p_a, p_b) <= BASE.p_r_max + 1e-8
-        if ctx.d2 is not None:
-            p_prime = BASE.p_r_max / (p_a * ctx.rx_a + p_b * ctx.rx_b + 1.0)
-            cold = math.sqrt(p_prime) * (ctx.n_t @ ctx.d2)
+        if batch.has[0, 0]:
+            rx_a, rx_b = batch.rx[0]
+            p_prime = BASE.p_r_max / (p_a * rx_a + p_b * rx_b + 1.0)
+            cold = math.sqrt(p_prime) * (batch.n_t[0] @ batch.d[0, :, 0])
             val, val_cold = (dc_objective(ch, w_r, p_a, p_b, abs(np.vdot(ch.h_ra, w)) ** 2,
                                           abs(np.vdot(ch.h_rb, w)) ** 2) for w in (w_t, cold))
             assert val >= val_cold * (1.0 - 1e-12)
 
     # power allocation P2: box and relay cap
     for seed in range(2000):
-        ch, w_r, p_a, p_b, _ = _txbf_instance(80_000 + seed)
-        w_t = solve_txbf_p2(ch, _tx_context(ch, w_r), p_a, p_b, BASE)
-        pa, pb, _ = solve_power_p2(ch, w_t, _tx_context(ch, w_r), BASE)
+        ch, _, p_a, p_b, _, alpha = _txbf_instance(80_000 + seed)
+        w_r, batch = p2_row(ch, alpha)
+        w_t = txbf_row(ch, batch, p_a, p_b, BASE)
+        pa, pb, _ = power_row(ch, w_t, batch, BASE)
         calls += 1
         assert -1e-9 <= pa <= BASE.p_a_max + 1e-9
         assert -1e-9 <= pb <= BASE.p_b_max + 1e-9

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fdtwrc.numerics import maximize_1d, null_space_basis, real_cubic_roots, real_cubic_roots_rows
+from fdtwrc.numerics import maximize_1d, null_space_basis, real_cubic_roots
 
 
 def crandn(rng, *shape):
@@ -73,6 +73,11 @@ class TestRealCubicRoots:
     def test_all_zero_raises(self):
         with pytest.raises(ValueError):
             real_cubic_roots(0, 0, 0, 0)
+
+    def test_non_finite_raises(self):
+        for bad in ([1.0, np.nan, 0.0, 1.0], [np.inf, 1.0, 1.0, 1.0]):
+            with pytest.raises(ValueError):
+                real_cubic_roots(*bad)
 
     def test_residuals_small(self):
         rng = np.random.default_rng(4)
@@ -164,28 +169,6 @@ class TestRealCubicRootsMatchesNumpy:
             assert got == np_real_cubic_roots(*c)
 
 
-class TestRealCubicRootsRows:
-    def test_rows_match_single_polynomials(self):
-        # each row gives real_cubic_roots' roots, bit for bit, whatever the
-        # other rows' degrees (merged near-duplicates aside)
-        rng = np.random.default_rng(12)
-        rows = np.array([random_cubic(rng) for _ in range(3000)])
-        got = real_cubic_roots_rows(rows)
-        assert got.shape == (3000, 3)
-        for row, roots in zip(rows, got):
-            real = roots[~np.isnan(roots)]
-            assert np.all(np.diff(real) >= 0.0)
-            single = real_cubic_roots(*row)
-            merged = [x for i, x in enumerate(real.tolist())
-                      if i == 0 or abs(x - real[i - 1]) > 1e-8 * max(1.0, abs(x))]
-            assert merged == single, row
-
-    def test_zero_or_non_finite_row_raises(self):
-        for bad in ([0.0, 0.0, 0.0, 0.0], [1.0, np.nan, 0.0, 1.0], [np.inf, 1.0, 1.0, 1.0]):
-            with pytest.raises(ValueError):
-                real_cubic_roots_rows([[1.0, -6.0, 11.0, -6.0], bad])
-
-
 class TestMaximize1d:
     def test_parabola(self):
         x, v = maximize_1d(lambda x: -((x - 0.3) ** 2), 0.0, 1.0, tol=1e-6)
@@ -193,7 +176,7 @@ class TestMaximize1d:
         assert v <= 0.0
 
     def test_constant(self):
-        x, v = maximize_1d(lambda x: 2.5, 0.0, 1.0, tol=1e-6)
+        x, v = maximize_1d(lambda x: np.full_like(x, 2.5), 0.0, 1.0, tol=1e-6)
         assert v == 2.5
         assert 0.0 <= x <= 1.0
 
@@ -205,8 +188,8 @@ class TestMaximize1d:
         calls = []
 
         def f(x):
-            calls.append(x)
-            return -np.inf
+            calls.extend(np.atleast_1d(x).tolist())
+            return np.full_like(x, -np.inf)
 
         x, v = maximize_1d(f, 0.0, 1.0, tol=1e-6, grid_points=9)
         assert len(calls) == 9
@@ -219,17 +202,10 @@ class TestMaximize1d:
         rng = np.random.default_rng(6)
         for _ in range(40):
             c = rng.uniform(-3, 3, size=5)
-            f = lambda x: float(np.polyval(c, x))
+            f = lambda x: np.polyval(c, x)
             x, v = maximize_1d(f, -2.0, 2.0, tol=1e-5)
             grid = np.linspace(-2.0, 2.0, 201)
             assert v >= np.polyval(c, grid).max() - 1e-12
-
-    def test_vectorized_matches_scalar(self):
-        f_s = lambda x: -((x - 1.1) ** 2) + 0.5
-        f_v = lambda xs: -((xs - 1.1) ** 2) + 0.5
-        rs = maximize_1d(f_s, 0.0, 3.0, tol=1e-7)
-        rv = maximize_1d(f_v, 0.0, 3.0, tol=1e-7, vectorized=True)
-        assert rs == rv
 
     def test_sum_rate_profile_against_dense_grid(self):
         # fixed small-instance sum-rate profile in the transmit power
@@ -238,7 +214,7 @@ class TestMaximize1d:
             return (np.log2(1 + 3.0 * s_a / (s_a + 1.4))
                     + np.log2(1 + 1.7 * s_b / (s_b + 1.1)))
 
-        x, v = maximize_1d(profile, 0.0, 10.0, tol=1e-7, vectorized=True)
+        x, v = maximize_1d(profile, 0.0, 10.0, tol=1e-7)
         dense = np.linspace(0.0, 10.0, 100_001)
         v_dense = profile(dense).max()
         assert v >= v_dense - 1e-9
@@ -251,11 +227,11 @@ class TestMaximize1d:
             kinds.append(type(x))
             return np.log2(1.0 + 3.0 * x / (x + 0.7)) - np.square(x - 0.4)
 
-        maximize_1d(f, 0.0, 1.0, tol=1e-9, grid_points=21, vectorized=True)
+        maximize_1d(f, 0.0, 1.0, tol=1e-9, grid_points=21)
         assert kinds[0] is np.ndarray
         assert len(kinds) > 10 and all(k is float for k in kinds[1:])
         kinds.clear()
-        maximize_1d(f, 0.25, 0.25, vectorized=True)
+        maximize_1d(f, 0.25, 0.25)
         assert kinds == [float]
 
     def test_vectorized_matches_one_element_array_refinement(self):
@@ -271,8 +247,9 @@ class TestMaximize1d:
                 return (np.log2(1.0 + e_a * s_a / (s_a + 1.0))
                         + np.log2(1.0 + e_b * s_b / (s_b + k_b)))
 
-            new = maximize_1d(f, 0.0, 1.0, tol=1e-6, grid_points=21, vectorized=True)
-            old = maximize_1d(lambda x: float(f(np.array([x]))[0]), 0.0, 1.0, tol=1e-6,
+            new = maximize_1d(f, 0.0, 1.0, tol=1e-6, grid_points=21)
+            old = maximize_1d(lambda x: f(x) if isinstance(x, np.ndarray)
+                              else float(f(np.array([x]))[0]), 0.0, 1.0, tol=1e-6,
                               grid_points=21)
             assert new == old
 
@@ -294,9 +271,8 @@ class TestMaximize1d:
                 batched.extend(xs.tolist())
                 return np.polyval(c, xs)
 
-            ref = maximize_1d(f_plain, -1.0, 1.0, tol=1e-4, grid_points=21, vectorized=True)
-            got = maximize_1d(f_batched, -1.0, 1.0, tol=1e-4, grid_points=21, vectorized=True,
-                              lookahead=True)
+            ref = maximize_1d(f_plain, -1.0, 1.0, tol=1e-4, grid_points=21)
+            got = maximize_1d(f_batched, -1.0, 1.0, tol=1e-4, grid_points=21, lookahead=True)
             assert got == ref
             assert set(plain) <= set(batched)
             assert calls[0] == 21 and max(calls[1:]) <= 4

@@ -50,6 +50,7 @@ from fdtwrc.sum_rate import (
     solve_power_p2,
     solve_txbf_p2,
 )
+from p2_rows import p2_row, txbf_row
 from reference_hd import reference_region, reference_sum_rate
 
 configs = st.builds(
@@ -77,10 +78,10 @@ def zf_ok(ch, w_t, w_r):
        power_share=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
 def test_sum_rate_invariants(cfg, seed, alpha, power_share):
     ch = sample_channels(cfg, seed)
-    w_r = receive_combiner(ch, alpha)
+    w_r, batch = p2_row(ch, alpha)
     p_a, p_b = power_share[0] * cfg.p_a_max, power_share[1] * cfg.p_b_max
 
-    w_t = solve_txbf_p2(ch, _tx_context(ch, w_r), p_a, p_b, cfg)
+    w_t = txbf_row(ch, batch, p_a, p_b, cfg)
     assert zf_ok(ch, w_t, w_r)
     p_r = relay_output_power(ch, w_t, w_r, p_a, p_b)
     assert abs(p_r - cfg.p_r_max) <= 1e-8 * max(1.0, cfg.p_r_max)

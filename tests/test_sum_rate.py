@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,16 +24,15 @@ from fdtwrc import sum_rate
 from fdtwrc.sum_rate import (
     _combiner_table,
     _frontier_argmax,
-    _stationarity_cubic,
+    _stationary_points,
     _sum_rate_bits,
     dc_linearized_objective,
     dc_objective,
     dc_step,
     max_sum_rate,
     optimize_fixed_alpha_p2,
-    solve_power_p2,
-    solve_txbf_p2,
 )
+from p2_rows import p2_row, power_row, txbf_row
 
 CFG = SystemConfig()
 
@@ -45,13 +45,25 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
-def instance(seed, m_t=3, m_r=3, **cfg_kw):
+def draw(seed, m_t=3, m_r=3, **cfg_kw):
     cfg = replace(CFG, m_t=m_t, m_r=m_r, **cfg_kw)
     ch = sample_channels(cfg, seed)
     rng = np.random.default_rng(seed)
-    w_r = receive_combiner(ch, rng.uniform(0, 1))
+    alpha = rng.uniform(0, 1)
     p_a, p_b = rng.uniform(0.5, cfg.p_a_max, size=2)
-    return cfg, ch, w_r, p_a, p_b
+    return cfg, ch, alpha, p_a, p_b
+
+
+def instance(seed, m_t=3, m_r=3, **cfg_kw):
+    cfg, ch, alpha, p_a, p_b = draw(seed, m_t, m_r, **cfg_kw)
+    return cfg, ch, receive_combiner(ch, alpha), p_a, p_b
+
+
+def p2_instance(seed, m_t=3, m_r=3, **cfg_kw):
+    """``instance``'s draw, with the combiner table's w_r and its one-row
+    P2 batch: (cfg, ch, w_r, batch, p_a, p_b)."""
+    cfg, ch, alpha, p_a, p_b = draw(seed, m_t, m_r, **cfg_kw)
+    return (cfg, ch, *p2_row(ch, alpha), p_a, p_b)
 
 
 class TestDcObjective:
@@ -218,9 +230,9 @@ class TestDcStep:
 class TestSolveTxbfP2:
     def test_m2_matches_dense_grid(self):
         for seed in range(8):
-            cfg, ch, w_r, p_a, p_b = instance(300 + seed, m_t=2, m_r=2)
-            ctx = _tx_context(ch, w_r)
-            w_t = solve_txbf_p2(ch, ctx, p_a, p_b, cfg)
+            cfg, ch, w_r, batch, p_a, p_b = p2_instance(300 + seed, m_t=2, m_r=2)
+            na2, nb2 = batch.n2[0]
+            w_t = txbf_row(ch, batch, p_a, p_b, cfg)
             val = dc_objective(ch, w_r, p_a, p_b,
                                abs(np.vdot(ch.h_ra, w_t)) ** 2,
                                abs(np.vdot(ch.h_rb, w_t)) ** 2)
@@ -228,16 +240,17 @@ class TestSolveTxbfP2:
             rx_b = abs(np.vdot(w_r, ch.h_br)) ** 2
             p_prime = cfg.p_r_max / (p_a * rx_a + p_b * rx_b + 1.0)
             pt = np.linspace(0, p_prime, 100_001)
-            dense = np.max(np.log2(1 + p_b * rx_b * pt * ctx.na2 / (pt * ctx.na2 + p_a * abs(ch.h_aa) ** 2 + 1))
-                           + np.log2(1 + p_a * rx_a * pt * ctx.nb2 / (pt * ctx.nb2 + p_b * abs(ch.h_bb) ** 2 + 1)))
+            dense = np.max(np.log2(1 + p_b * rx_b * pt * na2 / (pt * na2 + p_a * abs(ch.h_aa) ** 2 + 1))
+                           + np.log2(1 + p_a * rx_a * pt * nb2 / (pt * nb2 + p_b * abs(ch.h_bb) ** 2 + 1)))
             assert val >= dense - 1e-6 * max(1.0, dense)
 
     def test_no_zf_equals_zero_loopback_run(self):
-        cfg, ch, w_r, p_a, p_b = instance(10, sigma2_r=0.0)
+        cfg, ch, alpha, p_a, p_b = draw(10, sigma2_r=0.0)
         assert np.all(ch.h_rr == 0)
-        w_t = solve_txbf_p2(ch, _tx_context(ch, w_r), p_a, p_b, cfg)
+        w_r, batch = p2_row(ch, alpha)
+        w_t = txbf_row(ch, batch, p_a, p_b, cfg)
         ch0 = zero_loopback(ch)
-        w_t2 = solve_txbf_p2(ch0, _tx_context(ch0, w_r), p_a, p_b, cfg)
+        w_t2 = txbf_row(ch0, p2_row(ch0, alpha)[1], p_a, p_b, cfg)
         v1 = dc_objective(ch, w_r, p_a, p_b, abs(np.vdot(ch.h_ra, w_t)) ** 2,
                           abs(np.vdot(ch.h_rb, w_t)) ** 2)
         v2 = dc_objective(ch, w_r, p_a, p_b, abs(np.vdot(ch.h_ra, w_t2)) ** 2,
@@ -246,17 +259,16 @@ class TestSolveTxbfP2:
 
     def test_not_below_cold_start(self):
         for seed in range(25):
-            cfg, ch, w_r, p_a, p_b = instance(400 + seed)
-            ctx = _tx_context(ch, w_r)
-            w_t = solve_txbf_p2(ch, ctx, p_a, p_b, cfg)
-            cold = math.sqrt(_full_budget(cfg, ch, w_r, p_a, p_b)) * (ctx.n_t @ ctx.d2)
+            cfg, ch, w_r, batch, p_a, p_b = p2_instance(400 + seed)
+            w_t = txbf_row(ch, batch, p_a, p_b, cfg)
+            cold = math.sqrt(_full_budget(cfg, ch, w_r, p_a, p_b)) * (batch.n_t[0] @ batch.d[0, :, 0])
             val = _txbf_value(ch, w_r, p_a, p_b, w_t)
             assert val >= _txbf_value(ch, w_r, p_a, p_b, cold) * (1.0 - 1e-12)
 
     def test_budget_and_zf(self):
         for seed in range(15):
-            cfg, ch, w_r, p_a, p_b = instance(500 + seed)
-            w_t = solve_txbf_p2(ch, _tx_context(ch, w_r), p_a, p_b, cfg)
+            cfg, ch, w_r, batch, p_a, p_b = p2_instance(500 + seed)
+            w_t = txbf_row(ch, batch, p_a, p_b, cfg)
             p_r = relay_output_power(ch, w_t, w_r, p_a, p_b)
             assert p_r <= cfg.p_r_max + 1e-8
             assert abs(p_r - cfg.p_r_max) < 1e-7
@@ -271,8 +283,8 @@ class TestSolveTxbfP2:
         cfg = SystemConfig(m_t=2, m_r=2, p_a_max=1.0, p_b_max=1.0, p_r_max=1.0,
                            sigma2_r=1.0, gain_br=2.0)
         ch = sample_channels(cfg, 0)
-        w_r = receive_combiner(ch, alpha)
-        w_t = solve_txbf_p2(ch, _tx_context(ch, w_r), 0.0, 1.0, cfg)
+        w_r, batch = p2_row(ch, alpha)
+        w_t = txbf_row(ch, batch, 0.0, 1.0, cfg)
         assert abs(relay_output_power(ch, w_t, w_r, 0.0, 1.0) - cfg.p_r_max) <= 1e-12
 
 
@@ -297,7 +309,7 @@ class TestSolveTxbfP2Exactness:
 
     def test_not_below_converged_dc_iteration(self):
         for seed, m_t in EXACTNESS_CASES:
-            cfg, ch, w_r, p_a, p_b = instance(seed, m_t=m_t)
+            cfg, ch, w_r, batch, p_a, p_b = p2_instance(seed, m_t=m_t)
             ctx = _tx_context(ch, w_r)
             assert ctx.n == m_t - 1
             p_prime = _full_budget(cfg, ch, w_r, p_a, p_b)
@@ -310,12 +322,12 @@ class TestSolveTxbfP2Exactness:
                 if val - prev < cfg.conv_tol:
                     break
                 prev = val
-            w_t = solve_txbf_p2(ch, ctx, p_a, p_b, cfg)
+            w_t = txbf_row(ch, batch, p_a, p_b, cfg)
             assert _txbf_value(ch, w_r, p_a, p_b, w_t) >= val - 1e-9
 
     def test_not_below_sampled_directions(self):
         for seed, m_t in EXACTNESS_CASES:
-            cfg, ch, w_r, p_a, p_b = instance(seed, m_t=m_t)
+            cfg, ch, w_r, batch, p_a, p_b = p2_instance(seed, m_t=m_t)
             rx_a = abs(np.vdot(w_r, ch.h_ar)) ** 2
             rx_b = abs(np.vdot(w_r, ch.h_br)) ** 2
             p_prime = _full_budget(cfg, ch, w_r, p_a, p_b)
@@ -327,17 +339,16 @@ class TestSolveTxbfP2Exactness:
             sampled = np.max(
                 np.log2(1 + p_b * rx_b * s_a / (s_a + p_a * abs(ch.h_aa) ** 2 + 1))
                 + np.log2(1 + p_a * rx_a * s_b / (s_b + p_b * abs(ch.h_bb) ** 2 + 1)))
-            w_t = solve_txbf_p2(ch, _tx_context(ch, w_r), p_a, p_b, cfg)
+            w_t = txbf_row(ch, batch, p_a, p_b, cfg)
             assert _txbf_value(ch, w_r, p_a, p_b, w_t) >= sampled - 1e-9
 
     def test_warm_start_never_lost(self):
         for seed, m_t in EXACTNESS_CASES:
-            cfg, ch, w_r, p_a, p_b = instance(seed, m_t=m_t)
+            cfg, ch, w_r, batch, p_a, p_b = p2_instance(seed, m_t=m_t)
             rng = np.random.default_rng(seed)
-            ctx = _tx_context(ch, w_r)
-            n_t = ctx.n_t
+            n_t = batch.n_t[0]
             p_prime = _full_budget(cfg, ch, w_r, p_a, p_b)
-            cold = solve_txbf_p2(ch, ctx, p_a, p_b, cfg)
+            cold = txbf_row(ch, batch, p_a, p_b, cfg)
             # warm starts below the budget: a random direction, the cold answer
             # itself (a tie with the frontier) and the cold answer nudged off it
             z_cold = unit(n_t.conj().T @ cold)
@@ -345,7 +356,7 @@ class TestSolveTxbfP2Exactness:
             for z0 in (unit(crandn(rng, n_t.shape[1])), z_cold, nudged):
                 w0 = 0.5 * math.sqrt(p_prime) * (n_t @ z0)
                 at_budget = math.sqrt(p_prime) * (n_t @ z0)
-                w_t = solve_txbf_p2(ch, ctx, p_a, p_b, cfg, w_t_init=w0)
+                w_t = txbf_row(ch, batch, p_a, p_b, cfg, w_t_init=w0)
                 val = _txbf_value(ch, w_r, p_a, p_b, w_t)
                 assert val >= _txbf_value(ch, w_r, p_a, p_b, at_budget) - 1e-12
                 assert val >= _txbf_value(ch, w_r, p_a, p_b, cold) - 1e-12
@@ -355,10 +366,10 @@ class TestSolvePowerP2:
     def test_full_power_wins_with_weak_si(self):
         cfg = replace(CFG, p_r_max=1000.0, sigma2_a=1e-6, sigma2_b=1e-6)
         ch = sample_channels(cfg, 11)
-        w_r = receive_combiner(ch, 0.5)
+        w_r, batch = p2_row(ch, 0.5)
         n_t = relay_null_basis(ch, w_r)
         w_t = 0.3 * (n_t @ unit(crandn(np.random.default_rng(0), n_t.shape[1])))
-        p_a, p_b, _ = solve_power_p2(ch, w_t, _tx_context(ch, w_r), cfg)
+        p_a, p_b, _ = power_row(ch, w_t, batch, cfg)
         # enumerate the three binary candidates explicitly
         def sr(pa, pb):
             g_a = pb * abs(np.vdot(ch.h_ra, w_t)) ** 2 * abs(np.vdot(w_r, ch.h_br)) ** 2 / (
@@ -376,23 +387,23 @@ class TestSolvePowerP2:
         cfg = replace(CFG, p_r_max=1e6)
         ch = sample_channels(cfg, 30)
         ch = replace(ch, h_aa=0j, h_bb=0j)
-        w_r = receive_combiner(ch, 0.5)
+        w_r, batch = p2_row(ch, 0.5)
         n_t = relay_null_basis(ch, w_r)
         w_t = 0.2 * (n_t @ unit(crandn(np.random.default_rng(3), n_t.shape[1])))
-        assert solve_power_p2(ch, w_t, _tx_context(ch, w_r), cfg)[:2] == (cfg.p_a_max, cfg.p_b_max)
+        assert power_row(ch, w_t, batch, cfg)[:2] == (cfg.p_a_max, cfg.p_b_max)
 
     def test_degenerate_budget(self):
-        cfg, ch, w_r, _, _ = instance(12)
+        cfg, ch, w_r, batch, _, _ = p2_instance(12)
         n_t = relay_null_basis(ch, w_r)
         z = unit(crandn(np.random.default_rng(1), n_t.shape[1]))
         w_t = math.sqrt(cfg.p_r_max) * (n_t @ z)  # P_R / ||w_t||^2 = 1
-        assert solve_power_p2(ch, w_t, _tx_context(ch, w_r), cfg) == (0.0, 0.0, 0.0)
+        assert power_row(ch, w_t, batch, cfg) == (0.0, 0.0, 0.0)
 
     def test_against_curve_grid_oracle(self):
         for seed in range(30):
-            cfg, ch, w_r, p_a0, p_b0 = instance(600 + seed)
-            w_t = solve_txbf_p2(ch, _tx_context(ch, w_r), p_a0, p_b0, cfg)
-            p_a, p_b, _ = solve_power_p2(ch, w_t, _tx_context(ch, w_r), cfg)
+            cfg, ch, w_r, batch, p_a0, p_b0 = p2_instance(600 + seed)
+            w_t = txbf_row(ch, batch, p_a0, p_b0, cfg)
+            p_a, p_b, _ = power_row(ch, w_t, batch, cfg)
             rx_a = abs(np.vdot(w_r, ch.h_ar)) ** 2
             rx_b = abs(np.vdot(w_r, ch.h_br)) ** 2
             tx_a = abs(np.vdot(ch.h_ra, w_t)) ** 2
@@ -427,20 +438,21 @@ class TestSolvePowerP2:
         # the corner itself, so the loop stops after one step
         ch = sample_channels(CFG, seed)
         ch = ch if loopback else zero_loopback(ch)
-        ctx = _tx_context(ch, receive_combiner(ch, alpha))
-        w_t = solve_txbf_p2(ch, ctx, 10.0, 10.0, CFG)
+        _, batch = p2_row(ch, alpha)
+        w_t = txbf_row(ch, batch, 10.0, 10.0, CFG)
         budget = CFG.p_r_max / float(np.vdot(w_t, w_t).real) - 1.0
-        ends = ((budget - 10.0 * ctx.rx_a) / ctx.rx_b, (budget - 10.0 * ctx.rx_b) / ctx.rx_a)
+        rx_a, rx_b = batch.rx[0]
+        ends = ((budget - 10.0 * rx_a) / rx_b, (budget - 10.0 * rx_b) / rx_a)
         assert any(0.0 < abs(end - 10.0) <= 1e-12 for end in ends)
-        assert solve_power_p2(ch, w_t, ctx, CFG)[:2] == (10.0, 10.0)
+        assert power_row(ch, w_t, batch, CFG)[:2] == (10.0, 10.0)
         pt = optimize_fixed_alpha_p2(ch, alpha, CFG)
         assert len(pt.trace) == 1 and (pt.powers.p_a, pt.powers.p_b) == (10.0, 10.0)
 
     def test_box_and_relay_feasibility(self):
         for seed in range(25):
-            cfg, ch, w_r, p_a0, p_b0 = instance(700 + seed)
-            w_t = solve_txbf_p2(ch, _tx_context(ch, w_r), p_a0, p_b0, cfg)
-            p_a, p_b, value = solve_power_p2(ch, w_t, _tx_context(ch, w_r), cfg)
+            cfg, ch, w_r, batch, p_a0, p_b0 = p2_instance(700 + seed)
+            w_t = txbf_row(ch, batch, p_a0, p_b0, cfg)
+            p_a, p_b, value = power_row(ch, w_t, batch, cfg)
             assert -1e-9 <= p_a <= cfg.p_a_max + 1e-9
             assert -1e-9 <= p_b <= cfg.p_b_max + 1e-9
             assert relay_output_power(ch, w_t, w_r, p_a, p_b) <= cfg.p_r_max * (1 + 1e-9) + 1e-9
@@ -450,54 +462,145 @@ class TestSolvePowerP2:
 
 
 def convolve_cubic(lins):
-    """np.convolve assembly of the stationarity cubic (descending powers)."""
-    num = np.zeros(4)
-    for i, (sgn, (_, bi)) in enumerate(zip((1.0, -1.0, 1.0, -1.0), lins)):
-        term = np.array([sgn * bi])
+    """``np.convolve`` assembly of the stationarity cubic
+    sum_i s_i b_i prod_{j != i} (a_j + b_j x), signs (+, -, +, -), for the
+    four (a_j, b_j) in ``lins``, in the arithmetic of their type: its four
+    coefficients in descending powers."""
+    num = np.zeros(4, dtype=object)
+    for i, (sgn, (_, bi)) in enumerate(zip((1, -1, 1, -1), lins)):
+        term = np.array([sgn * bi], dtype=object)
         for j, (aj, bj) in enumerate(lins):
             if j != i:
-                term = np.convolve(term, np.array([bj, aj]))
+                term = np.convolve(term, np.array([bj, aj], dtype=object))
         num[-term.size:] += term
     return num
 
 
+def cubic_real_roots(tx_a, tx_b, rx_a, rx_b, budget, haa2, hbb2):
+    """The real roots, ascending, of the stationarity cubic of a curve row
+    of ``solve_power_p2``, assembled by ``convolve_cubic`` in exact rational
+    arithmetic from the row's float inputs.  Its x^3 coefficient must be
+    exactly 0.  Leading coefficients at most 1e-12 of the largest are
+    dropped; the sign of B^2 - 4AC is exact, and the roots are ``np.roots``'
+    of the quadratic's coefficients rounded to floats.  (In floats the
+    assembly can cancel to zero: at a combiner with a rounding-level gain
+    and a beamformer orthogonal to h_rb, a term of 1e-31 is added to two
+    of +-0.08 that cancel exactly.)"""
+    tx_a, tx_b, rx_a, rx_b, budget, haa2, hbb2 = map(
+        Fraction, (tx_a, tx_b, rx_a, rx_b, budget, haa2, hbb2))
+    a2, b1 = tx_a + 1 + haa2 * budget / rx_a, -haa2 * rx_b / rx_a
+    d = tx_b + 1
+    lins = [(a2, b1 + tx_a * rx_b), (a2, b1), (d + tx_b * budget, hbb2 - tx_b * rx_b), (d, hbb2)]
+    c3, a, b, c = convolve_cubic(lins)
+    assert c3 == 0
+    scale = max(abs(a), abs(b), abs(c))
+    if abs(a) <= Fraction(1, 10**12) * scale:
+        return [] if abs(b) <= Fraction(1, 10**12) * scale else [float(-c / b)]
+    if b * b < 4 * a * c:
+        return []
+    return sorted(np.roots([float(a), float(b), float(c)]).real.tolist())
+
+
+def recorded_rows(monkeypatch):
+    """A list that collects each row solve_power_p2 hands to
+    ``_stationary_points``, as (its seven inputs, its roots)."""
+    rows = []
+    solve = sum_rate._stationary_points
+
+    def record(*inputs):
+        roots = solve(*inputs)
+        rows.extend(zip(np.stack(np.broadcast_arrays(*inputs), axis=1).tolist(), roots.tolist()))
+        return roots
+
+    monkeypatch.setattr(sum_rate, "_stationary_points", record)
+    return rows
+
+
+def assert_cubic_roots(rows):
+    """Each row's stationary points are the cubic's real roots: as many, and
+    each within 1e-9 relative.  Returns how many rows have 0, 1 and 2."""
+    counts = [0, 0, 0]
+    for inputs, roots in rows:
+        got = sorted(x for x in roots if x == x)
+        ref = cubic_real_roots(*inputs)
+        assert len(got) == len(ref), inputs
+        for x, y in zip(got, ref):
+            assert abs(x - y) <= 1e-9 * max(1.0, abs(y)), (inputs, got, ref)
+        counts[len(got)] += 1
+    return counts
+
+
+def random_config(rng):
+    p_src = 10.0 ** rng.uniform(-1.0, 6.0)
+    return replace(CFG, m_t=int(rng.integers(2, 7)), m_r=int(rng.integers(1, 7)),
+                   p_a_max=p_src, p_b_max=p_src, p_r_max=10.0 ** rng.uniform(-1.0, 6.0),
+                   sigma2_a=rng.uniform(0.0, 1.0), sigma2_b=rng.uniform(0.0, 1.0),
+                   sigma2_r=rng.uniform(0.0, 1.0), gain_br=10.0 ** rng.uniform(-2.0, 2.0))
+
+
+class TestStationaryPoints:
+    """The power step's closed-form quadratic against the real roots of the
+    stationarity cubic assembled with ``np.convolve``."""
+
+    def test_match_cubic_roots_on_solver_coefficients(self, monkeypatch):
+        rows = recorded_rows(monkeypatch)
+        rng = np.random.default_rng(24)
+        cases = [(CFG, seed) for seed in range(5000, 5040)]
+        cases += [(random_config(rng), int(rng.integers(2**31))) for _ in range(20)]
+        for cfg, seed in cases:
+            ch = sample_channels(cfg, seed)
+            upper_bound_solve(ch, cfg, max_sum_rate(ch, cfg))
+        counts = assert_cubic_roots(rows)
+        assert counts[2] > 1000 and counts[0] > 0
+
+    def test_zero_source_si_is_linear(self, monkeypatch):
+        # |h_aa| = |h_bb| = 0 makes the x^2 coefficient vanish
+        rows = recorded_rows(monkeypatch)
+        cfg = replace(CFG, sigma2_a=0.0, sigma2_b=0.0)
+        for seed in range(5):
+            max_sum_rate(sample_channels(cfg, seed), cfg)
+        counts = assert_cubic_roots(rows)
+        assert counts[1] > 0 and counts[2] == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_relay_budget_has_no_root(self, monkeypatch):
+        # w_t = 0 gives tx_a = tx_b = 0: both pairs vanish and the quadratic
+        # is zero
+        rows = recorded_rows(monkeypatch)
+        cfg = replace(CFG, p_r_max=0.0)
+        assert max_sum_rate(sample_channels(cfg, 18), cfg).sum_rate == 0.0
+        assert rows and assert_cubic_roots(rows) == [len(rows), 0, 0]
+
+    def test_degree_drops(self):
+        # rows (tx_a, tx_b, rx_a, rx_b, budget, |h_aa|^2, |h_bb|^2): a
+        # quadratic, a linear row (no source SI), a nonzero constant (no
+        # source SI, w_t orthogonal to h_ra) and the zero polynomial (w_t = 0)
+        rows = np.array([[2.0, 0.7, 1.2, 0.8, 6.0, 0.3, 0.2],
+                         [2.0, 0.5, 1.2, 0.8, 6.0, 0.0, 0.0],
+                         [0.0, 0.5, 1.2, 0.8, 6.0, 0.0, 0.0],
+                         [0.0, 0.0, 1.2, 0.8, 6.0, 0.3, 0.2]])
+        got = _stationary_points(*rows.T)
+        for row, roots in zip(rows.tolist(), got.tolist()):
+            ref = cubic_real_roots(*row)
+            assert sorted(x for x in roots if x == x) == pytest.approx(ref, rel=1e-12)
+        assert [int(np.sum(~np.isnan(r))) for r in got] == [2, 1, 0, 0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_single_receive_gain(self):
+        # a combiner that hears only A (rx_b = 0): A's rate is 0 and B's
+        # rises in p_a and falls in p_b, so the step spends the relay budget
+        # on p_a alone
+        cfg, ch, _, batch, p_a, p_b = p2_instance(19)
+        batch = replace(batch, rx=batch.rx * [100.0, 0.0])
+        w_t = txbf_row(ch, batch, p_a, p_b, cfg)
+        budget = cfg.p_r_max / float(np.vdot(w_t, w_t).real) - 1.0
+        assert budget / batch.rx[0, 0] < cfg.p_a_max
+        got = power_row(ch, w_t, batch, cfg)
+        assert got[:2] == (pytest.approx(budget / batch.rx[0, 0], rel=1e-12), 0.0)
+        assert got[2] > 0.0
+
+
 class TestScalarKernels:
-    def test_stationarity_cubic_matches_convolve(self):
-        rng = np.random.default_rng(20)
-        for _ in range(5000):
-            lins = [tuple(rng.standard_normal(2) * 10.0 ** rng.uniform(-4, 4, size=2))
-                    for _ in range(4)]
-            if rng.random() < 0.2:
-                lins[rng.integers(4)] = (float(rng.standard_normal()), 0.0)
-            got = np.array(_stationarity_cubic(lins))
-            assert got.tobytes() == convolve_cubic(lins).tobytes(), lins
-
-    def test_stationarity_cubic_on_solver_coefficients(self):
-        # the (a_j, b_j) that solve_power_p2 builds, from real beamformers
-        for seed in range(40):
-            cfg, ch, w_r, p_a, p_b = instance(1100 + seed)
-            w_t = solve_txbf_p2(ch, _tx_context(ch, w_r), p_a, p_b, cfg)
-            rx_a = abs(np.vdot(w_r, ch.h_ar)) ** 2
-            rx_b = abs(np.vdot(w_r, ch.h_br)) ** 2
-            tx_a = abs(np.vdot(ch.h_ra, w_t)) ** 2
-            tx_b = abs(np.vdot(ch.h_rb, w_t)) ** 2
-            haa2, hbb2 = abs(ch.h_aa) ** 2, abs(ch.h_bb) ** 2
-            budget = cfg.p_r_max / float(np.vdot(w_t, w_t).real) - 1.0
-            a2, b2 = tx_a + 1.0 + haa2 * budget / rx_a, -haa2 * rx_b / rx_a
-            a4, b4 = tx_b + 1.0, hbb2
-            lins = [(a2, b2 + tx_a * rx_b), (a2, b2), (a4 + tx_b * budget, b4 - tx_b * rx_b),
-                    (a4, b4)]
-            assert np.array(_stationarity_cubic(lins)).tobytes() == convolve_cubic(lins).tobytes()
-
-    def test_stationarity_cubic_rows_match_single_polynomials(self):
-        rng = np.random.default_rng(22)
-        lins = rng.standard_normal((300, 4, 2)) * 10.0 ** rng.uniform(-4, 4, (300, 4, 2))
-        lins[::7, 2, 1] = 0.0
-        got = _stationarity_cubic(lins)
-        assert got.shape == (300, 4)
-        for row, one in zip(got, lins):
-            assert row.tobytes() == _stationarity_cubic(one).tobytes()
-
     def test_frontier_rows_match_batches_of_one(self):
         # the zoomed-grid frontier search treats its rows independently: a
         # batch returns, bit for bit, the levels its rows return alone
