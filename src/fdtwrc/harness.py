@@ -173,7 +173,9 @@ def run_experiment(spec, workers=None, keep_samples=False):
     Rows and samples are deterministic in ``spec``: the i-th trial of every
     sweep value uses the seed ``spec.seed ^ i``.  ``workers=1`` forces
     serial execution.  The metadata also records the numpy version, the
-    worker count, the cpu count and the run's wall time (``runtime_s``).
+    worker count, the cpu count, the run's wall time (``runtime_s``) and,
+    per scheme and sweep value, the trials whose rate pair is not finite
+    (``nonfinite``): the means and standard errors leave them out.
     """
     t_start = time.perf_counter()
     if workers is None:
@@ -205,9 +207,14 @@ def run_experiment(spec, workers=None, keep_samples=False):
         cells = [(v, results[i * t:(i + 1) * t], None) for i, v in enumerate(spec.sweep)]
     rows = []
     samples = {} if keep_samples else None
+    # scheme -> per sweep value, the trials whose rate pair _mean_se drops
+    nonfinite = {s.value: [] for s in spec.schemes}
     for value, trials, j in cells:
         pairs = {s: [res[s] if j is None else res[s][j] for res in trials]
                  for s in spec.schemes}
+        for scheme, p in pairs.items():
+            nonfinite[scheme.value].append(
+                sum(not (math.isfinite(a) and math.isfinite(b)) for a, b in p))
         sums = {s: [a + b for a, b in p] for s, p in pairs.items()}
         hd_mean = _mean_se(sums[SchemeId.HD_ANC])[0] if SchemeId.HD_ANC in sums else math.nan
         for scheme in spec.schemes:
@@ -238,7 +245,11 @@ def run_experiment(spec, workers=None, keep_samples=False):
         "workers": workers,
         "cpu_count": os.cpu_count(),
         "runtime_s": time.perf_counter() - t_start,
+        "nonfinite": nonfinite,
     }
+    lost = {scheme: counts for scheme, counts in nonfinite.items() if any(counts)}
+    if lost:
+        log.warning("non-finite rate pairs left out of the means, per sweep value: %s", lost)
     return ResultTable(rows=rows, metadata=metadata, samples=samples)
 
 

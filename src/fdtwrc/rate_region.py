@@ -1,23 +1,25 @@
-"""Rate-region machinery: closed-form transmit beamformer, closed-form
-power allocation (the largest feasible p_b on the line where B's SINR
-target binds), the alternating loop, the 1-D combiner search that the
-sum-rate solver shares, and the boundary sweep over source B's target rate
-up to its largest value, which the beamformer's gates give in closed form.
+"""Rate-region machinery and the pieces that the sum-rate solver shares: the
+combiner table (one ZF null-space reduction per receive combiner, for a
+batch of combiners), the boundary vector, the alternating loop over the
+rows of a batch and the 1-D combiner search.  On top of them: the P1
+transmit beamformer and power allocation (the largest feasible p_b on the
+line where B's SINR target binds), both in closed form and for all rows
+at once, and the boundary sweep over source B's target rate up to its
+largest value, which the beamformer's gates give in closed form.
+
+The combiner search evaluates its ``alpha_grid`` grid as one batch of
+``optimize_fixed_alpha_p1`` and each pair of golden steps as a batch of
+three combiners, all read from one ``_combiner_table``.  A float alpha is
+a batch of one: there is no other code path.
 """
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    make_operating_point,
-    receive_combiner,
-    receive_gains,
-    relay_null_basis,
-)
+from .model import _combiner_basis, make_operating_point, receive_gains
 from .numerics import maximize_1d, null_space_basis
 
 __all__ = [
@@ -34,15 +36,10 @@ _LN2 = math.log(2.0)
 
 
 class Infeasible(Exception):
-    """A solver subproblem has an empty feasible set.
-
-    ``stage`` names the failing step:
-
-    - 'sinr_gate': source A cannot push enough SINR to B at its current power;
-    - 'beam_power_gate': the ZF null space cannot carry the required gain
-      within the relay budget;
-    - 'power_polygon': empty power-allocation polygon;
-    - 'alpha_grid': no combiner setting on the grid is feasible.
+    """A solver problem has an empty feasible set.  ``stage`` names what
+    failed: 'combiner' (``optimize_fixed_alpha_p1`` at a float alpha found
+    no feasible point) or 'alpha_grid' (no combiner on the grid is
+    feasible).  The P1 steps return a per-row feasibility mask instead.
     """
 
     def __init__(self, stage, message=""):
@@ -51,64 +48,108 @@ class Infeasible(Exception):
 
 
 @dataclass
-class _TxContext:
-    """ZF null-space reduction of one (channels, w_r) pair, shared by the
-    rate-region (P1) and sum-rate (P2) transmit beamformers.
+class _TxBatch:
+    """The ZF null-space reduction of K combiners that share the null
+    dimension n, as arrays with a leading axis of length K, the two
+    sources' quantities side by side (A's first).
 
-    rx_a/rx_b are the combiner's ``receive_gains``, computed once per
-    combiner.  w_t = sqrt(budget) n_t z with unit z; a_t/b_t are the
-    null-space images of h_ra/h_rb, na2/nb2 their squared norms and d2/d1
-    their unit directions.  An image with squared norm at most 1e-300 has
-    no direction: its d is None and its squared norm 0, so every gate and
-    search reads the same decision.  r = |d2^H d1| and phi its argument
-    (both 0 when a direction is missing); n is the null-space dimension.
+    w_t = sqrt(budget) n_t z with unit z in the null space.  n_t is
+    K x m_t x n.  f is K x 2 x n with rows a_t^H and b_t^H, the null-space
+    images of h_ra and h_rb, so that ``f @ z`` gives both images' inner
+    products with z; n2 holds their squared norms (na2, nb2) and d
+    (K x n x 2) their unit directions as columns (d2, d1).  An image with
+    squared norm at most 1e-300 has no direction: a zero column of d with a
+    False entry in ``has`` and a zero squared norm, so that every gate and
+    search reads the same decision.  r = |d2^H d1| and phi its argument,
+    both 0 when a direction is missing.  rx holds the receive gains
+    (rx_a, rx_b).
     """
 
     n_t: np.ndarray
-    a_t: np.ndarray
-    b_t: np.ndarray
-    na2: float
-    nb2: float
-    d1: np.ndarray | None
-    d2: np.ndarray | None
-    r: float
-    phi: float
+    f: np.ndarray
+    n2: np.ndarray
+    d: np.ndarray
+    has: np.ndarray
+    r: np.ndarray
+    phi: np.ndarray
     n: int
-    rx_a: float
-    rx_b: float
+    rx: np.ndarray
+
+    def take(self, rows):
+        """The batch of the given rows, an array of row indices."""
+        return _TxBatch(**{name: x if name == "n" else x.take(rows, axis=0)
+                           for name, x in vars(self).items()})
 
 
-def _tx_context(channels, w_r):
-    n_t = relay_null_basis(channels, w_r)
-    a_t = n_t.conj().T @ channels.h_ra
-    b_t = n_t.conj().T @ channels.h_rb
-    na2 = float(np.vdot(a_t, a_t).real)
-    nb2 = float(np.vdot(b_t, b_t).real)
-    d2 = a_t / math.sqrt(na2) if na2 > 1e-300 else None
-    d1 = b_t / math.sqrt(nb2) if nb2 > 1e-300 else None
-    if d1 is not None and d2 is not None:
-        inner = complex(np.vdot(d2, d1))
-        r = min(abs(inner), 1.0)
-        phi = cmath.phase(inner) if abs(inner) > 0 else 0.0
-    else:
-        r, phi = 0.0, 0.0
-    return _TxContext(n_t, a_t, b_t, na2 if d2 is not None else 0.0,
-                      nb2 if d1 is not None else 0.0, d1, d2, r, phi, n_t.shape[1],
-                      *receive_gains(channels, w_r))
+def _tx_geometry(h_t, n_t):
+    """The images, squared norms, directions, r and phi of a stack of
+    null-space bases n_t (K x m_t x n), where h_t is the m_t x 2 matrix
+    [h_ra, h_rb]; returns the ``_TxBatch`` fields but ``rx``, by name."""
+    images = np.conj(n_t).transpose(0, 2, 1) @ h_t  # K x n x 2: a_t, b_t
+    n2 = (np.square(images.real) + np.square(images.imag)).sum(axis=1)
+    has = n2 > 1e-300
+    d = images / np.sqrt(np.where(has, n2, 1.0))[:, None, :] * has[:, None, :]
+    inner = (np.conj(d[:, :, 0]) * d[:, :, 1]).sum(axis=1)
+    both = has[:, 0] & has[:, 1]
+    r = np.minimum(np.abs(inner), 1.0) * both
+    phi = np.angle(inner) * both
+    return dict(n_t=n_t, f=np.conj(images).transpose(0, 2, 1), n2=n2 * has, d=d, has=has,
+                r=r, phi=phi, n=n_t.shape[2])
 
 
-def _combiners(channels):
-    """One realization's combiner table, alpha -> (w_r, its ``_tx_context``): each
-    built on first use, its arrays read-only, as all points at that alpha share them."""
-    @functools.cache
-    def combiner(alpha):
-        w_r = receive_combiner(channels, alpha)
-        ctx = _tx_context(channels, w_r)
-        for arr in (w_r, ctx.n_t, ctx.a_t, ctx.b_t, ctx.d1, ctx.d2):
-            if arr is not None:
-                arr.setflags(write=False)
-        return w_r, ctx
-    return combiner
+def _repeat(geo, k):
+    """``_tx_geometry`` fields of one basis repeated for k combiners."""
+    return geo if k == 1 else {name: x if name == "n" else np.repeat(x, k, axis=0)
+                               for name, x in geo.items()}
+
+
+def _combiner_table(channels):
+    """The combiner table of one realization, shared by both problems.
+
+    ``table(alphas)`` takes a 1-D array of combiner parameters and returns
+    ``[(rows, w_r, batch)]``: the combiners ``w_r`` of those rows and their
+    ``_TxBatch``, one entry per null dimension (one entry, whose rows are
+    None, unless the loopback row w_r^H H_rr vanishes at some of the
+    combiners but not all).  Each combiner is ``receive_combiner``'s mix of
+    ``_combiner_basis``'s two directions, computed once per table, and each
+    null-space basis is ``relay_null_basis``'s, from one stacked QR call.
+    With a zero loopback every basis is the identity, so only the receive
+    gains are computed per call.  They are ``receive_gains``'s, row by row,
+    so ``make_operating_point`` recomputes the bits that the power step
+    scored.  A row's bits do not depend on the other alphas of its call.
+    """
+    u_par, u_perp = _combiner_basis(channels)
+    h_t = np.stack([channels.h_ra, channels.h_rb], axis=1)
+    eye = np.eye(channels.m_t, dtype=complex)[None]
+    free = None if channels.h_rr.any() else _tx_geometry(h_t, eye)
+    h_rr_conj = np.conj(channels.h_rr)
+    threshold = 1e-12 * max(1.0, np.linalg.norm(channels.h_rr))
+
+    def table(alphas):
+        if not np.all((alphas >= 0.0) & (alphas <= 1.0)):
+            raise ValueError("alpha must lie in [0, 1]")
+        if u_perp is None:
+            w_r = np.repeat(u_par[None], alphas.size, axis=0)
+        else:
+            w_r = alphas[:, None] * u_par + np.sqrt(1.0 - alphas)[:, None] * u_perp
+            w_r /= np.linalg.norm(w_r, axis=1, keepdims=True)
+        rx = np.array([receive_gains(channels, w) for w in w_r])
+        if free is not None:
+            return [(None, w_r, _TxBatch(**_repeat(free, alphas.size), rx=rx))]
+        v = (w_r[:, None, :] @ h_rr_conj)[:, 0]  # rows v^T with v = H_rr^H w_r
+        vanish = np.linalg.norm(v, axis=1) <= threshold
+        if not vanish.any():
+            geo = _tx_geometry(h_t, null_space_basis(v[:, :, None]))
+            return [(None, w_r, _TxBatch(**geo, rx=rx))]
+        groups = []  # the combiners whose loopback row vanishes keep every direction
+        for rows in (np.flatnonzero(~vanish), np.flatnonzero(vanish)):
+            if rows.size:
+                geo = (_repeat(_tx_geometry(h_t, eye), rows.size) if vanish[rows[0]]
+                       else _tx_geometry(h_t, null_space_basis(v[rows, :, None])))
+                groups.append((rows, w_r[rows], _TxBatch(**geo, rx=rx[rows])))
+        return groups
+
+    return table
 
 
 def _p_prime(p_r_max, p_a, p_b, rx_a, rx_b):
@@ -144,8 +185,8 @@ def boundary_range(r, q, null_dim=None):
 def _null_z(d1, d2, r, phi, n, q, t=None):
     """Unit z in the n-dimensional null space with |d1^H z|^2 = q and
     |d2^H z| = t; t=None asks for the boundary maximum
-    sqrt(boundary_range(r, q)[1]).  The P1 boundary, the P2 frontier and
-    ``dc_step``'s points are all built here.
+    sqrt(boundary_range(r, q)[1]).  ``_boundary_z``'s special rows and
+    ``dc_step``'s points are built here.
 
     With cp = sqrt(1 - r^2), e1 = e^{-j phi} d1 and the unit
     e2 = (d2 - r e^{-j phi} d1) / cp orthogonal to d1, d2 = r e1 + cp e2,
@@ -194,58 +235,90 @@ def _null_z(d1, d2, r, phi, n, q, t=None):
     return z / np.linalg.norm(z)
 
 
-def _p1_gates(channels, ctx, p_a, p_b, gamma_b, p_r_max):
-    """The two gates of the P1 beamformer, from the combiner's receive gains
-    and ||b_t||^2 alone (both read from ``ctx``).
+def _boundary_z(ctx, q):
+    """``_null_z``'s boundary vector (t=None) of each row of ``ctx`` at its
+    level q in [0, 1]: the rows with both directions and 1 - r^2 >= 1e-10
+    at once, in ``_null_z``'s formula, and the others by ``_null_z``
+    itself."""
+    one_minus_r2 = 1.0 - ctx.r * ctx.r
+    gen = ctx.has[:, 0] & ctx.has[:, 1] & (one_minus_r2 >= 1e-10)
+    g = np.sqrt((1.0 - q) / np.where(gen, one_minus_r2, 1.0))
+    b = (ctx.r * g - np.sqrt(q)) * np.exp(1j * (math.pi - ctx.phi))
+    z = b[:, None] * ctx.d[:, :, 1] + g[:, None] * ctx.d[:, :, 0]
+    if gen.all():
+        return z / np.linalg.norm(z, axis=1, keepdims=True)
+    z[gen] /= np.linalg.norm(z[gen], axis=1, keepdims=True)
+    for k in np.flatnonzero(~gen):
+        z[k] = _null_z(*_directions(ctx, k), float(ctx.r[k]), float(ctx.phi[k]), ctx.n,
+                       float(q[k]))
+    return z
 
-    Returns (gb_bar, p_bar): B's required transmit gain |h_rb^H w_t|^2 and
-    the budget ||w_t||^2 that spends the relay power.  Raises Infeasible
-    ('sinr_gate' or 'beam_power_gate') when no transmit beamformer meets
-    B's SINR threshold gamma_b at powers (p_a, p_b).
+
+def _directions(ctx, k):
+    """Row k's unit directions (d1, d2), None where missing."""
+    return (ctx.d[k, :, 1] if ctx.has[k, 1] else None,
+            ctx.d[k, :, 0] if ctx.has[k, 0] else None)
+
+
+def _p1_gates(channels, ctx, p_a, p_b, gamma_b, p_r_max):
+    """The two gates of the P1 beamformer at each row of the ``_TxBatch``
+    ``ctx``, from the row's receive gains and ||b_t||^2 alone.  Returns
+    (gb_bar, p_bar, ok): B's required transmit gain |h_rb^H w_t|^2 (inf
+    where the SINR gate fails, p_a rx_a <= gamma_b), the budget ||w_t||^2
+    that spends the relay power, and where a beamformer meets B's SINR
+    threshold gamma_b: the beam-power gate p_bar ||b_t||^2 >= gb_bar.
     """
+    rx_a, rx_b = ctx.rx.T
+    p_bar = _p_prime(p_r_max, p_a, p_b, rx_a, rx_b)
     if gamma_b <= 0.0:
-        gb_bar = 0.0
+        gb_bar = np.zeros(len(rx_a))
     else:
-        margin = p_a * ctx.rx_a - gamma_b
-        if margin <= 0.0:
-            raise Infeasible("sinr_gate")
-        gb_bar = gamma_b * (p_b * abs(channels.h_bb) ** 2 + 1.0) / margin
-    p_bar = _p_prime(p_r_max, p_a, p_b, ctx.rx_a, ctx.rx_b)
-    if p_bar * ctx.nb2 < gb_bar * (1.0 - 1e-12):
-        raise Infeasible("beam_power_gate")
-    return gb_bar, p_bar
+        margin = p_a * rx_a - gamma_b
+        gb_bar = np.divide(gamma_b * (p_b * abs(channels.h_bb) ** 2 + 1.0), margin,
+                           out=np.full(len(rx_a), math.inf), where=margin > 0.0)
+    return gb_bar, p_bar, p_bar * ctx.n2[:, 1] >= gb_bar * (1.0 - 1e-12)
 
 
 def solve_txbf_p1(channels, ctx, p_a, p_b, gamma_b, p_r_max):
-    """Transmit beamformer maximizing the gain toward A under the B-SINR
-    threshold, the relay power budget (met with equality) and ZF, for the
-    combiner whose ``_tx_context`` is ``ctx``.
+    """Transmit beamformers maximizing the gain toward A under the B-SINR
+    threshold, the relay power budget (met with equality) and ZF, for a
+    batch of combiners: ``ctx`` is a ``_TxBatch`` with one row per
+    combiner and ``p_a``/``p_b`` arrays of its powers.  Returns (w_t, ok):
+    one beamformer per row (K x m_t) and the rows where ``_p1_gates``
+    pass; a row that fails them holds no answer.
 
     The threshold becomes |b_t^H z|^2 >= gamma_b_bar / p_bar on the unit
-    null-space vector z; when the unconstrained maximizer z = d2 misses it,
-    both constraints bind and z is the boundary vector at that level.
-    Raises Infeasible with the failing gate in ``stage``.
+    null-space vector z; when the unconstrained maximizer z = d2 misses it
+    (or A has no direction), both constraints bind and z is the boundary
+    vector at that level.
     """
-    gb_bar, p_bar = _p1_gates(channels, ctx, p_a, p_b, gamma_b, p_r_max)
-    scale = math.sqrt(p_bar)
-    if ctx.d2 is None:
-        q = 1.0  # no direction reaches A: B's direction has the most slack
-    else:
-        w_t = scale * (ctx.n_t @ ctx.d2)  # unconstrained maximizer at full budget
-        if abs(np.vdot(channels.h_rb, w_t)) ** 2 >= gb_bar * (1.0 - 1e-12):
-            return w_t
-        q = min(gb_bar / (p_bar * ctx.nb2), 1.0)
-    return scale * (ctx.n_t @ _null_z(ctx.d1, ctx.d2, ctx.r, ctx.phi, ctx.n, q))
+    gb_bar, p_bar, ok = _p1_gates(channels, ctx, p_a, p_b, gamma_b, p_r_max)
+    scale = np.sqrt(p_bar)
+    w_t = scale[:, None] * (ctx.n_t @ ctx.d[:, :, :1])[:, :, 0]  # maximizer at full budget
+    gb_min = gb_bar * (1.0 - 1e-12)
+    bound = ok & ~(ctx.has[:, 0] & (np.square(np.abs(w_t @ np.conj(channels.h_rb))) >= gb_min))
+    rows = bound.nonzero()[0]
+    if rows.size:
+        sub = ctx if rows.size == len(bound) else ctx.take(rows)
+        # q = 1 where no direction reaches A: B's direction has the most slack
+        q = np.minimum(np.divide(gb_bar[rows], p_bar[rows] * sub.n2[:, 1], out=np.ones(rows.size),
+                                 where=sub.has[:, 0]), 1.0)
+        w_t[rows] = scale[rows, None] * (sub.n_t @ _boundary_z(sub, q)[:, :, None])[:, :, 0]
+    return w_t, ok
 
 
 def solve_power_p1(channels, w_t, ctx, gamma_b, config):
     """Source powers maximizing A's SINR subject to B's SINR threshold, the
-    relay budget and the power box, in closed form.  Returns (p_a, p_b,
-    gamma_a): the powers and A's SINR there, the objective maximized.
+    relay budget and the power box, in closed form, for a batch of
+    combiners: ``w_t`` holds one beamformer per row of the ``_TxBatch``
+    ``ctx``.  Returns arrays (p_a, p_b, gamma_a, ok): the powers, A's SINR
+    there (the objective maximized, in ``sinr_pair``'s arithmetic) and the
+    rows whose power polygon is not empty; a row outside ``ok`` holds no
+    answer.
 
-    With w_t's gains T_a, T_b and R_a, R_b of the combiner's ``ctx``, A's SINR
-    p_b T_a R_b / (T_a + p_a |h_aa|^2 + 1) never increases in p_a, so at
-    each p_b the best p_a is the smallest one that meets B's target:
+    With w_t's gains T_a, T_b and the row's receive gains R_a, R_b, A's
+    SINR p_b T_a R_b / (T_a + p_a |h_aa|^2 + 1) never increases in p_a, so
+    at each p_b the best p_a is the smallest one that meets B's target:
     p_a = c + k p_b with c = gamma_b (T_b + 1) / (T_b R_a) and
     k = gamma_b |h_bb|^2 / (T_b R_a), both 0 when gamma_b = 0.  Along that
     line the objective is p_b K / (a + b p_b) with K = T_a R_b,
@@ -254,7 +327,7 @@ def solve_power_p1(channels, w_t, ctx, gamma_b, config):
     is feasible on an interval of p_b starting at 0, and the optimum is
     its end: the least of p_b_max, the crossing with p_a = p_a_max and the
     crossing with the relay-budget line.  When even p_b = 0 is infeasible
-    the polygon is empty and Infeasible('power_polygon') is raised.
+    (or T_b R_a = 0 with gamma_b > 0) the polygon is empty.
 
     The box and the relay line are met within 1e-9 relative.  The corner
     p_b_max therefore wins whenever it is feasible within that tolerance,
@@ -265,159 +338,224 @@ def solve_power_p1(channels, w_t, ctx, gamma_b, config):
     returned when the optimum's SINR is below 1e-12 (a combiner orthogonal
     to h_br, say) and its p_a exceeds c by more than 1e-12.
     """
-    tx_a, tx_b = abs(np.vdot(channels.h_ra, w_t)) ** 2, abs(np.vdot(channels.h_rb, w_t)) ** 2
+    h_ra, h_rb = channels.h_ra, channels.h_rb
+    haa2, hbb2 = abs(channels.h_aa) ** 2, abs(channels.h_bb) ** 2
     p_a_max, p_b_max = config.p_a_max, config.p_b_max
-    if gamma_b > 0:
-        den = tx_b * ctx.rx_a
-        if den <= 0.0:
-            raise Infeasible("power_polygon")
-        c = gamma_b * (tx_b + 1.0) / den
-        k = gamma_b * abs(channels.h_bb) ** 2 / den
-    else:
-        c = k = 0.0
-    # relay power: r_a p_a + r_b p_b <= cap
-    nt2 = float(np.vdot(w_t, w_t).real)
-    r_a, r_b, cap = nt2 * ctx.rx_a, nt2 * ctx.rx_b, config.p_r_max - nt2
-    relay_top = cap + 1e-9 * max(r_a * p_a_max, r_b * p_b_max, abs(cap), 1.0)
     p_a_top = p_a_max * (1.0 + 1e-9) + 1e-9
-    if c > p_a_top or r_a * c > relay_top:
-        raise Infeasible("power_polygon")
-    p_b = p_b_max
-    if c + k * p_b > p_a_top:
-        p_b = (p_a_max - c) / k
-    if r_a * (c + k * p_b) + r_b * p_b > relay_top:
-        p_b = (cap - r_a * c) / (r_a * k + r_b)
-    p_b = min(max(p_b, 0.0), p_b_max)
-    p_a = min(c + k * p_b, p_a_max)
-    gamma_a = p_b * tx_a * ctx.rx_b / (tx_a + p_a * abs(channels.h_aa) ** 2 + 1.0)
-    if gamma_a < 1e-12 and p_a - min(c, p_a_max) > 1e-12:
-        return min(c, p_a_max), 0.0, 0.0
-    return p_a, p_b, gamma_a
+    out = []  # p_a, p_b, gamma_a and whether feasible
+    for w, (rx_a, rx_b) in zip(w_t, ctx.rx.tolist()):
+        # sinr_pair's gains: the squares of numpy scalars
+        tx_a, tx_b = float(abs(np.vdot(h_ra, w)) ** 2), float(abs(np.vdot(h_rb, w)) ** 2)
+        den = tx_b * rx_a
+        c = k = 0.0
+        if gamma_b > 0 and den > 0.0:
+            c = gamma_b * (tx_b + 1.0) / den
+            k = gamma_b * hbb2 / den
+        # relay power: r_a p_a + r_b p_b <= cap
+        nt2 = float(np.vdot(w, w).real)
+        r_a, r_b, cap = nt2 * rx_a, nt2 * rx_b, config.p_r_max - nt2
+        relay_top = cap + 1e-9 * max(r_a * p_a_max, r_b * p_b_max, abs(cap), 1.0)
+        if (gamma_b > 0 and den <= 0.0) or c > p_a_top or r_a * c > relay_top:
+            out.append((0.0, 0.0, 0.0, 0.0))
+            continue
+        p_b = p_b_max
+        if c + k * p_b > p_a_top:
+            p_b = (p_a_max - c) / k
+        if r_a * (c + k * p_b) + r_b * p_b > relay_top:
+            p_b = (cap - r_a * c) / (r_a * k + r_b)
+        p_b = min(max(p_b, 0.0), p_b_max)
+        p_a = min(c + k * p_b, p_a_max)
+        gamma_a = p_b * tx_a * rx_b / (tx_a + p_a * haa2 + 1.0)
+        if gamma_a < 1e-12 and p_a - min(c, p_a_max) > 1e-12:
+            p_a, p_b, gamma_a = min(c, p_a_max), 0.0, 0.0
+        out.append((p_a, p_b, gamma_a, 1.0))
+    out = np.array(out, dtype=float)
+    return out[:, 0], out[:, 1], out[:, 2], out[:, 3] > 0.0
 
 
-def _alternate(channels, alpha, combiners, config, starts, beam, power):
-    """The alternating loop of P1 for one combiner setting (P2 runs the same
-    stop rules on a batch of combiners in ``sum_rate._alternate_rows``).
+@dataclass
+class _Points:
+    """The alternation's outcome at a batch of combiners: each one's
+    combiner, beamformer, the powers it stopped at, its trace and whether
+    it found a feasible point (``ok``).  ``values`` holds each trace's
+    last value (-inf at an infeasible combiner), and ``point(i)`` builds
+    combiner i's OperatingPoint (Infeasible('combiner') at an infeasible
+    one)."""
 
-    The combiner and its context ``ctx`` come from the ``_combiners`` table
-    (None: a fresh one).  ``beam(ctx, powers, w_t)`` solves the beamformer at
-    the given powers (``w_t`` is the previous one, None on the first solve)
-    and may raise Infeasible; ``power(w_t, ctx)`` is the power step, which
-    returns (p_a, p_b, value) with value the objective it maximized.
-    The first solve uses the first start power it accepts (the last
-    start's Infeasible propagates).  Each iteration then runs the power
-    step, traces its value and stops when the value improves by less than
-    conv_tol or when the step returns exactly the powers the beamformer was
-    solved at; otherwise the beamformer is re-solved at the new powers.
-    That second stop changes no answer: at the same powers P1's beamformer
-    (which ignores its warm start) returns the same bits, so a re-solve
-    would only repeat the step.  A point that stops is returned at the
-    traced powers and beamformer.  When iter_max is hit the returned
-    beamformer is the one re-solved after the last traced iteration, so
-    the point's objective can exceed ``trace[-1]``.
+    channels: object
+    alphas: np.ndarray
+    w_r: np.ndarray
+    w_t: np.ndarray
+    powers: np.ndarray
+    traces: list
+    ok: np.ndarray
+
+    @property
+    def values(self):
+        return np.array([trace[-1] if ok else -math.inf
+                         for trace, ok in zip(self.traces, self.ok.tolist())])
+
+    def point(self, i):
+        if not self.ok[i]:
+            raise Infeasible("combiner", f"no feasible point at alpha = {self.alphas[i]}")
+        return make_operating_point(self.channels, self.w_t[i], self.w_r[i],
+                                    float(self.alphas[i]), float(self.powers[i, 0]),
+                                    float(self.powers[i, 1]), self.traces[i])
+
+
+def _alternate_rows(ctx, config, starts, beam, power):
+    """The alternating loop of both problems at every row of the
+    ``_TxBatch`` ``ctx``; returns (w_t, powers, ok, traces), one row each.
+
+    ``beam(ctx, p_a, p_b, w_t)`` solves a batch's beamformers at the given
+    power arrays (``w_t`` holds the previous ones, None on the first solve)
+    and ``power(w_t, ctx)`` is the power step, which returns (p_a, p_b,
+    value), value being the objective it maximized.  Each also returns a
+    feasibility mask, or None when every row is feasible.
+
+    A row starts from the first power pair of ``starts`` at which its
+    beamformer is feasible; a row feasible at none is infeasible.  Each
+    iteration runs the power step, traces its value and stops the row when
+    the value improves by less than conv_tol or when the step returns
+    exactly the powers the beamformer was solved at (the accepted start on
+    the first iteration); otherwise the beamformer is re-solved at the new
+    powers.  That second stop changes no answer: at the same powers P1's
+    beamformer (which ignores its warm start) returns the same bits and
+    P2's the same frontier point up to rounding.  A row whose power step or
+    re-solved beamformer is infeasible is infeasible (and stops after its
+    next power step).  Only the running rows are solved, as one batch.  A
+    row that stops keeps its traced powers and the beamformer they were
+    scored with; at iter_max it keeps the beamformer re-solved after its
+    last traced iteration, so its objective can exceed its last traced
+    value.
     """
-    w_r, ctx = (combiners or _combiners(channels))(alpha)
-    for powers in starts:
-        try:
-            w_t = beam(ctx, powers, None)
+    k = len(ctx.rx)
+    powers = np.empty((k, 2))
+    powers[:] = starts[0]
+    w_t, ok = beam(ctx, powers[:, 0], powers[:, 1], None)
+    ok = np.ones(k, dtype=bool) if ok is None else ok
+    for start in starts[1:]:
+        retry = (~ok).nonzero()[0]
+        if retry.size:
+            powers[retry] = start
+            w_t[retry], ok[retry] = beam(ctx.take(retry), powers[retry, 0], powers[retry, 1], None)
+    traces = [[] for _ in range(k)]
+    rows = ok.nonzero()[0]  # the running rows, with their powers, beamformers and last values
+    pa, pb, w, prev = powers[rows, 0], powers[rows, 1], w_t[rows], np.zeros(rows.size)
+    if rows.size < k:
+        ctx = ctx.take(rows)
+    fine = None  # the feasibility of the running rows' last beamformers
+    for _ in range(config.iter_max if rows.size else 0):
+        p_a, p_b, value, step_fine = power(w, ctx)
+        for row, val in zip(rows.tolist(), value.tolist()):
+            traces[row].append(val)
+        stop = (value - prev < config.conv_tol) | ((p_a == pa) & (p_b == pb))
+        for mask in (fine, step_fine):
+            if mask is not None and np.count_nonzero(mask) < mask.size:
+                ok[rows] &= mask
+                stop |= ~mask
+        pa, pb, prev = p_a, p_b, value
+        going = (~stop).nonzero()[0]
+        if not going.size:
             break
-        except Infeasible:
-            if powers is starts[-1]:
-                raise
-    trace, prev, step = [], 0.0, powers
-    for _ in range(config.iter_max):
-        *step, val = power(w_t, ctx)
-        trace.append(val)
-        if val - prev < config.conv_tol or tuple(step) == tuple(powers):
-            break
-        prev, powers = val, step
-        w_t = beam(ctx, powers, w_t)
-    return make_operating_point(channels, w_t, w_r, alpha, step[0], step[1], trace)
+        if going.size < rows.size:
+            done = stop.nonzero()[0]
+            powers[rows[done], 0], powers[rows[done], 1], w_t[rows[done]] = pa[done], pb[done], w[done]
+            rows, ctx, pa, pb, w, prev = (rows[going], ctx.take(going), pa[going], pb[going],
+                                          w[going], prev[going])
+        w, fine = beam(ctx, pa, pb, w)
+    if fine is not None:
+        ok[rows] &= fine
+    powers[rows, 0], powers[rows, 1], w_t[rows] = pa, pb, w
+    return w_t, powers, ok, traces
+
+
+def _alternate_batch(channels, alpha, combiners, config, starts, beam, power):
+    """``_alternate_rows`` at each combiner of ``alpha``, read from
+    ``combiners``, a ``_combiner_table`` of the realization (None: a fresh
+    one).  An array ``alpha`` gives its ``_Points``; a float is a batch of
+    one and gives its OperatingPoint (Infeasible('combiner') if none)."""
+    alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
+    k = alphas.size
+    w_r = np.empty((k, channels.m_r), dtype=complex)
+    w_t = np.empty((k, channels.m_t), dtype=complex)
+    powers, ok, traces = np.empty((k, 2)), np.empty(k, dtype=bool), [None] * k
+    for rows, group_w_r, ctx in (combiners or _combiner_table(channels))(alphas):
+        rows = np.arange(k) if rows is None else rows
+        w_r[rows] = group_w_r
+        w_t[rows], powers[rows], ok[rows], group_traces = _alternate_rows(
+            ctx, config, starts, beam, power)
+        for row, trace in zip(rows.tolist(), group_traces):
+            traces[row] = trace
+    points = _Points(channels, alphas, w_r, w_t, powers, traces, ok)
+    return points if np.ndim(alpha) else points.point(0)
 
 
 def optimize_fixed_alpha_p1(channels, alpha, gamma_b, config, combiners=None):
-    """Alternate the beamformer and power solves for one combiner setting.
-
-    Starts from full source powers (falling back to (p_a_max, 0) if the
-    first beamformer solve is infeasible) and stops when A's SINR improves
-    by less than conv_tol, when the power step keeps the powers, or at
-    iter_max.  The trace of per-iteration SINR values is nondecreasing.
+    """Alternate the beamformer and power solves at each combiner of
+    ``alpha`` (``_alternate_batch``), from full source powers, falling back
+    to (p_a_max, 0) where the first beamformer solve is infeasible.  A
+    combiner stops when A's SINR improves by less than conv_tol, when the
+    power step keeps the powers, or at iter_max; its trace of SINR values
+    is nondecreasing.
     """
-    return _alternate(
-        channels, alpha, combiners, config,
-        [(config.p_a_max, config.p_b_max), (config.p_a_max, 0.0)],
-        beam=lambda ctx, p, _: solve_txbf_p1(channels, ctx, p[0], p[1], gamma_b, config.p_r_max),
+    return _alternate_batch(
+        channels, alpha, combiners, config, [(config.p_a_max, config.p_b_max), (config.p_a_max, 0.0)],
+        beam=lambda ctx, p_a, p_b, _: solve_txbf_p1(channels, ctx, p_a, p_b, gamma_b, config.p_r_max),
         power=lambda w_t, ctx: solve_power_p1(channels, w_t, ctx, gamma_b, config))
 
 
-def _alpha_search(evaluate, config, lookahead=False):
+def _alpha_search(evaluate, config):
     """Grid + golden search over the combiner parameter, refined to a width
     of 1e-3.
 
-    ``evaluate(alphas)`` takes a sequence of combiner parameters and
-    returns ``(values, point)``: ``values[i]`` is the objective at
-    ``alphas[i]`` (-inf where infeasible) and ``point(i)`` builds its
-    OperatingPoint.  The grid is one call on its array, and each golden
-    step a call on its one alpha, or with ``lookahead`` a call on an array
-    of three alphas that serves two steps (``maximize_1d``).  Only the
-    point of the best feasible combiner, the first one searched among
-    equals, is built.
+    ``evaluate(alphas)`` takes an array of combiner parameters and returns
+    ``(values, point)``: ``values[i]`` is the objective at ``alphas[i]``
+    (-inf where infeasible) and ``point(i)`` builds its OperatingPoint.
+    The grid is one call on its array, and each pair of golden steps one
+    call on three alphas (``maximize_1d``'s lookahead).  Only the point of
+    the best feasible combiner, the first one searched among equals, is
+    built.
     """
     points = {}
 
     def objective(alphas):
-        if isinstance(alphas, float):  # a golden step without lookahead
-            values, point = evaluate((alphas,))
-            points[alphas] = point, 0
-            return values[0]
         values, point = evaluate(alphas)
         points.update((alpha, (point, i)) for i, alpha in enumerate(alphas.tolist()))
         return values
 
     alpha, value = maximize_1d(objective, 0.0, 1.0, tol=1e-3, grid_points=config.alpha_grid,
-                               lookahead=lookahead)
+                               lookahead=True)
     if value == -math.inf:
         raise Infeasible("alpha_grid", "no feasible combiner setting on the grid")
     point, i = points[alpha]
     return point(i)
 
 
-def _each(solve):
-    """``_alpha_search``'s evaluator from a one-combiner ``solve(alpha)``
-    that returns an OperatingPoint or raises Infeasible."""
-    def evaluate(alphas):
-        points = []
-        for alpha in alphas:
-            try:
-                points.append(solve(float(alpha)))
-            except Infeasible:
-                points.append(None)
-        return [-math.inf if pt is None else pt.trace[-1] for pt in points], points.__getitem__
-    return evaluate
-
-
-def _gamma_b_max(combiners, config):
+def _gamma_b_max(table, config):
     """B's largest SINR target at which ``max_rate_given_rb`` succeeds.
 
-    ``_alpha_search`` raises only when every grid combiner raises, and
-    ``optimize_fixed_alpha_p1`` raises only when its first beamformer solve
-    fails ``_p1_gates`` at both start powers: past the gates the start
-    beamformer meets B's target, and each later power and beamformer step
-    keeps a feasible point (up to the solvers' tolerances).  The gates at
-    (p_a_max, 0) dominate those at (p_a_max, p_b_max), and there they pass
-    exactly when gamma_b <= p_a_max rx_a s_b / (s_b + 1) with
-    s_b = p_bar ||b_t||^2 and p_bar = p_r_max / (p_a_max rx_a + 1): B's SINR
-    when A sends at full power, B is silent and the whole relay budget goes
-    on the b_t direction.  The result is the largest of these SINRs over
-    the grid combiners of the ``_combiners`` table, backed off by 1e-9
-    relative because the gate's margin p_a rx_a - gamma_b cancels near it.
+    ``_alpha_search`` raises only when every grid combiner is infeasible,
+    and ``optimize_fixed_alpha_p1`` finds a combiner infeasible only when
+    its first beamformer solve fails ``_p1_gates`` at both start powers:
+    past the gates the start beamformer meets B's target, and each later
+    power and beamformer step keeps a feasible point (up to the solvers'
+    tolerances).  The gates at (p_a_max, 0) dominate those at
+    (p_a_max, p_b_max), and there they pass exactly when
+    gamma_b <= p_a_max rx_a s_b / (s_b + 1) with s_b = p_bar ||b_t||^2 and
+    p_bar = p_r_max / (p_a_max rx_a + 1): B's SINR when A sends at full
+    power, B is silent and the whole relay budget goes on the b_t
+    direction.  The result is the largest of these SINRs over the grid
+    rows of ``table`` (a ``_combiner_table``, whose rows have the bits of
+    the search's grid batch), backed off by 1e-9 relative because the
+    gate's margin p_a rx_a - gamma_b cancels near it.
     """
     p_a = config.p_a_max
     best = 0.0
-    for alpha in np.linspace(0.0, 1.0, config.alpha_grid):
-        _, ctx = combiners(float(alpha))
-        s_b = _p_prime(config.p_r_max, p_a, 0.0, ctx.rx_a, ctx.rx_b) * ctx.nb2
-        best = max(best, p_a * ctx.rx_a * s_b / (s_b + 1.0))
+    for _, _, ctx in table(np.linspace(0.0, 1.0, config.alpha_grid)):
+        rx_a, rx_b = ctx.rx[:, 0], ctx.rx[:, 1]
+        s_b = _p_prime(config.p_r_max, p_a, 0.0, rx_a, rx_b) * ctx.n2[:, 1]
+        best = max(best, float(np.max(p_a * rx_a * s_b / (s_b + 1.0))))
     return best * (1.0 - 1e-9)
 
 
@@ -425,14 +563,20 @@ def max_rate_given_rb(channels, r_b, config, combiners=None):
     """Best operating point for A subject to B achieving rate r_b.
 
     B's SINR threshold 2**r_b - 1 is computed with expm1, so a tiny target
-    (a weak B link) keeps its relative accuracy.  ``combiners`` is a ``_combiners``
-    table that ``rate_region`` shares (None: built afresh); no answer depends on it.
+    (a weak B link) keeps its relative accuracy.  ``combiners`` is a
+    ``_combiner_table`` that ``rate_region`` shares (None: built afresh);
+    no answer depends on it.
     """
     if r_b < 0:
         raise ValueError("r_b must be nonnegative")
     gamma_b = math.expm1(r_b * _LN2)
-    return _alpha_search(
-        _each(lambda a: optimize_fixed_alpha_p1(channels, a, gamma_b, config, combiners)), config)
+    table = combiners or _combiner_table(channels)
+
+    def evaluate(alphas):
+        points = optimize_fixed_alpha_p1(channels, alphas, gamma_b, config, table)
+        return points.values, points.point
+
+    return _alpha_search(evaluate, config)
 
 
 def region_sweep(solve_targets, r_b_max, n_points):
@@ -470,8 +614,9 @@ def rate_region(channels, n_points, config):
     """Boundary of the achievable (rate_a, rate_b) region as a list of
     (r_b target, OperatingPoint-or-None) pairs, swept from r_b = 0 up to
     B's largest feasible target, log2(1 + ``_gamma_b_max``) (by log1p, which
-    keeps a tiny endpoint exact enough for the point solve to meet it)."""
-    combiners = _combiners(channels)
+    keeps a tiny endpoint exact enough for the point solve to meet it).
+    The endpoint and every point read one ``_combiner_table``."""
+    table = _combiner_table(channels)
     return region_sweep(
-        lambda targets: [_rate_or_none(channels, r_b, config, combiners) for r_b in targets],
-        math.log1p(_gamma_b_max(combiners, config)) / _LN2, n_points)
+        lambda targets: [_rate_or_none(channels, r_b, config, table) for r_b in targets],
+        math.log1p(_gamma_b_max(table, config)) / _LN2, n_points)

@@ -1,7 +1,7 @@
 """Sum-rate maximization: exact Pareto-frontier transmit beamformer in
-reduced coordinates, binary/active-constraint power allocation, the
-alternating loop and the 1-D combiner search, all evaluated on batches of
-combiners.
+reduced coordinates and binary/active-constraint power allocation, both
+for a batch of combiners, run by ``rate_region``'s alternating loop and
+1-D combiner search.
 
 Given the combiner and the powers, the objective depends on w_t only through
 the two quadratic forms s_a = |h_ra^H w_t|^2 and s_b = |h_rb^H w_t|^2.  The
@@ -10,30 +10,30 @@ joint range of two Hermitian forms over the unit sphere is convex
 maximum lies on the upper frontier of that range.  ``solve_txbf_p2`` finds
 it by a 1-D search along the frontier and rebuilds a unit vector achieving
 the chosen pair in closed form.  ``dc_step`` is the paper's convex DC
-subproblem over the same (s_a, s_b) set; it is not on the solver path and
-is kept as the reference that the oracle tests check.
+subproblem over the same (s_a, s_b) set, on a one-row ``_TxBatch``; it is
+not on the solver path and is kept as the reference that the oracle tests
+check.
 
-The combiner search evaluates its ``alpha_grid`` grid as one batch: the
-combiner table (``_combiner_table``), the frontier search, the power step
-and the re-solves of the combiners whose powers moved each run as a few
-numpy calls over arrays with one row per combiner (``_TxBatch``).  Its
-golden refinement evaluates three combiners per call, which serve two
-steps.  The power step's stationary points on the relay-budget curve are
-the roots of a quadratic, solved for all rows in closed form.  A float
-alpha is a batch of one: there is no other code path.
+The frontier search, the power step and the re-solves of the combiners
+whose powers moved each run as a few numpy calls over a ``_TxBatch`` of
+combiners; the power step's stationary points on the relay-budget curve
+are the roots of a quadratic, solved for all rows in closed form.
 """
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _combiner_basis, make_operating_point, receive_gains
-from .numerics import maximize_1d, null_space_basis
+from .model import receive_gains
+from .numerics import maximize_1d
 from .rate_region import (
     _LN2,
     _alpha_search,
+    _alternate_batch,
+    _boundary_z,
+    _combiner_table,
+    _directions,
     _null_z,
     _p_prime,
     boundary_range,
@@ -98,7 +98,7 @@ def dc_linearized_objective(channels, w_r, p_a, p_b, s_a, s_b, anchor):
 
 def dc_step(channels, ctx, p_a, p_b, anchor, config):
     """One convex DC subproblem: maximize the linearized objective over the
-    reachable (s_a, s_b) set of the combiner whose ``_tx_context`` is
+    reachable (s_a, s_b) set of the combiner of the one-row ``_TxBatch``
     ``ctx``, at the full budget ``_p_prime``, then rebuild a beamformer
     achieving the point.
 
@@ -107,19 +107,21 @@ def dc_step(channels, ctx, p_a, p_b, anchor, config):
     the dense-grid + golden 1-D maximizer.  A candidate that does not
     improve the true objective is rejected and the anchor returned.
     """
-    e_a, e_b, k_a, k_b = _coeffs(channels, ctx.rx_a, ctx.rx_b, p_a, p_b)
-    p_prime = _p_prime(config.p_r_max, p_a, p_b, ctx.rx_a, ctx.rx_b)
+    (rx_a, rx_b), (na2, nb2) = ctx.rx[0].tolist(), ctx.n2[0].tolist()
+    r, n = float(ctx.r[0]), ctx.n
+    e_a, e_b, k_a, k_b = _coeffs(channels, rx_a, rx_b, p_a, p_b)
+    p_prime = _p_prime(config.p_r_max, p_a, p_b, rx_a, rx_b)
     grid_points = config.grid_points
     s_a_k, s_b_k = anchor
     lam_a = 1.0 / (_LN2 * (s_a_k + k_a))
     lam_b = 1.0 / (_LN2 * (s_b_k + k_b))
     s_a_star = s_a_k + k_a * e_a / (e_a + 1.0)  # stationary point of the surrogate
-    s_b_top = p_prime * ctx.nb2
-    top_a = p_prime * ctx.na2
+    s_b_top = p_prime * nb2
+    top_a = p_prime * na2
 
     def surrogate(s_b):
         q = np.clip(s_b / s_b_top, 0.0, 1.0)
-        lo, hi = boundary_range(ctx.r, q, ctx.n)
+        lo, hi = boundary_range(r, q, n)
         s_a = np.clip(s_a_star, top_a * lo, top_a * hi)
         return (np.log2((e_a + 1.0) * s_a + k_a) + np.log2((e_b + 1.0) * s_b + k_b)
                 - lam_a * s_a - lam_b * s_b)
@@ -131,7 +133,7 @@ def dc_step(channels, ctx, p_a, p_b, anchor, config):
     else:
         s_b_best = 0.0
     q = min(s_b_best / s_b_top, 1.0) if s_b_top > 0 else 0.0
-    lo, hi = boundary_range(ctx.r, q, ctx.n)
+    lo, hi = boundary_range(r, q, n)
     s_a_best = float(min(max(s_a_star, top_a * lo), top_a * hi))
     f_new = float(_sum_rate_bits(e_a, e_b, k_a, k_b, s_a_best, s_b_best))
     f_old = float(_sum_rate_bits(e_a, e_b, k_a, k_b, s_a_k, s_b_k))
@@ -139,111 +141,8 @@ def dc_step(channels, ctx, p_a, p_b, anchor, config):
         s_a_best, s_b_best = s_a_k, s_b_k
         q = s_b_best / s_b_top if s_b_top > 0 else 0.0
     t = math.sqrt(min(max(s_a_best / top_a, 0.0), 1.0)) if top_a > 0 else 0.0
-    z = _null_z(ctx.d1, ctx.d2, ctx.r, ctx.phi, ctx.n, q, t)
-    return s_a_best, s_b_best, math.sqrt(p_prime) * (ctx.n_t @ z)
-
-
-@dataclass
-class _TxBatch:
-    """The ``_TxContext`` of K combiners that share the null dimension n, as
-    arrays with a leading axis of length K, the two sources' quantities side
-    by side (A's first).
-
-    n_t is K x m_t x n.  f is K x 2 x n with rows a_t^H and b_t^H, so that
-    ``f @ z`` gives both images' inner products with z; n2 holds their
-    squared norms (na2, nb2) and d (K x n x 2) their unit directions as
-    columns (d2, d1).  A missing direction is a zero column of d with a
-    False entry in ``has`` and a zero squared norm; r and phi are then 0,
-    as in ``_TxContext``.  rx holds the receive gains (rx_a, rx_b).
-    """
-
-    n_t: np.ndarray
-    f: np.ndarray
-    n2: np.ndarray
-    d: np.ndarray
-    has: np.ndarray
-    r: np.ndarray
-    phi: np.ndarray
-    n: int
-    rx: np.ndarray
-
-    def take(self, rows):
-        """The batch of the given rows."""
-        return _TxBatch(self.n_t[rows], self.f[rows], self.n2[rows], self.d[rows],
-                        self.has[rows], self.r[rows], self.phi[rows], self.n, self.rx[rows])
-
-
-def _tx_geometry(h_t, n_t):
-    """``_tx_context``'s images, squared norms, directions, r and phi for a
-    stack of null-space bases n_t (K x m_t x n), where h_t is the m_t x 2
-    matrix [h_ra, h_rb]; returns the ``_TxBatch`` fields but ``rx``, by name."""
-    images = np.conj(n_t).transpose(0, 2, 1) @ h_t  # K x n x 2: a_t, b_t
-    n2 = np.sum(np.square(images.real) + np.square(images.imag), axis=1)
-    has = n2 > 1e-300
-    d = images / np.sqrt(np.where(has, n2, 1.0))[:, None, :] * has[:, None, :]
-    inner = np.sum(np.conj(d[:, :, 0]) * d[:, :, 1], axis=1)
-    both = has[:, 0] & has[:, 1]
-    r = np.minimum(np.abs(inner), 1.0) * both
-    phi = np.angle(inner) * both
-    return dict(n_t=n_t, f=np.conj(images).transpose(0, 2, 1), n2=n2 * has, d=d, has=has,
-                r=r, phi=phi, n=n_t.shape[2])
-
-
-def _repeat(geo, k):
-    """``_tx_geometry`` fields of one basis repeated for k combiners."""
-    return geo if k == 1 else {name: x if name == "n" else np.repeat(x, k, axis=0)
-                               for name, x in geo.items()}
-
-
-def _combiner_table(channels):
-    """P2's combiner table of one realization.
-
-    ``table(alphas)`` takes a 1-D array of combiner parameters and returns
-    ``[(rows, w_r, batch)]``: the combiners ``w_r`` of those rows and their
-    ``_TxBatch``, one entry per null dimension (one entry, whose rows are
-    None, unless the loopback row w_r^H H_rr vanishes at some of the
-    combiners but not all).
-    Each combiner is ``receive_combiner``'s mix of ``_combiner_basis``'s two
-    directions, which are computed once per table, and each null-space
-    basis is ``relay_null_basis``'s, from one stacked QR call.  With a zero
-    loopback every basis is the identity, so the images, norms, directions,
-    r and phi are computed once per table and only the receive gains per
-    combiner.  The receive gains are ``receive_gains``'s, row by row, so a
-    point's objective recomputed by ``make_operating_point`` has the bits
-    that the power step scored.
-    """
-    u_par, u_perp = _combiner_basis(channels)
-    h_t = np.stack([channels.h_ra, channels.h_rb], axis=1)
-    eye = np.eye(channels.m_t, dtype=complex)[None]
-    free = None if channels.h_rr.any() else _tx_geometry(h_t, eye)
-    h_rr_conj = np.conj(channels.h_rr)
-    threshold = 1e-12 * max(1.0, np.linalg.norm(channels.h_rr))
-
-    def table(alphas):
-        if not np.all((alphas >= 0.0) & (alphas <= 1.0)):
-            raise ValueError("alpha must lie in [0, 1]")
-        if u_perp is None:
-            w_r = np.repeat(u_par[None], alphas.size, axis=0)
-        else:
-            w_r = alphas[:, None] * u_par + np.sqrt(1.0 - alphas)[:, None] * u_perp
-            w_r /= np.linalg.norm(w_r, axis=1, keepdims=True)
-        rx = np.array([receive_gains(channels, w) for w in w_r])
-        if free is not None:
-            return [(None, w_r, _TxBatch(**_repeat(free, alphas.size), rx=rx))]
-        v = (w_r[:, None, :] @ h_rr_conj)[:, 0]  # rows v^T with v = H_rr^H w_r
-        vanish = np.linalg.norm(v, axis=1) <= threshold
-        if not vanish.any():
-            geo = _tx_geometry(h_t, null_space_basis(v[:, :, None]))
-            return [(None, w_r, _TxBatch(**geo, rx=rx))]
-        groups = []  # the combiners whose loopback row vanishes keep every direction
-        for rows in (np.flatnonzero(~vanish), np.flatnonzero(vanish)):
-            if rows.size:
-                geo = (_repeat(_tx_geometry(h_t, eye), rows.size) if vanish[rows[0]]
-                       else _tx_geometry(h_t, null_space_basis(v[rows, :, None])))
-                groups.append((rows, w_r[rows], _TxBatch(**geo, rx=rx[rows])))
-        return groups
-
-    return table
+    z = _null_z(*_directions(ctx, 0), r, float(ctx.phi[0]), n, q, t)
+    return s_a_best, s_b_best, math.sqrt(p_prime) * (ctx.n_t[0] @ z)
 
 
 @functools.cache
@@ -285,31 +184,6 @@ def _frontier_argmax(e_a, e_b, k_a, k_b, top_a, top_b, r, grid_points):
         i = np.argmax(vals, axis=1)
         q = qs[i] if offsets is None else qs[rows, i]
     return q
-
-
-def _boundary_z(ctx, q):
-    """``_null_z``'s boundary vector (t=None) of each row of ``ctx`` at its
-    level q in [0, 1]: the rows with both directions and 1 - r^2 >= 1e-10
-    at once, in ``_null_z``'s formula, and the others by ``_null_z``
-    itself."""
-    one_minus_r2 = 1.0 - ctx.r * ctx.r
-    gen = ctx.has[:, 0] & ctx.has[:, 1] & (one_minus_r2 >= 1e-10)
-    g = np.sqrt((1.0 - q) / np.where(gen, one_minus_r2, 1.0))
-    b = (ctx.r * g - np.sqrt(q)) * np.exp(1j * (math.pi - ctx.phi))
-    z = b[:, None] * ctx.d[:, :, 1] + g[:, None] * ctx.d[:, :, 0]
-    if gen.all():
-        return z / np.linalg.norm(z, axis=1, keepdims=True)
-    z[gen] /= np.linalg.norm(z[gen], axis=1, keepdims=True)
-    for k in np.flatnonzero(~gen):
-        z[k] = _null_z(*_directions(ctx, k), float(ctx.r[k]), float(ctx.phi[k]), ctx.n,
-                       float(q[k]))
-    return z
-
-
-def _directions(ctx, k):
-    """Row k's (d1, d2) as ``_TxContext`` holds them (None when missing)."""
-    return (ctx.d[k, :, 1] if ctx.has[k, 1] else None,
-            ctx.d[k, :, 0] if ctx.has[k, 0] else None)
 
 
 def solve_txbf_p2(channels, ctx, p_a, p_b, config, w_t_init=None):
@@ -498,98 +372,18 @@ def solve_power_p2(channels, w_t, ctx, config):
     return out[:, 0], out[:, 1], out[:, 2]
 
 
-@dataclass
-class _P2Points:
-    """``optimize_fixed_alpha_p2``'s outcome at a batch of combiners: each
-    one's combiner, beamformer, the powers it stopped at and its trace.
-    ``values`` holds each trace's last value, and ``point(i)`` builds
-    combiner i's OperatingPoint."""
-
-    channels: object
-    alphas: np.ndarray
-    w_r: np.ndarray
-    w_t: np.ndarray
-    powers: np.ndarray
-    traces: list
-
-    @property
-    def values(self):
-        return np.array([trace[-1] for trace in self.traces])
-
-    def point(self, i):
-        return make_operating_point(self.channels, self.w_t[i], self.w_r[i],
-                                    float(self.alphas[i]), float(self.powers[i, 0]),
-                                    float(self.powers[i, 1]), self.traces[i])
-
-
-def _alternate_rows(channels, ctx, config):
-    """The alternating loop at every row of the ``_TxBatch`` ``ctx``, from
-    full source powers; returns (w_t, powers, traces), one row each.
-
-    Each row stops on its own when its sum rate improves by less than
-    conv_tol, when its power step returns exactly the powers its
-    beamformer was solved at, or at iter_max: ``rate_region._alternate``'s
-    rules.  The second stop changes no answer, as the beamformer solved
-    again at the same powers is the same frontier point up to rounding.
-    Only the rows still running are solved at each step, as one batch.  A row that stops keeps its
-    traced powers and the beamformer they were scored with; a row that
-    hits iter_max keeps the beamformer re-solved after its last traced
-    iteration, so its objective can exceed its last traced value.
-    """
-    k = len(ctx.rx)
-    powers = np.empty((k, 2))
-    powers[:] = config.p_a_max, config.p_b_max
-    w_t = solve_txbf_p2(channels, ctx, powers[:, 0], powers[:, 1], config)
-    traces = [[] for _ in range(k)]
-    prev = np.zeros(k)
-    live, rows = slice(None), list(range(k))  # the running rows
-    for _ in range(config.iter_max):
-        p_a, p_b, value = solve_power_p2(channels, w_t[live], ctx, config)
-        for row, val in zip(rows, value.tolist()):
-            traces[row].append(val)
-        kept = (p_a == powers[live, 0]) & (p_b == powers[live, 1])
-        going = ~((value - prev[live] < config.conv_tol) | kept)
-        powers[live, 0], powers[live, 1] = p_a, p_b
-        if not going.any():
-            break
-        if not going.all():
-            rows = [row for row, go in zip(rows, going.tolist()) if go]
-            live, ctx, value = np.array(rows), ctx.take(going), value[going]
-        prev[live] = value
-        w_t[live] = solve_txbf_p2(channels, ctx, powers[live, 0], powers[live, 1], config,
-                                  w_t_init=w_t[live])
-    return w_t, powers, traces
-
-
 def optimize_fixed_alpha_p2(channels, alpha, config, combiners=None):
     """Alternate the transmit beamformer and the power rule at each combiner
-    of a batch.
-
-    ``alpha`` is a 1-D array of combiner parameters, whose combiners come
-    from ``combiners``, a ``_combiner_table`` of the realization (None: a
-    fresh one); returns their ``_P2Points``.  A float ``alpha`` is a batch
-    of one and returns its OperatingPoint.  Each combiner starts at full
-    source powers; its beamformer solves are warm-started with the previous
-    beamformer, so its recorded sum-rate trace never decreases.  It stops
-    when the sum rate improves by less than conv_tol, when the power step
-    keeps the powers, or at iter_max (``_alternate_rows``).
+    of ``alpha`` (``_alternate_batch``), from full source powers.  The
+    beamformer solves are warm-started with the previous beamformer, so a
+    combiner's sum-rate trace never decreases; it stops when the sum rate
+    improves by less than conv_tol, when the power step keeps the powers,
+    or at iter_max.  Every combiner is feasible.
     """
-    alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
-    groups = (combiners or _combiner_table(channels))(alphas)
-    if len(groups) == 1:
-        _, w_r, ctx = groups[0]
-        w_t, powers, traces = _alternate_rows(channels, ctx, config)
-    else:
-        w_r = np.empty((alphas.size, channels.m_r), dtype=complex)
-        w_t = np.empty((alphas.size, channels.m_t), dtype=complex)
-        powers, traces = np.empty((alphas.size, 2)), [None] * alphas.size
-        for rows, group_w_r, ctx in groups:
-            w_r[rows] = group_w_r
-            w_t[rows], powers[rows], group_traces = _alternate_rows(channels, ctx, config)
-            for row, trace in zip(rows.tolist(), group_traces):
-                traces[row] = trace
-    points = _P2Points(channels, alphas, w_r, w_t, powers, traces)
-    return points if np.ndim(alpha) else points.point(0)
+    return _alternate_batch(
+        channels, alpha, combiners, config, [(config.p_a_max, config.p_b_max)],
+        beam=lambda ctx, p_a, p_b, w_t: (solve_txbf_p2(channels, ctx, p_a, p_b, config, w_t), None),
+        power=lambda w_t, ctx: (*solve_power_p2(channels, w_t, ctx, config), None))
 
 
 def max_sum_rate(channels, config):
@@ -604,4 +398,4 @@ def max_sum_rate(channels, config):
         points = optimize_fixed_alpha_p2(channels, alphas, config, table)
         return points.values, points.point
 
-    return _alpha_search(evaluate, config, lookahead=True)
+    return _alpha_search(evaluate, config)

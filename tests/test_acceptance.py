@@ -19,7 +19,6 @@ from fdtwrc.harness import ExperimentSpec, run_experiment
 from fdtwrc.model import (
     SystemConfig,
     effective_gains,
-    receive_combiner,
     relay_output_power,
     sample_channels,
     sinr_pair,
@@ -31,21 +30,14 @@ from fdtwrc.oracles import (
     lagrangian_boundary_oracle,
     sampled_beamformer_oracle,
 )
-from fdtwrc.rate_region import (
-    Infeasible,
-    _null_z,
-    _tx_context,
-    optimize_fixed_alpha_p1,
-    solve_power_p1,
-    solve_txbf_p1,
-)
+from fdtwrc.rate_region import Infeasible, _null_z, optimize_fixed_alpha_p1
 from fdtwrc.sum_rate import (
     dc_linearized_objective,
     dc_objective,
     dc_step,
     optimize_fixed_alpha_p2,
 )
-from p2_rows import p2_row, power_row, txbf_row
+from one_row import combiner_row, power_p1_row, power_row, txbf_p1_row, txbf_row
 
 pytestmark = pytest.mark.acceptance
 
@@ -157,12 +149,11 @@ def test_criterion_4_antenna_sweep():
 def _txbf_instance(seed):
     rng = np.random.default_rng(seed)
     ch = sample_channels(BASE, seed)
-    alpha = rng.uniform(0, 1)
-    w_r = receive_combiner(ch, alpha)
+    w_r, batch = combiner_row(ch, rng.uniform(0, 1))
     p_a, p_b = rng.uniform(1, 10, size=2)
     rx_a = abs(np.vdot(w_r, ch.h_ar)) ** 2
     gamma_b = rng.uniform(0.05, 0.5) * p_a * rx_a
-    return ch, w_r, p_a, p_b, gamma_b, alpha
+    return ch, w_r, batch, p_a, p_b, gamma_b
 
 
 def test_criterion_5_oracle_equivalence():
@@ -186,9 +177,9 @@ def test_criterion_5_oracle_equivalence():
     seed = 0
     while done < 100:
         seed += 1
-        ch, w_r, p_a, p_b, gamma_b, _ = _txbf_instance(seed)
+        ch, w_r, batch, p_a, p_b, gamma_b = _txbf_instance(seed)
         try:
-            w_t = solve_txbf_p1(ch, _tx_context(ch, w_r), p_a, p_b, gamma_b, BASE.p_r_max)
+            w_t = txbf_p1_row(ch, batch, p_a, p_b, gamma_b, BASE.p_r_max)
         except Infeasible:
             continue
         done += 1
@@ -221,14 +212,14 @@ def test_criterion_5_oracle_equivalence():
     seed = 1000
     while done1 < 100 or done2 < 100:
         seed += 1
-        ch, w_r, p_a, p_b, gamma_b, alpha = _txbf_instance(seed)
+        ch, w_r, batch, p_a, p_b, gamma_b = _txbf_instance(seed)
         try:
-            w_t = solve_txbf_p1(ch, _tx_context(ch, w_r), p_a, p_b, gamma_b, BASE.p_r_max)
+            w_t = txbf_p1_row(ch, batch, p_a, p_b, gamma_b, BASE.p_r_max)
         except Infeasible:
             continue
         if done1 < 100:
             try:
-                pa1, pb1, _ = solve_power_p1(ch, w_t, _tx_context(ch, w_r), gamma_b, BASE)
+                pa1, pb1, _ = power_p1_row(ch, w_t, batch, gamma_b, BASE)
             except Infeasible:
                 pa1 = None
             if pa1 is not None:
@@ -242,7 +233,7 @@ def test_criterion_5_oracle_equivalence():
                     p1_ok &= val >= rep.best_value - slack
         if done2 < 100:
             done2 += 1
-            pa2, pb2, _ = power_row(ch, w_t, p2_row(ch, alpha)[1], BASE)
+            pa2, pb2, _ = power_row(ch, w_t, batch, BASE)
             ga, gb = sinr_pair(ch, w_t, w_r, pa2, pb2)
             val = math.log2(1 + ga) + math.log2(1 + gb)
             rep = grid_power_oracle(ch, w_t, w_r, "p2", 400, BASE)
@@ -253,16 +244,16 @@ def test_criterion_5_oracle_equivalence():
     # dc step vs the (level, phase) grid oracle
     dc_worst = 0.0
     for k in range(100):
-        ch, w_r, p_a, p_b, _, _ = _txbf_instance(3000 + k)
-        ctx = _tx_context(ch, w_r)
+        ch, w_r, batch, p_a, p_b, _ = _txbf_instance(3000 + k)
         rng_k = np.random.default_rng(k)
-        z0 = unit(crandn(rng_k, ctx.n))
+        z0 = unit(crandn(rng_k, batch.n))
         rx_a = abs(np.vdot(w_r, ch.h_ar)) ** 2
         rx_b = abs(np.vdot(w_r, ch.h_br)) ** 2
         p_prime = BASE.p_r_max / (p_a * rx_a + p_b * rx_b + 1.0)
-        anchor = (p_prime * abs(np.vdot(ctx.a_t, z0)) ** 2,
-                  p_prime * abs(np.vdot(ctx.b_t, z0)) ** 2)
-        s_a, s_b, _ = dc_step(ch, ctx, p_a, p_b, anchor, BASE)
+        # the rows of f are a_t^H and b_t^H
+        anchor = (p_prime * abs(batch.f[0, 0] @ z0) ** 2,
+                  p_prime * abs(batch.f[0, 1] @ z0) ** 2)
+        s_a, s_b, _ = dc_step(ch, batch, p_a, p_b, anchor, BASE)
         val = dc_linearized_objective(ch, w_r, p_a, p_b, s_a, s_b, anchor)
         oracle = dc_grid_oracle(ch, w_r, p_a, p_b, anchor, BASE, n=900).best_value
         dc_worst = max(dc_worst, abs(val - oracle) / max(1.0, abs(oracle)))
@@ -285,9 +276,9 @@ def test_criterion_6_structural_invariants():
 
     # transmit beamformer P1: ZF residual, relay power equality, threshold
     for seed in range(3000):
-        ch, w_r, p_a, p_b, gamma_b, _ = _txbf_instance(50_000 + seed)
+        ch, w_r, batch, p_a, p_b, gamma_b = _txbf_instance(50_000 + seed)
         try:
-            w_t = solve_txbf_p1(ch, _tx_context(ch, w_r), p_a, p_b, gamma_b, BASE.p_r_max)
+            w_t = txbf_p1_row(ch, batch, p_a, p_b, gamma_b, BASE.p_r_max)
         except Infeasible:
             calls += 1
             continue
@@ -299,10 +290,10 @@ def test_criterion_6_structural_invariants():
 
     # power allocation P1: box, relay cap, threshold
     for seed in range(2500):
-        ch, w_r, p_a, p_b, gamma_b, _ = _txbf_instance(60_000 + seed)
+        ch, w_r, batch, p_a, p_b, gamma_b = _txbf_instance(60_000 + seed)
         try:
-            w_t = solve_txbf_p1(ch, _tx_context(ch, w_r), p_a, p_b, gamma_b, BASE.p_r_max)
-            pa, pb, _ = solve_power_p1(ch, w_t, _tx_context(ch, w_r), gamma_b, BASE)
+            w_t = txbf_p1_row(ch, batch, p_a, p_b, gamma_b, BASE.p_r_max)
+            pa, pb, _ = power_p1_row(ch, w_t, batch, gamma_b, BASE)
         except Infeasible:
             calls += 1
             continue
@@ -315,8 +306,7 @@ def test_criterion_6_structural_invariants():
 
     # transmit beamformer P2: ZF, relay power cap, never below the cold start
     for seed in range(1500):
-        ch, _, p_a, p_b, _, alpha = _txbf_instance(70_000 + seed)
-        w_r, batch = p2_row(ch, alpha)
+        ch, w_r, batch, p_a, p_b, _ = _txbf_instance(70_000 + seed)
         w_t = txbf_row(ch, batch, p_a, p_b, BASE)
         calls += 1
         assert zf_ok(ch, w_t, w_r)
@@ -331,8 +321,7 @@ def test_criterion_6_structural_invariants():
 
     # power allocation P2: box and relay cap
     for seed in range(2000):
-        ch, _, p_a, p_b, _, alpha = _txbf_instance(80_000 + seed)
-        w_r, batch = p2_row(ch, alpha)
+        ch, w_r, batch, p_a, p_b, _ = _txbf_instance(80_000 + seed)
         w_t = txbf_row(ch, batch, p_a, p_b, BASE)
         pa, pb, _ = power_row(ch, w_t, batch, BASE)
         calls += 1

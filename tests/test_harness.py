@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import multiprocessing
 from dataclasses import astuple, fields, replace
 
 import numpy as np
@@ -27,6 +28,13 @@ from fdtwrc.model import SystemConfig
 BASE = SystemConfig()
 FAST = (SchemeId.FD_ONEWAY,)
 FASTPAIR = (SchemeId.HD_ANC, SchemeId.FD_ONEWAY)
+
+
+def _nan_at_trial_1_of_10db(ch, cfg, tseed, proposed):
+    """A sum-rate scheme whose rates are (1, 2), or NaN at trial 1 of a
+    10 dB source SNR run with master seed 11."""
+    lost = tseed == trial_seed(11, 1) and cfg.p_a_max == 10.0
+    return (math.nan, math.nan) if lost else (1.0, 2.0)
 
 
 class TestSpecValidation:
@@ -115,6 +123,21 @@ class TestRunExperiment:
         serial = run_experiment(spec, workers=1)
         parallel = run_experiment(spec, workers=2)
         assert serial.rows == parallel.rows
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nonfinite_pairs_are_counted(self, workers, monkeypatch):
+        # a stub fd2 loses trial 1 at 10 dB; the means leave it out and the
+        # metadata counts it, per sweep value, whatever the worker count
+        # (the pool's workers inherit the patched table by fork)
+        if workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched scheme table reaches pool workers only by fork")
+        monkeypatch.setitem(SCHEMES, SchemeId.FD_ONEWAY, (_nan_at_trial_1_of_10db, None))
+        spec = ExperimentSpec(kind="sumrate_vs_source_snr", schemes=FAST,
+                              sweep=(5.0, 10.0), trials=3, seed=11, base=BASE)
+        table = run_experiment(spec, workers=workers)
+        assert table.metadata["nonfinite"] == {"fd2": [0, 1]}
+        assert [r.mean_sum for r in table.rows] == [3.0, 3.0]
+        assert json.loads(table_to_json(table))["metadata"]["nonfinite"] == {"fd2": [0, 1]}
 
     def test_row_count_and_order(self):
         spec = ExperimentSpec(kind="sumrate_vs_source_snr", schemes=FASTPAIR,

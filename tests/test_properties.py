@@ -21,7 +21,6 @@ from fdtwrc.model import (
     SystemConfig,
     db_to_linear,
     effective_gains,
-    receive_combiner,
     relay_output_power,
     sample_channels,
     sinr_pair,
@@ -32,25 +31,21 @@ from fdtwrc.model import (
 from fdtwrc.oracles import grid_power_oracle
 from fdtwrc.rate_region import (
     Infeasible,
-    _combiners,
+    _combiner_table,
     _gamma_b_max,
     _null_z,
-    _tx_context,
     boundary_range,
     max_rate_given_rb,
     optimize_fixed_alpha_p1,
     rate_region,
-    solve_power_p1,
-    solve_txbf_p1,
 )
 from fdtwrc.sum_rate import (
-    _combiner_table,
     max_sum_rate,
     optimize_fixed_alpha_p2,
     solve_power_p2,
     solve_txbf_p2,
 )
-from p2_rows import p2_row, txbf_row
+from one_row import combiner_row, power_p1_row, txbf_p1_row, txbf_row
 from reference_hd import reference_region, reference_sum_rate
 
 configs = st.builds(
@@ -78,7 +73,7 @@ def zf_ok(ch, w_t, w_r):
        power_share=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
 def test_sum_rate_invariants(cfg, seed, alpha, power_share):
     ch = sample_channels(cfg, seed)
-    w_r, batch = p2_row(ch, alpha)
+    w_r, batch = combiner_row(ch, alpha)
     p_a, p_b = power_share[0] * cfg.p_a_max, power_share[1] * cfg.p_b_max
 
     w_t = txbf_row(ch, batch, p_a, p_b, cfg)
@@ -100,13 +95,13 @@ def test_sum_rate_invariants(cfg, seed, alpha, power_share):
        target_share=st.floats(0.0, 1.5))
 def test_txbf_p1_invariants(cfg, seed, alpha, power_share, target_share):
     ch = sample_channels(cfg, seed)
-    w_r = receive_combiner(ch, alpha)
+    w_r, batch = combiner_row(ch, alpha)
     p_a, p_b = power_share[0] * cfg.p_a_max, power_share[1] * cfg.p_b_max
     # B's SINR target as a share of what A's full uplink could carry; above
     # 1 the SINR gate must refuse it
     gamma_b = target_share * p_a * abs(np.vdot(w_r, ch.h_ar)) ** 2
     try:
-        w_t = solve_txbf_p1(ch, _tx_context(ch, w_r), p_a, p_b, gamma_b, cfg.p_r_max)
+        w_t = txbf_p1_row(ch, batch, p_a, p_b, gamma_b, cfg.p_r_max)
     except Infeasible as exc:
         assert exc.stage in {"sinr_gate", "beam_power_gate"}
         return
@@ -143,10 +138,10 @@ def test_rate_region_invariants(cfg, seed):
        target_share=st.floats(0.0, 1.5))
 def test_power_p1_against_grid_oracle(cfg, seed, alpha, power_share, target_share):
     ch = sample_channels(cfg, seed)
-    w_r = receive_combiner(ch, alpha)
+    w_r, batch = combiner_row(ch, alpha)
     p_a, p_b = power_share[0] * cfg.p_a_max, power_share[1] * cfg.p_b_max
     try:
-        w_t = solve_txbf_p1(ch, _tx_context(ch, w_r), p_a, p_b, 0.0, cfg.p_r_max)
+        w_t = txbf_p1_row(ch, batch, p_a, p_b, 0.0, cfg.p_r_max)
     except Infeasible:
         return
     g = effective_gains(ch, w_t, w_r)
@@ -155,7 +150,7 @@ def test_power_p1_against_grid_oracle(cfg, seed, alpha, power_share, target_shar
     gamma_b = target_share * cfg.p_a_max * g.tx_gain_b * g.rx_gain_a / (g.tx_gain_b + 1.0)
     oracle = grid_power_oracle(ch, w_t, w_r, "p1", 400, cfg, gamma_b=gamma_b)
     try:
-        pa, pb, value = solve_power_p1(ch, w_t, _tx_context(ch, w_r), gamma_b, cfg)
+        pa, pb, value = power_p1_row(ch, w_t, batch, gamma_b, cfg)
     except Infeasible:
         assert oracle.best_value == -np.inf
         return
@@ -181,7 +176,7 @@ def test_converged_trace_ends_at_the_point_objective(cfg, seed, alpha, target_sh
     pt = optimize_fixed_alpha_p2(ch, alpha, cfg)
     if len(pt.trace) < SystemConfig.iter_max:
         assert pt.trace[-1] == pt.sum_rate
-    gamma_b = target_share * _gamma_b_max(_combiners(ch), cfg)
+    gamma_b = target_share * _gamma_b_max(_combiner_table(ch), cfg)
     try:
         pt = optimize_fixed_alpha_p1(ch, alpha, gamma_b, cfg)
     except Infeasible:
@@ -220,18 +215,16 @@ def test_stopped_point_is_a_power_fixed_point(cfg, seed, alpha, target_share):
         powers_a, powers_b, values = solve_power_p2(ch, w_t, batch, cfg)
         assert [powers_a[0], powers_b[0]] == [p_a, p_b]
         assert abs(values[0] - pt.trace[-1]) <= 1e-12 * pt.trace[-1]
-    combiners = _combiners(ch)
-    _, ctx = combiners(alpha)
-    gamma_b = target_share * _gamma_b_max(combiners, cfg)
+    gamma_b = target_share * _gamma_b_max(table, cfg)
     try:
-        pt = optimize_fixed_alpha_p1(ch, alpha, gamma_b, cfg, combiners)
+        pt = optimize_fixed_alpha_p1(ch, alpha, gamma_b, cfg, table)
     except Infeasible:
         return
     if stopped_on_kept_powers(pt.trace):
         p_a, p_b = pt.powers.p_a, pt.powers.p_b
-        w_t = solve_txbf_p1(ch, ctx, p_a, p_b, gamma_b, cfg.p_r_max)
+        w_t = txbf_p1_row(ch, batch, p_a, p_b, gamma_b, cfg.p_r_max)
         assert np.array_equal(w_t, pt.beamformer.w_t)
-        assert solve_power_p1(ch, w_t, ctx, gamma_b, cfg) == (p_a, p_b, pt.trace[-1])
+        assert power_p1_row(ch, w_t, batch, gamma_b, cfg) == (p_a, p_b, pt.trace[-1])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -340,7 +333,7 @@ def test_hd_reaches_the_reference_climb(k):
        kind=st.sampled_from(["generic", "collinear", "no_d1", "no_d2", "neither"]),
        q=st.floats(0.0, 1.0), share=st.one_of(st.none(), st.floats(0.0, 1.0)))
 def test_null_z_meets_its_targets(n, seed, kind, q, share):
-    # d1, d2 as _tx_context hands them over: unit directions, None when
+    # d1, d2 as _directions hands them over: unit directions, None when
     # missing, r = phi = 0 unless both are present; t is placed at ``share``
     # of the slice's |d2^H z|^2 range, or None for the boundary maximum
     rng = np.random.default_rng(seed)

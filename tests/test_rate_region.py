@@ -1,5 +1,4 @@
 import cmath
-import importlib
 import math
 from dataclasses import replace
 
@@ -19,23 +18,22 @@ from fdtwrc.model import (
     zero_loopback,
     zf_residual,
 )
+from fdtwrc.numerics import null_space_basis
 from fdtwrc.oracles import grid_power_oracle, lagrangian_boundary_oracle, sampled_beamformer_oracle
 from fdtwrc.rate_region import (
     Infeasible,
     _alpha_search,
-    _alternate,
-    _each,
+    _alternate_rows,
+    _combiner_table,
     _null_z,
-    _tx_context,
     boundary_range,
     max_rate_given_rb,
     optimize_fixed_alpha_p1,
     rate_region,
     region_sweep,
-    solve_power_p1,
-    solve_txbf_p1,
 )
 from fdtwrc.sum_rate import optimize_fixed_alpha_p2
+from one_row import combiner_row, power_p1_row, txbf_p1_row
 
 CFG = SystemConfig()
 
@@ -94,14 +92,15 @@ class TestBoundaryUnitVector:
 
 
 def random_txbf_instance(seed, gamma_b_scale=0.3):
+    """(ch, w_r, batch, p_a, p_b, gamma_b): a realization, a random combiner
+    with its one-row batch, powers and a B target below A's uplink."""
     rng = np.random.default_rng(seed)
     ch = sample_channels(CFG, seed)
-    alpha = rng.uniform(0, 1)
-    w_r = receive_combiner(ch, alpha)
+    w_r, batch = combiner_row(ch, rng.uniform(0, 1))
     p_a, p_b = rng.uniform(1, 10, size=2)
     rx_a = abs(np.vdot(w_r, ch.h_ar)) ** 2
     gamma_b = gamma_b_scale * rng.uniform(0.1, 1.0) * p_a * rx_a
-    return ch, w_r, p_a, p_b, gamma_b
+    return ch, w_r, batch, p_a, p_b, gamma_b
 
 
 class TestSolveTxbfP1:
@@ -109,23 +108,23 @@ class TestSolveTxbfP1:
         # no loopback: the null basis is the identity, so the gamma_b = 0
         # solution is the matched beam at full relay power
         ch = zero_loopback(sample_channels(CFG, 3))
-        w_r = receive_combiner(ch, 0.5)
-        w_t = solve_txbf_p1(ch, _tx_context(ch, w_r), 2.0, 3.0, 0.0, CFG.p_r_max)
+        w_r, batch = combiner_row(ch, 0.5)
+        w_t = txbf_p1_row(ch, batch, 2.0, 3.0, 0.0, CFG.p_r_max)
         assert abs(abs(np.vdot(unit(ch.h_ra), unit(w_t))) - 1.0) < 1e-10
         assert abs(relay_output_power(ch, w_t, w_r, 2.0, 3.0) - CFG.p_r_max) < 1e-8
 
     def test_step1_gate(self):
-        ch, w_r, p_a, p_b, _ = random_txbf_instance(4)
+        ch, w_r, batch, p_a, p_b, _ = random_txbf_instance(4)
         rx_a = abs(np.vdot(w_r, ch.h_ar)) ** 2
         with pytest.raises(Infeasible) as exc:
-            solve_txbf_p1(ch, _tx_context(ch, w_r), p_a, p_b, 2.0 * p_a * rx_a, CFG.p_r_max)
+            txbf_p1_row(ch, batch, p_a, p_b, 2.0 * p_a * rx_a, CFG.p_r_max)
         assert exc.value.stage == "sinr_gate"
 
     def test_postconditions(self):
         for seed in range(40):
-            ch, w_r, p_a, p_b, gamma_b = random_txbf_instance(100 + seed)
+            ch, w_r, batch, p_a, p_b, gamma_b = random_txbf_instance(100 + seed)
             try:
-                w_t = solve_txbf_p1(ch, _tx_context(ch, w_r), p_a, p_b, gamma_b, CFG.p_r_max)
+                w_t = txbf_p1_row(ch, batch, p_a, p_b, gamma_b, CFG.p_r_max)
             except Infeasible:
                 continue
             assert zf_residual(ch, w_t, w_r) <= 1e-9 * max(1.0, np.linalg.norm(ch.h_rr) * np.linalg.norm(w_t))
@@ -136,9 +135,9 @@ class TestSolveTxbfP1:
 
     def test_matches_sampling_oracle(self):
         for seed in range(20):
-            ch, w_r, p_a, p_b, gamma_b = random_txbf_instance(200 + seed)
+            ch, w_r, batch, p_a, p_b, gamma_b = random_txbf_instance(200 + seed)
             try:
-                w_t = solve_txbf_p1(ch, _tx_context(ch, w_r), p_a, p_b, gamma_b, CFG.p_r_max)
+                w_t = txbf_p1_row(ch, batch, p_a, p_b, gamma_b, CFG.p_r_max)
             except Infeasible:
                 continue
             gains = effective_gains(ch, w_t, w_r)
@@ -152,15 +151,15 @@ class TestSolveTxbfP1:
     def test_step3_step4_continuity(self):
         # manufacture a threshold exactly at the step-3 solution's B-gain:
         # both paths must agree there
-        ch, w_r, p_a, p_b, _ = random_txbf_instance(5)
-        w_t3 = solve_txbf_p1(ch, _tx_context(ch, w_r), p_a, p_b, 0.0, CFG.p_r_max)
+        ch, w_r, batch, p_a, p_b, _ = random_txbf_instance(5)
+        w_t3 = txbf_p1_row(ch, batch, p_a, p_b, 0.0, CFG.p_r_max)
         b_gain = abs(np.vdot(ch.h_rb, w_t3)) ** 2
         # invert the threshold transform to hit gamma_b_bar == b_gain
         rx_a = abs(np.vdot(w_r, ch.h_ar)) ** 2
         sig_b = p_b * abs(ch.h_bb) ** 2 + 1.0
         gamma_b = p_a * rx_a * b_gain / (sig_b + b_gain)
         for eps in (-1e-9, 1e-9):
-            w_t = solve_txbf_p1(ch, _tx_context(ch, w_r), p_a, p_b, gamma_b * (1 + eps), CFG.p_r_max)
+            w_t = txbf_p1_row(ch, batch, p_a, p_b, gamma_b * (1 + eps), CFG.p_r_max)
             assert abs(abs(np.vdot(ch.h_ra, w_t)) ** 2
                        - abs(np.vdot(ch.h_ra, w_t3)) ** 2) < 1e-6
 
@@ -169,32 +168,32 @@ class TestSolvePowerP1:
     def test_forced_case_2a_with_zero_si(self):
         ch = sample_channels(CFG, 6)
         ch = replace(ch, h_aa=0j, h_bb=0j)
-        w_r = receive_combiner(ch, 0.5)
-        n_t = relay_null_basis(ch, w_r)
+        w_r, batch = combiner_row(ch, 0.5)
+        n_t = batch.n_t[0]
         w_t = 0.05 * (n_t @ unit(crandn(np.random.default_rng(0), n_t.shape[1])))
         g = effective_gains(ch, w_t, w_r)
         gamma_b = 0.01 * CFG.p_a_max * g.tx_gain_b * g.rx_gain_a / (g.tx_gain_b + 1.0)
-        p_a, p_b, _ = solve_power_p1(ch, w_t, _tx_context(ch, w_r), gamma_b, CFG)
+        p_a, p_b, _ = power_p1_row(ch, w_t, batch, gamma_b, CFG)
         assert p_b == CFG.p_b_max
         expected_pa = gamma_b * (g.tx_gain_b + 1.0) / (g.tx_gain_b * g.rx_gain_a)
         assert abs(p_a - expected_pa) < 1e-9 * max(1.0, expected_pa)
 
     def test_empty_polygon(self):
-        ch, w_r, p_a, p_b, _ = random_txbf_instance(7)
-        w_t = solve_txbf_p1(ch, _tx_context(ch, w_r), p_a, p_b, 0.0, CFG.p_r_max)
+        ch, w_r, batch, p_a, p_b, _ = random_txbf_instance(7)
+        w_t = txbf_p1_row(ch, batch, p_a, p_b, 0.0, CFG.p_r_max)
         g = effective_gains(ch, w_t, w_r)
         # B-SINR target beyond what p_a = p_a_max can deliver
         gamma_b = 2.0 * CFG.p_a_max * g.tx_gain_b * g.rx_gain_a / (g.tx_gain_b + 1.0)
         with pytest.raises(Infeasible):
-            solve_power_p1(ch, w_t, _tx_context(ch, w_r), gamma_b, CFG)
+            power_p1_row(ch, w_t, batch, gamma_b, CFG)
 
     def test_against_grid_oracle(self):
         hits = 0
         for seed in range(30):
-            ch, w_r, p_a, p_b, gamma_b = random_txbf_instance(300 + seed)
+            ch, w_r, batch, p_a, p_b, gamma_b = random_txbf_instance(300 + seed)
             try:
-                w_t = solve_txbf_p1(ch, _tx_context(ch, w_r), p_a, p_b, gamma_b, CFG.p_r_max)
-                pa, pb, _ = solve_power_p1(ch, w_t, _tx_context(ch, w_r), gamma_b, CFG)
+                w_t = txbf_p1_row(ch, batch, p_a, p_b, gamma_b, CFG.p_r_max)
+                pa, pb, _ = power_p1_row(ch, w_t, batch, gamma_b, CFG)
             except Infeasible:
                 continue
             hits += 1
@@ -261,25 +260,31 @@ ITER_MAX_INPUTS = {
 
 
 def stubbed_alternate(steps, starts=((10.0, 10.0),), refused=()):
-    """``_alternate`` with stub steps.  The beamformer stub raises Infeasible
-    at the powers in ``refused`` and otherwise records the powers it is
-    solved at; the power stub returns ``steps`` in turn, with the rising
-    values 1, 2, ... so that conv_tol never stops the loop.  Returns the
-    point, the recorded beamformer powers and the number of power calls."""
+    """The shared row loop ``_alternate_rows`` on one combiner with stub
+    steps.  The beamformer stub marks the row infeasible at the powers in
+    ``refused`` and otherwise records the powers it is solved at; the power
+    stub returns ``steps`` in turn, with the rising values 1, 2, ... so that
+    conv_tol never stops the loop.  Returns the row's trace and powers (None
+    where infeasible), the recorded beamformer powers and the number of
+    power calls."""
     solved, values = [], []
 
-    def beam(ctx, powers, w_t):
-        if tuple(powers) in refused:
-            raise Infeasible("sinr_gate")
-        solved.append(tuple(powers))
-        return ctx.n_t[:, 0]
+    def beam(ctx, p_a, p_b, w_t):
+        powers = (float(p_a[0]), float(p_b[0]))
+        w_t = ctx.n_t[:, :, 0].copy()
+        if powers in refused:
+            return w_t, np.array([False])
+        solved.append(powers)
+        return w_t, np.array([True])
 
     def power(w_t, ctx):
         values.append(float(len(values) + 1))
-        return (*steps[len(values) - 1], values[-1])
+        p_a, p_b = steps[len(values) - 1]
+        return np.array([p_a]), np.array([p_b]), np.array([values[-1]]), np.array([True])
 
-    pt = _alternate(sample_channels(CFG, 16), 0.5, None, CFG, list(starts), beam, power)
-    return pt, solved, len(values)
+    batch = combiner_row(sample_channels(CFG, 16), 0.5)[1]
+    _, powers, ok, traces = _alternate_rows(batch, CFG, list(starts), beam, power)
+    return traces[0], tuple(powers[0].tolist()) if ok[0] else None, solved, len(values)
 
 
 class TestAlternate:
@@ -295,35 +300,35 @@ class TestAlternate:
         assert value >= pt.trace[-1] * (1.0 - 1e-9)
 
     def test_kept_start_powers_stop_after_one_step(self):
-        pt, solved, power_calls = stubbed_alternate([(10.0, 10.0)])
+        trace, powers, solved, power_calls = stubbed_alternate([(10.0, 10.0)])
         assert solved == [(10.0, 10.0)] and power_calls == 1
-        assert pt.trace == [1.0] and (pt.powers.p_a, pt.powers.p_b) == (10.0, 10.0)
+        assert trace == [1.0] and powers == (10.0, 10.0)
 
     def test_one_move_then_hold_resolves_once(self):
-        pt, solved, power_calls = stubbed_alternate([(10.0, 4.0), (10.0, 4.0)])
+        trace, powers, solved, power_calls = stubbed_alternate([(10.0, 4.0), (10.0, 4.0)])
         assert solved == [(10.0, 10.0), (10.0, 4.0)] and power_calls == 2
-        assert pt.trace == [1.0, 2.0] and (pt.powers.p_a, pt.powers.p_b) == (10.0, 4.0)
+        assert trace == [1.0, 2.0] and powers == (10.0, 4.0)
 
     def test_stop_compares_with_the_accepted_start(self):
         # P1's start list: full powers are refused, (p_a_max, 0) is accepted,
         # and a power step keeping (p_a_max, 0) stops the loop although it
         # differs from starts[0]
-        pt, solved, power_calls = stubbed_alternate(
+        trace, powers, solved, power_calls = stubbed_alternate(
             [(10.0, 0.0)], starts=[(10.0, 10.0), (10.0, 0.0)], refused={(10.0, 10.0)})
         assert solved == [(10.0, 0.0)] and power_calls == 1
-        assert pt.trace == [1.0]
+        assert trace == [1.0]
 
 
 class TestAlphaSearch:
     def test_all_infeasible_raises_after_the_grid(self):
         alphas = []
 
-        def evaluate(alpha):
-            alphas.append(alpha)
-            raise Infeasible("sinr_gate")
+        def evaluate(batch):
+            alphas.extend(batch.tolist())
+            return np.full(batch.size, -math.inf), None
 
         with pytest.raises(Infeasible) as exc:
-            _alpha_search(_each(evaluate), CFG)
+            _alpha_search(evaluate, CFG)
         assert exc.value.stage == "alpha_grid"
         assert alphas == list(np.linspace(0.0, 1.0, CFG.alpha_grid))
 
@@ -441,9 +446,50 @@ def _standalone_or_none(ch, r_b, cfg):
         return None
 
 
+def _mixed_null_channels():
+    """``test_mixed_null_dimensions``'s realization: h_br in the left null
+    space of H_rr (m_t = 2, m_r = 3), so that the alpha = 1 combiner keeps
+    the whole transmit space and the others lose one dimension."""
+    cfg = replace(CFG, m_t=2, m_r=3)
+    ch = sample_channels(cfg, 44)
+    return replace(ch, h_br=null_space_basis(ch.h_rr)[:, 0] * 0.8), cfg
+
+
+# case -> (realization, config) of the combiner-table row tests
+TABLE_CASES = {
+    "default": lambda: (sample_channels(CFG, 45), CFG),
+    "m6": lambda: (sample_channels(replace(CFG, m_t=6, m_r=6), 46), replace(CFG, m_t=6, m_r=6)),
+    "m_r1": lambda: (sample_channels(replace(CFG, m_r=1), 47), replace(CFG, m_r=1)),
+    "zero_loopback": lambda: (zero_loopback(sample_channels(CFG, 48)), CFG),
+    "mixed_null": _mixed_null_channels,
+}
+
+
 class TestCombinerTable:
     """A region sweep shares one combiner table across its points and its
-    endpoint; the table is a memo, so it changes no answer."""
+    endpoint.  The table keeps no per-alpha state: a row's bits do not
+    depend on the batch it sits in, so no answer depends on the sharing."""
+
+    @pytest.mark.parametrize("case", sorted(TABLE_CASES))
+    def test_rows_alone_equal_rows_in_a_batch(self, case):
+        # _gamma_b_max reads the grid rows of one call and the point solves
+        # those of others, and test_points_equal_standalone_solves compares a
+        # sweep with fresh tables: both rest on bit-identical rows
+        ch, cfg = TABLE_CASES[case]()
+        rng = np.random.default_rng(49)
+        alphas = np.concatenate([np.linspace(0.0, 1.0, cfg.alpha_grid), rng.uniform(0.0, 1.0, 12)])
+        table = _combiner_table(ch)
+        batched = [None] * alphas.size
+        for rows, w_r, batch in table(alphas):
+            for i, k in enumerate(range(alphas.size) if rows is None else rows.tolist()):
+                batched[k] = (w_r[i], batch.take(np.array([i])))
+        for k in range(alphas.size):
+            [(_, w_r, alone)] = _combiner_table(ch)(alphas[k:k + 1])
+            w_r_b, batch = batched[k]
+            assert w_r[0].tobytes() == w_r_b.tobytes()
+            assert alone.n == batch.n
+            for name in ("n_t", "f", "n2", "d", "has", "r", "phi", "rx"):
+                assert getattr(alone, name).tobytes() == getattr(batch, name).tobytes(), name
 
     @pytest.mark.parametrize("cfg", [CFG, replace(CFG, m_r=1)], ids=["default", "m_r1"])
     def test_points_equal_standalone_solves(self, cfg):
@@ -456,31 +502,6 @@ class TestCombinerTable:
                 entries[-1][0], 9)
             assert [(r_b, _point_bits(pt)) for r_b, pt in entries] == [
                 (r_b, _point_bits(pt)) for r_b, pt in ref]
-
-    def test_one_context_per_distinct_alpha(self, monkeypatch):
-        mod = importlib.import_module("fdtwrc.rate_region")
-        builds, alphas = [], []
-        tx_context, point_solve = mod._tx_context, mod.optimize_fixed_alpha_p1
-
-        def counting_context(channels, w_r):
-            builds.append(w_r)
-            return tx_context(channels, w_r)
-
-        def recording_solve(channels, alpha, *args):
-            alphas.append(alpha)
-            return point_solve(channels, alpha, *args)
-
-        monkeypatch.setattr(mod, "_tx_context", counting_context)
-        monkeypatch.setattr(mod, "optimize_fixed_alpha_p1", recording_solve)
-        entries = rate_region(sample_channels(CFG, 22), 9, CFG)
-        # the endpoint reads the grid combiners, the point searches every alpha
-        distinct = set(alphas) | set(np.linspace(0.0, 1.0, CFG.alpha_grid).tolist())
-        assert len(builds) == len(distinct)
-        assert len(alphas) > 3 * len(distinct)  # the points revisit the grid
-        w_r = entries[0][1].beamformer.w_r
-        assert not w_r.flags.writeable
-        with pytest.raises(ValueError):
-            w_r[0] = 0.0
 
 
 def _bisect_on_point_solver(point_solver, cap, steps=24):

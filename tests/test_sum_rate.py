@@ -1,3 +1,4 @@
+import importlib
 import math
 import warnings
 from dataclasses import replace
@@ -10,6 +11,7 @@ from fdtwrc.baselines import upper_bound_solve
 from fdtwrc.model import (
     SystemConfig,
     receive_combiner,
+    receive_gains,
     relay_null_basis,
     relay_output_power,
     sample_channels,
@@ -18,11 +20,18 @@ from fdtwrc.model import (
     zf_residual,
 )
 from fdtwrc.numerics import null_space_basis
-from fdtwrc.oracles import dc_grid_oracle
-from fdtwrc.rate_region import _tx_context, boundary_range
 from fdtwrc import sum_rate
-from fdtwrc.sum_rate import (
+from fdtwrc.oracles import dc_grid_oracle
+from fdtwrc.rate_region import (
+    Infeasible,
     _combiner_table,
+    _gamma_b_max,
+    boundary_range,
+    max_rate_given_rb,
+    optimize_fixed_alpha_p1,
+    rate_region,
+)
+from fdtwrc.sum_rate import (
     _frontier_argmax,
     _stationary_points,
     _sum_rate_bits,
@@ -32,9 +41,10 @@ from fdtwrc.sum_rate import (
     max_sum_rate,
     optimize_fixed_alpha_p2,
 )
-from p2_rows import p2_row, power_row, txbf_row
+from one_row import combiner_row, power_row, txbf_row
 
 CFG = SystemConfig()
+rate_region_module = importlib.import_module("fdtwrc.rate_region")
 
 
 def crandn(rng, *shape):
@@ -61,9 +71,9 @@ def instance(seed, m_t=3, m_r=3, **cfg_kw):
 
 def p2_instance(seed, m_t=3, m_r=3, **cfg_kw):
     """``instance``'s draw, with the combiner table's w_r and its one-row
-    P2 batch: (cfg, ch, w_r, batch, p_a, p_b)."""
+    batch: (cfg, ch, w_r, batch, p_a, p_b)."""
     cfg, ch, alpha, p_a, p_b = draw(seed, m_t, m_r, **cfg_kw)
-    return (cfg, ch, *p2_row(ch, alpha), p_a, p_b)
+    return (cfg, ch, *combiner_row(ch, alpha), p_a, p_b)
 
 
 class TestDcObjective:
@@ -125,20 +135,20 @@ class TestDcLinearized:
             assert lin <= true + 1e-12
 
 
-def s_a_bounds(ctx, p_prime, q):
+def s_a_bounds(batch, p_prime, q):
     """Range of s_a = p_prime |a_t^H z|^2 over unit null-space z with
-    |d1^H z|^2 = q, for a null space of dimension 3 or more."""
-    lo, hi = boundary_range(ctx.r, q, 3)
-    return p_prime * ctx.na2 * lo, p_prime * ctx.na2 * hi
+    |d1^H z|^2 = q, for a null space of dimension 3 or more, at the
+    combiner of a one-row batch."""
+    lo, hi = boundary_range(batch.r[0], q, 3)
+    return p_prime * batch.n2[0, 0] * lo, p_prime * batch.n2[0, 0] * hi
 
 
 class TestFeasibleSetBounds:
     def test_q_one_collapses(self):
-        _, ch, w_r, p_a, p_b = instance(5)
-        ctx = _tx_context(ch, w_r)
+        batch = p2_instance(5)[3]
         p_prime = 2.0
-        lo, hi = s_a_bounds(ctx, p_prime, 1.0)
-        target = p_prime * ctx.na2 * ctx.r**2
+        lo, hi = s_a_bounds(batch, p_prime, 1.0)
+        target = p_prime * batch.n2[0, 0] * batch.r[0] ** 2
         assert abs(lo - target) < 1e-9 * max(1.0, target)
         assert abs(hi - target) < 1e-9 * max(1.0, target)
 
@@ -150,28 +160,27 @@ class TestFeasibleSetBounds:
         ch = replace(ch, h_rr=np.zeros_like(ch.h_rr),
                      h_ra=np.array([1.0, 0, 0, 0], dtype=complex),
                      h_rb=np.array([0, 1.0, 0, 0], dtype=complex))
-        w_r = receive_combiner(ch, 0.5)
-        lo, hi = s_a_bounds(_tx_context(ch, w_r), 3.0, 0.0)
+        lo, hi = s_a_bounds(combiner_row(ch, 0.5)[1], 3.0, 0.0)
         assert lo == 0.0
         assert abs(hi - 3.0) < 1e-9
 
     def test_against_constrained_sampling_oracle(self):
         # null dimension 3 so the generic bounds apply
-        cfg, ch, w_r, _, _ = instance(8, m_t=4)
-        ctx = _tx_context(ch, w_r)
+        batch = p2_instance(8, m_t=4)[3]
+        d2, d1 = batch.d[0].T
         rng = np.random.default_rng(8)
         p_prime = 2.5
         for q in (0.15, 0.5, 0.85):
-            lo, hi = s_a_bounds(ctx, p_prime, q)
+            lo, hi = s_a_bounds(batch, p_prime, q)
             # envelope of the bounds over the sampling window |q' - q| < 0.01
-            win = [s_a_bounds(ctx, p_prime, qq) for qq in (q - 0.01, q, q + 0.01)]
+            win = [s_a_bounds(batch, p_prime, qq) for qq in (q - 0.01, q, q + 0.01)]
             lo_min = min(w[0] for w in win)
             hi_max = max(w[1] for w in win)
-            z = crandn(rng, 400_000, ctx.n)
+            z = crandn(rng, 400_000, batch.n)
             z /= np.linalg.norm(z, axis=1, keepdims=True)
-            qs = np.abs(z @ ctx.d1.conj()) ** 2
+            qs = np.abs(z @ d1.conj()) ** 2
             sel = np.abs(qs - q) < 0.01
-            s_a = p_prime * np.abs(z[sel] @ ctx.d2.conj()) ** 2 * ctx.na2
+            s_a = p_prime * np.abs(z[sel] @ d2.conj()) ** 2 * batch.n2[0, 0]
             assert s_a.min() >= lo_min - 1e-9
             assert s_a.min() <= lo + 0.05 * (hi - lo + 1e-9)
             assert s_a.max() <= hi_max + 1e-9
@@ -180,43 +189,41 @@ class TestFeasibleSetBounds:
 
 class TestDcStep:
     def test_fixed_point(self):
-        cfg, ch, w_r, p_a, p_b = instance(9)
-        ctx = _tx_context(ch, w_r)
+        cfg, ch, w_r, batch, p_a, p_b = p2_instance(9)
         anchor = (0.0, 0.0)
         for _ in range(300):
-            s_a, s_b, _ = dc_step(ch, ctx, p_a, p_b, anchor, cfg)
+            s_a, s_b, _ = dc_step(ch, batch, p_a, p_b, anchor, cfg)
             if abs(s_a - anchor[0]) < 1e-10 and abs(s_b - anchor[1]) < 1e-10:
                 break
             anchor = (s_a, s_b)
         # an anchor optimal for its own linearization reproduces itself
-        s_a2, s_b2, _ = dc_step(ch, ctx, p_a, p_b, anchor, cfg)
+        s_a2, s_b2, _ = dc_step(ch, batch, p_a, p_b, anchor, cfg)
         assert abs(s_a2 - anchor[0]) < 1e-6 * max(1.0, anchor[0])
         assert abs(s_b2 - anchor[1]) < 1e-6 * max(1.0, anchor[1])
 
     def test_matches_grid_oracle(self):
         for seed in range(20):
-            cfg, ch, w_r, p_a, p_b = instance(100 + seed)
-            ctx = _tx_context(ch, w_r)
+            cfg, ch, w_r, batch, p_a, p_b = p2_instance(100 + seed)
             rng = np.random.default_rng(seed)
             q0 = rng.uniform(0, 1)
-            anchor = (ctx.na2 * q0, ctx.nb2 * q0 * 0.5)
-            s_a, s_b, _ = dc_step(ch, ctx, p_a, p_b, anchor, cfg)
+            na2, nb2 = batch.n2[0]
+            anchor = (na2 * q0, nb2 * q0 * 0.5)
+            s_a, s_b, _ = dc_step(ch, batch, p_a, p_b, anchor, cfg)
             val = dc_linearized_objective(ch, w_r, p_a, p_b, s_a, s_b, anchor)
             oracle = dc_grid_oracle(ch, w_r, p_a, p_b, anchor, cfg, n=700)
             assert val >= oracle.best_value - 1e-4 * max(1.0, abs(oracle.best_value))
 
     def test_improvement_and_reconstruction(self):
         for seed in range(25):
-            cfg, ch, w_r, p_a, p_b = instance(200 + seed)
-            ctx = _tx_context(ch, w_r)
+            cfg, ch, w_r, batch, p_a, p_b = p2_instance(200 + seed)
             rng = np.random.default_rng(seed)
-            z0 = unit(crandn(rng, ctx.n))
+            z0 = unit(crandn(rng, batch.n))
             rx_a = abs(np.vdot(w_r, ch.h_ar)) ** 2
             rx_b = abs(np.vdot(w_r, ch.h_br)) ** 2
             p_prime = cfg.p_r_max / (p_a * rx_a + p_b * rx_b + 1.0)
-            anchor = (p_prime * abs(np.vdot(ctx.a_t, z0)) ** 2,
-                      p_prime * abs(np.vdot(ctx.b_t, z0)) ** 2)
-            s_a, s_b, w_t = dc_step(ch, ctx, p_a, p_b, anchor, cfg)
+            # f's rows are a_t^H and b_t^H
+            anchor = tuple(p_prime * np.abs(batch.f[0] @ z0) ** 2)
+            s_a, s_b, w_t = dc_step(ch, batch, p_a, p_b, anchor, cfg)
             assert (dc_objective(ch, w_r, p_a, p_b, s_a, s_b)
                     >= dc_objective(ch, w_r, p_a, p_b, *anchor) - 1e-12)
             # reconstruction: norm budget and quadratic forms reproduced
@@ -247,10 +254,10 @@ class TestSolveTxbfP2:
     def test_no_zf_equals_zero_loopback_run(self):
         cfg, ch, alpha, p_a, p_b = draw(10, sigma2_r=0.0)
         assert np.all(ch.h_rr == 0)
-        w_r, batch = p2_row(ch, alpha)
+        w_r, batch = combiner_row(ch, alpha)
         w_t = txbf_row(ch, batch, p_a, p_b, cfg)
         ch0 = zero_loopback(ch)
-        w_t2 = txbf_row(ch0, p2_row(ch0, alpha)[1], p_a, p_b, cfg)
+        w_t2 = txbf_row(ch0, combiner_row(ch0, alpha)[1], p_a, p_b, cfg)
         v1 = dc_objective(ch, w_r, p_a, p_b, abs(np.vdot(ch.h_ra, w_t)) ** 2,
                           abs(np.vdot(ch.h_rb, w_t)) ** 2)
         v2 = dc_objective(ch, w_r, p_a, p_b, abs(np.vdot(ch.h_ra, w_t2)) ** 2,
@@ -283,7 +290,7 @@ class TestSolveTxbfP2:
         cfg = SystemConfig(m_t=2, m_r=2, p_a_max=1.0, p_b_max=1.0, p_r_max=1.0,
                            sigma2_r=1.0, gain_br=2.0)
         ch = sample_channels(cfg, 0)
-        w_r, batch = p2_row(ch, alpha)
+        w_r, batch = combiner_row(ch, alpha)
         w_t = txbf_row(ch, batch, 0.0, 1.0, cfg)
         assert abs(relay_output_power(ch, w_t, w_r, 0.0, 1.0) - cfg.p_r_max) <= 1e-12
 
@@ -310,14 +317,14 @@ class TestSolveTxbfP2Exactness:
     def test_not_below_converged_dc_iteration(self):
         for seed, m_t in EXACTNESS_CASES:
             cfg, ch, w_r, batch, p_a, p_b = p2_instance(seed, m_t=m_t)
-            ctx = _tx_context(ch, w_r)
-            assert ctx.n == m_t - 1
+            assert batch.n == m_t - 1
             p_prime = _full_budget(cfg, ch, w_r, p_a, p_b)
             # the unconstrained-direction cold start, z along the image of h_ra
-            anchor = (p_prime * ctx.na2, p_prime * ctx.nb2 * ctx.r**2)
+            na2, nb2 = batch.n2[0]
+            anchor = (p_prime * na2, p_prime * nb2 * batch.r[0] ** 2)
             prev = dc_objective(ch, w_r, p_a, p_b, *anchor)
             for _ in range(1000):
-                anchor = dc_step(ch, ctx, p_a, p_b, anchor, cfg)[:2]
+                anchor = dc_step(ch, batch, p_a, p_b, anchor, cfg)[:2]
                 val = dc_objective(ch, w_r, p_a, p_b, *anchor)
                 if val - prev < cfg.conv_tol:
                     break
@@ -366,7 +373,7 @@ class TestSolvePowerP2:
     def test_full_power_wins_with_weak_si(self):
         cfg = replace(CFG, p_r_max=1000.0, sigma2_a=1e-6, sigma2_b=1e-6)
         ch = sample_channels(cfg, 11)
-        w_r, batch = p2_row(ch, 0.5)
+        w_r, batch = combiner_row(ch, 0.5)
         n_t = relay_null_basis(ch, w_r)
         w_t = 0.3 * (n_t @ unit(crandn(np.random.default_rng(0), n_t.shape[1])))
         p_a, p_b, _ = power_row(ch, w_t, batch, cfg)
@@ -387,7 +394,7 @@ class TestSolvePowerP2:
         cfg = replace(CFG, p_r_max=1e6)
         ch = sample_channels(cfg, 30)
         ch = replace(ch, h_aa=0j, h_bb=0j)
-        w_r, batch = p2_row(ch, 0.5)
+        w_r, batch = combiner_row(ch, 0.5)
         n_t = relay_null_basis(ch, w_r)
         w_t = 0.2 * (n_t @ unit(crandn(np.random.default_rng(3), n_t.shape[1])))
         assert power_row(ch, w_t, batch, cfg)[:2] == (cfg.p_a_max, cfg.p_b_max)
@@ -438,7 +445,7 @@ class TestSolvePowerP2:
         # the corner itself, so the loop stops after one step
         ch = sample_channels(CFG, seed)
         ch = ch if loopback else zero_loopback(ch)
-        _, batch = p2_row(ch, alpha)
+        _, batch = combiner_row(ch, alpha)
         w_t = txbf_row(ch, batch, 10.0, 10.0, CFG)
         budget = CFG.p_r_max / float(np.vdot(w_t, w_t).real) - 1.0
         rx_a, rx_b = batch.rx[0]
@@ -636,8 +643,9 @@ class TestScalarKernels:
 
 class TestCombinerTable:
     def test_rows_match_tx_context(self):
-        # the batched combiners and contexts are receive_combiner's and
-        # _tx_context's, up to rounding (directions up to a common phase)
+        # the batched combiners and null-space reductions are those of
+        # receive_combiner and relay_null_basis, up to rounding (directions
+        # up to a common phase)
         for seed, kw in ((40, {}), (41, {"m_t": 4, "m_r": 2}), (42, {"sigma2_r": 0.0})):
             cfg = replace(CFG, **kw)
             ch = sample_channels(cfg, seed)
@@ -646,25 +654,27 @@ class TestCombinerTable:
             assert rows is None and batch.n == (cfg.m_t if kw == {"sigma2_r": 0.0} else cfg.m_t - 1)
             for k, alpha in enumerate(alphas):
                 ref_w_r = receive_combiner(ch, alpha)
-                ctx = _tx_context(ch, ref_w_r)
+                n_t = relay_null_basis(ch, ref_w_r)
+                a_t, b_t = n_t.conj().T @ ch.h_ra, n_t.conj().T @ ch.h_rb
+                na2, nb2 = np.vdot(a_t, a_t).real, np.vdot(b_t, b_t).real
+                d2, d1 = a_t / np.sqrt(na2), b_t / np.sqrt(nb2)
                 assert np.allclose(w_r[k], ref_w_r, rtol=0.0, atol=1e-13)
                 scale = 1e-12 * sum(float(np.vdot(h, h).real)
                                     for h in (ch.h_ar, ch.h_br, ch.h_ra, ch.h_rb))
-                assert np.allclose(batch.n2[k], (ctx.na2, ctx.nb2), rtol=1e-12, atol=scale)
-                assert np.allclose(batch.rx[k], (ctx.rx_a, ctx.rx_b), rtol=1e-12, atol=scale)
-                assert abs(batch.r[k] - ctx.r) <= 1e-12
+                assert np.allclose(batch.n2[k], (na2, nb2), rtol=1e-12, atol=scale)
+                assert np.allclose(batch.rx[k], receive_gains(ch, ref_w_r), rtol=1e-12, atol=scale)
+                assert abs(batch.r[k] - abs(np.vdot(d2, d1))) <= 1e-12
                 # same span, and the images' inner products are the same
                 assert np.allclose(batch.n_t[k] @ batch.n_t[k].conj().T,
-                                   ctx.n_t @ ctx.n_t.conj().T, atol=1e-12)
-                assert abs(np.vdot(batch.d[k, :, 0], batch.d[k, :, 1])
-                           - np.vdot(ctx.d2, ctx.d1)) <= 1e-12
+                                   n_t @ n_t.conj().T, atol=1e-12)
+                assert abs(np.vdot(batch.d[k, :, 0], batch.d[k, :, 1]) - np.vdot(d2, d1)) <= 1e-12
 
     def test_zero_loopback_geometry_computed_once(self, monkeypatch):
         # with the loopback zeroed every null space is the whole space, so
         # the images, norms, directions, r and phi are built once per table
         calls = []
-        geometry = sum_rate._tx_geometry
-        monkeypatch.setattr(sum_rate, "_tx_geometry",
+        geometry = rate_region_module._tx_geometry
+        monkeypatch.setattr(rate_region_module, "_tx_geometry",
                             lambda *args: calls.append(1) or geometry(*args))
         ch = zero_loopback(sample_channels(CFG, 43))
         table = _combiner_table(ch)
@@ -676,13 +686,17 @@ class TestCombinerTable:
         calls.clear()
         assert upper_bound_solve(sample_channels(CFG, 43), CFG, proposed).sum_rate > 0
         assert len(calls) == 1  # the whole zero-loopback combiner search
+        calls.clear()
+        entries = rate_region(ch, 9, CFG)
+        assert entries[-1][1] is not None
+        assert len(calls) == 1  # the endpoint and every point of a zero-loopback sweep
 
     def test_mixed_null_dimensions(self):
         # h_br in the left null space of H_rr (m_r > m_t): at alpha = 1 the
         # combiner is h_br's direction and its loopback row vanishes, so that
         # combiner keeps the whole transmit space while the others lose one
         # dimension; the batch splits into two groups and matches each
-        # combiner solved alone
+        # combiner solved alone, for both problems
         cfg = replace(CFG, m_t=2, m_r=3)
         ch = sample_channels(cfg, 44)
         left_null = null_space_basis(ch.h_rr)[:, 0]
@@ -698,6 +712,23 @@ class TestCombinerTable:
             assert np.array_equal(alone.beamformer.w_t, points.w_t[k])
             assert zf_residual(ch, alone.beamformer.w_t, alone.beamformer.w_r) <= 1e-12
         assert max_sum_rate(ch, cfg).sum_rate >= max(points.values) * (1.0 - 1e-12)
+        # B's target at a tenth of its largest value: every combiner is
+        # feasible; at half of it the alpha = 1 combiner is not
+        for share, feasible in ((0.1, [True] * 5), (0.5, [True] * 4 + [False])):
+            gamma_b = share * _gamma_b_max(_combiner_table(ch), cfg)
+            points = optimize_fixed_alpha_p1(ch, alphas, gamma_b, cfg)
+            assert points.ok.tolist() == feasible
+            for k, alpha in enumerate(alphas):
+                if not feasible[k]:
+                    with pytest.raises(Infeasible):
+                        optimize_fixed_alpha_p1(ch, float(alpha), gamma_b, cfg)
+                    continue
+                alone = optimize_fixed_alpha_p1(ch, float(alpha), gamma_b, cfg)
+                assert alone.trace == points.traces[k]
+                assert np.array_equal(alone.beamformer.w_t, points.w_t[k])
+                assert zf_residual(ch, alone.beamformer.w_t, alone.beamformer.w_r) <= 1e-12
+            assert max_rate_given_rb(ch, math.log2(1.0 + gamma_b), cfg).gamma_a >= (
+                max(points.values) * (1.0 - 1e-12))
 
 
 class TestAlternationP2:
