@@ -1,6 +1,7 @@
 """Numerical kernels shared by all solvers: the null-space basis of complex
-vectors and a grid + golden-section 1-D maximizer; plus the real roots of
-one cubic, which no solver calls (see ``real_cubic_roots``).
+vectors and a grid + golden-section 1-D maximizer, for one function or for
+many in lockstep; plus the real roots of one cubic, which no solver calls
+(see ``real_cubic_roots``).
 """
 
 import math
@@ -11,6 +12,7 @@ __all__ = [
     "null_space_basis",
     "real_cubic_roots",
     "maximize_1d",
+    "maximize_1d_lockstep",
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -98,16 +100,18 @@ def real_cubic_roots(c3, c2, c1, c0):
     return out
 
 
-def _golden_max(f, a, b, tol, best, lookahead=False):
-    """Golden-section refinement for a maximum on [a, b]; keeps the first
-    best value among ``best`` and the points it evaluates, in their order.
+def _golden_steps(a, b, tol, best, lookahead):
+    """Golden-section refinement for a maximum on [a, b], as a generator:
+    it yields a tuple of the points whose values it needs, is sent their
+    values (a sequence) and returns the first best value among ``best`` and
+    the points it evaluates, in their order, as (x_best, f_best).
 
-    With ``lookahead``, ``f`` takes an array, and each call evaluates the
-    point the search needs (the first call both starting points) together
-    with the two points that the next step may need, one for each outcome
-    of its comparison.  The values are cached, so one call serves two
-    steps, and the points used and the result are those of the search
-    without lookahead.
+    Without ``lookahead`` each tuple holds one step's point.  With it, each
+    holds the point the search needs (the first one both starting points)
+    together with the two points that the next step may need, one for each
+    outcome of its comparison.  The values are cached, so one request
+    serves two steps, and the points used and the result are those of the
+    search without lookahead.
     """
     x_best, f_best = best
     cache = {}
@@ -116,14 +120,14 @@ def _golden_max(f, a, b, tol, best, lookahead=False):
         # f at the step's point x, given the bracket and points after the step
         nonlocal x_best, f_best
         if not lookahead:
-            y = f(x)
+            y = (yield (x,))[0]
         else:
             if x not in cache:
                 # the new point of the next step after f1 >= f2, and after f1 < f2
                 spare = ((x2 - _GOLDEN * (x2 - a), x1 + _GOLDEN * (b - x1))
                          if b - a > tol else ())
                 xs = (x, x2, *spare) if x == x1 and x2 not in cache else (x, *spare)
-                cache.update(zip(xs, f(np.array(xs))))
+                cache.update(zip(xs, (yield xs)))
             y = cache[x]
         if y > f_best:
             x_best, f_best = x, y
@@ -131,36 +135,83 @@ def _golden_max(f, a, b, tol, best, lookahead=False):
 
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1 = value(x1, a, b, x1, x2)
-    f2 = value(x2, a, b, x1, x2)
+    f1 = yield from value(x1, a, b, x1, x2)
+    f2 = yield from value(x2, a, b, x1, x2)
     while (b - a) > tol:
         if f1 >= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
-            f1 = value(x1, a, b, x1, x2)
+            f1 = yield from value(x1, a, b, x1, x2)
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
-            f2 = value(x2, a, b, x1, x2)
+            f2 = yield from value(x2, a, b, x1, x2)
     return x_best, f_best
+
+
+def maximize_1d_lockstep(f, n, lo, hi, tol, grid_points, lookahead):
+    """Maximize n scalar functions of one variable on [lo < hi] together.
+
+    ``f(owners, xs)`` returns the values at the points ``xs`` (an ndarray),
+    point i belonging to function ``owners[i]``.  The first call is the
+    grid of ``grid_points`` samples for every function, with ``owners``
+    None: it returns n x grid_points values, or n * grid_points in
+    function-major order.  Then each function whose grid has a finite
+    maximum is refined around its best grid point, down to interval width
+    ``tol``, by ``_golden_steps`` (``lookahead`` as there).  Every call
+    after the grid holds the points that all refining functions request
+    at that step, in function order, so a function whose bracket is
+    narrower (a best grid point at an end) or whose search has ended adds
+    none.  A function whose grid values are all -inf is not refined.
+    Returns one (x_best, f_best) per function: the first point with the
+    largest value, in the order its search uses them, so never below any
+    of its grid values.  A function's result does not depend on the others
+    as long as a value of f does not.
+    """
+    grid_points = max(2, int(grid_points))
+    xs = np.linspace(lo, hi, grid_points)
+    ys = np.asarray(f(None, xs), dtype=float).reshape(n, grid_points)
+    best, searches = [], {}
+    for k, row in enumerate(ys):
+        i = int(np.argmax(row))
+        best.append((float(xs[i]), float(row[i])))
+        a = float(xs[max(i - 1, 0)])
+        b = float(xs[min(i + 1, grid_points - 1)])
+        if row[i] != -math.inf and b - a > tol:
+            steps = _golden_steps(a, b, tol, best[k], lookahead)
+            searches[k] = (steps, next(steps))
+    while searches:
+        owners = np.concatenate([np.full(len(wanted), k) for k, (_, wanted) in searches.items()])
+        values = f(owners, np.array([x for _, wanted in searches.values() for x in wanted]))
+        offset = 0
+        for k, (steps, wanted) in list(searches.items()):
+            got = values[offset:offset + len(wanted)]
+            offset += len(wanted)
+            try:
+                searches[k] = (steps, steps.send(got))
+            except StopIteration as stop:
+                best[k] = stop.value
+                del searches[k]
+    return [(x, float(y)) for x, y in best]
 
 
 def maximize_1d(f, lo, hi, tol=1e-8, grid_points=201, lookahead=False):
     """Maximize a scalar function on [lo, hi].
 
     Dense-grid scan (``grid_points`` samples) followed by golden-section
-    refinement around the best grid point, down to interval width ``tol``.
-    When every grid value is -inf (an infeasible grid) there is no
-    refinement.  The grid is evaluated with a single call on the ndarray of
-    grid points; every refinement step, and the single evaluation of a
-    degenerate interval, calls ``f`` with a Python float.  So ``f`` must
-    take both an ndarray and a float; a formula built from numpy ufuncs and
-    float arithmetic gives the same value for x as for element x of an
-    array (squares by ``np.square``: ``** 2`` on a numpy scalar calls pow,
-    which can differ).  With ``lookahead``, the refinement calls ``f`` on
-    small arrays that hold each step's point and the next step's two
-    possible points (``_golden_max``), so that a function whose cost is
-    mostly per call makes half as many calls; the result is the same.  Returns
+    refinement around the best grid point, down to interval width ``tol``:
+    ``maximize_1d_lockstep`` for one function.  When every grid value is
+    -inf (an infeasible grid) there is no refinement.  The grid is
+    evaluated with a single call on the ndarray of grid points; every
+    refinement step, and the single evaluation of a degenerate interval,
+    calls ``f`` with a Python float.  So ``f`` must take both an ndarray
+    and a float; a formula built from numpy ufuncs and float arithmetic
+    gives the same value for x as for element x of an array (squares by
+    ``np.square``: ``** 2`` on a numpy scalar calls pow, which can differ).
+    With ``lookahead``, the refinement calls ``f`` on small arrays that
+    hold each step's point and the next step's two possible points
+    (``_golden_steps``), so that a function whose cost is mostly per call
+    makes half as many calls; the result is the same.  Returns
     ``(x_best, f(x_best))``: the first point with the largest value, in
     the order the search uses them, so never below any grid value.
     """
@@ -168,15 +219,9 @@ def maximize_1d(f, lo, hi, tol=1e-8, grid_points=201, lookahead=False):
         raise ValueError(f"empty interval [{lo}, {hi}]")
     if hi == lo:
         return lo, float(f(lo))
-    grid_points = max(2, int(grid_points))
-    xs = np.linspace(lo, hi, grid_points)
-    ys = np.asarray(f(xs), dtype=float)
-    i = int(np.argmax(ys))
-    x_best, f_best = float(xs[i]), float(ys[i])
-    if f_best == -math.inf:
-        return x_best, f_best
-    a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, grid_points - 1)])
-    if b - a > tol:
-        x_best, f_best = _golden_max(f, a, b, tol, (x_best, f_best), lookahead)
-    return x_best, float(f_best)
+
+    def one(owners, xs):
+        return f(xs) if owners is None or lookahead else [f(float(xs[0]))]
+
+    [best] = maximize_1d_lockstep(one, 1, lo, hi, tol, grid_points, lookahead)
+    return best

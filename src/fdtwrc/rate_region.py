@@ -7,10 +7,16 @@ line where B's SINR target binds), both in closed form and for all rows
 at once, and the boundary sweep over source B's target rate up to its
 largest value, which the beamformer's gates give in closed form.
 
-The combiner search evaluates its ``alpha_grid`` grid as one batch of
-``optimize_fixed_alpha_p1`` and each pair of golden steps as a batch of
-three combiners, all read from one ``_combiner_table``.  A float alpha is
-a batch of one: there is no other code path.
+P1's solver (``_max_rates``) runs one combiner search for all of a
+sweep's B targets in lockstep.  Its rows are (target, combiner) pairs,
+with B's target per row in the P1 steps: the grid is one batch of
+``alpha_grid`` combiners per target, whose table rows are built once and
+tiled, and each pair of golden steps is one batch of the three (the first
+time four) combiners of every target still refining.  A row's bits do not
+depend on its batch, so each target's answer is the one it gets alone;
+``max_rate_given_rb`` is the one-target case, and the sum-rate search runs
+the same search for one objective.  A float alpha is a batch of one: there
+is no other code path.
 """
 
 import cmath
@@ -19,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _combiner_basis, make_operating_point, receive_gains
-from .numerics import maximize_1d, null_space_basis
+from .model import _combiner_basis, make_operating_point
+from .numerics import maximize_1d_lockstep, null_space_basis
 
 __all__ = [
     "Infeasible",
@@ -77,8 +83,30 @@ class _TxBatch:
 
     def take(self, rows):
         """The batch of the given rows, an array of row indices."""
-        return _TxBatch(**{name: x if name == "n" else x.take(rows, axis=0)
-                           for name, x in vars(self).items()})
+        return type(self)(**{name: x if name == "n" else x.take(rows, axis=0)
+                             for name, x in vars(self).items()})
+
+
+@dataclass
+class _P1Batch(_TxBatch):
+    """A ``_TxBatch`` whose rows also carry B's SINR target, one per row."""
+
+    gamma_b: np.ndarray
+
+
+def _vdots(x, y):
+    """``np.vdot`` of each row of x with y (or of x with each row of y), bit
+    for bit: numpy's matmul of 1 x m by m x 1 slices makes one BLAS dot call
+    per row, so a row's value does not depend on the other rows, which a
+    matrix-vector product over the rows does not ensure."""
+    return (np.conj(x)[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _abs2(z):
+    """|z|^2 of each entry of a complex array, in the scalar arithmetic of
+    ``receive_gains`` and ``effective_gains`` (abs, then ``** 2``), which
+    numpy's array abs and square do not reproduce bit for bit."""
+    return np.array([abs(v) ** 2 for v in z.ravel().tolist()]).reshape(z.shape)
 
 
 def _tx_geometry(h_t, n_t):
@@ -114,14 +142,16 @@ def _combiner_table(channels):
     ``_combiner_basis``'s two directions, computed once per table, and each
     null-space basis is ``relay_null_basis``'s, from one stacked QR call.
     With a zero loopback every basis is the identity, so only the receive
-    gains are computed per call.  They are ``receive_gains``'s, row by row,
-    so ``make_operating_point`` recomputes the bits that the power step
-    scored.  A row's bits do not depend on the other alphas of its call.
+    gains are computed per call.  They have ``receive_gains``'s bits
+    (``_vdots``, ``_abs2``), so ``make_operating_point`` recomputes the bits
+    that the power step scored.  A row's bits do not depend on the other
+    alphas of its call.
     """
     u_par, u_perp = _combiner_basis(channels)
     h_t = np.stack([channels.h_ra, channels.h_rb], axis=1)
     eye = np.eye(channels.m_t, dtype=complex)[None]
     free = None if channels.h_rr.any() else _tx_geometry(h_t, eye)
+    h_r = channels.h_ar, channels.h_br
     h_rr_conj = np.conj(channels.h_rr)
     threshold = 1e-12 * max(1.0, np.linalg.norm(channels.h_rr))
 
@@ -133,7 +163,7 @@ def _combiner_table(channels):
         else:
             w_r = alphas[:, None] * u_par + np.sqrt(1.0 - alphas)[:, None] * u_perp
             w_r /= np.linalg.norm(w_r, axis=1, keepdims=True)
-        rx = np.array([receive_gains(channels, w) for w in w_r])
+        rx = np.stack([_abs2(_vdots(w_r, h)) for h in h_r], axis=1)
         if free is not None:
             return [(None, w_r, _TxBatch(**_repeat(free, alphas.size), rx=rx))]
         v = (w_r[:, None, :] @ h_rr_conj)[:, 0]  # rows v^T with v = H_rr^H w_r
@@ -262,20 +292,20 @@ def _directions(ctx, k):
 
 def _p1_gates(channels, ctx, p_a, p_b, gamma_b, p_r_max):
     """The two gates of the P1 beamformer at each row of the ``_TxBatch``
-    ``ctx``, from the row's receive gains and ||b_t||^2 alone.  Returns
-    (gb_bar, p_bar, ok): B's required transmit gain |h_rb^H w_t|^2 (inf
-    where the SINR gate fails, p_a rx_a <= gamma_b), the budget ||w_t||^2
-    that spends the relay power, and where a beamformer meets B's SINR
-    threshold gamma_b: the beam-power gate p_bar ||b_t||^2 >= gb_bar.
+    ``ctx``, from the row's receive gains and ||b_t||^2 alone, with B's
+    SINR target gamma_b per row (or one float for all rows).  Returns
+    (gb_bar, p_bar, ok): B's required transmit gain |h_rb^H w_t|^2 (0 where
+    gamma_b <= 0, inf where the SINR gate fails, p_a rx_a <= gamma_b), the
+    budget ||w_t||^2 that spends the relay power, and where a beamformer
+    meets B's SINR threshold gamma_b: the beam-power gate
+    p_bar ||b_t||^2 >= gb_bar.
     """
     rx_a, rx_b = ctx.rx.T
     p_bar = _p_prime(p_r_max, p_a, p_b, rx_a, rx_b)
-    if gamma_b <= 0.0:
-        gb_bar = np.zeros(len(rx_a))
-    else:
-        margin = p_a * rx_a - gamma_b
-        gb_bar = np.divide(gamma_b * (p_b * abs(channels.h_bb) ** 2 + 1.0), margin,
-                           out=np.full(len(rx_a), math.inf), where=margin > 0.0)
+    margin = p_a * rx_a - gamma_b
+    gb_bar = np.divide(gamma_b * (p_b * abs(channels.h_bb) ** 2 + 1.0), margin,
+                       out=np.full(len(rx_a), math.inf), where=margin > 0.0)
+    gb_bar = np.where(np.asarray(gamma_b) > 0.0, gb_bar, 0.0)
     return gb_bar, p_bar, p_bar * ctx.n2[:, 1] >= gb_bar * (1.0 - 1e-12)
 
 
@@ -283,9 +313,10 @@ def solve_txbf_p1(channels, ctx, p_a, p_b, gamma_b, p_r_max):
     """Transmit beamformers maximizing the gain toward A under the B-SINR
     threshold, the relay power budget (met with equality) and ZF, for a
     batch of combiners: ``ctx`` is a ``_TxBatch`` with one row per
-    combiner and ``p_a``/``p_b`` arrays of its powers.  Returns (w_t, ok):
-    one beamformer per row (K x m_t) and the rows where ``_p1_gates``
-    pass; a row that fails them holds no answer.
+    combiner, ``p_a``/``p_b`` arrays of its powers and ``gamma_b`` B's
+    SINR target per row (or one float).  Returns (w_t, ok): one beamformer
+    per row (K x m_t) and the rows where ``_p1_gates`` pass; a row that
+    fails them holds no answer.  A row's bits do not depend on the others.
 
     The threshold becomes |b_t^H z|^2 >= gamma_b_bar / p_bar on the unit
     null-space vector z; when the unconstrained maximizer z = d2 misses it
@@ -296,7 +327,7 @@ def solve_txbf_p1(channels, ctx, p_a, p_b, gamma_b, p_r_max):
     scale = np.sqrt(p_bar)
     w_t = scale[:, None] * (ctx.n_t @ ctx.d[:, :, :1])[:, :, 0]  # maximizer at full budget
     gb_min = gb_bar * (1.0 - 1e-12)
-    bound = ok & ~(ctx.has[:, 0] & (np.square(np.abs(w_t @ np.conj(channels.h_rb))) >= gb_min))
+    bound = ok & ~(ctx.has[:, 0] & (np.square(np.abs(_vdots(channels.h_rb, w_t))) >= gb_min))
     rows = bound.nonzero()[0]
     if rows.size:
         sub = ctx if rows.size == len(bound) else ctx.take(rows)
@@ -311,10 +342,12 @@ def solve_power_p1(channels, w_t, ctx, gamma_b, config):
     """Source powers maximizing A's SINR subject to B's SINR threshold, the
     relay budget and the power box, in closed form, for a batch of
     combiners: ``w_t`` holds one beamformer per row of the ``_TxBatch``
-    ``ctx``.  Returns arrays (p_a, p_b, gamma_a, ok): the powers, A's SINR
-    there (the objective maximized, in ``sinr_pair``'s arithmetic) and the
-    rows whose power polygon is not empty; a row outside ``ok`` holds no
-    answer.
+    ``ctx`` and ``gamma_b`` B's SINR target per row (or one float).  Returns
+    arrays (p_a, p_b, gamma_a, ok): the powers, A's SINR there (the
+    objective maximized, in ``sinr_pair``'s arithmetic, bit for bit) and
+    the rows whose power polygon is not empty; a row outside ``ok`` holds
+    no answer.  All rows are solved at once, by elementwise arithmetic, so
+    a row's bits do not depend on the others.
 
     With w_t's gains T_a, T_b and the row's receive gains R_a, R_b, A's
     SINR p_b T_a R_b / (T_a + p_a |h_aa|^2 + 1) never increases in p_a, so
@@ -338,39 +371,40 @@ def solve_power_p1(channels, w_t, ctx, gamma_b, config):
     returned when the optimum's SINR is below 1e-12 (a combiner orthogonal
     to h_br, say) and its p_a exceeds c by more than 1e-12.
     """
-    h_ra, h_rb = channels.h_ra, channels.h_rb
     haa2, hbb2 = abs(channels.h_aa) ** 2, abs(channels.h_bb) ** 2
     p_a_max, p_b_max = config.p_a_max, config.p_b_max
     p_a_top = p_a_max * (1.0 + 1e-9) + 1e-9
-    out = []  # p_a, p_b, gamma_a and whether feasible
-    for w, (rx_a, rx_b) in zip(w_t, ctx.rx.tolist()):
-        # sinr_pair's gains: the squares of numpy scalars
-        tx_a, tx_b = float(abs(np.vdot(h_ra, w)) ** 2), float(abs(np.vdot(h_rb, w)) ** 2)
-        den = tx_b * rx_a
-        c = k = 0.0
-        if gamma_b > 0 and den > 0.0:
-            c = gamma_b * (tx_b + 1.0) / den
-            k = gamma_b * hbb2 / den
-        # relay power: r_a p_a + r_b p_b <= cap
-        nt2 = float(np.vdot(w, w).real)
-        r_a, r_b, cap = nt2 * rx_a, nt2 * rx_b, config.p_r_max - nt2
-        relay_top = cap + 1e-9 * max(r_a * p_a_max, r_b * p_b_max, abs(cap), 1.0)
-        if (gamma_b > 0 and den <= 0.0) or c > p_a_top or r_a * c > relay_top:
-            out.append((0.0, 0.0, 0.0, 0.0))
-            continue
-        p_b = p_b_max
-        if c + k * p_b > p_a_top:
-            p_b = (p_a_max - c) / k
-        if r_a * (c + k * p_b) + r_b * p_b > relay_top:
-            p_b = (cap - r_a * c) / (r_a * k + r_b)
-        p_b = min(max(p_b, 0.0), p_b_max)
-        p_a = min(c + k * p_b, p_a_max)
-        gamma_a = p_b * tx_a * rx_b / (tx_a + p_a * haa2 + 1.0)
-        if gamma_a < 1e-12 and p_a - min(c, p_a_max) > 1e-12:
-            p_a, p_b, gamma_a = min(c, p_a_max), 0.0, 0.0
-        out.append((p_a, p_b, gamma_a, 1.0))
-    out = np.array(out, dtype=float)
-    return out[:, 0], out[:, 1], out[:, 2], out[:, 3] > 0.0
+    # sinr_pair's gains T_a, T_b, and ||w_t||^2
+    tx_a, tx_b = _abs2(_vdots(np.array([channels.h_ra, channels.h_rb]), w_t[:, None, :])).T
+    nt2 = _vdots(w_t, w_t).real
+    rx_a, rx_b = ctx.rx.T
+    den = tx_b * rx_a
+    use = (gamma_b > 0.0) & (den > 0.0)
+    c = np.divide(gamma_b * (tx_b + 1.0), den, out=np.zeros(len(den)), where=use)
+    k = np.divide(gamma_b * hbb2, den, out=np.zeros(len(den)), where=use)
+    # relay power: r_a p_a + r_b p_b <= cap
+    r_a, r_b, cap = nt2 * rx_a, nt2 * rx_b, config.p_r_max - nt2
+    relay_top = cap + 1e-9 * np.maximum(np.maximum(r_a * p_a_max, r_b * p_b_max),
+                                        np.maximum(np.abs(cap), 1.0))
+    ok = (use | (gamma_b <= 0.0)) & (c <= p_a_top) & (r_a * c <= relay_top)
+    p_b = np.full(len(den), p_b_max)
+    over = c + k * p_b > p_a_top
+    if over.any():
+        np.divide(p_a_max - c, k, out=p_b, where=over & ok)
+    over = r_a * (c + k * p_b) + r_b * p_b > relay_top
+    if over.any():
+        np.divide(cap - r_a * c, r_a * k + r_b, out=p_b, where=over & ok)
+    p_b = np.minimum(np.maximum(p_b, 0.0), p_b_max)
+    p_a = np.minimum(c + k * p_b, p_a_max)
+    gamma_a = p_b * tx_a * rx_b / (tx_a + p_a * haa2 + 1.0)
+    low = np.minimum(c, p_a_max)
+    zero = (gamma_a < 1e-12) & (p_a - low > 1e-12)
+    if zero.any():
+        p_a = np.where(zero, low, p_a)
+        p_b, gamma_a = (np.where(zero, 0.0, x) for x in (p_b, gamma_a))
+    if not ok.all():
+        p_a, p_b, gamma_a = (np.where(ok, x, 0.0) for x in (p_a, p_b, gamma_a))
+    return p_a, p_b, gamma_a, ok
 
 
 @dataclass
@@ -470,17 +504,17 @@ def _alternate_rows(ctx, config, starts, beam, power):
     return w_t, powers, ok, traces
 
 
-def _alternate_batch(channels, alpha, combiners, config, starts, beam, power):
-    """``_alternate_rows`` at each combiner of ``alpha``, read from
-    ``combiners``, a ``_combiner_table`` of the realization (None: a fresh
-    one).  An array ``alpha`` gives its ``_Points``; a float is a batch of
-    one and gives its OperatingPoint (Infeasible('combiner') if none)."""
+def _alternate_batch(channels, alpha, groups, config, starts, beam, power):
+    """``_alternate_rows`` at each combiner of ``alpha``, whose rows are
+    ``groups``, a ``_combiner_table``'s answer at those combiners.  An array
+    ``alpha`` gives its ``_Points``; a float is a batch of one and gives its
+    OperatingPoint (Infeasible('combiner') if none)."""
     alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
     k = alphas.size
     w_r = np.empty((k, channels.m_r), dtype=complex)
     w_t = np.empty((k, channels.m_t), dtype=complex)
     powers, ok, traces = np.empty((k, 2)), np.empty(k, dtype=bool), [None] * k
-    for rows, group_w_r, ctx in (combiners or _combiner_table(channels))(alphas):
+    for rows, group_w_r, ctx in groups:
         rows = np.arange(k) if rows is None else rows
         w_r[rows] = group_w_r
         w_t[rows], powers[rows], ok[rows], group_traces = _alternate_rows(
@@ -491,92 +525,157 @@ def _alternate_batch(channels, alpha, combiners, config, starts, beam, power):
     return points if np.ndim(alpha) else points.point(0)
 
 
+def _p1_batch(channels, alpha, gamma_b, groups, config):
+    """``optimize_fixed_alpha_p1`` at the combiners ``alpha``, whose rows
+    are ``groups``, with B's SINR target ``gamma_b`` per combiner (an array
+    of alpha's size)."""
+    groups = [(rows, w_r, _P1Batch(**vars(ctx), gamma_b=gamma_b if rows is None else gamma_b[rows]))
+              for rows, w_r, ctx in groups]
+    return _alternate_batch(
+        channels, alpha, groups, config, [(config.p_a_max, config.p_b_max), (config.p_a_max, 0.0)],
+        beam=lambda ctx, p_a, p_b, _: solve_txbf_p1(channels, ctx, p_a, p_b, ctx.gamma_b,
+                                                    config.p_r_max),
+        power=lambda w_t, ctx: solve_power_p1(channels, w_t, ctx, ctx.gamma_b, config))
+
+
 def optimize_fixed_alpha_p1(channels, alpha, gamma_b, config, combiners=None):
     """Alternate the beamformer and power solves at each combiner of
     ``alpha`` (``_alternate_batch``), from full source powers, falling back
-    to (p_a_max, 0) where the first beamformer solve is infeasible.  A
-    combiner stops when A's SINR improves by less than conv_tol, when the
-    power step keeps the powers, or at iter_max; its trace of SINR values
-    is nondecreasing.
+    to (p_a_max, 0) where the first beamformer solve is infeasible, all at
+    B's SINR target ``gamma_b``.  ``combiners`` is a ``_combiner_table`` of
+    the realization (None: a fresh one).  A combiner stops when A's SINR
+    improves by less than conv_tol, when the power step keeps the powers,
+    or at iter_max; its trace of SINR values is nondecreasing.
     """
-    return _alternate_batch(
-        channels, alpha, combiners, config, [(config.p_a_max, config.p_b_max), (config.p_a_max, 0.0)],
-        beam=lambda ctx, p_a, p_b, _: solve_txbf_p1(channels, ctx, p_a, p_b, gamma_b, config.p_r_max),
-        power=lambda w_t, ctx: solve_power_p1(channels, w_t, ctx, gamma_b, config))
+    alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
+    return _p1_batch(channels, alpha, np.full(alphas.size, float(gamma_b)),
+                     (combiners or _combiner_table(channels))(alphas), config)
 
 
-def _alpha_search(evaluate, config):
+def _alpha_searches(evaluate, n, config):
     """Grid + golden search over the combiner parameter, refined to a width
-    of 1e-3.
+    of 1e-3, for n objectives in lockstep (``maximize_1d_lockstep``).
 
-    ``evaluate(alphas)`` takes an array of combiner parameters and returns
-    ``(values, point)``: ``values[i]`` is the objective at ``alphas[i]``
-    (-inf where infeasible) and ``point(i)`` builds its OperatingPoint.
-    The grid is one call on its array, and each pair of golden steps one
-    call on three alphas (``maximize_1d``'s lookahead).  Only the point of
-    the best feasible combiner, the first one searched among equals, is
-    built.
+    ``evaluate(owners, alphas)`` takes an array of combiner parameters, the
+    i-th one for objective ``owners[i]`` (owners None: the grid for every
+    objective, objective-major), and returns ``(values, point)``:
+    ``values[i]`` is the objective at row i (-inf where infeasible) and
+    ``point(i)`` builds its OperatingPoint.  The grid is one call and each
+    pair of golden steps one call on the three (the first time four)
+    alphas of every objective still refining.  Returns each objective's
+    best point, the first one searched among equals, or None where its
+    whole grid is infeasible; only those points are built.
     """
     points = {}
 
-    def objective(alphas):
-        values, point = evaluate(alphas)
-        points.update((alpha, (point, i)) for i, alpha in enumerate(alphas.tolist()))
+    def objective(owners, alphas):
+        values, point = evaluate(owners, alphas)
+        if owners is None:
+            owners, alphas = np.repeat(np.arange(n), alphas.size), np.tile(alphas, n)
+        points.update(((k, alpha), (point, i))
+                      for i, (k, alpha) in enumerate(zip(owners.tolist(), alphas.tolist())))
         return values
 
-    alpha, value = maximize_1d(objective, 0.0, 1.0, tol=1e-3, grid_points=config.alpha_grid,
-                               lookahead=True)
-    if value == -math.inf:
+    best = []
+    for k, (alpha, value) in enumerate(
+            maximize_1d_lockstep(objective, n, 0.0, 1.0, 1e-3, config.alpha_grid, True)):
+        point, i = points[k, alpha]
+        best.append(None if value == -math.inf else point(i))
+    return best
+
+
+def _alpha_search(evaluate, config):
+    """``_alpha_searches`` for one objective, whose ``evaluate(alphas)``
+    takes the alphas alone; raises Infeasible('alpha_grid') when the whole
+    grid is infeasible."""
+    [point] = _alpha_searches(lambda _, alphas: evaluate(alphas), 1, config)
+    if point is None:
         raise Infeasible("alpha_grid", "no feasible combiner setting on the grid")
-    point, i = points[alpha]
-    return point(i)
+    return point
 
 
-def _gamma_b_max(table, config):
+def _grid(table, config):
+    """The rows of ``table``, a ``_combiner_table``, at the combiner
+    search's grid of ``alpha_grid`` alphas."""
+    return table(np.linspace(0.0, 1.0, config.alpha_grid))
+
+
+def _gamma_b_max(grid, config):
     """B's largest SINR target at which ``max_rate_given_rb`` succeeds.
 
-    ``_alpha_search`` raises only when every grid combiner is infeasible,
-    and ``optimize_fixed_alpha_p1`` finds a combiner infeasible only when
-    its first beamformer solve fails ``_p1_gates`` at both start powers:
-    past the gates the start beamformer meets B's target, and each later
-    power and beamformer step keeps a feasible point (up to the solvers'
-    tolerances).  The gates at (p_a_max, 0) dominate those at
+    The combiner search yields no point only when every grid combiner is
+    infeasible, and ``optimize_fixed_alpha_p1`` finds a combiner infeasible
+    only when its first beamformer solve fails ``_p1_gates`` at both start
+    powers: past the gates the start beamformer meets B's target, and each
+    later power and beamformer step keeps a feasible point (up to the
+    solvers' tolerances).  The gates at (p_a_max, 0) dominate those at
     (p_a_max, p_b_max), and there they pass exactly when
     gamma_b <= p_a_max rx_a s_b / (s_b + 1) with s_b = p_bar ||b_t||^2 and
     p_bar = p_r_max / (p_a_max rx_a + 1): B's SINR when A sends at full
     power, B is silent and the whole relay budget goes on the b_t
-    direction.  The result is the largest of these SINRs over the grid
-    rows of ``table`` (a ``_combiner_table``, whose rows have the bits of
-    the search's grid batch), backed off by 1e-9 relative because the
+    direction.  The result is the largest of these SINRs over ``grid``, the
+    search's grid rows (``_grid``), backed off by 1e-9 relative because the
     gate's margin p_a rx_a - gamma_b cancels near it.
     """
     p_a = config.p_a_max
     best = 0.0
-    for _, _, ctx in table(np.linspace(0.0, 1.0, config.alpha_grid)):
+    for _, _, ctx in grid:
         rx_a, rx_b = ctx.rx[:, 0], ctx.rx[:, 1]
         s_b = _p_prime(config.p_r_max, p_a, 0.0, rx_a, rx_b) * ctx.n2[:, 1]
         best = max(best, float(np.max(p_a * rx_a * s_b / (s_b + 1.0))))
     return best * (1.0 - 1e-9)
 
 
-def max_rate_given_rb(channels, r_b, config, combiners=None):
-    """Best operating point for A subject to B achieving rate r_b.
+def _tile(groups, n):
+    """A table's answer ``groups`` at k alphas, repeated for n objectives:
+    its answer at the k alphas tiled n times, bit for bit, since a row does
+    not depend on its batch."""
+    k = sum(len(w_r) for _, w_r, _ in groups)
+    return [(((np.arange(k) if rows is None else rows) + k * np.arange(n)[:, None]).ravel(),
+             np.tile(w_r, (n, 1)), ctx.take(np.tile(np.arange(len(w_r)), n)))
+            for rows, w_r, ctx in groups]
+
+
+def _max_rates(channels, r_bs, config, table, grid):
+    """P1's solver: A's best operating point subject to B achieving each
+    rate of ``r_bs``, or None where no grid combiner is feasible.  One
+    combiner search (``_alpha_searches``) runs for all targets in lockstep:
+    its rows are (target, combiner) pairs with B's target per row, so the
+    grid is one batch of P1 alternations (``_p1_batch``) on ``grid``, the
+    table's grid rows, tiled across the targets, and each pair of golden
+    steps one batch of every refining target's combiners.  A target's point
+    does not depend on the other targets.
 
     B's SINR threshold 2**r_b - 1 is computed with expm1, so a tiny target
-    (a weak B link) keeps its relative accuracy.  ``combiners`` is a
-    ``_combiner_table`` that ``rate_region`` shares (None: built afresh);
-    no answer depends on it.
+    (a weak B link) keeps its relative accuracy.
     """
-    if r_b < 0:
+    if min(r_bs) < 0:
         raise ValueError("r_b must be nonnegative")
-    gamma_b = math.expm1(r_b * _LN2)
-    table = combiners or _combiner_table(channels)
+    gammas = np.array([math.expm1(r_b * _LN2) for r_b in r_bs])
+    n = gammas.size
 
-    def evaluate(alphas):
-        points = optimize_fixed_alpha_p1(channels, alphas, gamma_b, config, table)
+    def evaluate(owners, alphas):
+        if owners is None:  # the grid of every target
+            points = _p1_batch(channels, np.tile(alphas, n), np.repeat(gammas, alphas.size),
+                               _tile(grid, n), config)
+        else:
+            points = _p1_batch(channels, alphas, gammas[owners], table(alphas), config)
         return points.values, points.point
 
-    return _alpha_search(evaluate, config)
+    return _alpha_searches(evaluate, n, config)
+
+
+def max_rate_given_rb(channels, r_b, config, combiners=None):
+    """Best operating point for A subject to B achieving rate r_b:
+    ``_max_rates`` at one target, raising Infeasible('alpha_grid') where
+    it finds none.  ``combiners`` is a ``_combiner_table`` of the
+    realization (None: built afresh); no answer depends on it.
+    """
+    table = combiners or _combiner_table(channels)
+    [point] = _max_rates(channels, [r_b], config, table, _grid(table, config))
+    if point is None:
+        raise Infeasible("alpha_grid", "no feasible combiner setting on the grid")
+    return point
 
 
 def region_sweep(solve_targets, r_b_max, n_points):
@@ -585,29 +684,31 @@ def region_sweep(solve_targets, r_b_max, n_points):
     ``solve_targets(targets)`` returns an OperatingPoint, or None where
     infeasible, for each of a list of B targets; ``r_b_max`` is B's largest
     target, at which it succeeds.  The boundary is sampled at n_points
-    targets from 0 to r_b_max and non-monotone raw sweeps are repaired by
-    carrying dominating higher-target points down.
+    targets from 0 to r_b_max, and non-monotone raw sweeps are repaired by
+    carrying dominating higher-target points down.  From the top, each
+    point is compared with the last point kept (every higher target's
+    point is feasible at a lower target): it is kept when its rate_a
+    exceeds that point's by more than 1e-9 of the sweep's largest rate_a,
+    or when its rate_b is higher and its rate_a not lower by more than
+    1e-12; otherwise it takes that point.  So rate_a values that differ
+    only by rounding, which is all they do where A's rate is about zero,
+    are decided by rate_b, and the repaired rate_a never rises by more
+    than 1e-12 from one target to the next.
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     targets = [float(r_b) for r_b in np.linspace(0.0, r_b_max, n_points)]
     entries = list(zip(targets, solve_targets(targets)))
-    # monotone repair: replace points dominated by a higher-target point
+    tol = 1e-9 * max([pt.rate_a for _, pt in entries if pt is not None], default=0.0)
     best = None
     for k in range(len(entries) - 1, -1, -1):
         r_b, pt = entries[k]
-        if pt is not None and (best is None or pt.rate_a > best.rate_a):
+        if pt is not None and (best is None or pt.rate_a > best.rate_a + tol or (
+                pt.rate_b > best.rate_b and pt.rate_a >= best.rate_a - 1e-12)):
             best = pt
-        elif best is not None and (pt is None or pt.rate_a < best.rate_a - 1e-12):
+        elif best is not None:
             entries[k] = (r_b, best)
     return entries
-
-
-def _rate_or_none(channels, r_b, config, combiners):
-    try:
-        return max_rate_given_rb(channels, r_b, config, combiners=combiners)
-    except Infeasible:
-        return None
 
 
 def rate_region(channels, n_points, config):
@@ -615,8 +716,9 @@ def rate_region(channels, n_points, config):
     (r_b target, OperatingPoint-or-None) pairs, swept from r_b = 0 up to
     B's largest feasible target, log2(1 + ``_gamma_b_max``) (by log1p, which
     keeps a tiny endpoint exact enough for the point solve to meet it).
-    The endpoint and every point read one ``_combiner_table``."""
+    The endpoint and every point read one ``_combiner_table``, whose grid
+    rows are built once, and the points are one lockstep ``_max_rates``."""
     table = _combiner_table(channels)
-    return region_sweep(
-        lambda targets: [_rate_or_none(channels, r_b, config, table) for r_b in targets],
-        math.log1p(_gamma_b_max(table, config)) / _LN2, n_points)
+    grid = _grid(table, config)
+    return region_sweep(lambda targets: _max_rates(channels, targets, config, table, grid),
+                        math.log1p(_gamma_b_max(grid, config)) / _LN2, n_points)

@@ -380,8 +380,10 @@ def optimize_fixed_alpha_p2(channels, alpha, config, combiners=None):
     improves by less than conv_tol, when the power step keeps the powers,
     or at iter_max.  Every combiner is feasible.
     """
+    alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
     return _alternate_batch(
-        channels, alpha, combiners, config, [(config.p_a_max, config.p_b_max)],
+        channels, alpha, (combiners or _combiner_table(channels))(alphas), config,
+        [(config.p_a_max, config.p_b_max)],
         beam=lambda ctx, p_a, p_b, w_t: (solve_txbf_p2(channels, ctx, p_a, p_b, config, w_t), None),
         power=lambda w_t, ctx: (*solve_power_p2(channels, w_t, ctx, config), None))
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fdtwrc.numerics import maximize_1d, null_space_basis, real_cubic_roots
+from fdtwrc.numerics import maximize_1d, maximize_1d_lockstep, null_space_basis, real_cubic_roots
 
 
 def crandn(rng, *shape):
@@ -277,3 +277,46 @@ class TestMaximize1d:
             assert set(plain) <= set(batched)
             assert calls[0] == 21 and max(calls[1:]) <= 4
             assert len(calls) - 1 <= (len(plain) - 21) // 2 + 1
+
+
+class TestMaximize1dLockstep:
+    def test_each_function_as_alone(self):
+        # polynomials, one increasing (best grid point at hi), one decreasing
+        # (at lo) and one infeasible: in lockstep each function uses the
+        # points, and gets the result, of its own lookahead search
+        rng = np.random.default_rng(17)
+        coeffs = [rng.uniform(-3, 3, size=6) for _ in range(5)]
+        coeffs += [np.array([1.0, 0.0]), np.array([-1.0, 0.0]), None]
+
+        def value(c, xs):
+            return np.full(len(xs), -np.inf) if c is None else np.polyval(c, xs)
+
+        seen = [[] for _ in coeffs]
+        calls = []
+
+        def f(owners, xs):
+            if owners is None:
+                return np.array([value(c, xs) for c in coeffs])
+            calls.append(len(xs))
+            for k, x in zip(owners.tolist(), xs.tolist()):
+                seen[k].append(x)
+            return np.concatenate([value(coeffs[k], [x]) for k, x in zip(owners, xs)])
+
+        got = maximize_1d_lockstep(f, len(coeffs), -1.0, 1.0, 1e-4, 21, True)
+        calls_alone = []
+        for k, c in enumerate(coeffs):
+            alone, sizes = [], []
+
+            def g(xs, c=c, alone=alone, sizes=sizes):
+                if len(xs) < 21:
+                    alone.extend(xs.tolist())
+                    sizes.append(len(xs))
+                return value(c, xs)
+
+            assert got[k] == maximize_1d(g, -1.0, 1.0, tol=1e-4, grid_points=21, lookahead=True)
+            assert seen[k] == alone
+            calls_alone.append(len(sizes))
+        assert got[5][0] == 1.0 and got[6][0] == -1.0 and got[7][1] == -np.inf
+        assert seen[7] == [] and len(seen[5]) < len(seen[0])
+        # one call per step of the longest search
+        assert len(calls) == max(calls_alone)

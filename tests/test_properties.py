@@ -33,6 +33,7 @@ from fdtwrc.rate_region import (
     Infeasible,
     _combiner_table,
     _gamma_b_max,
+    _grid,
     _null_z,
     boundary_range,
     max_rate_given_rb,
@@ -176,7 +177,7 @@ def test_converged_trace_ends_at_the_point_objective(cfg, seed, alpha, target_sh
     pt = optimize_fixed_alpha_p2(ch, alpha, cfg)
     if len(pt.trace) < SystemConfig.iter_max:
         assert pt.trace[-1] == pt.sum_rate
-    gamma_b = target_share * _gamma_b_max(_combiner_table(ch), cfg)
+    gamma_b = target_share * _gamma_b_max(_grid(_combiner_table(ch), cfg), cfg)
     try:
         pt = optimize_fixed_alpha_p1(ch, alpha, gamma_b, cfg)
     except Infeasible:
@@ -215,7 +216,7 @@ def test_stopped_point_is_a_power_fixed_point(cfg, seed, alpha, target_share):
         powers_a, powers_b, values = solve_power_p2(ch, w_t, batch, cfg)
         assert [powers_a[0], powers_b[0]] == [p_a, p_b]
         assert abs(values[0] - pt.trace[-1]) <= 1e-12 * pt.trace[-1]
-    gamma_b = target_share * _gamma_b_max(table, cfg)
+    gamma_b = target_share * _gamma_b_max(_grid(table, cfg), cfg)
     try:
         pt = optimize_fixed_alpha_p1(ch, alpha, gamma_b, cfg, table)
     except Infeasible:

@@ -1,6 +1,8 @@
 import cmath
+import importlib
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,17 +27,22 @@ from fdtwrc.rate_region import (
     _alpha_search,
     _alternate_rows,
     _combiner_table,
+    _grid,
+    _max_rates,
     _null_z,
     boundary_range,
     max_rate_given_rb,
     optimize_fixed_alpha_p1,
     rate_region,
     region_sweep,
+    solve_power_p1,
+    solve_txbf_p1,
 )
 from fdtwrc.sum_rate import optimize_fixed_alpha_p2
 from one_row import combiner_row, power_p1_row, txbf_p1_row
 
 CFG = SystemConfig()
+rate_region_module = importlib.import_module("fdtwrc.rate_region")
 
 
 def crandn(rng, *shape):
@@ -205,6 +212,32 @@ class TestSolvePowerP1:
             lip = g.tx_gain_a * g.rx_gain_b * (1.0 + CFG.p_b_max * abs(ch.h_aa) ** 2)
             assert val >= oracle.best_value - 2.0 * lip * oracle.resolution - 1e-9
         assert hits >= 15
+
+    @pytest.mark.parametrize("case", ["default", "mixed_null"])
+    def test_rows_alone_equal_rows_in_a_batch(self, case):
+        # the lockstep region sweep gives every row its own target: each
+        # row's beamformer and powers at per-row gamma_b (0, inside A's
+        # uplink and beyond it) must be the bits that the row gets alone
+        ch, cfg = TABLE_CASES[case]()
+        rng = np.random.default_rng(50)
+        for rows, _, batch in _combiner_table(ch)(rng.uniform(0.0, 1.0, 40)):
+            k = len(batch.rx)
+            gamma_b = cfg.p_a_max * batch.rx[:, 0] * rng.uniform(0.0, 1.2, k)
+            gamma_b[rng.uniform(size=k) < 0.3] = 0.0
+            p_a, p_b = rng.uniform(0.0, 1.0, (2, k)) * [[cfg.p_a_max], [cfg.p_b_max]]
+            w_t, ok = solve_txbf_p1(ch, batch, p_a, p_b, gamma_b, cfg.p_r_max)
+            w_t[0] = 0.0  # a zero beamformer leaves only the relay's own noise
+            powers = solve_power_p1(ch, w_t, batch, gamma_b, cfg)
+            assert 0.0 in gamma_b and not all(powers[3])
+            for i in range(k):
+                alone = batch.take(np.array([i]))
+                w_i, ok_i = solve_txbf_p1(ch, alone, p_a[i:i + 1], p_b[i:i + 1], gamma_b[i:i + 1],
+                                          cfg.p_r_max)
+                assert ok_i[0] == ok[i]
+                if i:
+                    assert w_i.tobytes() == w_t[i:i + 1].tobytes()
+                got = solve_power_p1(ch, w_t[i:i + 1], alone, gamma_b[i:i + 1], cfg)
+                assert [x.tobytes() for x in got] == [x[i:i + 1].tobytes() for x in powers]
 
 
 class TestAlternationP1:
@@ -430,6 +463,40 @@ class TestRateRegion:
         assert 0.75 < ratio < 1.25
 
 
+class TestRegionSweep:
+    @staticmethod
+    def _sweep(raw):
+        """region_sweep over stub points (rate_a, rate_b), None where None."""
+        points = [None if r is None else SimpleNamespace(rate_a=r[0], rate_b=r[1]) for r in raw]
+        entries = region_sweep(lambda targets: points, 2.8, len(points))
+        return [None if pt is None else (pt.rate_a, pt.rate_b) for _, pt in entries]
+
+    def test_rounding_level_rate_a_is_decided_by_rate_b(self):
+        # the end of a sweep where A's rate is zero up to rounding: the
+        # endpoint (rate_b 2.673) dominates the point below it (2.339)
+        # whichever of their rate_a values rounding makes larger
+        head = [(3.1, 0.0), (2.2, 0.7), (1.1, 1.4)]
+        for rate_a in (1.48e-11, 1.50e-11, 1.52e-11):
+            got = self._sweep(head + [(rate_a, 2.339), (1.50e-11, 2.673)])
+            assert got == head + [(1.50e-11, 2.673)] * 2
+
+    def test_kept_and_carried_points(self):
+        top = 3.1
+        # None takes the point above it; a higher rate_b at an equal rate_a
+        # and a rate_a higher by more than 1e-9 of the largest keep their own
+        assert self._sweep([(top, 0.0), None, (1.0, 2.9)]) == [(top, 0.0), (1.0, 2.9), (1.0, 2.9)]
+        assert self._sweep([(top, 0.0), (1.0, 2.95), (1.0, 2.9)]) == [
+            (top, 0.0), (1.0, 2.95), (1.0, 2.9)]
+        assert self._sweep([(top, 0.0), (1.0 + 4e-9, 2.7), (1.0, 2.9)]) == [
+            (top, 0.0), (1.0 + 4e-9, 2.7), (1.0, 2.9)]
+        # within the tolerance the higher rate_b wins; below by more than
+        # 1e-12 the higher-target point is carried down whatever its rate_b
+        assert self._sweep([(top, 0.0), (1.0 + 2e-9, 2.7), (1.0, 2.9)]) == [
+            (top, 0.0), (1.0, 2.9), (1.0, 2.9)]
+        assert self._sweep([(top, 0.0), (1.0 - 2e-12, 2.95), (1.0, 2.9)]) == [
+            (top, 0.0), (1.0, 2.9), (1.0, 2.9)]
+
+
 def _point_bits(pt):
     """Every field of an operating point, arrays as bytes."""
     if pt is None:
@@ -455,13 +522,27 @@ def _mixed_null_channels():
     return replace(ch, h_br=null_space_basis(ch.h_rr)[:, 0] * 0.8), cfg
 
 
+M6 = replace(CFG, m_t=6, m_r=6)
+
 # case -> (realization, config) of the combiner-table row tests
 TABLE_CASES = {
     "default": lambda: (sample_channels(CFG, 45), CFG),
-    "m6": lambda: (sample_channels(replace(CFG, m_t=6, m_r=6), 46), replace(CFG, m_t=6, m_r=6)),
+    "m6": lambda: (sample_channels(M6, 46), M6),
     "m_r1": lambda: (sample_channels(replace(CFG, m_r=1), 47), replace(CFG, m_r=1)),
     "zero_loopback": lambda: (zero_loopback(sample_channels(CFG, 48)), CFG),
     "mixed_null": _mixed_null_channels,
+}
+
+# case -> [(realization, config)] of the lockstep-against-standalone tests;
+# "above_endpoint" also asks for a target past B's largest
+STANDALONE_CASES = {
+    "default": lambda: [(sample_channels(CFG, s), CFG) for s in (20, 21)],
+    "m_r1": lambda: [(sample_channels(replace(CFG, m_r=1), s), replace(CFG, m_r=1))
+                     for s in (20, 21)],
+    "m6": lambda: [(sample_channels(M6, 20), M6)],
+    "zero_loopback": lambda: [(zero_loopback(sample_channels(CFG, 20)), CFG)],
+    "mixed_null": lambda: [_mixed_null_channels()],
+    "above_endpoint": lambda: [(sample_channels(CFG, 22), CFG)],
 }
 
 
@@ -491,17 +572,57 @@ class TestCombinerTable:
             for name in ("n_t", "f", "n2", "d", "has", "r", "phi", "rx"):
                 assert getattr(alone, name).tobytes() == getattr(batch, name).tobytes(), name
 
-    @pytest.mark.parametrize("cfg", [CFG, replace(CFG, m_r=1)], ids=["default", "m_r1"])
-    def test_points_equal_standalone_solves(self, cfg):
-        for seed in (20, 21):
-            ch = sample_channels(cfg, seed)
+    @pytest.mark.parametrize("case", sorted(STANDALONE_CASES))
+    def test_points_equal_standalone_solves(self, case):
+        # rate_region solves its targets in lockstep, as (target, combiner)
+        # rows of shared batches; each target's point must be the one that
+        # max_rate_given_rb finds for it alone, with a fresh table
+        for ch, cfg in STANDALONE_CASES[case]():
             entries = rate_region(ch, 9, cfg)
-            # the same sweep (targets, repair) with a fresh table per point
-            ref = region_sweep(
-                lambda targets: [_standalone_or_none(ch, r_b, cfg) for r_b in targets],
-                entries[-1][0], 9)
+            r_bs = [r_b for r_b, _ in entries]
+            if case == "above_endpoint":
+                r_bs.append(1.05 * r_bs[-1])
+            alone = [_standalone_or_none(ch, r_b, cfg) for r_b in r_bs]
+            table = _combiner_table(ch)
+            lockstep = _max_rates(ch, r_bs, cfg, table, _grid(table, cfg))
+            assert [_point_bits(pt) for pt in lockstep] == [_point_bits(pt) for pt in alone]
+            assert (alone[-1] is None) == (case == "above_endpoint")
+            # the same sweep (targets, repair) from the standalone points
+            ref = region_sweep(lambda targets: alone[:len(targets)], r_bs[8], 9)
             assert [(r_b, _point_bits(pt)) for r_b, pt in entries] == [
                 (r_b, _point_bits(pt)) for r_b, pt in ref]
+
+    def test_ragged_golden_brackets(self, monkeypatch):
+        # seed 21's nine targets have their best grid combiner at alpha = 1,
+        # inside the grid and at alpha = 0: the end targets refine a bracket
+        # of one grid step, so they request fewer points from the shared
+        # golden batches, and each target's point is still its own
+        ch = sample_channels(CFG, 21)
+        r_bs = [r_b for r_b, _ in rate_region(ch, 9, CFG)]
+        grids, batches = [], []
+        lockstep = rate_region_module.maximize_1d_lockstep
+
+        def spy(f, n, *args):
+            def recorded(owners, alphas):
+                values = f(owners, alphas)
+                if owners is None:
+                    grids.append(np.asarray(values).reshape(n, -1))
+                else:
+                    batches.append(np.bincount(owners, minlength=n))
+                return values
+            return lockstep(recorded, n, *args)
+
+        monkeypatch.setattr(rate_region_module, "maximize_1d_lockstep", spy)
+        table = _combiner_table(ch)
+        points = _max_rates(ch, r_bs, CFG, table, _grid(table, CFG))
+        best = grids[0].argmax(axis=1)
+        ends = (best == 0) | (best == CFG.alpha_grid - 1)
+        assert 0 in best and CFG.alpha_grid - 1 in best and not ends.all()
+        requested = np.sum(batches, axis=0)
+        assert requested[ends].max() < requested[~ends].min()
+        monkeypatch.undo()
+        assert [_point_bits(pt) for pt in points] == [
+            _point_bits(_standalone_or_none(ch, r_b, CFG)) for r_b in r_bs]
 
 
 def _bisect_on_point_solver(point_solver, cap, steps=24):
