@@ -9,7 +9,7 @@ rate by a Newton ascent; an HD region sweep runs up to B's closed-form
 largest SINR and solves every boundary point exactly through a 1-D dual,
 all points in one batch.  No HD step is random.  The upper bound reuses the proposed solvers on a realization whose relay
 loopback is zeroed, which removes the ZF restriction while keeping source
-SI.
+SI; like them, it solves a sequence of realizations in one lockstep.
 """
 
 import enum
@@ -29,16 +29,16 @@ from .model import (
     strip_source_si,
     zero_loopback,
 )
-# _alpha_search is not called here; it stays bound because the perfbench
-# tracer test requires it to wrap this module's binding
+# _alpha_search and max_sum_rate are not called here; they stay bound
+# because the perfbench tracer test requires it to wrap these bindings
 from .rate_region import (
     _LN2,
     _alpha_search,
     _p_prime,
-    rate_region,
+    rate_regions,
     region_sweep,
 )
-from .sum_rate import max_sum_rate
+from .sum_rate import max_sum_rate, max_sum_rates
 
 __all__ = [
     "SchemeId",
@@ -49,7 +49,9 @@ __all__ = [
     "fd_oneway_region",
     "fd_oneway_sum_rate",
     "upper_bound_solve",
+    "upper_bound_solves",
     "upper_bound_region",
+    "upper_bound_regions",
     "local_csi_sum_rate",
 ]
 
@@ -539,28 +541,44 @@ def fd_oneway_sum_rate(channels, config):
     return (r_a, 0.0) if r_a >= r_b else (0.0, r_b)
 
 
-def upper_bound_solve(channels, config, proposed):
-    """Sum-rate solver with the relay loopback zeroed (ZF constraint gone).
+def upper_bound_solves(realizations, config, proposed):
+    """Sum-rate solver with the relay loopback zeroed (ZF constraint gone),
+    for each realization of a sequence: one lockstep ``max_sum_rates`` of
+    the zero-loopback realizations.
 
-    Source SI stays.  ``proposed``, the ZF-constrained solution
-    ``max_sum_rate(channels, config)``, is also evaluated (it is feasible
-    here and scores the same rates), and the better of the two is
-    returned, so the bound dominates the proposed scheme per realization
-    by construction.
+    Source SI stays.  ``proposed`` holds each realization's ZF-constrained
+    solution ``max_sum_rate(channels, config)``, which is also evaluated
+    (it is feasible here and scores the same rates), and the better of the
+    two is returned, so the bound dominates the proposed scheme per
+    realization by construction.
     """
-    ub_channels = zero_loopback(channels)
-    pt = max_sum_rate(ub_channels, config)
-    if proposed.sum_rate > pt.sum_rate:
-        pt = make_operating_point(
-            ub_channels, proposed.beamformer.w_t, proposed.beamformer.w_r,
-            proposed.beamformer.alpha, proposed.powers.p_a, proposed.powers.p_b,
-            trace=proposed.trace)
+    ub_channels = [zero_loopback(channels) for channels in realizations]
+    points = max_sum_rates(ub_channels, config)
+    for k, (channels, pt, own) in enumerate(zip(ub_channels, proposed, points)):
+        if pt.sum_rate > own.sum_rate:
+            points[k] = make_operating_point(
+                channels, pt.beamformer.w_t, pt.beamformer.w_r, pt.beamformer.alpha,
+                pt.powers.p_a, pt.powers.p_b, trace=pt.trace)
+    return points
+
+
+def upper_bound_solve(channels, config, proposed):
+    """``upper_bound_solves`` of one realization, whose proposed point is
+    ``proposed``."""
+    [pt] = upper_bound_solves([channels], config, [proposed])
     return pt
 
 
+def upper_bound_regions(realizations, n_points, config):
+    """The proposed region sweeps (``rate_regions``) with the relay loopback
+    zeroed."""
+    return rate_regions([zero_loopback(channels) for channels in realizations], n_points, config)
+
+
 def upper_bound_region(channels, n_points, config):
-    """The proposed region sweep with the relay loopback zeroed."""
-    return rate_region(zero_loopback(channels), n_points, config)
+    """``upper_bound_regions`` of one realization."""
+    [entries] = upper_bound_regions([channels], n_points, config)
+    return entries
 
 
 def local_csi_sum_rate(channels, config, seed):

@@ -3,8 +3,12 @@
 Each trial draws one channel realization from a per-trial seed (master seed
 XOR trial index) and evaluates every requested scheme on that same
 realization, so scheme comparisons are paired and adding a scheme never
-changes the channel stream.  Trials run in a process pool; aggregation is
-order-independent, so results do not depend on the worker count.
+changes the channel stream.  A task is a run of consecutive trials of one
+configuration (``_task_sizes``): the proposed and ub solvers search all of
+its realizations in one lockstep each, and the other schemes run trial by
+trial.  Tasks run in a process pool.  A trial's answer does not depend on
+the other trials of its task, and aggregation is order-independent, so
+results do not depend on the worker count.
 
 Because of the XOR, master seeds that differ only in bits below the trial
 count draw the same set of realizations, in a different order: 20240 and
@@ -32,12 +36,15 @@ from .baselines import (
     hd_anc_region,
     hd_anc_solve,
     local_csi_sum_rate,
-    upper_bound_region,
-    upper_bound_solve,
+    upper_bound_regions,
+    upper_bound_solves,
 )
 from .model import SystemConfig, db_to_linear, sample_channels
-from .rate_region import rate_region
-from .sum_rate import max_sum_rate
+from .rate_region import rate_regions
+
+# max_sum_rate is not called here; it stays bound because the perfbench
+# tracer test requires it to wrap this binding
+from .sum_rate import max_sum_rate, max_sum_rates  # noqa: F401
 
 __all__ = ["ExperimentSpec", "ResultRow", "ResultTable", "run_experiment", "emit"]
 
@@ -66,29 +73,34 @@ def _region_pairs(entries):
     return [(math.nan, math.nan) if pt is None else _rates(pt) for _, pt in entries]
 
 
-# scheme -> (sum-rate fn, region fn or None).  A sum-rate fn maps (channels,
-# config, trial seed, the trial's proposed point) to its rate pair (R_A,
-# R_B); a region fn maps (channels, config, n_points) to one rate pair per
+# scheme -> (sum-rate fn, region fn or None), each over a task's trials.  A
+# sum-rate fn maps (realizations, config, trial seeds, the trials' proposed
+# points) to one rate pair (R_A, R_B) per trial; a region fn maps
+# (realizations, config, n_points) to one list per trial of a rate pair per
 # boundary point.  The lambdas look the solvers up in this module when
 # called, so rebinding a module attribute (as a tracer does) reaches them.
 SCHEMES = {
     SchemeId.PROPOSED_FD: (
-        lambda ch, cfg, tseed, proposed: _rates(proposed),
-        lambda ch, cfg, n: _region_pairs(rate_region(ch, n, cfg))),
+        lambda chs, cfg, tseeds, proposed: [_rates(pt) for pt in proposed],
+        lambda chs, cfg, n: [_region_pairs(e) for e in rate_regions(chs, n, cfg)]),
     SchemeId.HD_ANC: (
-        lambda ch, cfg, tseed, proposed: _rates(hd_anc_solve(ch, cfg)),
-        lambda ch, cfg, n: _region_pairs(hd_anc_region(ch, n, cfg))),
+        lambda chs, cfg, tseeds, proposed: [_rates(hd_anc_solve(ch, cfg)) for ch in chs],
+        lambda chs, cfg, n: [_region_pairs(hd_anc_region(ch, n, cfg)) for ch in chs]),
     SchemeId.FD_ONEWAY: (
-        lambda ch, cfg, tseed, proposed: fd_oneway_sum_rate(ch, cfg),
-        lambda ch, cfg, n: fd_oneway_region(ch, n, cfg)),
+        lambda chs, cfg, tseeds, proposed: [fd_oneway_sum_rate(ch, cfg) for ch in chs],
+        lambda chs, cfg, n: [fd_oneway_region(ch, n, cfg) for ch in chs]),
     SchemeId.FD_UPPER_BOUND: (
-        lambda ch, cfg, tseed, proposed: _rates(
-            upper_bound_solve(ch, cfg, proposed=proposed)),
-        lambda ch, cfg, n: _region_pairs(upper_bound_region(ch, n, cfg))),
+        lambda chs, cfg, tseeds, proposed: [
+            _rates(pt) for pt in upper_bound_solves(chs, cfg, proposed)],
+        lambda chs, cfg, n: [_region_pairs(e) for e in upper_bound_regions(chs, n, cfg)]),
     SchemeId.LOCAL_CSI: (
-        lambda ch, cfg, tseed, proposed: _rates(local_csi_sum_rate(ch, cfg, seed=tseed)),
+        lambda chs, cfg, tseeds, proposed: [
+            _rates(local_csi_sum_rate(ch, cfg, seed=tseed)) for ch, tseed in zip(chs, tseeds)],
         None),
 }
+
+# a task holds at most this many trials (see _task_sizes)
+TASK_TRIALS = 8
 
 # one column per ResultRow field, in field order
 CSV_COLUMNS = ("sweep_value", "scheme", "mean_RA", "se_RA", "mean_RB", "se_RB",
@@ -144,17 +156,29 @@ def trial_seed(seed, t):
     return int(np.uint64(seed) ^ np.uint64(t))
 
 
+def _task_sizes(trials, workers):
+    """The trial counts of one configuration's tasks, in order: near-equal
+    (differing by at most one), at least ``workers`` tasks (so every worker
+    gets one) and at most ``TASK_TRIALS`` trials each (a lockstep search's
+    cost per realization stops falling beyond that), but no empty task."""
+    n = min(trials, max(workers, -(-trials // TASK_TRIALS)))
+    return [trials // n + (i < trials % n) for i in range(n)]
+
+
 def _run_task(payload):
-    """One trial: scheme -> its rate pair (sum-rate kinds) or one rate pair
-    per boundary point (region kinds)."""
-    kind, config, schemes, tseed, n_points = payload
-    channels = sample_channels(config, tseed)
+    """One task, consecutive trials of one configuration: per trial,
+    scheme -> its rate pair (sum-rate kinds) or one rate pair per boundary
+    point (region kinds)."""
+    kind, config, schemes, tseeds, n_points = payload
+    chs = [sample_channels(config, tseed) for tseed in tseeds]
     if kind in REGION_KINDS:
-        return {s: SCHEMES[s][1](channels, config, n_points) for s in schemes}
-    # ub reuses the trial's proposed point
-    need_proposed = SchemeId.PROPOSED_FD in schemes or SchemeId.FD_UPPER_BOUND in schemes
-    proposed = max_sum_rate(channels, config) if need_proposed else None
-    return {s: SCHEMES[s][0](channels, config, tseed, proposed) for s in schemes}
+        by_scheme = {s: SCHEMES[s][1](chs, config, n_points) for s in schemes}
+    else:
+        # ub reuses the trials' proposed points
+        need_proposed = SchemeId.PROPOSED_FD in schemes or SchemeId.FD_UPPER_BOUND in schemes
+        proposed = max_sum_rates(chs, config) if need_proposed else None
+        by_scheme = {s: SCHEMES[s][0](chs, config, tseeds, proposed) for s in schemes}
+    return [{s: by_scheme[s][t] for s in schemes} for t in range(len(chs))]
 
 
 def _mean_se(values):
@@ -173,9 +197,11 @@ def run_experiment(spec, workers=None, keep_samples=False):
     Rows and samples are deterministic in ``spec``: the i-th trial of every
     sweep value uses the seed ``spec.seed ^ i``.  ``workers=1`` forces
     serial execution.  The metadata also records the numpy version, the
-    worker count, the cpu count, the run's wall time (``runtime_s``) and,
-    per scheme and sweep value, the trials whose rate pair is not finite
-    (``nonfinite``): the means and standard errors leave them out.
+    worker count, the cpu count, the run's wall time (``runtime_s``), the
+    number of harness tasks (``tasks``) and the largest task's trial count
+    (``trials_per_task``; ``_task_sizes``) and, per scheme and sweep value,
+    the trials whose rate pair is not finite (``nonfinite``): the means and
+    standard errors leave them out.
     """
     t_start = time.perf_counter()
     if workers is None:
@@ -183,19 +209,24 @@ def run_experiment(spec, workers=None, keep_samples=False):
     region = spec.kind in REGION_KINDS
     n_points = len(spec.sweep) if region else None
     configs = [spec.base] if region else [SWEEPS[spec.kind](spec.base, v) for v in spec.sweep]
+    sizes = _task_sizes(spec.trials, workers)
     payloads = []
     for config in configs:
-        for t in range(spec.trials):
+        start = 0
+        for size in sizes:
             payloads.append((spec.kind, config, tuple(spec.schemes),
-                             trial_seed(spec.seed, t), n_points))
+                             [trial_seed(spec.seed, t) for t in range(start, start + size)],
+                             n_points))
+            start += size
     log.info("running %d tasks (%s, %d trials, %d workers)",
              len(payloads), spec.kind, spec.trials, workers)
     if workers <= 1 or len(payloads) <= 1:
-        results = [_run_task(p) for p in payloads]
+        tasks = [_run_task(p) for p in payloads]
     else:
         chunk = max(1, len(payloads) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_task, payloads, chunksize=chunk))
+            tasks = list(pool.map(_run_task, payloads, chunksize=chunk))
+    results = [trial for task in tasks for trial in task]
 
     # (sweep value, its trials' results, boundary point index): a region
     # run has one trial set and a point per sweep fraction, a sum-rate run
@@ -245,6 +276,8 @@ def run_experiment(spec, workers=None, keep_samples=False):
         "workers": workers,
         "cpu_count": os.cpu_count(),
         "runtime_s": time.perf_counter() - t_start,
+        "tasks": len(payloads),
+        "trials_per_task": sizes[0],
         "nonfinite": nonfinite,
     }
     lost = {scheme: counts for scheme, counts in nonfinite.items() if any(counts)}

@@ -7,16 +7,20 @@ line where B's SINR target binds), both in closed form and for all rows
 at once, and the boundary sweep over source B's target rate up to its
 largest value, which the beamformer's gates give in closed form.
 
-P1's solver (``_max_rates``) runs one combiner search for all of a
-sweep's B targets in lockstep.  Its rows are (target, combiner) pairs,
-with B's target per row in the P1 steps: the grid is one batch of
-``alpha_grid`` combiners per target, whose table rows are built once and
-tiled, and each pair of golden steps is one batch of the three (the first
-time four) combiners of every target still refining.  A row's bits do not
-depend on its batch, so each target's answer is the one it gets alone;
-``max_rate_given_rb`` is the one-target case, and the sum-rate search runs
-the same search for one objective.  A float alpha is a batch of one: there
-is no other code path.
+A batch row carries the channel data that the steps read (``_TxBatch``),
+so one batch can hold the combiners of several channel realizations.
+P1's solver (``_max_rates``) runs one combiner search for all the B
+targets of a sequence of realizations in lockstep.  Its rows are
+(realization, target, combiner) triples, with B's target per row in the
+P1 steps: the grid is one batch of ``alpha_grid`` combiners per target,
+whose table rows are built once per realization and tiled, and each pair
+of golden steps is one batch of the three (the first time four) combiners
+of every target still refining.  A row's bits do not depend on its batch,
+so each target's answer is the one it gets alone; ``rate_region`` and
+``max_rate_given_rb`` are one-realization cases of ``rate_regions`` and
+``_max_rates``, and the sum-rate search runs the same lockstep for one
+objective per realization.  A float alpha is a batch of one: there is no
+other code path.
 """
 
 import cmath
@@ -36,6 +40,7 @@ __all__ = [
     "optimize_fixed_alpha_p1",
     "max_rate_given_rb",
     "rate_region",
+    "rate_regions",
 ]
 
 _LN2 = math.log(2.0)
@@ -68,7 +73,10 @@ class _TxBatch:
     False entry in ``has`` and a zero squared norm, so that every gate and
     search reads the same decision.  r = |d2^H d1| and phi its argument,
     both 0 when a direction is missing.  rx holds the receive gains
-    (rx_a, rx_b).
+    (rx_a, rx_b).  Each row also carries its realization's channel data
+    that the steps read: h_t (K x 2 x m_t, rows h_ra and h_rb) and si2
+    (|h_aa|^2, |h_bb|^2, in the scalar arithmetic of ``sinr_pair``), so the
+    rows of one batch may come from different realizations.
     """
 
     n_t: np.ndarray
@@ -80,11 +88,19 @@ class _TxBatch:
     phi: np.ndarray
     n: int
     rx: np.ndarray
+    h_t: np.ndarray
+    si2: np.ndarray
 
     def take(self, rows):
         """The batch of the given rows, an array of row indices."""
         return type(self)(**{name: x if name == "n" else x.take(rows, axis=0)
                              for name, x in vars(self).items()})
+
+    @classmethod
+    def concat(cls, batches):
+        """The rows of ``batches``, which share a null dimension, in order."""
+        return cls(**{name: x if name == "n" else np.concatenate([vars(b)[name] for b in batches])
+                      for name, x in vars(batches[0]).items()})
 
 
 @dataclass
@@ -149,11 +165,18 @@ def _combiner_table(channels):
     """
     u_par, u_perp = _combiner_basis(channels)
     h_t = np.stack([channels.h_ra, channels.h_rb], axis=1)
+    rows_h = np.stack([channels.h_ra, channels.h_rb])[None]
+    rows_si2 = np.array([[abs(channels.h_aa) ** 2, abs(channels.h_bb) ** 2]])
     eye = np.eye(channels.m_t, dtype=complex)[None]
     free = None if channels.h_rr.any() else _tx_geometry(h_t, eye)
     h_r = channels.h_ar, channels.h_br
     h_rr_conj = np.conj(channels.h_rr)
     threshold = 1e-12 * max(1.0, np.linalg.norm(channels.h_rr))
+
+    def batch(geo, rx):
+        k = len(rx)
+        return _TxBatch(**geo, rx=rx, h_t=np.repeat(rows_h, k, axis=0),
+                        si2=np.repeat(rows_si2, k, axis=0))
 
     def table(alphas):
         if not np.all((alphas >= 0.0) & (alphas <= 1.0)):
@@ -165,21 +188,45 @@ def _combiner_table(channels):
             w_r /= np.linalg.norm(w_r, axis=1, keepdims=True)
         rx = np.stack([_abs2(_vdots(w_r, h)) for h in h_r], axis=1)
         if free is not None:
-            return [(None, w_r, _TxBatch(**_repeat(free, alphas.size), rx=rx))]
+            return [(None, w_r, batch(_repeat(free, alphas.size), rx))]
         v = (w_r[:, None, :] @ h_rr_conj)[:, 0]  # rows v^T with v = H_rr^H w_r
         vanish = np.linalg.norm(v, axis=1) <= threshold
         if not vanish.any():
-            geo = _tx_geometry(h_t, null_space_basis(v[:, :, None]))
-            return [(None, w_r, _TxBatch(**geo, rx=rx))]
+            return [(None, w_r, batch(_tx_geometry(h_t, null_space_basis(v[:, :, None])), rx))]
         groups = []  # the combiners whose loopback row vanishes keep every direction
         for rows in (np.flatnonzero(~vanish), np.flatnonzero(vanish)):
             if rows.size:
                 geo = (_repeat(_tx_geometry(h_t, eye), rows.size) if vanish[rows[0]]
                        else _tx_geometry(h_t, null_space_basis(v[rows, :, None])))
-                groups.append((rows, w_r[rows], _TxBatch(**geo, rx=rx[rows])))
+                groups.append((rows, w_r[rows], batch(geo, rx[rows])))
         return groups
 
     return table
+
+
+def _merge(parts):
+    """One ``(rows, w_r, batch)`` entry per null dimension from ``parts``, a
+    list of (idx, groups): a table's answer ``groups`` at some alphas, whose
+    i-th alpha is row idx[i] of the merged batch.  The rows of every part
+    that share a null dimension go in one ``_TxBatch``."""
+    by_n = {}
+    for idx, groups in parts:
+        for rows, w_r, batch in groups:
+            by_n.setdefault(batch.n, []).append((idx if rows is None else idx[rows], w_r, batch))
+    return [group[0] if len(group) == 1 else (
+        np.concatenate([rows for rows, _, _ in group]), np.concatenate([w_r for _, w_r, _ in group]),
+        _TxBatch.concat([batch for _, _, batch in group])) for group in by_n.values()]
+
+
+def _rows(tables, owners, alphas):
+    """The rows of the combiners ``alphas``, the i-th one of realization
+    ``owners[i]`` with the ``_combiner_table`` ``tables[owners[i]]``, as
+    ``_merge`` groups: each realization's table is called once."""
+    parts = []
+    for k in dict.fromkeys(owners.tolist()):
+        idx = np.flatnonzero(owners == k)
+        parts.append((idx, tables[k](alphas[idx])))
+    return _merge(parts)
 
 
 def _p_prime(p_r_max, p_a, p_b, rx_a, rx_b):
@@ -290,7 +337,7 @@ def _directions(ctx, k):
             ctx.d[k, :, 0] if ctx.has[k, 0] else None)
 
 
-def _p1_gates(channels, ctx, p_a, p_b, gamma_b, p_r_max):
+def _p1_gates(ctx, p_a, p_b, gamma_b, p_r_max):
     """The two gates of the P1 beamformer at each row of the ``_TxBatch``
     ``ctx``, from the row's receive gains and ||b_t||^2 alone, with B's
     SINR target gamma_b per row (or one float for all rows).  Returns
@@ -303,13 +350,13 @@ def _p1_gates(channels, ctx, p_a, p_b, gamma_b, p_r_max):
     rx_a, rx_b = ctx.rx.T
     p_bar = _p_prime(p_r_max, p_a, p_b, rx_a, rx_b)
     margin = p_a * rx_a - gamma_b
-    gb_bar = np.divide(gamma_b * (p_b * abs(channels.h_bb) ** 2 + 1.0), margin,
+    gb_bar = np.divide(gamma_b * (p_b * ctx.si2[:, 1] + 1.0), margin,
                        out=np.full(len(rx_a), math.inf), where=margin > 0.0)
     gb_bar = np.where(np.asarray(gamma_b) > 0.0, gb_bar, 0.0)
     return gb_bar, p_bar, p_bar * ctx.n2[:, 1] >= gb_bar * (1.0 - 1e-12)
 
 
-def solve_txbf_p1(channels, ctx, p_a, p_b, gamma_b, p_r_max):
+def solve_txbf_p1(ctx, p_a, p_b, gamma_b, p_r_max):
     """Transmit beamformers maximizing the gain toward A under the B-SINR
     threshold, the relay power budget (met with equality) and ZF, for a
     batch of combiners: ``ctx`` is a ``_TxBatch`` with one row per
@@ -323,11 +370,11 @@ def solve_txbf_p1(channels, ctx, p_a, p_b, gamma_b, p_r_max):
     (or A has no direction), both constraints bind and z is the boundary
     vector at that level.
     """
-    gb_bar, p_bar, ok = _p1_gates(channels, ctx, p_a, p_b, gamma_b, p_r_max)
+    gb_bar, p_bar, ok = _p1_gates(ctx, p_a, p_b, gamma_b, p_r_max)
     scale = np.sqrt(p_bar)
     w_t = scale[:, None] * (ctx.n_t @ ctx.d[:, :, :1])[:, :, 0]  # maximizer at full budget
     gb_min = gb_bar * (1.0 - 1e-12)
-    bound = ok & ~(ctx.has[:, 0] & (np.square(np.abs(_vdots(channels.h_rb, w_t))) >= gb_min))
+    bound = ok & ~(ctx.has[:, 0] & (np.square(np.abs(_vdots(ctx.h_t[:, 1], w_t))) >= gb_min))
     rows = bound.nonzero()[0]
     if rows.size:
         sub = ctx if rows.size == len(bound) else ctx.take(rows)
@@ -338,7 +385,7 @@ def solve_txbf_p1(channels, ctx, p_a, p_b, gamma_b, p_r_max):
     return w_t, ok
 
 
-def solve_power_p1(channels, w_t, ctx, gamma_b, config):
+def solve_power_p1(w_t, ctx, gamma_b, config):
     """Source powers maximizing A's SINR subject to B's SINR threshold, the
     relay budget and the power box, in closed form, for a batch of
     combiners: ``w_t`` holds one beamformer per row of the ``_TxBatch``
@@ -371,11 +418,11 @@ def solve_power_p1(channels, w_t, ctx, gamma_b, config):
     returned when the optimum's SINR is below 1e-12 (a combiner orthogonal
     to h_br, say) and its p_a exceeds c by more than 1e-12.
     """
-    haa2, hbb2 = abs(channels.h_aa) ** 2, abs(channels.h_bb) ** 2
+    haa2, hbb2 = ctx.si2.T
     p_a_max, p_b_max = config.p_a_max, config.p_b_max
     p_a_top = p_a_max * (1.0 + 1e-9) + 1e-9
     # sinr_pair's gains T_a, T_b, and ||w_t||^2
-    tx_a, tx_b = _abs2(_vdots(np.array([channels.h_ra, channels.h_rb]), w_t[:, None, :])).T
+    tx_a, tx_b = _abs2(_vdots(ctx.h_t, w_t[:, None, :])).T
     nt2 = _vdots(w_t, w_t).real
     rx_a, rx_b = ctx.rx.T
     den = tx_b * rx_a
@@ -410,13 +457,13 @@ def solve_power_p1(channels, w_t, ctx, gamma_b, config):
 @dataclass
 class _Points:
     """The alternation's outcome at a batch of combiners: each one's
-    combiner, beamformer, the powers it stopped at, its trace and whether
-    it found a feasible point (``ok``).  ``values`` holds each trace's
-    last value (-inf at an infeasible combiner), and ``point(i)`` builds
-    combiner i's OperatingPoint (Infeasible('combiner') at an infeasible
-    one)."""
+    realization, combiner, beamformer, the powers it stopped at, its trace
+    and whether it found a feasible point (``ok``).  ``values`` holds each
+    trace's last value (-inf at an infeasible combiner), and ``point(i)``
+    builds combiner i's OperatingPoint (Infeasible('combiner') at an
+    infeasible one)."""
 
-    channels: object
+    channels: list
     alphas: np.ndarray
     w_r: np.ndarray
     w_t: np.ndarray
@@ -432,7 +479,7 @@ class _Points:
     def point(self, i):
         if not self.ok[i]:
             raise Infeasible("combiner", f"no feasible point at alpha = {self.alphas[i]}")
-        return make_operating_point(self.channels, self.w_t[i], self.w_r[i],
+        return make_operating_point(self.channels[i], self.w_t[i], self.w_r[i],
                                     float(self.alphas[i]), float(self.powers[i, 0]),
                                     float(self.powers[i, 1]), self.traces[i])
 
@@ -455,13 +502,14 @@ def _alternate_rows(ctx, config, starts, beam, power):
     the first iteration); otherwise the beamformer is re-solved at the new
     powers.  That second stop changes no answer: at the same powers P1's
     beamformer (which ignores its warm start) returns the same bits and
-    P2's the same frontier point up to rounding.  A row whose power step or
-    re-solved beamformer is infeasible is infeasible (and stops after its
-    next power step).  Only the running rows are solved, as one batch.  A
-    row that stops keeps its traced powers and the beamformer they were
-    scored with; at iter_max it keeps the beamformer re-solved after its
-    last traced iteration, so its objective can exceed its last traced
-    value.
+    P2's the same frontier point up to rounding.  A row whose power step is
+    infeasible is infeasible.  A row whose re-solved beamformer is
+    infeasible stops at its last traced point, which is feasible: the
+    powers of its last power step and the beamformer they were scored
+    with.  Only the running rows are solved, as one batch.  A row that
+    stops keeps its traced powers and the beamformer they were scored
+    with; at iter_max it keeps the beamformer re-solved after its last
+    traced iteration, so its objective can exceed its last traced value.
     """
     k = len(ctx.rx)
     powers = np.empty((k, 2))
@@ -478,41 +526,48 @@ def _alternate_rows(ctx, config, starts, beam, power):
     pa, pb, w, prev = powers[rows, 0], powers[rows, 1], w_t[rows], np.zeros(rows.size)
     if rows.size < k:
         ctx = ctx.take(rows)
-    fine = None  # the feasibility of the running rows' last beamformers
+
+    def keep(running):
+        # the rows outside the mask ``running`` stop at (pa, pb, w)
+        nonlocal rows, ctx, pa, pb, w, prev
+        done = rows[~running]
+        powers[done, 0], powers[done, 1], w_t[done] = pa[~running], pb[~running], w[~running]
+        going = running.nonzero()[0]
+        rows, ctx, pa, pb, w, prev = (rows[going], ctx.take(going), pa[going], pb[going],
+                                      w[going], prev[going])
+
     for _ in range(config.iter_max if rows.size else 0):
-        p_a, p_b, value, step_fine = power(w, ctx)
+        p_a, p_b, value, fine = power(w, ctx)
         for row, val in zip(rows.tolist(), value.tolist()):
             traces[row].append(val)
         stop = (value - prev < config.conv_tol) | ((p_a == pa) & (p_b == pb))
-        for mask in (fine, step_fine):
-            if mask is not None and np.count_nonzero(mask) < mask.size:
-                ok[rows] &= mask
-                stop |= ~mask
+        if fine is not None and not fine.all():
+            ok[rows] &= fine
+            stop |= ~fine
         pa, pb, prev = p_a, p_b, value
-        going = (~stop).nonzero()[0]
-        if not going.size:
-            break
-        if going.size < rows.size:
-            done = stop.nonzero()[0]
-            powers[rows[done], 0], powers[rows[done], 1], w_t[rows[done]] = pa[done], pb[done], w[done]
-            rows, ctx, pa, pb, w, prev = (rows[going], ctx.take(going), pa[going], pb[going],
-                                          w[going], prev[going])
-        w, fine = beam(ctx, pa, pb, w)
-    if fine is not None:
-        ok[rows] &= fine
+        if stop.any():
+            keep(~stop)
+            if not rows.size:
+                break
+        w_new, fine = beam(ctx, pa, pb, w)
+        if fine is not None and not fine.all():
+            keep(fine)
+            w_new = w_new[fine]
+        w = w_new
     powers[rows, 0], powers[rows, 1], w_t[rows] = pa, pb, w
     return w_t, powers, ok, traces
 
 
 def _alternate_batch(channels, alpha, groups, config, starts, beam, power):
     """``_alternate_rows`` at each combiner of ``alpha``, whose rows are
-    ``groups``, a ``_combiner_table``'s answer at those combiners.  An array
-    ``alpha`` gives its ``_Points``; a float is a batch of one and gives its
-    OperatingPoint (Infeasible('combiner') if none)."""
+    ``groups`` (a ``_combiner_table``'s or ``_merge``'s answer at those
+    combiners) and whose realizations are ``channels``, one per combiner.
+    An array ``alpha`` gives its ``_Points``; a float is a batch of one and
+    gives its OperatingPoint (Infeasible('combiner') if none)."""
     alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
     k = alphas.size
-    w_r = np.empty((k, channels.m_r), dtype=complex)
-    w_t = np.empty((k, channels.m_t), dtype=complex)
+    w_r = np.empty((k, channels[0].m_r), dtype=complex)
+    w_t = np.empty((k, channels[0].m_t), dtype=complex)
     powers, ok, traces = np.empty((k, 2)), np.empty(k, dtype=bool), [None] * k
     for rows, group_w_r, ctx in groups:
         rows = np.arange(k) if rows is None else rows
@@ -526,16 +581,15 @@ def _alternate_batch(channels, alpha, groups, config, starts, beam, power):
 
 
 def _p1_batch(channels, alpha, gamma_b, groups, config):
-    """``optimize_fixed_alpha_p1`` at the combiners ``alpha``, whose rows
-    are ``groups``, with B's SINR target ``gamma_b`` per combiner (an array
-    of alpha's size)."""
+    """``optimize_fixed_alpha_p1`` at the combiners ``alpha`` of the
+    realizations ``channels``, whose rows are ``groups``, with B's SINR
+    target ``gamma_b`` per combiner (an array of alpha's size)."""
     groups = [(rows, w_r, _P1Batch(**vars(ctx), gamma_b=gamma_b if rows is None else gamma_b[rows]))
               for rows, w_r, ctx in groups]
     return _alternate_batch(
         channels, alpha, groups, config, [(config.p_a_max, config.p_b_max), (config.p_a_max, 0.0)],
-        beam=lambda ctx, p_a, p_b, _: solve_txbf_p1(channels, ctx, p_a, p_b, ctx.gamma_b,
-                                                    config.p_r_max),
-        power=lambda w_t, ctx: solve_power_p1(channels, w_t, ctx, ctx.gamma_b, config))
+        beam=lambda ctx, p_a, p_b, _: solve_txbf_p1(ctx, p_a, p_b, ctx.gamma_b, config.p_r_max),
+        power=lambda w_t, ctx: solve_power_p1(w_t, ctx, ctx.gamma_b, config))
 
 
 def optimize_fixed_alpha_p1(channels, alpha, gamma_b, config, combiners=None):
@@ -545,10 +599,11 @@ def optimize_fixed_alpha_p1(channels, alpha, gamma_b, config, combiners=None):
     B's SINR target ``gamma_b``.  ``combiners`` is a ``_combiner_table`` of
     the realization (None: a fresh one).  A combiner stops when A's SINR
     improves by less than conv_tol, when the power step keeps the powers,
-    or at iter_max; its trace of SINR values is nondecreasing.
+    when the re-solved beamformer is infeasible, or at iter_max; its trace
+    of SINR values is nondecreasing.
     """
     alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
-    return _p1_batch(channels, alpha, np.full(alphas.size, float(gamma_b)),
+    return _p1_batch([channels] * alphas.size, alpha, np.full(alphas.size, float(gamma_b)),
                      (combiners or _combiner_table(channels))(alphas), config)
 
 
@@ -584,14 +639,13 @@ def _alpha_searches(evaluate, n, config):
     return best
 
 
-def _alpha_search(evaluate, config):
-    """``_alpha_searches`` for one objective, whose ``evaluate(alphas)``
-    takes the alphas alone; raises Infeasible('alpha_grid') when the whole
-    grid is infeasible."""
-    [point] = _alpha_searches(lambda _, alphas: evaluate(alphas), 1, config)
-    if point is None:
+def _alpha_search(evaluate, n, config):
+    """``_alpha_searches`` where every objective must find a point; raises
+    Infeasible('alpha_grid') when one's whole grid is infeasible."""
+    points = _alpha_searches(evaluate, n, config)
+    if any(point is None for point in points):
         raise Infeasible("alpha_grid", "no feasible combiner setting on the grid")
-    return point
+    return points
 
 
 def _grid(table, config):
@@ -606,10 +660,11 @@ def _gamma_b_max(grid, config):
     The combiner search yields no point only when every grid combiner is
     infeasible, and ``optimize_fixed_alpha_p1`` finds a combiner infeasible
     only when its first beamformer solve fails ``_p1_gates`` at both start
-    powers: past the gates the start beamformer meets B's target, and each
-    later power and beamformer step keeps a feasible point (up to the
-    solvers' tolerances).  The gates at (p_a_max, 0) dominate those at
-    (p_a_max, p_b_max), and there they pass exactly when
+    powers: past the gates the start beamformer meets B's target, each
+    power step keeps a feasible point (up to the solvers' tolerances) and
+    a re-solved beamformer that fails the gates leaves the row at its last
+    feasible point (``_alternate_rows``).  The gates at (p_a_max, 0)
+    dominate those at (p_a_max, p_b_max), and there they pass exactly when
     gamma_b <= p_a_max rx_a s_b / (s_b + 1) with s_b = p_bar ||b_t||^2 and
     p_bar = p_r_max / (p_a_max rx_a + 1): B's SINR when A sends at full
     power, B is silent and the whole relay budget goes on the b_t
@@ -636,33 +691,44 @@ def _tile(groups, n):
             for rows, w_r, ctx in groups]
 
 
-def _max_rates(channels, r_bs, config, table, grid):
-    """P1's solver: A's best operating point subject to B achieving each
-    rate of ``r_bs``, or None where no grid combiner is feasible.  One
-    combiner search (``_alpha_searches``) runs for all targets in lockstep:
-    its rows are (target, combiner) pairs with B's target per row, so the
-    grid is one batch of P1 alternations (``_p1_batch``) on ``grid``, the
-    table's grid rows, tiled across the targets, and each pair of golden
-    steps one batch of every refining target's combiners.  A target's point
-    does not depend on the other targets.
+def _max_rates(realizations, r_bs, config, tables, grids):
+    """P1's solver: for each realization and each of its B rates
+    ``r_bs[i]``, A's best operating point subject to B achieving the rate,
+    or None where no grid combiner is feasible.  ``tables[i]`` is the
+    realization's ``_combiner_table`` and ``grids[i]`` its grid rows
+    (``_grid``).  One combiner search (``_alpha_searches``) runs for all
+    (realization, target) pairs in lockstep: its rows are (realization,
+    target, combiner) triples with B's target per row, so the grid is one
+    batch of P1 alternations (``_p1_batch``) on each realization's grid
+    rows, tiled across its targets, and each pair of golden steps one
+    batch of every refining pair's combiners, the rows that share a null
+    dimension in one ``_TxBatch`` (``_merge``).  A target's point does not
+    depend on the other targets or realizations.
 
     B's SINR threshold 2**r_b - 1 is computed with expm1, so a tiny target
     (a weak B link) keeps its relative accuracy.
     """
-    if min(r_bs) < 0:
+    if any(r_b < 0 for targets in r_bs for r_b in targets):
         raise ValueError("r_b must be nonnegative")
-    gammas = np.array([math.expm1(r_b * _LN2) for r_b in r_bs])
-    n = gammas.size
+    gammas = np.array([math.expm1(r_b * _LN2) for targets in r_bs for r_b in targets])
+    counts = [len(targets) for targets in r_bs]
+    owner = np.repeat(np.arange(len(r_bs)), counts)  # each target's realization
+    starts = np.cumsum([0] + counts)
 
     def evaluate(owners, alphas):
         if owners is None:  # the grid of every target
-            points = _p1_batch(channels, np.tile(alphas, n), np.repeat(gammas, alphas.size),
-                               _tile(grid, n), config)
+            g = alphas.size
+            groups = _merge([(np.arange(starts[i] * g, starts[i + 1] * g), _tile(grid, counts[i]))
+                             for i, grid in enumerate(grids) if counts[i]])
+            owners, alphas = np.repeat(np.arange(gammas.size), g), np.tile(alphas, gammas.size)
         else:
-            points = _p1_batch(channels, alphas, gammas[owners], table(alphas), config)
+            groups = _rows(tables, owner[owners], alphas)
+        points = _p1_batch([realizations[i] for i in owner[owners].tolist()], alphas,
+                           gammas[owners], groups, config)
         return points.values, points.point
 
-    return _alpha_searches(evaluate, n, config)
+    points = _alpha_searches(evaluate, gammas.size, config)
+    return [points[start:end] for start, end in zip(starts[:-1], starts[1:])]
 
 
 def max_rate_given_rb(channels, r_b, config, combiners=None):
@@ -672,19 +738,21 @@ def max_rate_given_rb(channels, r_b, config, combiners=None):
     realization (None: built afresh); no answer depends on it.
     """
     table = combiners or _combiner_table(channels)
-    [point] = _max_rates(channels, [r_b], config, table, _grid(table, config))
+    [[point]] = _max_rates([channels], [[r_b]], config, [table], [_grid(table, config)])
     if point is None:
         raise Infeasible("alpha_grid", "no feasible combiner setting on the grid")
     return point
 
 
-def region_sweep(solve_targets, r_b_max, n_points):
-    """Generic boundary sweep used by the proposed scheme and the baselines.
+def _sweep_targets(r_b_max, n_points):
+    """The boundary sweep's n_points B targets, from 0 to r_b_max."""
+    if n_points < 2:
+        raise ValueError("n_points must be >= 2")
+    return [float(r_b) for r_b in np.linspace(0.0, r_b_max, n_points)]
 
-    ``solve_targets(targets)`` returns an OperatingPoint, or None where
-    infeasible, for each of a list of B targets; ``r_b_max`` is B's largest
-    target, at which it succeeds.  The boundary is sampled at n_points
-    targets from 0 to r_b_max, and non-monotone raw sweeps are repaired by
+
+def _repair(entries):
+    """A raw sweep's (target, point-or-None) entries, made monotone by
     carrying dominating higher-target points down.  From the top, each
     point is compared with the last point kept (every higher target's
     point is feasible at a lower target): it is kept when its rate_a
@@ -695,10 +763,7 @@ def region_sweep(solve_targets, r_b_max, n_points):
     are decided by rate_b, and the repaired rate_a never rises by more
     than 1e-12 from one target to the next.
     """
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
-    targets = [float(r_b) for r_b in np.linspace(0.0, r_b_max, n_points)]
-    entries = list(zip(targets, solve_targets(targets)))
+    entries = list(entries)
     tol = 1e-9 * max([pt.rate_a for _, pt in entries if pt is not None], default=0.0)
     best = None
     for k in range(len(entries) - 1, -1, -1):
@@ -711,14 +776,38 @@ def region_sweep(solve_targets, r_b_max, n_points):
     return entries
 
 
+def region_sweep(solve_targets, r_b_max, n_points):
+    """Generic boundary sweep used by the proposed scheme and the baselines.
+
+    ``solve_targets(targets)`` returns an OperatingPoint, or None where
+    infeasible, for each of a list of B targets; ``r_b_max`` is B's largest
+    target, at which it succeeds.  The boundary is sampled at n_points
+    targets from 0 to r_b_max, and non-monotone raw sweeps are repaired
+    (``_repair``).
+    """
+    targets = _sweep_targets(r_b_max, n_points)
+    return _repair(zip(targets, solve_targets(targets)))
+
+
+def rate_regions(realizations, n_points, config):
+    """``rate_region`` of each realization of a sequence, whose points are
+    solved together: every realization reads one ``_combiner_table``, whose
+    grid rows are built once, and the points of all of them are one
+    lockstep ``_max_rates``.  Each region is the one its realization gets
+    alone."""
+    tables = [_combiner_table(channels) for channels in realizations]
+    grids = [_grid(table, config) for table in tables]
+    ends = [math.log1p(_gamma_b_max(grid, config)) / _LN2 for grid in grids]
+    targets = [_sweep_targets(end, n_points) for end in ends]
+    points = _max_rates(realizations, targets, config, tables, grids)
+    return [_repair(zip(*pair)) for pair in zip(targets, points)]
+
+
 def rate_region(channels, n_points, config):
     """Boundary of the achievable (rate_a, rate_b) region as a list of
     (r_b target, OperatingPoint-or-None) pairs, swept from r_b = 0 up to
     B's largest feasible target, log2(1 + ``_gamma_b_max``) (by log1p, which
-    keeps a tiny endpoint exact enough for the point solve to meet it).
-    The endpoint and every point read one ``_combiner_table``, whose grid
-    rows are built once, and the points are one lockstep ``_max_rates``."""
-    table = _combiner_table(channels)
-    grid = _grid(table, config)
-    return region_sweep(lambda targets: _max_rates(channels, targets, config, table, grid),
-                        math.log1p(_gamma_b_max(grid, config)) / _LN2, n_points)
+    keeps a tiny endpoint exact enough for the point solve to meet it), and
+    repaired as in ``region_sweep``: ``rate_regions`` of one realization."""
+    [entries] = rate_regions([channels], n_points, config)
+    return entries

@@ -16,7 +16,9 @@ check.
 
 The frontier search, the power step and the re-solves of the combiners
 whose powers moved each run as a few numpy calls over a ``_TxBatch`` of
-combiners; the power step's stationary points on the relay-budget curve
+combiners, whose rows carry their realization's channel data, so
+``max_sum_rates`` searches the combiners of several realizations in one
+lockstep; the power step's stationary points on the relay-budget curve
 are the roots of a quadratic, solved for all rows in closed form.
 """
 
@@ -36,6 +38,7 @@ from .rate_region import (
     _directions,
     _null_z,
     _p_prime,
+    _rows,
     boundary_range,
 )
 
@@ -47,6 +50,7 @@ __all__ = [
     "solve_power_p2",
     "optimize_fixed_alpha_p2",
     "max_sum_rate",
+    "max_sum_rates",
 ]
 
 # grid spacing in q at which the frontier search stops
@@ -66,17 +70,21 @@ def _sum_rate_bits(e_a, e_b, k_a, k_b, s_a, s_b):
     return np.log2(_rate_gain(e_a, e_b, k_a, k_b, s_a, s_b))
 
 
-def _coeffs(channels, rx_a, rx_b, p_a, p_b):
+def _coeffs(haa2, hbb2, rx_a, rx_b, p_a, p_b):
     e_a = p_b * rx_b
     e_b = p_a * rx_a
-    k_a = p_a * abs(channels.h_aa) ** 2 + 1.0
-    k_b = p_b * abs(channels.h_bb) ** 2 + 1.0
+    k_a = p_a * haa2 + 1.0
+    k_b = p_b * hbb2 + 1.0
     return e_a, e_b, k_a, k_b
+
+
+def _si2(channels):
+    return abs(channels.h_aa) ** 2, abs(channels.h_bb) ** 2
 
 
 def dc_objective(channels, w_r, p_a, p_b, s_a, s_b):
     """Sum rate as a function of the two quadratic forms of w_t."""
-    e_a, e_b, k_a, k_b = _coeffs(channels, *receive_gains(channels, w_r), p_a, p_b)
+    e_a, e_b, k_a, k_b = _coeffs(*_si2(channels), *receive_gains(channels, w_r), p_a, p_b)
     return float(_sum_rate_bits(e_a, e_b, k_a, k_b, s_a, s_b))
 
 
@@ -87,7 +95,7 @@ def dc_linearized_objective(channels, w_r, p_a, p_b, s_a, s_b, anchor):
     surrogate is a global lower bound of the true objective, tight at the
     anchor; that is what makes the DC iteration monotone.
     """
-    e_a, e_b, k_a, k_b = _coeffs(channels, *receive_gains(channels, w_r), p_a, p_b)
+    e_a, e_b, k_a, k_b = _coeffs(*_si2(channels), *receive_gains(channels, w_r), p_a, p_b)
     s_a_k, s_b_k = anchor
     f_val = np.log2((e_a + 1.0) * s_a + k_a) + np.log2((e_b + 1.0) * s_b + k_b)
     g_lin = (math.log2(s_a_k + k_a) + math.log2(s_b_k + k_b)
@@ -109,7 +117,7 @@ def dc_step(channels, ctx, p_a, p_b, anchor, config):
     """
     (rx_a, rx_b), (na2, nb2) = ctx.rx[0].tolist(), ctx.n2[0].tolist()
     r, n = float(ctx.r[0]), ctx.n
-    e_a, e_b, k_a, k_b = _coeffs(channels, rx_a, rx_b, p_a, p_b)
+    e_a, e_b, k_a, k_b = _coeffs(*_si2(channels), rx_a, rx_b, p_a, p_b)
     p_prime = _p_prime(config.p_r_max, p_a, p_b, rx_a, rx_b)
     grid_points = config.grid_points
     s_a_k, s_b_k = anchor
@@ -186,7 +194,7 @@ def _frontier_argmax(e_a, e_b, k_a, k_b, top_a, top_b, r, grid_points):
     return q
 
 
-def solve_txbf_p2(channels, ctx, p_a, p_b, config, w_t_init=None):
+def solve_txbf_p2(ctx, p_a, p_b, config, w_t_init=None):
     """Transmit beamformers maximizing the sum rate at fixed powers, for a
     batch of combiners: ``ctx`` is a ``_TxBatch`` with one row per combiner,
     ``p_a``/``p_b`` arrays of its powers and ``w_t_init`` None or the rows'
@@ -210,7 +218,7 @@ def solve_txbf_p2(channels, ctx, p_a, p_b, config, w_t_init=None):
     p_prime = _p_prime(config.p_r_max, p_a, p_b, rx_a, rx_b)
     if ctx.n == 1:
         return np.sqrt(p_prime)[:, None] * ctx.n_t[:, :, 0]
-    e_a, e_b, k_a, k_b = _coeffs(channels, rx_a, rx_b, p_a, p_b)
+    e_a, e_b, k_a, k_b = _coeffs(*ctx.si2.T, rx_a, rx_b, p_a, p_b)
     top = p_prime[:, None] * ctx.n2
     q = _frontier_argmax(e_a, e_b, k_a, k_b, top[:, 0], top[:, 1], ctx.r, config.grid_points)
 
@@ -276,7 +284,7 @@ def _stationary_points(tx_a, tx_b, rx_a, rx_b, budget, haa2, hbb2):
     return np.where(np.isfinite(roots), roots, np.nan)
 
 
-def solve_power_p2(channels, w_t, ctx, config):
+def solve_power_p2(w_t, ctx, config):
     """Source powers maximizing the sum rate at fixed beamformers, for a
     batch of combiners: ``w_t`` holds one beamformer per row of the
     ``_TxBatch`` ``ctx``.  Returns arrays (p_a, p_b, value), value being
@@ -306,12 +314,10 @@ def solve_power_p2(channels, w_t, ctx, config):
     so (0.0, 0.0, 0.0) is returned when no candidate scores higher,
     feasible or not.
     """
-    h_ra, h_rb = channels.h_ra, channels.h_rb
-    tx_a, tx_b, nt2 = np.array([(abs(np.vdot(h_ra, w)) ** 2, abs(np.vdot(h_rb, w)) ** 2,
-                                 np.vdot(w, w).real) for w in w_t]).T
+    tx_a, tx_b, nt2 = np.array([(abs(np.vdot(h[0], w)) ** 2, abs(np.vdot(h[1], w)) ** 2,
+                                 np.vdot(w, w).real) for h, w in zip(ctx.h_t, w_t)]).T
     rx_a, rx_b = ctx.rx.T
-    haa2 = abs(channels.h_aa) ** 2
-    hbb2 = abs(channels.h_bb) ** 2
+    haa2, hbb2 = ctx.si2.T
     pa_max, pb_max, pr_max = config.p_a_max, config.p_b_max, config.p_r_max
     k = len(nt2)
     # cap on p_a rx_a + p_b rx_b (inf where w_t is zero)
@@ -346,16 +352,17 @@ def solve_power_p2(channels, w_t, ctx, config):
         pa[single_b, 3], pb[single_b, 3] = 0.0, budget[single_b] / rx_b[single_b]
     pa = np.minimum(np.maximum(pa, 0.0), pa_max)
     pb = np.minimum(np.maximum(pb, 0.0), pb_max)
-    rx_a, rx_b, tx_a, tx_b = (x[:, None] for x in (rx_a, rx_b, tx_a, tx_b))
+    rx_a, rx_b, tx_a, tx_b, haa2, hbb2 = (x[:, None] for x in (rx_a, rx_b, tx_a, tx_b,
+                                                                haa2, hbb2))
     ok = pa * rx_a + pb * rx_b <= (budget * (1.0 + 1e-12) + 1e-12)[:, None]  # relay budget
     # candidates are ranked by (1 + gamma_a)(1 + gamma_b); the winner's
     # value is recomputed below in sinr_pair's arithmetic
     score = np.where(ok, (1.0 + pb * (tx_a * rx_b) / (tx_a + pa * haa2 + 1.0))
                      * (1.0 + pa * (tx_b * rx_a) / (tx_b + pb * hbb2 + 1.0)), -math.inf)
     out = np.zeros((k, 3))
-    for row, (j, s_row, cand_a, cand_b, ta, tb, r_a, r_b) in enumerate(zip(
+    for row, (j, s_row, cand_a, cand_b, ta, tb, r_a, r_b, si_a, si_b) in enumerate(zip(
             score.argmax(axis=1).tolist(), score.tolist(), pa.tolist(), pb.tolist(),
-            tx_a[:, 0].tolist(), tx_b[:, 0].tolist(), rx_a[:, 0].tolist(), rx_b[:, 0].tolist())):
+            *(x[:, 0].tolist() for x in (tx_a, tx_b, rx_a, rx_b, haa2, hbb2)))):
         if not s_row[j] > 1.0:
             continue
         p_a, p_b = cand_a[j], cand_b[j]
@@ -364,12 +371,21 @@ def solve_power_p2(channels, w_t, ctx, config):
             if None not in snapped:
                 p_a, p_b = snapped
         # sinr_pair's arithmetic
-        g_a = p_b * ta * r_b / (ta + p_a * haa2 + 1.0)
-        g_b = p_a * tb * r_a / (tb + p_b * hbb2 + 1.0)
+        g_a = p_b * ta * r_b / (ta + p_a * si_a + 1.0)
+        g_b = p_a * tb * r_a / (tb + p_b * si_b + 1.0)
         value = math.log2(1.0 + g_a) + math.log2(1.0 + g_b)
         if value > 0.0:
             out[row] = p_a, p_b, value
     return out[:, 0], out[:, 1], out[:, 2]
+
+
+def _p2_batch(channels, alpha, groups, config):
+    """``optimize_fixed_alpha_p2`` at the combiners ``alpha`` of the
+    realizations ``channels``, whose rows are ``groups``."""
+    return _alternate_batch(
+        channels, alpha, groups, config, [(config.p_a_max, config.p_b_max)],
+        beam=lambda ctx, p_a, p_b, w_t: (solve_txbf_p2(ctx, p_a, p_b, config, w_t), None),
+        power=lambda w_t, ctx: (*solve_power_p2(w_t, ctx, config), None))
 
 
 def optimize_fixed_alpha_p2(channels, alpha, config, combiners=None):
@@ -381,23 +397,34 @@ def optimize_fixed_alpha_p2(channels, alpha, config, combiners=None):
     or at iter_max.  Every combiner is feasible.
     """
     alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
-    return _alternate_batch(
-        channels, alpha, (combiners or _combiner_table(channels))(alphas), config,
-        [(config.p_a_max, config.p_b_max)],
-        beam=lambda ctx, p_a, p_b, w_t: (solve_txbf_p2(channels, ctx, p_a, p_b, config, w_t), None),
-        power=lambda w_t, ctx: (*solve_power_p2(channels, w_t, ctx, config), None))
+    return _p2_batch([channels] * alphas.size, alpha,
+                     (combiners or _combiner_table(channels))(alphas), config)
+
+
+def max_sum_rates(realizations, config):
+    """``max_sum_rate`` of each realization of a sequence, all searched in
+    one lockstep: the grid is one batch of every realization's grid
+    combiners and each pair of golden steps one batch of every refining
+    realization's three (the step's combiner and the next step's two
+    candidates), the rows that share a null dimension in one ``_TxBatch``.
+    Each realization reads one ``_combiner_table``; only the winners'
+    OperatingPoints are built, and each is the one its realization gets
+    alone."""
+    tables = [_combiner_table(channels) for channels in realizations]
+    n = len(realizations)
+
+    def evaluate(owners, alphas):
+        if owners is None:  # the grid of every realization
+            owners, alphas = np.repeat(np.arange(n), alphas.size), np.tile(alphas, n)
+        points = _p2_batch([realizations[i] for i in owners.tolist()], alphas,
+                           _rows(tables, owners, alphas), config)
+        return points.values, points.point
+
+    return _alpha_search(evaluate, n, config)
 
 
 def max_sum_rate(channels, config):
     """Best sum-rate operating point over the combiner parameter grid plus
-    golden refinement.  The grid is one batch of ``optimize_fixed_alpha_p2``
-    and each pair of golden steps a batch of three (the step's combiner and
-    the next step's two candidates), all reading one ``_combiner_table``;
-    only the winner's OperatingPoint is built."""
-    table = _combiner_table(channels)
-
-    def evaluate(alphas):
-        points = optimize_fixed_alpha_p2(channels, alphas, config, table)
-        return points.values, points.point
-
-    return _alpha_search(evaluate, config)
+    golden refinement: ``max_sum_rates`` of one realization."""
+    [point] = max_sum_rates([channels], config)
+    return point

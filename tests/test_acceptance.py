@@ -179,7 +179,7 @@ def test_criterion_5_oracle_equivalence():
         seed += 1
         ch, w_r, batch, p_a, p_b, gamma_b = _txbf_instance(seed)
         try:
-            w_t = txbf_p1_row(ch, batch, p_a, p_b, gamma_b, BASE.p_r_max)
+            w_t = txbf_p1_row(batch, p_a, p_b, gamma_b, BASE.p_r_max)
         except Infeasible:
             continue
         done += 1
@@ -214,12 +214,12 @@ def test_criterion_5_oracle_equivalence():
         seed += 1
         ch, w_r, batch, p_a, p_b, gamma_b = _txbf_instance(seed)
         try:
-            w_t = txbf_p1_row(ch, batch, p_a, p_b, gamma_b, BASE.p_r_max)
+            w_t = txbf_p1_row(batch, p_a, p_b, gamma_b, BASE.p_r_max)
         except Infeasible:
             continue
         if done1 < 100:
             try:
-                pa1, pb1, _ = power_p1_row(ch, w_t, batch, gamma_b, BASE)
+                pa1, pb1, _ = power_p1_row(w_t, batch, gamma_b, BASE)
             except Infeasible:
                 pa1 = None
             if pa1 is not None:
@@ -233,7 +233,7 @@ def test_criterion_5_oracle_equivalence():
                     p1_ok &= val >= rep.best_value - slack
         if done2 < 100:
             done2 += 1
-            pa2, pb2, _ = power_row(ch, w_t, batch, BASE)
+            pa2, pb2, _ = power_row(w_t, batch, BASE)
             ga, gb = sinr_pair(ch, w_t, w_r, pa2, pb2)
             val = math.log2(1 + ga) + math.log2(1 + gb)
             rep = grid_power_oracle(ch, w_t, w_r, "p2", 400, BASE)
@@ -278,7 +278,7 @@ def test_criterion_6_structural_invariants():
     for seed in range(3000):
         ch, w_r, batch, p_a, p_b, gamma_b = _txbf_instance(50_000 + seed)
         try:
-            w_t = txbf_p1_row(ch, batch, p_a, p_b, gamma_b, BASE.p_r_max)
+            w_t = txbf_p1_row(batch, p_a, p_b, gamma_b, BASE.p_r_max)
         except Infeasible:
             calls += 1
             continue
@@ -292,8 +292,8 @@ def test_criterion_6_structural_invariants():
     for seed in range(2500):
         ch, w_r, batch, p_a, p_b, gamma_b = _txbf_instance(60_000 + seed)
         try:
-            w_t = txbf_p1_row(ch, batch, p_a, p_b, gamma_b, BASE.p_r_max)
-            pa, pb, _ = power_p1_row(ch, w_t, batch, gamma_b, BASE)
+            w_t = txbf_p1_row(batch, p_a, p_b, gamma_b, BASE.p_r_max)
+            pa, pb, _ = power_p1_row(w_t, batch, gamma_b, BASE)
         except Infeasible:
             calls += 1
             continue
@@ -307,7 +307,7 @@ def test_criterion_6_structural_invariants():
     # transmit beamformer P2: ZF, relay power cap, never below the cold start
     for seed in range(1500):
         ch, w_r, batch, p_a, p_b, _ = _txbf_instance(70_000 + seed)
-        w_t = txbf_row(ch, batch, p_a, p_b, BASE)
+        w_t = txbf_row(batch, p_a, p_b, BASE)
         calls += 1
         assert zf_ok(ch, w_t, w_r)
         assert relay_output_power(ch, w_t, w_r, p_a, p_b) <= BASE.p_r_max + 1e-8
@@ -322,8 +322,8 @@ def test_criterion_6_structural_invariants():
     # power allocation P2: box and relay cap
     for seed in range(2000):
         ch, w_r, batch, p_a, p_b, _ = _txbf_instance(80_000 + seed)
-        w_t = txbf_row(ch, batch, p_a, p_b, BASE)
-        pa, pb, _ = power_row(ch, w_t, batch, BASE)
+        w_t = txbf_row(batch, p_a, p_b, BASE)
+        pa, pb, _ = power_row(w_t, batch, BASE)
         calls += 1
         assert -1e-9 <= pa <= BASE.p_a_max + 1e-9
         assert -1e-9 <= pb <= BASE.p_b_max + 1e-9

@@ -14,9 +14,11 @@ from fdtwrc.harness import (
     REGION_KINDS,
     SCHEMES,
     SWEEPS,
+    TASK_TRIALS,
     ExperimentSpec,
     ResultRow,
     ResultTable,
+    _task_sizes,
     emit,
     run_experiment,
     table_to_csv,
@@ -30,11 +32,11 @@ FAST = (SchemeId.FD_ONEWAY,)
 FASTPAIR = (SchemeId.HD_ANC, SchemeId.FD_ONEWAY)
 
 
-def _nan_at_trial_1_of_10db(ch, cfg, tseed, proposed):
-    """A sum-rate scheme whose rates are (1, 2), or NaN at trial 1 of a
-    10 dB source SNR run with master seed 11."""
-    lost = tseed == trial_seed(11, 1) and cfg.p_a_max == 10.0
-    return (math.nan, math.nan) if lost else (1.0, 2.0)
+def _nan_at_trial_1_of_10db(chs, cfg, tseeds, proposed):
+    """A sum-rate scheme whose rates are (1, 2) per trial of a task, or NaN
+    at trial 1 of a 10 dB source SNR run with master seed 11."""
+    lost = trial_seed(11, 1) if cfg.p_a_max == 10.0 else None
+    return [(math.nan, math.nan) if tseed == lost else (1.0, 2.0) for tseed in tseeds]
 
 
 class TestSpecValidation:
@@ -118,11 +120,45 @@ class TestRunExperiment:
         assert a.rows == b.rows
 
     def test_worker_count_independence(self):
-        spec = ExperimentSpec(kind="sumrate_vs_source_snr", schemes=FASTPAIR,
-                              sweep=(5.0, 10.0), trials=6, seed=3, base=BASE)
-        serial = run_experiment(spec, workers=1)
-        parallel = run_experiment(spec, workers=2)
-        assert serial.rows == parallel.rows
+        # the worker count sets how a configuration's trials are cut into
+        # tasks, and the lockstep schemes solve a task's trials together:
+        # at trial counts that are not multiples of a task, every per-trial
+        # sample must be the same bytes whatever the cut
+        specs = [ExperimentSpec(kind="sumrate_vs_source_snr", schemes=FASTPAIR,
+                                sweep=(5.0, 10.0), trials=6, seed=3, base=BASE)]
+        for trials in (1, 5, 11):
+            specs += [
+                ExperimentSpec(kind="sumrate_vs_source_snr",
+                               schemes=(SchemeId.PROPOSED_FD, SchemeId.HD_ANC,
+                                        SchemeId.FD_UPPER_BOUND),
+                               sweep=(10.0,), trials=trials, seed=13, base=BASE),
+                ExperimentSpec(kind="rate_region",
+                               schemes=(SchemeId.PROPOSED_FD, SchemeId.FD_UPPER_BOUND),
+                               sweep=(0.0, 0.5, 1.0), trials=trials, seed=14, base=BASE)]
+        for spec in specs:
+            tables = [run_experiment(spec, workers=w, keep_samples=True) for w in (1, 2, 3)]
+            if spec.trials > 1:  # the worker counts cut the trials differently
+                assert len({t.metadata["tasks"] for t in tables}) > 1
+            for table in tables[1:]:
+                assert repr(table.rows) == repr(tables[0].rows)
+                assert {k: np.asarray(v).tobytes() for k, v in table.samples.items()} == {
+                    k: np.asarray(v).tobytes() for k, v in tables[0].samples.items()}
+
+    @pytest.mark.parametrize("trials, workers, sizes", [
+        (1, 3, [1]), (4, 1, [4]), (8, 2, [4, 4]), (11, 3, [4, 4, 3]), (17, 1, [6, 6, 5]),
+        (1024, 2, [8] * 128)])
+    def test_task_sizes(self, trials, workers, sizes):
+        # near-equal tasks of consecutive trials: at least one per worker,
+        # at most TASK_TRIALS trials each, and none empty
+        assert _task_sizes(trials, workers) == sizes
+        assert max(sizes) <= TASK_TRIALS
+
+    @pytest.mark.parametrize("workers, tasks, per_task", [(1, 6, 7), (2, 6, 7), (4, 8, 5)])
+    def test_tasks_in_metadata(self, workers, tasks, per_task):
+        spec = ExperimentSpec(kind="sumrate_vs_source_snr", schemes=FAST,
+                              sweep=(0.0, 10.0), trials=20, seed=3, base=BASE)
+        meta = run_experiment(spec, workers=workers).metadata
+        assert (meta["tasks"], meta["trials_per_task"]) == (tasks, per_task)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_nonfinite_pairs_are_counted(self, workers, monkeypatch):

@@ -7,7 +7,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fdtwrc.baselines import _hd_region, hd_anc_region, upper_bound_region
+from fdtwrc.baselines import (
+    _hd_region,
+    hd_anc_region,
+    upper_bound_region,
+    upper_bound_regions,
+    upper_bound_solve,
+    upper_bound_solves,
+)
 from fdtwrc.model import (
     SystemConfig,
     db_to_linear,
@@ -34,11 +41,12 @@ from fdtwrc.rate_region import (
     max_rate_given_rb,
     optimize_fixed_alpha_p1,
     rate_region,
+    rate_regions,
     region_sweep,
     solve_power_p1,
     solve_txbf_p1,
 )
-from fdtwrc.sum_rate import optimize_fixed_alpha_p2
+from fdtwrc.sum_rate import max_sum_rate, max_sum_rates, optimize_fixed_alpha_p2
 from one_row import combiner_row, power_p1_row, txbf_p1_row
 
 CFG = SystemConfig()
@@ -116,7 +124,7 @@ class TestSolveTxbfP1:
         # solution is the matched beam at full relay power
         ch = zero_loopback(sample_channels(CFG, 3))
         w_r, batch = combiner_row(ch, 0.5)
-        w_t = txbf_p1_row(ch, batch, 2.0, 3.0, 0.0, CFG.p_r_max)
+        w_t = txbf_p1_row(batch, 2.0, 3.0, 0.0, CFG.p_r_max)
         assert abs(abs(np.vdot(unit(ch.h_ra), unit(w_t))) - 1.0) < 1e-10
         assert abs(relay_output_power(ch, w_t, w_r, 2.0, 3.0) - CFG.p_r_max) < 1e-8
 
@@ -124,14 +132,14 @@ class TestSolveTxbfP1:
         ch, w_r, batch, p_a, p_b, _ = random_txbf_instance(4)
         rx_a = abs(np.vdot(w_r, ch.h_ar)) ** 2
         with pytest.raises(Infeasible) as exc:
-            txbf_p1_row(ch, batch, p_a, p_b, 2.0 * p_a * rx_a, CFG.p_r_max)
+            txbf_p1_row(batch, p_a, p_b, 2.0 * p_a * rx_a, CFG.p_r_max)
         assert exc.value.stage == "sinr_gate"
 
     def test_postconditions(self):
         for seed in range(40):
             ch, w_r, batch, p_a, p_b, gamma_b = random_txbf_instance(100 + seed)
             try:
-                w_t = txbf_p1_row(ch, batch, p_a, p_b, gamma_b, CFG.p_r_max)
+                w_t = txbf_p1_row(batch, p_a, p_b, gamma_b, CFG.p_r_max)
             except Infeasible:
                 continue
             assert zf_residual(ch, w_t, w_r) <= 1e-9 * max(1.0, np.linalg.norm(ch.h_rr) * np.linalg.norm(w_t))
@@ -144,7 +152,7 @@ class TestSolveTxbfP1:
         for seed in range(20):
             ch, w_r, batch, p_a, p_b, gamma_b = random_txbf_instance(200 + seed)
             try:
-                w_t = txbf_p1_row(ch, batch, p_a, p_b, gamma_b, CFG.p_r_max)
+                w_t = txbf_p1_row(batch, p_a, p_b, gamma_b, CFG.p_r_max)
             except Infeasible:
                 continue
             gains = effective_gains(ch, w_t, w_r)
@@ -159,14 +167,14 @@ class TestSolveTxbfP1:
         # manufacture a threshold exactly at the step-3 solution's B-gain:
         # both paths must agree there
         ch, w_r, batch, p_a, p_b, _ = random_txbf_instance(5)
-        w_t3 = txbf_p1_row(ch, batch, p_a, p_b, 0.0, CFG.p_r_max)
+        w_t3 = txbf_p1_row(batch, p_a, p_b, 0.0, CFG.p_r_max)
         b_gain = abs(np.vdot(ch.h_rb, w_t3)) ** 2
         # invert the threshold transform to hit gamma_b_bar == b_gain
         rx_a = abs(np.vdot(w_r, ch.h_ar)) ** 2
         sig_b = p_b * abs(ch.h_bb) ** 2 + 1.0
         gamma_b = p_a * rx_a * b_gain / (sig_b + b_gain)
         for eps in (-1e-9, 1e-9):
-            w_t = txbf_p1_row(ch, batch, p_a, p_b, gamma_b * (1 + eps), CFG.p_r_max)
+            w_t = txbf_p1_row(batch, p_a, p_b, gamma_b * (1 + eps), CFG.p_r_max)
             assert abs(abs(np.vdot(ch.h_ra, w_t)) ** 2
                        - abs(np.vdot(ch.h_ra, w_t3)) ** 2) < 1e-6
 
@@ -180,27 +188,27 @@ class TestSolvePowerP1:
         w_t = 0.05 * (n_t @ unit(crandn(np.random.default_rng(0), n_t.shape[1])))
         g = effective_gains(ch, w_t, w_r)
         gamma_b = 0.01 * CFG.p_a_max * g.tx_gain_b * g.rx_gain_a / (g.tx_gain_b + 1.0)
-        p_a, p_b, _ = power_p1_row(ch, w_t, batch, gamma_b, CFG)
+        p_a, p_b, _ = power_p1_row(w_t, batch, gamma_b, CFG)
         assert p_b == CFG.p_b_max
         expected_pa = gamma_b * (g.tx_gain_b + 1.0) / (g.tx_gain_b * g.rx_gain_a)
         assert abs(p_a - expected_pa) < 1e-9 * max(1.0, expected_pa)
 
     def test_empty_polygon(self):
         ch, w_r, batch, p_a, p_b, _ = random_txbf_instance(7)
-        w_t = txbf_p1_row(ch, batch, p_a, p_b, 0.0, CFG.p_r_max)
+        w_t = txbf_p1_row(batch, p_a, p_b, 0.0, CFG.p_r_max)
         g = effective_gains(ch, w_t, w_r)
         # B-SINR target beyond what p_a = p_a_max can deliver
         gamma_b = 2.0 * CFG.p_a_max * g.tx_gain_b * g.rx_gain_a / (g.tx_gain_b + 1.0)
         with pytest.raises(Infeasible):
-            power_p1_row(ch, w_t, batch, gamma_b, CFG)
+            power_p1_row(w_t, batch, gamma_b, CFG)
 
     def test_against_grid_oracle(self):
         hits = 0
         for seed in range(30):
             ch, w_r, batch, p_a, p_b, gamma_b = random_txbf_instance(300 + seed)
             try:
-                w_t = txbf_p1_row(ch, batch, p_a, p_b, gamma_b, CFG.p_r_max)
-                pa, pb, _ = power_p1_row(ch, w_t, batch, gamma_b, CFG)
+                w_t = txbf_p1_row(batch, p_a, p_b, gamma_b, CFG.p_r_max)
+                pa, pb, _ = power_p1_row(w_t, batch, gamma_b, CFG)
             except Infeasible:
                 continue
             hits += 1
@@ -225,18 +233,18 @@ class TestSolvePowerP1:
             gamma_b = cfg.p_a_max * batch.rx[:, 0] * rng.uniform(0.0, 1.2, k)
             gamma_b[rng.uniform(size=k) < 0.3] = 0.0
             p_a, p_b = rng.uniform(0.0, 1.0, (2, k)) * [[cfg.p_a_max], [cfg.p_b_max]]
-            w_t, ok = solve_txbf_p1(ch, batch, p_a, p_b, gamma_b, cfg.p_r_max)
+            w_t, ok = solve_txbf_p1(batch, p_a, p_b, gamma_b, cfg.p_r_max)
             w_t[0] = 0.0  # a zero beamformer leaves only the relay's own noise
-            powers = solve_power_p1(ch, w_t, batch, gamma_b, cfg)
+            powers = solve_power_p1(w_t, batch, gamma_b, cfg)
             assert 0.0 in gamma_b and not all(powers[3])
             for i in range(k):
                 alone = batch.take(np.array([i]))
-                w_i, ok_i = solve_txbf_p1(ch, alone, p_a[i:i + 1], p_b[i:i + 1], gamma_b[i:i + 1],
+                w_i, ok_i = solve_txbf_p1(alone, p_a[i:i + 1], p_b[i:i + 1], gamma_b[i:i + 1],
                                           cfg.p_r_max)
                 assert ok_i[0] == ok[i]
                 if i:
                     assert w_i.tobytes() == w_t[i:i + 1].tobytes()
-                got = solve_power_p1(ch, w_t[i:i + 1], alone, gamma_b[i:i + 1], cfg)
+                got = solve_power_p1(w_t[i:i + 1], alone, gamma_b[i:i + 1], cfg)
                 assert [x.tobytes() for x in got] == [x[i:i + 1].tobytes() for x in powers]
 
 
@@ -361,7 +369,7 @@ class TestAlphaSearch:
             return np.full(batch.size, -math.inf), None
 
         with pytest.raises(Infeasible) as exc:
-            _alpha_search(evaluate, CFG)
+            _alpha_search(lambda _, batch: evaluate(batch), 1, CFG)
         assert exc.value.stage == "alpha_grid"
         assert alphas == list(np.linspace(0.0, 1.0, CFG.alpha_grid))
 
@@ -584,7 +592,7 @@ class TestCombinerTable:
                 r_bs.append(1.05 * r_bs[-1])
             alone = [_standalone_or_none(ch, r_b, cfg) for r_b in r_bs]
             table = _combiner_table(ch)
-            lockstep = _max_rates(ch, r_bs, cfg, table, _grid(table, cfg))
+            [lockstep] = _max_rates([ch], [r_bs], cfg, [table], [_grid(table, cfg)])
             assert [_point_bits(pt) for pt in lockstep] == [_point_bits(pt) for pt in alone]
             assert (alone[-1] is None) == (case == "above_endpoint")
             # the same sweep (targets, repair) from the standalone points
@@ -614,7 +622,7 @@ class TestCombinerTable:
 
         monkeypatch.setattr(rate_region_module, "maximize_1d_lockstep", spy)
         table = _combiner_table(ch)
-        points = _max_rates(ch, r_bs, CFG, table, _grid(table, CFG))
+        [points] = _max_rates([ch], [r_bs], CFG, [table], [_grid(table, CFG)])
         best = grids[0].argmax(axis=1)
         ends = (best == 0) | (best == CFG.alpha_grid - 1)
         assert 0 in best and CFG.alpha_grid - 1 in best and not ends.all()
@@ -623,6 +631,49 @@ class TestCombinerTable:
         monkeypatch.undo()
         assert [_point_bits(pt) for pt in points] == [
             _point_bits(_standalone_or_none(ch, r_b, CFG)) for r_b in r_bs]
+
+
+def _chunk():
+    """A harness task's realizations at the default config: a zero-loopback
+    one (null dimension m_t) among ordinary ones (null dimension m_t - 1)."""
+    chs = [sample_channels(CFG, s) for s in (30, 31, 32, 33)]
+    chs[1] = zero_loopback(chs[1])
+    return chs
+
+
+class TestLockstepRealizations:
+    """The lockstep solvers search several realizations' combiners in shared
+    batches; each realization must get its standalone answer bit for bit."""
+
+    def test_sum_rate_searches(self):
+        chs = _chunk()
+        proposed = max_sum_rates(chs, CFG)
+        assert [_point_bits(pt) for pt in proposed] == [
+            _point_bits(max_sum_rate(ch, CFG)) for ch in chs]
+        assert [_point_bits(pt) for pt in upper_bound_solves(chs, CFG, proposed)] == [
+            _point_bits(upper_bound_solve(ch, CFG, pt)) for ch, pt in zip(chs, proposed)]
+
+    @pytest.mark.parametrize("sweeps, sweep", [(rate_regions, rate_region),
+                                               (upper_bound_regions, upper_bound_region)])
+    def test_region_sweeps(self, sweeps, sweep):
+        chs = _chunk()
+        assert [[(r_b, _point_bits(pt)) for r_b, pt in entries] for entries in sweeps(chs, 5, CFG)] == [
+            [(r_b, _point_bits(pt)) for r_b, pt in sweep(ch, 5, CFG)] for ch in chs]
+
+    def test_point_solves_with_an_infeasible_grid(self):
+        # a ragged set of targets, one of them 5% past its realization's
+        # endpoint: that target's whole grid is infeasible (None) while the
+        # other targets of its realization and of the others refine
+        chs = _chunk()
+        ends = [rate_region(ch, 2, CFG)[-1][0] for ch in chs]
+        r_bs = [[0.5 * end] for end in ends]
+        r_bs[2] += [0.9 * ends[2], 1.05 * ends[2]]
+        tables = [_combiner_table(ch) for ch in chs]
+        points = _max_rates(chs, r_bs, CFG, tables, [_grid(table, CFG) for table in tables])
+        assert points[2][2] is None and all(pt is not None for pt in points[0] + points[3])
+        assert [[_point_bits(pt) for pt in pts] for pts in points] == [
+            [_point_bits(_standalone_or_none(ch, r_b, CFG)) for r_b in targets]
+            for ch, targets in zip(chs, r_bs)]
 
 
 def _bisect_on_point_solver(point_solver, cap, steps=24):

@@ -240,7 +240,7 @@ class TestSolveTxbfP2:
         for seed in range(8):
             cfg, ch, w_r, batch, p_a, p_b = p2_instance(300 + seed, m_t=2, m_r=2)
             na2, nb2 = batch.n2[0]
-            w_t = txbf_row(ch, batch, p_a, p_b, cfg)
+            w_t = txbf_row(batch, p_a, p_b, cfg)
             val = dc_objective(ch, w_r, p_a, p_b,
                                abs(np.vdot(ch.h_ra, w_t)) ** 2,
                                abs(np.vdot(ch.h_rb, w_t)) ** 2)
@@ -256,9 +256,9 @@ class TestSolveTxbfP2:
         cfg, ch, alpha, p_a, p_b = draw(10, sigma2_r=0.0)
         assert np.all(ch.h_rr == 0)
         w_r, batch = combiner_row(ch, alpha)
-        w_t = txbf_row(ch, batch, p_a, p_b, cfg)
+        w_t = txbf_row(batch, p_a, p_b, cfg)
         ch0 = zero_loopback(ch)
-        w_t2 = txbf_row(ch0, combiner_row(ch0, alpha)[1], p_a, p_b, cfg)
+        w_t2 = txbf_row(combiner_row(ch0, alpha)[1], p_a, p_b, cfg)
         v1 = dc_objective(ch, w_r, p_a, p_b, abs(np.vdot(ch.h_ra, w_t)) ** 2,
                           abs(np.vdot(ch.h_rb, w_t)) ** 2)
         v2 = dc_objective(ch, w_r, p_a, p_b, abs(np.vdot(ch.h_ra, w_t2)) ** 2,
@@ -268,7 +268,7 @@ class TestSolveTxbfP2:
     def test_not_below_cold_start(self):
         for seed in range(25):
             cfg, ch, w_r, batch, p_a, p_b = p2_instance(400 + seed)
-            w_t = txbf_row(ch, batch, p_a, p_b, cfg)
+            w_t = txbf_row(batch, p_a, p_b, cfg)
             cold = math.sqrt(_full_budget(cfg, ch, w_r, p_a, p_b)) * (batch.n_t[0] @ batch.d[0, :, 0])
             val = _txbf_value(ch, w_r, p_a, p_b, w_t)
             assert val >= _txbf_value(ch, w_r, p_a, p_b, cold) * (1.0 - 1e-12)
@@ -276,7 +276,7 @@ class TestSolveTxbfP2:
     def test_budget_and_zf(self):
         for seed in range(15):
             cfg, ch, w_r, batch, p_a, p_b = p2_instance(500 + seed)
-            w_t = txbf_row(ch, batch, p_a, p_b, cfg)
+            w_t = txbf_row(batch, p_a, p_b, cfg)
             p_r = relay_output_power(ch, w_t, w_r, p_a, p_b)
             assert p_r <= cfg.p_r_max + 1e-8
             assert abs(p_r - cfg.p_r_max) < 1e-7
@@ -292,7 +292,7 @@ class TestSolveTxbfP2:
                            sigma2_r=1.0, gain_br=2.0)
         ch = sample_channels(cfg, 0)
         w_r, batch = combiner_row(ch, alpha)
-        w_t = txbf_row(ch, batch, 0.0, 1.0, cfg)
+        w_t = txbf_row(batch, 0.0, 1.0, cfg)
         assert abs(relay_output_power(ch, w_t, w_r, 0.0, 1.0) - cfg.p_r_max) <= 1e-12
 
 
@@ -330,7 +330,7 @@ class TestSolveTxbfP2Exactness:
                 if val - prev < cfg.conv_tol:
                     break
                 prev = val
-            w_t = txbf_row(ch, batch, p_a, p_b, cfg)
+            w_t = txbf_row(batch, p_a, p_b, cfg)
             assert _txbf_value(ch, w_r, p_a, p_b, w_t) >= val - 1e-9
 
     def test_not_below_sampled_directions(self):
@@ -347,7 +347,7 @@ class TestSolveTxbfP2Exactness:
             sampled = np.max(
                 np.log2(1 + p_b * rx_b * s_a / (s_a + p_a * abs(ch.h_aa) ** 2 + 1))
                 + np.log2(1 + p_a * rx_a * s_b / (s_b + p_b * abs(ch.h_bb) ** 2 + 1)))
-            w_t = txbf_row(ch, batch, p_a, p_b, cfg)
+            w_t = txbf_row(batch, p_a, p_b, cfg)
             assert _txbf_value(ch, w_r, p_a, p_b, w_t) >= sampled - 1e-9
 
     def test_warm_start_never_lost(self):
@@ -356,7 +356,7 @@ class TestSolveTxbfP2Exactness:
             rng = np.random.default_rng(seed)
             n_t = batch.n_t[0]
             p_prime = _full_budget(cfg, ch, w_r, p_a, p_b)
-            cold = txbf_row(ch, batch, p_a, p_b, cfg)
+            cold = txbf_row(batch, p_a, p_b, cfg)
             # warm starts below the budget: a random direction, the cold answer
             # itself (a tie with the frontier) and the cold answer nudged off it
             z_cold = unit(n_t.conj().T @ cold)
@@ -364,7 +364,7 @@ class TestSolveTxbfP2Exactness:
             for z0 in (unit(crandn(rng, n_t.shape[1])), z_cold, nudged):
                 w0 = 0.5 * math.sqrt(p_prime) * (n_t @ z0)
                 at_budget = math.sqrt(p_prime) * (n_t @ z0)
-                w_t = txbf_row(ch, batch, p_a, p_b, cfg, w_t_init=w0)
+                w_t = txbf_row(batch, p_a, p_b, cfg, w_t_init=w0)
                 val = _txbf_value(ch, w_r, p_a, p_b, w_t)
                 assert val >= _txbf_value(ch, w_r, p_a, p_b, at_budget) - 1e-12
                 assert val >= _txbf_value(ch, w_r, p_a, p_b, cold) - 1e-12
@@ -377,7 +377,7 @@ class TestSolvePowerP2:
         w_r, batch = combiner_row(ch, 0.5)
         n_t = relay_null_basis(ch, w_r)
         w_t = 0.3 * (n_t @ unit(crandn(np.random.default_rng(0), n_t.shape[1])))
-        p_a, p_b, _ = power_row(ch, w_t, batch, cfg)
+        p_a, p_b, _ = power_row(w_t, batch, cfg)
         # enumerate the three binary candidates explicitly
         def sr(pa, pb):
             g_a = pb * abs(np.vdot(ch.h_ra, w_t)) ** 2 * abs(np.vdot(w_r, ch.h_br)) ** 2 / (
@@ -398,20 +398,20 @@ class TestSolvePowerP2:
         w_r, batch = combiner_row(ch, 0.5)
         n_t = relay_null_basis(ch, w_r)
         w_t = 0.2 * (n_t @ unit(crandn(np.random.default_rng(3), n_t.shape[1])))
-        assert power_row(ch, w_t, batch, cfg)[:2] == (cfg.p_a_max, cfg.p_b_max)
+        assert power_row(w_t, batch, cfg)[:2] == (cfg.p_a_max, cfg.p_b_max)
 
     def test_degenerate_budget(self):
         cfg, ch, w_r, batch, _, _ = p2_instance(12)
         n_t = relay_null_basis(ch, w_r)
         z = unit(crandn(np.random.default_rng(1), n_t.shape[1]))
         w_t = math.sqrt(cfg.p_r_max) * (n_t @ z)  # P_R / ||w_t||^2 = 1
-        assert power_row(ch, w_t, batch, cfg) == (0.0, 0.0, 0.0)
+        assert power_row(w_t, batch, cfg) == (0.0, 0.0, 0.0)
 
     def test_against_curve_grid_oracle(self):
         for seed in range(30):
             cfg, ch, w_r, batch, p_a0, p_b0 = p2_instance(600 + seed)
-            w_t = txbf_row(ch, batch, p_a0, p_b0, cfg)
-            p_a, p_b, _ = power_row(ch, w_t, batch, cfg)
+            w_t = txbf_row(batch, p_a0, p_b0, cfg)
+            p_a, p_b, _ = power_row(w_t, batch, cfg)
             rx_a = abs(np.vdot(w_r, ch.h_ar)) ** 2
             rx_b = abs(np.vdot(w_r, ch.h_br)) ** 2
             tx_a = abs(np.vdot(ch.h_ra, w_t)) ** 2
@@ -447,20 +447,20 @@ class TestSolvePowerP2:
         ch = sample_channels(CFG, seed)
         ch = ch if loopback else zero_loopback(ch)
         _, batch = combiner_row(ch, alpha)
-        w_t = txbf_row(ch, batch, 10.0, 10.0, CFG)
+        w_t = txbf_row(batch, 10.0, 10.0, CFG)
         budget = CFG.p_r_max / float(np.vdot(w_t, w_t).real) - 1.0
         rx_a, rx_b = batch.rx[0]
         ends = ((budget - 10.0 * rx_a) / rx_b, (budget - 10.0 * rx_b) / rx_a)
         assert any(0.0 < abs(end - 10.0) <= 1e-12 for end in ends)
-        assert power_row(ch, w_t, batch, CFG)[:2] == (10.0, 10.0)
+        assert power_row(w_t, batch, CFG)[:2] == (10.0, 10.0)
         pt = optimize_fixed_alpha_p2(ch, alpha, CFG)
         assert len(pt.trace) == 1 and (pt.powers.p_a, pt.powers.p_b) == (10.0, 10.0)
 
     def test_box_and_relay_feasibility(self):
         for seed in range(25):
             cfg, ch, w_r, batch, p_a0, p_b0 = p2_instance(700 + seed)
-            w_t = txbf_row(ch, batch, p_a0, p_b0, cfg)
-            p_a, p_b, value = power_row(ch, w_t, batch, cfg)
+            w_t = txbf_row(batch, p_a0, p_b0, cfg)
+            p_a, p_b, value = power_row(w_t, batch, cfg)
             assert -1e-9 <= p_a <= cfg.p_a_max + 1e-9
             assert -1e-9 <= p_b <= cfg.p_b_max + 1e-9
             assert relay_output_power(ch, w_t, w_r, p_a, p_b) <= cfg.p_r_max * (1 + 1e-9) + 1e-9
@@ -600,10 +600,10 @@ class TestStationaryPoints:
         # on p_a alone
         cfg, ch, _, batch, p_a, p_b = p2_instance(19)
         batch = replace(batch, rx=batch.rx * [100.0, 0.0])
-        w_t = txbf_row(ch, batch, p_a, p_b, cfg)
+        w_t = txbf_row(batch, p_a, p_b, cfg)
         budget = cfg.p_r_max / float(np.vdot(w_t, w_t).real) - 1.0
         assert budget / batch.rx[0, 0] < cfg.p_a_max
-        got = power_row(ch, w_t, batch, cfg)
+        got = power_row(w_t, batch, cfg)
         assert got[:2] == (pytest.approx(budget / batch.rx[0, 0], rel=1e-12), 0.0)
         assert got[2] > 0.0
 
