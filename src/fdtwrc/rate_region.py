@@ -8,19 +8,20 @@ at once, and the boundary sweep over source B's target rate up to its
 largest value, which the beamformer's gates give in closed form.
 
 A batch row carries the channel data that the steps read (``_TxBatch``),
-so one batch can hold the combiners of several channel realizations.
-P1's solver (``_max_rates``) runs one combiner search for all the B
-targets of a sequence of realizations in lockstep.  Its rows are
-(realization, target, combiner) triples, with B's target per row in the
-P1 steps: the grid is one batch of ``alpha_grid`` combiners per target,
-whose table rows are built once per realization and tiled, and each pair
-of golden steps is one batch of the three (the first time four) combiners
-of every target still refining.  A row's bits do not depend on its batch,
-so each target's answer is the one it gets alone; ``rate_region`` and
-``max_rate_given_rb`` are one-realization cases of ``rate_regions`` and
-``_max_rates``, and the sum-rate search runs the same lockstep for one
-objective per realization.  A float alpha is a batch of one: there is no
-other code path.
+so one batch, and one combiner-table call, can hold the combiners of
+several channel realizations.  P1's solver (``_max_rates``) runs one
+combiner search for all the B targets of a sequence of realizations in
+lockstep.  Its rows are (realization, target, combiner) triples, with B's
+target per row in the P1 steps: the grid is one batch of ``alpha_grid``
+combiners per target, whose table rows are built once per realization
+and taken once per target, and each pair of golden steps is one batch of
+the three (the first time four) combiners of every target still
+refining.  A row's bits do not depend on its batch, so each target's
+answer is the one it gets alone; ``rate_region`` and ``max_rate_given_rb``
+are one-realization cases of ``rate_regions`` and ``_max_rates``, and the
+sum-rate search runs the same lockstep for one objective per
+realization.  A float alpha is a batch of one: there is no other code
+path.
 """
 
 import cmath
@@ -96,12 +97,6 @@ class _TxBatch:
         return type(self)(**{name: x if name == "n" else x.take(rows, axis=0)
                              for name, x in vars(self).items()})
 
-    @classmethod
-    def concat(cls, batches):
-        """The rows of ``batches``, which share a null dimension, in order."""
-        return cls(**{name: x if name == "n" else np.concatenate([vars(b)[name] for b in batches])
-                      for name, x in vars(batches[0]).items()})
-
 
 @dataclass
 class _P1Batch(_TxBatch):
@@ -127,8 +122,9 @@ def _abs2(z):
 
 def _tx_geometry(h_t, n_t):
     """The images, squared norms, directions, r and phi of a stack of
-    null-space bases n_t (K x m_t x n), where h_t is the m_t x 2 matrix
-    [h_ra, h_rb]; returns the ``_TxBatch`` fields but ``rx``, by name."""
+    null-space bases n_t (K x m_t x n), where h_t holds each row's m_t x 2
+    matrix [h_ra, h_rb]; returns the ``_TxBatch`` fields of the null space
+    by name."""
     images = np.conj(n_t).transpose(0, 2, 1) @ h_t  # K x n x 2: a_t, b_t
     n2 = (np.square(images.real) + np.square(images.imag)).sum(axis=1)
     has = n2 > 1e-300
@@ -141,92 +137,81 @@ def _tx_geometry(h_t, n_t):
                 r=r, phi=phi, n=n_t.shape[2])
 
 
-def _repeat(geo, k):
-    """``_tx_geometry`` fields of one basis repeated for k combiners."""
-    return geo if k == 1 else {name: x if name == "n" else np.repeat(x, k, axis=0)
-                               for name, x in geo.items()}
+def _combiner_table(*realizations):
+    """The combiner table of one or more realizations of one config, shared
+    by both problems.
 
-
-def _combiner_table(channels):
-    """The combiner table of one realization, shared by both problems.
-
-    ``table(alphas)`` takes a 1-D array of combiner parameters and returns
-    ``[(rows, w_r, batch)]``: the combiners ``w_r`` of those rows and their
-    ``_TxBatch``, one entry per null dimension (one entry, whose rows are
-    None, unless the loopback row w_r^H H_rr vanishes at some of the
-    combiners but not all).  Each combiner is ``receive_combiner``'s mix of
-    ``_combiner_basis``'s two directions, computed once per table, and each
-    null-space basis is ``relay_null_basis``'s, from one stacked QR call.
-    With a zero loopback every basis is the identity, so only the receive
-    gains are computed per call.  They have ``receive_gains``'s bits
-    (``_vdots``, ``_abs2``), so ``make_operating_point`` recomputes the bits
-    that the power step scored.  A row's bits do not depend on the other
-    alphas of its call.
+    ``table(alphas, owners=None)`` takes a 1-D array of combiner
+    parameters, the i-th one of realization ``owners[i]`` (None: all of the
+    first), and returns ``[(rows, w_r, batch)]``: the combiners ``w_r`` of
+    those rows and their ``_TxBatch``, one entry per null dimension (one
+    entry, whose rows are None, unless the loopback row w_r^H H_rr vanishes
+    at some of the combiners but not all; it vanishes at every combiner of
+    a zero-loopback realization).  Each combiner is ``receive_combiner``'s
+    mix of its realization's two ``_combiner_basis`` directions, computed
+    once per table, and each null-space basis is ``relay_null_basis``'s,
+    from one stacked QR call for all rows.  The receive gains have
+    ``receive_gains``'s bits (``_vdots``, ``_abs2``), so
+    ``make_operating_point`` recomputes the bits that the power step
+    scored.  A row's bits do not depend on the other rows of its call.
     """
-    u_par, u_perp = _combiner_basis(channels)
-    h_t = np.stack([channels.h_ra, channels.h_rb], axis=1)
-    rows_h = np.stack([channels.h_ra, channels.h_rb])[None]
-    rows_si2 = np.array([[abs(channels.h_aa) ** 2, abs(channels.h_bb) ** 2]])
-    eye = np.eye(channels.m_t, dtype=complex)[None]
-    free = None if channels.h_rr.any() else _tx_geometry(h_t, eye)
-    h_r = channels.h_ar, channels.h_br
-    h_rr_conj = np.conj(channels.h_rr)
-    threshold = 1e-12 * max(1.0, np.linalg.norm(channels.h_rr))
+    basis = [_combiner_basis(channels) for channels in realizations]
+    u_par = np.array([u for u, _ in basis])
+    # a realization with one direction mixes it with itself; its rows are
+    # then set to that direction
+    single = np.array([u is None for _, u in basis])
+    u_perp = np.array([u_par[k] if u is None else u for k, (_, u) in enumerate(basis)])
+    h_t = np.array([np.stack([ch.h_ra, ch.h_rb], axis=1) for ch in realizations])
+    rows_h = np.ascontiguousarray(h_t.transpose(0, 2, 1))  # the rows h_ra, h_rb
+    si2 = np.array([[abs(ch.h_aa) ** 2, abs(ch.h_bb) ** 2] for ch in realizations])
+    h_r = np.array([[ch.h_ar, ch.h_br] for ch in realizations])
+    h_rr_conj = np.conj(np.array([ch.h_rr for ch in realizations]))
+    threshold = np.array([1e-12 * max(1.0, np.linalg.norm(ch.h_rr)) for ch in realizations])
+    eye = np.eye(realizations[0].m_t, dtype=complex)
+    full = _tx_geometry(h_t, np.repeat(eye[None], len(realizations), axis=0))
 
-    def batch(geo, rx):
-        k = len(rx)
-        return _TxBatch(**geo, rx=rx, h_t=np.repeat(rows_h, k, axis=0),
-                        si2=np.repeat(rows_si2, k, axis=0))
-
-    def table(alphas):
+    def table(alphas, owners=None):
         if not np.all((alphas >= 0.0) & (alphas <= 1.0)):
             raise ValueError("alpha must lie in [0, 1]")
-        if u_perp is None:
-            w_r = np.repeat(u_par[None], alphas.size, axis=0)
-        else:
-            w_r = alphas[:, None] * u_par + np.sqrt(1.0 - alphas)[:, None] * u_perp
-            w_r /= np.linalg.norm(w_r, axis=1, keepdims=True)
-        rx = np.stack([_abs2(_vdots(w_r, h)) for h in h_r], axis=1)
-        if free is not None:
-            return [(None, w_r, batch(_repeat(free, alphas.size), rx))]
-        v = (w_r[:, None, :] @ h_rr_conj)[:, 0]  # rows v^T with v = H_rr^H w_r
-        vanish = np.linalg.norm(v, axis=1) <= threshold
-        if not vanish.any():
-            return [(None, w_r, batch(_tx_geometry(h_t, null_space_basis(v[:, :, None])), rx))]
+        owners = np.zeros(alphas.size, dtype=int) if owners is None else owners
+        w_r = alphas[:, None] * u_par[owners] + np.sqrt(1.0 - alphas)[:, None] * u_perp[owners]
+        w_r /= np.linalg.norm(w_r, axis=1, keepdims=True)
+        alone = single[owners]
+        if alone.any():
+            w_r[alone] = u_par[owners[alone]]
+        rx = np.stack([_abs2(_vdots(w_r, h_r[owners, j])) for j in (0, 1)], axis=1)
+        v = (w_r[:, None, :] @ h_rr_conj[owners])[:, 0]  # rows v^T with v = H_rr^H w_r
+        vanish = np.linalg.norm(v, axis=1) <= threshold[owners]
         groups = []  # the combiners whose loopback row vanishes keep every direction
         for rows in (np.flatnonzero(~vanish), np.flatnonzero(vanish)):
             if rows.size:
-                geo = (_repeat(_tx_geometry(h_t, eye), rows.size) if vanish[rows[0]]
-                       else _tx_geometry(h_t, null_space_basis(v[rows, :, None])))
-                groups.append((rows, w_r[rows], batch(geo, rx[rows])))
-        return groups
+                own = owners[rows]
+                geo = ({name: x if name == "n" else x[own] for name, x in full.items()}
+                       if vanish[rows[0]] else
+                       _tx_geometry(h_t[own], null_space_basis(v[rows, :, None])))
+                groups.append((rows, w_r[rows], _TxBatch(**geo, rx=rx[rows], h_t=rows_h[own],
+                                                         si2=si2[own])))
+        return [(None, *groups[0][1:])] if len(groups) == 1 else groups
 
     return table
 
 
-def _merge(parts):
-    """One ``(rows, w_r, batch)`` entry per null dimension from ``parts``, a
-    list of (idx, groups): a table's answer ``groups`` at some alphas, whose
-    i-th alpha is row idx[i] of the merged batch.  The rows of every part
-    that share a null dimension go in one ``_TxBatch``."""
-    by_n = {}
-    for idx, groups in parts:
-        for rows, w_r, batch in groups:
-            by_n.setdefault(batch.n, []).append((idx if rows is None else idx[rows], w_r, batch))
-    return [group[0] if len(group) == 1 else (
-        np.concatenate([rows for rows, _, _ in group]), np.concatenate([w_r for _, w_r, _ in group]),
-        _TxBatch.concat([batch for _, _, batch in group])) for group in by_n.values()]
-
-
-def _rows(tables, owners, alphas):
-    """The rows of the combiners ``alphas``, the i-th one of realization
-    ``owners[i]`` with the ``_combiner_table`` ``tables[owners[i]]``, as
-    ``_merge`` groups: each realization's table is called once."""
-    parts = []
-    for k in dict.fromkeys(owners.tolist()):
-        idx = np.flatnonzero(owners == k)
-        parts.append((idx, tables[k](alphas[idx])))
-    return _merge(parts)
+def _take(groups, index):
+    """The combiners ``index`` (indices into the combiners of a table's
+    answer ``groups``), in that order, as a table's answer, bit for bit,
+    since a row does not depend on its batch."""
+    k = sum(len(w_r) for _, w_r, _ in groups)
+    taken = []
+    for rows, w_r, ctx in groups:
+        at = np.arange(k)
+        if rows is not None:
+            at[:] = -1
+            at[rows] = np.arange(rows.size)
+        sel = at[index]
+        new = np.flatnonzero(sel >= 0)
+        if new.size:
+            taken.append((new, w_r[sel[new]], ctx.take(sel[new])))
+    return taken
 
 
 def _p_prime(p_r_max, p_a, p_b, rx_a, rx_b):
@@ -560,8 +545,8 @@ def _alternate_rows(ctx, config, starts, beam, power):
 
 def _alternate_batch(channels, alpha, groups, config, starts, beam, power):
     """``_alternate_rows`` at each combiner of ``alpha``, whose rows are
-    ``groups`` (a ``_combiner_table``'s or ``_merge``'s answer at those
-    combiners) and whose realizations are ``channels``, one per combiner.
+    ``groups`` (a ``_combiner_table``'s answer at those combiners) and
+    whose realizations are ``channels``, one per combiner.
     An array ``alpha`` gives its ``_Points``; a float is a batch of one and
     gives its OperatingPoint (Infeasible('combiner') if none)."""
     alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
@@ -648,14 +633,17 @@ def _alpha_search(evaluate, n, config):
     return points
 
 
-def _grid(table, config):
+def _grid(table, config, n=1):
     """The rows of ``table``, a ``_combiner_table``, at the combiner
-    search's grid of ``alpha_grid`` alphas."""
-    return table(np.linspace(0.0, 1.0, config.alpha_grid))
+    search's grid of ``alpha_grid`` alphas, for each of its first n
+    realizations in turn."""
+    alphas = np.linspace(0.0, 1.0, config.alpha_grid)
+    return table(np.tile(alphas, n), np.repeat(np.arange(n), alphas.size))
 
 
 def _gamma_b_max(grid, config):
-    """B's largest SINR target at which ``max_rate_given_rb`` succeeds.
+    """B's largest SINR target at which ``max_rate_given_rb`` succeeds, for
+    each realization of ``grid``, the search's grid rows (``_grid``).
 
     The combiner search yields no point only when every grid combiner is
     infeasible, and ``optimize_fixed_alpha_p1`` finds a combiner infeasible
@@ -668,42 +656,33 @@ def _gamma_b_max(grid, config):
     gamma_b <= p_a_max rx_a s_b / (s_b + 1) with s_b = p_bar ||b_t||^2 and
     p_bar = p_r_max / (p_a_max rx_a + 1): B's SINR when A sends at full
     power, B is silent and the whole relay budget goes on the b_t
-    direction.  The result is the largest of these SINRs over ``grid``, the
-    search's grid rows (``_grid``), backed off by 1e-9 relative because the
+    direction.  The result is the largest of these SINRs over a
+    realization's grid rows, backed off by 1e-9 relative because the
     gate's margin p_a rx_a - gamma_b cancels near it.
     """
     p_a = config.p_a_max
-    best = 0.0
-    for _, _, ctx in grid:
+    k = sum(len(w_r) for _, w_r, _ in grid)
+    best = np.zeros(k // config.alpha_grid)
+    for rows, _, ctx in grid:
         rx_a, rx_b = ctx.rx[:, 0], ctx.rx[:, 1]
         s_b = _p_prime(config.p_r_max, p_a, 0.0, rx_a, rx_b) * ctx.n2[:, 1]
-        best = max(best, float(np.max(p_a * rx_a * s_b / (s_b + 1.0))))
+        rows = np.arange(k) if rows is None else rows
+        np.maximum.at(best, rows // config.alpha_grid, p_a * rx_a * s_b / (s_b + 1.0))
     return best * (1.0 - 1e-9)
 
 
-def _tile(groups, n):
-    """A table's answer ``groups`` at k alphas, repeated for n objectives:
-    its answer at the k alphas tiled n times, bit for bit, since a row does
-    not depend on its batch."""
-    k = sum(len(w_r) for _, w_r, _ in groups)
-    return [(((np.arange(k) if rows is None else rows) + k * np.arange(n)[:, None]).ravel(),
-             np.tile(w_r, (n, 1)), ctx.take(np.tile(np.arange(len(w_r)), n)))
-            for rows, w_r, ctx in groups]
-
-
-def _max_rates(realizations, r_bs, config, tables, grids):
+def _max_rates(realizations, r_bs, config, table, grid):
     """P1's solver: for each realization and each of its B rates
     ``r_bs[i]``, A's best operating point subject to B achieving the rate,
-    or None where no grid combiner is feasible.  ``tables[i]`` is the
-    realization's ``_combiner_table`` and ``grids[i]`` its grid rows
+    or None where no grid combiner is feasible.  ``table`` is the
+    realizations' ``_combiner_table`` and ``grid`` its grid rows
     (``_grid``).  One combiner search (``_alpha_searches``) runs for all
     (realization, target) pairs in lockstep: its rows are (realization,
     target, combiner) triples with B's target per row, so the grid is one
     batch of P1 alternations (``_p1_batch``) on each realization's grid
-    rows, tiled across its targets, and each pair of golden steps one
-    batch of every refining pair's combiners, the rows that share a null
-    dimension in one ``_TxBatch`` (``_merge``).  A target's point does not
-    depend on the other targets or realizations.
+    rows, taken once per target, and each pair of golden steps one batch
+    of every refining pair's combiners.  A target's point does not depend
+    on the other targets or realizations.
 
     B's SINR threshold 2**r_b - 1 is computed with expm1, so a tiny target
     (a weak B link) keeps its relative accuracy.
@@ -711,24 +690,22 @@ def _max_rates(realizations, r_bs, config, tables, grids):
     if any(r_b < 0 for targets in r_bs for r_b in targets):
         raise ValueError("r_b must be nonnegative")
     gammas = np.array([math.expm1(r_b * _LN2) for targets in r_bs for r_b in targets])
-    counts = [len(targets) for targets in r_bs]
-    owner = np.repeat(np.arange(len(r_bs)), counts)  # each target's realization
-    starts = np.cumsum([0] + counts)
+    n = gammas.size
+    owner = np.repeat(np.arange(len(r_bs)), [len(targets) for targets in r_bs])
 
     def evaluate(owners, alphas):
-        if owners is None:  # the grid of every target
+        if owners is None:  # the grid of every target: its realization's grid rows
             g = alphas.size
-            groups = _merge([(np.arange(starts[i] * g, starts[i + 1] * g), _tile(grid, counts[i]))
-                             for i, grid in enumerate(grids) if counts[i]])
-            owners, alphas = np.repeat(np.arange(gammas.size), g), np.tile(alphas, gammas.size)
+            groups = _take(grid, (owner[:, None] * g + np.arange(g)).ravel())
+            owners, alphas = np.repeat(np.arange(n), g), np.tile(alphas, n)
         else:
-            groups = _rows(tables, owner[owners], alphas)
+            groups = table(alphas, owner[owners])
         points = _p1_batch([realizations[i] for i in owner[owners].tolist()], alphas,
                            gammas[owners], groups, config)
         return points.values, points.point
 
-    points = _alpha_searches(evaluate, gammas.size, config)
-    return [points[start:end] for start, end in zip(starts[:-1], starts[1:])]
+    points = iter(_alpha_searches(evaluate, n, config))
+    return [[next(points) for _ in targets] for targets in r_bs]
 
 
 def max_rate_given_rb(channels, r_b, config, combiners=None):
@@ -738,7 +715,7 @@ def max_rate_given_rb(channels, r_b, config, combiners=None):
     realization (None: built afresh); no answer depends on it.
     """
     table = combiners or _combiner_table(channels)
-    [[point]] = _max_rates([channels], [[r_b]], config, [table], [_grid(table, config)])
+    [[point]] = _max_rates([channels], [[r_b]], config, table, _grid(table, config))
     if point is None:
         raise Infeasible("alpha_grid", "no feasible combiner setting on the grid")
     return point
@@ -791,15 +768,15 @@ def region_sweep(solve_targets, r_b_max, n_points):
 
 def rate_regions(realizations, n_points, config):
     """``rate_region`` of each realization of a sequence, whose points are
-    solved together: every realization reads one ``_combiner_table``, whose
+    solved together: the realizations share one ``_combiner_table``, whose
     grid rows are built once, and the points of all of them are one
     lockstep ``_max_rates``.  Each region is the one its realization gets
     alone."""
-    tables = [_combiner_table(channels) for channels in realizations]
-    grids = [_grid(table, config) for table in tables]
-    ends = [math.log1p(_gamma_b_max(grid, config)) / _LN2 for grid in grids]
+    table = _combiner_table(*realizations)
+    grid = _grid(table, config, len(realizations))
+    ends = [math.log1p(gamma) / _LN2 for gamma in _gamma_b_max(grid, config).tolist()]
     targets = [_sweep_targets(end, n_points) for end in ends]
-    points = _max_rates(realizations, targets, config, tables, grids)
+    points = _max_rates(realizations, targets, config, table, grid)
     return [_repair(zip(*pair)) for pair in zip(targets, points)]
 
 

@@ -38,7 +38,6 @@ from .rate_region import (
     _directions,
     _null_z,
     _p_prime,
-    _rows,
     boundary_range,
 )
 
@@ -407,17 +406,17 @@ def max_sum_rates(realizations, config):
     combiners and each pair of golden steps one batch of every refining
     realization's three (the step's combiner and the next step's two
     candidates), the rows that share a null dimension in one ``_TxBatch``.
-    Each realization reads one ``_combiner_table``; only the winners'
+    The realizations share one ``_combiner_table``; only the winners'
     OperatingPoints are built, and each is the one its realization gets
     alone."""
-    tables = [_combiner_table(channels) for channels in realizations]
+    table = _combiner_table(*realizations)
     n = len(realizations)
 
     def evaluate(owners, alphas):
         if owners is None:  # the grid of every realization
             owners, alphas = np.repeat(np.arange(n), alphas.size), np.tile(alphas, n)
         points = _p2_batch([realizations[i] for i in owners.tolist()], alphas,
-                           _rows(tables, owners, alphas), config)
+                           table(alphas, owners), config)
         return points.values, points.point
 
     return _alpha_search(evaluate, n, config)

@@ -592,7 +592,7 @@ class TestCombinerTable:
                 r_bs.append(1.05 * r_bs[-1])
             alone = [_standalone_or_none(ch, r_b, cfg) for r_b in r_bs]
             table = _combiner_table(ch)
-            [lockstep] = _max_rates([ch], [r_bs], cfg, [table], [_grid(table, cfg)])
+            [lockstep] = _max_rates([ch], [r_bs], cfg, table, _grid(table, cfg))
             assert [_point_bits(pt) for pt in lockstep] == [_point_bits(pt) for pt in alone]
             assert (alone[-1] is None) == (case == "above_endpoint")
             # the same sweep (targets, repair) from the standalone points
@@ -622,7 +622,7 @@ class TestCombinerTable:
 
         monkeypatch.setattr(rate_region_module, "maximize_1d_lockstep", spy)
         table = _combiner_table(ch)
-        [points] = _max_rates([ch], [r_bs], CFG, [table], [_grid(table, CFG)])
+        [points] = _max_rates([ch], [r_bs], CFG, table, _grid(table, CFG))
         best = grids[0].argmax(axis=1)
         ends = (best == 0) | (best == CFG.alpha_grid - 1)
         assert 0 in best and CFG.alpha_grid - 1 in best and not ends.all()
@@ -644,6 +644,33 @@ def _chunk():
 class TestLockstepRealizations:
     """The lockstep solvers search several realizations' combiners in shared
     batches; each realization must get its standalone answer bit for bit."""
+
+    @pytest.mark.parametrize("case", ["default", "mixed_null"])
+    def test_table_rows(self, case):
+        # one table call for the combiners of several realizations gives
+        # each row the bits of its realization's own table, whatever the
+        # null dimension: mixed_null's alpha = 1 combiner keeps every
+        # direction, and so does every combiner of a zero-loopback one
+        if case == "default":
+            chs = _chunk()
+        else:
+            ch, cfg = _mixed_null_channels()
+            chs = [ch, sample_channels(cfg, 34), zero_loopback(sample_channels(cfg, 35))]
+        rng = np.random.default_rng(51)
+        alphas = np.concatenate([np.tile(np.linspace(0.0, 1.0, CFG.alpha_grid), len(chs)),
+                                 rng.uniform(0.0, 1.0, 12)])
+        owners = np.concatenate([np.repeat(np.arange(len(chs)), CFG.alpha_grid),
+                                 rng.integers(0, len(chs), 12)])
+        groups = _combiner_table(*chs)(alphas, owners)
+        assert len(groups) == 2
+        for rows, w_r, batch in groups:
+            for i, k in enumerate(rows.tolist()):
+                [(_, w_alone, alone)] = _combiner_table(chs[owners[k]])(alphas[k:k + 1])
+                assert w_r[i].tobytes() == w_alone[0].tobytes()
+                assert alone.n == batch.n
+                for name, x in vars(alone).items():
+                    if name != "n":
+                        assert x.tobytes() == getattr(batch, name)[i:i + 1].tobytes(), name
 
     def test_sum_rate_searches(self):
         chs = _chunk()
@@ -668,8 +695,8 @@ class TestLockstepRealizations:
         ends = [rate_region(ch, 2, CFG)[-1][0] for ch in chs]
         r_bs = [[0.5 * end] for end in ends]
         r_bs[2] += [0.9 * ends[2], 1.05 * ends[2]]
-        tables = [_combiner_table(ch) for ch in chs]
-        points = _max_rates(chs, r_bs, CFG, tables, [_grid(table, CFG) for table in tables])
+        table = _combiner_table(*chs)
+        points = _max_rates(chs, r_bs, CFG, table, _grid(table, CFG, len(chs)))
         assert points[2][2] is None and all(pt is not None for pt in points[0] + points[3])
         assert [[_point_bits(pt) for pt in pts] for pts in points] == [
             [_point_bits(_standalone_or_none(ch, r_b, CFG)) for r_b in targets]

@@ -716,7 +716,7 @@ class TestCombinerTable:
         # B's target at a tenth of its largest value: every combiner is
         # feasible; at half of it the alpha = 1 combiner is not
         for share, feasible in ((0.1, [True] * 5), (0.5, [True] * 4 + [False])):
-            gamma_b = share * _gamma_b_max(_grid(_combiner_table(ch), cfg), cfg)
+            gamma_b = share * _gamma_b_max(_grid(_combiner_table(ch), cfg), cfg)[0]
             points = optimize_fixed_alpha_p1(ch, alphas, gamma_b, cfg)
             assert points.ok.tolist() == feasible
             for k, alpha in enumerate(alphas):
