@@ -100,7 +100,7 @@ SCHEMES = {
 }
 
 # a task holds at most this many trials (see _task_sizes)
-TASK_TRIALS = 8
+TASK_TRIALS = 16
 
 # one column per ResultRow field, in field order
 CSV_COLUMNS = ("sweep_value", "scheme", "mean_RA", "se_RA", "mean_RB", "se_RB",
@@ -159,8 +159,9 @@ def trial_seed(seed, t):
 def _task_sizes(trials, workers):
     """The trial counts of one configuration's tasks, in order: near-equal
     (differing by at most one), at least ``workers`` tasks (so every worker
-    gets one) and at most ``TASK_TRIALS`` trials each (a lockstep search's
-    cost per realization stops falling beyond that), but no empty task."""
+    gets one) and at most ``TASK_TRIALS`` trials each (past that a
+    lockstep search's cost per realization falls little, and smaller tasks
+    balance the pool), but no empty task."""
     n = min(trials, max(workers, -(-trials // TASK_TRIALS)))
     return [trials // n + (i < trials % n) for i in range(n)]
 

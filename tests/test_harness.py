@@ -145,15 +145,15 @@ class TestRunExperiment:
                     k: np.asarray(v).tobytes() for k, v in tables[0].samples.items()}
 
     @pytest.mark.parametrize("trials, workers, sizes", [
-        (1, 3, [1]), (4, 1, [4]), (8, 2, [4, 4]), (11, 3, [4, 4, 3]), (17, 1, [6, 6, 5]),
-        (1024, 2, [8] * 128)])
+        (1, 3, [1]), (4, 1, [4]), (8, 2, [4, 4]), (11, 3, [4, 4, 3]), (17, 1, [9, 8]),
+        (33, 1, [11] * 3), (1024, 2, [16] * 64)])
     def test_task_sizes(self, trials, workers, sizes):
         # near-equal tasks of consecutive trials: at least one per worker,
         # at most TASK_TRIALS trials each, and none empty
         assert _task_sizes(trials, workers) == sizes
         assert max(sizes) <= TASK_TRIALS
 
-    @pytest.mark.parametrize("workers, tasks, per_task", [(1, 6, 7), (2, 6, 7), (4, 8, 5)])
+    @pytest.mark.parametrize("workers, tasks, per_task", [(1, 4, 10), (2, 4, 10), (4, 8, 5)])
     def test_tasks_in_metadata(self, workers, tasks, per_task):
         spec = ExperimentSpec(kind="sumrate_vs_source_snr", schemes=FAST,
                               sweep=(0.0, 10.0), trials=20, seed=3, base=BASE)
