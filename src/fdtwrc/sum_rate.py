@@ -54,6 +54,11 @@ __all__ = [
 
 # grid spacing in q at which the frontier search stops
 _FRONTIER_TOL = 1e-6
+# float64 elements of one rows x levels temporary of the frontier search:
+# 64 KiB, below the 128 KiB at which glibc's malloc maps a block of its own.
+# Larger temporaries are mapped and unmapped (or trimmed off the heap) on
+# every call, and their pages fault in afresh each time.
+_FRONTIER_BLOCK = 8192
 # distance, relative to the power box, within which a power candidate is a
 # box corner
 _CORNER_TOL = 1e-12
@@ -177,8 +182,16 @@ def _frontier_argmax(e_a, e_b, k_a, k_b, top_a, top_b, r, grid_points):
     5e-7).  Returns each row's best level on the last grid; ties go to the
     lowest level.  The last grid holds levels within its spacing of every
     earlier best, so no earlier best is lost by more than the frontier's
-    change over that spacing.
+    change over that spacing.  The rows run in blocks of at most
+    ``_FRONTIER_BLOCK // grid_points``; a row's level does not depend on
+    its block.
     """
+    block = max(1, _FRONTIER_BLOCK // grid_points)
+    if r.shape[0] > block:
+        args = (e_a, e_b, k_a, k_b, top_a, top_b, r)
+        return np.concatenate([
+            _frontier_argmax(*(x[i:i + block] for x in args), grid_points)
+            for i in range(0, r.shape[0], block)])
     e_a, e_b, k_a, k_b, top_a, top_b, r = (x[:, None] for x in (e_a, e_b, k_a, k_b,
                                                                 top_a, top_b, r))
     rows = np.arange(r.shape[0])

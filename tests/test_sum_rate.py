@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -611,17 +612,35 @@ class TestStationaryPoints:
 class TestScalarKernels:
     def test_frontier_rows_match_batches_of_one(self):
         # the zoomed-grid frontier search treats its rows independently: a
-        # batch returns, bit for bit, the levels its rows return alone
+        # batch returns, bit for bit, the levels its rows return alone; 100
+        # rows span three of its row blocks, the last one partial
         rng = np.random.default_rng(23)
-        cols = rng.uniform(0.0, 50.0, (6, 40))
-        r = rng.uniform(0.0, 1.0, 40)
+        cols = rng.uniform(0.0, 50.0, (6, 100))
+        r = rng.uniform(0.0, 1.0, 100)
         r[:4] = (0.0, 1.0, 1.0 - 1e-12, 0.5)
         cols[4:, 5] = 0.0  # a silent direction: a flat frontier
         q = _frontier_argmax(*cols, r, CFG.grid_points)
         assert np.all((q >= 0.0) & (q <= 1.0))
-        for k in range(40):
+        for k in range(100):
             alone = _frontier_argmax(*cols[:, k:k + 1], r[k:k + 1], CFG.grid_points)
             assert alone.tobytes() == q[k:k + 1].tobytes()
+
+    def test_frontier_memory_does_not_grow_with_rows(self):
+        # the search runs its rows in blocks, so a lockstep of 16
+        # realizations' combiners needs no more memory than one block
+        block = sum_rate._FRONTIER_BLOCK // CFG.grid_points
+        rng = np.random.default_rng(24)
+
+        def peak(rows):
+            cols, r = rng.uniform(0.0, 50.0, (6, rows)), rng.uniform(0.0, 1.0, rows)
+            tracemalloc.start()
+            try:
+                _frontier_argmax(*cols, r, CFG.grid_points)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(16 * CFG.alpha_grid) < 1.25 * peak(block)
 
     @pytest.mark.parametrize("null_dim", [None, 2, 3])
     def test_frontier_float_matches_array_element(self, null_dim):
