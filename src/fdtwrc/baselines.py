@@ -4,10 +4,14 @@ FD relaying, the no-relay-SI upper bound, and the local-CSI variant.
 HD has no self-interference and full fixed powers, so only the relay matrix
 is optimized, over its useful subspaces: the benchmark the reported gains
 are measured against.  There each HD SINR is a rank-one quotient of
-Hermitian forms (``_hd_forms``).  ``hd_anc_solve`` maximizes the HD sum
+Hermitian forms (``_hd_forms``).  ``hd_anc_solves`` maximizes the HD sum
 rate by a Newton ascent; an HD region sweep runs up to B's closed-form
 largest SINR and solves every boundary point exactly through a 1-D dual,
-all points in one batch.  No HD step is random.  The upper bound reuses the proposed solvers on a realization whose relay
+all points in one batch.  No HD step is random.  Both HD solvers take a
+sequence of realizations and step all of them in one lockstep, each
+realization leaving it at its own stop, so each gets its answer alone.
+
+The upper bound reuses the proposed solvers on a realization whose relay
 loopback is zeroed, which removes the ZF restriction while keeping source
 SI; like them, it solves a sequence of realizations in one lockstep.
 """
@@ -26,7 +30,6 @@ from .model import (
     receive_combiner,
     receive_gains,
     relay_null_basis,
-    strip_source_si,
     zero_loopback,
 )
 # _alpha_search and max_sum_rate are not called here; they stay bound
@@ -35,8 +38,9 @@ from .rate_region import (
     _LN2,
     _alpha_search,
     _p_prime,
+    _repair,
+    _sweep_targets,
     rate_regions,
-    region_sweep,
 )
 from .sum_rate import max_sum_rate, max_sum_rates
 
@@ -44,7 +48,9 @@ __all__ = [
     "SchemeId",
     "parse_scheme",
     "hd_anc_solve",
+    "hd_anc_solves",
     "hd_anc_region",
+    "hd_anc_regions",
     "fd_oneway_direction_rate",
     "fd_oneway_region",
     "fd_oneway_sum_rate",
@@ -91,13 +97,20 @@ class _HdReduced:
     b_r: np.ndarray
 
 
-def _hd_reduce(channels):
-    u, _ = np.linalg.qr(np.stack([channels.h_ra, channels.h_rb], axis=1))
-    v, _ = np.linalg.qr(np.stack([channels.h_ar, channels.h_br], axis=1))
-    return _HdReduced(
-        u=u, v=v,
-        a_t=u.conj().T @ channels.h_ra, b_t=u.conj().T @ channels.h_rb,
-        a_r=v.conj().T @ channels.h_ar, b_r=v.conj().T @ channels.h_br)
+def _hd_reduce(realizations):
+    """The ``_HdReduced`` of each realization of a sequence, by stacked QR
+    and products, each realization's in the arithmetic of its own.  Only
+    the four source links enter: HD has neither source SI nor loopback."""
+    h_ra, h_rb, h_ar, h_br = (np.array([getattr(ch, name) for ch in realizations])
+                              for name in ("h_ra", "h_rb", "h_ar", "h_br"))
+    u, _ = np.linalg.qr(np.stack([h_ra, h_rb], axis=2))
+    v, _ = np.linalg.qr(np.stack([h_ar, h_br], axis=2))
+
+    def images(q, h):  # q^H h per realization
+        return (q.conj().transpose(0, 2, 1) @ h[:, :, None])[:, :, 0]
+
+    return [_HdReduced(*fields) for fields in zip(
+        u, v, images(u, h_ra), images(u, h_rb), images(v, h_ar), images(v, h_br))]
 
 
 def _hd_gammas(x, red, config):
@@ -137,8 +150,10 @@ class _HdForms:
     t_b: np.ndarray
 
 
-def _hd_forms(red, config):
-    """The ``_HdForms`` of a reduced realization.
+def _hd_forms(reds, config):
+    """The ``_HdForms`` of each of a sequence of reduced realizations, from
+    stacked Cholesky factors and products, each realization's in the
+    arithmetic of its own.
 
     Proof.  ``_hd_gammas`` rescales X to the budget, s = p_r / power(X) with
     power(X) = p_a ||X a_r||^2 + p_b ||X b_r||^2 + ||X||_F^2, so
@@ -152,17 +167,29 @@ def _hd_forms(red, config):
     and the rest into c_a and t_a; B's SINR is the same with a and b
     swapped.  Both denominators are at least ||y||^2 > 0, for p_r = 0 too.
     """
-    kt, kr = red.a_t.size, red.a_r.size
-    r = (np.eye(kr) + config.p_a_max * np.outer(red.a_r.conj(), red.a_r)
-         + config.p_b_max * np.outer(red.b_r.conj(), red.b_r))
-    k = np.kron(np.eye(kt), np.linalg.inv(np.linalg.cholesky(r)).conj().T)
+    a_t, b_t, a_r, b_r = (np.array([getattr(red, name) for red in reds])
+                          for name in ("a_t", "b_t", "a_r", "b_r"))
+    kt, kr = a_t.shape[1], a_r.shape[1]
+    r = (np.eye(kr) + config.p_a_max * (a_r.conj()[:, :, None] * a_r[:, None, :])
+         + config.p_b_max * (b_r.conj()[:, :, None] * b_r[:, None, :]))
+    k = _kron(np.eye(kt), np.linalg.inv(np.linalg.cholesky(r)).conj().transpose(0, 2, 1))
+    k_h = k.conj().transpose(0, 2, 1)
 
     def transmit_form(t):
-        return k.conj().T @ np.kron(np.outer(t, t.conj()), np.eye(kr)) @ k
+        return k_h @ _kron(t[:, :, None] * t.conj()[:, None, :], np.eye(kr)) @ k
 
-    return _HdForms(k=k, c_a=k.conj().T @ np.kron(red.a_t, red.b_r.conj()),
-                    c_b=k.conj().T @ np.kron(red.b_t, red.a_r.conj()),
-                    t_a=transmit_form(red.a_t), t_b=transmit_form(red.b_t))
+    def image(t, s):  # k^H (t kron s)
+        return (k_h @ (t[:, :, None] * s[:, None, :]).reshape(len(reds), -1, 1))[:, :, 0]
+
+    return [_HdForms(*fields) for fields in zip(
+        k, image(a_t, b_r.conj()), image(b_t, a_r.conj()), transmit_form(a_t), transmit_form(b_t))]
+
+
+def _kron(a, b):
+    """``np.kron`` of the last two axes of a and b, products alike, for
+    stacks."""
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def _hd_gamma_b_max(forms, config):
@@ -186,9 +213,15 @@ def _bloch(h):
                       0.5 * (h[..., 0, 0] - h[..., 1, 1]).real], axis=-1))
 
 
+def _norm(v, keepdims=False):
+    """``np.linalg.norm(v, axis=-1)``, in its arithmetic, without its
+    dispatch."""
+    return np.sqrt(np.add.reduce((v.conj() * v).real, axis=-1, keepdims=keepdims))
+
+
 def _unit(v, fallback):
     """v / |v| along the last axis, ``fallback`` where v = 0."""
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    n = _norm(v, keepdims=True)
     return np.where(n > 0.0, v / np.where(n > 0.0, n, 1.0), fallback)
 
 
@@ -215,7 +248,7 @@ def _best_in_plane(p, q):
     p0, pv = _bloch(p)
     q0, qv = _bloch(q)
     ez = np.array([0.0, 0.0, 1.0])
-    qn = np.linalg.norm(qv, axis=-1)
+    qn = _norm(qv)
     q_hat = _unit(qv, ez)
     r_free = _unit(pv, q_hat)
     free = q0 + np.sum(qv * r_free, axis=-1) >= 0.0
@@ -224,13 +257,18 @@ def _best_in_plane(p, q):
     # twice: one pass leaves a rounding-sized component along q when p is
     # nearly parallel to q, and that component moves the constraint
     perp = perp - np.sum(perp * q_hat, axis=-1, keepdims=True) * q_hat
-    other = np.cross(q_hat, np.where(np.abs(q_hat[..., :1]) < 0.9, [1.0, 0.0, 0.0],
-                                     [0.0, 1.0, 0.0]))
+    # q_hat x (1, 0, 0) where |q_hat_x| < 0.9, else q_hat x (0, 1, 0), in
+    # np.cross's arithmetic
+    q_x, q_y, q_z = q_hat[..., 0], q_hat[..., 1], q_hat[..., 2]
+    b_x = (np.abs(q_x) < 0.9) + 0.0
+    b_y = 1.0 - b_x
+    other = np.stack([q_y * 0.0 - q_z * b_y, q_z * b_x - q_x * 0.0,
+                      q_x * b_y - q_y * b_x], axis=-1)
     e = _unit(perp, _unit(other, ez))
     b = np.sqrt(1.0 - a * a)
     r = np.where(free[..., None], r_free, a[..., None] * q_hat + b[..., None] * e)
     value = np.where(free | (q0 + qn >= 0.0), p0 + np.sum(pv * r, axis=-1), -np.inf)
-    kappa = np.linalg.norm(perp, axis=-1) / np.where(b > 0.0, b, np.inf)
+    kappa = _norm(perp) / np.where(b > 0.0, b, np.inf)
     nu = np.where(free, 0.0, (kappa * a - np.sum(pv * q_hat, axis=-1))
                   / np.where(qn > 0.0, qn, np.inf))
     # back from r to w, dividing by the larger of 1 + r_z and 1 - r_z
@@ -278,46 +316,61 @@ def _hd_region_points(forms, config, thresholds):
     or v_b, is kept, so every answer is feasible.  A row stops when its
     point is within 1e-13 relative of g(mu), a bound on the optimum by weak
     duality, or when the Newton step stalls.
+
+    ``forms`` and ``thresholds`` hold one realization's forms and
+    thresholds each.  The whitening is per realization, and the dual steps
+    of all realizations' rows are one batch; a list of (y, gamma_a) pairs
+    is returned per realization.
     """
     p_r = config.p_r_max
-    n = forms.c_a.size
-    ell_inv = np.linalg.inv(np.linalg.cholesky(np.eye(n) + p_r * forms.t_a))
-    a_w, b_w = ell_inv @ forms.c_a, ell_inv @ forms.c_b
-    alpha, beta = a_w / np.linalg.norm(a_w), b_w / np.linalg.norm(b_w)
-    g_a = config.p_b_max * p_r * float(np.vdot(a_w, a_w).real)
-    s_b = config.p_a_max * p_r * float(np.vdot(b_w, b_w).real)
-    g = np.eye(n) + p_r * (ell_inv @ (forms.t_b - forms.t_a) @ ell_inv.conj().T)
-    g = 0.5 * (g + g.conj().T)
-    t = np.asarray(thresholds, dtype=float)
-    feasible = t <= _hd_gamma_b_max(forms, config)
-    rows = np.flatnonzero(feasible & (s_b * abs(np.vdot(beta, alpha)) ** 2
-                                      < t * np.vdot(alpha, g @ alpha).real))
-    v = np.tile(alpha, (t.size, 1))
-    value = np.where(feasible, 1.0, -np.inf)
-    if rows.size:
-        aa = np.outer(alpha, alpha.conj())
-        m = np.outer(beta, beta.conj()) - (t[rows] / s_b)[:, None, None] * g
+    n = forms[0].c_a.size
+    # per realization: (ell_inv, g_a, feasible, its dual rows, v, value);
+    # per dual row of all realizations: aa, m, best_v, best, mu
+    whites, aa, m, best_v, best, mu = [], [], [], [], [], []
+    for fm, t in zip(forms, thresholds):
+        ell_inv = np.linalg.inv(np.linalg.cholesky(np.eye(n) + p_r * fm.t_a))
+        a_w, b_w = ell_inv @ fm.c_a, ell_inv @ fm.c_b
+        alpha, beta = a_w / np.linalg.norm(a_w), b_w / np.linalg.norm(b_w)
+        g_a = config.p_b_max * p_r * float(np.vdot(a_w, a_w).real)
+        s_b = config.p_a_max * p_r * float(np.vdot(b_w, b_w).real)
+        g = np.eye(n) + p_r * (ell_inv @ (fm.t_b - fm.t_a) @ ell_inv.conj().T)
+        g = 0.5 * (g + g.conj().T)
+        t = np.asarray(t, dtype=float)
+        feasible = t <= _hd_gamma_b_max(fm, config)
+        rows = np.flatnonzero(feasible & (s_b * abs(np.vdot(beta, alpha)) ** 2
+                                          < t * np.vdot(alpha, g @ alpha).real))
+        whites.append((ell_inv, g_a, feasible, rows, np.tile(alpha, (t.size, 1)),
+                       np.where(feasible, 1.0, -np.inf)))
+        if not rows.size:
+            continue
+        aa_k = np.outer(alpha, alpha.conj())
+        m_k = np.outer(beta, beta.conj()) - (t[rows] / s_b)[:, None, None] * g
         v_b = np.linalg.solve(g, beta)
         v_b /= np.linalg.norm(v_b)
         plane, _ = np.linalg.qr(np.stack([alpha, v_b], axis=1))
-        w, best, nu = _best_in_plane(plane.conj().T @ aa @ plane,
-                                     plane.conj().T @ m @ plane)
+        w, best_k, nu = _best_in_plane(plane.conj().T @ aa_k @ plane,
+                                       plane.conj().T @ m_k @ plane)
         at_b = abs(np.vdot(alpha, v_b)) ** 2
-        best_v = np.where((best > at_b)[:, None], w @ plane.T, v_b)
-        best = np.maximum(best, at_b)
-        mu = np.where(nu > 0.0, nu, 1.0)
-        lo, hi = np.zeros(rows.size), np.full(rows.size, np.inf)
-        done = np.zeros(rows.size, dtype=bool)
+        aa.append(np.broadcast_to(aa_k, m_k.shape))
+        m.append(m_k)
+        best_v.append(np.where((best_k > at_b)[:, None], w @ plane.T, v_b))
+        best.append(np.maximum(best_k, at_b))
+        mu.append(np.where(nu > 0.0, nu, 1.0))
+    if aa:
+        aa, m, best_v, best, mu = (np.concatenate(x) for x in (aa, m, best_v, best, mu))
+        lo, hi = np.zeros(mu.size), np.full(mu.size, np.inf)
+        # the rows still stepping; a row leaves at its own stop
+        live, out_v, out_best = np.arange(mu.size), best_v.copy(), best.copy()
         for _ in range(_HD_DUAL_STEPS):
             lam, vec = np.linalg.eigh(aa + mu[:, None, None] * m)
             mv = vec.conj().transpose(0, 2, 1) @ m @ vec
             top2 = vec[:, :, -2:]
             w, val, _ = _best_in_plane(top2.conj().transpose(0, 2, 1) @ aa @ top2,
                                        mv[:, -2:, -2:])
-            gain = (val > best) & ~done
+            gain = val > best
             best_v = np.where(gain[:, None], (top2 @ w[:, :, None])[:, :, 0], best_v)
             best = np.where(gain, val, best)
-            done |= lam[:, -1] - best <= 1e-13 * lam[:, -1]
+            done = lam[:, -1] - best <= 1e-13 * lam[:, -1]
             slope = mv[:, -1, -1].real
             spread = lam[:, -1:] - lam[:, :-1]
             curv = 2.0 * np.sum(np.abs(mv[:, :-1, -1]) ** 2 / np.maximum(
@@ -328,17 +381,35 @@ def _hd_region_points(forms, config, thresholds):
             step = np.where((lo < newton) & (newton < hi), newton,
                             np.where(np.isfinite(hi), 0.5 * (lo + hi), 2.0 * mu + 1.0))
             done |= np.abs(step - mu) <= 1e-10 * mu
-            if done.all():
-                break
-            mu = np.where(done, mu, step)
-        v[rows], value[rows] = best_v, best
-    y = v @ ell_inv.conj()  # rows of L^-H v
-    return [(None, -math.inf) if not ok else (y_k, g_a * val)
-            for ok, y_k, val in zip(feasible, y, value)]
+            if done.any():
+                out_v[live[done]], out_best[live[done]] = best_v[done], best[done]
+                go = ~done
+                live, aa, m, best_v, best, lo, hi, step = (
+                    x[go] for x in (live, aa, m, best_v, best, lo, hi, step))
+                if not live.size:
+                    break
+            mu = step
+        out_v[live], out_best[live] = best_v, best
+        best_v, best = out_v, out_best
+    out, start = [], 0
+    for ell_inv, g_a, feasible, rows, v, value in whites:
+        if rows.size:
+            v[rows], value[rows] = best_v[start:start + rows.size], best[start:start + rows.size]
+            start += rows.size
+        y = v @ ell_inv.conj()  # rows of L^-H v
+        out.append([(None, -math.inf) if not ok else (y_k, g_a * val)
+                    for ok, y_k, val in zip(feasible, y, value)])
+    return out
 
 
-def _hd_max_sum_rate(forms, config):
-    """A y that maximizes ln(1 + gamma_a) + ln(1 + gamma_b), and that value.
+def _hd_real(h):
+    """The real 2n x 2n form of (a stack of) complex n x n matrices."""
+    return np.block([[h.real, -h.imag], [h.imag, h.real]])
+
+
+def _hd_max_sum_rates(forms, config):
+    """For each realization's forms, a y that maximizes ln(1 + gamma_a) +
+    ln(1 + gamma_b), and that value.
 
     Newton ascent in real coordinates z = (Re y, Im y), from six starts in
     lockstep: D_a^-1 c_a and D_b^-1 c_b (each SINR's own maximizer, by
@@ -353,68 +424,91 @@ def _hd_max_sum_rate(forms, config):
     the eigenvalue's magnitude (the Newton step where the Hessian is
     negative definite, an ascent direction elsewhere).  A start moves to the
     best of the step scaled by 1, 1/2, ..., 1/2048 only if that raises its
-    objective, so each start's value never falls; all stop when every
-    start's Newton decrement is below 1e-14 relative.  The problem is not
-    concave, so this is a local method: the starts cover both single-user
-    optima and the phases between them.
+    objective, so each start's value never falls; a realization stops when
+    each of its starts' Newton decrement is below 1e-14 relative.  The
+    problem is not concave, so this is a local method: the starts cover
+    both single-user optima and the phases between them.
+
+    All realizations' starts step in one lockstep, their (N, D) pairs
+    stacked K x 2n x 2n; a realization leaves it at its own stop, so its
+    answer does not depend on the others.
     """
-    n = forms.c_a.size
+    n = forms[0].c_a.size
     p_r = config.p_r_max
-
-    def real(h):
-        return np.block([[h.real, -h.imag], [h.imag, h.real]])
-
     eye = np.eye(n)
-    d_a, d_b = eye + p_r * forms.t_a, eye + p_r * forms.t_b
-    pairs = [(real(config.p_b_max * p_r * np.outer(forms.c_a, forms.c_a.conj())), real(d_a)),
-             (real(config.p_a_max * p_r * np.outer(forms.c_b, forms.c_b.conj())), real(d_b))]
-    y_a, y_b = np.linalg.solve(d_a, forms.c_a), np.linalg.solve(d_b, forms.c_b)
-    y_a, y_b = y_a / np.linalg.norm(y_a), y_b / np.linalg.norm(y_b)
-    y = np.stack([y_a, y_b] + [y_a + 1j ** j * y_b for j in range(4)])
-    y = _unit(y, y_a)
-    z = np.concatenate([y.real, y.imag], axis=1)
-    turn = real(1j * eye)
+    c_a, c_b = (np.array([getattr(fm, c) for fm in forms]) for c in ("c_a", "c_b"))
+    d_a, d_b = (eye + p_r * np.array([getattr(fm, t) for fm in forms]) for t in ("t_a", "t_b"))
+    # (N, D) of each SINR, K x 2n x 2n each
+    pairs = [(_hd_real(config.p_b_max * p_r * (c_a[:, :, None] * c_a.conj()[:, None, :])),
+              _hd_real(d_a)),
+             (_hd_real(config.p_a_max * p_r * (c_b[:, :, None] * c_b.conj()[:, None, :])),
+              _hd_real(d_b))]
+    y_a, y_b = [], []
+    for k in range(len(forms)):
+        ya, yb = np.linalg.solve(d_a[k], c_a[k]), np.linalg.solve(d_b[k], c_b[k])
+        y_a.append(ya / np.linalg.norm(ya))
+        y_b.append(yb / np.linalg.norm(yb))
+    y_a, y_b = np.array(y_a)[:, None], np.array(y_b)[:, None]
+    y = _unit(np.concatenate([y_a, y_b] + [y_a + 1j ** j * y_b for j in range(4)], axis=1), y_a)
+    z = np.concatenate([y.real, y.imag], axis=-1)  # K x 6 x 2n
+    turn = _hd_real(1j * eye)
+    eye2 = np.eye(2 * n)
     ladder = 0.5 ** np.arange(12)
 
-    def quotients(z):
-        return [(np.sum(z * (z @ num), axis=-1), np.sum(z * (z @ den), axis=-1))
-                for num, den in pairs]
+    def quotients(z, pairs):
+        # per SINR: z N, z D, z^T N z and z^T D z, for z of shape K x ... x 2n
+        at = (slice(None),) + (None,) * (z.ndim - 3)
+        out = []
+        for num, den in pairs:
+            zn, zd = z @ num[at], z @ den[at]
+            out.append((zn, zd, (z * zn).sum(axis=-1), (z * zd).sum(axis=-1)))
+        return out
 
-    def objective(z):
-        return sum(np.log1p(nz / dz) for nz, dz in quotients(z))
+    def objective(z, pairs):
+        return sum(np.log1p(nz / dz) for _, _, nz, dz in quotients(z, pairs))
 
-    f = objective(z)
+    f = objective(z, pairs)
+    # the realizations still stepping, and everyone's final starts
+    live, z_out, f_out = np.arange(len(forms)), z.copy(), f.copy()
     for _ in range(_HD_NEWTON_STEPS):
         grad = np.zeros_like(z)
         hess = np.zeros(z.shape + (2 * n,))
-        for (nz, dz), (num, den) in zip(quotients(z), pairs):
-            gamma = (nz / dz)[:, None]
-            dz_vec = z @ den
-            dg = 2.0 * (z @ num - gamma * dz_vec) / dz[:, None]
-            d2g = (2.0 * num - 2.0 * gamma[:, :, None] * den
-                   - 2.0 * dg[:, :, None] * dz_vec[:, None, :]
-                   - 2.0 * dz_vec[:, :, None] * dg[:, None, :]) / dz[:, None, None]
-            grad += dg / (1.0 + gamma)
-            hess += (d2g / (1.0 + gamma[:, :, None])
-                     - dg[:, :, None] * dg[:, None, :] / (1.0 + gamma[:, :, None]) ** 2)
+        for (zn, zd, nz, dz), (num, den) in zip(quotients(z, pairs), pairs):
+            gamma = (nz / dz)[..., None]
+            dg = 2.0 * (zn - gamma * zd) / dz[..., None]
+            d2g = (2.0 * num[:, None] - 2.0 * gamma[..., None] * den[:, None]
+                   - 2.0 * dg[..., :, None] * zd[..., None, :]
+                   - 2.0 * zd[..., :, None] * dg[..., None, :]) / dz[..., None, None]
+            g1 = 1.0 + gamma
+            grad += dg / g1
+            hess += d2g / g1[..., None] - dg[..., :, None] * dg[..., None, :] / g1[..., None] ** 2
         jz = z @ turn.T
-        proj = (np.eye(2 * n) - z[:, :, None] * z[:, None, :] - jz[:, :, None] * jz[:, None, :])
-        grad = (proj @ grad[:, :, None])[:, :, 0]
+        proj = eye2 - z[..., :, None] * z[..., None, :] - jz[..., :, None] * jz[..., None, :]
+        grad = (proj @ grad[..., None])[..., 0]
         lam, vec = np.linalg.eigh(proj @ hess @ proj)
-        floor = 1e-12 * np.abs(lam).max(axis=1, keepdims=True) + 1e-300
-        coef = (grad[:, None, :] @ vec)[:, 0, :] / np.maximum(np.abs(lam), floor)
-        d = (vec @ coef[:, :, None])[:, :, 0]
-        if np.all(np.sum(grad * d, axis=1) <= 1e-14 * (1.0 + f)):
-            break
-        cand = _unit(z[:, None, :] + ladder[:, None] * d[:, None, :], z[:, None, :])
-        f_cand = objective(cand)
-        pick = np.argmax(f_cand, axis=1)
-        f_pick = f_cand[np.arange(len(z)), pick]
+        floor = 1e-12 * np.abs(lam).max(axis=-1, keepdims=True) + 1e-300
+        coef = (grad[..., None, :] @ vec)[..., 0, :] / np.maximum(np.abs(lam), floor)
+        d = (vec @ coef[..., None])[..., 0]
+        stop = ((grad * d).sum(axis=-1) <= 1e-14 * (1.0 + f)).all(axis=1)
+        if stop.any():
+            z_out[live[stop]], f_out[live[stop]] = z[stop], f[stop]
+            go = ~stop
+            live, z, f, d = live[go], z[go], f[go], d[go]
+            pairs = [(num[go], den[go]) for num, den in pairs]
+            if not live.size:
+                break
+        cand = _unit(z[..., None, :] + ladder[:, None] * d[..., None, :], z[..., None, :])
+        # each start's best rung
+        f_cand = objective(cand, pairs).reshape(-1, ladder.size)
+        cand = cand.reshape(-1, ladder.size, 2 * n)
+        rows, pick = np.arange(f.size), f_cand.argmax(axis=1)
+        f_pick = f_cand[rows, pick].reshape(f.shape)
         rise = f_pick > f
-        z = np.where(rise[:, None], cand[np.arange(len(z)), pick], z)
+        z = np.where(rise[..., None], cand[rows, pick].reshape(z.shape), z)
         f = np.where(rise, f_pick, f)
-    best = int(np.argmax(f))
-    return z[best, :n] + 1j * z[best, n:], float(f[best])
+    z_out[live], f_out[live] = z, f
+    return [(zk[best, :n] + 1j * zk[best, n:], float(fk[best]))
+            for zk, fk, best in zip(z_out, f_out, np.argmax(f_out, axis=1).tolist())]
 
 
 def _hd_point(y, red, forms, config, trace_value):
@@ -435,53 +529,75 @@ def _hd_point(y, red, forms, config, trace_value):
         trace=[trace_value], pre_log=0.5)
 
 
-def _hd_setup(channels, config):
-    red = _hd_reduce(strip_source_si(zero_loopback(channels)))
-    return red, _hd_forms(red, config)
+def _hd_setups(realizations, config):
+    """Each realization's (``_HdReduced``, ``_HdForms``)."""
+    reds = _hd_reduce(realizations)
+    return list(zip(reds, _hd_forms(reds, config)))
 
 
-def hd_anc_solve(channels, config):
-    """Two-phase HD analog network coding benchmark, at its best sum rate.
+def hd_anc_solves(realizations, config):
+    """Two-phase HD analog network coding benchmark, at its best sum rate,
+    for each realization of a sequence.
 
     Both sources use full power and there is no self-interference, so only
     the relay matrix is optimized, over its useful subspaces, by
-    ``_hd_max_sum_rate``'s Newton ascent; rates carry the 1/2 pre-log of
-    the two transmission phases.
+    ``_hd_max_sum_rates``' Newton ascent, one lockstep for all the
+    realizations; rates carry the 1/2 pre-log of the two transmission
+    phases.
     """
-    red, forms = _hd_setup(channels, config)
-    y, value = _hd_max_sum_rate(forms, config)
-    return _hd_point(y, red, forms, config, trace_value=0.5 * value / _LN2)
+    setups = _hd_setups(realizations, config)
+    return [_hd_point(y, red, forms, config, trace_value=0.5 * value / _LN2)
+            for (red, forms), (y, value) in zip(
+                setups, _hd_max_sum_rates([forms for _, forms in setups], config))]
 
 
-def _hd_region(channels, config):
-    """HD region solve over a list of B targets and B's largest target, as
-    (solve_targets, r_b_max).
+def hd_anc_solve(channels, config):
+    """``hd_anc_solves`` of one realization."""
+    [pt] = hd_anc_solves([channels], config)
+    return pt
 
-    ``solve_targets(targets)`` solves every target exactly in one batch
-    (``_hd_region_points``) and returns an OperatingPoint per target, or
-    None where the target exceeds B's largest SINR.  B's target r_b lives
-    in the halved-rate domain, so the per-phase SINR threshold is
-    2**(2 r_b) - 1, computed with expm1 (and the endpoint with log1p) so
-    that a tiny threshold survives the round trip; a threshold is backed
-    off by 1e-9 relative.  B's largest target is the closed-form
-    ``_hd_gamma_b_max``, backed off by 1e-9 relative as well, so the
-    endpoint is solved.
+
+def _hd_regions(realizations, config):
+    """HD region solve of a sequence of realizations over lists of B
+    targets, and each one's largest target, as (solve_targets, r_b_maxes).
+
+    ``solve_targets(targets)`` takes one list of B targets per realization,
+    solves every target exactly in one batch (``_hd_region_points``) and
+    returns, per realization, an OperatingPoint per target, or None where
+    the target exceeds B's largest SINR.  B's target r_b lives in the
+    halved-rate domain, so the per-phase SINR threshold is 2**(2 r_b) - 1,
+    computed with expm1 (and the endpoint with log1p) so that a tiny
+    threshold survives the round trip; a threshold is backed off by 1e-9
+    relative.  B's largest target is the closed-form ``_hd_gamma_b_max``,
+    backed off by 1e-9 relative as well, so the endpoint is solved.
     """
-    red, forms = _hd_setup(channels, config)
+    setups = _hd_setups(realizations, config)
 
     def solve_targets(targets):
-        thresholds = [math.expm1(2.0 * r_b * _LN2) * (1.0 - 1e-9) for r_b in targets]
-        return [None if y is None else _hd_point(y, red, forms, config, trace_value=val)
-                for y, val in _hd_region_points(forms, config, thresholds)]
+        thresholds = [[math.expm1(2.0 * r_b * _LN2) * (1.0 - 1e-9) for r_b in ts]
+                      for ts in targets]
+        points = _hd_region_points([forms for _, forms in setups], config, thresholds)
+        return [[None if y is None else _hd_point(y, red, forms, config, trace_value=val)
+                 for y, val in pts] for (red, forms), pts in zip(setups, points)]
 
-    gamma_b_max = _hd_gamma_b_max(forms, config) * (1.0 - 1e-9)
-    return solve_targets, 0.5 * math.log1p(gamma_b_max) / _LN2
+    return solve_targets, [
+        0.5 * math.log1p(_hd_gamma_b_max(forms, config) * (1.0 - 1e-9)) / _LN2
+        for _, forms in setups]
+
+
+def hd_anc_regions(realizations, n_points, config):
+    """HD region sweep of each realization of a sequence, of
+    ``_hd_regions``' exact solve from r_b = 0 up to B's largest target,
+    with all the realizations' points in one batch."""
+    solve_targets, r_b_maxes = _hd_regions(realizations, config)
+    targets = [_sweep_targets(r_b_max, n_points) for r_b_max in r_b_maxes]
+    return [_repair(zip(*pair)) for pair in zip(targets, solve_targets(targets))]
 
 
 def hd_anc_region(channels, n_points, config):
-    """HD region sweep of ``_hd_region``'s exact solve from r_b = 0 up to
-    B's largest target."""
-    return region_sweep(*_hd_region(channels, config), n_points)
+    """``hd_anc_regions`` of one realization."""
+    [entries] = hd_anc_regions([channels], n_points, config)
+    return entries
 
 
 def _complement_projector_or_identity(v):

@@ -4,9 +4,9 @@ Each trial draws one channel realization from a per-trial seed (master seed
 XOR trial index) and evaluates every requested scheme on that same
 realization, so scheme comparisons are paired and adding a scheme never
 changes the channel stream.  A task is a run of consecutive trials of one
-configuration (``_task_sizes``): the proposed and ub solvers search all of
-its realizations in one lockstep each, and the other schemes run trial by
-trial.  Tasks run in a process pool.  A trial's answer does not depend on
+configuration (``_task_sizes``): the proposed, hd and ub solvers solve all
+of its realizations in one lockstep each, and the closed-form fd2 and
+localcsi schemes run trial by trial.  Tasks run in a process pool.  A trial's answer does not depend on
 the other trials of its task, and aggregation is order-independent, so
 results do not depend on the worker count.
 
@@ -33,8 +33,8 @@ from .baselines import (
     SchemeId,
     fd_oneway_region,
     fd_oneway_sum_rate,
-    hd_anc_region,
-    hd_anc_solve,
+    hd_anc_regions,
+    hd_anc_solves,
     local_csi_sum_rate,
     upper_bound_regions,
     upper_bound_solves,
@@ -77,15 +77,17 @@ def _region_pairs(entries):
 # sum-rate fn maps (realizations, config, trial seeds, the trials' proposed
 # points) to one rate pair (R_A, R_B) per trial; a region fn maps
 # (realizations, config, n_points) to one list per trial of a rate pair per
-# boundary point.  The lambdas look the solvers up in this module when
-# called, so rebinding a module attribute (as a tracer does) reaches them.
+# boundary point.  proposed, hd and ub call their solver once per task, one
+# lockstep over its trials; fd2 and localcsi call theirs per trial.  The
+# lambdas look the solvers up in this module when called, so rebinding a
+# module attribute (as a tracer does) reaches them.
 SCHEMES = {
     SchemeId.PROPOSED_FD: (
         lambda chs, cfg, tseeds, proposed: [_rates(pt) for pt in proposed],
         lambda chs, cfg, n: [_region_pairs(e) for e in rate_regions(chs, n, cfg)]),
     SchemeId.HD_ANC: (
-        lambda chs, cfg, tseeds, proposed: [_rates(hd_anc_solve(ch, cfg)) for ch in chs],
-        lambda chs, cfg, n: [_region_pairs(hd_anc_region(ch, n, cfg)) for ch in chs]),
+        lambda chs, cfg, tseeds, proposed: [_rates(pt) for pt in hd_anc_solves(chs, cfg)],
+        lambda chs, cfg, n: [_region_pairs(e) for e in hd_anc_regions(chs, n, cfg)]),
     SchemeId.FD_ONEWAY: (
         lambda chs, cfg, tseeds, proposed: [fd_oneway_sum_rate(ch, cfg) for ch in chs],
         lambda chs, cfg, n: [fd_oneway_region(ch, n, cfg) for ch in chs]),

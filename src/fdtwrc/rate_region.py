@@ -754,7 +754,10 @@ def _repair(entries):
 
 
 def region_sweep(solve_targets, r_b_max, n_points):
-    """Generic boundary sweep used by the proposed scheme and the baselines.
+    """Generic boundary sweep of one realization.  ``rate_regions`` and
+    ``hd_anc_regions`` sweep the same targets and repair the same way, for
+    a sequence of realizations at once; this one-realization form is not
+    on their path and stays because the perfbench tracer wraps it.
 
     ``solve_targets(targets)`` returns an OperatingPoint, or None where
     infeasible, for each of a list of B targets; ``r_b_max`` is B's largest

@@ -31,6 +31,7 @@ from .model import receive_gains
 from .numerics import maximize_1d
 from .rate_region import (
     _LN2,
+    _abs2,
     _alpha_search,
     _alternate_batch,
     _boundary_z,
@@ -38,6 +39,7 @@ from .rate_region import (
     _directions,
     _null_z,
     _p_prime,
+    _vdots,
     boundary_range,
 )
 
@@ -326,8 +328,8 @@ def solve_power_p2(w_t, ctx, config):
     so (0.0, 0.0, 0.0) is returned when no candidate scores higher,
     feasible or not.
     """
-    tx_a, tx_b, nt2 = np.array([(abs(np.vdot(h[0], w)) ** 2, abs(np.vdot(h[1], w)) ** 2,
-                                 np.vdot(w, w).real) for h, w in zip(ctx.h_t, w_t)]).T
+    tx_a, tx_b = _abs2(_vdots(ctx.h_t, w_t[:, None, :])).T
+    nt2 = _vdots(w_t, w_t).real
     rx_a, rx_b = ctx.rx.T
     haa2, hbb2 = ctx.si2.T
     pa_max, pb_max, pr_max = config.p_a_max, config.p_b_max, config.p_r_max

@@ -81,7 +81,8 @@ def _hd_search(red, config, value_fn, n_rows, starts):
 
 
 def _reduce(channels):
-    return _hd_reduce(strip_source_si(zero_loopback(channels)))
+    [red] = _hd_reduce([strip_source_si(zero_loopback(channels))])
+    return red
 
 
 def _rates(x, red, config):

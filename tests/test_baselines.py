@@ -6,12 +6,18 @@ import numpy as np
 import pytest
 
 from fdtwrc.baselines import (
-    _hd_region,
+    _hd_gamma_b_max,
+    _hd_max_sum_rates,
+    _hd_region_points,
+    _hd_regions,
+    _hd_setups,
     fd_oneway_direction_rate,
     fd_oneway_region,
     fd_oneway_sum_rate,
     hd_anc_region,
+    hd_anc_regions,
     hd_anc_solve,
+    hd_anc_solves,
     local_csi_sum_rate,
     parse_scheme,
     upper_bound_solve,
@@ -28,6 +34,12 @@ from fdtwrc.sum_rate import max_sum_rate
 from reference_hd import reference_region, reference_sum_rate
 
 CFG = SystemConfig()
+
+
+def _hd_region(ch, cfg):
+    """``_hd_regions`` of one realization, as (solve_targets, r_b_max)."""
+    solve, [r_b_max] = _hd_regions([ch], cfg)
+    return (lambda targets: solve([targets])[0]), r_b_max
 
 
 class TestSchemeId:
@@ -134,6 +146,99 @@ class TestHdAnc:
         assert mixed[2] is None
         for p, q in zip(alone, mixed[:2] + mixed[3:]):
             assert p is not None and self._same_point(p, q)
+
+
+def _point_bytes(pt):
+    """The bytes of an HD point's rates, SINRs, trace and relay matrix."""
+    return (np.array([pt.rate_a, pt.rate_b, pt.gamma_a, pt.gamma_b, *pt.trace]).tobytes()
+            + pt.beamformer.w_full.tobytes())
+
+
+def _twin(ch):
+    """ch with B's links set to A's: both SINRs peak at one relay matrix,
+    which every Newton start already holds, so the ascent stops at its
+    first test."""
+    return replace(ch, h_rb=ch.h_ra.copy(), h_br=ch.h_ar.copy())
+
+
+class TestHdLockstep:
+    """A chunk of realizations solved in one lockstep gives each one the
+    bytes of its solve alone."""
+
+    CONFIGS = {"default": CFG, "m_t=m_r=2": replace(CFG, m_t=2, m_r=2), "m_r=1": replace(CFG, m_r=1)}
+    CHUNKS = (1, 4, 16)
+
+    @staticmethod
+    def _realizations(cfg):
+        # the twins stop at their first Newton test, amid slower neighbours
+        chs = [sample_channels(cfg, 5200 + s) for s in range(16)]
+        for k in (1, 9, 14):
+            chs[k] = _twin(chs[k])
+        return chs
+
+    @classmethod
+    def _chunked(cls, solve, items):
+        return {size: [out for i in range(0, len(items), size) for out in solve(items[i:i + size])]
+                for size in cls.CHUNKS}
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_newton_rows_and_points(self, name):
+        cfg = self.CONFIGS[name]
+        chs = self._realizations(cfg)
+        forms = [forms for _, forms in _hd_setups(chs, cfg)]
+        alone = [np.append(y, value).tobytes() for f in forms
+                 for y, value in _hd_max_sum_rates([f], cfg)]
+        for rows in self._chunked(lambda fs: _hd_max_sum_rates(fs, cfg), forms).values():
+            assert [np.append(y, value).tobytes() for y, value in rows] == alone
+        alone = [_point_bytes(hd_anc_solve(ch, cfg)) for ch in chs]
+        for pts in self._chunked(lambda c: hd_anc_solves(c, cfg), chs).values():
+            assert [_point_bytes(pt) for pt in pts] == alone
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_region_rows_and_points(self, name):
+        cfg = self.CONFIGS[name]
+        chs = self._realizations(cfg)
+        forms = [forms for _, forms in _hd_setups(chs, cfg)]
+        # nine thresholds up to B's largest SINR and one past it
+        thresholds = [[_hd_gamma_b_max(f, cfg) * x for x in (*np.linspace(0.0, 1.0, 9), 1.5)]
+                      for f in forms]
+
+        def row_bytes(rows):
+            return [(None if y is None else y.tobytes(), np.float64(value).tobytes())
+                    for y, value in rows]
+
+        alone = [row_bytes(_hd_region_points([f], cfg, [t])[0])
+                 for f, t in zip(forms, thresholds)]
+        for rows in self._chunked(
+                lambda ft: _hd_region_points([f for f, _ in ft], cfg, [t for _, t in ft]),
+                list(zip(forms, thresholds))).values():
+            assert [row_bytes(r) for r in rows] == alone
+
+        def region_bytes(entries):
+            return [(r_b, None if pt is None else _point_bytes(pt)) for r_b, pt in entries]
+
+        alone = [region_bytes(hd_anc_region(ch, 9, cfg)) for ch in chs]
+        for regions in self._chunked(lambda c: hd_anc_regions(c, 9, cfg), chs).values():
+            assert [region_bytes(e) for e in regions] == alone
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_chunks_mix_fast_and_slow_ascents(self, name, monkeypatch):
+        # one eigh per Newton iteration: a twin stops at its first test,
+        # the ordinary realizations of its chunk of 4 take several steps
+        cfg = self.CONFIGS[name]
+        eigh, calls = np.linalg.eigh, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        steps = []
+        for ch in self._realizations(cfg)[:4]:
+            calls.clear()
+            _hd_max_sum_rates([_hd_setups([ch], cfg)[0][1]], cfg)
+            steps.append(len(calls))
+        assert steps[1] == 1 and min(steps[:1] + steps[2:]) >= 3
 
 
 # configurations at the edge of the HD forms: no relay power (the quotients'

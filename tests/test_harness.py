@@ -133,7 +133,8 @@ class TestRunExperiment:
                                         SchemeId.FD_UPPER_BOUND),
                                sweep=(10.0,), trials=trials, seed=13, base=BASE),
                 ExperimentSpec(kind="rate_region",
-                               schemes=(SchemeId.PROPOSED_FD, SchemeId.FD_UPPER_BOUND),
+                               schemes=(SchemeId.PROPOSED_FD, SchemeId.HD_ANC,
+                                        SchemeId.FD_UPPER_BOUND),
                                sweep=(0.0, 0.5, 1.0), trials=trials, seed=14, base=BASE)]
         for spec in specs:
             tables = [run_experiment(spec, workers=w, keep_samples=True) for w in (1, 2, 3)]
@@ -258,18 +259,19 @@ class TestSchemeTable:
     def test_solvers_are_looked_up_at_call_time(self, monkeypatch):
         # a rebound module attribute (a tracer's wrapper) must be the one
         # the run calls
+        # (one call per task: the HD solver takes a task's trials at once)
         calls = []
-        solve = fdtwrc.harness.hd_anc_solve
+        solve = fdtwrc.harness.hd_anc_solves
 
         def counting(*args, **kwargs):
             calls.append(1)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(fdtwrc.harness, "hd_anc_solve", counting)
+        monkeypatch.setattr(fdtwrc.harness, "hd_anc_solves", counting)
         spec = ExperimentSpec(kind="sumrate_vs_source_snr", schemes=FASTPAIR,
-                              sweep=(10.0,), trials=2, seed=4, base=BASE)
-        run_experiment(spec, workers=1)
-        assert len(calls) == 2
+                              sweep=(5.0, 10.0), trials=2, seed=4, base=BASE)
+        table = run_experiment(spec, workers=1)
+        assert len(calls) == table.metadata["tasks"] == 2
 
 
 def _tiny_table():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fdtwrc.baselines import (
-    _hd_region,
+    _hd_regions,
     hd_anc_region,
     upper_bound_region,
     upper_bound_regions,
@@ -743,7 +743,7 @@ def _endpoint_cases():
 def _hd_one_target(ch, cfg, r_b):
     """The HD region solve at one target, raising Infeasible where it
     returns None, as the proposed point solver does."""
-    pt, = _hd_region(ch, cfg)[0]([r_b])
+    [[pt]] = _hd_regions([ch], cfg)[0]([[r_b]])
     if pt is None:
         raise Infeasible("hd_region_target")
     return pt
