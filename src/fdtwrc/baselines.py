@@ -4,7 +4,7 @@ FD relaying, the no-relay-SI upper bound, and the local-CSI variant.
 HD has no self-interference and full fixed powers, so only the relay matrix
 is optimized, over its useful subspaces: the benchmark the reported gains
 are measured against.  There each HD SINR is a rank-one quotient of
-Hermitian forms (``_hd_forms``).  ``hd_anc_solves`` maximizes the HD sum
+Hermitian forms (``_HdSetup``).  ``hd_anc_solves`` maximizes the HD sum
 rate by a Newton ascent; an HD region sweep runs up to B's closed-form
 largest SINR and solves every boundary point exactly through a 1-D dual,
 all points in one batch.  No HD step is random.  Both HD solvers take a
@@ -40,6 +40,7 @@ from .rate_region import (
     _p_prime,
     _repair,
     _sweep_targets,
+    _vdots,
     rate_regions,
 )
 from .sum_rate import max_sum_rate, max_sum_rates
@@ -56,7 +57,6 @@ __all__ = [
     "fd_oneway_sum_rate",
     "upper_bound_solve",
     "upper_bound_solves",
-    "upper_bound_region",
     "upper_bound_regions",
     "local_csi_sum_rate",
 ]
@@ -81,12 +81,22 @@ def parse_scheme(name):
 
 
 @dataclass
-class _HdReduced:
-    """HD relay optimization reduced to the useful subspaces.
+class _HdSetup:
+    """The HD relay optimization of K realizations, reduced to the useful
+    subspaces, as arrays with a leading axis of length K.
 
     Any component of the relay matrix outside span{h_ra, h_rb} (transmit
     side) or span{h_ar, h_br} (receive side) burns power without touching
-    either SINR, so the full-matrix optimum is U X V^H with a small X.
+    either SINR, so the full-matrix optimum is U X V^H with a small X: u
+    and v are those orthonormal bases, a_t, b_t the images of h_ra, h_rb
+    under u^H and a_r, b_r those of h_ar, h_br under v^H.  Each HD SINR is
+    then a rank-one quotient of Hermitian forms in y, the reduced relay
+    matrix in relay-power coordinates: vec(X) = k y (row-major vec), X's
+    relay power is ||y||^2 and
+
+        gamma_a(y) = p_b p_r |c_a^H y|^2 / y^H (I + p_r t_a) y,
+
+    and gamma_b likewise with a and b (and p_a, p_b) swapped.
     """
 
     u: np.ndarray
@@ -95,54 +105,6 @@ class _HdReduced:
     b_t: np.ndarray
     a_r: np.ndarray
     b_r: np.ndarray
-
-
-def _hd_reduce(realizations):
-    """The ``_HdReduced`` of each realization of a sequence, by stacked QR
-    and products, each realization's in the arithmetic of its own.  Only
-    the four source links enter: HD has neither source SI nor loopback."""
-    h_ra, h_rb, h_ar, h_br = (np.array([getattr(ch, name) for ch in realizations])
-                              for name in ("h_ra", "h_rb", "h_ar", "h_br"))
-    u, _ = np.linalg.qr(np.stack([h_ra, h_rb], axis=2))
-    v, _ = np.linalg.qr(np.stack([h_ar, h_br], axis=2))
-
-    def images(q, h):  # q^H h per realization
-        return (q.conj().transpose(0, 2, 1) @ h[:, :, None])[:, :, 0]
-
-    return [_HdReduced(*fields) for fields in zip(
-        u, v, images(u, h_ra), images(u, h_rb), images(v, h_ar), images(v, h_br))]
-
-
-def _hd_gammas(x, red, config):
-    """Per-phase SINR pair for a batch of reduced relay matrices, each
-    rescaled to use the full relay power budget (scaling up helps both)."""
-    p_a, p_b, p_r = config.p_a_max, config.p_b_max, config.p_r_max
-    xa = np.einsum("nij,j->ni", x, red.a_r)
-    xb = np.einsum("nij,j->ni", x, red.b_r)
-    power = (p_a * np.sum(np.abs(xa) ** 2, axis=1)
-             + p_b * np.sum(np.abs(xb) ** 2, axis=1)
-             + np.sum(np.abs(x) ** 2, axis=(1, 2)))
-    scale2 = p_r / power
-    at_x = np.einsum("i,nij->nj", red.a_t.conj(), x)  # a_t^H X
-    bt_x = np.einsum("i,nij->nj", red.b_t.conj(), x)
-    gamma_a = (p_b * np.abs(np.einsum("nj,j->n", at_x, red.b_r)) ** 2 * scale2
-               / (np.sum(np.abs(at_x) ** 2, axis=1) * scale2 + 1.0))
-    gamma_b = (p_a * np.abs(np.einsum("nj,j->n", bt_x, red.a_r)) ** 2 * scale2
-               / (np.sum(np.abs(bt_x) ** 2, axis=1) * scale2 + 1.0))
-    return gamma_a, gamma_b, scale2
-
-
-@dataclass
-class _HdForms:
-    """Each HD SINR as a rank-one quotient of Hermitian forms in y, the
-    reduced relay matrix in relay-power coordinates: vec(X) = k y
-    (row-major vec), X's relay power is ||y||^2 and
-
-        gamma_a(y) = p_b p_r |c_a^H y|^2 / y^H (I + p_r t_a) y,
-
-    and gamma_b likewise with a and b (and p_a, p_b) swapped.
-    """
-
     k: np.ndarray
     c_a: np.ndarray
     c_b: np.ndarray
@@ -150,14 +112,15 @@ class _HdForms:
     t_b: np.ndarray
 
 
-def _hd_forms(reds, config):
-    """The ``_HdForms`` of each of a sequence of reduced realizations, from
-    stacked Cholesky factors and products, each realization's in the
-    arithmetic of its own.
+def _hd_setup(realizations, config):
+    """The ``_HdSetup`` of a sequence of realizations, by stacked QR,
+    Cholesky and products, each realization's in the arithmetic of its own.
+    Only the four source links enter: HD has neither source SI nor
+    loopback.
 
-    Proof.  ``_hd_gammas`` rescales X to the budget, s = p_r / power(X) with
-    power(X) = p_a ||X a_r||^2 + p_b ||X b_r||^2 + ||X||_F^2, so
-    gamma_a = p_b |a_t^H X b_r|^2 s / (||X^H a_t||^2 s + 1); multiplying
+    Proof of the forms.  ``_hd_gammas`` rescales X to the budget, s = p_r /
+    power(X) with power(X) = p_a ||X a_r||^2 + p_b ||X b_r||^2 + ||X||_F^2,
+    so gamma_a = p_b |a_t^H X b_r|^2 s / (||X^H a_t||^2 s + 1); multiplying
     through by power(X) / s gives p_b p_r |a_t^H X b_r|^2 /
     (p_r ||X^H a_t||^2 + power(X)).  For x = vec(X), row-major,
     a_t^H X b_r = (a_t kron conj(b_r))^H x, ||X^H a_t||^2 =
@@ -167,8 +130,15 @@ def _hd_forms(reds, config):
     and the rest into c_a and t_a; B's SINR is the same with a and b
     swapped.  Both denominators are at least ||y||^2 > 0, for p_r = 0 too.
     """
-    a_t, b_t, a_r, b_r = (np.array([getattr(red, name) for red in reds])
-                          for name in ("a_t", "b_t", "a_r", "b_r"))
+    h_ra, h_rb, h_ar, h_br = (np.array([getattr(ch, name) for ch in realizations])
+                              for name in ("h_ra", "h_rb", "h_ar", "h_br"))
+    u, _ = np.linalg.qr(np.stack([h_ra, h_rb], axis=2))
+    v, _ = np.linalg.qr(np.stack([h_ar, h_br], axis=2))
+
+    def images(q, h):  # q^H h per realization
+        return (q.conj().transpose(0, 2, 1) @ h[:, :, None])[:, :, 0]
+
+    a_t, b_t, a_r, b_r = images(u, h_ra), images(u, h_rb), images(v, h_ar), images(v, h_br)
     kt, kr = a_t.shape[1], a_r.shape[1]
     r = (np.eye(kr) + config.p_a_max * (a_r.conj()[:, :, None] * a_r[:, None, :])
          + config.p_b_max * (b_r.conj()[:, :, None] * b_r[:, None, :]))
@@ -179,10 +149,31 @@ def _hd_forms(reds, config):
         return k_h @ _kron(t[:, :, None] * t.conj()[:, None, :], np.eye(kr)) @ k
 
     def image(t, s):  # k^H (t kron s)
-        return (k_h @ (t[:, :, None] * s[:, None, :]).reshape(len(reds), -1, 1))[:, :, 0]
+        return (k_h @ (t[:, :, None] * s[:, None, :]).reshape(len(t), -1, 1))[:, :, 0]
 
-    return [_HdForms(*fields) for fields in zip(
-        k, image(a_t, b_r.conj()), image(b_t, a_r.conj()), transmit_form(a_t), transmit_form(b_t))]
+    return _HdSetup(u, v, a_t, b_t, a_r, b_r, k, image(a_t, b_r.conj()), image(b_t, a_r.conj()),
+                    transmit_form(a_t), transmit_form(b_t))
+
+
+def _hd_gammas(x, setup, i, config):
+    """Per-phase SINR pair for a batch of reduced relay matrices x of
+    realization i of ``setup``, each rescaled to use the full relay power
+    budget (scaling up helps both)."""
+    p_a, p_b, p_r = config.p_a_max, config.p_b_max, config.p_r_max
+    a_t, b_t, a_r, b_r = setup.a_t[i], setup.b_t[i], setup.a_r[i], setup.b_r[i]
+    xa = np.einsum("nij,j->ni", x, a_r)
+    xb = np.einsum("nij,j->ni", x, b_r)
+    power = (p_a * np.sum(np.abs(xa) ** 2, axis=1)
+             + p_b * np.sum(np.abs(xb) ** 2, axis=1)
+             + np.sum(np.abs(x) ** 2, axis=(1, 2)))
+    scale2 = p_r / power
+    at_x = np.einsum("i,nij->nj", a_t.conj(), x)  # a_t^H X
+    bt_x = np.einsum("i,nij->nj", b_t.conj(), x)
+    gamma_a = (p_b * np.abs(np.einsum("nj,j->n", at_x, b_r)) ** 2 * scale2
+               / (np.sum(np.abs(at_x) ** 2, axis=1) * scale2 + 1.0))
+    gamma_b = (p_a * np.abs(np.einsum("nj,j->n", bt_x, a_r)) ** 2 * scale2
+               / (np.sum(np.abs(bt_x) ** 2, axis=1) * scale2 + 1.0))
+    return gamma_a, gamma_b, scale2
 
 
 def _kron(a, b):
@@ -192,16 +183,17 @@ def _kron(a, b):
     return prod.reshape(prod.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
-def _hd_gamma_b_max(forms, config):
-    """B's largest SINR, p_a p_r c_b^H D_b^-1 c_b with D_b = I + p_r t_b.
+def _hd_gamma_b_max(setup, config):
+    """B's largest SINR in each realization of ``setup``, p_a p_r c_b^H
+    D_b^-1 c_b with D_b = I + p_r t_b.
 
     Proof: by Cauchy-Schwarz in the D_b inner product, |c_b^H y|^2 =
     |(D_b^-1 c_b)^H D_b y|^2 <= (c_b^H D_b^-1 c_b)(y^H D_b y), with equality
     at y = D_b^-1 c_b.
     """
-    d_b = np.eye(forms.c_b.size) + config.p_r_max * forms.t_b
-    return config.p_a_max * config.p_r_max * float(
-        np.vdot(forms.c_b, np.linalg.solve(d_b, forms.c_b)).real)
+    d_b = np.eye(setup.c_b.shape[1]) + config.p_r_max * setup.t_b
+    return config.p_a_max * config.p_r_max * _vdots(
+        setup.c_b, np.linalg.solve(d_b, setup.c_b[:, :, None])[:, :, 0]).real
 
 
 def _bloch(h):
@@ -284,7 +276,7 @@ _HD_DUAL_STEPS = 60
 _HD_NEWTON_STEPS = 40
 
 
-def _hd_region_points(forms, config, thresholds):
+def _hd_region_points(setup, config, thresholds):
     """For each SINR threshold t, the y that maximizes gamma_a subject to
     gamma_b >= t, and its gamma_a; (None, -inf) where t exceeds
     ``_hd_gamma_b_max``.  A row's answer does not depend on the others.
@@ -317,26 +309,27 @@ def _hd_region_points(forms, config, thresholds):
     point is within 1e-13 relative of g(mu), a bound on the optimum by weak
     duality, or when the Newton step stalls.
 
-    ``forms`` and ``thresholds`` hold one realization's forms and
-    thresholds each.  The whitening is per realization, and the dual steps
-    of all realizations' rows are one batch; a list of (y, gamma_a) pairs
-    is returned per realization.
+    ``thresholds`` holds one list of thresholds per realization of
+    ``setup``.  The whitening is per realization, and the dual steps of all
+    realizations' rows are one batch; a list of (y, gamma_a) pairs is
+    returned per realization.
     """
     p_r = config.p_r_max
-    n = forms[0].c_a.size
+    n = setup.c_a.shape[1]
+    gamma_b_max = _hd_gamma_b_max(setup, config)
     # per realization: (ell_inv, g_a, feasible, its dual rows, v, value);
     # per dual row of all realizations: aa, m, best_v, best, mu
     whites, aa, m, best_v, best, mu = [], [], [], [], [], []
-    for fm, t in zip(forms, thresholds):
-        ell_inv = np.linalg.inv(np.linalg.cholesky(np.eye(n) + p_r * fm.t_a))
-        a_w, b_w = ell_inv @ fm.c_a, ell_inv @ fm.c_b
+    for i, t in enumerate(thresholds):
+        ell_inv = np.linalg.inv(np.linalg.cholesky(np.eye(n) + p_r * setup.t_a[i]))
+        a_w, b_w = ell_inv @ setup.c_a[i], ell_inv @ setup.c_b[i]
         alpha, beta = a_w / np.linalg.norm(a_w), b_w / np.linalg.norm(b_w)
         g_a = config.p_b_max * p_r * float(np.vdot(a_w, a_w).real)
         s_b = config.p_a_max * p_r * float(np.vdot(b_w, b_w).real)
-        g = np.eye(n) + p_r * (ell_inv @ (fm.t_b - fm.t_a) @ ell_inv.conj().T)
+        g = np.eye(n) + p_r * (ell_inv @ (setup.t_b[i] - setup.t_a[i]) @ ell_inv.conj().T)
         g = 0.5 * (g + g.conj().T)
         t = np.asarray(t, dtype=float)
-        feasible = t <= _hd_gamma_b_max(fm, config)
+        feasible = t <= gamma_b_max[i]
         rows = np.flatnonzero(feasible & (s_b * abs(np.vdot(beta, alpha)) ** 2
                                           < t * np.vdot(alpha, g @ alpha).real))
         whites.append((ell_inv, g_a, feasible, rows, np.tile(alpha, (t.size, 1)),
@@ -407,8 +400,8 @@ def _hd_real(h):
     return np.block([[h.real, -h.imag], [h.imag, h.real]])
 
 
-def _hd_max_sum_rates(forms, config):
-    """For each realization's forms, a y that maximizes ln(1 + gamma_a) +
+def _hd_max_sum_rates(setup, config):
+    """For each realization of ``setup``, a y that maximizes ln(1 + gamma_a) +
     ln(1 + gamma_b), and that value.
 
     Newton ascent in real coordinates z = (Re y, Im y), from six starts in
@@ -433,18 +426,18 @@ def _hd_max_sum_rates(forms, config):
     stacked K x 2n x 2n; a realization leaves it at its own stop, so its
     answer does not depend on the others.
     """
-    n = forms[0].c_a.size
+    c_a, c_b = setup.c_a, setup.c_b
+    n = c_a.shape[1]
     p_r = config.p_r_max
     eye = np.eye(n)
-    c_a, c_b = (np.array([getattr(fm, c) for fm in forms]) for c in ("c_a", "c_b"))
-    d_a, d_b = (eye + p_r * np.array([getattr(fm, t) for fm in forms]) for t in ("t_a", "t_b"))
+    d_a, d_b = eye + p_r * setup.t_a, eye + p_r * setup.t_b
     # (N, D) of each SINR, K x 2n x 2n each
     pairs = [(_hd_real(config.p_b_max * p_r * (c_a[:, :, None] * c_a.conj()[:, None, :])),
               _hd_real(d_a)),
              (_hd_real(config.p_a_max * p_r * (c_b[:, :, None] * c_b.conj()[:, None, :])),
               _hd_real(d_b))]
     y_a, y_b = [], []
-    for k in range(len(forms)):
+    for k in range(len(c_a)):
         ya, yb = np.linalg.solve(d_a[k], c_a[k]), np.linalg.solve(d_b[k], c_b[k])
         y_a.append(ya / np.linalg.norm(ya))
         y_b.append(yb / np.linalg.norm(yb))
@@ -469,7 +462,7 @@ def _hd_max_sum_rates(forms, config):
 
     f = objective(z, pairs)
     # the realizations still stepping, and everyone's final starts
-    live, z_out, f_out = np.arange(len(forms)), z.copy(), f.copy()
+    live, z_out, f_out = np.arange(len(c_a)), z.copy(), f.copy()
     for _ in range(_HD_NEWTON_STEPS):
         grad = np.zeros_like(z)
         hess = np.zeros(z.shape + (2 * n,))
@@ -511,28 +504,19 @@ def _hd_max_sum_rates(forms, config):
             for zk, fk, best in zip(z_out, f_out, np.argmax(f_out, axis=1).tolist())]
 
 
-def _hd_point(y, red, forms, config, trace_value):
-    x = (forms.k @ y).reshape(red.a_t.size, red.a_r.size)
-    gamma_a, gamma_b, scale2 = _hd_gammas(x[None], red, config)
+def _hd_point(y, setup, i, config, trace_value):
+    """The OperatingPoint of reduced relay matrix y in relay-power
+    coordinates in realization i of ``setup``; its beamformer carries the
+    full relay matrix w_full only."""
+    x = (setup.k[i] @ y).reshape(setup.a_t.shape[1], setup.a_r.shape[1])
+    gamma_a, gamma_b, scale2 = _hd_gammas(x[None], setup, i, config)
     gamma_a, gamma_b = float(gamma_a[0]), float(gamma_b[0])
-    w_full = math.sqrt(float(scale2[0])) * (red.u @ x @ red.v.conj().T)
-    # dominant rank-one factors, for reporting only
-    uu, ss, vh = np.linalg.svd(w_full)
-    beam = RelayBeamformer(w_t=ss[0] * uu[:, 0], w_r=vh[0].conj(), alpha=math.nan,
-                           w_full=w_full)
-    rate_a = 0.5 * math.log2(1.0 + gamma_a)
-    rate_b = 0.5 * math.log2(1.0 + gamma_b)
+    w_full = math.sqrt(float(scale2[0])) * (setup.u[i] @ x @ setup.v[i].conj().T)
     return OperatingPoint(
-        beamformer=beam,
+        beamformer=RelayBeamformer(w_t=None, w_r=None, alpha=math.nan, w_full=w_full),
         powers=PowerAllocation(p_a=config.p_a_max, p_b=config.p_b_max, p_r=config.p_r_max),
-        gamma_a=gamma_a, gamma_b=gamma_b, rate_a=rate_a, rate_b=rate_b,
-        trace=[trace_value], pre_log=0.5)
-
-
-def _hd_setups(realizations, config):
-    """Each realization's (``_HdReduced``, ``_HdForms``)."""
-    reds = _hd_reduce(realizations)
-    return list(zip(reds, _hd_forms(reds, config)))
+        gamma_a=gamma_a, gamma_b=gamma_b, rate_a=0.5 * math.log2(1.0 + gamma_a),
+        rate_b=0.5 * math.log2(1.0 + gamma_b), trace=[trace_value], pre_log=0.5)
 
 
 def hd_anc_solves(realizations, config):
@@ -545,10 +529,9 @@ def hd_anc_solves(realizations, config):
     realizations; rates carry the 1/2 pre-log of the two transmission
     phases.
     """
-    setups = _hd_setups(realizations, config)
-    return [_hd_point(y, red, forms, config, trace_value=0.5 * value / _LN2)
-            for (red, forms), (y, value) in zip(
-                setups, _hd_max_sum_rates([forms for _, forms in setups], config))]
+    setup = _hd_setup(realizations, config)
+    return [_hd_point(y, setup, i, config, trace_value=0.5 * value / _LN2)
+            for i, (y, value) in enumerate(_hd_max_sum_rates(setup, config))]
 
 
 def hd_anc_solve(channels, config):
@@ -557,41 +540,31 @@ def hd_anc_solve(channels, config):
     return pt
 
 
-def _hd_regions(realizations, config):
-    """HD region solve of a sequence of realizations over lists of B
-    targets, and each one's largest target, as (solve_targets, r_b_maxes).
-
-    ``solve_targets(targets)`` takes one list of B targets per realization,
-    solves every target exactly in one batch (``_hd_region_points``) and
-    returns, per realization, an OperatingPoint per target, or None where
-    the target exceeds B's largest SINR.  B's target r_b lives in the
-    halved-rate domain, so the per-phase SINR threshold is 2**(2 r_b) - 1,
-    computed with expm1 (and the endpoint with log1p) so that a tiny
-    threshold survives the round trip; a threshold is backed off by 1e-9
-    relative.  B's largest target is the closed-form ``_hd_gamma_b_max``,
-    backed off by 1e-9 relative as well, so the endpoint is solved.
+def _hd_points(setup, targets, config):
+    """The HD region points of the realizations of ``setup`` at lists of B
+    targets, one list per realization: per realization, an OperatingPoint
+    per target, or None where the target exceeds B's largest SINR.  Every
+    target is solved exactly, all in one batch (``_hd_region_points``).
+    B's target r_b lives in the halved-rate domain, so the per-phase SINR
+    threshold is 2**(2 r_b) - 1, computed with expm1 so that a tiny
+    threshold survives the round trip, and backed off by 1e-9 relative.
     """
-    setups = _hd_setups(realizations, config)
-
-    def solve_targets(targets):
-        thresholds = [[math.expm1(2.0 * r_b * _LN2) * (1.0 - 1e-9) for r_b in ts]
-                      for ts in targets]
-        points = _hd_region_points([forms for _, forms in setups], config, thresholds)
-        return [[None if y is None else _hd_point(y, red, forms, config, trace_value=val)
-                 for y, val in pts] for (red, forms), pts in zip(setups, points)]
-
-    return solve_targets, [
-        0.5 * math.log1p(_hd_gamma_b_max(forms, config) * (1.0 - 1e-9)) / _LN2
-        for _, forms in setups]
+    thresholds = [[math.expm1(2.0 * r_b * _LN2) * (1.0 - 1e-9) for r_b in ts] for ts in targets]
+    return [[None if y is None else _hd_point(y, setup, i, config, trace_value=val)
+             for y, val in pts]
+            for i, pts in enumerate(_hd_region_points(setup, config, thresholds))]
 
 
 def hd_anc_regions(realizations, n_points, config):
-    """HD region sweep of each realization of a sequence, of
-    ``_hd_regions``' exact solve from r_b = 0 up to B's largest target,
-    with all the realizations' points in one batch."""
-    solve_targets, r_b_maxes = _hd_regions(realizations, config)
-    targets = [_sweep_targets(r_b_max, n_points) for r_b_max in r_b_maxes]
-    return [_repair(zip(*pair)) for pair in zip(targets, solve_targets(targets))]
+    """HD region sweep of each realization of a sequence, of ``_hd_points``'
+    exact solve from r_b = 0 up to B's largest target, with all the
+    realizations' points in one batch.  B's largest target is the
+    closed-form ``_hd_gamma_b_max``, backed off by 1e-9 relative so that
+    the endpoint is solved, and halved-rate by log1p."""
+    setup = _hd_setup(realizations, config)
+    targets = [_sweep_targets(0.5 * math.log1p(gamma * (1.0 - 1e-9)) / _LN2, n_points)
+               for gamma in _hd_gamma_b_max(setup, config).tolist()]
+    return [_repair(zip(*pair)) for pair in zip(targets, _hd_points(setup, targets, config))]
 
 
 def hd_anc_region(channels, n_points, config):
@@ -689,12 +662,6 @@ def upper_bound_regions(realizations, n_points, config):
     """The proposed region sweeps (``rate_regions``) with the relay loopback
     zeroed."""
     return rate_regions([zero_loopback(channels) for channels in realizations], n_points, config)
-
-
-def upper_bound_region(channels, n_points, config):
-    """``upper_bound_regions`` of one realization."""
-    [entries] = upper_bound_regions([channels], n_points, config)
-    return entries
 
 
 def local_csi_sum_rate(channels, config, seed):

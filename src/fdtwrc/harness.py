@@ -6,9 +6,10 @@ realization, so scheme comparisons are paired and adding a scheme never
 changes the channel stream.  A task is a run of consecutive trials of one
 configuration (``_task_sizes``): the proposed, hd and ub solvers solve all
 of its realizations in one lockstep each, and the closed-form fd2 and
-localcsi schemes run trial by trial.  Tasks run in a process pool.  A trial's answer does not depend on
-the other trials of its task, and aggregation is order-independent, so
-results do not depend on the worker count.
+localcsi schemes run trial by trial.  Tasks run in a process pool.  A
+trial's answer does not depend on the other trials of its task, and
+aggregation is order-independent, so results do not depend on the worker
+count.
 
 Because of the XOR, master seeds that differ only in bits below the trial
 count draw the same set of realizations, in a different order: 20240 and

@@ -141,11 +141,11 @@ class RelayBeamformer:
     """Relay processing: transmit beam w_t, unit receive combiner w_r.
 
     Rank-one schemes leave w_full as None; the full-matrix HD benchmark
-    stores its relay matrix there and w_t/w_r hold the dominant factors.
+    stores its relay matrix there and leaves w_t and w_r as None.
     """
 
-    w_t: np.ndarray
-    w_r: np.ndarray
+    w_t: np.ndarray | None
+    w_r: np.ndarray | None
     alpha: float
     w_full: np.ndarray | None = None
 
@@ -388,8 +388,3 @@ def channels_from_json(text):
 def zero_loopback(channels):
     """Copy of the realization with the relay loopback channel H_rr set to zero."""
     return replace(channels, h_rr=np.zeros_like(channels.h_rr))
-
-
-def strip_source_si(channels):
-    """Copy with the source self-interference channels removed (half-duplex sources)."""
-    return replace(channels, h_aa=0j, h_bb=0j)

@@ -48,27 +48,6 @@ def null_space_basis(v):
     return q[..., k:]
 
 
-def _horner(coeffs, x):
-    # np.polyval's loop, on Python floats
-    y = 0.0
-    for c in coeffs:
-        y = y * x + c
-    return y
-
-
-def _polish_root(coeffs, x, steps=2):
-    # a couple of Newton steps against the polynomial we actually solved;
-    # the derivative's coefficients are np.polyder's
-    n = len(coeffs) - 1
-    der = [c * (n - k) for k, c in enumerate(coeffs[:-1])]
-    for _ in range(steps):
-        d = _horner(der, x)
-        if d == 0.0:
-            break
-        x = x - _horner(coeffs, x) / d
-    return x
-
-
 def real_cubic_roots(c3, c2, c1, c0):
     """All real roots of c3 x^3 + c2 x^2 + c1 x + c0, sorted ascending.
 
@@ -76,10 +55,10 @@ def real_cubic_roots(c3, c2, c1, c0):
     at most 1e-12 of the largest |coefficient|.  Roots are ``np.roots``'
     companion-matrix eigenvalues (trailing zero coefficients give exact
     zero roots); eigenvalues with relative imaginary part at most 1e-8 are
-    accepted as real and polished by two Newton steps, and a root within
-    1e-8 relative of the previous one is dropped.  Equal, bit for bit, to
-    ``np.roots`` plus a ``np.polyval``/``np.polyder`` polish.  An all-zero
-    or non-finite polynomial raises ValueError.
+    accepted as real and polished by two Newton steps (``np.polyval`` of
+    the polynomial and its ``np.polyder``), and a root within 1e-8 relative
+    of the previous one is dropped.  An all-zero or non-finite polynomial
+    raises ValueError.
 
     No solver calls it: the sum-rate power step solves its stationarity
     condition as the quadratic it is.  It stays for the benchmark's
@@ -91,8 +70,18 @@ def real_cubic_roots(c3, c2, c1, c0):
     scale = max(map(abs, coeffs))
     while abs(coeffs[0]) <= 1e-12 * scale:
         coeffs = coeffs[1:]
-    roots = sorted(_polish_root(coeffs, z.real) for z in np.roots(coeffs).tolist()
-                   if abs(z.imag) <= 1e-8 * max(1.0, abs(z.real)))
+    der = np.polyder(coeffs)
+    roots = []
+    for z in np.roots(coeffs).tolist():
+        if abs(z.imag) <= 1e-8 * max(1.0, abs(z.real)):
+            x = z.real
+            for _ in range(2):
+                d = np.polyval(der, x)
+                if d == 0.0:
+                    break
+                x = x - np.polyval(coeffs, x) / d
+            roots.append(float(x))
+    roots.sort()
     out = []
     for x in roots:
         if not out or abs(x - out[-1]) > 1e-8 * max(1.0, abs(x)):
@@ -195,7 +184,7 @@ def maximize_1d_lockstep(f, n, lo, hi, tol, grid_points, lookahead):
     return [(x, float(y)) for x, y in best]
 
 
-def maximize_1d(f, lo, hi, tol=1e-8, grid_points=201, lookahead=False):
+def maximize_1d(f, lo, hi, tol=1e-8, grid_points=201):
     """Maximize a scalar function on [lo, hi].
 
     Dense-grid scan (``grid_points`` samples) followed by golden-section
@@ -208,12 +197,9 @@ def maximize_1d(f, lo, hi, tol=1e-8, grid_points=201, lookahead=False):
     and a float; a formula built from numpy ufuncs and float arithmetic
     gives the same value for x as for element x of an array (squares by
     ``np.square``: ``** 2`` on a numpy scalar calls pow, which can differ).
-    With ``lookahead``, the refinement calls ``f`` on small arrays that
-    hold each step's point and the next step's two possible points
-    (``_golden_steps``), so that a function whose cost is mostly per call
-    makes half as many calls; the result is the same.  Returns
-    ``(x_best, f(x_best))``: the first point with the largest value, in
-    the order the search uses them, so never below any grid value.
+    Returns ``(x_best, f(x_best))``: the first point with the largest
+    value, in the order the search uses them, so never below any grid
+    value.
     """
     if hi < lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
@@ -221,7 +207,7 @@ def maximize_1d(f, lo, hi, tol=1e-8, grid_points=201, lookahead=False):
         return lo, float(f(lo))
 
     def one(owners, xs):
-        return f(xs) if owners is None or lookahead else [f(float(xs[0]))]
+        return f(xs) if owners is None else [f(float(xs[0]))]
 
-    [best] = maximize_1d_lockstep(one, 1, lo, hi, tol, grid_points, lookahead)
+    [best] = maximize_1d_lockstep(one, 1, lo, hi, tol, grid_points, False)
     return best

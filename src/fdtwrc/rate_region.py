@@ -143,17 +143,18 @@ def _combiner_table(*realizations):
 
     ``table(alphas, owners=None)`` takes a 1-D array of combiner
     parameters, the i-th one of realization ``owners[i]`` (None: all of the
-    first), and returns ``[(rows, w_r, batch)]``: the combiners ``w_r`` of
-    those rows and their ``_TxBatch``, one entry per null dimension (one
-    entry, whose rows are None, unless the loopback row w_r^H H_rr vanishes
-    at some of the combiners but not all; it vanishes at every combiner of
-    a zero-loopback realization).  Each combiner is ``receive_combiner``'s
-    mix of its realization's two ``_combiner_basis`` directions, computed
-    once per table, and each null-space basis is ``relay_null_basis``'s,
-    from one stacked QR call for all rows.  The receive gains have
-    ``receive_gains``'s bits (``_vdots``, ``_abs2``), so
-    ``make_operating_point`` recomputes the bits that the power step
-    scored.  A row's bits do not depend on the other rows of its call.
+    first), and returns ``[(rows, w_r, batch)]``: the indices ``rows`` of
+    some of the parameters, their combiners ``w_r`` and their ``_TxBatch``,
+    one entry per null dimension (one entry, of every row, unless the
+    loopback row w_r^H H_rr vanishes at some of the combiners but not all;
+    it vanishes at every combiner of a zero-loopback realization).  Each
+    combiner is ``receive_combiner``'s mix of its realization's two
+    ``_combiner_basis`` directions, computed once per table, and each
+    null-space basis is ``relay_null_basis``'s, from one stacked QR call
+    for all rows.  The receive gains have ``receive_gains``'s bits
+    (``_vdots``, ``_abs2``), so ``make_operating_point`` recomputes the
+    bits that the power step scored.  A row's bits do not depend on the
+    other rows of its call.
     """
     basis = [_combiner_basis(channels) for channels in realizations]
     u_par = np.array([u for u, _ in basis])
@@ -191,7 +192,7 @@ def _combiner_table(*realizations):
                        _tx_geometry(h_t[own], null_space_basis(v[rows, :, None])))
                 groups.append((rows, w_r[rows], _TxBatch(**geo, rx=rx[rows], h_t=rows_h[own],
                                                          si2=si2[own])))
-        return [(None, *groups[0][1:])] if len(groups) == 1 else groups
+        return groups
 
     return table
 
@@ -203,10 +204,8 @@ def _take(groups, index):
     k = sum(len(w_r) for _, w_r, _ in groups)
     taken = []
     for rows, w_r, ctx in groups:
-        at = np.arange(k)
-        if rows is not None:
-            at[:] = -1
-            at[rows] = np.arange(rows.size)
+        at = np.full(k, -1)
+        at[rows] = np.arange(rows.size)
         sel = at[index]
         new = np.flatnonzero(sel >= 0)
         if new.size:
@@ -394,8 +393,10 @@ def solve_power_p1(w_t, ctx, gamma_b, config):
     crossing with the relay-budget line.  When even p_b = 0 is infeasible
     (or T_b R_a = 0 with gamma_b > 0) the polygon is empty.
 
-    The box and the relay line are met within 1e-9 relative.  The corner
-    p_b_max therefore wins whenever it is feasible within that tolerance,
+    The box and the relay line are met within 1e-9 relative, the line's
+    slack scaled by its budget (not by its terms at the box's far corner,
+    which can exceed the budget many times over).  The corner p_b_max
+    therefore wins whenever it is feasible within that tolerance,
     which matters because the beamformer spends the budget exactly at the
     current powers.  Objective ties, within 1e-12 max(1, value), go to the
     lowest p_a (by more than 1e-12), then the highest p_b.  The polygon's
@@ -416,8 +417,7 @@ def solve_power_p1(w_t, ctx, gamma_b, config):
     k = np.divide(gamma_b * hbb2, den, out=np.zeros(len(den)), where=use)
     # relay power: r_a p_a + r_b p_b <= cap
     r_a, r_b, cap = nt2 * rx_a, nt2 * rx_b, config.p_r_max - nt2
-    relay_top = cap + 1e-9 * np.maximum(np.maximum(r_a * p_a_max, r_b * p_b_max),
-                                        np.maximum(np.abs(cap), 1.0))
+    relay_top = cap + 1e-9 * np.maximum(np.abs(cap), 1.0)
     ok = (use | (gamma_b <= 0.0)) & (c <= p_a_top) & (r_a * c <= relay_top)
     p_b = np.full(len(den), p_b_max)
     over = c + k * p_b > p_a_top
@@ -555,7 +555,6 @@ def _alternate_batch(channels, alpha, groups, config, starts, beam, power):
     w_t = np.empty((k, channels[0].m_t), dtype=complex)
     powers, ok, traces = np.empty((k, 2)), np.empty(k, dtype=bool), [None] * k
     for rows, group_w_r, ctx in groups:
-        rows = np.arange(k) if rows is None else rows
         w_r[rows] = group_w_r
         w_t[rows], powers[rows], ok[rows], group_traces = _alternate_rows(
             ctx, config, starts, beam, power)
@@ -569,30 +568,28 @@ def _p1_batch(channels, alpha, gamma_b, groups, config):
     """``optimize_fixed_alpha_p1`` at the combiners ``alpha`` of the
     realizations ``channels``, whose rows are ``groups``, with B's SINR
     target ``gamma_b`` per combiner (an array of alpha's size)."""
-    groups = [(rows, w_r, _P1Batch(**vars(ctx), gamma_b=gamma_b if rows is None else gamma_b[rows]))
-              for rows, w_r, ctx in groups]
+    groups = [(rows, w_r, _P1Batch(**vars(ctx), gamma_b=gamma_b[rows])) for rows, w_r, ctx in groups]
     return _alternate_batch(
         channels, alpha, groups, config, [(config.p_a_max, config.p_b_max), (config.p_a_max, 0.0)],
         beam=lambda ctx, p_a, p_b, _: solve_txbf_p1(ctx, p_a, p_b, ctx.gamma_b, config.p_r_max),
         power=lambda w_t, ctx: solve_power_p1(w_t, ctx, ctx.gamma_b, config))
 
 
-def optimize_fixed_alpha_p1(channels, alpha, gamma_b, config, combiners=None):
+def optimize_fixed_alpha_p1(channels, alpha, gamma_b, config):
     """Alternate the beamformer and power solves at each combiner of
     ``alpha`` (``_alternate_batch``), from full source powers, falling back
     to (p_a_max, 0) where the first beamformer solve is infeasible, all at
-    B's SINR target ``gamma_b``.  ``combiners`` is a ``_combiner_table`` of
-    the realization (None: a fresh one).  A combiner stops when A's SINR
+    B's SINR target ``gamma_b``.  A combiner stops when A's SINR
     improves by less than conv_tol, when the power step keeps the powers,
     when the re-solved beamformer is infeasible, or at iter_max; its trace
     of SINR values is nondecreasing.
     """
     alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
     return _p1_batch([channels] * alphas.size, alpha, np.full(alphas.size, float(gamma_b)),
-                     (combiners or _combiner_table(channels))(alphas), config)
+                     _combiner_table(channels)(alphas), config)
 
 
-def _alpha_searches(evaluate, n, config):
+def _alpha_search(evaluate, n, config):
     """Grid + golden search over the combiner parameter, refined to a width
     of 1e-3, for n objectives in lockstep (``maximize_1d_lockstep``).
 
@@ -622,15 +619,6 @@ def _alpha_searches(evaluate, n, config):
         point, i = points[k, alpha]
         best.append(None if value == -math.inf else point(i))
     return best
-
-
-def _alpha_search(evaluate, n, config):
-    """``_alpha_searches`` where every objective must find a point; raises
-    Infeasible('alpha_grid') when one's whole grid is infeasible."""
-    points = _alpha_searches(evaluate, n, config)
-    if any(point is None for point in points):
-        raise Infeasible("alpha_grid", "no feasible combiner setting on the grid")
-    return points
 
 
 def _grid(table, config, n=1):
@@ -666,7 +654,6 @@ def _gamma_b_max(grid, config):
     for rows, _, ctx in grid:
         rx_a, rx_b = ctx.rx[:, 0], ctx.rx[:, 1]
         s_b = _p_prime(config.p_r_max, p_a, 0.0, rx_a, rx_b) * ctx.n2[:, 1]
-        rows = np.arange(k) if rows is None else rows
         np.maximum.at(best, rows // config.alpha_grid, p_a * rx_a * s_b / (s_b + 1.0))
     return best * (1.0 - 1e-9)
 
@@ -676,7 +663,7 @@ def _max_rates(realizations, r_bs, config, table, grid):
     ``r_bs[i]``, A's best operating point subject to B achieving the rate,
     or None where no grid combiner is feasible.  ``table`` is the
     realizations' ``_combiner_table`` and ``grid`` its grid rows
-    (``_grid``).  One combiner search (``_alpha_searches``) runs for all
+    (``_grid``).  One combiner search (``_alpha_search``) runs for all
     (realization, target) pairs in lockstep: its rows are (realization,
     target, combiner) triples with B's target per row, so the grid is one
     batch of P1 alternations (``_p1_batch``) on each realization's grid
@@ -704,17 +691,16 @@ def _max_rates(realizations, r_bs, config, table, grid):
                            gammas[owners], groups, config)
         return points.values, points.point
 
-    points = iter(_alpha_searches(evaluate, n, config))
+    points = iter(_alpha_search(evaluate, n, config))
     return [[next(points) for _ in targets] for targets in r_bs]
 
 
-def max_rate_given_rb(channels, r_b, config, combiners=None):
+def max_rate_given_rb(channels, r_b, config):
     """Best operating point for A subject to B achieving rate r_b:
     ``_max_rates`` at one target, raising Infeasible('alpha_grid') where
-    it finds none.  ``combiners`` is a ``_combiner_table`` of the
-    realization (None: built afresh); no answer depends on it.
+    it finds none.
     """
-    table = combiners or _combiner_table(channels)
+    table = _combiner_table(channels)
     [[point]] = _max_rates([channels], [[r_b]], config, table, _grid(table, config))
     if point is None:
         raise Infeasible("alpha_grid", "no feasible combiner setting on the grid")

@@ -402,7 +402,7 @@ def _p2_batch(channels, alpha, groups, config):
         power=lambda w_t, ctx: (*solve_power_p2(w_t, ctx, config), None))
 
 
-def optimize_fixed_alpha_p2(channels, alpha, config, combiners=None):
+def optimize_fixed_alpha_p2(channels, alpha, config):
     """Alternate the transmit beamformer and the power rule at each combiner
     of ``alpha`` (``_alternate_batch``), from full source powers.  The
     beamformer solves are warm-started with the previous beamformer, so a
@@ -412,7 +412,7 @@ def optimize_fixed_alpha_p2(channels, alpha, config, combiners=None):
     """
     alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
     return _p2_batch([channels] * alphas.size, alpha,
-                     (combiners or _combiner_table(channels))(alphas), config)
+                     _combiner_table(channels)(alphas), config)
 
 
 def max_sum_rates(realizations, config):

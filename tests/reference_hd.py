@@ -2,11 +2,11 @@
 climb over the reduced relay matrix.
 
 It scores 3000 seeded start matrices, then climbs from the best for 80
-stages of 192 random candidates each.  It knows nothing of the quotient
-forms or the dual that ``fdtwrc.baselines`` solves HD with; it shares
-only the subspace reduction and the SINR evaluator, so the exact solvers
-can be checked against it: their sum rate, and their rate for A at each
-of B's targets, should never fall below the climb's.
+stages of 192 random candidates each.  It uses none of the quotient
+forms or the dual that ``fdtwrc.baselines`` solves HD with; it reads
+only the subspace reduction of ``_hd_setup`` and the SINR evaluator, so
+the exact solvers can be checked against it: their sum rate, and their
+rate for A at each of B's targets, should never fall below the climb's.
 """
 
 import copy
@@ -14,8 +14,7 @@ import math
 
 import numpy as np
 
-from fdtwrc.baselines import _hd_gammas, _hd_reduce
-from fdtwrc.model import strip_source_si, zero_loopback
+from fdtwrc.baselines import _hd_gammas, _hd_setup
 
 _LN2 = math.log(2.0)
 
@@ -30,11 +29,11 @@ def _hd_starts(red, config, seed=0):
     pairs and the generator that continues their stream, as (x, gamma_a,
     gamma_b, rng).  ``_hd_search`` copies the generator, so the starts can
     be scored once and searched from again."""
-    kt, kr = red.a_t.size, red.a_r.size
+    kt, kr = red.a_t.shape[1], red.a_r.shape[1]
     rng = np.random.default_rng(seed)
     shape = (_HD_STARTS, kt, kr)
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    gamma_a, gamma_b, _ = _hd_gammas(x, red, config)
+    gamma_a, gamma_b, _ = _hd_gammas(x, red, 0, config)
     return x, gamma_a, gamma_b, rng
 
 
@@ -52,7 +51,7 @@ def _hd_search(red, config, value_fn, n_rows, starts):
     A row no start makes finite is dropped before the first stage.
     Returns a (best_x, best_value) pair per row, (None, -inf) if dropped.
     """
-    kt, kr = red.a_t.size, red.a_r.size
+    kt, kr = red.a_t.shape[1], red.a_r.shape[1]
     x, ga, gb, rng = starts
     rng = copy.deepcopy(rng)
     vals = value_fn(ga, gb, np.arange(n_rows)).reshape(n_rows, -1)
@@ -68,7 +67,7 @@ def _hd_search(red, config, value_fn, n_rows, starts):
     for _ in range(_HD_STAGES):
         step = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         cand = best_x[:, None] + sigma[:, None, None, None] * step
-        ga, gb, _ = _hd_gammas(cand.reshape(-1, kt, kr), red, config)
+        ga, gb, _ = _hd_gammas(cand.reshape(-1, kt, kr), red, 0, config)
         vals = value_fn(ga.reshape(len(rows), -1), gb.reshape(len(rows), -1), rows)
         for i, j in enumerate(vals.argmax(axis=1).tolist()):
             if vals[i, j] > best_val[i]:
@@ -80,20 +79,15 @@ def _hd_search(red, config, value_fn, n_rows, starts):
     return found
 
 
-def _reduce(channels):
-    [red] = _hd_reduce([strip_source_si(zero_loopback(channels))])
-    return red
-
-
 def _rates(x, red, config):
-    gamma_a, gamma_b, _ = _hd_gammas(x[None], red, config)
+    gamma_a, gamma_b, _ = _hd_gammas(x[None], red, 0, config)
     return (0.5 * math.log2(1.0 + float(gamma_a[0])),
             0.5 * math.log2(1.0 + float(gamma_b[0])))
 
 
 def reference_sum_rate(channels, config, seed=0):
     """The climb's HD sum rate, in bits with the 1/2 pre-log."""
-    red = _reduce(channels)
+    red = _hd_setup([channels], config)
 
     def value(ga, gb, rows):
         return np.log2(1.0 + ga) + np.log2(1.0 + gb)
@@ -107,7 +101,7 @@ def reference_region(channels, config, targets, seed=0):
     pre-log), or None where no start meets the target.  A target's SINR
     threshold 2**(2 r_b) - 1 is backed off by 1e-9 relative, as the
     solver's is."""
-    red = _reduce(channels)
+    red = _hd_setup([channels], config)
     thresholds = np.array([math.expm1(2.0 * r_b * _LN2) * (1.0 - 1e-9) for r_b in targets])
 
     def value(ga, gb, rows):
@@ -120,5 +114,5 @@ def reference_region(channels, config, targets, seed=0):
 def reference_b_max(channels, config, seed=0):
     """B's largest target as the climb's sweep set it: the best scored
     start's rate for B, log1p-halved."""
-    red = _reduce(channels)
+    red = _hd_setup([channels], config)
     return 0.5 * math.log1p(float(np.max(_hd_starts(red, config, seed)[2]))) / _LN2

@@ -8,9 +8,9 @@ import pytest
 from fdtwrc.baselines import (
     _hd_gamma_b_max,
     _hd_max_sum_rates,
+    _hd_points,
     _hd_region_points,
-    _hd_regions,
-    _hd_setups,
+    _hd_setup,
     fd_oneway_direction_rate,
     fd_oneway_region,
     fd_oneway_sum_rate,
@@ -25,7 +25,6 @@ from fdtwrc.baselines import (
 from fdtwrc.model import (
     SystemConfig,
     sample_channels,
-    strip_source_si,
     zero_loopback,
     zf_residual,
 )
@@ -37,9 +36,10 @@ CFG = SystemConfig()
 
 
 def _hd_region(ch, cfg):
-    """``_hd_regions`` of one realization, as (solve_targets, r_b_max)."""
-    solve, [r_b_max] = _hd_regions([ch], cfg)
-    return (lambda targets: solve([targets])[0]), r_b_max
+    """``_hd_points`` of one realization, as a function of its list of B
+    targets, and B's largest target (the sweep's last)."""
+    setup = _hd_setup([ch], cfg)
+    return (lambda targets: _hd_points(setup, [targets], cfg)[0]), hd_anc_region(ch, 2, cfg)[-1][0]
 
 
 class TestSchemeId:
@@ -60,7 +60,7 @@ class TestHdAnc:
         # its sum rate is that scheme's
         for seed in range(15):
             ch = sample_channels(CFG, 100 + seed)
-            r1 = max_sum_rate(strip_source_si(zero_loopback(ch)), CFG)
+            r1 = max_sum_rate(replace(zero_loopback(ch), h_aa=0j, h_bb=0j), CFG)
             assert (r1.powers.p_a, r1.powers.p_b) == (CFG.p_a_max, CFG.p_b_max)
             assert hd_anc_solve(ch, CFG).sum_rate >= 0.5 * r1.sum_rate - 1e-6
 
@@ -185,10 +185,10 @@ class TestHdLockstep:
     def test_newton_rows_and_points(self, name):
         cfg = self.CONFIGS[name]
         chs = self._realizations(cfg)
-        forms = [forms for _, forms in _hd_setups(chs, cfg)]
-        alone = [np.append(y, value).tobytes() for f in forms
-                 for y, value in _hd_max_sum_rates([f], cfg)]
-        for rows in self._chunked(lambda fs: _hd_max_sum_rates(fs, cfg), forms).values():
+        alone = [np.append(y, value).tobytes() for ch in chs
+                 for y, value in _hd_max_sum_rates(_hd_setup([ch], cfg), cfg)]
+        for rows in self._chunked(lambda c: _hd_max_sum_rates(_hd_setup(c, cfg), cfg),
+                                  chs).values():
             assert [np.append(y, value).tobytes() for y, value in rows] == alone
         alone = [_point_bytes(hd_anc_solve(ch, cfg)) for ch in chs]
         for pts in self._chunked(lambda c: hd_anc_solves(c, cfg), chs).values():
@@ -198,20 +198,20 @@ class TestHdLockstep:
     def test_region_rows_and_points(self, name):
         cfg = self.CONFIGS[name]
         chs = self._realizations(cfg)
-        forms = [forms for _, forms in _hd_setups(chs, cfg)]
         # nine thresholds up to B's largest SINR and one past it
-        thresholds = [[_hd_gamma_b_max(f, cfg) * x for x in (*np.linspace(0.0, 1.0, 9), 1.5)]
-                      for f in forms]
+        thresholds = [[_hd_gamma_b_max(_hd_setup([ch], cfg), cfg)[0] * x
+                       for x in (*np.linspace(0.0, 1.0, 9), 1.5)] for ch in chs]
 
         def row_bytes(rows):
             return [(None if y is None else y.tobytes(), np.float64(value).tobytes())
                     for y, value in rows]
 
-        alone = [row_bytes(_hd_region_points([f], cfg, [t])[0])
-                 for f, t in zip(forms, thresholds)]
+        alone = [row_bytes(_hd_region_points(_hd_setup([ch], cfg), cfg, [t])[0])
+                 for ch, t in zip(chs, thresholds)]
         for rows in self._chunked(
-                lambda ft: _hd_region_points([f for f, _ in ft], cfg, [t for _, t in ft]),
-                list(zip(forms, thresholds))).values():
+                lambda ct: _hd_region_points(_hd_setup([c for c, _ in ct], cfg), cfg,
+                                             [t for _, t in ct]),
+                list(zip(chs, thresholds))).values():
             assert [row_bytes(r) for r in rows] == alone
 
         def region_bytes(entries):
@@ -236,7 +236,7 @@ class TestHdLockstep:
         steps = []
         for ch in self._realizations(cfg)[:4]:
             calls.clear()
-            _hd_max_sum_rates([_hd_setups([ch], cfg)[0][1]], cfg)
+            _hd_max_sum_rates(_hd_setup([ch], cfg), cfg)
             steps.append(len(calls))
         assert steps[1] == 1 and min(steps[:1] + steps[2:]) >= 3
 

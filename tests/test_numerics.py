@@ -272,7 +272,7 @@ class TestMaximize1d:
                 return np.polyval(c, xs)
 
             ref = maximize_1d(f_plain, -1.0, 1.0, tol=1e-4, grid_points=21)
-            got = maximize_1d(f_batched, -1.0, 1.0, tol=1e-4, grid_points=21, lookahead=True)
+            [got] = maximize_1d_lockstep(lambda _, xs: f_batched(xs), 1, -1.0, 1.0, 1e-4, 21, True)
             assert got == ref
             assert set(plain) <= set(batched)
             assert calls[0] == 21 and max(calls[1:]) <= 4
@@ -313,7 +313,8 @@ class TestMaximize1dLockstep:
                     sizes.append(len(xs))
                 return value(c, xs)
 
-            assert got[k] == maximize_1d(g, -1.0, 1.0, tol=1e-4, grid_points=21, lookahead=True)
+            [alone_best] = maximize_1d_lockstep(lambda _, xs: g(xs), 1, -1.0, 1.0, 1e-4, 21, True)
+            assert got[k] == alone_best
             assert seen[k] == alone
             calls_alone.append(len(sizes))
         assert got[5][0] == 1.0 and got[6][0] == -1.0 and got[7][1] == -np.inf

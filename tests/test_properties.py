@@ -4,8 +4,10 @@ ordering, over randomized system configurations.
 
 Configurations span m_t in [2, 8], m_r in [1, 8], source and relay SNRs from
 -10 to 60 dB, residual SI variances from 0 to 1 (linear) and an asymmetric
-B-side link gain.  RuntimeWarnings are errors, so a 0/0 or an overflow that
-min/max clamping would hide fails the test.
+B-side link gain; ``test_every_scheme_on_the_config_space`` draws the three
+power budgets independently from 0 to 70 dB and SI variances from -40 to
++10 dB.  RuntimeWarnings are errors, so a 0/0 or an overflow that min/max
+clamping would hide fails the test.
 """
 
 import math
@@ -16,7 +18,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fdtwrc.baselines import hd_anc_region, hd_anc_solve, local_csi_sum_rate, upper_bound_solve
+from fdtwrc.baselines import (
+    fd_oneway_sum_rate,
+    hd_anc_region,
+    hd_anc_regions,
+    hd_anc_solve,
+    hd_anc_solves,
+    local_csi_sum_rate,
+    upper_bound_regions,
+    upper_bound_solve,
+    upper_bound_solves,
+)
 from fdtwrc.model import (
     SystemConfig,
     db_to_linear,
@@ -24,7 +36,6 @@ from fdtwrc.model import (
     relay_output_power,
     sample_channels,
     sinr_pair,
-    strip_source_si,
     zero_loopback,
     zf_residual,
 )
@@ -39,9 +50,11 @@ from fdtwrc.rate_region import (
     max_rate_given_rb,
     optimize_fixed_alpha_p1,
     rate_region,
+    rate_regions,
 )
 from fdtwrc.sum_rate import (
     max_sum_rate,
+    max_sum_rates,
     optimize_fixed_alpha_p2,
     solve_power_p2,
     solve_txbf_p2,
@@ -198,10 +211,12 @@ def test_converged_trace_ends_at_the_point_objective(cfg, seed, alpha, target_sh
 
 def stopped_on_kept_powers(trace):
     """Whether an alternation with this trace stopped because its last power
-    step kept the powers: it ended before iter_max, and its last gain over
-    the previous value (0 before the first) is too large for conv_tol to
-    have stopped it.  A conv_tol stop can follow a power move (a first
-    value below conv_tol, say), so it need not be a power fixed point."""
+    step kept the powers, or (P1 only) because the beamformer re-solved at
+    its new powers failed the gates: it ended before iter_max, and its last
+    gain over the previous value (0 before the first) is too large for
+    conv_tol to have stopped it.  A conv_tol stop can follow a power move (a
+    first value below conv_tol, say), so it need not be a power fixed
+    point."""
     gain = trace[-1] - (trace[-2] if len(trace) > 1 else 0.0)
     return len(trace) < SystemConfig.iter_max and gain >= SystemConfig.conv_tol
 
@@ -210,15 +225,23 @@ def stopped_on_kept_powers(trace):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(cfg=configs, seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.0, 1.0),
        target_share=st.floats(0.0, 1.0))
+# a P1 loop whose beamformer, re-solved at B's near-zero target after a
+# power move, fails the beam-power gate: it stops at its last traced point
+@example(cfg=SystemConfig(m_t=2, m_r=1, p_a_max=1.0, p_b_max=1.0, p_r_max=12589.254117941662,
+                          sigma2_a=0.0, sigma2_b=0.0, sigma2_r=1.0, gain_br=3.1622776601683795),
+         seed=0, alpha=0.0, target_share=8.875091588238756e-250)
 def test_stopped_point_is_a_power_fixed_point(cfg, seed, alpha, target_share):
     # a loop that stopped on kept powers stopped at a power fixed point: one
     # more beamformer solve at the point's powers and one more power step
     # return those powers and the traced value (P2 up to rounding, P1 bit
-    # for bit, since P1's beamformer ignores its warm start)
+    # for bit, since P1's beamformer ignores its warm start).  A P1 loop
+    # whose beamformer fails the gates at the point's powers stopped at its
+    # last traced point instead: the kept beamformer's power step returns
+    # the point's powers and the traced value
     ch = sample_channels(cfg, seed)
     table = _combiner_table(ch)
     [(_, _, batch)] = table(np.array([alpha]))
-    pt = optimize_fixed_alpha_p2(ch, alpha, cfg, table)
+    pt = optimize_fixed_alpha_p2(ch, alpha, cfg)
     if stopped_on_kept_powers(pt.trace):
         p_a, p_b = pt.powers.p_a, pt.powers.p_b
         w_t = solve_txbf_p2(batch, np.array([p_a]), np.array([p_b]), cfg,
@@ -228,13 +251,16 @@ def test_stopped_point_is_a_power_fixed_point(cfg, seed, alpha, target_share):
         assert abs(values[0] - pt.trace[-1]) <= 1e-12 * pt.trace[-1]
     gamma_b = target_share * _gamma_b_max(_grid(table, cfg), cfg)[0]
     try:
-        pt = optimize_fixed_alpha_p1(ch, alpha, gamma_b, cfg, table)
+        pt = optimize_fixed_alpha_p1(ch, alpha, gamma_b, cfg)
     except Infeasible:
         return
     if stopped_on_kept_powers(pt.trace):
         p_a, p_b = pt.powers.p_a, pt.powers.p_b
-        w_t = txbf_p1_row(batch, p_a, p_b, gamma_b, cfg.p_r_max)
-        assert np.array_equal(w_t, pt.beamformer.w_t)
+        try:
+            w_t = txbf_p1_row(batch, p_a, p_b, gamma_b, cfg.p_r_max)
+            assert np.array_equal(w_t, pt.beamformer.w_t)
+        except Infeasible:  # the gates fail at the point's powers
+            w_t = pt.beamformer.w_t
         assert power_p1_row(w_t, batch, gamma_b, cfg) == (p_a, p_b, pt.trace[-1])
 
 
@@ -252,7 +278,7 @@ def test_scheme_ordering_per_realization(cfg, seed):
     local = local_csi_sum_rate(ch, cfg, seed)
     assert ub.sum_rate >= proposed.sum_rate - 1e-9
     assert proposed.sum_rate >= local.sum_rate - 1e-9
-    rank_one = max_sum_rate(strip_source_si(zero_loopback(ch)), cfg)
+    rank_one = max_sum_rate(replace(zero_loopback(ch), h_aa=0j, h_bb=0j), cfg)
     assert (rank_one.powers.p_a, rank_one.powers.p_b) == (cfg.p_a_max, cfg.p_b_max)
     assert (hd_anc_solve(ch, cfg).sum_rate
             >= 0.5 * rank_one.sum_rate - 1e-6 * max(1.0, rank_one.sum_rate))
@@ -285,11 +311,10 @@ def test_batch_equals_batches_of_one(cfg, seed, edge, extra):
     ch = sample_channels(cfg, seed)
     if edge == "zero_loopback":
         ch = zero_loopback(ch)
-    table = _combiner_table(ch)
     alphas = np.concatenate([np.linspace(0.0, 1.0, cfg.alpha_grid), extra])
-    batch = optimize_fixed_alpha_p2(ch, alphas, cfg, table)
+    batch = optimize_fixed_alpha_p2(ch, alphas, cfg)
     for k, alpha in enumerate(alphas):
-        one = optimize_fixed_alpha_p2(ch, alphas[k:k + 1], cfg, table)
+        one = optimize_fixed_alpha_p2(ch, alphas[k:k + 1], cfg)
         assert np.array_equal(one.powers[0], batch.powers[k])
         assert len(one.traces[0]) == len(batch.traces[k])
         assert np.allclose(one.traces[0], batch.traces[k], rtol=1e-12, atol=0.0)
@@ -299,6 +324,74 @@ def test_batch_equals_batches_of_one(cfg, seed, edge, extra):
         assert pt.trace == batch.traces[k] and np.array_equal(pt.beamformer.w_t, w_t)
     best_grid = max(batch.values[:cfg.alpha_grid])
     assert max_sum_rate(ch, cfg).sum_rate >= best_grid * (1.0 - 1e-12)
+
+
+# the valid config space: each power budget on its own from 0 to 70 dB, SI
+# variances from -40 to +10 dB
+wide_configs = st.builds(
+    lambda m_t, m_r, power_db, si_db, gain_br_db: SystemConfig(
+        m_t=m_t, m_r=m_r, p_a_max=db_to_linear(power_db[0]), p_b_max=db_to_linear(power_db[1]),
+        p_r_max=db_to_linear(power_db[2]), sigma2_a=db_to_linear(si_db[0]),
+        sigma2_b=db_to_linear(si_db[1]), sigma2_r=db_to_linear(si_db[2]),
+        gain_br=db_to_linear(gain_br_db)),
+    st.integers(2, 6), st.integers(1, 6), st.tuples(*[st.floats(0.0, 70.0)] * 3),
+    st.tuples(*[st.floats(-40.0, 10.0)] * 3), st.floats(-20.0, 20.0),
+)
+
+
+def assert_point_within_limits(scheme, ch, pt, cfg, r_b=None):
+    """Finite rates, powers in the box, relay power within the budget, ZF
+    for the schemes that keep it (ub's points belong to the zero-loopback
+    realization; HD's relay power is its matrix's) and, at B's target r_b,
+    B's rate at or above it within the thresholds' 1e-9 back-off.  HD's
+    targets are not checked: from about 60 dB of relay power its region
+    solve misses them by more than the back-off (up to 3.4e-9 relative in
+    SINR), since its dual tests feasibility in coordinates whitened by
+    I + p_r t_a, where rounding grows with their condition number."""
+    assert math.isfinite(pt.rate_a) and math.isfinite(pt.rate_b)
+    if r_b is not None and scheme != "hd":
+        assert pt.rate_b >= r_b * (1.0 - 1e-9)
+    p_r = pt.powers.p_r
+    if scheme == "hd":
+        w = pt.beamformer.w_full
+        p_r = (cfg.p_a_max * np.linalg.norm(w @ ch.h_ar) ** 2
+               + cfg.p_b_max * np.linalg.norm(w @ ch.h_br) ** 2 + np.linalg.norm(w) ** 2)
+    assert 0.0 <= pt.powers.p_a <= cfg.p_a_max and 0.0 <= pt.powers.p_b <= cfg.p_b_max
+    assert p_r <= cfg.p_r_max * (1.0 + 1e-9) + 1e-9
+    if scheme in ("proposed", "localcsi"):
+        assert zf_ok(ch, pt.beamformer.w_t, pt.beamformer.w_r)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(cfg=wide_configs, seeds=st.tuples(*[st.integers(0, 2**32 - 1)] * 2))
+# a region endpoint whose P1 power step raised p_b off 0 within a relay
+# slack scaled by r_b p_b_max, 984 times the budget: 5.4e-7 over budget
+@example(cfg=SystemConfig(m_t=2, m_r=1, p_a_max=12.91757269367988, p_b_max=23602.937609793753,
+                          p_r_max=594093.7095150496, sigma2_a=0.12138909647049545,
+                          sigma2_b=9.584411726730105, sigma2_r=8.537393841981908,
+                          gain_br=0.7335950930980641), seeds=(319090216, 2015952592))
+def test_every_scheme_on_the_config_space(cfg, seeds):
+    # two realizations solved together, as in a harness task: every
+    # scheme's sum rate, and 3-point regions of proposed, hd and ub with a
+    # solved endpoint and every B target met within the 1e-9 back-off
+    chs = [sample_channels(cfg, seed) for seed in seeds]
+    proposed = max_sum_rates(chs, cfg)
+    points = {"proposed": proposed, "hd": hd_anc_solves(chs, cfg),
+              "ub": upper_bound_solves(chs, cfg, proposed),
+              "localcsi": [local_csi_sum_rate(ch, cfg, seed) for ch, seed in zip(chs, seeds)]}
+    for scheme, pts in points.items():
+        for ch, pt in zip(chs, pts):
+            assert_point_within_limits(scheme, ch, pt, cfg)
+    for ch in chs:
+        assert all(map(math.isfinite, fd_oneway_sum_rate(ch, cfg)))
+    regions = {"proposed": rate_regions(chs, 3, cfg), "hd": hd_anc_regions(chs, 3, cfg),
+               "ub": upper_bound_regions(chs, 3, cfg)}
+    for scheme, sweeps in regions.items():
+        for ch, entries in zip(chs, sweeps):
+            assert entries[-1][1] is not None
+            for r_b, pt in entries:
+                assert_point_within_limits(scheme, ch, pt, cfg, r_b)
 
 
 def hd_random_case(k):

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from fdtwrc.baselines import (
-    _hd_regions,
+    _hd_points,
+    _hd_setup,
     hd_anc_region,
-    upper_bound_region,
     upper_bound_regions,
     upper_bound_solve,
     upper_bound_solves,
@@ -361,16 +361,14 @@ class TestAlternate:
 
 
 class TestAlphaSearch:
-    def test_all_infeasible_raises_after_the_grid(self):
+    def test_all_infeasible_gives_none_after_the_grid(self):
         alphas = []
 
         def evaluate(batch):
             alphas.extend(batch.tolist())
             return np.full(batch.size, -math.inf), None
 
-        with pytest.raises(Infeasible) as exc:
-            _alpha_search(lambda _, batch: evaluate(batch), 1, CFG)
-        assert exc.value.stage == "alpha_grid"
+        assert _alpha_search(lambda _, batch: evaluate(batch), 1, CFG) == [None]
         assert alphas == list(np.linspace(0.0, 1.0, CFG.alpha_grid))
 
 
@@ -512,6 +510,12 @@ def _point_bits(pt):
     b = pt.beamformer
     return (pt.rate_a, pt.rate_b, pt.gamma_a, pt.gamma_b, pt.powers.p_a, pt.powers.p_b,
             pt.powers.p_r, b.alpha, b.w_t.tobytes(), b.w_r.tobytes(), tuple(pt.trace))
+
+
+def upper_bound_region(ch, n_points, cfg):
+    """``upper_bound_regions`` of one realization."""
+    [entries] = upper_bound_regions([ch], n_points, cfg)
+    return entries
 
 
 def _standalone_or_none(ch, r_b, cfg):
@@ -743,7 +747,7 @@ def _endpoint_cases():
 def _hd_one_target(ch, cfg, r_b):
     """The HD region solve at one target, raising Infeasible where it
     returns None, as the proposed point solver does."""
-    [[pt]] = _hd_regions([ch], cfg)[0]([[r_b]])
+    [[pt]] = _hd_points(_hd_setup([ch], cfg), [[r_b]], cfg)
     if pt is None:
         raise Infeasible("hd_region_target")
     return pt

@@ -671,7 +671,8 @@ class TestCombinerTable:
             ch = sample_channels(cfg, seed)
             alphas = np.linspace(0.0, 1.0, 7)
             [(rows, w_r, batch)] = _combiner_table(ch)(alphas)
-            assert rows is None and batch.n == (cfg.m_t if kw == {"sigma2_r": 0.0} else cfg.m_t - 1)
+            assert rows.tolist() == list(range(alphas.size))
+            assert batch.n == (cfg.m_t if kw == {"sigma2_r": 0.0} else cfg.m_t - 1)
             for k, alpha in enumerate(alphas):
                 ref_w_r = receive_combiner(ch, alpha)
                 n_t = relay_null_basis(ch, ref_w_r)
