@@ -11,9 +11,9 @@ all points in one batch.  No HD step is random.  Both HD solvers take a
 sequence of realizations and step all of them in one lockstep, each
 realization leaving it at its own stop, so each gets its answer alone.
 
-The upper bound reuses the proposed solvers on a realization whose relay
-loopback is zeroed, which removes the ZF restriction while keeping source
-SI; like them, it solves a sequence of realizations in one lockstep.
+The upper bound reuses the proposed solvers' lockstep on realizations with
+the relay loopback zeroed (no ZF restriction, source SI kept); one-way FD
+and local CSI are one stacked computation per sequence of realizations.
 """
 
 import enum
@@ -27,16 +27,15 @@ from .model import (
     PowerAllocation,
     RelayBeamformer,
     make_operating_point,
-    receive_combiner,
-    receive_gains,
-    relay_null_basis,
     zero_loopback,
 )
 # _alpha_search and max_sum_rate are not called here; they stay bound
 # because the perfbench tracer test requires it to wrap these bindings
 from .rate_region import (
     _LN2,
+    _abs2,
     _alpha_search,
+    _combiner_table,
     _p_prime,
     _repair,
     _sweep_targets,
@@ -54,10 +53,13 @@ __all__ = [
     "hd_anc_regions",
     "fd_oneway_direction_rate",
     "fd_oneway_region",
+    "fd_oneway_regions",
     "fd_oneway_sum_rate",
+    "fd_oneway_sum_rates",
     "upper_bound_solve",
     "upper_bound_solves",
     "upper_bound_regions",
+    "local_csi_solves",
     "local_csi_sum_rate",
 ]
 
@@ -573,51 +575,54 @@ def hd_anc_region(channels, n_points, config):
     return entries
 
 
-def _complement_projector_or_identity(v):
-    """I - v v^H / ||v||^2, degrading to I when the vector vanishes."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    n2 = float(np.vdot(v, v).real)
-    eye = np.eye(v.size, dtype=complex)
-    if n2 <= 1e-24:
-        return eye
-    return eye - np.outer(v, v.conj()) / n2
+def _fd_oneway_rates(realizations, config):
+    """The one-way FD rates (R_A, R_B), B -> A and A -> B at a full-power
+    source, of each realization of a sequence, by the better of receive ZF
+    (beam matched to h_out, combiner off H_rr h_out) and transmit ZF
+    (combiner matched to h_in, beam off H_rr^H h_in).  x off v is x - v (v^H
+    x) / ||v||^2, x itself where ||v||^2 <= 1e-24.  Every step is row-wise."""
+    h_ar, h_br, h_ra, h_rb, h_rr = (np.array([getattr(ch, name) for ch in realizations])
+                                    for name in ("h_ar", "h_br", "h_ra", "h_rb", "h_rr"))
+
+    def off2(x, v):  # ||x off v||^2
+        n2 = _vdots(v, v).real
+        x = x - v * (_vdots(v, x) / np.where(n2 > 1e-24, n2, np.inf))[:, None]
+        return _vdots(x, x).real
+
+    p_r, snrs = config.p_r_max, []
+    for p_src, h_in, h_out in ((config.p_b_max, h_br, h_ra), (config.p_a_max, h_ar, h_rb)):
+        gains = ((off2(h_in, (h_rr @ h_out[:, :, None])[:, :, 0]), _vdots(h_out, h_out).real),
+                 (_vdots(h_in, h_in).real, off2(h_out, (h_in[:, None, :] @ np.conj(h_rr))[:, 0])))
+        snrs.append(np.maximum(*(p_src * g_in * p_r * g_out / (p_src * g_in + p_r * g_out + 1.0)
+                                 for g_in, g_out in gains)))
+    return [(math.log2(1.0 + s_a), math.log2(1.0 + s_b))
+            for s_a, s_b in np.stack(snrs, axis=1).tolist()]
 
 
 def fd_oneway_direction_rate(channels, direction, config):
-    """One-way FD relaying rate for one direction with a full-power source.
-
-    Both closed forms (receive-side and transmit-side ZF of the relay
-    loopback) are evaluated and the better one is kept.
-    """
-    if direction == "B_to_A":
-        p_src, h_in, h_out = config.p_b_max, channels.h_br, channels.h_ra
-    elif direction == "A_to_B":
-        p_src, h_in, h_out = config.p_a_max, channels.h_ar, channels.h_rb
-    else:
+    """R_A ("B_to_A") or R_B ("A_to_B") of ``_fd_oneway_rates``, one realization."""
+    if direction not in ("B_to_A", "A_to_B"):
         raise ValueError(f"unknown direction {direction!r}")
-    # (input, output) gains of receive ZF (transmit beam matched to h_out,
-    # combiner nulling H_rr h_out) and of transmit ZF (combiner matched to
-    # h_in, transmit beam nulling H_rr^H h_in)
-    d = _complement_projector_or_identity(channels.h_rr @ h_out)
-    b = _complement_projector_or_identity(channels.h_rr.conj().T @ h_in)
-    gains = ((float(np.linalg.norm(d @ h_in) ** 2), float(np.vdot(h_out, h_out).real)),
-             (float(np.vdot(h_in, h_in).real), float(np.linalg.norm(b @ h_out) ** 2)))
-    p_r = config.p_r_max
-    return math.log2(1.0 + max(p_src * g_in * p_r * g_out / (p_src * g_in + p_r * g_out + 1.0)
-                               for g_in, g_out in gains))
+    return _fd_oneway_rates([channels], config)[0][direction == "A_to_B"]
+
+
+def fd_oneway_regions(realizations, n_points, config):
+    """Time-sharing segment ((1-f) R_A, f R_B) of each realization of a
+    sequence, for n_points fractions f from 0 (the A-max end) to 1."""
+    fractions = np.linspace(0.0, 1.0, n_points)
+    return [[((1.0 - f) * r_a, f * r_b) for f in fractions]
+            for r_a, r_b in _fd_oneway_rates(realizations, config)]
 
 
 def fd_oneway_region(channels, n_points, config):
-    """Time-sharing segment ((1-f) R_A, f R_B) for n_points fractions f from
-    0 (the A-max end) to 1."""
-    r_a = fd_oneway_direction_rate(channels, "B_to_A", config)
-    r_b = fd_oneway_direction_rate(channels, "A_to_B", config)
-    return [((1.0 - f) * r_a, f * r_b) for f in np.linspace(0.0, 1.0, n_points)]
+    """``fd_oneway_regions`` of one realization."""
+    [points] = fd_oneway_regions([channels], n_points, config)
+    return points
 
 
-def fd_oneway_sum_rate(channels, config):
+def fd_oneway_sum_rates(realizations, config):
     """Rate pair (R_A, R_B) of the sum-rate-optimal time share of the one-way
-    scheme.
+    scheme, for each realization of a sequence.
 
     The sum rate is linear along the time-sharing segment, so its maximum
     sits at an end: only the better direction is served.  The equal split
@@ -625,9 +630,14 @@ def fd_oneway_sum_rate(channels, config):
     scheme (1.09 vs 1.22) nor the relay-SNR crossover near 5 dB; the
     optimal share does.
     """
-    r_a = fd_oneway_direction_rate(channels, "B_to_A", config)
-    r_b = fd_oneway_direction_rate(channels, "A_to_B", config)
-    return (r_a, 0.0) if r_a >= r_b else (0.0, r_b)
+    return [(r_a, 0.0) if r_a >= r_b else (0.0, r_b)
+            for r_a, r_b in _fd_oneway_rates(realizations, config)]
+
+
+def fd_oneway_sum_rate(channels, config):
+    """``fd_oneway_sum_rates`` of one realization."""
+    [pair] = fd_oneway_sum_rates([channels], config)
+    return pair
 
 
 def upper_bound_solves(realizations, config, proposed):
@@ -664,17 +674,33 @@ def upper_bound_regions(realizations, n_points, config):
     return rate_regions([zero_loopback(channels) for channels in realizations], n_points, config)
 
 
+def local_csi_solves(realizations, config, seeds):
+    """Receive-CSI-only operation, (w_t, w_r, (R_A, R_B)) for each
+    realization of a sequence: full source powers, the balanced combiner
+    (``_combiner_table``'s row at alpha = 0.5) and a ZF transmit direction
+    drawn from the realization's seed, at full relay power.  Only the draws
+    are per realization; the rates are ``sinr_pair``'s, bit for bit."""
+    k, p_a, p_b = len(realizations), config.p_a_max, config.p_b_max
+    out = [None] * k
+    for rows, w_r, ctx in _combiner_table(*realizations)(np.full(k, 0.5), np.arange(k)):
+        z = []
+        for i in rows.tolist():
+            rng = np.random.default_rng([np.uint64(seeds[i]) & np.uint64(2**64 - 1), 0x10CA1])
+            v = rng.standard_normal(ctx.n) + 1j * rng.standard_normal(ctx.n)
+            z.append(v / np.linalg.norm(v))
+        (rx_a, rx_b), (haa2, hbb2) = ctx.rx.T, ctx.si2.T
+        budget = _p_prime(config.p_r_max, p_a, p_b, rx_a, rx_b)
+        w_t = np.sqrt(budget)[:, None] * (ctx.n_t @ np.array(z)[:, :, None])[:, :, 0]
+        tx_a, tx_b = _abs2(_vdots(ctx.h_t, w_t[:, None, :])).T
+        gammas = np.stack([p_b * tx_a * rx_b / (tx_a + p_a * haa2 + 1.0),
+                           p_a * tx_b * rx_a / (tx_b + p_b * hbb2 + 1.0)], axis=1)
+        for i, w_t_i, w_r_i, (g_a, g_b) in zip(rows.tolist(), w_t, w_r, gammas.tolist()):
+            out[i] = w_t_i, w_r_i, (math.log2(1.0 + g_a), math.log2(1.0 + g_b))
+    return out
+
+
 def local_csi_sum_rate(channels, config, seed):
-    """Receive-CSI-only operation: full source powers, a fixed balanced
-    combiner, and a seeded arbitrary ZF transmit direction at full relay
-    power."""
-    w_r = receive_combiner(channels, 0.5)
-    n_t = relay_null_basis(channels, w_r)
-    rng = np.random.default_rng([np.uint64(seed) & np.uint64(0xFFFFFFFFFFFFFFFF), 0x10CA1])
-    v = rng.standard_normal(n_t.shape[1]) + 1j * rng.standard_normal(n_t.shape[1])
-    z = v / np.linalg.norm(v)
-    p_a, p_b = config.p_a_max, config.p_b_max
-    budget = _p_prime(config.p_r_max, p_a, p_b, *receive_gains(channels, w_r))
-    w_t = math.sqrt(budget) * (n_t @ z)
-    pt = make_operating_point(channels, w_t, w_r, 0.5, p_a, p_b, trace=[])
+    """``local_csi_solves`` of one realization, as an OperatingPoint traced by its sum rate."""
+    [(w_t, w_r, _)] = local_csi_solves([channels], config, [seed])
+    pt = make_operating_point(channels, w_t, w_r, 0.5, config.p_a_max, config.p_b_max, trace=[])
     return replace(pt, trace=[pt.sum_rate])

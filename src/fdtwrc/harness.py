@@ -6,10 +6,10 @@ realization, so scheme comparisons are paired and adding a scheme never
 changes the channel stream.  A task is a run of consecutive trials of one
 configuration (``_task_sizes``): the proposed, hd and ub solvers solve all
 of its realizations in one lockstep each, and the closed-form fd2 and
-localcsi schemes run trial by trial.  Tasks run in a process pool.  A
-trial's answer does not depend on the other trials of its task, and
-aggregation is order-independent, so results do not depend on the worker
-count.
+localcsi schemes in one stacked computation each.  Tasks run in a process
+pool.  A trial's answer does not depend on the other trials of its task,
+and aggregation is order-independent, so results do not depend on the
+worker count.
 
 Because of the XOR, master seeds that differ only in bits below the trial
 count draw the same set of realizations, in a different order: 20240 and
@@ -32,11 +32,11 @@ import numpy as np
 from . import __version__
 from .baselines import (
     SchemeId,
-    fd_oneway_region,
-    fd_oneway_sum_rate,
+    fd_oneway_regions,
+    fd_oneway_sum_rates,
     hd_anc_regions,
     hd_anc_solves,
-    local_csi_sum_rate,
+    local_csi_solves,
     upper_bound_regions,
     upper_bound_solves,
 )
@@ -78,10 +78,10 @@ def _region_pairs(entries):
 # sum-rate fn maps (realizations, config, trial seeds, the trials' proposed
 # points) to one rate pair (R_A, R_B) per trial; a region fn maps
 # (realizations, config, n_points) to one list per trial of a rate pair per
-# boundary point.  proposed, hd and ub call their solver once per task, one
-# lockstep over its trials; fd2 and localcsi call theirs per trial.  The
-# lambdas look the solvers up in this module when called, so rebinding a
-# module attribute (as a tracer does) reaches them.
+# boundary point.  Each scheme calls its solver once per task, over all of
+# its trials: a lockstep for proposed, hd and ub, a stacked computation for
+# fd2 and localcsi.  The lambdas look the solvers up in this module when
+# called, so rebinding a module attribute (as a tracer does) reaches them.
 SCHEMES = {
     SchemeId.PROPOSED_FD: (
         lambda chs, cfg, tseeds, proposed: [_rates(pt) for pt in proposed],
@@ -90,15 +90,15 @@ SCHEMES = {
         lambda chs, cfg, tseeds, proposed: [_rates(pt) for pt in hd_anc_solves(chs, cfg)],
         lambda chs, cfg, n: [_region_pairs(e) for e in hd_anc_regions(chs, n, cfg)]),
     SchemeId.FD_ONEWAY: (
-        lambda chs, cfg, tseeds, proposed: [fd_oneway_sum_rate(ch, cfg) for ch in chs],
-        lambda chs, cfg, n: [fd_oneway_region(ch, n, cfg) for ch in chs]),
+        lambda chs, cfg, tseeds, proposed: fd_oneway_sum_rates(chs, cfg),
+        lambda chs, cfg, n: fd_oneway_regions(chs, n, cfg)),
     SchemeId.FD_UPPER_BOUND: (
         lambda chs, cfg, tseeds, proposed: [
             _rates(pt) for pt in upper_bound_solves(chs, cfg, proposed)],
         lambda chs, cfg, n: [_region_pairs(e) for e in upper_bound_regions(chs, n, cfg)]),
     SchemeId.LOCAL_CSI: (
         lambda chs, cfg, tseeds, proposed: [
-            _rates(local_csi_sum_rate(ch, cfg, seed=tseed)) for ch, tseed in zip(chs, tseeds)],
+            rates for _, _, rates in local_csi_solves(chs, cfg, tseeds)],
         None),
 }
 
@@ -152,7 +152,7 @@ class ResultRow:
 class ResultTable:
     rows: list
     metadata: dict
-    samples: dict | None = None
+    samples: dict | None = None  # (sweep value, scheme) -> per-trial float array
 
 
 def trial_seed(seed, t):
@@ -261,8 +261,8 @@ def run_experiment(spec, workers=None, keep_samples=False):
             gain = m_s / hd_mean if hd_mean and not math.isnan(hd_mean) else math.nan
             rows.append(ResultRow(value, scheme.value, m_ra, se_ra,
                                   m_rb, se_rb, m_s, se_s, gain))
-            if keep_samples:
-                samples[(value, scheme.value)] = (
+            if keep_samples:  # float arrays: compact when a caller keeps many tables
+                samples[(value, scheme.value)] = np.array(
                     list(zip(ras, rbs)) if region else sums[scheme])
 
     metadata = {

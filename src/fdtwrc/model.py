@@ -207,27 +207,25 @@ class OperatingPoint:
         }
 
 
-def _crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-
-
 def sample_channels(config, seed):
     """Draw one flat-fading realization, deterministic in (config, seed).
 
     h_ar/h_ra entries are unit-variance circularly-symmetric Gaussian;
     the B-side links are scaled by config.gain_br and the residual-SI
-    channels by their configured variances.
+    channels by their configured variances.  All normals come from one
+    draw: the real, then the imaginary parts of h_ar, h_br, h_ra, h_rb,
+    h_aa, h_bb and h_rr (row-major), in that order.
     """
-    rng = np.random.default_rng(seed)
-    g_br = math.sqrt(config.gain_br)
-    h_ar = _crandn(rng, config.m_r)
-    h_br = g_br * _crandn(rng, config.m_r)
-    h_ra = _crandn(rng, config.m_t)
-    h_rb = g_br * _crandn(rng, config.m_t)
-    h_aa = math.sqrt(config.sigma2_a) * _crandn(rng)
-    h_bb = math.sqrt(config.sigma2_b) * _crandn(rng)
-    h_rr = math.sqrt(config.sigma2_r) * _crandn(rng, config.m_r, config.m_t)
-    return ChannelRealization(h_ar, h_br, h_ra, h_rb, complex(h_aa), complex(h_bb), h_rr)
+    m_r, m_t, g_br = config.m_r, config.m_t, math.sqrt(config.gain_br)
+    sizes = (m_r, m_r, m_t, m_t, 1, 1, m_r * m_t)
+    x = np.random.default_rng(seed).standard_normal(2 * sum(sizes))
+    h, start = [], 0
+    for size, scale in zip(sizes, (None, g_br, None, g_br, math.sqrt(config.sigma2_a),
+                                   math.sqrt(config.sigma2_b), math.sqrt(config.sigma2_r))):
+        z = (x[start:start + size] + 1j * x[start + size:start + 2 * size]) / math.sqrt(2.0)
+        h.append(z if scale is None else scale * z)
+        start += 2 * size
+    return ChannelRealization(*h[:4], complex(h[4][0]), complex(h[5][0]), h[6].reshape(m_r, m_t))
 
 
 def _combiner_basis(channels):

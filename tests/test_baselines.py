@@ -13,11 +13,14 @@ from fdtwrc.baselines import (
     _hd_setup,
     fd_oneway_direction_rate,
     fd_oneway_region,
+    fd_oneway_regions,
     fd_oneway_sum_rate,
+    fd_oneway_sum_rates,
     hd_anc_region,
     hd_anc_regions,
     hd_anc_solve,
     hd_anc_solves,
+    local_csi_solves,
     local_csi_sum_rate,
     parse_scheme,
     upper_bound_solve,
@@ -484,6 +487,68 @@ class TestFdOneway:
         r_a = fd_oneway_direction_rate(ch, "B_to_A", CFG)
         r_b = fd_oneway_direction_rate(ch, "A_to_B", CFG)
         assert sum(fd_oneway_sum_rate(ch, CFG)) >= 0.5 * (r_a + r_b) >= 0.5 * min(r_a, r_b)
+
+
+def _projector_rate(ch, direction, cfg):
+    """The one-way FD rate in its first form: projector matrices
+    I - v v^H / ||v||^2 (I where ||v||^2 <= 1e-24) applied to the links."""
+    def projector(v):
+        n2 = float(np.vdot(v, v).real)
+        eye = np.eye(v.size, dtype=complex)
+        return eye if n2 <= 1e-24 else eye - np.outer(v, v.conj()) / n2
+
+    p_src, h_in, h_out = ((cfg.p_b_max, ch.h_br, ch.h_ra) if direction == "B_to_A"
+                          else (cfg.p_a_max, ch.h_ar, ch.h_rb))
+    d, b = projector(ch.h_rr @ h_out), projector(ch.h_rr.conj().T @ h_in)
+    gains = ((float(np.linalg.norm(d @ h_in) ** 2), float(np.vdot(h_out, h_out).real)),
+             (float(np.vdot(h_in, h_in).real), float(np.linalg.norm(b @ h_out) ** 2)))
+    p_r = cfg.p_r_max
+    return math.log2(1.0 + max(p_src * g_in * p_r * g_out / (p_src * g_in + p_r * g_out + 1.0)
+                               for g_in, g_out in gains))
+
+
+def _stacked_case(k):
+    """Random config k and 16 realizations of it, with their seeds: m_t in
+    2..8, m_r in 1..8 (1 in every fourth config), powers in 10^[-1, 5], SI
+    variances in 10^[-8, 1] (sigma2_r = 0 in every fifth config), gain_br
+    in 10^[-3, 1]; every third realization has its loopback zeroed, so a
+    call mixes both groups of the combiner table."""
+    rng = np.random.default_rng([26, k])
+    cfg = SystemConfig(
+        m_t=int(rng.integers(2, 9)), m_r=1 if k % 4 == 0 else int(rng.integers(1, 9)),
+        p_a_max=10.0 ** rng.uniform(-1, 5), p_b_max=10.0 ** rng.uniform(-1, 5),
+        p_r_max=10.0 ** rng.uniform(-1, 5), sigma2_a=10.0 ** rng.uniform(-8, 1),
+        sigma2_b=10.0 ** rng.uniform(-8, 1),
+        sigma2_r=0.0 if k % 5 == 0 else 10.0 ** rng.uniform(-8, 1),
+        gain_br=10.0 ** rng.uniform(-3, 1))
+    seeds = [int(s) for s in rng.integers(0, 2**63, size=16)]
+    chs = [sample_channels(cfg, s) for s in seeds]
+    return cfg, [zero_loopback(ch) if i % 3 == 2 else ch for i, ch in enumerate(chs)], seeds
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_stacked_closed_forms_match_one_realization(block):
+    # fd2 and localcsi solve a task's realizations in one stacked call: each
+    # realization's answer is the bytes of its call alone, fd2 is the
+    # projector-matrix formula up to rounding, and localcsi's rate pair is
+    # its OperatingPoint's, bit for bit
+    for k in range(50 * block, 50 * block + 50):
+        cfg, chs, seeds = _stacked_case(k)
+        fd_pairs, fd_regions = fd_oneway_sum_rates(chs, cfg), fd_oneway_regions(chs, 3, cfg)
+        local = local_csi_solves(chs, cfg, seeds)
+        for i, (ch, seed) in enumerate(zip(chs, seeds)):
+            assert np.array(fd_pairs[i]).tobytes() == np.array(fd_oneway_sum_rate(ch, cfg)).tobytes()
+            assert (np.array(fd_regions[i]).tobytes()
+                    == np.array(fd_oneway_region(ch, 3, cfg)).tobytes())
+            for direction in ("B_to_A", "A_to_B"):
+                ref = _projector_rate(ch, direction, cfg)
+                assert fd_oneway_direction_rate(ch, direction, cfg) == pytest.approx(
+                    ref, rel=1e-13, abs=0.0), (k, i, direction)
+            [(w_t, w_r, rates)] = local_csi_solves([ch], cfg, [seed])
+            assert w_t.tobytes() == local[i][0].tobytes() and w_r.tobytes() == local[i][1].tobytes()
+            assert np.array(rates).tobytes() == np.array(local[i][2]).tobytes()
+            pt = local_csi_sum_rate(ch, cfg, seed)
+            assert np.array([pt.rate_a, pt.rate_b]).tobytes() == np.array(rates).tobytes()
 
 
 class TestUpperBound:

@@ -121,9 +121,10 @@ class TestRunExperiment:
 
     def test_worker_count_independence(self):
         # the worker count sets how a configuration's trials are cut into
-        # tasks, and the lockstep schemes solve a task's trials together:
-        # at trial counts that are not multiples of a task, every per-trial
-        # sample must be the same bytes whatever the cut
+        # tasks, and every scheme solves a task's trials together (a
+        # lockstep, or fd2's and localcsi's stacked computation): at trial
+        # counts that are not multiples of a task, every per-trial sample
+        # must be the same bytes whatever the cut
         specs = [ExperimentSpec(kind="sumrate_vs_source_snr", schemes=FASTPAIR,
                                 sweep=(5.0, 10.0), trials=6, seed=3, base=BASE)]
         for trials in (1, 5, 11):
@@ -135,11 +136,17 @@ class TestRunExperiment:
                 ExperimentSpec(kind="rate_region",
                                schemes=(SchemeId.PROPOSED_FD, SchemeId.HD_ANC,
                                         SchemeId.FD_UPPER_BOUND),
-                               sweep=(0.0, 0.5, 1.0), trials=trials, seed=14, base=BASE)]
+                               sweep=(0.0, 0.5, 1.0), trials=trials, seed=14, base=BASE),
+                ExperimentSpec(kind="sumrate_vs_antennas",
+                               schemes=(SchemeId.FD_ONEWAY, SchemeId.LOCAL_CSI),
+                               sweep=(2.0, 3.0, 8.0), trials=trials, seed=15, base=BASE),
+                ExperimentSpec(kind="rate_region", schemes=FAST,
+                               sweep=(0.0, 0.5, 1.0), trials=trials, seed=16, base=BASE)]
         for spec in specs:
             tables = [run_experiment(spec, workers=w, keep_samples=True) for w in (1, 2, 3)]
             if spec.trials > 1:  # the worker counts cut the trials differently
                 assert len({t.metadata["tasks"] for t in tables}) > 1
+            assert all(v.dtype == np.float64 for v in tables[0].samples.values())
             for table in tables[1:]:
                 assert repr(table.rows) == repr(tables[0].rows)
                 assert {k: np.asarray(v).tobytes() for k, v in table.samples.items()} == {

@@ -124,6 +124,28 @@ class TestSampleChannels:
                     for t in range(4000)) / 4000
         assert abs(tot_b - 0.1) < 0.01
 
+    @pytest.mark.parametrize("cfg", [
+        CFG, SystemConfig(m_t=8, m_r=1, sigma2_a=0.3, sigma2_b=2e-3, sigma2_r=0.05),
+        SystemConfig(m_t=2, m_r=5, sigma2_a=0.0, sigma2_b=0.0, sigma2_r=0.0, gain_br=1e-90)])
+    def test_one_draw_matches_per_channel_draws(self, cfg):
+        # the sampler slices one draw of all the normals; the same bits as
+        # drawing the real and imaginary parts channel by channel (14 calls)
+        def per_channel(seed):
+            rng = np.random.default_rng(seed)
+            g_br = math.sqrt(cfg.gain_br)
+            return (crandn(rng, cfg.m_r), g_br * crandn(rng, cfg.m_r), crandn(rng, cfg.m_t),
+                    g_br * crandn(rng, cfg.m_t), complex(math.sqrt(cfg.sigma2_a) * crandn(rng)),
+                    complex(math.sqrt(cfg.sigma2_b) * crandn(rng)),
+                    math.sqrt(cfg.sigma2_r) * crandn(rng, cfg.m_r, cfg.m_t))
+
+        for seed in range(600):
+            ch = sample_channels(cfg, seed)
+            for name, ref in zip(("h_ar", "h_br", "h_ra", "h_rb", "h_aa", "h_bb", "h_rr"),
+                                 per_channel(seed)):
+                got = getattr(ch, name)
+                assert np.shape(got) == np.shape(ref) and np.array_equal(got, ref), (seed, name)
+                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), (seed, name)
+
     def test_shapes_and_validation(self):
         cfg = replace(CFG, m_t=4, m_r=2)
         ch = sample_channels(cfg, 9).validate()
