@@ -29,6 +29,7 @@ from .model import (
     make_operating_point,
     zero_loopback,
 )
+from .numerics import _norms, _vdots
 # _alpha_search and max_sum_rate are not called here; they stay bound
 # because the perfbench tracer test requires it to wrap these bindings
 from .rate_region import (
@@ -39,7 +40,6 @@ from .rate_region import (
     _p_prime,
     _repair,
     _sweep_targets,
-    _vdots,
     rate_regions,
 )
 from .sum_rate import max_sum_rate, max_sum_rates
@@ -683,14 +683,14 @@ def local_csi_solves(realizations, config, seeds):
     k, p_a, p_b = len(realizations), config.p_a_max, config.p_b_max
     out = [None] * k
     for rows, w_r, ctx in _combiner_table(*realizations)(np.full(k, 0.5), np.arange(k)):
-        z = []
-        for i in rows.tolist():
-            rng = np.random.default_rng([np.uint64(seeds[i]) & np.uint64(2**64 - 1), 0x10CA1])
-            v = rng.standard_normal(ctx.n) + 1j * rng.standard_normal(ctx.n)
-            z.append(v / np.linalg.norm(v))
+        x = np.empty((rows.size, 2 * ctx.n))
+        for i, row in zip(rows.tolist(), x):
+            np.random.default_rng([int(seeds[i]), 0x10CA1]).standard_normal(out=row)
+        v = x[:, :ctx.n] + 1j * x[:, ctx.n:]
+        z = v / _norms(v)[:, None]
         (rx_a, rx_b), (haa2, hbb2) = ctx.rx.T, ctx.si2.T
         budget = _p_prime(config.p_r_max, p_a, p_b, rx_a, rx_b)
-        w_t = np.sqrt(budget)[:, None] * (ctx.n_t @ np.array(z)[:, :, None])[:, :, 0]
+        w_t = np.sqrt(budget)[:, None] * (ctx.n_t @ z[:, :, None])[:, :, 0]
         tx_a, tx_b = _abs2(_vdots(ctx.h_t, w_t[:, None, :])).T
         gammas = np.stack([p_b * tx_a * rx_b / (tx_a + p_a * haa2 + 1.0),
                            p_a * tx_b * rx_a / (tx_b + p_b * hbb2 + 1.0)], axis=1)

@@ -4,12 +4,13 @@ Each trial draws one channel realization from a per-trial seed (master seed
 XOR trial index) and evaluates every requested scheme on that same
 realization, so scheme comparisons are paired and adding a scheme never
 changes the channel stream.  A task is a run of consecutive trials of one
-configuration (``_task_sizes``): the proposed, hd and ub solvers solve all
-of its realizations in one lockstep each, and the closed-form fd2 and
-localcsi schemes in one stacked computation each.  Tasks run in a process
-pool.  A trial's answer does not depend on the other trials of its task,
-and aggregation is order-independent, so results do not depend on the
-worker count.
+configuration (``_task_sizes``): its realizations are drawn in one pass
+(``sample_realizations``, each with the bits of its seed alone), the
+proposed, hd and ub solvers solve all of them in one lockstep each, and
+the closed-form fd2 and localcsi schemes in one stacked computation each.
+Tasks run in a process pool.  A trial's answer does not depend on the
+other trials of its task, and aggregation is order-independent, so
+results do not depend on the worker count.
 
 Because of the XOR, master seeds that differ only in bits below the trial
 count draw the same set of realizations, in a different order: 20240 and
@@ -40,7 +41,7 @@ from .baselines import (
     upper_bound_regions,
     upper_bound_solves,
 )
-from .model import SystemConfig, db_to_linear, sample_channels
+from .model import SystemConfig, db_to_linear, sample_realizations
 from .rate_region import rate_regions
 
 # max_sum_rate is not called here; it stays bound because the perfbench
@@ -124,6 +125,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if not self.sweep:
             raise ValueError("sweep must be nonempty")
         if not self.schemes:
@@ -172,17 +175,27 @@ def _task_sizes(trials, workers):
 def _run_task(payload):
     """One task, consecutive trials of one configuration: per trial,
     scheme -> its rate pair (sum-rate kinds) or one rate pair per boundary
-    point (region kinds)."""
+    point (region kinds); and the task's seconds, "setup" (sampling) and
+    per scheme name.  The sum-rate solve that ub reuses is proposed's time,
+    or ub's when proposed is not run."""
     kind, config, schemes, tseeds, n_points = payload
-    chs = [sample_channels(config, tseed) for tseed in tseeds]
-    if kind in REGION_KINDS:
-        by_scheme = {s: SCHEMES[s][1](chs, config, n_points) for s in schemes}
-    else:
-        # ub reuses the trials' proposed points
-        need_proposed = SchemeId.PROPOSED_FD in schemes or SchemeId.FD_UPPER_BOUND in schemes
-        proposed = max_sum_rates(chs, config) if need_proposed else None
-        by_scheme = {s: SCHEMES[s][0](chs, config, tseeds, proposed) for s in schemes}
-    return [{s: by_scheme[s][t] for s in schemes} for t in range(len(chs))]
+    t0 = time.perf_counter()
+    chs = sample_realizations(config, tseeds)
+    seconds = {"setup": time.perf_counter() - t0}
+    proposed = None
+    # ub reuses the trials' proposed points
+    shared = [s for s in (SchemeId.PROPOSED_FD, SchemeId.FD_UPPER_BOUND) if s in schemes]
+    if kind not in REGION_KINDS and shared:
+        t0 = time.perf_counter()
+        proposed = max_sum_rates(chs, config)
+        seconds[shared[0].value] = time.perf_counter() - t0
+    by_scheme = {}
+    for s in schemes:
+        t0 = time.perf_counter()
+        by_scheme[s] = (SCHEMES[s][1](chs, config, n_points) if kind in REGION_KINDS
+                        else SCHEMES[s][0](chs, config, tseeds, proposed))
+        seconds[s.value] = seconds.get(s.value, 0.0) + time.perf_counter() - t0
+    return [{s: by_scheme[s][t] for s in schemes} for t in range(len(chs))], seconds
 
 
 def _mean_se(values):
@@ -203,9 +216,10 @@ def run_experiment(spec, workers=None, keep_samples=False):
     serial execution.  The metadata also records the numpy version, the
     worker count, the cpu count, the run's wall time (``runtime_s``), the
     number of harness tasks (``tasks``) and the largest task's trial count
-    (``trials_per_task``; ``_task_sizes``) and, per scheme and sweep value,
-    the trials whose rate pair is not finite (``nonfinite``): the means and
-    standard errors leave them out.
+    (``trials_per_task``; ``_task_sizes``), the seconds spent on sampling
+    and per scheme, summed over tasks (``time_s``; ``_run_task``) and, per
+    scheme and sweep value, the trials whose rate pair is not finite
+    (``nonfinite``): the means and standard errors leave them out.
     """
     t_start = time.perf_counter()
     if workers is None:
@@ -230,7 +244,9 @@ def run_experiment(spec, workers=None, keep_samples=False):
         chunk = max(1, len(payloads) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             tasks = list(pool.map(_run_task, payloads, chunksize=chunk))
-    results = [trial for task in tasks for trial in task]
+    results = [trial for trials, _ in tasks for trial in trials]
+    time_s = {name: sum(seconds.get(name, 0.0) for _, seconds in tasks)
+              for name in ("setup", *(s.value for s in spec.schemes))}
 
     # (sweep value, its trials' results, boundary point index): a region
     # run has one trial set and a point per sweep fraction, a sum-rate run
@@ -282,6 +298,7 @@ def run_experiment(spec, workers=None, keep_samples=False):
         "runtime_s": time.perf_counter() - t_start,
         "tasks": len(payloads),
         "trials_per_task": sizes[0],
+        "time_s": time_s,
         "nonfinite": nonfinite,
     }
     lost = {scheme: counts for scheme, counts in nonfinite.items() if any(counts)}

@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .numerics import null_space_basis
+from .numerics import _norms, _vdots, null_space_basis
 
 __all__ = [
     "DegenerateGeometryError",
@@ -27,6 +27,7 @@ __all__ = [
     "OperatingPoint",
     "db_to_linear",
     "sample_channels",
+    "sample_realizations",
     "receive_combiner",
     "sinr_pair",
     "receive_gains",
@@ -207,52 +208,64 @@ class OperatingPoint:
         }
 
 
-def sample_channels(config, seed):
-    """Draw one flat-fading realization, deterministic in (config, seed).
+def sample_realizations(config, seeds):
+    """Draw one flat-fading realization per seed, deterministic in (config, seed).
 
     h_ar/h_ra entries are unit-variance circularly-symmetric Gaussian;
     the B-side links are scaled by config.gain_br and the residual-SI
-    channels by their configured variances.  All normals come from one
+    channels by their configured variances.  A seed's normals come from one
     draw: the real, then the imaginary parts of h_ar, h_br, h_ra, h_rb,
-    h_aa, h_bb and h_rr (row-major), in that order.
+    h_aa, h_bb and h_rr (row-major), in that order.  The draws are built
+    and scaled as the rows of one array, elementwise, so each realization
+    (row views) has the bits of its seed alone.
     """
     m_r, m_t, g_br = config.m_r, config.m_t, math.sqrt(config.gain_br)
     sizes = (m_r, m_r, m_t, m_t, 1, 1, m_r * m_t)
-    x = np.random.default_rng(seed).standard_normal(2 * sum(sizes))
+    x = np.empty((len(seeds), 2 * sum(sizes)))
+    for row, seed in zip(x, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
     h, start = [], 0
     for size, scale in zip(sizes, (None, g_br, None, g_br, math.sqrt(config.sigma2_a),
                                    math.sqrt(config.sigma2_b), math.sqrt(config.sigma2_r))):
-        z = (x[start:start + size] + 1j * x[start + size:start + 2 * size]) / math.sqrt(2.0)
+        z = (x[:, start:start + size] + 1j * x[:, start + size:start + 2 * size]) / math.sqrt(2.0)
         h.append(z if scale is None else scale * z)
         start += 2 * size
-    return ChannelRealization(*h[:4], complex(h[4][0]), complex(h[5][0]), h[6].reshape(m_r, m_t))
+    return [ChannelRealization(*rows) for rows in zip(
+        *h[:4], h[4][:, 0].tolist(), h[5][:, 0].tolist(), h[6].reshape(-1, m_r, m_t))]
 
 
-def _combiner_basis(channels):
-    """The two unit directions that ``receive_combiner`` mixes, (u_par, u_perp).
+def sample_channels(config, seed):
+    """The realization ``sample_realizations`` draws for one seed."""
+    return sample_realizations(config, [seed])[0]
+
+
+def _combiner_basis(h_ar, h_br):
+    """The two unit directions that ``receive_combiner`` mixes, for each row
+    of the K x m_r stacks h_ar and h_br: (u_par, u_perp, single).
 
     u_par/u_perp are the unit projections of h_ar onto span{h_br} and its
     complement.  When h_ar is parallel to h_br (always when m_r = 1) the
-    complement is empty: u_perp is None and u_par is the combiner of every
-    alpha, h_br / ||h_br|| phased along h_br^H h_ar.  Raises
-    DegenerateGeometryError when h_br is zero.
+    complement is empty: ``single`` is True and both rows hold the combiner
+    of every alpha, h_br / ||h_br|| phased along h_br^H h_ar.  A row has
+    the bits of its one-row call (``abs`` and ``** 2`` are scalar, which
+    numpy's array abs and square do not reproduce).  Raises
+    DegenerateGeometryError when an h_br is zero.
     """
-    h_ar, h_br = channels.h_ar, channels.h_br
-    nb = np.linalg.norm(h_br)
-    if nb <= 1e-300:
+    nb = _norms(h_br)
+    if np.any(nb <= 1e-300):
         raise DegenerateGeometryError("h_br is zero; combiner direction undefined")
-    inner = np.vdot(h_br, h_ar)  # h_br^H h_ar
-    par = h_br * (inner / nb**2)
+    inner = _vdots(h_br, h_ar)[:, None]  # h_br^H h_ar
+    par = h_br * (inner / np.array([v ** 2 for v in nb.tolist()])[:, None])
     perp = h_ar - par
-    perp_norm = np.linalg.norm(perp)
-    if perp_norm < 1e-10:
-        return (h_br / nb) * (inner / abs(inner) if abs(inner) > 0 else 1.0), None
-    par_norm = np.linalg.norm(par)
-    if par_norm > 1e-12 * np.linalg.norm(h_ar):
-        u_par = par / par_norm
-    else:
-        u_par = h_br / nb  # orthogonal channels: the span direction is h_br itself
-    return u_par, perp / perp_norm
+    perp_norm, par_norm = _norms(perp)[:, None], _norms(par)[:, None]
+    single = perp_norm < 1e-10
+    mag, unit_br = np.array([[abs(v)] for v in inner[:, 0].tolist()]), h_br / nb[:, None]
+    along = unit_br * np.where(mag > 0, inner / np.where(mag > 0, mag, 1.0), 1.0)
+    # orthogonal channels: the span direction is h_br itself
+    spans = par_norm > 1e-12 * _norms(h_ar)[:, None]
+    u_par = np.where(spans, par / np.where(spans, par_norm, 1.0), unit_br)
+    u_perp = perp / np.where(single, 1.0, perp_norm)
+    return np.where(single, along, u_par), np.where(single, along, u_perp), single[:, 0]
 
 
 def receive_combiner(channels, alpha):
@@ -266,8 +279,8 @@ def receive_combiner(channels, alpha):
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    u_par, u_perp = _combiner_basis(channels)
-    if u_perp is None:
+    [u_par], [u_perp], [single] = _combiner_basis(channels.h_ar[None], channels.h_br[None])
+    if single:
         return u_par
     w = alpha * u_par + math.sqrt(1.0 - alpha) * u_perp
     return w / np.linalg.norm(w)

@@ -1,7 +1,7 @@
-"""Numerical kernels shared by all solvers: the null-space basis of complex
-vectors and a grid + golden-section 1-D maximizer, for one function or for
-many in lockstep; plus the real roots of one cubic, which no solver calls
-(see ``real_cubic_roots``).
+"""Numerical kernels shared by all solvers: row-wise vdot and norm, the
+null-space basis of complex vectors and a grid + golden-section 1-D
+maximizer, for one function or for many in lockstep; plus the real roots
+of one cubic, which no solver calls (see ``real_cubic_roots``).
 """
 
 import math
@@ -16,6 +16,23 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _vdots(x, y):
+    """``np.vdot`` of each row of x with y (or of x with each row of y), bit
+    for bit: numpy's matmul of 1 x m by m x 1 slices makes one BLAS dot call
+    per row, so a row's value does not depend on the other rows, which a
+    matrix-vector product over the rows does not ensure."""
+    return (np.conj(x)[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _norms(x):
+    """``np.linalg.norm`` of each row of a complex array, bit for bit: as in
+    norm, one dot per row on the strided real and imaginary views
+    (``np.add.reduce`` and ``einsum`` sum in other orders)."""
+    re, im = x.real, x.imag
+    return np.sqrt((re[..., None, :] @ re[..., :, None]
+                    + im[..., None, :] @ im[..., :, None])[..., 0, 0])
 
 
 def null_space_basis(v):

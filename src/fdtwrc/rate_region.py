@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import _combiner_basis, make_operating_point
-from .numerics import maximize_1d_lockstep, null_space_basis
+from .numerics import _norms, _vdots, maximize_1d_lockstep, null_space_basis
 
 __all__ = [
     "Infeasible",
@@ -105,14 +105,6 @@ class _P1Batch(_TxBatch):
     gamma_b: np.ndarray
 
 
-def _vdots(x, y):
-    """``np.vdot`` of each row of x with y (or of x with each row of y), bit
-    for bit: numpy's matmul of 1 x m by m x 1 slices makes one BLAS dot call
-    per row, so a row's value does not depend on the other rows, which a
-    matrix-vector product over the rows does not ensure."""
-    return (np.conj(x)[..., None, :] @ y[..., :, None])[..., 0, 0]
-
-
 def _abs2(z):
     """|z|^2 of each entry of a complex array, in the scalar arithmetic of
     ``receive_gains`` and ``effective_gains`` (abs, then ``** 2``), which
@@ -156,20 +148,20 @@ def _combiner_table(*realizations):
     bits that the power step scored.  A row's bits do not depend on the
     other rows of its call.
     """
-    basis = [_combiner_basis(channels) for channels in realizations]
-    u_par = np.array([u for u, _ in basis])
+    k = len(realizations)
+    h_ar, h_br, h_ra, h_rb, h_rr = (np.array([getattr(ch, name) for ch in realizations])
+                                    for name in ("h_ar", "h_br", "h_ra", "h_rb", "h_rr"))
     # a realization with one direction mixes it with itself; its rows are
     # then set to that direction
-    single = np.array([u is None for _, u in basis])
-    u_perp = np.array([u_par[k] if u is None else u for k, (_, u) in enumerate(basis)])
-    h_t = np.array([np.stack([ch.h_ra, ch.h_rb], axis=1) for ch in realizations])
-    rows_h = np.ascontiguousarray(h_t.transpose(0, 2, 1))  # the rows h_ra, h_rb
-    si2 = np.array([[abs(ch.h_aa) ** 2, abs(ch.h_bb) ** 2] for ch in realizations])
-    h_r = np.array([[ch.h_ar, ch.h_br] for ch in realizations])
-    h_rr_conj = np.conj(np.array([ch.h_rr for ch in realizations]))
-    threshold = np.array([1e-12 * max(1.0, np.linalg.norm(ch.h_rr)) for ch in realizations])
+    u_par, u_perp, single = _combiner_basis(h_ar, h_br)
+    h_t = np.stack([h_ra, h_rb], axis=2)
+    rows_h = np.stack([h_ra, h_rb], axis=1)  # the rows h_ra, h_rb
+    si2 = _abs2(np.array([(ch.h_aa, ch.h_bb) for ch in realizations]))
+    h_r = np.stack([h_ar, h_br], axis=1)
+    h_rr_conj = np.conj(h_rr)
+    threshold = 1e-12 * np.maximum(1.0, _norms(h_rr.reshape(k, -1)))
     eye = np.eye(realizations[0].m_t, dtype=complex)
-    full = _tx_geometry(h_t, np.repeat(eye[None], len(realizations), axis=0))
+    full = _tx_geometry(h_t, np.repeat(eye[None], k, axis=0))
 
     def table(alphas, owners=None):
         if not np.all((alphas >= 0.0) & (alphas <= 1.0)):

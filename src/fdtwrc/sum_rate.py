@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .model import receive_gains
-from .numerics import maximize_1d
+from .numerics import _vdots, maximize_1d
 from .rate_region import (
     _LN2,
     _abs2,
@@ -39,7 +39,6 @@ from .rate_region import (
     _directions,
     _null_z,
     _p_prime,
-    _vdots,
     boundary_range,
 )
 

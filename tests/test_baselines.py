@@ -28,10 +28,11 @@ from fdtwrc.baselines import (
 from fdtwrc.model import (
     SystemConfig,
     sample_channels,
+    sample_realizations,
     zero_loopback,
     zf_residual,
 )
-from fdtwrc.rate_region import max_rate_given_rb
+from fdtwrc.rate_region import _combiner_table, _p_prime, max_rate_given_rb
 from fdtwrc.sum_rate import max_sum_rate
 from reference_hd import reference_region, reference_sum_rate
 
@@ -589,6 +590,27 @@ class TestLocalCsi:
             prop = max_sum_rate(ch, CFG)
             lc = local_csi_sum_rate(ch, CFG, seed=seed)
             assert lc.sum_rate <= prop.sum_rate + 1e-6
+
+    @pytest.mark.parametrize("m_t", [2, 3, 6])
+    def test_draws_match_uint64_two_call_form(self, m_t):
+        # the ZF direction is drawn from Python-int seeds with one call; the
+        # same bits as the former np.uint64 seed and two standard_normal
+        # calls, for seeds with the top bit set, in a stack of 16 (null
+        # dimension m_t - 1, or m_t in the zero-loopback rows)
+        cfg = replace(CFG, m_t=m_t)
+        rng = np.random.default_rng(27)
+        seeds = [2**64 - 1, 2**63, *(int(s) for s in rng.integers(2**63, 2**64, 14,
+                                                                   dtype=np.uint64))]
+        chs = [zero_loopback(ch) if i % 4 == 3 else ch
+               for i, ch in enumerate(sample_realizations(cfg, range(16)))]
+        for ch, seed, (w_t, _, _) in zip(chs, seeds, local_csi_solves(chs, cfg, seeds)):
+            [(_, _, ctx)] = _combiner_table(ch)(np.array([0.5]))
+            draw = np.random.default_rng([np.uint64(seed) & np.uint64(2**64 - 1), 0x10CA1])
+            v = draw.standard_normal(ctx.n) + 1j * draw.standard_normal(ctx.n)
+            budget = _p_prime(cfg.p_r_max, cfg.p_a_max, cfg.p_b_max, *ctx.rx.T)
+            z = (v / np.linalg.norm(v))[None, :, None]
+            ref = np.sqrt(budget)[:, None] * (ctx.n_t @ z)[:, :, 0]
+            assert w_t.tobytes() == ref[0].tobytes(), seed
 
     def test_deterministic_in_seed(self):
         ch = sample_channels(CFG, 17)

@@ -172,6 +172,14 @@ def test_b_link_gain_below_floor_exits_before_any_trial(monkeypatch, capsys):
     assert "gain_br" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_uint64_exits_before_any_trial(seed, monkeypatch, capsys):
+    monkeypatch.setattr(fdtwrc.harness, "_run_task", _no_trial)
+    rc = main(["sumrate", "--trials", "1", "--schemes", "fd2", "--seed", seed, "--workers", "1"])
+    assert rc == 1
+    assert "error: seed must lie in [0, 2**64)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("override", ['{"p_r_max": NaN}', '{"sigma2_a": Infinity}'])
 def test_non_finite_config_exits_before_any_trial(override, tmp_path, monkeypatch, capsys):
     # json.load accepts NaN and Infinity, so the config must refuse them

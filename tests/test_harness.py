@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import multiprocessing
+import time
 from dataclasses import astuple, fields, replace
 
 import numpy as np
@@ -54,6 +55,13 @@ class TestSpecValidation:
             ExperimentSpec(kind="sumrate_vs_source_snr", schemes=FAST, sweep=(1.0,),
                            trials=0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64(self, seed):
+        # trial seeds are the master seed XOR the trial index in 64 bits
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            ExperimentSpec(kind="sumrate_vs_source_snr", schemes=FAST, sweep=(1.0,),
+                           trials=1, seed=seed)
+
     def test_local_csi_has_no_region(self):
         with pytest.raises(ValueError):
             ExperimentSpec(kind="rate_region", schemes=(SchemeId.LOCAL_CSI,),
@@ -92,13 +100,13 @@ class TestConfigMapping:
         # every trial of a region run draws its channels at the base config
         base = SystemConfig(gain_br=0.1)
         drawn = []
-        sample = fdtwrc.harness.sample_channels
+        sample = fdtwrc.harness.sample_realizations
 
-        def recording(config, seed):
-            drawn.append(config)
-            return sample(config, seed)
+        def recording(config, seeds):
+            drawn.extend([config] * len(seeds))
+            return sample(config, seeds)
 
-        monkeypatch.setattr(fdtwrc.harness, "sample_channels", recording)
+        monkeypatch.setattr(fdtwrc.harness, "sample_realizations", recording)
         spec = ExperimentSpec(kind="rate_region", schemes=FAST, sweep=(0.0, 0.5, 1.0),
                               trials=2, seed=0, base=base)
         run_experiment(spec, workers=1)
@@ -147,6 +155,7 @@ class TestRunExperiment:
             if spec.trials > 1:  # the worker counts cut the trials differently
                 assert len({t.metadata["tasks"] for t in tables}) > 1
             assert all(v.dtype == np.float64 for v in tables[0].samples.values())
+            assert len({tuple(t.metadata["time_s"]) for t in tables}) == 1
             for table in tables[1:]:
                 assert repr(table.rows) == repr(tables[0].rows)
                 assert {k: np.asarray(v).tobytes() for k, v in table.samples.items()} == {
@@ -167,6 +176,33 @@ class TestRunExperiment:
                               sweep=(0.0, 10.0), trials=20, seed=3, base=BASE)
         meta = run_experiment(spec, workers=workers).metadata
         assert (meta["tasks"], meta["trials_per_task"]) == (tasks, per_task)
+
+    @pytest.mark.parametrize("kind, schemes, sweep", [
+        ("sumrate_vs_source_snr", (SchemeId.PROPOSED_FD, SchemeId.FD_UPPER_BOUND,
+                                   SchemeId.LOCAL_CSI), (5.0, 10.0)),
+        ("sumrate_vs_source_snr", (SchemeId.FD_UPPER_BOUND,), (10.0,)),
+        ("rate_region", (SchemeId.PROPOSED_FD, SchemeId.HD_ANC), (0.0, 1.0))])
+    def test_time_s_per_scheme(self, kind, schemes, sweep, monkeypatch):
+        # set-up and per-scheme solver seconds, summed over tasks; the
+        # sum-rate solve that ub reuses (here slowed by 0.2 s a call) is
+        # proposed's time, or ub's when proposed is not run
+        solve = fdtwrc.harness.max_sum_rates
+
+        def slow(chs, cfg):
+            time.sleep(0.2)
+            return solve(chs, cfg)
+
+        monkeypatch.setattr(fdtwrc.harness, "max_sum_rates", slow)
+        spec = ExperimentSpec(kind=kind, schemes=schemes, sweep=sweep, trials=3, seed=9,
+                              base=BASE)
+        table = run_experiment(spec, workers=1)
+        time_s = table.metadata["time_s"]
+        assert list(time_s) == ["setup", *(s.value for s in schemes)]
+        assert all(math.isfinite(v) and v >= 0.0 for v in time_s.values())
+        assert time_s["setup"] > 0.0 and sum(time_s.values()) <= table.metadata["runtime_s"]
+        if kind != "rate_region":
+            assert time_s[schemes[0].value] >= 0.2 * len(sweep)
+        assert json.loads(table_to_json(table))["metadata"]["time_s"] == time_s
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_nonfinite_pairs_are_counted(self, workers, monkeypatch):

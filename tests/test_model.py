@@ -7,6 +7,7 @@ import pytest
 from fdtwrc.model import (
     DegenerateGeometryError,
     SystemConfig,
+    _combiner_basis,
     channels_from_json,
     channels_to_json,
     db_to_linear,
@@ -16,6 +17,7 @@ from fdtwrc.model import (
     relay_null_basis,
     relay_output_power,
     sample_channels,
+    sample_realizations,
     sinr_pair,
     zf_residual,
 )
@@ -129,7 +131,9 @@ class TestSampleChannels:
         SystemConfig(m_t=2, m_r=5, sigma2_a=0.0, sigma2_b=0.0, sigma2_r=0.0, gain_br=1e-90)])
     def test_one_draw_matches_per_channel_draws(self, cfg):
         # the sampler slices one draw of all the normals; the same bits as
-        # drawing the real and imaginary parts channel by channel (14 calls)
+        # drawing the real and imaginary parts channel by channel (14 calls),
+        # whether a seed is drawn alone or in a stack of 600 (with the top
+        # seed bit set in the last 100)
         def per_channel(seed):
             rng = np.random.default_rng(seed)
             g_br = math.sqrt(cfg.gain_br)
@@ -138,13 +142,15 @@ class TestSampleChannels:
                     complex(math.sqrt(cfg.sigma2_b) * crandn(rng)),
                     math.sqrt(cfg.sigma2_r) * crandn(rng, cfg.m_r, cfg.m_t))
 
-        for seed in range(600):
-            ch = sample_channels(cfg, seed)
-            for name, ref in zip(("h_ar", "h_br", "h_ra", "h_rb", "h_aa", "h_bb", "h_rr"),
-                                 per_channel(seed)):
-                got = getattr(ch, name)
-                assert np.shape(got) == np.shape(ref) and np.array_equal(got, ref), (seed, name)
-                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), (seed, name)
+        seeds = [*range(500), *range(2**64 - 100, 2**64)]
+        for seed, stacked in zip(seeds, sample_realizations(cfg, seeds)):
+            for ch in (sample_channels(cfg, seed), stacked):
+                for name, ref in zip(("h_ar", "h_br", "h_ra", "h_rb", "h_aa", "h_bb", "h_rr"),
+                                     per_channel(seed)):
+                    got = getattr(ch, name)
+                    assert np.shape(got) == np.shape(ref) and np.array_equal(got, ref), (seed, name)
+                    assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), (seed, name)
+                    assert type(got) is type(ref), (seed, name)
 
     def test_shapes_and_validation(self):
         cfg = replace(CFG, m_t=4, m_r=2)
@@ -201,6 +207,53 @@ class TestReceiveCombiner:
         ch = sample_channels(CFG, 3)
         with pytest.raises(DegenerateGeometryError):
             receive_combiner(replace(ch, h_br=np.zeros_like(ch.h_br)), 0.5)
+        # one zero h_br in a stack
+        h_ar = np.array([sample_channels(CFG, s).h_ar for s in (4, 5, 6)])
+        h_br = np.array([sample_channels(CFG, s).h_br for s in (4, 5, 6)])
+        h_br[1] = 0.0
+        with pytest.raises(DegenerateGeometryError):
+            _combiner_basis(h_ar, h_br)
+
+    @pytest.mark.parametrize("m_r", [1, 2, 3, 5, 8])
+    def test_stacked_basis_matches_per_realization(self, m_r):
+        # each row of the stacked basis has the bytes of the former
+        # one-realization form, on 130 realizations per m_r: drawn ones, and
+        # rows with h_ar built orthogonal to h_br (u_par falls back to h_br),
+        # parallel to it (one direction) or a tiny B link
+        def per_realization(h_ar, h_br):
+            nb = np.linalg.norm(h_br)
+            inner = np.vdot(h_br, h_ar)
+            par = h_br * (inner / nb**2)
+            perp = h_ar - par
+            perp_norm = np.linalg.norm(perp)
+            if perp_norm < 1e-10:
+                return (h_br / nb) * (inner / abs(inner) if abs(inner) > 0 else 1.0), None
+            par_norm = np.linalg.norm(par)
+            if par_norm > 1e-12 * np.linalg.norm(h_ar):
+                u_par = par / par_norm
+            else:
+                u_par = h_br / nb
+            return u_par, perp / perp_norm
+
+        chs = sample_realizations(replace(CFG, m_r=m_r), range(1000 * m_r, 1000 * m_r + 130))
+        h_ar = np.array([ch.h_ar for ch in chs])
+        h_br = np.array([ch.h_br for ch in chs])
+        for k in range(0, 130, 5):
+            b = h_br[k]
+            if k % 3 == 0:
+                h_ar[k] = h_ar[k] - b * (np.vdot(b, h_ar[k]) / np.vdot(b, b))
+            elif k % 3 == 1:
+                h_ar[k] = (0.3 - 2.0j) * b
+            else:
+                h_br[k] = 1e-140 * b
+        u_par, u_perp, single = _combiner_basis(h_ar, h_br)
+        parallel = (np.arange(130) % 5 == 0) & (np.arange(130) % 3 == 1)
+        assert np.array_equal(single, parallel | (m_r == 1))
+        for k in range(130):
+            ref_par, ref_perp = per_realization(h_ar[k], h_br[k])
+            assert single[k] == (ref_perp is None), k
+            assert u_par[k].tobytes() == ref_par.tobytes(), k
+            assert u_perp[k].tobytes() == (ref_par if ref_perp is None else ref_perp).tobytes(), k
 
 
 class TestSignalModel:
