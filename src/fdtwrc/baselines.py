@@ -11,9 +11,10 @@ all points in one batch.  No HD step is random.  Both HD solvers take a
 sequence of realizations and step all of them in one lockstep, each
 realization leaving it at its own stop, so each gets its answer alone.
 
-The upper bound reuses the proposed solvers' lockstep on realizations with
-the relay loopback zeroed (no ZF restriction, source SI kept); one-way FD
-and local CSI are one stacked computation per sequence of realizations.
+The upper bound runs the proposed solvers on realizations with the relay
+loopback zeroed (no ZF restriction, source SI kept), in one lockstep with
+the realizations themselves, whose proposed points it falls back on; one-way
+FD and local CSI are one stacked computation per sequence of realizations.
 """
 
 import enum
@@ -640,31 +641,36 @@ def fd_oneway_sum_rate(channels, config):
     return pair
 
 
-def upper_bound_solves(realizations, config, proposed):
-    """Sum-rate solver with the relay loopback zeroed (ZF constraint gone),
-    for each realization of a sequence: one lockstep ``max_sum_rates`` of
-    the zero-loopback realizations.
-
-    Source SI stays.  ``proposed`` holds each realization's ZF-constrained
-    solution ``max_sum_rate(channels, config)``, which is also evaluated
-    (it is feasible here and scores the same rates), and the better of the
-    two is returned, so the bound dominates the proposed scheme per
-    realization by construction.
-    """
-    ub_channels = [zero_loopback(channels) for channels in realizations]
-    points = max_sum_rates(ub_channels, config)
-    for k, (channels, pt, own) in enumerate(zip(ub_channels, proposed, points)):
+def _upper_bound_points(realizations, points):
+    """ub's point of each realization of a sequence from ``points``,
+    ``max_sum_rates`` of the realizations followed by their zero-loopback
+    copies: the copy's point, or the realization's proposed point rescored
+    with the loopback zeroed where that is higher (it is feasible there and
+    scores the same rates), so the bound dominates the proposed scheme per
+    realization by construction."""
+    k = len(realizations)
+    ub = points[k:]
+    for i, (channels, pt, own) in enumerate(zip(realizations, points[:k], ub)):
         if pt.sum_rate > own.sum_rate:
-            points[k] = make_operating_point(
-                channels, pt.beamformer.w_t, pt.beamformer.w_r, pt.beamformer.alpha,
-                pt.powers.p_a, pt.powers.p_b, trace=pt.trace)
-    return points
+            ub[i] = make_operating_point(
+                zero_loopback(channels), pt.beamformer.w_t, pt.beamformer.w_r,
+                pt.beamformer.alpha, pt.powers.p_a, pt.powers.p_b, trace=pt.trace)
+    return ub
 
 
-def upper_bound_solve(channels, config, proposed):
-    """``upper_bound_solves`` of one realization, whose proposed point is
-    ``proposed``."""
-    [pt] = upper_bound_solves([channels], config, [proposed])
+def upper_bound_solves(realizations, config):
+    """Sum-rate solver with the relay loopback zeroed (ZF constraint gone),
+    for each realization of a sequence.  Source SI stays.  One lockstep
+    ``max_sum_rates`` solves the realizations and their zero-loopback
+    copies together, and ``_upper_bound_points`` keeps the better of each
+    copy's point and its realization's proposed point."""
+    return _upper_bound_points(realizations, max_sum_rates(
+        [*realizations, *map(zero_loopback, realizations)], config))
+
+
+def upper_bound_solve(channels, config):
+    """``upper_bound_solves`` of one realization."""
+    [pt] = upper_bound_solves([channels], config)
     return pt
 
 
@@ -681,22 +687,24 @@ def local_csi_solves(realizations, config, seeds):
     drawn from the realization's seed, at full relay power.  Only the draws
     are per realization; the rates are ``sinr_pair``'s, bit for bit."""
     k, p_a, p_b = len(realizations), config.p_a_max, config.p_b_max
-    out = [None] * k
-    for rows, w_r, ctx in _combiner_table(*realizations)(np.full(k, 0.5), np.arange(k)):
-        x = np.empty((rows.size, 2 * ctx.n))
-        for i, row in zip(rows.tolist(), x):
-            np.random.default_rng([int(seeds[i]), 0x10CA1]).standard_normal(out=row)
-        v = x[:, :ctx.n] + 1j * x[:, ctx.n:]
-        z = v / _norms(v)[:, None]
-        (rx_a, rx_b), (haa2, hbb2) = ctx.rx.T, ctx.si2.T
-        budget = _p_prime(config.p_r_max, p_a, p_b, rx_a, rx_b)
-        w_t = np.sqrt(budget)[:, None] * (ctx.n_t @ z[:, :, None])[:, :, 0]
-        tx_a, tx_b = _abs2(_vdots(ctx.h_t, w_t[:, None, :])).T
-        gammas = np.stack([p_b * tx_a * rx_b / (tx_a + p_a * haa2 + 1.0),
-                           p_a * tx_b * rx_a / (tx_b + p_b * hbb2 + 1.0)], axis=1)
-        for i, w_t_i, w_r_i, (g_a, g_b) in zip(rows.tolist(), w_t, w_r, gammas.tolist()):
-            out[i] = w_t_i, w_r_i, (math.log2(1.0 + g_a), math.log2(1.0 + g_b))
-    return out
+    w_r, ctx = _combiner_table(*realizations)(np.full(k, 0.5), np.arange(k))
+    m_t = ctx.n_t.shape[1]
+    # a row of rank n draws n real parts, then n imaginary parts
+    x = np.zeros((k, 2 * m_t))
+    for row, seed, n in zip(x, seeds, ctx.rank.tolist()):
+        np.random.default_rng([int(seed), 0x10CA1]).standard_normal(out=row[:2 * n])
+    j = np.arange(m_t)
+    v = (np.where(j < ctx.rank[:, None], x[:, :m_t], 0.0)
+         + 1j * np.take_along_axis(x, ctx.rank[:, None] + j, axis=1))
+    z = v / _norms(v)[:, None]
+    (rx_a, rx_b), (haa2, hbb2) = ctx.rx.T, ctx.si2.T
+    budget = _p_prime(config.p_r_max, p_a, p_b, rx_a, rx_b)
+    w_t = np.sqrt(budget)[:, None] * (ctx.n_t @ z[:, :, None])[:, :, 0]
+    tx_a, tx_b = _abs2(_vdots(ctx.h_t, w_t[:, None, :])).T
+    gammas = np.stack([p_b * tx_a * rx_b / (tx_a + p_a * haa2 + 1.0),
+                       p_a * tx_b * rx_a / (tx_b + p_b * hbb2 + 1.0)], axis=1)
+    return [(w_t_i, w_r_i, (math.log2(1.0 + g_a), math.log2(1.0 + g_b)))
+            for w_t_i, w_r_i, (g_a, g_b) in zip(w_t, w_r, gammas.tolist())]
 
 
 def local_csi_sum_rate(channels, config, seed):

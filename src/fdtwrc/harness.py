@@ -5,9 +5,10 @@ XOR trial index) and evaluates every requested scheme on that same
 realization, so scheme comparisons are paired and adding a scheme never
 changes the channel stream.  A task is a run of consecutive trials of one
 configuration (``_task_sizes``): its realizations are drawn in one pass
-(``sample_realizations``, each with the bits of its seed alone), the
-proposed, hd and ub solvers solve all of them in one lockstep each, and
-the closed-form fd2 and localcsi schemes in one stacked computation each.
+(``sample_realizations``, each with the bits of its seed alone), proposed
+and ub solve all of them and their zero-loopback copies in one lockstep
+together, hd in one lockstep of its own, and the closed-form fd2 and
+localcsi schemes in one stacked computation each.
 Tasks run in a process pool.  A trial's answer does not depend on the
 other trials of its task, and aggregation is order-independent, so
 results do not depend on the worker count.
@@ -33,15 +34,14 @@ import numpy as np
 from . import __version__
 from .baselines import (
     SchemeId,
+    _upper_bound_points,
     fd_oneway_regions,
     fd_oneway_sum_rates,
     hd_anc_regions,
     hd_anc_solves,
     local_csi_solves,
-    upper_bound_regions,
-    upper_bound_solves,
 )
-from .model import SystemConfig, db_to_linear, sample_realizations
+from .model import SystemConfig, db_to_linear, sample_realizations, zero_loopback
 from .rate_region import rate_regions
 
 # max_sum_rate is not called here; it stays bound because the perfbench
@@ -76,29 +76,30 @@ def _region_pairs(entries):
 
 
 # scheme -> (sum-rate fn, region fn or None), each over a task's trials.  A
-# sum-rate fn maps (realizations, config, trial seeds, the trials' proposed
-# points) to one rate pair (R_A, R_B) per trial; a region fn maps
-# (realizations, config, n_points) to one list per trial of a rate pair per
-# boundary point.  Each scheme calls its solver once per task, over all of
-# its trials: a lockstep for proposed, hd and ub, a stacked computation for
-# fd2 and localcsi.  The lambdas look the solvers up in this module when
-# called, so rebinding a module attribute (as a tracer does) reaches them.
+# sum-rate fn maps (realizations, config, trial seeds, solved) to one rate
+# pair (R_A, R_B) per trial; a region fn maps (realizations, config,
+# n_points, solved) to one list per trial of a rate pair per boundary
+# point.  ``solved`` is the task's shared lockstep of proposed and ub
+# (``_run_task``): the trials' points or regions, then their zero-loopback
+# copies'.  hd calls its lockstep once per task, over all of its trials,
+# and fd2 and localcsi one stacked computation.  The lambdas look the
+# solvers up in this module when called, so rebinding a module attribute
+# (as a tracer does) reaches them.
 SCHEMES = {
     SchemeId.PROPOSED_FD: (
-        lambda chs, cfg, tseeds, proposed: [_rates(pt) for pt in proposed],
-        lambda chs, cfg, n: [_region_pairs(e) for e in rate_regions(chs, n, cfg)]),
+        lambda chs, cfg, tseeds, solved: [_rates(pt) for pt in solved[:len(chs)]],
+        lambda chs, cfg, n, solved: [_region_pairs(e) for e in solved[:len(chs)]]),
     SchemeId.HD_ANC: (
-        lambda chs, cfg, tseeds, proposed: [_rates(pt) for pt in hd_anc_solves(chs, cfg)],
-        lambda chs, cfg, n: [_region_pairs(e) for e in hd_anc_regions(chs, n, cfg)]),
+        lambda chs, cfg, tseeds, solved: [_rates(pt) for pt in hd_anc_solves(chs, cfg)],
+        lambda chs, cfg, n, solved: [_region_pairs(e) for e in hd_anc_regions(chs, n, cfg)]),
     SchemeId.FD_ONEWAY: (
-        lambda chs, cfg, tseeds, proposed: fd_oneway_sum_rates(chs, cfg),
-        lambda chs, cfg, n: fd_oneway_regions(chs, n, cfg)),
+        lambda chs, cfg, tseeds, solved: fd_oneway_sum_rates(chs, cfg),
+        lambda chs, cfg, n, solved: fd_oneway_regions(chs, n, cfg)),
     SchemeId.FD_UPPER_BOUND: (
-        lambda chs, cfg, tseeds, proposed: [
-            _rates(pt) for pt in upper_bound_solves(chs, cfg, proposed)],
-        lambda chs, cfg, n: [_region_pairs(e) for e in upper_bound_regions(chs, n, cfg)]),
+        lambda chs, cfg, tseeds, solved: [_rates(pt) for pt in _upper_bound_points(chs, solved)],
+        lambda chs, cfg, n, solved: [_region_pairs(e) for e in solved[-len(chs):]]),
     SchemeId.LOCAL_CSI: (
-        lambda chs, cfg, tseeds, proposed: [
+        lambda chs, cfg, tseeds, solved: [
             rates for _, _, rates in local_csi_solves(chs, cfg, tseeds)],
         None),
 }
@@ -176,24 +177,30 @@ def _run_task(payload):
     """One task, consecutive trials of one configuration: per trial,
     scheme -> its rate pair (sum-rate kinds) or one rate pair per boundary
     point (region kinds); and the task's seconds, "setup" (sampling) and
-    per scheme name.  The sum-rate solve that ub reuses is proposed's time,
-    or ub's when proposed is not run."""
+    per scheme name.
+
+    proposed and ub share one lockstep, ``max_sum_rates`` or
+    ``rate_regions``, of the trials' realizations (proposed's, and in a
+    sum-rate run those of ub's fallback) followed by their zero-loopback
+    copies (ub's).  Its seconds are proposed's, or ub's when proposed is
+    not run; ub's fallback (``_upper_bound_points``) is ub's own."""
     kind, config, schemes, tseeds, n_points = payload
     t0 = time.perf_counter()
     chs = sample_realizations(config, tseeds)
     seconds = {"setup": time.perf_counter() - t0}
-    proposed = None
-    # ub reuses the trials' proposed points
+    region, solved = kind in REGION_KINDS, None
     shared = [s for s in (SchemeId.PROPOSED_FD, SchemeId.FD_UPPER_BOUND) if s in schemes]
-    if kind not in REGION_KINDS and shared:
+    if shared:
         t0 = time.perf_counter()
-        proposed = max_sum_rates(chs, config)
+        batch = (chs if SchemeId.PROPOSED_FD in schemes or not region else []) + (
+            [zero_loopback(ch) for ch in chs] if SchemeId.FD_UPPER_BOUND in schemes else [])
+        solved = rate_regions(batch, n_points, config) if region else max_sum_rates(batch, config)
         seconds[shared[0].value] = time.perf_counter() - t0
     by_scheme = {}
     for s in schemes:
         t0 = time.perf_counter()
-        by_scheme[s] = (SCHEMES[s][1](chs, config, n_points) if kind in REGION_KINDS
-                        else SCHEMES[s][0](chs, config, tseeds, proposed))
+        by_scheme[s] = (SCHEMES[s][1](chs, config, n_points, solved) if region
+                        else SCHEMES[s][0](chs, config, tseeds, solved))
         seconds[s.value] = seconds.get(s.value, 0.0) + time.perf_counter() - t0
     return [{s: by_scheme[s][t] for s in schemes} for t in range(len(chs))], seconds
 

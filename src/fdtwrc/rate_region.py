@@ -7,21 +7,23 @@ line where B's SINR target binds), both in closed form and for all rows
 at once, and the boundary sweep over source B's target rate up to its
 largest value, which the beamformer's gates give in closed form.
 
-A batch row carries the channel data that the steps read (``_TxBatch``),
-so one batch, and one combiner-table call, can hold the combiners of
-several channel realizations.  P1's solver (``_max_rates``) runs one
-combiner search for all the B targets of a sequence of realizations in
-lockstep.  Its rows are (realization, target, combiner) triples, with B's
-target per row in the P1 steps: the grid is one batch of ``alpha_grid``
-combiners per target, whose table rows are built once per realization
-and taken once per target, and each pair of golden steps is one batch of
-the three (the first time four) combiners of every target still
-refining.  A row's bits do not depend on its batch, so each target's
-answer is the one it gets alone; ``rate_region`` and ``max_rate_given_rb``
-are one-realization cases of ``rate_regions`` and ``_max_rates``, and the
-sum-rate search runs the same lockstep for one objective per
-realization.  A float alpha is a batch of one: there is no other code
-path.
+A batch row carries the channel data that the steps read (``_TxBatch``)
+and an m_t-column null-space basis, zero past the row's own rank, so one
+batch, and one combiner-table call, can hold the combiners of several
+channel realizations of both null dimensions: m_t - 1 under ZF, m_t where
+the loopback row vanishes (every combiner of a zero-loopback realization).
+P1's solver (``_max_rates``) runs one combiner search for all the B
+targets of a sequence of realizations in lockstep.  Its rows are
+(realization, target, combiner) triples, with B's target per row in the
+P1 steps: the grid is one batch of ``alpha_grid`` combiners per target,
+whose table rows are built once per realization and taken once per
+target, and each pair of golden steps is one batch of the three (the
+first time four) combiners of every target still refining.  A row's bits
+do not depend on its batch, so each target's answer is the one it gets
+alone; ``rate_region`` and ``max_rate_given_rb`` are one-realization cases
+of ``rate_regions`` and ``_max_rates``, and the sum-rate search runs the
+same lockstep for one objective per realization.  A float alpha is a
+batch of one: there is no other code path.
 """
 
 import cmath
@@ -61,21 +63,24 @@ class Infeasible(Exception):
 
 @dataclass
 class _TxBatch:
-    """The ZF null-space reduction of K combiners that share the null
-    dimension n, as arrays with a leading axis of length K, the two
-    sources' quantities side by side (A's first).
+    """The ZF null-space reduction of K combiners, as arrays with a leading
+    axis of length K, the two sources' quantities side by side (A's first).
 
     w_t = sqrt(budget) n_t z with unit z in the null space.  n_t is
-    K x m_t x n.  f is K x 2 x n with rows a_t^H and b_t^H, the null-space
-    images of h_ra and h_rb, so that ``f @ z`` gives both images' inner
-    products with z; n2 holds their squared norms (na2, nb2) and d
-    (K x n x 2) their unit directions as columns (d2, d1).  An image with
-    squared norm at most 1e-300 has no direction: a zero column of d with a
-    False entry in ``has`` and a zero squared norm, so that every gate and
-    search reads the same decision.  r = |d2^H d1| and phi its argument,
-    both 0 when a direction is missing.  rx holds the receive gains
-    (rx_a, rx_b).  Each row also carries its realization's channel data
-    that the steps read: h_t (K x 2 x m_t, rows h_ra and h_rb) and si2
+    K x m_t x m_t: a row's orthonormal null-space basis fills its first
+    ``rank`` columns (m_t - 1, or m_t where the loopback row vanishes) and
+    the others are zero, so every row's products have one width whatever
+    the batch holds.  f is K x 2 x m_t with rows a_t^H and b_t^H, the
+    null-space images of h_ra and h_rb, so that ``f @ z`` gives both
+    images' inner products with z; n2 holds their squared norms (na2, nb2)
+    and d (K x m_t x 2) their unit directions as columns (d2, d1).  Images,
+    directions and every z built here vanish past the row's rank.  An image
+    with squared norm at most 1e-300 has no direction: a zero column of d
+    with a False entry in ``has`` and a zero squared norm, so that every
+    gate and search reads the same decision.  r = |d2^H d1| and phi its
+    argument, both 0 when a direction is missing.  rx holds the receive
+    gains (rx_a, rx_b).  Each row also carries its realization's channel
+    data that the steps read: h_t (K x 2 x m_t, rows h_ra and h_rb) and si2
     (|h_aa|^2, |h_bb|^2, in the scalar arithmetic of ``sinr_pair``), so the
     rows of one batch may come from different realizations.
     """
@@ -87,15 +92,14 @@ class _TxBatch:
     has: np.ndarray
     r: np.ndarray
     phi: np.ndarray
-    n: int
+    rank: np.ndarray
     rx: np.ndarray
     h_t: np.ndarray
     si2: np.ndarray
 
     def take(self, rows):
         """The batch of the given rows, an array of row indices."""
-        return type(self)(**{name: x if name == "n" else x.take(rows, axis=0)
-                             for name, x in vars(self).items()})
+        return type(self)(**{name: x.take(rows, axis=0) for name, x in vars(self).items()})
 
 
 @dataclass
@@ -114,10 +118,10 @@ def _abs2(z):
 
 def _tx_geometry(h_t, n_t):
     """The images, squared norms, directions, r and phi of a stack of
-    null-space bases n_t (K x m_t x n), where h_t holds each row's m_t x 2
-    matrix [h_ra, h_rb]; returns the ``_TxBatch`` fields of the null space
-    by name."""
-    images = np.conj(n_t).transpose(0, 2, 1) @ h_t  # K x n x 2: a_t, b_t
+    null-space bases n_t (K x m_t x m_t), where h_t holds each row's
+    m_t x 2 matrix [h_ra, h_rb]; returns those ``_TxBatch`` fields by
+    name."""
+    images = np.conj(n_t).transpose(0, 2, 1) @ h_t  # K x m_t x 2: a_t, b_t
     n2 = (np.square(images.real) + np.square(images.imag)).sum(axis=1)
     has = n2 > 1e-300
     d = images / np.sqrt(np.where(has, n2, 1.0))[:, None, :] * has[:, None, :]
@@ -126,7 +130,7 @@ def _tx_geometry(h_t, n_t):
     r = np.minimum(np.abs(inner), 1.0) * both
     phi = np.angle(inner) * both
     return dict(n_t=n_t, f=np.conj(images).transpose(0, 2, 1), n2=n2 * has, d=d, has=has,
-                r=r, phi=phi, n=n_t.shape[2])
+                r=r, phi=phi)
 
 
 def _combiner_table(*realizations):
@@ -135,20 +139,19 @@ def _combiner_table(*realizations):
 
     ``table(alphas, owners=None)`` takes a 1-D array of combiner
     parameters, the i-th one of realization ``owners[i]`` (None: all of the
-    first), and returns ``[(rows, w_r, batch)]``: the indices ``rows`` of
-    some of the parameters, their combiners ``w_r`` and their ``_TxBatch``,
-    one entry per null dimension (one entry, of every row, unless the
-    loopback row w_r^H H_rr vanishes at some of the combiners but not all;
-    it vanishes at every combiner of a zero-loopback realization).  Each
-    combiner is ``receive_combiner``'s mix of its realization's two
-    ``_combiner_basis`` directions, computed once per table, and each
-    null-space basis is ``relay_null_basis``'s, from one stacked QR call
-    for all rows.  The receive gains have ``receive_gains``'s bits
-    (``_vdots``, ``_abs2``), so ``make_operating_point`` recomputes the
-    bits that the power step scored.  A row's bits do not depend on the
-    other rows of its call.
+    first), and returns ``(w_r, batch)``: their combiners and their
+    ``_TxBatch``, one row each, in order.  A row's null space has rank
+    m_t - 1, or m_t where the loopback row w_r^H H_rr vanishes (at every
+    combiner of a zero-loopback realization).  Each combiner is
+    ``receive_combiner``'s mix of its realization's two ``_combiner_basis``
+    directions, computed once per table, and each null-space basis is
+    ``relay_null_basis``'s, from one stacked QR call for the ZF rows.  The
+    receive gains have ``receive_gains``'s bits (``_vdots``, ``_abs2``), so
+    ``make_operating_point`` recomputes the bits that the power step
+    scored.  A row's bits do not depend on the other rows of its call.
     """
     k = len(realizations)
+    m_t = realizations[0].m_t
     h_ar, h_br, h_ra, h_rb, h_rr = (np.array([getattr(ch, name) for ch in realizations])
                                     for name in ("h_ar", "h_br", "h_ra", "h_rb", "h_rr"))
     # a realization with one direction mixes it with itself; its rows are
@@ -160,8 +163,6 @@ def _combiner_table(*realizations):
     h_r = np.stack([h_ar, h_br], axis=1)
     h_rr_conj = np.conj(h_rr)
     threshold = 1e-12 * np.maximum(1.0, _norms(h_rr.reshape(k, -1)))
-    eye = np.eye(realizations[0].m_t, dtype=complex)
-    full = _tx_geometry(h_t, np.repeat(eye[None], k, axis=0))
 
     def table(alphas, owners=None):
         if not np.all((alphas >= 0.0) & (alphas <= 1.0)):
@@ -174,35 +175,16 @@ def _combiner_table(*realizations):
             w_r[alone] = u_par[owners[alone]]
         rx = np.stack([_abs2(_vdots(w_r, h_r[owners, j])) for j in (0, 1)], axis=1)
         v = (w_r[:, None, :] @ h_rr_conj[owners])[:, 0]  # rows v^T with v = H_rr^H w_r
+        # the combiners whose loopback row vanishes keep every direction
         vanish = np.linalg.norm(v, axis=1) <= threshold[owners]
-        groups = []  # the combiners whose loopback row vanishes keep every direction
-        for rows in (np.flatnonzero(~vanish), np.flatnonzero(vanish)):
-            if rows.size:
-                own = owners[rows]
-                geo = ({name: x if name == "n" else x[own] for name, x in full.items()}
-                       if vanish[rows[0]] else
-                       _tx_geometry(h_t[own], null_space_basis(v[rows, :, None])))
-                groups.append((rows, w_r[rows], _TxBatch(**geo, rx=rx[rows], h_t=rows_h[own],
-                                                         si2=si2[own])))
-        return groups
+        n_t = np.zeros((alphas.size, m_t, m_t), dtype=complex)
+        n_t[vanish] = np.eye(m_t)
+        if not vanish.all():
+            n_t[~vanish, :, :-1] = null_space_basis(v[~vanish, :, None])
+        return w_r, _TxBatch(**_tx_geometry(h_t[owners], n_t), rank=m_t - 1 + vanish,
+                             rx=rx, h_t=rows_h[owners], si2=si2[owners])
 
     return table
-
-
-def _take(groups, index):
-    """The combiners ``index`` (indices into the combiners of a table's
-    answer ``groups``), in that order, as a table's answer, bit for bit,
-    since a row does not depend on its batch."""
-    k = sum(len(w_r) for _, w_r, _ in groups)
-    taken = []
-    for rows, w_r, ctx in groups:
-        at = np.full(k, -1)
-        at[rows] = np.arange(rows.size)
-        sel = at[index]
-        new = np.flatnonzero(sel >= 0)
-        if new.size:
-            taken.append((new, w_r[sel[new]], ctx.take(sel[new])))
-    return taken
 
 
 def _p_prime(p_r_max, p_a, p_b, rx_a, rx_b):
@@ -239,7 +221,7 @@ def _null_z(d1, d2, r, phi, n, q, t=None):
     """Unit z in the n-dimensional null space with |d1^H z|^2 = q and
     |d2^H z| = t; t=None asks for the boundary maximum
     sqrt(boundary_range(r, q)[1]).  ``_boundary_z``'s special rows and
-    ``dc_step``'s points are built here.
+    ``dc_step``'s points are built here, by ``_row_z``.
 
     With cp = sqrt(1 - r^2), e1 = e^{-j phi} d1 and the unit
     e2 = (d2 - r e^{-j phi} d1) / cp orthogonal to d1, d2 = r e1 + cp e2,
@@ -291,8 +273,8 @@ def _null_z(d1, d2, r, phi, n, q, t=None):
 def _boundary_z(ctx, q):
     """``_null_z``'s boundary vector (t=None) of each row of ``ctx`` at its
     level q in [0, 1]: the rows with both directions and 1 - r^2 >= 1e-10
-    at once, in ``_null_z``'s formula, and the others by ``_null_z``
-    itself."""
+    at once, in ``_null_z``'s formula, a rank-1 row's one direction, and
+    the others by ``_row_z``."""
     one_minus_r2 = 1.0 - ctx.r * ctx.r
     gen = ctx.has[:, 0] & ctx.has[:, 1] & (one_minus_r2 >= 1e-10)
     g = np.sqrt((1.0 - q) / np.where(gen, one_minus_r2, 1.0))
@@ -301,16 +283,23 @@ def _boundary_z(ctx, q):
     if gen.all():
         return z / np.linalg.norm(z, axis=1, keepdims=True)
     z[gen] /= np.linalg.norm(z[gen], axis=1, keepdims=True)
-    for k in np.flatnonzero(~gen):
-        z[k] = _null_z(*_directions(ctx, k), float(ctx.r[k]), float(ctx.phi[k]), ctx.n,
-                       float(q[k]))
+    one = ctx.rank == 1
+    z[one] = np.eye(z.shape[1])[0]
+    for k in np.flatnonzero(~gen & ~one):
+        z[k] = _row_z(ctx, k, float(q[k]))
     return z
 
 
-def _directions(ctx, k):
-    """Row k's unit directions (d1, d2), None where missing."""
-    return (ctx.d[k, :, 1] if ctx.has[k, 1] else None,
-            ctx.d[k, :, 0] if ctx.has[k, 0] else None)
+def _row_z(ctx, k, q, t=None):
+    """``_null_z`` at row k of ``ctx``, within its rank: its unit directions
+    d1 = d[:, 1] and d2 = d[:, 0] (None where missing) cut to the rank, and
+    the answer zero past it."""
+    n = int(ctx.rank[k])
+    z = np.zeros(ctx.d.shape[1], dtype=complex)
+    z[:n] = _null_z(ctx.d[k, :n, 1] if ctx.has[k, 1] else None,
+                    ctx.d[k, :n, 0] if ctx.has[k, 0] else None,
+                    float(ctx.r[k]), float(ctx.phi[k]), n, q, t)
+    return z
 
 
 def _p1_gates(ctx, p_a, p_b, gamma_b, p_r_max):
@@ -535,34 +524,27 @@ def _alternate_rows(ctx, config, starts, beam, power):
     return w_t, powers, ok, traces
 
 
-def _alternate_batch(channels, alpha, groups, config, starts, beam, power):
-    """``_alternate_rows`` at each combiner of ``alpha``, whose rows are
-    ``groups`` (a ``_combiner_table``'s answer at those combiners) and
-    whose realizations are ``channels``, one per combiner.
+def _alternate_batch(channels, alpha, combiners, config, starts, beam, power):
+    """``_alternate_rows`` at each combiner of ``alpha``, whose table rows
+    are ``combiners`` (a ``_combiner_table``'s answer at those combiners)
+    and whose realizations are ``channels``, one per combiner.
     An array ``alpha`` gives its ``_Points``; a float is a batch of one and
     gives its OperatingPoint (Infeasible('combiner') if none)."""
-    alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
-    k = alphas.size
-    w_r = np.empty((k, channels[0].m_r), dtype=complex)
-    w_t = np.empty((k, channels[0].m_t), dtype=complex)
-    powers, ok, traces = np.empty((k, 2)), np.empty(k, dtype=bool), [None] * k
-    for rows, group_w_r, ctx in groups:
-        w_r[rows] = group_w_r
-        w_t[rows], powers[rows], ok[rows], group_traces = _alternate_rows(
-            ctx, config, starts, beam, power)
-        for row, trace in zip(rows.tolist(), group_traces):
-            traces[row] = trace
-    points = _Points(channels, alphas, w_r, w_t, powers, traces, ok)
+    w_r, ctx = combiners
+    w_t, powers, ok, traces = _alternate_rows(ctx, config, starts, beam, power)
+    points = _Points(channels, np.atleast_1d(np.asarray(alpha, dtype=float)), w_r, w_t, powers,
+                     traces, ok)
     return points if np.ndim(alpha) else points.point(0)
 
 
-def _p1_batch(channels, alpha, gamma_b, groups, config):
+def _p1_batch(channels, alpha, gamma_b, combiners, config):
     """``optimize_fixed_alpha_p1`` at the combiners ``alpha`` of the
-    realizations ``channels``, whose rows are ``groups``, with B's SINR
-    target ``gamma_b`` per combiner (an array of alpha's size)."""
-    groups = [(rows, w_r, _P1Batch(**vars(ctx), gamma_b=gamma_b[rows])) for rows, w_r, ctx in groups]
+    realizations ``channels``, whose table rows are ``combiners``, with B's
+    SINR target ``gamma_b`` per combiner (an array of alpha's size)."""
+    w_r, ctx = combiners
     return _alternate_batch(
-        channels, alpha, groups, config, [(config.p_a_max, config.p_b_max), (config.p_a_max, 0.0)],
+        channels, alpha, (w_r, _P1Batch(**vars(ctx), gamma_b=gamma_b)), config,
+        [(config.p_a_max, config.p_b_max), (config.p_a_max, 0.0)],
         beam=lambda ctx, p_a, p_b, _: solve_txbf_p1(ctx, p_a, p_b, ctx.gamma_b, config.p_r_max),
         power=lambda w_t, ctx: solve_power_p1(w_t, ctx, ctx.gamma_b, config))
 
@@ -640,13 +622,10 @@ def _gamma_b_max(grid, config):
     realization's grid rows, backed off by 1e-9 relative because the
     gate's margin p_a rx_a - gamma_b cancels near it.
     """
-    p_a = config.p_a_max
-    k = sum(len(w_r) for _, w_r, _ in grid)
-    best = np.zeros(k // config.alpha_grid)
-    for rows, _, ctx in grid:
-        rx_a, rx_b = ctx.rx[:, 0], ctx.rx[:, 1]
-        s_b = _p_prime(config.p_r_max, p_a, 0.0, rx_a, rx_b) * ctx.n2[:, 1]
-        np.maximum.at(best, rows // config.alpha_grid, p_a * rx_a * s_b / (s_b + 1.0))
+    p_a, (_, ctx) = config.p_a_max, grid
+    rx_a, rx_b = ctx.rx[:, 0], ctx.rx[:, 1]
+    s_b = _p_prime(config.p_r_max, p_a, 0.0, rx_a, rx_b) * ctx.n2[:, 1]
+    best = (p_a * rx_a * s_b / (s_b + 1.0)).reshape(-1, config.alpha_grid).max(axis=1)
     return best * (1.0 - 1e-9)
 
 
@@ -674,13 +653,14 @@ def _max_rates(realizations, r_bs, config, table, grid):
 
     def evaluate(owners, alphas):
         if owners is None:  # the grid of every target: its realization's grid rows
-            g = alphas.size
-            groups = _take(grid, (owner[:, None] * g + np.arange(g)).ravel())
+            g, (w_r, ctx) = alphas.size, grid
+            rows = (owner[:, None] * g + np.arange(g)).ravel()
+            combiners = w_r[rows], ctx.take(rows)
             owners, alphas = np.repeat(np.arange(n), g), np.tile(alphas, n)
         else:
-            groups = table(alphas, owner[owners])
+            combiners = table(alphas, owner[owners])
         points = _p1_batch([realizations[i] for i in owner[owners].tolist()], alphas,
-                           gammas[owners], groups, config)
+                           gammas[owners], combiners, config)
         return points.values, points.point
 
     points = iter(_alpha_search(evaluate, n, config))

@@ -16,9 +16,10 @@ check.
 
 The frontier search, the power step and the re-solves of the combiners
 whose powers moved each run as a few numpy calls over a ``_TxBatch`` of
-combiners, whose rows carry their realization's channel data, so
-``max_sum_rates`` searches the combiners of several realizations in one
-lockstep; the power step's stationary points on the relay-budget curve
+combiners, whose rows carry their realization's channel data and a
+null-space basis of one width whatever their rank, so ``max_sum_rates``
+searches the combiners of several realizations, and of their
+zero-loopback copies, in one lockstep; the power step's stationary points on the relay-budget curve
 are the roots of a quadratic, solved for all rows in closed form.
 """
 
@@ -36,9 +37,8 @@ from .rate_region import (
     _alternate_batch,
     _boundary_z,
     _combiner_table,
-    _directions,
-    _null_z,
     _p_prime,
+    _row_z,
     boundary_range,
 )
 
@@ -121,7 +121,7 @@ def dc_step(channels, ctx, p_a, p_b, anchor, config):
     improve the true objective is rejected and the anchor returned.
     """
     (rx_a, rx_b), (na2, nb2) = ctx.rx[0].tolist(), ctx.n2[0].tolist()
-    r, n = float(ctx.r[0]), ctx.n
+    r, n = float(ctx.r[0]), int(ctx.rank[0])
     e_a, e_b, k_a, k_b = _coeffs(*_si2(channels), rx_a, rx_b, p_a, p_b)
     p_prime = _p_prime(config.p_r_max, p_a, p_b, rx_a, rx_b)
     grid_points = config.grid_points
@@ -154,7 +154,7 @@ def dc_step(channels, ctx, p_a, p_b, anchor, config):
         s_a_best, s_b_best = s_a_k, s_b_k
         q = s_b_best / s_b_top if s_b_top > 0 else 0.0
     t = math.sqrt(min(max(s_a_best / top_a, 0.0), 1.0)) if top_a > 0 else 0.0
-    z = _null_z(*_directions(ctx, 0), r, float(ctx.phi[0]), n, q, t)
+    z = _row_z(ctx, 0, q, t)
     return s_a_best, s_b_best, math.sqrt(p_prime) * (ctx.n_t[0] @ z)
 
 
@@ -213,24 +213,22 @@ def solve_txbf_p2(ctx, p_a, p_b, config, w_t_init=None):
     ``p_a``/``p_b`` arrays of its powers and ``w_t_init`` None or the rows'
     warm starts; returns one beamformer per row (K x m_t).
 
-    Null dimension 1: the direction is forced and the sum rate is
-    nondecreasing in the transmit power, so the full budget is the answer.
-    Otherwise the sum rate increases in both quadratic forms, so its
-    maximum over the convex reachable (s_a, s_b) set lies on the upper
-    frontier s_a = s_a_max(q), q = s_b / s_b_max at full budget; a 1-D
-    search over q in [0, 1] therefore solves the inner problem exactly.
-    The search (``_frontier_argmax``) runs zoomed grids over all rows at
-    once, down to a spacing of ``_FRONTIER_TOL`` in q.  A row's frontier
-    point is returned only when its sum rate exceeds that of its start
-    point (the unconstrained-direction cold start, or the warm start when
-    it scores higher), so a warm-started row never scores below its warm
-    start.  ``dc_step`` is the paper's DC iteration over the same set,
-    kept as the oracle-tested reference.
+    A rank-1 row's direction is forced and the sum rate is nondecreasing
+    in the transmit power, so the full budget is its answer.  Otherwise the
+    sum rate increases in both quadratic forms, so its maximum over the
+    convex reachable (s_a, s_b) set lies on the upper frontier
+    s_a = s_a_max(q), q = s_b / s_b_max at full budget; a 1-D search over q
+    in [0, 1] therefore solves the inner problem exactly.  The search
+    (``_frontier_argmax``) runs zoomed grids over all rows at once, down to
+    a spacing of ``_FRONTIER_TOL`` in q.  A row's frontier point is
+    returned only when its sum rate exceeds that of its start point (the
+    unconstrained-direction cold start, or the warm start when it scores
+    higher), so a warm-started row never scores below its warm start.
+    ``dc_step`` is the paper's DC iteration over the same set, kept as the
+    oracle-tested reference.
     """
     rx_a, rx_b = ctx.rx[:, 0], ctx.rx[:, 1]
     p_prime = _p_prime(config.p_r_max, p_a, p_b, rx_a, rx_b)
-    if ctx.n == 1:
-        return np.sqrt(p_prime)[:, None] * ctx.n_t[:, :, 0]
     e_a, e_b, k_a, k_b = _coeffs(*ctx.si2.T, rx_a, rx_b, p_a, p_b)
     top = p_prime[:, None] * ctx.n2
     q = _frontier_argmax(e_a, e_b, k_a, k_b, top[:, 0], top[:, 1], ctx.r, config.grid_points)
@@ -239,11 +237,11 @@ def solve_txbf_p2(ctx, p_a, p_b, config, w_t_init=None):
     # of h_rb if that is zero), the warm start and the frontier point; the
     # first of the highest scoring wins, so the warm start replaces the
     # start and the frontier point both only when it scores higher
-    z = np.zeros((len(p_prime), ctx.n, 3), dtype=complex)
+    z = np.zeros((len(p_prime), ctx.d.shape[1], 3), dtype=complex)
     z[:, :, 0] = ctx.d[:, :, 0]
     if not ctx.has[:, 0].all():
         for k in np.flatnonzero(~ctx.has[:, 0]):
-            z[k, :, 0] = _null_z(_directions(ctx, k)[0], None, 0.0, 0.0, ctx.n, 1.0)
+            z[k, :, 0] = _row_z(ctx, k, 1.0)
     usable = np.zeros(len(p_prime), dtype=bool)
     if w_t_init is not None:
         zi = (np.conj(ctx.n_t).transpose(0, 2, 1) @ w_t_init[:, :, None])[:, :, 0]
@@ -255,15 +253,18 @@ def solve_txbf_p2(ctx, p_a, p_b, config, w_t_init=None):
     score = _rate_gain(e_a[:, None], e_b[:, None], k_a[:, None], k_b[:, None], s[:, 0], s[:, 1])
     score[:, 1] = np.where(usable, score[:, 1], -math.inf)
     z_best = z[np.arange(len(p_prime)), :, np.argmax(score, axis=1)]
-    return np.sqrt(p_prime)[:, None] * (ctx.n_t @ z_best[:, :, None])[:, :, 0]
+    w_t = np.sqrt(p_prime)[:, None] * (ctx.n_t @ z_best[:, :, None])[:, :, 0]
+    one = ctx.rank == 1
+    if one.any():
+        w_t[one] = np.sqrt(p_prime[one])[:, None] * ctx.n_t[one, :, 0]
+    return w_t
 
 
 def _snap_to_corner(p, p_max):
-    """The box bound, 0 or p_max, within ``_CORNER_TOL`` p_max of the power
-    p, or None when p is near neither."""
-    if abs(p - p_max) <= _CORNER_TOL * p_max:
-        return p_max
-    return 0.0 if p <= _CORNER_TOL * p_max else None
+    """The box bound, 0 or p_max, within ``_CORNER_TOL`` p_max of each power
+    of the array p, and NaN where p is near neither."""
+    return np.where(np.abs(p - p_max) <= _CORNER_TOL * p_max, p_max,
+                    np.where(p <= _CORNER_TOL * p_max, 0.0, np.nan))
 
 
 def _stationary_points(tx_a, tx_b, rx_a, rx_b, budget, haa2, hbb2):
@@ -365,38 +366,35 @@ def solve_power_p2(w_t, ctx, config):
         pa[single_b, 3], pb[single_b, 3] = 0.0, budget[single_b] / rx_b[single_b]
     pa = np.minimum(np.maximum(pa, 0.0), pa_max)
     pb = np.minimum(np.maximum(pb, 0.0), pb_max)
-    rx_a, rx_b, tx_a, tx_b, haa2, hbb2 = (x[:, None] for x in (rx_a, rx_b, tx_a, tx_b,
-                                                                haa2, hbb2))
-    ok = pa * rx_a + pb * rx_b <= (budget * (1.0 + 1e-12) + 1e-12)[:, None]  # relay budget
+    ok = pa * rx_a[:, None] + pb * rx_b[:, None] <= (budget * (1.0 + 1e-12) + 1e-12)[:, None]
     # candidates are ranked by (1 + gamma_a)(1 + gamma_b); the winner's
     # value is recomputed below in sinr_pair's arithmetic
-    score = np.where(ok, (1.0 + pb * (tx_a * rx_b) / (tx_a + pa * haa2 + 1.0))
-                     * (1.0 + pa * (tx_b * rx_a) / (tx_b + pb * hbb2 + 1.0)), -math.inf)
-    out = np.zeros((k, 3))
-    for row, (j, s_row, cand_a, cand_b, ta, tb, r_a, r_b, si_a, si_b) in enumerate(zip(
-            score.argmax(axis=1).tolist(), score.tolist(), pa.tolist(), pb.tolist(),
-            *(x[:, 0].tolist() for x in (tx_a, tx_b, rx_a, rx_b, haa2, hbb2)))):
-        if not s_row[j] > 1.0:
-            continue
-        p_a, p_b = cand_a[j], cand_b[j]
-        if j >= 3:
-            snapped = _snap_to_corner(p_a, pa_max), _snap_to_corner(p_b, pb_max)
-            if None not in snapped:
-                p_a, p_b = snapped
-        # sinr_pair's arithmetic
-        g_a = p_b * ta * r_b / (ta + p_a * si_a + 1.0)
-        g_b = p_a * tb * r_a / (tb + p_b * si_b + 1.0)
-        value = math.log2(1.0 + g_a) + math.log2(1.0 + g_b)
-        if value > 0.0:
-            out[row] = p_a, p_b, value
-    return out[:, 0], out[:, 1], out[:, 2]
+    t_a, t_b, si_a, si_b = (x[:, None] for x in (tx_a, tx_b, haa2, hbb2))
+    score = np.where(ok, (1.0 + pb * (tx_a * rx_b)[:, None] / (t_a + pa * si_a + 1.0))
+                     * (1.0 + pa * (tx_b * rx_a)[:, None] / (t_b + pb * si_b + 1.0)), -math.inf)
+    at = np.arange(k), score.argmax(axis=1)
+    p_a, p_b = pa[at], pb[at]
+    off = at[1] >= 3
+    if off.any():
+        snap_a, snap_b = _snap_to_corner(p_a, pa_max), _snap_to_corner(p_b, pb_max)
+        snap = off & ~np.isnan(snap_a) & ~np.isnan(snap_b)
+        p_a, p_b = np.where(snap, snap_a, p_a), np.where(snap, snap_b, p_b)
+    # sinr_pair's arithmetic, elementwise; numpy's log2 may differ from
+    # libm's in the last bit, so each winner's logarithms are math.log2's
+    win = score[at] > 1.0
+    g_a = p_b * tx_a * rx_b / (tx_a + p_a * haa2 + 1.0)
+    g_b = p_a * tx_b * rx_a / (tx_b + p_b * hbb2 + 1.0)
+    value = np.zeros(k)
+    value[win] = [math.log2(a) + math.log2(b)
+                  for a, b in zip((1.0 + g_a[win]).tolist(), (1.0 + g_b[win]).tolist())]
+    return tuple(np.where(value > 0.0, np.stack([p_a, p_b, value]), 0.0))
 
 
-def _p2_batch(channels, alpha, groups, config):
+def _p2_batch(channels, alpha, combiners, config):
     """``optimize_fixed_alpha_p2`` at the combiners ``alpha`` of the
-    realizations ``channels``, whose rows are ``groups``."""
+    realizations ``channels``, whose table rows are ``combiners``."""
     return _alternate_batch(
-        channels, alpha, groups, config, [(config.p_a_max, config.p_b_max)],
+        channels, alpha, combiners, config, [(config.p_a_max, config.p_b_max)],
         beam=lambda ctx, p_a, p_b, w_t: (solve_txbf_p2(ctx, p_a, p_b, config, w_t), None),
         power=lambda w_t, ctx: (*solve_power_p2(w_t, ctx, config), None))
 
@@ -419,7 +417,8 @@ def max_sum_rates(realizations, config):
     one lockstep: the grid is one batch of every realization's grid
     combiners and each pair of golden steps one batch of every refining
     realization's three (the step's combiner and the next step's two
-    candidates), the rows that share a null dimension in one ``_TxBatch``.
+    candidates), each batch one ``_TxBatch`` whatever its rows' null
+    dimensions.
     The realizations share one ``_combiner_table``; only the winners'
     OperatingPoints are built, and each is the one its realization gets
     alone."""

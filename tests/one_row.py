@@ -18,7 +18,7 @@ from fdtwrc.sum_rate import solve_power_p2, solve_txbf_p2
 
 def combiner_row(ch, alpha):
     """Combiner alpha's w_r and its one-row ``_TxBatch``."""
-    [(_, w_r, batch)] = _combiner_table(ch)(np.array([alpha]))
+    w_r, batch = _combiner_table(ch)(np.array([alpha]))
     return w_r[0], batch
 
 

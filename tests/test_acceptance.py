@@ -246,7 +246,9 @@ def test_criterion_5_oracle_equivalence():
     for k in range(100):
         ch, w_r, batch, p_a, p_b, _ = _txbf_instance(3000 + k)
         rng_k = np.random.default_rng(k)
-        z0 = unit(crandn(rng_k, batch.n))
+        n = int(batch.rank[0])
+        z0 = np.zeros(BASE.m_t, dtype=complex)  # zero past the rank, as the basis
+        z0[:n] = unit(crandn(rng_k, n))
         rx_a = abs(np.vdot(w_r, ch.h_ar)) ** 2
         rx_b = abs(np.vdot(w_r, ch.h_br)) ** 2
         p_prime = BASE.p_r_max / (p_a * rx_a + p_b * rx_b + 1.0)

@@ -513,7 +513,7 @@ def _stacked_case(k):
     2..8, m_r in 1..8 (1 in every fourth config), powers in 10^[-1, 5], SI
     variances in 10^[-8, 1] (sigma2_r = 0 in every fifth config), gain_br
     in 10^[-3, 1]; every third realization has its loopback zeroed, so a
-    call mixes both groups of the combiner table."""
+    call mixes both null dimensions in one combiner-table batch."""
     rng = np.random.default_rng([26, k])
     cfg = SystemConfig(
         m_t=int(rng.integers(2, 9)), m_r=1 if k % 4 == 0 else int(rng.integers(1, 9)),
@@ -557,14 +557,14 @@ class TestUpperBound:
         cfg = replace(CFG, sigma2_r=0.0)
         ch = sample_channels(cfg, 15)
         prop = max_sum_rate(ch, cfg)
-        ub = upper_bound_solve(ch, cfg, proposed=prop)
+        ub = upper_bound_solve(ch, cfg)
         assert abs(ub.sum_rate - prop.sum_rate) < 1e-12
 
     def test_dominates_proposed(self):
         for seed in range(8):
             ch = sample_channels(CFG, 300 + seed)
             prop = max_sum_rate(ch, CFG)
-            ub = upper_bound_solve(ch, CFG, proposed=prop)
+            ub = upper_bound_solve(ch, CFG)
             assert ub.sum_rate >= prop.sum_rate - 1e-6
 
     def test_region_point(self):
@@ -604,11 +604,13 @@ class TestLocalCsi:
         chs = [zero_loopback(ch) if i % 4 == 3 else ch
                for i, ch in enumerate(sample_realizations(cfg, range(16)))]
         for ch, seed, (w_t, _, _) in zip(chs, seeds, local_csi_solves(chs, cfg, seeds)):
-            [(_, _, ctx)] = _combiner_table(ch)(np.array([0.5]))
+            _, ctx = _combiner_table(ch)(np.array([0.5]))
+            n = int(ctx.rank[0])
             draw = np.random.default_rng([np.uint64(seed) & np.uint64(2**64 - 1), 0x10CA1])
-            v = draw.standard_normal(ctx.n) + 1j * draw.standard_normal(ctx.n)
+            v = draw.standard_normal(n) + 1j * draw.standard_normal(n)
             budget = _p_prime(cfg.p_r_max, cfg.p_a_max, cfg.p_b_max, *ctx.rx.T)
-            z = (v / np.linalg.norm(v))[None, :, None]
+            z = np.zeros((1, m_t, 1), dtype=complex)  # zero past the rank, as the table's basis
+            z[0, :n, 0] = v / np.linalg.norm(v)
             ref = np.sqrt(budget)[:, None] * (ctx.n_t @ z)[:, :, 0]
             assert w_t.tobytes() == ref[0].tobytes(), seed
 

@@ -33,7 +33,7 @@ FAST = (SchemeId.FD_ONEWAY,)
 FASTPAIR = (SchemeId.HD_ANC, SchemeId.FD_ONEWAY)
 
 
-def _nan_at_trial_1_of_10db(chs, cfg, tseeds, proposed):
+def _nan_at_trial_1_of_10db(chs, cfg, tseeds, solved):
     """A sum-rate scheme whose rates are (1, 2) per trial of a task, or NaN
     at trial 1 of a 10 dB source SNR run with master seed 11."""
     lost = trial_seed(11, 1) if cfg.p_a_max == 10.0 else None
@@ -184,15 +184,17 @@ class TestRunExperiment:
         ("rate_region", (SchemeId.PROPOSED_FD, SchemeId.HD_ANC), (0.0, 1.0))])
     def test_time_s_per_scheme(self, kind, schemes, sweep, monkeypatch):
         # set-up and per-scheme solver seconds, summed over tasks; the
-        # sum-rate solve that ub reuses (here slowed by 0.2 s a call) is
-        # proposed's time, or ub's when proposed is not run
-        solve = fdtwrc.harness.max_sum_rates
+        # lockstep that proposed and ub share (here slowed by 0.2 s a call)
+        # is proposed's time, or ub's when proposed is not run, and ub's
+        # own seconds are those of its fallback alone
+        def slowed(solve):
+            def slow(*args):
+                time.sleep(0.2)
+                return solve(*args)
+            return slow
 
-        def slow(chs, cfg):
-            time.sleep(0.2)
-            return solve(chs, cfg)
-
-        monkeypatch.setattr(fdtwrc.harness, "max_sum_rates", slow)
+        for name in ("max_sum_rates", "rate_regions"):
+            monkeypatch.setattr(fdtwrc.harness, name, slowed(getattr(fdtwrc.harness, name)))
         spec = ExperimentSpec(kind=kind, schemes=schemes, sweep=sweep, trials=3, seed=9,
                               base=BASE)
         table = run_experiment(spec, workers=1)
@@ -200,8 +202,10 @@ class TestRunExperiment:
         assert list(time_s) == ["setup", *(s.value for s in schemes)]
         assert all(math.isfinite(v) and v >= 0.0 for v in time_s.values())
         assert time_s["setup"] > 0.0 and sum(time_s.values()) <= table.metadata["runtime_s"]
-        if kind != "rate_region":
-            assert time_s[schemes[0].value] >= 0.2 * len(sweep)
+        tasks = 1 if kind == "rate_region" else len(sweep)
+        assert time_s[schemes[0].value] >= 0.2 * tasks
+        if schemes[0] == SchemeId.PROPOSED_FD and SchemeId.FD_UPPER_BOUND in schemes:
+            assert time_s["ub"] < 0.2 * tasks
         assert json.loads(table_to_json(table))["metadata"]["time_s"] == time_s
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -302,19 +306,23 @@ class TestSchemeTable:
     def test_solvers_are_looked_up_at_call_time(self, monkeypatch):
         # a rebound module attribute (a tracer's wrapper) must be the one
         # the run calls
-        # (one call per task: the HD solver takes a task's trials at once)
-        calls = []
-        solve = fdtwrc.harness.hd_anc_solves
+        # (one call per task: the HD solver takes a task's trials at once,
+        # and proposed and ub share one lockstep)
+        calls = {}
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
+        def counting(name, solve):
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return solve(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(fdtwrc.harness, "hd_anc_solves", counting)
-        spec = ExperimentSpec(kind="sumrate_vs_source_snr", schemes=FASTPAIR,
+        for name in ("hd_anc_solves", "max_sum_rates"):
+            monkeypatch.setattr(fdtwrc.harness, name, counting(name, getattr(fdtwrc.harness, name)))
+        spec = ExperimentSpec(kind="sumrate_vs_source_snr",
+                              schemes=(*FASTPAIR, SchemeId.PROPOSED_FD, SchemeId.FD_UPPER_BOUND),
                               sweep=(5.0, 10.0), trials=2, seed=4, base=BASE)
         table = run_experiment(spec, workers=1)
-        assert len(calls) == table.metadata["tasks"] == 2
+        assert calls == {"hd_anc_solves": 2, "max_sum_rates": 2} and table.metadata["tasks"] == 2
 
 
 def _tiny_table():

@@ -240,7 +240,7 @@ def test_stopped_point_is_a_power_fixed_point(cfg, seed, alpha, target_share):
     # the point's powers and the traced value
     ch = sample_channels(cfg, seed)
     table = _combiner_table(ch)
-    [(_, _, batch)] = table(np.array([alpha]))
+    _, batch = table(np.array([alpha]))
     pt = optimize_fixed_alpha_p2(ch, alpha, cfg)
     if stopped_on_kept_powers(pt.trace):
         p_a, p_b = pt.powers.p_a, pt.powers.p_b
@@ -274,7 +274,7 @@ def test_scheme_ordering_per_realization(cfg, seed):
     # the rank-one HD scheme, which the full-matrix HD search must reach
     ch = sample_channels(cfg, seed)
     proposed = max_sum_rate(ch, cfg)
-    ub = upper_bound_solve(ch, cfg, proposed)
+    ub = upper_bound_solve(ch, cfg)
     local = local_csi_sum_rate(ch, cfg, seed)
     assert ub.sum_rate >= proposed.sum_rate - 1e-9
     assert proposed.sum_rate >= local.sum_rate - 1e-9
@@ -378,7 +378,7 @@ def test_every_scheme_on_the_config_space(cfg, seeds):
     chs = [sample_channels(cfg, seed) for seed in seeds]
     proposed = max_sum_rates(chs, cfg)
     points = {"proposed": proposed, "hd": hd_anc_solves(chs, cfg),
-              "ub": upper_bound_solves(chs, cfg, proposed),
+              "ub": upper_bound_solves(chs, cfg),
               "localcsi": [local_csi_sum_rate(ch, cfg, seed) for ch, seed in zip(chs, seeds)]}
     for scheme, pts in points.items():
         for ch, pt in zip(chs, pts):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fdtwrc.baselines import (
+    SchemeId,
     _hd_points,
     _hd_setup,
     hd_anc_region,
@@ -15,6 +16,7 @@ from fdtwrc.baselines import (
     upper_bound_solve,
     upper_bound_solves,
 )
+from fdtwrc.harness import ExperimentSpec, run_experiment
 from fdtwrc.model import (
     SystemConfig,
     db_to_linear,
@@ -228,24 +230,24 @@ class TestSolvePowerP1:
         # uplink and beyond it) must be the bits that the row gets alone
         ch, cfg = TABLE_CASES[case]()
         rng = np.random.default_rng(50)
-        for rows, _, batch in _combiner_table(ch)(rng.uniform(0.0, 1.0, 40)):
-            k = len(batch.rx)
-            gamma_b = cfg.p_a_max * batch.rx[:, 0] * rng.uniform(0.0, 1.2, k)
-            gamma_b[rng.uniform(size=k) < 0.3] = 0.0
-            p_a, p_b = rng.uniform(0.0, 1.0, (2, k)) * [[cfg.p_a_max], [cfg.p_b_max]]
-            w_t, ok = solve_txbf_p1(batch, p_a, p_b, gamma_b, cfg.p_r_max)
-            w_t[0] = 0.0  # a zero beamformer leaves only the relay's own noise
-            powers = solve_power_p1(w_t, batch, gamma_b, cfg)
-            assert 0.0 in gamma_b and not all(powers[3])
-            for i in range(k):
-                alone = batch.take(np.array([i]))
-                w_i, ok_i = solve_txbf_p1(alone, p_a[i:i + 1], p_b[i:i + 1], gamma_b[i:i + 1],
-                                          cfg.p_r_max)
-                assert ok_i[0] == ok[i]
-                if i:
-                    assert w_i.tobytes() == w_t[i:i + 1].tobytes()
-                got = solve_power_p1(w_t[i:i + 1], alone, gamma_b[i:i + 1], cfg)
-                assert [x.tobytes() for x in got] == [x[i:i + 1].tobytes() for x in powers]
+        _, batch = _combiner_table(ch)(rng.uniform(0.0, 1.0, 40))
+        k = len(batch.rx)
+        gamma_b = cfg.p_a_max * batch.rx[:, 0] * rng.uniform(0.0, 1.2, k)
+        gamma_b[rng.uniform(size=k) < 0.3] = 0.0
+        p_a, p_b = rng.uniform(0.0, 1.0, (2, k)) * [[cfg.p_a_max], [cfg.p_b_max]]
+        w_t, ok = solve_txbf_p1(batch, p_a, p_b, gamma_b, cfg.p_r_max)
+        w_t[0] = 0.0  # a zero beamformer leaves only the relay's own noise
+        powers = solve_power_p1(w_t, batch, gamma_b, cfg)
+        assert 0.0 in gamma_b and not all(powers[3])
+        for i in range(k):
+            alone = batch.take(np.array([i]))
+            w_i, ok_i = solve_txbf_p1(alone, p_a[i:i + 1], p_b[i:i + 1], gamma_b[i:i + 1],
+                                      cfg.p_r_max)
+            assert ok_i[0] == ok[i]
+            if i:
+                assert w_i.tobytes() == w_t[i:i + 1].tobytes()
+            got = solve_power_p1(w_t[i:i + 1], alone, gamma_b[i:i + 1], cfg)
+            assert [x.tobytes() for x in got] == [x[i:i + 1].tobytes() for x in powers]
 
 
 class TestAlternationP1:
@@ -571,18 +573,13 @@ class TestCombinerTable:
         ch, cfg = TABLE_CASES[case]()
         rng = np.random.default_rng(49)
         alphas = np.concatenate([np.linspace(0.0, 1.0, cfg.alpha_grid), rng.uniform(0.0, 1.0, 12)])
-        table = _combiner_table(ch)
-        batched = [None] * alphas.size
-        for rows, w_r, batch in table(alphas):
-            for i, k in enumerate(range(alphas.size) if rows is None else rows.tolist()):
-                batched[k] = (w_r[i], batch.take(np.array([i])))
+        w_r, batch = _combiner_table(ch)(alphas)
         for k in range(alphas.size):
-            [(_, w_r, alone)] = _combiner_table(ch)(alphas[k:k + 1])
-            w_r_b, batch = batched[k]
-            assert w_r[0].tobytes() == w_r_b.tobytes()
-            assert alone.n == batch.n
-            for name in ("n_t", "f", "n2", "d", "has", "r", "phi", "rx"):
-                assert getattr(alone, name).tobytes() == getattr(batch, name).tobytes(), name
+            w_alone, alone = _combiner_table(ch)(alphas[k:k + 1])
+            row = batch.take(np.array([k]))
+            assert w_alone[0].tobytes() == w_r[k].tobytes()
+            for name in ("n_t", "f", "n2", "d", "has", "r", "phi", "rank", "rx"):
+                assert getattr(alone, name).tobytes() == getattr(row, name).tobytes(), name
 
     @pytest.mark.parametrize("case", sorted(STANDALONE_CASES))
     def test_points_equal_standalone_solves(self, case):
@@ -665,24 +662,21 @@ class TestLockstepRealizations:
                                  rng.uniform(0.0, 1.0, 12)])
         owners = np.concatenate([np.repeat(np.arange(len(chs)), CFG.alpha_grid),
                                  rng.integers(0, len(chs), 12)])
-        groups = _combiner_table(*chs)(alphas, owners)
-        assert len(groups) == 2
-        for rows, w_r, batch in groups:
-            for i, k in enumerate(rows.tolist()):
-                [(_, w_alone, alone)] = _combiner_table(chs[owners[k]])(alphas[k:k + 1])
-                assert w_r[i].tobytes() == w_alone[0].tobytes()
-                assert alone.n == batch.n
-                for name, x in vars(alone).items():
-                    if name != "n":
-                        assert x.tobytes() == getattr(batch, name)[i:i + 1].tobytes(), name
+        w_r, batch = _combiner_table(*chs)(alphas, owners)
+        assert len(set(batch.rank.tolist())) == 2
+        for k in range(alphas.size):
+            w_alone, alone = _combiner_table(chs[owners[k]])(alphas[k:k + 1])
+            assert w_r[k].tobytes() == w_alone[0].tobytes()
+            for name, x in vars(alone).items():
+                assert x.tobytes() == getattr(batch, name)[k:k + 1].tobytes(), name
 
     def test_sum_rate_searches(self):
         chs = _chunk()
         proposed = max_sum_rates(chs, CFG)
         assert [_point_bits(pt) for pt in proposed] == [
             _point_bits(max_sum_rate(ch, CFG)) for ch in chs]
-        assert [_point_bits(pt) for pt in upper_bound_solves(chs, CFG, proposed)] == [
-            _point_bits(upper_bound_solve(ch, CFG, pt)) for ch, pt in zip(chs, proposed)]
+        assert [_point_bits(pt) for pt in upper_bound_solves(chs, CFG)] == [
+            _point_bits(upper_bound_solve(ch, CFG)) for ch in chs]
 
     @pytest.mark.parametrize("sweeps, sweep", [(rate_regions, rate_region),
                                                (upper_bound_regions, upper_bound_region)])
@@ -705,6 +699,63 @@ class TestLockstepRealizations:
         assert [[_point_bits(pt) for pt in pts] for pts in points] == [
             [_point_bits(_standalone_or_none(ch, r_b, CFG)) for r_b in targets]
             for ch, targets in zip(chs, r_bs)]
+
+
+def _pairing_case(cfg, seed):
+    return [sample_channels(cfg, seed), sample_channels(cfg, seed + 1)], cfg
+
+
+# case -> (two realizations, config) of the pairing tests: m_t 2..8 with
+# m_r 1..3, no loopback (each realization equals its zero-loopback copy),
+# and mixed_null's table, whose loopback row vanishes at alpha = 1 only
+PAIRING_CASES = {
+    **{f"m_t{m}": lambda m=m: _pairing_case(replace(CFG, m_t=m, m_r=1 + m % 3), 60 + 2 * m)
+       for m in range(2, 9)},
+    "no_loopback": lambda: _pairing_case(replace(CFG, sigma2_r=0.0), 80),
+    "mixed_null": lambda: ([_mixed_null_channels()[0], sample_channels(_mixed_null_channels()[1], 82)],
+                           _mixed_null_channels()[1]),
+}
+
+
+class TestPairing:
+    """proposed and ub solve a task's realizations and their zero-loopback
+    copies in one lockstep, whose batches mix rows of rank m_t - 1 and m_t.
+    A row's products have width m_t whatever its rank, so a realization's
+    answers are the same bytes alone, next to its copy, in a mixed batch,
+    and whether or not ub runs."""
+
+    @pytest.mark.parametrize("case", sorted(PAIRING_CASES))
+    def test_solvers(self, case):
+        chs, cfg = PAIRING_CASES[case]()
+        both = chs + [zero_loopback(ch) for ch in chs]
+        alone = [_point_bits(max_sum_rate(ch, cfg)) for ch in both]
+        for i in range(2):  # a realization next to its copy
+            assert [_point_bits(pt) for pt in max_sum_rates(both[i::2], cfg)] == alone[i::2]
+        mixed = [3, 0, 2, 1]  # ranks m_t, m_t - 1, m_t, m_t - 1 (under ZF)
+        assert [_point_bits(pt) for pt in max_sum_rates([both[i] for i in mixed], cfg)] == [
+            alone[i] for i in mixed]
+        ub = [_point_bits(pt) for pt in upper_bound_solves(chs, cfg)]
+        assert ub == [_point_bits(upper_bound_solve(ch, cfg)) for ch in chs]
+        assert all(u[0] + u[1] >= p[0] + p[1] for u, p in zip(ub, alone))
+        assert [[(r_b, _point_bits(pt)) for r_b, pt in entries]
+                for entries in rate_regions([both[i] for i in mixed], 3, cfg)] == [
+            [(r_b, _point_bits(pt)) for r_b, pt in rate_region(both[i], 3, cfg)] for i in mixed]
+
+    @pytest.mark.parametrize("m_t", range(2, 9))
+    def test_harness_runs(self, m_t):
+        # a run's proposed and ub samples do not depend on whether the
+        # other scheme is run
+        cfg = replace(CFG, m_t=m_t, m_r=1 + m_t % 3)
+        proposed, ub = SchemeId.PROPOSED_FD, SchemeId.FD_UPPER_BOUND
+        for kind, sweep in (("sumrate_vs_source_snr", (10.0,)), ("rate_region", (0.0, 1.0))):
+            samples = {}
+            for schemes in ((proposed,), (ub,), (proposed, ub)):
+                spec = ExperimentSpec(kind=kind, schemes=schemes, sweep=sweep, trials=2,
+                                      seed=90 + m_t, base=cfg)
+                for key, v in run_experiment(spec, workers=1, keep_samples=True).samples.items():
+                    samples.setdefault(key, set()).add(v.tobytes())
+            assert len(samples) == 2 * len(sweep)
+            assert all(len(v) == 1 for v in samples.values()), kind
 
 
 def _bisect_on_point_solver(point_solver, cap, steps=24):

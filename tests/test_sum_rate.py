@@ -169,7 +169,8 @@ class TestFeasibleSetBounds:
     def test_against_constrained_sampling_oracle(self):
         # null dimension 3 so the generic bounds apply
         batch = p2_instance(8, m_t=4)[3]
-        d2, d1 = batch.d[0].T
+        n = int(batch.rank[0])
+        d2, d1 = batch.d[0, :n].T
         rng = np.random.default_rng(8)
         p_prime = 2.5
         for q in (0.15, 0.5, 0.85):
@@ -178,7 +179,7 @@ class TestFeasibleSetBounds:
             win = [s_a_bounds(batch, p_prime, qq) for qq in (q - 0.01, q, q + 0.01)]
             lo_min = min(w[0] for w in win)
             hi_max = max(w[1] for w in win)
-            z = crandn(rng, 400_000, batch.n)
+            z = crandn(rng, 400_000, n)
             z /= np.linalg.norm(z, axis=1, keepdims=True)
             qs = np.abs(z @ d1.conj()) ** 2
             sel = np.abs(qs - q) < 0.01
@@ -219,7 +220,8 @@ class TestDcStep:
         for seed in range(25):
             cfg, ch, w_r, batch, p_a, p_b = p2_instance(200 + seed)
             rng = np.random.default_rng(seed)
-            z0 = unit(crandn(rng, batch.n))
+            z0 = np.zeros(cfg.m_t, dtype=complex)  # zero past the rank, as the basis
+            z0[:int(batch.rank[0])] = unit(crandn(rng, int(batch.rank[0])))
             rx_a = abs(np.vdot(w_r, ch.h_ar)) ** 2
             rx_b = abs(np.vdot(w_r, ch.h_br)) ** 2
             p_prime = cfg.p_r_max / (p_a * rx_a + p_b * rx_b + 1.0)
@@ -319,7 +321,7 @@ class TestSolveTxbfP2Exactness:
     def test_not_below_converged_dc_iteration(self):
         for seed, m_t in EXACTNESS_CASES:
             cfg, ch, w_r, batch, p_a, p_b = p2_instance(seed, m_t=m_t)
-            assert batch.n == m_t - 1
+            assert batch.rank.tolist() == [m_t - 1]
             p_prime = _full_budget(cfg, ch, w_r, p_a, p_b)
             # the unconstrained-direction cold start, z along the image of h_ra
             na2, nb2 = batch.n2[0]
@@ -558,7 +560,7 @@ class TestStationaryPoints:
         cases += [(random_config(rng), int(rng.integers(2**31))) for _ in range(20)]
         for cfg, seed in cases:
             ch = sample_channels(cfg, seed)
-            upper_bound_solve(ch, cfg, max_sum_rate(ch, cfg))
+            upper_bound_solve(ch, cfg)
         counts = assert_cubic_roots(rows)
         assert counts[2] > 1000 and counts[0] > 0
 
@@ -670,9 +672,9 @@ class TestCombinerTable:
             cfg = replace(CFG, **kw)
             ch = sample_channels(cfg, seed)
             alphas = np.linspace(0.0, 1.0, 7)
-            [(rows, w_r, batch)] = _combiner_table(ch)(alphas)
-            assert rows.tolist() == list(range(alphas.size))
-            assert batch.n == (cfg.m_t if kw == {"sigma2_r": 0.0} else cfg.m_t - 1)
+            w_r, batch = _combiner_table(ch)(alphas)
+            n = cfg.m_t if kw == {"sigma2_r": 0.0} else cfg.m_t - 1
+            assert batch.rank.tolist() == [n] * alphas.size
             for k, alpha in enumerate(alphas):
                 ref_w_r = receive_combiner(ch, alpha)
                 n_t = relay_null_basis(ch, ref_w_r)
@@ -688,11 +690,13 @@ class TestCombinerTable:
                 # same span, and the images' inner products are the same
                 assert np.allclose(batch.n_t[k] @ batch.n_t[k].conj().T,
                                    n_t @ n_t.conj().T, atol=1e-12)
-                assert abs(np.vdot(batch.d[k, :, 0], batch.d[k, :, 1]) - np.vdot(d2, d1)) <= 1e-12
+                assert not batch.n_t[k, :, n:].any() and not batch.d[k, n:].any()
+                assert abs(np.vdot(batch.d[k, :n, 0], batch.d[k, :n, 1]) - np.vdot(d2, d1)) <= 1e-12
 
-    def test_zero_loopback_geometry_computed_once(self, monkeypatch):
-        # with the loopback zeroed every null space is the whole space, so
-        # the images, norms, directions, r and phi are built once per table
+    def test_zero_loopback_rows_keep_every_direction(self, monkeypatch):
+        # with the loopback zeroed every null space is the whole space: each
+        # row has rank m_t and the identity basis, and a table call builds
+        # its images, norms, directions, r and phi once, for all its rows
         calls = []
         geometry = rate_region_module._tx_geometry
         monkeypatch.setattr(rate_region_module, "_tx_geometry",
@@ -700,32 +704,28 @@ class TestCombinerTable:
         ch = zero_loopback(sample_channels(CFG, 43))
         table = _combiner_table(ch)
         for alphas in (np.linspace(0.0, 1.0, 21), np.array([0.3]), np.array([0.1, 0.9])):
-            [(_, _, batch)] = table(alphas)
-            assert batch.n == CFG.m_t and len(batch.rx) == alphas.size
-        assert len(calls) == 1
-        proposed = max_sum_rate(sample_channels(CFG, 43), CFG)
-        calls.clear()
-        assert upper_bound_solve(sample_channels(CFG, 43), CFG, proposed).sum_rate > 0
-        assert len(calls) == 1  # the whole zero-loopback combiner search
-        calls.clear()
+            calls.clear()
+            _, batch = table(alphas)
+            assert batch.rank.tolist() == [CFG.m_t] * alphas.size
+            assert np.array_equal(batch.n_t, np.broadcast_to(np.eye(CFG.m_t), batch.n_t.shape))
+            assert len(calls) == 1
+        assert upper_bound_solve(sample_channels(CFG, 43), CFG).sum_rate > 0
         entries = rate_region(ch, 9, CFG)
         assert entries[-1][1] is not None
-        assert len(calls) == 1  # the endpoint and every point of a zero-loopback sweep
 
     def test_mixed_null_dimensions(self):
         # h_br in the left null space of H_rr (m_r > m_t): at alpha = 1 the
         # combiner is h_br's direction and its loopback row vanishes, so that
         # combiner keeps the whole transmit space while the others lose one
-        # dimension; the batch splits into two groups and matches each
-        # combiner solved alone, for both problems
+        # dimension; one batch holds both ranks and matches each combiner
+        # solved alone, for both problems
         cfg = replace(CFG, m_t=2, m_r=3)
         ch = sample_channels(cfg, 44)
         left_null = null_space_basis(ch.h_rr)[:, 0]
         ch = replace(ch, h_br=left_null * 0.8)
         alphas = np.linspace(0.0, 1.0, 5)
-        groups = _combiner_table(ch)(alphas)
-        assert sorted(batch.n for _, _, batch in groups) == [1, 2]
-        assert [rows.tolist() for rows, _, _ in groups] == [[0, 1, 2, 3], [4]]
+        _, batch = _combiner_table(ch)(alphas)
+        assert batch.rank.tolist() == [1, 1, 1, 1, 2]
         points = optimize_fixed_alpha_p2(ch, alphas, cfg)
         for k, alpha in enumerate(alphas):
             alone = optimize_fixed_alpha_p2(ch, float(alpha), cfg)
@@ -798,7 +798,7 @@ class TestMaxSumRate:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert max_sum_rate(ch, cfg).sum_rate == 0.0
-            assert upper_bound_solve(ch, cfg, max_sum_rate(ch, cfg)).sum_rate == 0.0
+            assert upper_bound_solve(ch, cfg).sum_rate == 0.0
 
     def test_structural_invariants(self):
         for seed in range(10):
