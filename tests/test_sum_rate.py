@@ -23,8 +23,10 @@ from fdtwrc.model import (
 from fdtwrc.numerics import null_space_basis
 from fdtwrc import sum_rate
 from fdtwrc.oracles import dc_grid_oracle
+from fdtwrc.numerics import _vdots
 from fdtwrc.rate_region import (
     Infeasible,
+    _abs2,
     _combiner_table,
     _gamma_b_max,
     _grid,
@@ -42,6 +44,8 @@ from fdtwrc.sum_rate import (
     dc_step,
     max_sum_rate,
     optimize_fixed_alpha_p2,
+    solve_power_p2,
+    solve_txbf_p2,
 )
 from one_row import combiner_row, power_row, txbf_row
 
@@ -547,6 +551,94 @@ def random_config(rng):
                    p_a_max=p_src, p_b_max=p_src, p_r_max=10.0 ** rng.uniform(-1.0, 6.0),
                    sigma2_a=rng.uniform(0.0, 1.0), sigma2_b=rng.uniform(0.0, 1.0),
                    sigma2_r=rng.uniform(0.0, 1.0), gain_br=10.0 ** rng.uniform(-2.0, 2.0))
+
+
+def _power_p2_per_row(w_t, ctx, cfg):
+    """``solve_power_p2`` with its winners picked, snapped to a corner and
+    scored one row at a time in Python floats: the reference that its array
+    form must equal bit for bit.  The candidates are built as there.
+    Returns (p_a, p_b, value) and the number of rows snapped."""
+    tx_a, tx_b = _abs2(_vdots(ctx.h_t, w_t[:, None, :])).T
+    nt2 = _vdots(w_t, w_t).real
+    rx_a, rx_b = ctx.rx.T
+    haa2, hbb2 = ctx.si2.T
+    pa_max, pb_max, k = cfg.p_a_max, cfg.p_b_max, len(nt2)
+    budget = np.divide(cfg.p_r_max, nt2, out=np.full(k, math.inf), where=nt2 > 0) - 1.0
+    live, gain_a, gain_b = budget > 0, rx_a > 1e-300, rx_b > 1e-300
+    both = live & gain_a & gain_b
+    bud, ra, rb = (np.where(both, budget, 0.0), np.where(both, rx_a, 1.0),
+                   np.where(both, rx_b, 1.0))
+    pa, pb = np.empty((k, 7)), np.empty((k, 7))
+    pa[:, :3], pb[:, :3] = (pa_max, pa_max, 0.0), (pb_max, 0.0, pb_max)
+    pb[:, 3] = pb_lo = np.maximum(0.0, (bud - ra * pa_max) / rb)
+    pb[:, 4] = pb_hi = np.minimum(pb_max, bud / rb)
+    curve = both & (pb_lo <= pb_hi + 1e-15)
+    roots = _stationary_points(tx_a, tx_b, ra, rb, np.where(curve, bud, 0.0), haa2, hbb2)
+    inside = curve[:, None] & (pb_lo[:, None] < roots) & (roots < pb_hi[:, None])
+    pb[:, 5:] = np.where(inside, roots, np.nan)
+    pb[~curve, 3:5] = np.nan
+    pa[:, 3:] = (bud[:, None] - pb[:, 3:] * rb[:, None]) / ra[:, None]
+    single_a, single_b = live & gain_a & ~gain_b, live & gain_b & ~gain_a
+    pa[single_a, 3], pb[single_a, 3] = budget[single_a] / rx_a[single_a], 0.0
+    pa[single_b, 3], pb[single_b, 3] = 0.0, budget[single_b] / rx_b[single_b]
+    pa = np.minimum(np.maximum(pa, 0.0), pa_max)
+    pb = np.minimum(np.maximum(pb, 0.0), pb_max)
+    c_rx_a, c_rx_b, c_tx_a, c_tx_b, c_haa2, c_hbb2 = (x[:, None] for x in (
+        rx_a, rx_b, tx_a, tx_b, haa2, hbb2))
+    ok = pa * c_rx_a + pb * c_rx_b <= (budget * (1.0 + 1e-12) + 1e-12)[:, None]
+    score = np.where(ok, (1.0 + pb * (c_tx_a * c_rx_b) / (c_tx_a + pa * c_haa2 + 1.0))
+                     * (1.0 + pa * (c_tx_b * c_rx_a) / (c_tx_b + pb * c_hbb2 + 1.0)), -math.inf)
+
+    def snap(p, p_max):
+        if abs(p - p_max) <= sum_rate._CORNER_TOL * p_max:
+            return p_max
+        return 0.0 if p <= sum_rate._CORNER_TOL * p_max else None
+
+    out, snapped = np.zeros((k, 3)), 0
+    for row, (j, s_row, cand_a, cand_b, ta, tb, r_a, r_b, si_a, si_b) in enumerate(zip(
+            score.argmax(axis=1).tolist(), score.tolist(), pa.tolist(), pb.tolist(),
+            tx_a.tolist(), tx_b.tolist(), rx_a.tolist(), rx_b.tolist(), haa2.tolist(),
+            hbb2.tolist())):
+        if not s_row[j] > 1.0:
+            continue
+        p_a, p_b = cand_a[j], cand_b[j]
+        if j >= 3 and None not in (snap(p_a, pa_max), snap(p_b, pb_max)):
+            p_a, p_b = snap(p_a, pa_max), snap(p_b, pb_max)
+            snapped += 1
+        g_a = p_b * ta * r_b / (ta + p_a * si_a + 1.0)
+        g_b = p_a * tb * r_a / (tb + p_b * si_b + 1.0)
+        value = math.log2(1.0 + g_a) + math.log2(1.0 + g_b)
+        if value > 0.0:
+            out[row] = p_a, p_b, value
+    return (out[:, 0], out[:, 1], out[:, 2]), snapped
+
+
+class TestPowerP2Winners:
+    def test_array_scoring_equals_per_row_scoring(self):
+        # random configs and combiners, at the beamformers the solver
+        # reaches from full powers (budget spent: the curve's ends snap to
+        # the corner) and at random ones, zero and huge ones included
+        rng = np.random.default_rng(28)
+        snapped = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for _ in range(60):
+                cfg = random_config(rng)
+                chs = [sample_channels(cfg, int(s)) for s in rng.integers(0, 2**31, 3)]
+                chs[2] = zero_loopback(chs[2])
+                owners = np.repeat(np.arange(3), 8)
+                _, batch = _combiner_table(*chs)(rng.uniform(0.0, 1.0, owners.size), owners)
+                full = np.full(owners.size, cfg.p_a_max), np.full(owners.size, cfg.p_b_max)
+                w_solved = solve_txbf_p2(batch, *full, cfg)
+                w_random = crandn(rng, owners.size, cfg.m_t) * 10.0 ** rng.uniform(
+                    -3.0, 3.0, (owners.size, 1))
+                w_random[0] = 0.0
+                for w_t in (w_solved, w_random):
+                    got = solve_power_p2(w_t, batch, cfg)
+                    ref, n = _power_p2_per_row(w_t, batch, cfg)
+                    snapped += n
+                    assert [x.tobytes() for x in got] == [x.tobytes() for x in ref]
+        assert snapped > 0
 
 
 class TestStationaryPoints:
