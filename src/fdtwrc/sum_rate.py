@@ -19,8 +19,9 @@ whose powers moved each run as a few numpy calls over a ``_TxBatch`` of
 combiners, whose rows carry their realization's channel data and a
 null-space basis of one width whatever their rank, so ``max_sum_rates``
 searches the combiners of several realizations, and of their
-zero-loopback copies, in one lockstep; the power step's stationary points on the relay-budget curve
-are the roots of a quadratic, solved for all rows in closed form.
+zero-loopback copies, in one lockstep; the power step's stationary
+points on the relay-budget curve are the roots of a quadratic, solved for
+all rows in closed form.
 """
 
 import functools
@@ -214,7 +215,8 @@ def solve_txbf_p2(ctx, p_a, p_b, config, w_t_init=None):
     warm starts; returns one beamformer per row (K x m_t).
 
     A rank-1 row's direction is forced and the sum rate is nondecreasing
-    in the transmit power, so the full budget is its answer.  Otherwise the
+    in the transmit power, so the full budget is its answer; the other
+    rows are solved as a batch of their own.  At rank 2 and up the
     sum rate increases in both quadratic forms, so its maximum over the
     convex reachable (s_a, s_b) set lies on the upper frontier
     s_a = s_a_max(q), q = s_b / s_b_max at full budget; a 1-D search over q
@@ -229,6 +231,13 @@ def solve_txbf_p2(ctx, p_a, p_b, config, w_t_init=None):
     """
     rx_a, rx_b = ctx.rx[:, 0], ctx.rx[:, 1]
     p_prime = _p_prime(config.p_r_max, p_a, p_b, rx_a, rx_b)
+    free = np.flatnonzero(ctx.rank > 1)
+    if free.size < len(p_prime):  # the rank-1 rows' forced direction at full budget
+        w_t = np.sqrt(p_prime)[:, None] * ctx.n_t[:, :, 0]
+        if free.size:
+            w_t[free] = solve_txbf_p2(ctx.take(free), p_a[free], p_b[free], config,
+                                      None if w_t_init is None else w_t_init[free])
+        return w_t
     e_a, e_b, k_a, k_b = _coeffs(*ctx.si2.T, rx_a, rx_b, p_a, p_b)
     top = p_prime[:, None] * ctx.n2
     q = _frontier_argmax(e_a, e_b, k_a, k_b, top[:, 0], top[:, 1], ctx.r, config.grid_points)
@@ -253,11 +262,7 @@ def solve_txbf_p2(ctx, p_a, p_b, config, w_t_init=None):
     score = _rate_gain(e_a[:, None], e_b[:, None], k_a[:, None], k_b[:, None], s[:, 0], s[:, 1])
     score[:, 1] = np.where(usable, score[:, 1], -math.inf)
     z_best = z[np.arange(len(p_prime)), :, np.argmax(score, axis=1)]
-    w_t = np.sqrt(p_prime)[:, None] * (ctx.n_t @ z_best[:, :, None])[:, :, 0]
-    one = ctx.rank == 1
-    if one.any():
-        w_t[one] = np.sqrt(p_prime[one])[:, None] * ctx.n_t[one, :, 0]
-    return w_t
+    return np.sqrt(p_prime)[:, None] * (ctx.n_t @ z_best[:, :, None])[:, :, 0]
 
 
 def _snap_to_corner(p, p_max):

@@ -317,7 +317,8 @@ class TestSchemeTable:
             return counted
 
         for name in ("hd_anc_solves", "max_sum_rates"):
-            monkeypatch.setattr(fdtwrc.harness, name, counting(name, getattr(fdtwrc.harness, name)))
+            solve = getattr(fdtwrc.harness, name)
+            monkeypatch.setattr(fdtwrc.harness, name, counting(name, solve))
         spec = ExperimentSpec(kind="sumrate_vs_source_snr",
                               schemes=(*FASTPAIR, SchemeId.PROPOSED_FD, SchemeId.FD_UPPER_BOUND),
                               sweep=(5.0, 10.0), trials=2, seed=4, base=BASE)

@@ -701,8 +701,10 @@ class TestLockstepRealizations:
             for ch, targets in zip(chs, r_bs)]
 
 
-def _pairing_case(cfg, seed):
-    return [sample_channels(cfg, seed), sample_channels(cfg, seed + 1)], cfg
+def _pairing_case(cfg, seed, first=None):
+    """Two realizations of cfg from seed on, the first one replaced by
+    ``first`` when given."""
+    return [first or sample_channels(cfg, seed), sample_channels(cfg, seed + 1)], cfg
 
 
 # case -> (two realizations, config) of the pairing tests: m_t 2..8 with
@@ -712,8 +714,7 @@ PAIRING_CASES = {
     **{f"m_t{m}": lambda m=m: _pairing_case(replace(CFG, m_t=m, m_r=1 + m % 3), 60 + 2 * m)
        for m in range(2, 9)},
     "no_loopback": lambda: _pairing_case(replace(CFG, sigma2_r=0.0), 80),
-    "mixed_null": lambda: ([_mixed_null_channels()[0], sample_channels(_mixed_null_channels()[1], 82)],
-                           _mixed_null_channels()[1]),
+    "mixed_null": lambda: _pairing_case(_mixed_null_channels()[1], 82, _mixed_null_channels()[0]),
 }
 
 
