@@ -41,7 +41,6 @@ from .rate_region import (
     _p_prime,
     _repair,
     _sweep_targets,
-    rate_regions,
 )
 from .sum_rate import max_sum_rate, max_sum_rates
 
@@ -53,13 +52,10 @@ __all__ = [
     "hd_anc_region",
     "hd_anc_regions",
     "fd_oneway_direction_rate",
-    "fd_oneway_region",
     "fd_oneway_regions",
-    "fd_oneway_sum_rate",
     "fd_oneway_sum_rates",
     "upper_bound_solve",
     "upper_bound_solves",
-    "upper_bound_regions",
     "local_csi_solves",
     "local_csi_sum_rate",
 ]
@@ -615,12 +611,6 @@ def fd_oneway_regions(realizations, n_points, config):
             for r_a, r_b in _fd_oneway_rates(realizations, config)]
 
 
-def fd_oneway_region(channels, n_points, config):
-    """``fd_oneway_regions`` of one realization."""
-    [points] = fd_oneway_regions([channels], n_points, config)
-    return points
-
-
 def fd_oneway_sum_rates(realizations, config):
     """Rate pair (R_A, R_B) of the sum-rate-optimal time share of the one-way
     scheme, for each realization of a sequence.
@@ -633,12 +623,6 @@ def fd_oneway_sum_rates(realizations, config):
     """
     return [(r_a, 0.0) if r_a >= r_b else (0.0, r_b)
             for r_a, r_b in _fd_oneway_rates(realizations, config)]
-
-
-def fd_oneway_sum_rate(channels, config):
-    """``fd_oneway_sum_rates`` of one realization."""
-    [pair] = fd_oneway_sum_rates([channels], config)
-    return pair
 
 
 def _upper_bound_points(realizations, points):
@@ -672,12 +656,6 @@ def upper_bound_solve(channels, config):
     """``upper_bound_solves`` of one realization."""
     [pt] = upper_bound_solves([channels], config)
     return pt
-
-
-def upper_bound_regions(realizations, n_points, config):
-    """The proposed region sweeps (``rate_regions``) with the relay loopback
-    zeroed."""
-    return rate_regions([zero_loopback(channels) for channels in realizations], n_points, config)
 
 
 def local_csi_solves(realizations, config, seeds):

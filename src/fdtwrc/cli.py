@@ -29,7 +29,7 @@ def _add_common(p, default_schemes):
     p.add_argument("--si", type=float, default=-20.0, help="residual SI variance in dB")
     p.add_argument("--antennas", type=int, default=3, help="relay antennas (m_t = m_r)")
     p.add_argument("--gain-br", type=float, default=0.0, help="B-side link gain in dB")
-    p.add_argument("--points", type=int, default=11, help="points on a region boundary")
+    p.add_argument("--points", type=int, default=11, help="points on a region boundary (>= 2)")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--config", default=None, help="JSON file with SystemConfig overrides")
@@ -94,7 +94,7 @@ def main(argv=None):
         schemes = tuple(parse_scheme(s) for s in args.schemes.split(",") if s.strip())
         if args.command == "region":
             kind = "rate_region"
-            sweep_vals = tuple(np.linspace(0.0, 1.0, max(2, args.points)))
+            sweep_vals = tuple(np.linspace(0.0, 1.0, args.points))
         elif args.command == "sumrate":
             kind = "sumrate_vs_source_snr"
             sweep_vals = (args.snr_source,)

@@ -128,6 +128,8 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        if self.kind in REGION_KINDS and len(self.sweep) < 2:
+            raise ValueError(f"a rate region needs at least 2 points, got {len(self.sweep)}")
         if not self.sweep:
             raise ValueError("sweep must be nonempty")
         if not self.schemes:

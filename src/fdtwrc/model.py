@@ -28,11 +28,9 @@ __all__ = [
     "db_to_linear",
     "sample_channels",
     "sample_realizations",
-    "receive_combiner",
     "sinr_pair",
     "receive_gains",
     "relay_output_power",
-    "zf_residual",
     "effective_gains",
     "relay_null_basis",
     "channels_to_json",
@@ -240,8 +238,9 @@ def sample_channels(config, seed):
 
 
 def _combiner_basis(h_ar, h_br):
-    """The two unit directions that ``receive_combiner`` mixes, for each row
-    of the K x m_r stacks h_ar and h_br: (u_par, u_perp, single).
+    """The two unit directions that a receive combiner mixes
+    (``rate_region._combiner_table``), for each row of the K x m_r stacks
+    h_ar and h_br: (u_par, u_perp, single).
 
     u_par/u_perp are the unit projections of h_ar onto span{h_br} and its
     complement.  When h_ar is parallel to h_br (always when m_r = 1) the
@@ -268,24 +267,6 @@ def _combiner_basis(h_ar, h_br):
     return np.where(single, along, u_par), np.where(single, along, u_perp), single[:, 0]
 
 
-def receive_combiner(channels, alpha):
-    """Receive combiner mixing the h_br direction with its complement.
-
-    w_r(alpha) = alpha * u_par + sqrt(1-alpha) * u_perp, with the unit
-    directions of ``_combiner_basis``.  The raw combination has norm
-    sqrt(alpha^2 + 1 - alpha) <= 1; it is rescaled to unit norm.  When h_ar
-    is parallel to h_br every alpha gives the alpha = 1 endpoint.  Raises
-    DegenerateGeometryError when h_br is zero.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    [u_par], [u_perp], [single] = _combiner_basis(channels.h_ar[None], channels.h_br[None])
-    if single:
-        return u_par
-    w = alpha * u_par + math.sqrt(1.0 - alpha) * u_perp
-    return w / np.linalg.norm(w)
-
-
 def sinr_pair(channels, w_t, w_r, p_a, p_b):
     """Post-ZF SINRs at the two sources for the rank-one relay matrix.
 
@@ -308,11 +289,6 @@ def relay_output_power(channels, w_t, w_r, p_a, p_b):
     nt2 = float(np.vdot(w_t, w_t).real)
     rx_a, rx_b = receive_gains(channels, w_r)
     return nt2 * (p_a * rx_a + p_b * rx_b + 1.0)
-
-
-def zf_residual(channels, w_t, w_r):
-    """|w_r^H H_rr w_t|; zero when the loopback is nulled."""
-    return abs(np.conj(w_r) @ channels.h_rr @ w_t)
 
 
 def effective_gains(channels, w_t, w_r):

@@ -142,13 +142,16 @@ def _combiner_table(*realizations):
     first), and returns ``(w_r, batch)``: their combiners and their
     ``_TxBatch``, one row each, in order.  A row's null space has rank
     m_t - 1, or m_t where the loopback row w_r^H H_rr vanishes (at every
-    combiner of a zero-loopback realization).  Each combiner is
-    ``receive_combiner``'s mix of its realization's two ``_combiner_basis``
-    directions, computed once per table, and each null-space basis is
-    ``relay_null_basis``'s, from one stacked QR call for the ZF rows.  The
-    receive gains have ``receive_gains``'s bits (``_vdots``, ``_abs2``), so
-    ``make_operating_point`` recomputes the bits that the power step
-    scored.  A row's bits do not depend on the other rows of its call.
+    combiner of a zero-loopback realization).  This is the one place a
+    receive combiner is built: w_r(alpha) = alpha u_par + sqrt(1 - alpha)
+    u_perp, rescaled to unit norm, from its realization's two
+    ``_combiner_basis`` directions (computed once per table); where h_ar is
+    parallel to h_br every alpha gives the alpha = 1 endpoint.  Each
+    null-space basis is ``relay_null_basis``'s, from one stacked QR call
+    for the ZF rows.  The receive gains have ``receive_gains``'s bits
+    (``_vdots``, ``_abs2``), so ``make_operating_point`` recomputes the
+    bits that the power step scored.  A row's bits do not depend on the
+    other rows of its call.
     """
     k = len(realizations)
     m_t = realizations[0].m_t

@@ -11,8 +11,9 @@ maximum lies on the upper frontier of that range.  ``solve_txbf_p2`` finds
 it by a 1-D search along the frontier and rebuilds a unit vector achieving
 the chosen pair in closed form.  ``dc_step`` is the paper's convex DC
 subproblem over the same (s_a, s_b) set, on a one-row ``_TxBatch``; it is
-not on the solver path and is kept as the reference that the oracle tests
-check.
+on no solver path and stays because the benchmark tracer wraps it and the
+oracle tests check it (its objective and surrogate are in the tests'
+``reference_dc`` module).
 
 The frontier search, the power step and the re-solves of the combiners
 whose powers moved each run as a few numpy calls over a ``_TxBatch`` of
@@ -29,7 +30,6 @@ import math
 
 import numpy as np
 
-from .model import receive_gains
 from .numerics import _vdots, maximize_1d
 from .rate_region import (
     _LN2,
@@ -44,8 +44,6 @@ from .rate_region import (
 )
 
 __all__ = [
-    "dc_objective",
-    "dc_linearized_objective",
     "dc_step",
     "solve_txbf_p2",
     "solve_power_p2",
@@ -86,28 +84,6 @@ def _coeffs(haa2, hbb2, rx_a, rx_b, p_a, p_b):
 
 def _si2(channels):
     return abs(channels.h_aa) ** 2, abs(channels.h_bb) ** 2
-
-
-def dc_objective(channels, w_r, p_a, p_b, s_a, s_b):
-    """Sum rate as a function of the two quadratic forms of w_t."""
-    e_a, e_b, k_a, k_b = _coeffs(*_si2(channels), *receive_gains(channels, w_r), p_a, p_b)
-    return float(_sum_rate_bits(e_a, e_b, k_a, k_b, s_a, s_b))
-
-
-def dc_linearized_objective(channels, w_r, p_a, p_b, s_a, s_b, anchor):
-    """Concave surrogate: f(s) minus the tangent of g(s) at the anchor.
-
-    g is concave (log of affine), so the tangent over-estimates it and the
-    surrogate is a global lower bound of the true objective, tight at the
-    anchor; that is what makes the DC iteration monotone.
-    """
-    e_a, e_b, k_a, k_b = _coeffs(*_si2(channels), *receive_gains(channels, w_r), p_a, p_b)
-    s_a_k, s_b_k = anchor
-    f_val = np.log2((e_a + 1.0) * s_a + k_a) + np.log2((e_b + 1.0) * s_b + k_b)
-    g_lin = (math.log2(s_a_k + k_a) + math.log2(s_b_k + k_b)
-             + (s_a - s_a_k) / (_LN2 * (s_a_k + k_a))
-             + (s_b - s_b_k) / (_LN2 * (s_b_k + k_b)))
-    return f_val - g_lin
 
 
 def dc_step(channels, ctx, p_a, p_b, anchor, config):

@@ -22,7 +22,6 @@ from fdtwrc.model import (
     relay_output_power,
     sample_channels,
     sinr_pair,
-    zf_residual,
 )
 from fdtwrc.oracles import (
     dc_grid_oracle,
@@ -31,13 +30,9 @@ from fdtwrc.oracles import (
     sampled_beamformer_oracle,
 )
 from fdtwrc.rate_region import Infeasible, _null_z, optimize_fixed_alpha_p1
-from fdtwrc.sum_rate import (
-    dc_linearized_objective,
-    dc_objective,
-    dc_step,
-    optimize_fixed_alpha_p2,
-)
+from fdtwrc.sum_rate import dc_step, optimize_fixed_alpha_p2
 from one_row import combiner_row, power_p1_row, power_row, txbf_p1_row, txbf_row
+from reference_dc import dc_linearized_objective, dc_objective, zf_residual
 
 pytestmark = pytest.mark.acceptance
 

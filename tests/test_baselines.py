@@ -12,9 +12,7 @@ from fdtwrc.baselines import (
     _hd_region_points,
     _hd_setup,
     fd_oneway_direction_rate,
-    fd_oneway_region,
     fd_oneway_regions,
-    fd_oneway_sum_rate,
     fd_oneway_sum_rates,
     hd_anc_region,
     hd_anc_regions,
@@ -30,10 +28,10 @@ from fdtwrc.model import (
     sample_channels,
     sample_realizations,
     zero_loopback,
-    zf_residual,
 )
 from fdtwrc.rate_region import _combiner_table, _p_prime, max_rate_given_rb
 from fdtwrc.sum_rate import max_sum_rate
+from reference_dc import zf_residual
 from reference_hd import reference_region, reference_sum_rate
 
 CFG = SystemConfig()
@@ -458,7 +456,7 @@ class TestFdOneway:
 
     def test_region_segment(self):
         ch = sample_channels(CFG, 12)
-        pts = fd_oneway_region(ch, 5, CFG)
+        [pts] = fd_oneway_regions([ch], 5, CFG)
         r_a = fd_oneway_direction_rate(ch, "B_to_A", CFG)
         r_b = fd_oneway_direction_rate(ch, "A_to_B", CFG)
         assert np.allclose(pts[0], (r_a, 0.0))   # fraction 0: the A-max end
@@ -469,7 +467,7 @@ class TestFdOneway:
         ch = sample_channels(CFG, 13)
         r_a = fd_oneway_direction_rate(ch, "B_to_A", CFG)
         r_b = fd_oneway_direction_rate(ch, "A_to_B", CFG)
-        pair = fd_oneway_sum_rate(ch, CFG)
+        [pair] = fd_oneway_sum_rates([ch], CFG)
         assert pair == ((r_a, 0.0) if r_a >= r_b else (0.0, r_b))
         assert sum(pair) == max(r_a, r_b)
         assert sum(pair) >= 0.5 * (r_a + r_b)  # never below the equal split
@@ -487,7 +485,7 @@ class TestFdOneway:
         ch = zero_loopback(sample_channels(CFG, 14))
         r_a = fd_oneway_direction_rate(ch, "B_to_A", CFG)
         r_b = fd_oneway_direction_rate(ch, "A_to_B", CFG)
-        assert sum(fd_oneway_sum_rate(ch, CFG)) >= 0.5 * (r_a + r_b) >= 0.5 * min(r_a, r_b)
+        assert sum(fd_oneway_sum_rates([ch], CFG)[0]) >= 0.5 * (r_a + r_b) >= 0.5 * min(r_a, r_b)
 
 
 def _projector_rate(ch, direction, cfg):
@@ -538,9 +536,9 @@ def test_stacked_closed_forms_match_one_realization(block):
         fd_pairs, fd_regions = fd_oneway_sum_rates(chs, cfg), fd_oneway_regions(chs, 3, cfg)
         local = local_csi_solves(chs, cfg, seeds)
         for i, (ch, seed) in enumerate(zip(chs, seeds)):
-            assert np.array(fd_pairs[i]).tobytes() == np.array(fd_oneway_sum_rate(ch, cfg)).tobytes()
+            assert np.array(fd_pairs[i]).tobytes() == np.array(fd_oneway_sum_rates([ch], cfg)[0]).tobytes()
             assert (np.array(fd_regions[i]).tobytes()
-                    == np.array(fd_oneway_region(ch, 3, cfg)).tobytes())
+                    == np.array(fd_oneway_regions([ch], 3, cfg)[0]).tobytes())
             for direction in ("B_to_A", "A_to_B"):
                 ref = _projector_rate(ch, direction, cfg)
                 assert fd_oneway_direction_rate(ch, direction, cfg) == pytest.approx(

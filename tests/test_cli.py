@@ -172,6 +172,17 @@ def test_b_link_gain_below_floor_exits_before_any_trial(monkeypatch, capsys):
     assert "gain_br" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("points", ["1", "0", "-5"])
+def test_region_below_two_points_exits_before_any_trial(points, monkeypatch, capsys):
+    # a region needs both ends of its sweep; fewer points are refused, not
+    # raised to 2
+    monkeypatch.setattr(fdtwrc.harness, "_run_task", _no_trial)
+    rc = main(["region", "--trials", "1", "--points", points, "--schemes", "fd2",
+               "--workers", "1"])
+    assert rc == 1
+    assert "error: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_seed_outside_uint64_exits_before_any_trial(seed, monkeypatch, capsys):
     monkeypatch.setattr(fdtwrc.harness, "_run_task", _no_trial)

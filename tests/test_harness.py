@@ -62,6 +62,12 @@ class TestSpecValidation:
             ExperimentSpec(kind="sumrate_vs_source_snr", schemes=FAST, sweep=(1.0,),
                            trials=1, seed=seed)
 
+    @pytest.mark.parametrize("sweep", [(0.0,), ()])
+    def test_region_needs_two_points(self, sweep):
+        # refused with the spec, before any realization is drawn
+        with pytest.raises(ValueError, match="at least 2 points"):
+            ExperimentSpec(kind="rate_region", schemes=FASTPAIR, sweep=sweep, trials=1, seed=0)
+
     def test_local_csi_has_no_region(self):
         with pytest.raises(ValueError):
             ExperimentSpec(kind="rate_region", schemes=(SchemeId.LOCAL_CSI,),

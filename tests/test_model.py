@@ -13,14 +13,14 @@ from fdtwrc.model import (
     db_to_linear,
     effective_gains,
     make_operating_point,
-    receive_combiner,
     relay_null_basis,
     relay_output_power,
     sample_channels,
     sample_realizations,
     sinr_pair,
-    zf_residual,
 )
+from one_row import combiner_row
+from reference_dc import zf_residual
 
 CFG = SystemConfig()
 FLOAT_FIELDS = ("p_a_max", "p_b_max", "p_r_max", "sigma2_a", "sigma2_b", "sigma2_r", "gain_br")
@@ -161,14 +161,16 @@ class TestSampleChannels:
 
 
 class TestReceiveCombiner:
+    """The combiner the solvers use: a ``_combiner_table`` row."""
+
     def test_alpha_one_points_along_h_br(self):
         ch = sample_channels(CFG, 7)
-        w = receive_combiner(ch, 1.0)
+        w = combiner_row(ch, 1.0)[0]
         assert abs(abs(np.vdot(unit(ch.h_br), w)) - 1.0) < 1e-10
 
     def test_alpha_zero_is_orthogonal_complement_direction(self):
         ch = sample_channels(CFG, 8)
-        w = receive_combiner(ch, 0.0)
+        w = combiner_row(ch, 0.0)[0]
         assert abs(np.vdot(ch.h_br, w)) < 1e-10 * np.linalg.norm(ch.h_br)
         assert abs(np.linalg.norm(w) - 1.0) < 1e-10
 
@@ -176,7 +178,7 @@ class TestReceiveCombiner:
         ch = sample_channels(replace(CFG, m_r=2, m_t=2), 1)
         ch = replace(ch, h_br=np.array([1.0, 0.0], dtype=complex),
                      h_ar=np.array([1.0, 1.0], dtype=complex) / np.sqrt(2))
-        w = receive_combiner(ch, 0.5)
+        w = combiner_row(ch, 0.5)[0]
         assert np.allclose(w * math.sqrt(0.75), [0.5, math.sqrt(0.5)])
         assert abs(np.linalg.norm(w) - 1.0) < 1e-12
 
@@ -188,7 +190,7 @@ class TestReceiveCombiner:
         u_par = unit(ch.h_br) * inner / abs(inner)
         u_perp = unit(ch.h_ar - u_par * np.vdot(u_par, ch.h_ar))
         for alpha in (0.2, 0.5, 0.8):
-            w = receive_combiner(ch, alpha)
+            w = combiner_row(ch, alpha)[0]
             norm = math.sqrt(alpha**2 + 1.0 - alpha)
             assert norm < 1.0
             assert abs(np.vdot(u_par, w) * norm - alpha) < 1e-10
@@ -200,13 +202,13 @@ class TestReceiveCombiner:
         ch = sample_channels(replace(CFG, m_r=1), 3)
         inner = np.vdot(ch.h_br, ch.h_ar)
         for alpha in (0.0, 0.5, 1.0):
-            w = receive_combiner(ch, alpha)
+            w = combiner_row(ch, alpha)[0]
             assert np.allclose(w, unit(ch.h_br) * inner / abs(inner), rtol=0.0, atol=1e-12)
 
     def test_zero_h_br_raises(self):
         ch = sample_channels(CFG, 3)
         with pytest.raises(DegenerateGeometryError):
-            receive_combiner(replace(ch, h_br=np.zeros_like(ch.h_br)), 0.5)
+            combiner_row(replace(ch, h_br=np.zeros_like(ch.h_br)), 0.5)
         # one zero h_br in a stack
         h_ar = np.array([sample_channels(CFG, s).h_ar for s in (4, 5, 6)])
         h_br = np.array([sample_channels(CFG, s).h_br for s in (4, 5, 6)])
@@ -259,7 +261,7 @@ class TestReceiveCombiner:
 class TestSignalModel:
     def test_sinr_trivial_cases(self):
         ch = sample_channels(CFG, 13)
-        w_r = receive_combiner(ch, 0.4)
+        w_r = combiner_row(ch, 0.4)[0]
         w_t = crandn(np.random.default_rng(0), CFG.m_t)
         gamma_a, _ = sinr_pair(ch, w_t, w_r, 1.0, 0.0)
         assert gamma_a == 0.0
@@ -299,7 +301,7 @@ class TestSignalModel:
 
     def test_relay_power_trivial(self):
         ch = sample_channels(CFG, 16)
-        w_r = receive_combiner(ch, 0.3)
+        w_r = combiner_row(ch, 0.3)[0]
         assert relay_output_power(ch, np.zeros(CFG.m_t, dtype=complex), w_r, 1, 1) == 0.0
         w_t = crandn(np.random.default_rng(1), CFG.m_t)
         nt2 = float(np.vdot(w_t, w_t).real)
@@ -309,7 +311,7 @@ class TestSignalModel:
         ch = sample_channels(CFG, 17)
         assert zf_residual(replace(ch, h_rr=np.zeros_like(ch.h_rr)),
                            np.ones(CFG.m_t), np.ones(CFG.m_r)) == 0.0
-        w_r = receive_combiner(ch, 0.6)
+        w_r = combiner_row(ch, 0.6)[0]
         n_t = relay_null_basis(ch, w_r)
         w_t = n_t @ crandn(np.random.default_rng(2), n_t.shape[1])
         assert zf_residual(ch, w_t, w_r) <= 1e-10 * np.linalg.norm(w_t)
@@ -320,7 +322,7 @@ class TestSignalModel:
 
     def test_effective_gains(self):
         ch = sample_channels(CFG, 18)
-        w_r = receive_combiner(ch, 0.5)
+        w_r = combiner_row(ch, 0.5)[0]
         perp_to_h_ra = np.linalg.qr(ch.h_ra[:, None], mode="complete")[0][:, 1]
         g = effective_gains(ch, perp_to_h_ra, w_r)
         assert g.tx_gain_a < 1e-20
@@ -336,7 +338,7 @@ class TestSignalModel:
 
     def test_sinr_monotone_in_powers(self):
         ch = sample_channels(CFG, 19)
-        w_r = receive_combiner(ch, 0.45)
+        w_r = combiner_row(ch, 0.45)[0]
         w_t = crandn(np.random.default_rng(5), CFG.m_t)
         pbs = np.linspace(0.1, 10, 25)
         gammas = [sinr_pair(ch, w_t, w_r, 1.0, pb)[0] for pb in pbs]
@@ -375,7 +377,7 @@ class TestSerialization:
 
     def test_operating_point_report(self):
         ch = sample_channels(CFG, 22)
-        w_r = receive_combiner(ch, 0.5)
+        w_r = combiner_row(ch, 0.5)[0]
         w_t = crandn(np.random.default_rng(6), CFG.m_t)
         pt = make_operating_point(ch, w_t, w_r, 0.5, 1.0, 2.0, trace=[0.1, 0.2])
         rep = pt.to_report()

@@ -5,7 +5,6 @@ import pytest
 
 from fdtwrc.model import (
     SystemConfig,
-    receive_combiner,
     relay_null_basis,
     sample_channels,
     sinr_pair,
@@ -16,6 +15,7 @@ from fdtwrc.oracles import (
     lagrangian_boundary_oracle,
     sampled_beamformer_oracle,
 )
+from one_row import combiner_row
 
 CFG = SystemConfig()
 
@@ -31,13 +31,13 @@ def unit(v):
 class TestGridPowerOracle:
     def test_minimum_grid_size(self):
         ch = sample_channels(CFG, 0)
-        w_r = receive_combiner(ch, 0.5)
+        w_r = combiner_row(ch, 0.5)[0]
         with pytest.raises(ValueError):
             grid_power_oracle(ch, np.ones(3, dtype=complex), w_r, "p2", 10, CFG)
 
     def test_refinement_monotone(self):
         ch = sample_channels(CFG, 1)
-        w_r = receive_combiner(ch, 0.5)
+        w_r = combiner_row(ch, 0.5)[0]
         w_t = 0.5 * unit(crandn(np.random.default_rng(0), CFG.m_t))
         prev = -np.inf
         for n in (100, 200, 400):
@@ -47,7 +47,7 @@ class TestGridPowerOracle:
 
     def test_infeasible_marker(self):
         ch = sample_channels(CFG, 2)
-        w_r = receive_combiner(ch, 0.5)
+        w_r = combiner_row(ch, 0.5)[0]
         w_t = 10.0 * unit(crandn(np.random.default_rng(1), CFG.m_t))  # power > budget
         rep = grid_power_oracle(ch, w_t, w_r, "p2", 100, CFG)
         assert rep.best_value == -np.inf
@@ -55,7 +55,7 @@ class TestGridPowerOracle:
     def test_single_feasible_point(self):
         # budget exactly consumed by the noise term: only (0, 0) is feasible
         ch = sample_channels(CFG, 20)
-        w_r = receive_combiner(ch, 0.5)
+        w_r = combiner_row(ch, 0.5)[0]
         w_t = np.sqrt(CFG.p_r_max) * unit(crandn(np.random.default_rng(4), CFG.m_t))
         rep = grid_power_oracle(ch, w_t, w_r, "p2", 100, CFG)
         assert rep.best_point == (0.0, 0.0)
@@ -63,7 +63,7 @@ class TestGridPowerOracle:
 
     def test_deterministic(self):
         ch = sample_channels(CFG, 3)
-        w_r = receive_combiner(ch, 0.4)
+        w_r = combiner_row(ch, 0.4)[0]
         w_t = 0.4 * unit(crandn(np.random.default_rng(2), CFG.m_t))
         a = grid_power_oracle(ch, w_t, w_r, "p1", 150, CFG, gamma_b=0.2)
         b = grid_power_oracle(ch, w_t, w_r, "p1", 150, CFG, gamma_b=0.2)
@@ -74,14 +74,14 @@ class TestGridPowerOracle:
 class TestSampledBeamformerOracle:
     def test_sample_floor(self):
         ch = sample_channels(CFG, 4)
-        w_r = receive_combiner(ch, 0.5)
+        w_r = combiner_row(ch, 0.5)[0]
         with pytest.raises(ValueError):
             sampled_beamformer_oracle(ch, w_r, {"p_a": 1, "p_b": 1, "p_r_max": 10},
                                       "gain_a", 100, seed=0)
 
     def test_infeasible_constraints_give_minus_inf(self):
         ch = sample_channels(CFG, 5)
-        w_r = receive_combiner(ch, 0.5)
+        w_r = combiner_row(ch, 0.5)[0]
         rep = sampled_beamformer_oracle(
             ch, w_r, {"p_a": 1.0, "p_b": 1.0, "p_r_max": 10.0, "gamma_b": 1e9},
             "gain_a", 10_000, seed=0)
@@ -89,7 +89,7 @@ class TestSampledBeamformerOracle:
 
     def test_deterministic_given_seed(self):
         ch = sample_channels(CFG, 6)
-        w_r = receive_combiner(ch, 0.5)
+        w_r = combiner_row(ch, 0.5)[0]
         cons = {"p_a": 2.0, "p_b": 3.0, "p_r_max": 10.0, "gamma_b": 0.1}
         a = sampled_beamformer_oracle(ch, w_r, cons, "gain_a", 10_000, seed=7)
         b = sampled_beamformer_oracle(ch, w_r, cons, "gain_a", 10_000, seed=7)
@@ -100,7 +100,7 @@ class TestSampledBeamformerOracle:
         # the optimum is p_bar |a_t|^2 max |d2^H z|^2 on |d1^H z|^2 = q
         rng = np.random.default_rng(49)
         ch = sample_channels(CFG, 49)
-        w_r = receive_combiner(ch, rng.uniform(0, 1))
+        w_r = combiner_row(ch, rng.uniform(0, 1))[0]
         p_a, p_b = rng.uniform(1, 10, size=2)
         rx_a = abs(np.vdot(w_r, ch.h_ar)) ** 2
         rx_b = abs(np.vdot(w_r, ch.h_br)) ** 2
@@ -129,7 +129,7 @@ class TestSampledBeamformerOracle:
                                       "unreachable_sinr", "zero_b_channel", "q_above_one"])
     def test_threshold_phase_edges_keep_phase_one(self, case):
         ch = sample_channels(CFG, 12)
-        w_r = receive_combiner(ch, 0.5)
+        w_r = combiner_row(ch, 0.5)[0]
         rx_a = abs(np.vdot(w_r, ch.h_ar)) ** 2
         cons = {"p_a": 2.0, "p_b": 3.0, "p_r_max": 10.0}
         if case == "negative_threshold":
@@ -152,7 +152,7 @@ class TestSampledBeamformerOracle:
     def test_phase_invariance_of_objective(self):
         # duplicate phase-rotated samples give identical objective values
         ch = sample_channels(CFG, 7)
-        w_r = receive_combiner(ch, 0.5)
+        w_r = combiner_row(ch, 0.5)[0]
         rng = np.random.default_rng(8)
         z = unit(crandn(rng, CFG.m_t))
         g1 = abs(np.vdot(ch.h_ra, z)) ** 2
@@ -180,13 +180,13 @@ class TestDcGridOracle:
     def test_requires_two_dimensional_null_space(self):
         cfg = SystemConfig(m_t=4, m_r=3)
         ch = sample_channels(cfg, 10)
-        w_r = receive_combiner(ch, 0.5)
+        w_r = combiner_row(ch, 0.5)[0]
         with pytest.raises(ValueError):
             dc_grid_oracle(ch, w_r, 1.0, 1.0, (0.0, 0.0), cfg)
 
     def test_deterministic(self):
         ch = sample_channels(CFG, 11)
-        w_r = receive_combiner(ch, 0.5)
+        w_r = combiner_row(ch, 0.5)[0]
         a = dc_grid_oracle(ch, w_r, 1.0, 2.0, (0.5, 0.5), CFG, n=200)
         b = dc_grid_oracle(ch, w_r, 1.0, 2.0, (0.5, 0.5), CFG, n=200)
         assert a.best_value == b.best_value

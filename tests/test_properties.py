@@ -19,13 +19,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdtwrc.baselines import (
-    fd_oneway_sum_rate,
+    fd_oneway_sum_rates,
     hd_anc_region,
     hd_anc_regions,
     hd_anc_solve,
     hd_anc_solves,
     local_csi_sum_rate,
-    upper_bound_regions,
     upper_bound_solve,
     upper_bound_solves,
 )
@@ -37,7 +36,6 @@ from fdtwrc.model import (
     sample_channels,
     sinr_pair,
     zero_loopback,
-    zf_residual,
 )
 from fdtwrc.oracles import grid_power_oracle
 from fdtwrc.rate_region import (
@@ -60,6 +58,7 @@ from fdtwrc.sum_rate import (
     solve_txbf_p2,
 )
 from one_row import combiner_row, power_p1_row, txbf_p1_row, txbf_row
+from reference_dc import zf_residual
 from reference_hd import reference_region, reference_sum_rate
 
 configs = st.builds(
@@ -383,10 +382,10 @@ def test_every_scheme_on_the_config_space(cfg, seeds):
     for scheme, pts in points.items():
         for ch, pt in zip(chs, pts):
             assert_point_within_limits(scheme, ch, pt, cfg)
-    for ch in chs:
-        assert all(map(math.isfinite, fd_oneway_sum_rate(ch, cfg)))
+    for pair in fd_oneway_sum_rates(chs, cfg):
+        assert all(map(math.isfinite, pair))
     regions = {"proposed": rate_regions(chs, 3, cfg), "hd": hd_anc_regions(chs, 3, cfg),
-               "ub": upper_bound_regions(chs, 3, cfg)}
+               "ub": rate_regions([zero_loopback(ch) for ch in chs], 3, cfg)}
     for scheme, sweeps in regions.items():
         for ch, entries in zip(chs, sweeps):
             assert entries[-1][1] is not None

@@ -12,7 +12,6 @@ from fdtwrc.baselines import (
     _hd_points,
     _hd_setup,
     hd_anc_region,
-    upper_bound_regions,
     upper_bound_solve,
     upper_bound_solves,
 )
@@ -21,13 +20,11 @@ from fdtwrc.model import (
     SystemConfig,
     db_to_linear,
     effective_gains,
-    receive_combiner,
     relay_null_basis,
     relay_output_power,
     sample_channels,
     sinr_pair,
     zero_loopback,
-    zf_residual,
 )
 from fdtwrc.numerics import null_space_basis
 from fdtwrc.oracles import grid_power_oracle, lagrangian_boundary_oracle, sampled_beamformer_oracle
@@ -50,6 +47,7 @@ from fdtwrc.rate_region import (
 )
 from fdtwrc.sum_rate import max_sum_rate, max_sum_rates, optimize_fixed_alpha_p2
 from one_row import combiner_row, power_p1_row, txbf_p1_row
+from reference_dc import zf_residual
 
 CFG = SystemConfig()
 rate_region_module = importlib.import_module("fdtwrc.rate_region")
@@ -407,7 +405,7 @@ class TestMaxRateGivenRb:
             gamma_b = 2.0**r_b - 1.0
             best = 0.0
             for alpha in np.linspace(0, 1, 9):
-                w_r = receive_combiner(ch, alpha)
+                w_r = combiner_row(ch, alpha)[0]
                 n_t = relay_null_basis(ch, w_r)
                 zs = rng.standard_normal((400, n_t.shape[1])) + 1j * rng.standard_normal((400, n_t.shape[1]))
                 zs /= np.linalg.norm(zs, axis=1, keepdims=True)
@@ -514,10 +512,14 @@ def _point_bits(pt):
             pt.powers.p_r, b.alpha, b.w_t.tobytes(), b.w_r.tobytes(), tuple(pt.trace))
 
 
-def upper_bound_region(ch, n_points, cfg):
-    """``upper_bound_regions`` of one realization."""
-    [entries] = upper_bound_regions([ch], n_points, cfg)
-    return entries
+def ub_regions(chs, n_points, cfg):
+    """ub's region sweeps: ``rate_regions`` of the zero-loopback copies."""
+    return rate_regions([zero_loopback(ch) for ch in chs], n_points, cfg)
+
+
+def ub_region(ch, n_points, cfg):
+    """ub's region sweep of one realization: ``rate_region`` of its copy."""
+    return rate_region(zero_loopback(ch), n_points, cfg)
 
 
 def _standalone_or_none(ch, r_b, cfg):
@@ -679,7 +681,7 @@ class TestLockstepRealizations:
             _point_bits(upper_bound_solve(ch, CFG)) for ch in chs]
 
     @pytest.mark.parametrize("sweeps, sweep", [(rate_regions, rate_region),
-                                               (upper_bound_regions, upper_bound_region)])
+                                               (ub_regions, ub_region)])
     def test_region_sweeps(self, sweeps, sweep):
         chs = _chunk()
         assert [[(r_b, _point_bits(pt)) for r_b, pt in entries] for entries in sweeps(chs, 5, CFG)] == [
@@ -809,7 +811,7 @@ def _hd_one_target(ch, cfg, r_b):
 REGION_SCHEMES = {
     "proposed": (lambda ch, cfg, n: rate_region(ch, n, cfg),
                  lambda ch, cfg, r_b: max_rate_given_rb(ch, r_b, cfg), 1.0),
-    "ub": (lambda ch, cfg, n: upper_bound_region(ch, n, cfg),
+    "ub": (lambda ch, cfg, n: ub_region(ch, n, cfg),
            lambda ch, cfg, r_b: max_rate_given_rb(zero_loopback(ch), r_b, cfg), 1.0),
     "hd_full": (lambda ch, cfg, n: hd_anc_region(ch, n, cfg),
                 _hd_one_target, 0.5),

@@ -11,14 +11,12 @@ import pytest
 from fdtwrc.baselines import upper_bound_solve
 from fdtwrc.model import (
     SystemConfig,
-    receive_combiner,
     receive_gains,
     relay_null_basis,
     relay_output_power,
     sample_channels,
     sinr_pair,
     zero_loopback,
-    zf_residual,
 )
 from fdtwrc.numerics import null_space_basis
 from fdtwrc import sum_rate
@@ -39,8 +37,6 @@ from fdtwrc.sum_rate import (
     _frontier_argmax,
     _stationary_points,
     _sum_rate_bits,
-    dc_linearized_objective,
-    dc_objective,
     dc_step,
     max_sum_rate,
     optimize_fixed_alpha_p2,
@@ -48,6 +44,7 @@ from fdtwrc.sum_rate import (
     solve_txbf_p2,
 )
 from one_row import combiner_row, power_row, txbf_row
+from reference_dc import dc_linearized_objective, dc_objective, receive_combiner, zf_residual
 
 CFG = SystemConfig()
 rate_region_module = importlib.import_module("fdtwrc.rate_region")
@@ -72,7 +69,7 @@ def draw(seed, m_t=3, m_r=3, **cfg_kw):
 
 def instance(seed, m_t=3, m_r=3, **cfg_kw):
     cfg, ch, alpha, p_a, p_b = draw(seed, m_t, m_r, **cfg_kw)
-    return cfg, ch, receive_combiner(ch, alpha), p_a, p_b
+    return cfg, ch, combiner_row(ch, alpha)[0], p_a, p_b
 
 
 def p2_instance(seed, m_t=3, m_r=3, **cfg_kw):
@@ -757,9 +754,9 @@ class TestScalarKernels:
 
 class TestCombinerTable:
     def test_rows_match_tx_context(self):
-        # the batched combiners and null-space reductions are those of
-        # receive_combiner and relay_null_basis, up to rounding (directions
-        # up to a common phase)
+        # the batched combiners and null-space reductions are those of the
+        # scalar reference receive_combiner and of relay_null_basis, up to
+        # rounding (directions up to a common phase)
         for seed, kw in ((40, {}), (41, {"m_t": 4, "m_r": 2}), (42, {"sigma2_r": 0.0})):
             cfg = replace(CFG, **kw)
             ch = sample_channels(cfg, seed)
@@ -784,6 +781,17 @@ class TestCombinerTable:
                                    n_t @ n_t.conj().T, atol=1e-12)
                 assert not batch.n_t[k, :, n:].any() and not batch.d[k, n:].any()
                 assert abs(np.vdot(batch.d[k, :n, 0], batch.d[k, :n, 1]) - np.vdot(d2, d1)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, math.nan])
+    def test_alpha_outside_unit_interval_raises(self, alpha):
+        # the table's check is the only one: both fixed-combiner solvers reach it
+        ch = sample_channels(CFG, 45)
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+            _combiner_table(ch)(np.array([0.5, alpha]))
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+            optimize_fixed_alpha_p2(ch, alpha, CFG)
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+            optimize_fixed_alpha_p1(ch, alpha, 0.1, CFG)
 
     def test_zero_loopback_rows_keep_every_direction(self, monkeypatch):
         # with the loopback zeroed every null space is the whole space: each
