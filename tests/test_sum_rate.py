@@ -67,13 +67,8 @@ def draw(seed, m_t=3, m_r=3, **cfg_kw):
     return cfg, ch, alpha, p_a, p_b
 
 
-def instance(seed, m_t=3, m_r=3, **cfg_kw):
-    cfg, ch, alpha, p_a, p_b = draw(seed, m_t, m_r, **cfg_kw)
-    return cfg, ch, combiner_row(ch, alpha)[0], p_a, p_b
-
-
 def p2_instance(seed, m_t=3, m_r=3, **cfg_kw):
-    """``instance``'s draw, with the combiner table's w_r and its one-row
+    """``draw``'s instance, with the combiner table's w_r and its one-row
     batch: (cfg, ch, w_r, batch, p_a, p_b)."""
     cfg, ch, alpha, p_a, p_b = draw(seed, m_t, m_r, **cfg_kw)
     return (cfg, ch, *combiner_row(ch, alpha), p_a, p_b)
@@ -81,13 +76,13 @@ def p2_instance(seed, m_t=3, m_r=3, **cfg_kw):
 
 class TestDcObjective:
     def test_zeros(self):
-        _, ch, w_r, p_a, p_b = instance(0)
+        _, ch, w_r, _, p_a, p_b = p2_instance(0)
         assert dc_objective(ch, w_r, p_a, p_b, 0.0, 0.0) == 0.0
         assert dc_objective(ch, w_r, 0.0, 0.0, 3.0, 4.0) == 0.0
 
     def test_f_minus_g_identity(self):
         rng = np.random.default_rng(1)
-        _, ch, w_r, p_a, p_b = instance(1)
+        _, ch, w_r, _, p_a, p_b = p2_instance(1)
         rx_a = abs(np.vdot(w_r, ch.h_ar)) ** 2
         rx_b = abs(np.vdot(w_r, ch.h_br)) ** 2
         k_a = p_a * abs(ch.h_aa) ** 2 + 1.0
@@ -103,14 +98,14 @@ class TestDcObjective:
 
 class TestDcLinearized:
     def test_tangency_at_anchor(self):
-        _, ch, w_r, p_a, p_b = instance(2)
+        _, ch, w_r, _, p_a, p_b = p2_instance(2)
         anchor = (3.0, 1.5)
         lin = dc_linearized_objective(ch, w_r, p_a, p_b, *anchor, anchor)
         true = dc_objective(ch, w_r, p_a, p_b, *anchor)
         assert abs(lin - true) < 1e-12
 
     def test_gradient_matches_finite_differences(self):
-        _, ch, w_r, p_a, p_b = instance(3)
+        _, ch, w_r, _, p_a, p_b = p2_instance(3)
         anchor = (2.0, 4.0)
         h = 1e-6
         for dim in (0, 1):
@@ -129,7 +124,7 @@ class TestDcLinearized:
         # under-estimates the true objective everywhere (tight at the anchor);
         # this is the minorization that makes the DC iteration monotone
         rng = np.random.default_rng(4)
-        _, ch, w_r, p_a, p_b = instance(4)
+        _, ch, w_r, _, p_a, p_b = p2_instance(4)
         anchor = (rng.uniform(0, 10), rng.uniform(0, 10))
         for _ in range(1000):
             s_a, s_b = rng.uniform(0, 30, size=2)
