@@ -128,15 +128,25 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if self.kind in REGION_KINDS and len(self.sweep) < 2:
-            raise ValueError(f"a rate region needs at least 2 points, got {len(self.sweep)}")
+        if self.kind in REGION_KINDS:
+            # run_experiment solves n equally spaced boundary points and
+            # labels them with the sweep, so the sweep must be those points
+            n = len(self.sweep)
+            if n < 2:
+                raise ValueError(f"a rate region needs at least 2 points, got {n}")
+            if not np.allclose(np.asarray(self.sweep, dtype=float), np.linspace(0.0, 1.0, n),
+                               rtol=0.0, atol=1e-12):
+                raise ValueError(f"a rate region sweeps {n} equally spaced fractions from "
+                                 f"0 to 1, got {self.sweep}")
         if not self.sweep:
             raise ValueError("sweep must be nonempty")
         if not self.schemes:
             raise ValueError("at least one scheme is required")
-        for scheme in self.schemes:
+        for i, scheme in enumerate(self.schemes):
             if scheme not in SCHEMES:
                 raise ValueError(f"unknown scheme {scheme!r}")
+            if scheme in self.schemes[:i]:
+                raise ValueError(f"scheme {scheme.value} is listed twice")
             if self.kind in REGION_KINDS and SCHEMES[scheme][1] is None:
                 raise ValueError(f"{scheme.value} has no region objective")
 

@@ -53,8 +53,9 @@ class SystemConfig:
 
     m_t must be an integer of at least 2 so the ZF constraint can always be
     satisfied through the transmit-side null space.  The solvers' search
-    constants (combiner grid size, alternation cap and tolerance, 1-D grid
-    size) are fixed class attributes, not per-run options.
+    constants (combiner grid size, alternation cap and tolerance, and the
+    1-D grid size, which sizes only ``dc_step``'s reference slice search)
+    are fixed class attributes, not per-run options.
     """
 
     m_t: int = 3

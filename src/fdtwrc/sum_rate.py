@@ -7,17 +7,18 @@ Given the combiner and the powers, the objective depends on w_t only through
 the two quadratic forms s_a = |h_ra^H w_t|^2 and s_b = |h_rb^H w_t|^2.  The
 joint range of two Hermitian forms over the unit sphere is convex
 (Hausdorff-Toeplitz) and the sum rate increases in both forms, so its
-maximum lies on the upper frontier of that range.  ``solve_txbf_p2`` finds
-it by a 1-D search along the frontier and rebuilds a unit vector achieving
-the chosen pair in closed form.  ``dc_step`` is the paper's convex DC
-subproblem over the same (s_a, s_b) set, on a one-row ``_TxBatch``; it is
-on no solver path and stays because the benchmark tracer wraps it and the
-oracle tests check it (its objective and surrogate are in the tests'
-``reference_dc`` module).
+maximum lies on the upper frontier of that range, along which the sum
+rate is concave.  ``solve_txbf_p2`` finds it by one golden-section search
+along the frontier, of a fixed step count, and rebuilds a unit vector
+achieving the chosen pair in closed form.  ``dc_step`` is the paper's
+convex DC subproblem over the same (s_a, s_b) set, on a one-row
+``_TxBatch``; it is on no solver path and stays because the benchmark
+tracer wraps it and the oracle tests check it (its objective and
+surrogate are in the tests' ``reference_dc`` module).
 
 The frontier search, the power step and the re-solves of the combiners
-whose powers moved each run as a few numpy calls over a ``_TxBatch`` of
-combiners, whose rows carry their realization's channel data and a
+whose powers moved each run over all rows of a ``_TxBatch`` of combiners
+at once, whose rows carry their realization's channel data and a
 null-space basis of one width whatever their rank, so ``max_sum_rates``
 searches the combiners of several realizations, and of their
 zero-loopback copies, in one lockstep; the power step's stationary
@@ -25,7 +26,6 @@ points on the relay-budget curve are the roots of a quadratic, solved for
 all rows in closed form.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -52,13 +52,9 @@ __all__ = [
     "max_sum_rates",
 ]
 
-# grid spacing in q at which the frontier search stops
-_FRONTIER_TOL = 1e-6
-# float64 elements of one rows x levels temporary of the frontier search:
-# 64 KiB, below the 128 KiB at which glibc's malloc maps a block of its own.
-# Larger temporaries are mapped and unmapped (or trimmed off the heap) on
-# every call, and their pages fault in afresh each time.
-_FRONTIER_BLOCK = 8192
+# golden-section steps of the frontier search: its bracket on t ends at 0.618^36 < 3e-8
+_FRONTIER_STEPS = 36
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # distance, relative to the power box, within which a power candidate is a
 # box corner
 _CORNER_TOL = 1e-12
@@ -135,53 +131,54 @@ def dc_step(channels, ctx, p_a, p_b, anchor, config):
     return s_a_best, s_b_best, math.sqrt(p_prime) * (ctx.n_t[0] @ z)
 
 
-@functools.cache
-def _zoom_grids(points):
-    """The level offsets of ``_frontier_argmax``'s grids: [0, 1] itself,
-    then for each further grid the offsets from the last best level,
-    spaced 2h / (points - 1) on [-h, h] with h the last grid's spacing."""
-    grids = [np.linspace(0.0, 1.0, points)]
-    h = 1.0 / (points - 1)
-    while h > _FRONTIER_TOL:
-        grids.append(np.linspace(-h, h, points))
-        h = 2.0 * h / (points - 1)
-    for grid in grids:
-        grid.setflags(write=False)
-    return grids
-
-
-def _frontier_argmax(e_a, e_b, k_a, k_b, top_a, top_b, r, grid_points):
+def _frontier_argmax(e_a, e_b, k_a, k_b, top_a, top_b, r):
     """Each row's frontier level q in [0, 1] of largest sum rate.
 
-    Zoomed grids, all rows at once: ``grid_points`` levels on [0, 1], then
-    as many on [q - h, q + h] (clipped to [0, 1]) around the best level q
-    of the last grid, whose spacing is h, until the spacing is at most
-    ``_FRONTIER_TOL`` (three grids at 201 points: spacings 5e-3, 5e-5 and
-    5e-7).  Returns each row's best level on the last grid; ties go to the
-    lowest level.  The last grid holds levels within its spacing of every
-    earlier best, so no earlier best is lost by more than the frontier's
-    change over that spacing.  The rows run in blocks of at most
-    ``_FRONTIER_BLOCK // grid_points``; a row's level does not depend on
-    its block.
+    With q = cos^2 b and r = cos theta, the frontier is
+    s_a = top_a cos^2(b - theta) (``boundary_range``'s hi) and
+    s_b = top_b cos^2 b.  It is the upper boundary of the convex reachable
+    (s_a, s_b) set, so s_a is concave in q; L(s) = log(1 + e s / (s + k))
+    is concave and nondecreasing, so L_a(s_a(q)) + L_b(top_b q), the sum
+    rate along the frontier, is concave in q.  It is therefore unimodal in
+    t = tan(b / 2) in [0, 1], along which q = ((1 - t^2) / (1 + t^2))^2
+    decreases.  A golden-section search over t (Kiefer 1953), all rows at
+    once, keeps a maximizer in its bracket, which shrinks by
+    G = (sqrt(5) - 1) / 2 a step: each step scores x = t + d, the mirror of
+    the best point t in the bracket, keeps the better of the two, and goes
+    on past x (d -> G d) if x scored higher or turns back past t
+    (d -> -G d) if not (a tie puts both on the top plateau).  After
+    ``_FRONTIER_STEPS`` steps t, or an end t = 0 (q = 1) or t = 1 (q = 0)
+    that scores at least as high, is the row's level.  The arithmetic is
+    + - x / and sqrt, which are correctly rounded, so a row's level does not
+    depend on the other rows of its call (np.cos's SIMD and scalar paths
+    may differ).
     """
-    block = max(1, _FRONTIER_BLOCK // grid_points)
-    if r.shape[0] > block:
-        args = (e_a, e_b, k_a, k_b, top_a, top_b, r)
-        return np.concatenate([
-            _frontier_argmax(*(x[i:i + block] for x in args), grid_points)
-            for i in range(0, r.shape[0], block)])
-    e_a, e_b, k_a, k_b, top_a, top_b, r = (x[:, None] for x in (e_a, e_b, k_a, k_b,
-                                                                top_a, top_b, r))
-    rows = np.arange(r.shape[0])
-    first, *zooms = _zoom_grids(grid_points)
-    qs = first
-    for offsets in [None, *zooms]:
-        if offsets is not None:
-            qs = np.minimum(np.maximum(q[:, None] + offsets, 0.0), 1.0)
-        vals = _rate_gain(e_a, e_b, k_a, k_b, top_a * boundary_range(r, qs)[1], qs * top_b)
-        i = np.argmax(vals, axis=1)
-        q = qs[i] if offsets is None else qs[rows, i]
-    return q
+    # K x 2: A's and B's terms side by side (t, d and f twice), one array op for both
+    c0, c1, a, e = (np.stack(pair, axis=1) for pair in (
+        (r, np.ones_like(r)), (2.0 * np.sqrt(np.maximum(0.0, 1.0 - r * r)), np.zeros_like(r)),
+        (top_a / k_a, top_b / k_b), (1.0 + e_a, 1.0 + e_b)))
+
+    def gain(t):  # _rate_gain at each row's level t, in both columns
+        n = (c1 - c0 * t) * t + c0  # (1 + t^2) (cos(b - theta), cos b)
+        s, u = a * (n * n), t * t + 1.0
+        u *= u
+        ratio = (e * s + u) / (s + u)
+        return ratio * ratio[:, ::-1]
+
+    t, d = np.full_like(c0, _GOLDEN), np.full_like(c0, 1.0 - 2.0 * _GOLDEN)
+    f = gain(t)
+    for _ in range(_FRONTIER_STEPS):
+        x = t + d
+        f_x = gain(x)
+        better = f_x > f
+        t, f = np.where(better, x, t), np.maximum(f, f_x)
+        d = np.where(better, d, -d) * _GOLDEN
+    for end in (0.0, 1.0):
+        f_end = gain(np.full_like(t, end))
+        t, f = np.where(f_end >= f, end, t), np.maximum(f, f_end)
+    t = t[:, 0]
+    c = (1.0 - t * t) / (1.0 + t * t)
+    return c * c
 
 
 def solve_txbf_p2(ctx, p_a, p_b, config, w_t_init=None):
@@ -190,55 +187,32 @@ def solve_txbf_p2(ctx, p_a, p_b, config, w_t_init=None):
     ``p_a``/``p_b`` arrays of its powers and ``w_t_init`` None or the rows'
     warm starts; returns one beamformer per row (K x m_t).
 
-    A rank-1 row's direction is forced and the sum rate is nondecreasing
-    in the transmit power, so the full budget is its answer; the other
-    rows are solved as a batch of their own.  At rank 2 and up the
-    sum rate increases in both quadratic forms, so its maximum over the
-    convex reachable (s_a, s_b) set lies on the upper frontier
-    s_a = s_a_max(q), q = s_b / s_b_max at full budget; a 1-D search over q
-    in [0, 1] therefore solves the inner problem exactly.  The search
-    (``_frontier_argmax``) runs zoomed grids over all rows at once, down to
-    a spacing of ``_FRONTIER_TOL`` in q.  A row's frontier point is
-    returned only when its sum rate exceeds that of its start point (the
-    unconstrained-direction cold start, or the warm start when it scores
-    higher), so a warm-started row never scores below its warm start.
+    The sum rate increases in both quadratic forms, so its maximum over
+    the convex reachable (s_a, s_b) set lies on the upper frontier
+    s_a = s_a_max(q), q = s_b / s_b_max at full budget, along which it is
+    concave in q; ``_frontier_argmax``'s golden-section search along it
+    solves the inner problem to rounding, and ``_boundary_z`` builds the
+    frontier point (a rank-1 row's one direction).  A warm-started row
+    keeps its warm start, at full budget, unless the frontier point scores
+    strictly higher, so its sum rate never falls below its warm start's.
     ``dc_step`` is the paper's DC iteration over the same set, kept as the
     oracle-tested reference.
     """
     rx_a, rx_b = ctx.rx[:, 0], ctx.rx[:, 1]
     p_prime = _p_prime(config.p_r_max, p_a, p_b, rx_a, rx_b)
-    free = np.flatnonzero(ctx.rank > 1)
-    if free.size < len(p_prime):  # the rank-1 rows' forced direction at full budget
-        w_t = np.sqrt(p_prime)[:, None] * ctx.n_t[:, :, 0]
-        if free.size:
-            w_t[free] = solve_txbf_p2(ctx.take(free), p_a[free], p_b[free], config,
-                                      None if w_t_init is None else w_t_init[free])
-        return w_t
     e_a, e_b, k_a, k_b = _coeffs(*ctx.si2.T, rx_a, rx_b, p_a, p_b)
     top = p_prime[:, None] * ctx.n2
-    q = _frontier_argmax(e_a, e_b, k_a, k_b, top[:, 0], top[:, 1], ctx.r, config.grid_points)
-
-    # candidates: the start point (z along the null-space image of h_ra, or
-    # of h_rb if that is zero), the warm start and the frontier point; the
-    # first of the highest scoring wins, so the warm start replaces the
-    # start and the frontier point both only when it scores higher
-    z = np.zeros((len(p_prime), ctx.d.shape[1], 3), dtype=complex)
-    z[:, :, 0] = ctx.d[:, :, 0]
-    if not ctx.has[:, 0].all():
-        for k in np.flatnonzero(~ctx.has[:, 0]):
-            z[k, :, 0] = _row_z(ctx, k, 1.0)
-    usable = np.zeros(len(p_prime), dtype=bool)
+    z = _boundary_z(ctx, _frontier_argmax(e_a, e_b, k_a, k_b, top[:, 0], top[:, 1], ctx.r))
     if w_t_init is not None:
         zi = (np.conj(ctx.n_t).transpose(0, 2, 1) @ w_t_init[:, :, None])[:, :, 0]
         nz = np.linalg.norm(zi, axis=1)
         usable = nz > 1e-150
-        z[:, :, 1] = zi / np.where(usable, nz, 1.0)[:, None]
-    z[:, :, 2] = _boundary_z(ctx, q)
-    s = p_prime[:, None, None] * np.square(np.abs(ctx.f @ z))  # K x 2 x 3: s_a, s_b
-    score = _rate_gain(e_a[:, None], e_b[:, None], k_a[:, None], k_b[:, None], s[:, 0], s[:, 1])
-    score[:, 1] = np.where(usable, score[:, 1], -math.inf)
-    z_best = z[np.arange(len(p_prime)), :, np.argmax(score, axis=1)]
-    return np.sqrt(p_prime)[:, None] * (ctx.n_t @ z_best[:, :, None])[:, :, 0]
+        zi /= np.where(usable, nz, 1.0)[:, None]
+        # K x 2 x 2: s_a, s_b of the warm start and the frontier point
+        s = p_prime[:, None, None] * np.square(np.abs(ctx.f @ np.stack([zi, z], axis=2)))
+        score = _rate_gain(*(x[:, None] for x in (e_a, e_b, k_a, k_b)), s[:, 0], s[:, 1])
+        z = np.where((usable & (score[:, 0] >= score[:, 1]))[:, None], zi, z)
+    return np.sqrt(p_prime)[:, None] * (ctx.n_t @ z[:, :, None])[:, :, 0]
 
 
 def _snap_to_corner(p, p_max):

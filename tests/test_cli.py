@@ -183,6 +183,14 @@ def test_region_below_two_points_exits_before_any_trial(points, monkeypatch, cap
     assert "error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["sumrate"], ["region", "--points", "3"]])
+def test_duplicate_scheme_exits_before_any_trial(command, monkeypatch, capsys):
+    monkeypatch.setattr(fdtwrc.harness, "_run_task", _no_trial)
+    rc = main([*command, "--trials", "1", "--schemes", "fd2,fd2", "--workers", "1"])
+    assert rc == 1
+    assert "error: scheme fd2 is listed twice" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_seed_outside_uint64_exits_before_any_trial(seed, monkeypatch, capsys):
     monkeypatch.setattr(fdtwrc.harness, "_run_task", _no_trial)

@@ -68,6 +68,37 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="at least 2 points"):
             ExperimentSpec(kind="rate_region", schemes=FASTPAIR, sweep=sweep, trials=1, seed=0)
 
+    @pytest.mark.parametrize("sweep", [
+        (0.0, 0.3, 1.0),  # unequal spacing
+        (1.0, 0.5, 0.0),  # descending
+        (1.0, 0.2, 0.0),
+        (0.2, 0.6, 1.0),  # not from 0
+        (0.0, 0.25, 0.5),  # not to 1
+        (0.0, 1.0, 2.0),  # outside [0, 1]
+        (0.0, math.nan, 1.0),
+    ])
+    def test_region_sweep_must_be_equally_spaced_fractions(self, sweep):
+        # a region's boundary points are n equally spaced fractions whatever
+        # the sweep holds, so any other sweep would only mislabel them
+        with pytest.raises(ValueError, match="equally spaced fractions from 0 to 1"):
+            ExperimentSpec(kind="rate_region", schemes=FASTPAIR, sweep=sweep, trials=1, seed=0)
+
+    @pytest.mark.parametrize("sweep", [
+        (0.0, 1.0),
+        tuple(np.linspace(0.0, 1.0, 11)),
+        (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),  # decimal literals
+    ])
+    def test_region_sweep_of_equally_spaced_fractions(self, sweep):
+        ExperimentSpec(kind="rate_region", schemes=FASTPAIR, sweep=sweep, trials=1, seed=0)
+
+    @pytest.mark.parametrize("kind, sweep", [("sumrate_vs_source_snr", (10.0,)),
+                                             ("rate_region", (0.0, 1.0))])
+    def test_duplicate_scheme(self, kind, sweep):
+        # a scheme listed twice would run twice and print two identical rows
+        with pytest.raises(ValueError, match="scheme fd2 is listed twice"):
+            ExperimentSpec(kind=kind, sweep=sweep, trials=1, seed=0,
+                           schemes=(SchemeId.FD_ONEWAY, SchemeId.HD_ANC, SchemeId.FD_ONEWAY))
+
     def test_local_csi_has_no_region(self):
         with pytest.raises(ValueError):
             ExperimentSpec(kind="rate_region", schemes=(SchemeId.LOCAL_CSI,),

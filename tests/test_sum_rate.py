@@ -1,6 +1,5 @@
 import importlib
 import math
-import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -697,36 +696,51 @@ class TestStationaryPoints:
 
 class TestScalarKernels:
     def test_frontier_rows_match_batches_of_one(self):
-        # the zoomed-grid frontier search treats its rows independently: a
-        # batch returns, bit for bit, the levels its rows return alone; 100
-        # rows span three of its row blocks, the last one partial
+        # the golden-section frontier search treats its rows independently:
+        # a batch returns, bit for bit, the levels its rows return alone
         rng = np.random.default_rng(23)
         cols = rng.uniform(0.0, 50.0, (6, 100))
         r = rng.uniform(0.0, 1.0, 100)
         r[:4] = (0.0, 1.0, 1.0 - 1e-12, 0.5)
         cols[4:, 5] = 0.0  # a silent direction: a flat frontier
-        q = _frontier_argmax(*cols, r, CFG.grid_points)
+        q = _frontier_argmax(*cols, r)
         assert np.all((q >= 0.0) & (q <= 1.0))
         for k in range(100):
-            alone = _frontier_argmax(*cols[:, k:k + 1], r[k:k + 1], CFG.grid_points)
+            alone = _frontier_argmax(*cols[:, k:k + 1], r[k:k + 1])
             assert alone.tobytes() == q[k:k + 1].tobytes()
 
-    def test_frontier_memory_does_not_grow_with_rows(self):
-        # the search runs its rows in blocks, so a lockstep of 16
-        # realizations' combiners needs no more memory than one block
-        block = sum_rate._FRONTIER_BLOCK // CFG.grid_points
-        rng = np.random.default_rng(24)
+    def test_frontier_not_below_dense_reference(self):
+        # 10^4 rows, coefficients 1e-4 to 1e4, with missing directions,
+        # silent sources and r at 0, 1 and 1 - 1e-12: the search's level
+        # never scores below a dense search of the frontier angle b
+        # (q = cos^2 b; three 2001-point grids, each spanning two spacings
+        # of the last) by more than 1e-12 relative
+        rng = np.random.default_rng(25)
+        n = 10_000
+        cols = 10.0 ** rng.uniform(-4.0, 4.0, (6, n))
+        r = rng.uniform(0.0, 1.0, n)
+        r[:3000:3], r[1:3000:3], r[2:3000:3] = 0.0, 1.0, 1.0 - 1e-12
+        cols[4, 3000:4000] = r[3000:4000] = 0.0  # A has no direction
+        cols[5, 4000:5000] = r[4000:5000] = 0.0  # B has no direction
+        cols[0, 5000:5500] = cols[1, 5500:6000] = 0.0  # a silent source
 
-        def peak(rows):
-            cols, r = rng.uniform(0.0, 50.0, (6, rows)), rng.uniform(0.0, 1.0, rows)
-            tracemalloc.start()
-            try:
-                _frontier_argmax(*cols, r, CFG.grid_points)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        def gain(c, rr, q):
+            e_a, e_b, k_a, k_b, top_a, top_b = c
+            return sum_rate._rate_gain(e_a, e_b, k_a, k_b, top_a * boundary_range(rr, q)[1],
+                                       q * top_b)
 
-        assert peak(16 * CFG.alpha_grid) < 1.25 * peak(block)
+        got = gain(cols, r, _frontier_argmax(*cols, r))
+        for i in range(0, n, 500):
+            c, rr = cols[:, i:i + 500, None], r[i:i + 500, None]
+            b = np.broadcast_to(np.linspace(0.0, np.pi / 2, 2001), (len(rr), 2001))
+            h = np.pi / 4000
+            for _ in range(3):
+                vals = gain(c, rr, np.square(np.cos(b)))
+                best = np.take_along_axis(b, vals.argmax(axis=1)[:, None], axis=1)
+                b = np.clip(best + np.linspace(-h, h, 2001), 0.0, np.pi / 2)
+                h *= 2.0 / 2000
+            ref = vals.max(axis=1)
+            assert np.all(got[i:i + 500] >= ref * (1.0 - 1e-12))
 
     @pytest.mark.parametrize("null_dim", [None, 2, 3])
     def test_frontier_float_matches_array_element(self, null_dim):
