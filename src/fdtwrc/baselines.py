@@ -30,12 +30,11 @@ from .model import (
     make_operating_point,
     zero_loopback,
 )
-from .numerics import _norms, _vdots
+from .numerics import _abs2, _norms, _vdots
 # _alpha_search and max_sum_rate are not called here; they stay bound
 # because the perfbench tracer test requires it to wrap these bindings
 from .rate_region import (
     _LN2,
-    _abs2,
     _alpha_search,
     _combiner_table,
     _p_prime,

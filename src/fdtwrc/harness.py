@@ -60,8 +60,7 @@ SWEEPS = {
     "sumrate_vs_relay_snr": lambda base, v: replace(base, p_r_max=db_to_linear(v)),
     "sumrate_vs_si": lambda base, v: replace(
         base, **dict.fromkeys(("sigma2_a", "sigma2_b", "sigma2_r"), db_to_linear(v))),
-    "sumrate_vs_antennas": lambda base, v: replace(
-        base, **dict.fromkeys(("m_t", "m_r"), int(round(v)))),
+    "sumrate_vs_antennas": lambda base, v: replace(base, **dict.fromkeys(("m_t", "m_r"), int(v))),
 }
 # a region run sweeps boundary fractions at the base configuration
 REGION_KINDS = {"rate_region"}
@@ -140,6 +139,12 @@ class ExperimentSpec:
                                  f"0 to 1, got {self.sweep}")
         if not self.sweep:
             raise ValueError("sweep must be nonempty")
+        # a row is labelled by its value: refuse a repeat and an antenna count that would round
+        if len(set(self.sweep)) < len(self.sweep):
+            raise ValueError(f"a sweep value is listed twice in {self.sweep}")
+        if self.kind == "sumrate_vs_antennas" and not all(
+                float(v).is_integer() for v in self.sweep):
+            raise ValueError(f"antenna counts must be integers, got {self.sweep}")
         if not self.schemes:
             raise ValueError("at least one scheme is required")
         for i, scheme in enumerate(self.schemes):

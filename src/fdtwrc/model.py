@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .numerics import _norms, _vdots, null_space_basis
+from .numerics import _abs2, _norms, _vdots, null_space_basis
 
 __all__ = [
     "DegenerateGeometryError",
@@ -247,19 +247,18 @@ def _combiner_basis(h_ar, h_br):
     complement.  When h_ar is parallel to h_br (always when m_r = 1) the
     complement is empty: ``single`` is True and both rows hold the combiner
     of every alpha, h_br / ||h_br|| phased along h_br^H h_ar.  A row has
-    the bits of its one-row call (``abs`` and ``** 2`` are scalar, which
-    numpy's array abs and square do not reproduce).  Raises
-    DegenerateGeometryError when an h_br is zero.
+    the bits of its one-row call.  Raises DegenerateGeometryError when an
+    h_br is zero.
     """
     nb = _norms(h_br)
     if np.any(nb <= 1e-300):
         raise DegenerateGeometryError("h_br is zero; combiner direction undefined")
     inner = _vdots(h_br, h_ar)[:, None]  # h_br^H h_ar
-    par = h_br * (inner / np.array([v ** 2 for v in nb.tolist()])[:, None])
+    par = h_br * (inner / np.square(nb)[:, None])
     perp = h_ar - par
     perp_norm, par_norm = _norms(perp)[:, None], _norms(par)[:, None]
     single = perp_norm < 1e-10
-    mag, unit_br = np.array([[abs(v)] for v in inner[:, 0].tolist()]), h_br / nb[:, None]
+    mag, unit_br = np.sqrt(_abs2(inner)), h_br / nb[:, None]
     along = unit_br * np.where(mag > 0, inner / np.where(mag > 0, mag, 1.0), 1.0)
     # orthogonal channels: the span direction is h_br itself
     spans = par_norm > 1e-12 * _norms(h_ar)[:, None]
@@ -275,14 +274,14 @@ def sinr_pair(channels, w_t, w_r, p_a, p_b):
               / (|h_ra^H w_t|^2 + p_a |h_aa|^2 + 1), and symmetrically for B.
     """
     g = effective_gains(channels, w_t, w_r)
-    gamma_a = p_b * g.tx_gain_a * g.rx_gain_b / (g.tx_gain_a + p_a * abs(channels.h_aa) ** 2 + 1.0)
-    gamma_b = p_a * g.tx_gain_b * g.rx_gain_a / (g.tx_gain_b + p_b * abs(channels.h_bb) ** 2 + 1.0)
+    gamma_a = p_b * g.tx_gain_a * g.rx_gain_b / (g.tx_gain_a + p_a * _abs2(channels.h_aa) + 1.0)
+    gamma_b = p_a * g.tx_gain_b * g.rx_gain_a / (g.tx_gain_b + p_b * _abs2(channels.h_bb) + 1.0)
     return gamma_a, gamma_b
 
 
 def receive_gains(channels, w_r):
     """The combiner's receive gains (|w_r^H h_ar|^2, |w_r^H h_br|^2)."""
-    return abs(np.vdot(w_r, channels.h_ar)) ** 2, abs(np.vdot(w_r, channels.h_br)) ** 2
+    return _abs2(np.vdot(w_r, channels.h_ar)), _abs2(np.vdot(w_r, channels.h_br))
 
 
 def relay_output_power(channels, w_t, w_r, p_a, p_b):
@@ -295,9 +294,9 @@ def relay_output_power(channels, w_t, w_r, p_a, p_b):
 def effective_gains(channels, w_t, w_r):
     rx_a, rx_b = receive_gains(channels, w_r)
     return EffectiveGains(
-        tx_gain_a=abs(np.vdot(channels.h_ra, w_t)) ** 2,
+        tx_gain_a=_abs2(np.vdot(channels.h_ra, w_t)),
         rx_gain_b=rx_b,
-        tx_gain_b=abs(np.vdot(channels.h_rb, w_t)) ** 2,
+        tx_gain_b=_abs2(np.vdot(channels.h_rb, w_t)),
         rx_gain_a=rx_a,
     )
 

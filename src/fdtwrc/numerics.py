@@ -1,7 +1,7 @@
-"""Numerical kernels shared by all solvers: row-wise vdot and norm, the
-null-space basis of complex vectors and a grid + golden-section 1-D
-maximizer, for one function or for many in lockstep; plus the real roots
-of one cubic, which no solver calls (see ``real_cubic_roots``).
+"""Numerical kernels shared by all solvers: squared moduli, row-wise vdot and
+norm, the null-space basis of complex vectors and a grid + golden-section
+1-D maximizer, for one function or for many in lockstep; plus the real
+roots of one cubic, which no solver calls (see ``real_cubic_roots``).
 """
 
 import math
@@ -16,6 +16,7 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_LOOKAHEAD_STEPS = 3  # the golden steps after the needed one that a lookahead request serves
 
 
 def _vdots(x, y):
@@ -24,6 +25,12 @@ def _vdots(x, y):
     per row, so a row's value does not depend on the other rows, which a
     matrix-vector product over the rows does not ensure."""
     return (np.conj(x)[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _abs2(z):
+    """|z|^2 = re^2 + im^2 of a complex array or scalar, the one arithmetic of
+    squared moduli: correctly rounded, so an entry's bits never depend on its batch."""
+    return z.real * z.real + z.imag * z.imag
 
 
 def _norms(x):
@@ -114,13 +121,21 @@ def _golden_steps(a, b, tol, best, lookahead):
 
     Without ``lookahead`` each tuple holds one step's point.  With it, each
     holds the point the search needs (the first one both starting points)
-    together with the two points that the next step may need, one for each
-    outcome of its comparison.  The values are cached, so one request
-    serves two steps, and the points used and the result are those of the
-    search without lookahead.
+    together with every point that the next ``_LOOKAHEAD_STEPS`` steps may
+    need, two for each outcome of each comparison: 1 + 2 + 4 + 8 = 15 (the
+    first 16).  The values are cached, so one request serves four steps,
+    and the points used and the result are those of the search without
+    lookahead.
     """
     x_best, f_best = best
     cache = {}
+
+    def spare(a, b, x1, x2, depth):
+        # the next depth steps' points from [a, b] and x1 < x2: after f1 >= f2, then f1 < f2
+        if depth == 0 or b - a <= tol:
+            return ()
+        lo, hi = x2 - _GOLDEN * (x2 - a), x1 + _GOLDEN * (b - x1)
+        return (lo, hi, *spare(a, x2, lo, x1, depth - 1), *spare(x1, b, x2, hi, depth - 1))
 
     def value(x, a, b, x1, x2):
         # f at the step's point x, given the bracket and points after the step
@@ -129,10 +144,8 @@ def _golden_steps(a, b, tol, best, lookahead):
             y = (yield (x,))[0]
         else:
             if x not in cache:
-                # the new point of the next step after f1 >= f2, and after f1 < f2
-                spare = ((x2 - _GOLDEN * (x2 - a), x1 + _GOLDEN * (b - x1))
-                         if b - a > tol else ())
-                xs = (x, x2, *spare) if x == x1 and x2 not in cache else (x, *spare)
+                xs = (x, x2) if x == x1 and x2 not in cache else (x,)
+                xs += spare(a, b, x1, x2, _LOOKAHEAD_STEPS)
                 cache.update(zip(xs, (yield xs)))
             y = cache[x]
         if y > f_best:
@@ -164,15 +177,15 @@ def maximize_1d_lockstep(f, n, lo, hi, tol, grid_points, lookahead):
     None: it returns n x grid_points values, or n * grid_points in
     function-major order.  Then each function whose grid has a finite
     maximum is refined around its best grid point, down to interval width
-    ``tol``, by ``_golden_steps`` (``lookahead`` as there).  Every call
-    after the grid holds the points that all refining functions request
-    at that step, in function order, so a function whose bracket is
-    narrower (a best grid point at an end) or whose search has ended adds
-    none.  A function whose grid values are all -inf is not refined.
-    Returns one (x_best, f_best) per function: the first point with the
-    largest value, in the order its search uses them, so never below any
-    of its grid values.  A function's result does not depend on the others
-    as long as a value of f does not.
+    ``tol``, by ``_golden_steps`` (``lookahead`` as there: a call serves
+    four golden steps).  Every call after the grid holds the points that
+    all refining functions request at that step, in function order, so a
+    function whose search has ended adds none, and one whose bracket is
+    narrower (a best grid point at an end) ends sooner.  A function whose
+    grid values are all -inf is not refined.  Returns one (x_best, f_best)
+    per function: the first point with the largest value, in the order its
+    search uses them, so never below any of its grid values.  A function's
+    result does not depend on the others as long as a value of f does not.
     """
     grid_points = max(2, int(grid_points))
     xs = np.linspace(lo, hi, grid_points)

@@ -17,13 +17,13 @@ targets of a sequence of realizations in lockstep.  Its rows are
 (realization, target, combiner) triples, with B's target per row in the
 P1 steps: the grid is one batch of ``alpha_grid`` combiners per target,
 whose table rows are built once per realization and taken once per
-target, and each pair of golden steps is one batch of the three (the
-first time four) combiners of every target still refining.  A row's bits
-do not depend on its batch, so each target's answer is the one it gets
-alone; ``rate_region`` and ``max_rate_given_rb`` are one-realization cases
-of ``rate_regions`` and ``_max_rates``, and the sum-rate search runs the
-same lockstep for one objective per realization.  A float alpha is a
-batch of one: there is no other code path.
+target, and every four golden steps are one batch of the 15 (the first
+time 16) combiners that each target still refining may use in them.  A
+row's bits do not depend on its batch, so each target's answer is the one
+it gets alone; ``rate_region`` and ``max_rate_given_rb`` are
+one-realization cases of ``rate_regions`` and ``_max_rates``, and the
+sum-rate search runs the same lockstep for one objective per realization.
+A float alpha is a batch of one: there is no other code path.
 """
 
 import cmath
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import _combiner_basis, make_operating_point
-from .numerics import _norms, _vdots, maximize_1d_lockstep, null_space_basis
+from .numerics import _abs2, _norms, _vdots, maximize_1d_lockstep, null_space_basis
 
 __all__ = [
     "Infeasible",
@@ -81,8 +81,8 @@ class _TxBatch:
     argument, both 0 when a direction is missing.  rx holds the receive
     gains (rx_a, rx_b).  Each row also carries its realization's channel
     data that the steps read: h_t (K x 2 x m_t, rows h_ra and h_rb) and si2
-    (|h_aa|^2, |h_bb|^2, in the scalar arithmetic of ``sinr_pair``), so the
-    rows of one batch may come from different realizations.
+    (|h_aa|^2, |h_bb|^2), so the rows of one batch may come from different
+    realizations.
     """
 
     n_t: np.ndarray
@@ -109,20 +109,13 @@ class _P1Batch(_TxBatch):
     gamma_b: np.ndarray
 
 
-def _abs2(z):
-    """|z|^2 of each entry of a complex array, in the scalar arithmetic of
-    ``receive_gains`` and ``effective_gains`` (abs, then ``** 2``), which
-    numpy's array abs and square do not reproduce bit for bit."""
-    return np.array([abs(v) ** 2 for v in z.ravel().tolist()]).reshape(z.shape)
-
-
 def _tx_geometry(h_t, n_t):
     """The images, squared norms, directions, r and phi of a stack of
     null-space bases n_t (K x m_t x m_t), where h_t holds each row's
     m_t x 2 matrix [h_ra, h_rb]; returns those ``_TxBatch`` fields by
     name."""
     images = np.conj(n_t).transpose(0, 2, 1) @ h_t  # K x m_t x 2: a_t, b_t
-    n2 = (np.square(images.real) + np.square(images.imag)).sum(axis=1)
+    n2 = _abs2(images).sum(axis=1)
     has = n2 > 1e-300
     d = images / np.sqrt(np.where(has, n2, 1.0))[:, None, :] * has[:, None, :]
     inner = (np.conj(d[:, :, 0]) * d[:, :, 1]).sum(axis=1)
@@ -148,10 +141,8 @@ def _combiner_table(*realizations):
     ``_combiner_basis`` directions (computed once per table); where h_ar is
     parallel to h_br every alpha gives the alpha = 1 endpoint.  Each
     null-space basis is ``relay_null_basis``'s, from one stacked QR call
-    for the ZF rows.  The receive gains have ``receive_gains``'s bits
-    (``_vdots``, ``_abs2``), so ``make_operating_point`` recomputes the
-    bits that the power step scored.  A row's bits do not depend on the
-    other rows of its call.
+    for the ZF rows.  A row's bits do not depend on the other rows of its
+    call.
     """
     k = len(realizations)
     m_t = realizations[0].m_t
@@ -342,7 +333,7 @@ def solve_txbf_p1(ctx, p_a, p_b, gamma_b, p_r_max):
     scale = np.sqrt(p_bar)
     w_t = scale[:, None] * (ctx.n_t @ ctx.d[:, :, :1])[:, :, 0]  # maximizer at full budget
     gb_min = gb_bar * (1.0 - 1e-12)
-    bound = ok & ~(ctx.has[:, 0] & (np.square(np.abs(_vdots(ctx.h_t[:, 1], w_t))) >= gb_min))
+    bound = ok & ~(ctx.has[:, 0] & (_abs2(_vdots(ctx.h_t[:, 1], w_t)) >= gb_min))
     rows = bound.nonzero()[0]
     if rows.size:
         sub = ctx if rows.size == len(bound) else ctx.take(rows)
@@ -574,28 +565,28 @@ def _alpha_search(evaluate, n, config):
     i-th one for objective ``owners[i]`` (owners None: the grid for every
     objective, objective-major), and returns ``(values, point)``:
     ``values[i]`` is the objective at row i (-inf where infeasible) and
-    ``point(i)`` builds its OperatingPoint.  The grid is one call and each
-    pair of golden steps one call on the three (the first time four)
-    alphas of every objective still refining.  Returns each objective's
-    best point, the first one searched among equals, or None where its
-    whole grid is infeasible; only those points are built.
+    ``point(i)`` builds its OperatingPoint.  The grid is one call and every
+    four golden steps one call on the 15 (the first time 16) alphas that
+    each objective still refining may use in them.  Returns each
+    objective's best point, the first one searched among equals, or None
+    where its whole grid is infeasible; only those points are built.
     """
-    points = {}
+    calls = []  # each call's (owners, alphas, point)
 
     def objective(owners, alphas):
         values, point = evaluate(owners, alphas)
         if owners is None:
             owners, alphas = np.repeat(np.arange(n), alphas.size), np.tile(alphas, n)
-        points.update(((k, alpha), (point, i))
-                      for i, (k, alpha) in enumerate(zip(owners.tolist(), alphas.tolist())))
+        calls.append((owners, alphas, point))
         return values
 
-    best = []
-    for k, (alpha, value) in enumerate(
-            maximize_1d_lockstep(objective, n, 0.0, 1.0, 1e-3, config.alpha_grid, True)):
-        point, i = points[k, alpha]
-        best.append(None if value == -math.inf else point(i))
-    return best
+    found = maximize_1d_lockstep(objective, n, 0.0, 1.0, 1e-3, config.alpha_grid, True)
+    best_alpha, rows = np.array([alpha for alpha, _ in found]), {}
+    for owners, alphas, point in calls:
+        for i in np.flatnonzero(alphas == best_alpha[owners]).tolist():
+            rows[int(owners[i])] = point, i
+    return [None if value == -math.inf else rows[k][0](rows[k][1])
+            for k, (_, value) in enumerate(found)]
 
 
 def _grid(table, config, n=1):
@@ -641,9 +632,9 @@ def _max_rates(realizations, r_bs, config, table, grid):
     (realization, target) pairs in lockstep: its rows are (realization,
     target, combiner) triples with B's target per row, so the grid is one
     batch of P1 alternations (``_p1_batch``) on each realization's grid
-    rows, taken once per target, and each pair of golden steps one batch
-    of every refining pair's combiners.  A target's point does not depend
-    on the other targets or realizations.
+    rows, taken once per target, and every four golden steps one batch of
+    every refining pair's combiners.  A target's point does not depend on
+    the other targets or realizations.
 
     B's SINR threshold 2**r_b - 1 is computed with expm1, so a tiny target
     (a weak B link) keeps its relative accuracy.

@@ -30,10 +30,9 @@ import math
 
 import numpy as np
 
-from .numerics import _vdots, maximize_1d
+from .numerics import _abs2, _vdots, maximize_1d
 from .rate_region import (
     _LN2,
-    _abs2,
     _alpha_search,
     _alternate_batch,
     _boundary_z,
@@ -79,7 +78,7 @@ def _coeffs(haa2, hbb2, rx_a, rx_b, p_a, p_b):
 
 
 def _si2(channels):
-    return abs(channels.h_aa) ** 2, abs(channels.h_bb) ** 2
+    return _abs2(channels.h_aa), _abs2(channels.h_bb)
 
 
 def dc_step(channels, ctx, p_a, p_b, anchor, config):
@@ -209,7 +208,7 @@ def solve_txbf_p2(ctx, p_a, p_b, config, w_t_init=None):
         usable = nz > 1e-150
         zi /= np.where(usable, nz, 1.0)[:, None]
         # K x 2 x 2: s_a, s_b of the warm start and the frontier point
-        s = p_prime[:, None, None] * np.square(np.abs(ctx.f @ np.stack([zi, z], axis=2)))
+        s = p_prime[:, None, None] * _abs2(ctx.f @ np.stack([zi, z], axis=2))
         score = _rate_gain(*(x[:, None] for x in (e_a, e_b, k_a, k_b)), s[:, 0], s[:, 1])
         z = np.where((usable & (score[:, 0] >= score[:, 1]))[:, None], zi, z)
     return np.sqrt(p_prime)[:, None] * (ctx.n_t @ z[:, :, None])[:, :, 0]
@@ -369,14 +368,13 @@ def optimize_fixed_alpha_p2(channels, alpha, config):
 
 def max_sum_rates(realizations, config):
     """``max_sum_rate`` of each realization of a sequence, all searched in
-    one lockstep: the grid is one batch of every realization's grid
-    combiners and each pair of golden steps one batch of every refining
-    realization's three (the step's combiner and the next step's two
-    candidates), each batch one ``_TxBatch`` whatever its rows' null
-    dimensions.
-    The realizations share one ``_combiner_table``; only the winners'
-    OperatingPoints are built, and each is the one its realization gets
-    alone."""
+    one lockstep (``_alpha_search``): the grid is one batch of every
+    realization's grid combiners and every four golden steps one batch of
+    every refining realization's 15 (the step's combiner and those the next
+    three steps may use), each batch one ``_TxBatch`` whatever its rows'
+    null dimensions.  The realizations share one ``_combiner_table``; only
+    the winners' OperatingPoints are built, and each is the one its
+    realization gets alone."""
     table = _combiner_table(*realizations)
     n = len(realizations)
 

@@ -99,6 +99,25 @@ class TestSpecValidation:
             ExperimentSpec(kind=kind, sweep=sweep, trials=1, seed=0,
                            schemes=(SchemeId.FD_ONEWAY, SchemeId.HD_ANC, SchemeId.FD_ONEWAY))
 
+    @pytest.mark.parametrize("kind, sweep", [("sumrate_vs_si", (-20.0, -10.0, -20.0)),
+                                             ("sumrate_vs_antennas", (3.0, 3))])
+    def test_repeated_sweep_value(self, kind, sweep):
+        # a repeated value would run twice and print two identical rows
+        with pytest.raises(ValueError, match="a sweep value is listed twice"):
+            ExperimentSpec(kind=kind, schemes=FAST, sweep=sweep, trials=1, seed=0)
+
+    @pytest.mark.parametrize("sweep", [(2.6, 3.0), (4.0, 3.5), (math.nan,), (math.inf,)])
+    def test_non_integral_antenna_count(self, sweep):
+        # 2.6 would run 3 antennas and label the row 2.6
+        with pytest.raises(ValueError, match="antenna counts must be integers"):
+            ExperimentSpec(kind="sumrate_vs_antennas", schemes=FAST, sweep=sweep, trials=1,
+                           seed=0)
+
+    def test_integral_antenna_counts(self):
+        spec = ExperimentSpec(kind="sumrate_vs_antennas", schemes=FAST, sweep=(2.0, 3, 8.0),
+                              trials=1, seed=0)
+        assert [SWEEPS[spec.kind](BASE, v).m_t for v in spec.sweep] == [2, 3, 8]
+
     def test_local_csi_has_no_region(self):
         with pytest.raises(ValueError):
             ExperimentSpec(kind="rate_region", schemes=(SchemeId.LOCAL_CSI,),

@@ -4,7 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fdtwrc import sum_rate
 from fdtwrc.model import (
+    ChannelRealization,
     DegenerateGeometryError,
     SystemConfig,
     _combiner_basis,
@@ -13,12 +15,14 @@ from fdtwrc.model import (
     db_to_linear,
     effective_gains,
     make_operating_point,
+    receive_gains,
     relay_null_basis,
     relay_output_power,
     sample_channels,
     sample_realizations,
     sinr_pair,
 )
+from fdtwrc.numerics import _abs2, _vdots
 from one_row import combiner_row
 from reference_dc import zf_residual
 
@@ -218,18 +222,19 @@ class TestReceiveCombiner:
 
     @pytest.mark.parametrize("m_r", [1, 2, 3, 5, 8])
     def test_stacked_basis_matches_per_realization(self, m_r):
-        # each row of the stacked basis has the bytes of the former
-        # one-realization form, on 130 realizations per m_r: drawn ones, and
+        # each row of the stacked basis has the bytes of a one-realization
+        # form, on 130 realizations per m_r: drawn ones, and
         # rows with h_ar built orthogonal to h_br (u_par falls back to h_br),
         # parallel to it (one direction) or a tiny B link
         def per_realization(h_ar, h_br):
             nb = np.linalg.norm(h_br)
             inner = np.vdot(h_br, h_ar)
-            par = h_br * (inner / nb**2)
+            par = h_br * (inner / np.square(nb))
             perp = h_ar - par
             perp_norm = np.linalg.norm(perp)
             if perp_norm < 1e-10:
-                return (h_br / nb) * (inner / abs(inner) if abs(inner) > 0 else 1.0), None
+                mag = np.sqrt(inner.real * inner.real + inner.imag * inner.imag)
+                return (h_br / nb) * (inner / mag if mag > 0 else 1.0), None
             par_norm = np.linalg.norm(par)
             if par_norm > 1e-12 * np.linalg.norm(h_ar):
                 u_par = par / par_norm
@@ -259,6 +264,34 @@ class TestReceiveCombiner:
 
 
 class TestSignalModel:
+    @pytest.mark.parametrize("size", [1, 300])
+    def test_batch_squared_moduli_equal_scalar_evaluators(self, size):
+        # the batched steps' |z|^2 (``_abs2`` of an array, through ``_vdots``
+        # as they use it), re^2 + im^2 and the scalar evaluators agree byte
+        # for byte, on parts from 1e-150 to 1e150 (zeros and signs included),
+        # in batches of 1 and of 300, which take numpy's scalar and SIMD loops
+        rng = np.random.default_rng(31)
+        parts = rng.choice([-1.0, 1.0], (2, 300)) * 10.0 ** rng.uniform(-150.0, 150.0, (2, 300))
+        parts[:, :4] = [[0.0, 1e150, 0.0, -1e-150], [0.0, 0.0, -1e150, 1e-150]]
+        z = parts[0] + 1j * parts[1]
+        batches = [z[i:i + size] for i in range(0, 300, size)]
+        whole = np.concatenate([_abs2(b) for b in batches])
+        via_vdots = np.concatenate([_abs2(_vdots(np.ones((b.size, 1)), b[:, None]))
+                                    for b in batches])
+        assert via_vdots.tobytes() == whole.tobytes()
+        # re^2 + im^2 in Python floats: no rounded modulus squared
+        assert whole.tolist() == [re * re + im * im for re, im in parts.T.tolist()]
+        one, p_a, p_b = np.ones(1, dtype=complex), 0.7, 1.3
+        for v, x in zip(z.tolist(), whole):
+            ch = ChannelRealization(h_ar=np.array([v]), h_br=np.array([v]), h_ra=np.array([v]),
+                                    h_rb=np.array([v]), h_aa=v, h_bb=v, h_rr=np.zeros((1, 1)))
+            g = effective_gains(ch, one, one)
+            scalars = [*receive_gains(ch, one), g.tx_gain_a, g.tx_gain_b, *sum_rate._si2(ch)]
+            assert [np.float64(y).tobytes() for y in scalars] == [x.tobytes()] * 6
+            if x < 1e150:  # sinr_pair's product of two gains stays finite
+                gamma = p_b * x * x / (x + p_a * x + 1.0)
+                assert np.float64(sinr_pair(ch, one, one, p_a, p_b)[0]).tobytes() == gamma.tobytes()
+
     def test_sinr_trivial_cases(self):
         ch = sample_channels(CFG, 13)
         w_r = combiner_row(ch, 0.4)[0]

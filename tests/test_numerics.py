@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -253,10 +255,10 @@ class TestMaximize1d:
                               grid_points=21)
             assert new == old
 
-    def test_lookahead_uses_the_same_points_in_half_the_calls(self):
-        # lookahead evaluates each golden step's point with the next step's
-        # two possible points; the points the search uses, their order and
-        # the result are those without it
+    def test_lookahead_uses_the_same_points_in_a_quarter_of_the_calls(self):
+        # lookahead evaluates each golden step's point with every point that
+        # the next three steps may need; the points the search uses, their
+        # order and the result are those without it
         rng = np.random.default_rng(13)
         for _ in range(100):
             c = rng.uniform(-3, 3, size=6)
@@ -275,8 +277,8 @@ class TestMaximize1d:
             [got] = maximize_1d_lockstep(lambda _, xs: f_batched(xs), 1, -1.0, 1.0, 1e-4, 21, True)
             assert got == ref
             assert set(plain) <= set(batched)
-            assert calls[0] == 21 and max(calls[1:]) <= 4
-            assert len(calls) - 1 <= (len(plain) - 21) // 2 + 1
+            assert calls[0] == 21 and max(calls[1:]) <= 16
+            assert len(calls) - 1 <= math.ceil((len(plain) - 21) / 4) + 1
 
 
 class TestMaximize1dLockstep:
@@ -303,9 +305,9 @@ class TestMaximize1dLockstep:
             return np.concatenate([value(coeffs[k], [x]) for k, x in zip(owners, xs)])
 
         got = maximize_1d_lockstep(f, len(coeffs), -1.0, 1.0, 1e-4, 21, True)
-        calls_alone = []
+        calls_alone, used = [], []
         for k, c in enumerate(coeffs):
-            alone, sizes = [], []
+            alone, sizes, plain = [], [], []
 
             def g(xs, c=c, alone=alone, sizes=sizes):
                 if len(xs) < 21:
@@ -317,7 +319,17 @@ class TestMaximize1dLockstep:
             assert got[k] == alone_best
             assert seen[k] == alone
             calls_alone.append(len(sizes))
+
+            # the points its search uses: those of its search without lookahead
+            def h(xs, c=c, plain=plain):
+                if len(xs) < 21:
+                    plain.extend(xs.tolist())
+                return value(c, xs)
+
+            [plain_best] = maximize_1d_lockstep(lambda _, xs: h(xs), 1, -1.0, 1.0, 1e-4, 21, False)
+            assert plain_best == alone_best and set(plain) <= set(alone)
+            used.append(len(plain))
         assert got[5][0] == 1.0 and got[6][0] == -1.0 and got[7][1] == -np.inf
-        assert seen[7] == [] and len(seen[5]) < len(seen[0])
+        assert seen[7] == [] and used[5] < used[0]
         # one call per step of the longest search
         assert len(calls) == max(calls_alone)

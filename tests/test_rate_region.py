@@ -606,11 +606,11 @@ class TestCombinerTable:
     def test_ragged_golden_brackets(self, monkeypatch):
         # seed 21's nine targets have their best grid combiner at alpha = 1,
         # inside the grid and at alpha = 0: the end targets refine a bracket
-        # of one grid step, so they request fewer points from the shared
+        # of one grid step, so their searches use fewer points of the shared
         # golden batches, and each target's point is still its own
         ch = sample_channels(CFG, 21)
         r_bs = [r_b for r_b, _ in rate_region(ch, 9, CFG)]
-        grids, batches = [], []
+        grids, seen = [], {}
         lockstep = rate_region_module.maximize_1d_lockstep
 
         def spy(f, n, *args):
@@ -619,7 +619,7 @@ class TestCombinerTable:
                 if owners is None:
                     grids.append(np.asarray(values).reshape(n, -1))
                 else:
-                    batches.append(np.bincount(owners, minlength=n))
+                    seen.update(zip(zip(owners.tolist(), alphas.tolist()), values.tolist()))
                 return values
             return lockstep(recorded, n, *args)
 
@@ -629,8 +629,19 @@ class TestCombinerTable:
         best = grids[0].argmax(axis=1)
         ends = (best == 0) | (best == CFG.alpha_grid - 1)
         assert 0 in best and CFG.alpha_grid - 1 in best and not ends.all()
-        requested = np.sum(batches, axis=0)
-        assert requested[ends].max() < requested[~ends].min()
+        # the points each target's search uses: its search without lookahead,
+        # replayed on the values the lockstep requested, finds every point there
+        used = np.zeros(len(r_bs), dtype=int)
+
+        def replay(owners, alphas):
+            if owners is None:
+                return grids[0]
+            np.add.at(used, owners, 1)
+            return np.array([seen[k, alpha] for k, alpha in zip(owners.tolist(), alphas.tolist())])
+
+        plain = lockstep(replay, len(r_bs), 0.0, 1.0, 1e-3, CFG.alpha_grid, False)
+        assert [alpha for alpha, _ in plain] == [pt.beamformer.alpha for pt in points]
+        assert used[ends].max() < used[~ends].min()
         monkeypatch.undo()
         assert [_point_bits(pt) for pt in points] == [
             _point_bits(_standalone_or_none(ch, r_b, CFG)) for r_b in r_bs]
