@@ -20,10 +20,9 @@ from fdtwrc.model import (
 from fdtwrc.numerics import null_space_basis
 from fdtwrc import sum_rate
 from fdtwrc.oracles import dc_grid_oracle
-from fdtwrc.numerics import _vdots
+from fdtwrc.numerics import _abs2, _vdots
 from fdtwrc.rate_region import (
     Infeasible,
-    _abs2,
     _combiner_table,
     _gamma_b_max,
     _grid,
