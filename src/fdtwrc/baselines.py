@@ -27,6 +27,7 @@ from .model import (
     OperatingPoint,
     PowerAllocation,
     RelayBeamformer,
+    _sinr,
     make_operating_point,
     zero_loopback,
 )
@@ -678,8 +679,8 @@ def local_csi_solves(realizations, config, seeds):
     budget = _p_prime(config.p_r_max, p_a, p_b, rx_a, rx_b)
     w_t = np.sqrt(budget)[:, None] * (ctx.n_t @ z[:, :, None])[:, :, 0]
     tx_a, tx_b = _abs2(_vdots(ctx.h_t, w_t[:, None, :])).T
-    gammas = np.stack([p_b * tx_a * rx_b / (tx_a + p_a * haa2 + 1.0),
-                       p_a * tx_b * rx_a / (tx_b + p_b * hbb2 + 1.0)], axis=1)
+    gammas = np.stack([_sinr(p_b, tx_a, rx_b, p_a, haa2), _sinr(p_a, tx_b, rx_a, p_b, hbb2)],
+                      axis=1)
     return [(w_t_i, w_r_i, (math.log2(1.0 + g_a), math.log2(1.0 + g_b)))
             for w_t_i, w_r_i, (g_a, g_b) in zip(w_t, w_r, gammas.tolist())]
 

@@ -267,6 +267,13 @@ def _combiner_basis(h_ar, h_br):
     return np.where(single, along, u_par), np.where(single, along, u_perp), single[:, 0]
 
 
+def _sinr(p_from, tx, rx, p_own, si2):
+    """Post-ZF SINR at a source, elementwise: partner power p_from, beam gain
+    tx toward the source, combiner gain rx of the partner's uplink, own
+    power p_own and SI gain si2.  The solvers' one copy (not ``oracles``')."""
+    return p_from * tx * rx / (tx + p_own * si2 + 1.0)
+
+
 def sinr_pair(channels, w_t, w_r, p_a, p_b):
     """Post-ZF SINRs at the two sources for the rank-one relay matrix.
 
@@ -274,9 +281,8 @@ def sinr_pair(channels, w_t, w_r, p_a, p_b):
               / (|h_ra^H w_t|^2 + p_a |h_aa|^2 + 1), and symmetrically for B.
     """
     g = effective_gains(channels, w_t, w_r)
-    gamma_a = p_b * g.tx_gain_a * g.rx_gain_b / (g.tx_gain_a + p_a * _abs2(channels.h_aa) + 1.0)
-    gamma_b = p_a * g.tx_gain_b * g.rx_gain_a / (g.tx_gain_b + p_b * _abs2(channels.h_bb) + 1.0)
-    return gamma_a, gamma_b
+    return (_sinr(p_b, g.tx_gain_a, g.rx_gain_b, p_a, _abs2(channels.h_aa)),
+            _sinr(p_a, g.tx_gain_b, g.rx_gain_a, p_b, _abs2(channels.h_bb)))
 
 
 def receive_gains(channels, w_r):

@@ -5,6 +5,7 @@ roots of one cubic, which no solver calls (see ``real_cubic_roots``).
 """
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -16,7 +17,7 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_LOOKAHEAD_STEPS = 3  # the golden steps after the needed one that a lookahead request serves
+_LOOKAHEAD_STEPS = 3  # the golden steps after the needed one that a request serves
 
 
 def _vdots(x, y):
@@ -113,21 +114,20 @@ def real_cubic_roots(c3, c2, c1, c0):
     return out
 
 
-def _golden_steps(a, b, tol, best, lookahead):
-    """Golden-section refinement for a maximum on [a, b], as a generator:
-    it yields a tuple of the points whose values it needs, is sent their
-    values (a sequence) and returns the first best value among ``best`` and
-    the points it evaluates, in their order, as (x_best, f_best).
+def _golden_steps(a, b, tol, best):
+    """Golden-section refinement for a maximum on [a, b], as a generator.
 
-    Without ``lookahead`` each tuple holds one step's point.  With it, each
-    holds the point the search needs (the first one both starting points)
-    together with every point that the next ``_LOOKAHEAD_STEPS`` steps may
-    need, two for each outcome of each comparison: 1 + 2 + 4 + 8 = 15 (the
-    first 16).  The values are cached, so one request serves four steps,
-    and the points used and the result are those of the search without
-    lookahead.
+    Each request it yields holds the point the search needs (the first one
+    both starting points) and every point that the next ``_LOOKAHEAD_STEPS``
+    steps may need, two for each outcome of each comparison: 1 + 2 + 4 + 8
+    = 15 (the first 16).  It is sent (values, call, start): their values,
+    point j's evaluated at index start + j of call ``call``.  The values are
+    cached, so a request serves four steps, and the points the search uses
+    and its result are those of one point a step.  Returns the first best
+    among ``best`` and the points used, in their order, as (x_best, f_best,
+    (call, index)), where x_best was evaluated; ``best`` has that form.
     """
-    x_best, f_best = best
+    x_best, f_best, at = best
     cache = {}
 
     def spare(a, b, x1, x2, depth):
@@ -139,21 +139,18 @@ def _golden_steps(a, b, tol, best, lookahead):
 
     def value(x, a, b, x1, x2):
         # f at the step's point x, given the bracket and points after the step
-        nonlocal x_best, f_best
-        if not lookahead:
-            y = (yield (x,))[0]
-        else:
-            if x not in cache:
-                xs = (x, x2) if x == x1 and x2 not in cache else (x,)
-                xs += spare(a, b, x1, x2, _LOOKAHEAD_STEPS)
-                cache.update(zip(xs, (yield xs)))
-            y = cache[x]
+        nonlocal x_best, f_best, at
+        if x not in cache:
+            xs = (x, x2) if x == x1 and x2 not in cache else (x,)
+            xs += spare(a, b, x1, x2, _LOOKAHEAD_STEPS)
+            ys, call, start = yield xs
+            cache.update(zip(xs, zip(ys, repeat(call), range(start, start + len(xs)))))
+        y, call, i = cache[x]
         if y > f_best:
-            x_best, f_best = x, y
+            x_best, f_best, at = x, y, (call, i)
         return y
 
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     f1 = yield from value(x1, a, b, x1, x2)
     f2 = yield from value(x2, a, b, x1, x2)
     while (b - a) > tol:
@@ -165,53 +162,64 @@ def _golden_steps(a, b, tol, best, lookahead):
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
             f2 = yield from value(x2, a, b, x1, x2)
-    return x_best, f_best
+    return x_best, f_best, at
 
 
-def maximize_1d_lockstep(f, n, lo, hi, tol, grid_points, lookahead):
-    """Maximize n scalar functions of one variable on [lo < hi] together.
+def _check_search(lo, hi, tol, grid_points):
+    """Refuse what would never end (tol <= 0) or silently mislead: NaN, an
+    infinite or empty interval, fewer than two grid points."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"need finite lo <= hi, got [{lo}, {hi}]")
+    if not (tol > 0.0 and grid_points >= 2):
+        raise ValueError(f"need tol > 0 and grid_points >= 2, got {tol} and {grid_points}")
+
+
+def maximize_1d_lockstep(f, n, lo, hi, tol, grid_points):
+    """Maximize n scalar functions of one variable on [lo, hi] together.
 
     ``f(owners, xs)`` returns the values at the points ``xs`` (an ndarray),
-    point i belonging to function ``owners[i]``.  The first call is the
-    grid of ``grid_points`` samples for every function, with ``owners``
-    None: it returns n x grid_points values, or n * grid_points in
-    function-major order.  Then each function whose grid has a finite
+    point i belonging to function ``owners[i]``.  The first call, call 0,
+    is the grid of ``grid_points`` samples for every function, with
+    ``owners`` None: it returns n x grid_points values, or n * grid_points
+    in function-major order.  Then each function whose grid has a finite
     maximum is refined around its best grid point, down to interval width
-    ``tol``, by ``_golden_steps`` (``lookahead`` as there: a call serves
-    four golden steps).  Every call after the grid holds the points that
-    all refining functions request at that step, in function order, so a
-    function whose search has ended adds none, and one whose bracket is
-    narrower (a best grid point at an end) ends sooner.  A function whose
-    grid values are all -inf is not refined.  Returns one (x_best, f_best)
-    per function: the first point with the largest value, in the order its
-    search uses them, so never below any of its grid values.  A function's
-    result does not depend on the others as long as a value of f does not.
+    ``tol``, by ``_golden_steps``: a call serves four golden steps.  Every
+    later call holds the points that all refining functions request, in
+    function order, so a function whose search has ended adds none, and
+    one whose bracket is narrower (a best grid point at an end) ends
+    sooner.  Returns one (x_best, f_best, call, index) per function: the
+    first point with the largest value, in the order its search uses them
+    (so never below any of its grid values), and where it was evaluated.
+    A function's result does not depend on the others as long as a value
+    of f does not.  Bad arguments raise ValueError before any call.
     """
-    grid_points = max(2, int(grid_points))
+    _check_search(lo, hi, tol, grid_points)
+    grid_points = int(grid_points)
     xs = np.linspace(lo, hi, grid_points)
     ys = np.asarray(f(None, xs), dtype=float).reshape(n, grid_points)
     best, searches = [], {}
     for k, row in enumerate(ys):
         i = int(np.argmax(row))
-        best.append((float(xs[i]), float(row[i])))
-        a = float(xs[max(i - 1, 0)])
-        b = float(xs[min(i + 1, grid_points - 1)])
+        best.append((float(xs[i]), float(row[i]), (0, k * grid_points + i)))
+        a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, grid_points - 1)])
         if row[i] != -math.inf and b - a > tol:
-            steps = _golden_steps(a, b, tol, best[k], lookahead)
+            steps = _golden_steps(a, b, tol, best[k])
             searches[k] = (steps, next(steps))
+    call = 0
     while searches:
+        call += 1
         owners = np.concatenate([np.full(len(wanted), k) for k, (_, wanted) in searches.items()])
         values = f(owners, np.array([x for _, wanted in searches.values() for x in wanted]))
         offset = 0
         for k, (steps, wanted) in list(searches.items()):
             got = values[offset:offset + len(wanted)]
-            offset += len(wanted)
             try:
-                searches[k] = (steps, steps.send(got))
+                searches[k] = (steps, steps.send((got, call, offset)))
             except StopIteration as stop:
                 best[k] = stop.value
                 del searches[k]
-    return [(x, float(y)) for x, y in best]
+            offset += len(wanted)
+    return [(x, float(y), *where) for x, y, where in best]
 
 
 def maximize_1d(f, lo, hi, tol=1e-8, grid_points=201):
@@ -219,25 +227,23 @@ def maximize_1d(f, lo, hi, tol=1e-8, grid_points=201):
 
     Dense-grid scan (``grid_points`` samples) followed by golden-section
     refinement around the best grid point, down to interval width ``tol``:
-    ``maximize_1d_lockstep`` for one function.  When every grid value is
-    -inf (an infeasible grid) there is no refinement.  The grid is
-    evaluated with a single call on the ndarray of grid points; every
-    refinement step, and the single evaluation of a degenerate interval,
-    calls ``f`` with a Python float.  So ``f`` must take both an ndarray
-    and a float; a formula built from numpy ufuncs and float arithmetic
-    gives the same value for x as for element x of an array (squares by
-    ``np.square``: ``** 2`` on a numpy scalar calls pow, which can differ).
-    Returns ``(x_best, f(x_best))``: the first point with the largest
-    value, in the order the search uses them, so never below any grid
-    value.
+    ``maximize_1d_lockstep`` for one function, whose arguments it checks
+    alike.  When every grid value is -inf (an infeasible grid) there is no
+    refinement.  The grid is evaluated with a single call on the ndarray
+    of grid points; each point of a refinement request, and the single
+    evaluation of a degenerate interval, by a call of ``f`` with a Python
+    float.  So ``f`` must take both an ndarray and a float; a formula built
+    from numpy ufuncs and float arithmetic gives the same value for x as
+    for element x of an array (squares by ``np.square``: ``** 2`` on a
+    numpy scalar calls pow, which can differ).  Returns
+    ``(x_best, f(x_best))``: the first point with the largest value, in
+    the order the search uses them, so never below any grid value.
     """
-    if hi < lo:
-        raise ValueError(f"empty interval [{lo}, {hi}]")
+    _check_search(lo, hi, tol, grid_points)
     if hi == lo:
         return lo, float(f(lo))
 
-    def one(owners, xs):
-        return f(xs) if owners is None else [f(float(xs[0]))]
+    def each(owners, xs):
+        return f(xs) if owners is None else [f(x) for x in xs.tolist()]
 
-    [best] = maximize_1d_lockstep(one, 1, lo, hi, tol, grid_points, False)
-    return best
+    return maximize_1d_lockstep(each, 1, lo, hi, tol, grid_points)[0][:2]

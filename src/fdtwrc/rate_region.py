@@ -9,21 +9,20 @@ largest value, which the beamformer's gates give in closed form.
 
 A batch row carries the channel data that the steps read (``_TxBatch``)
 and an m_t-column null-space basis, zero past the row's own rank, so one
-batch, and one combiner-table call, can hold the combiners of several
-channel realizations of both null dimensions: m_t - 1 under ZF, m_t where
-the loopback row vanishes (every combiner of a zero-loopback realization).
-P1's solver (``_max_rates``) runs one combiner search for all the B
-targets of a sequence of realizations in lockstep.  Its rows are
-(realization, target, combiner) triples, with B's target per row in the
-P1 steps: the grid is one batch of ``alpha_grid`` combiners per target,
-whose table rows are built once per realization and taken once per
-target, and every four golden steps are one batch of the 15 (the first
-time 16) combiners that each target still refining may use in them.  A
-row's bits do not depend on its batch, so each target's answer is the one
-it gets alone; ``rate_region`` and ``max_rate_given_rb`` are
-one-realization cases of ``rate_regions`` and ``_max_rates``, and the
-sum-rate search runs the same lockstep for one objective per realization.
-A float alpha is a batch of one: there is no other code path.
+batch can hold the combiners of several realizations of both null
+dimensions (m_t - 1 under ZF, m_t where the loopback row vanishes).  P1's
+solver (``_max_rates``) runs one combiner search for all the B targets of
+a sequence of realizations in lockstep, on (realization, target,
+combiner) rows: the grid is one batch of ``alpha_grid`` combiners per
+target, and every four golden steps one batch of the 15 (the first time
+16) combiners each refining target may use in them.  The loop keeps its
+per-row state in arrays, its iterates in one iter_max x rows history, and
+only the winners, which the search locates by call and row, become
+OperatingPoints.  A row's bits do not depend on its batch, so each
+target's answer is the one it gets alone; ``rate_region`` and
+``max_rate_given_rb`` are one-realization cases of ``rate_regions`` and
+``_max_rates``, and the sum-rate search runs the same lockstep for one
+objective per realization.  A float alpha is a batch of one.
 """
 
 import cmath
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _combiner_basis, make_operating_point
+from .model import _combiner_basis, _sinr, make_operating_point
 from .numerics import _abs2, _norms, _vdots, maximize_1d_lockstep, null_space_basis
 
 __all__ = [
@@ -403,7 +402,7 @@ def solve_power_p1(w_t, ctx, gamma_b, config):
         np.divide(cap - r_a * c, r_a * k + r_b, out=p_b, where=over & ok)
     p_b = np.minimum(np.maximum(p_b, 0.0), p_b_max)
     p_a = np.minimum(c + k * p_b, p_a_max)
-    gamma_a = p_b * tx_a * rx_b / (tx_a + p_a * haa2 + 1.0)
+    gamma_a = _sinr(p_b, tx_a, rx_b, p_a, haa2)
     low = np.minimum(c, p_a_max)
     zero = (gamma_a < 1e-12) & (p_a - low > 1e-12)
     if zero.any():
@@ -416,37 +415,42 @@ def solve_power_p1(w_t, ctx, gamma_b, config):
 
 @dataclass
 class _Points:
-    """The alternation's outcome at a batch of combiners: each one's
-    realization, combiner, beamformer, the powers it stopped at, its trace
-    and whether it found a feasible point (``ok``).  ``values`` holds each
-    trace's last value (-inf at an infeasible combiner), and ``point(i)``
-    builds combiner i's OperatingPoint (Infeasible('combiner') at an
-    infeasible one)."""
+    """The alternation's outcome at a batch of combiners: the realizations
+    and row i's index ``owner[i]`` into them, and ``_alternate_rows``'
+    answer at each row.  ``values`` holds each row's last traced value
+    (-inf at an infeasible combiner), ``trace(i)`` row i's trace, and
+    ``point(i)`` builds its OperatingPoint (Infeasible('combiner') if none)."""
 
-    channels: list
+    realizations: list
+    owner: np.ndarray
     alphas: np.ndarray
     w_r: np.ndarray
     w_t: np.ndarray
     powers: np.ndarray
-    traces: list
     ok: np.ndarray
+    history: np.ndarray
+    steps: np.ndarray
 
     @property
     def values(self):
-        return np.array([trace[-1] if ok else -math.inf
-                         for trace, ok in zip(self.traces, self.ok.tolist())])
+        last = self.history[np.maximum(self.steps - 1, 0), np.arange(self.steps.size)]
+        return np.where(self.ok, last, -math.inf)
+
+    def trace(self, i):
+        return self.history[:self.steps[i], i].tolist()
 
     def point(self, i):
         if not self.ok[i]:
             raise Infeasible("combiner", f"no feasible point at alpha = {self.alphas[i]}")
-        return make_operating_point(self.channels[i], self.w_t[i], self.w_r[i],
+        return make_operating_point(self.realizations[self.owner[i]], self.w_t[i], self.w_r[i],
                                     float(self.alphas[i]), float(self.powers[i, 0]),
-                                    float(self.powers[i, 1]), self.traces[i])
+                                    float(self.powers[i, 1]), self.trace(i))
 
 
 def _alternate_rows(ctx, config, starts, beam, power):
     """The alternating loop of both problems at every row of the
-    ``_TxBatch`` ``ctx``; returns (w_t, powers, ok, traces), one row each.
+    ``_TxBatch`` ``ctx``; returns (w_t, powers, ok, history, steps), row i
+    having traced the values ``history[:steps[i], i]`` (iter_max x K).
 
     ``beam(ctx, p_a, p_b, w_t)`` solves a batch's beamformers at the given
     power arrays (``w_t`` holds the previous ones, None on the first solve)
@@ -481,7 +485,7 @@ def _alternate_rows(ctx, config, starts, beam, power):
         if retry.size:
             powers[retry] = start
             w_t[retry], ok[retry] = beam(ctx.take(retry), powers[retry, 0], powers[retry, 1], None)
-    traces = [[] for _ in range(k)]
+    history, steps = np.empty((config.iter_max, k)), np.zeros(k, dtype=int)
     rows = ok.nonzero()[0]  # the running rows, with their powers, beamformers and last values
     pa, pb, w, prev = powers[rows, 0], powers[rows, 1], w_t[rows], np.zeros(rows.size)
     if rows.size < k:
@@ -496,10 +500,9 @@ def _alternate_rows(ctx, config, starts, beam, power):
         rows, ctx, pa, pb, w, prev = (rows[going], ctx.take(going), pa[going], pb[going],
                                       w[going], prev[going])
 
-    for _ in range(config.iter_max if rows.size else 0):
+    for j in range(config.iter_max if rows.size else 0):
         p_a, p_b, value, fine = power(w, ctx)
-        for row, val in zip(rows.tolist(), value.tolist()):
-            traces[row].append(val)
+        history[j, rows], steps[rows] = value, j + 1
         stop = (value - prev < config.conv_tol) | ((p_a == pa) & (p_b == pb))
         if fine is not None and not fine.all():
             ok[rows] &= fine
@@ -515,46 +518,34 @@ def _alternate_rows(ctx, config, starts, beam, power):
             w_new = w_new[fine]
         w = w_new
     powers[rows, 0], powers[rows, 1], w_t[rows] = pa, pb, w
-    return w_t, powers, ok, traces
+    return w_t, powers, ok, history, steps
 
 
-def _alternate_batch(channels, alpha, combiners, config, starts, beam, power):
-    """``_alternate_rows`` at each combiner of ``alpha``, whose table rows
-    are ``combiners`` (a ``_combiner_table``'s answer at those combiners)
-    and whose realizations are ``channels``, one per combiner.
-    An array ``alpha`` gives its ``_Points``; a float is a batch of one and
-    gives its OperatingPoint (Infeasible('combiner') if none)."""
+def _p1_batch(realizations, owner, alphas, gamma_b, combiners, config):
+    """``optimize_fixed_alpha_p1``'s ``_Points`` at the table rows
+    ``combiners`` of ``alphas``, with B's SINR target ``gamma_b`` per row."""
     w_r, ctx = combiners
-    w_t, powers, ok, traces = _alternate_rows(ctx, config, starts, beam, power)
-    points = _Points(channels, np.atleast_1d(np.asarray(alpha, dtype=float)), w_r, w_t, powers,
-                     traces, ok)
-    return points if np.ndim(alpha) else points.point(0)
-
-
-def _p1_batch(channels, alpha, gamma_b, combiners, config):
-    """``optimize_fixed_alpha_p1`` at the combiners ``alpha`` of the
-    realizations ``channels``, whose table rows are ``combiners``, with B's
-    SINR target ``gamma_b`` per combiner (an array of alpha's size)."""
-    w_r, ctx = combiners
-    return _alternate_batch(
-        channels, alpha, (w_r, _P1Batch(**vars(ctx), gamma_b=gamma_b)), config,
+    return _Points(realizations, owner, alphas, w_r, *_alternate_rows(
+        _P1Batch(**vars(ctx), gamma_b=gamma_b), config,
         [(config.p_a_max, config.p_b_max), (config.p_a_max, 0.0)],
         beam=lambda ctx, p_a, p_b, _: solve_txbf_p1(ctx, p_a, p_b, ctx.gamma_b, config.p_r_max),
-        power=lambda w_t, ctx: solve_power_p1(w_t, ctx, ctx.gamma_b, config))
+        power=lambda w_t, ctx: solve_power_p1(w_t, ctx, ctx.gamma_b, config)))
 
 
 def optimize_fixed_alpha_p1(channels, alpha, gamma_b, config):
     """Alternate the beamformer and power solves at each combiner of
-    ``alpha`` (``_alternate_batch``), from full source powers, falling back
+    ``alpha`` (``_alternate_rows``), from full source powers, falling back
     to (p_a_max, 0) where the first beamformer solve is infeasible, all at
     B's SINR target ``gamma_b``.  A combiner stops when A's SINR
     improves by less than conv_tol, when the power step keeps the powers,
     when the re-solved beamformer is infeasible, or at iter_max; its trace
-    of SINR values is nondecreasing.
+    of SINR values is nondecreasing.  A float alpha gives its OperatingPoint
+    (Infeasible('combiner') if none), an array its ``_Points``.
     """
     alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
-    return _p1_batch([channels] * alphas.size, alpha, np.full(alphas.size, float(gamma_b)),
-                     _combiner_table(channels)(alphas), config)
+    points = _p1_batch([channels], np.zeros(alphas.size, dtype=int), alphas, np.full(
+        alphas.size, float(gamma_b)), _combiner_table(channels)(alphas), config)
+    return points if np.ndim(alpha) else points.point(0)
 
 
 def _alpha_search(evaluate, n, config):
@@ -569,24 +560,18 @@ def _alpha_search(evaluate, n, config):
     four golden steps one call on the 15 (the first time 16) alphas that
     each objective still refining may use in them.  Returns each
     objective's best point, the first one searched among equals, or None
-    where its whole grid is infeasible; only those points are built.
+    where its whole grid is infeasible; only those points are built, by
+    the ``point`` of the call where the search says each was evaluated.
     """
-    calls = []  # each call's (owners, alphas, point)
+    builders = []  # each call's point
 
     def objective(owners, alphas):
         values, point = evaluate(owners, alphas)
-        if owners is None:
-            owners, alphas = np.repeat(np.arange(n), alphas.size), np.tile(alphas, n)
-        calls.append((owners, alphas, point))
+        builders.append(point)
         return values
 
-    found = maximize_1d_lockstep(objective, n, 0.0, 1.0, 1e-3, config.alpha_grid, True)
-    best_alpha, rows = np.array([alpha for alpha, _ in found]), {}
-    for owners, alphas, point in calls:
-        for i in np.flatnonzero(alphas == best_alpha[owners]).tolist():
-            rows[int(owners[i])] = point, i
-    return [None if value == -math.inf else rows[k][0](rows[k][1])
-            for k, (_, value) in enumerate(found)]
+    found = maximize_1d_lockstep(objective, n, 0.0, 1.0, 1e-3, config.alpha_grid)
+    return [None if value == -math.inf else builders[call](i) for _, value, call, i in found]
 
 
 def _grid(table, config, n=1):
@@ -653,8 +638,7 @@ def _max_rates(realizations, r_bs, config, table, grid):
             owners, alphas = np.repeat(np.arange(n), g), np.tile(alphas, n)
         else:
             combiners = table(alphas, owner[owners])
-        points = _p1_batch([realizations[i] for i in owner[owners].tolist()], alphas,
-                           gammas[owners], combiners, config)
+        points = _p1_batch(realizations, owner[owners], alphas, gammas[owners], combiners, config)
         return points.values, points.point
 
     points = iter(_alpha_search(evaluate, n, config))

@@ -30,11 +30,13 @@ import math
 
 import numpy as np
 
+from .model import _sinr
 from .numerics import _abs2, _vdots, maximize_1d
 from .rate_region import (
     _LN2,
+    _Points,
     _alpha_search,
-    _alternate_batch,
+    _alternate_rows,
     _boundary_z,
     _combiner_table,
     _p_prime,
@@ -336,34 +338,35 @@ def solve_power_p2(w_t, ctx, config):
     # sinr_pair's arithmetic, elementwise; numpy's log2 may differ from
     # libm's in the last bit, so each winner's logarithms are math.log2's
     win = score[at] > 1.0
-    g_a = p_b * tx_a * rx_b / (tx_a + p_a * haa2 + 1.0)
-    g_b = p_a * tx_b * rx_a / (tx_b + p_b * hbb2 + 1.0)
+    g_a, g_b = _sinr(p_b, tx_a, rx_b, p_a, haa2), _sinr(p_a, tx_b, rx_a, p_b, hbb2)
     value = np.zeros(k)
     value[win] = [math.log2(a) + math.log2(b)
                   for a, b in zip((1.0 + g_a[win]).tolist(), (1.0 + g_b[win]).tolist())]
     return tuple(np.where(value > 0.0, np.stack([p_a, p_b, value]), 0.0))
 
 
-def _p2_batch(channels, alpha, combiners, config):
-    """``optimize_fixed_alpha_p2`` at the combiners ``alpha`` of the
-    realizations ``channels``, whose table rows are ``combiners``."""
-    return _alternate_batch(
-        channels, alpha, combiners, config, [(config.p_a_max, config.p_b_max)],
+def _p2_batch(realizations, owner, alphas, combiners, config):
+    """``optimize_fixed_alpha_p2``'s ``_Points`` at the table rows ``combiners`` of ``alphas``."""
+    w_r, ctx = combiners
+    return _Points(realizations, owner, alphas, w_r, *_alternate_rows(
+        ctx, config, [(config.p_a_max, config.p_b_max)],
         beam=lambda ctx, p_a, p_b, w_t: (solve_txbf_p2(ctx, p_a, p_b, config, w_t), None),
-        power=lambda w_t, ctx: (*solve_power_p2(w_t, ctx, config), None))
+        power=lambda w_t, ctx: (*solve_power_p2(w_t, ctx, config), None)))
 
 
 def optimize_fixed_alpha_p2(channels, alpha, config):
     """Alternate the transmit beamformer and the power rule at each combiner
-    of ``alpha`` (``_alternate_batch``), from full source powers.  The
+    of ``alpha`` (``_alternate_rows``), from full source powers.  The
     beamformer solves are warm-started with the previous beamformer, so a
     combiner's sum-rate trace never decreases; it stops when the sum rate
     improves by less than conv_tol, when the power step keeps the powers,
-    or at iter_max.  Every combiner is feasible.
+    or at iter_max.  Every combiner is feasible.  A float alpha gives its
+    OperatingPoint, an array its ``_Points``.
     """
     alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
-    return _p2_batch([channels] * alphas.size, alpha,
-                     _combiner_table(channels)(alphas), config)
+    points = _p2_batch([channels], np.zeros(alphas.size, dtype=int), alphas,
+                       _combiner_table(channels)(alphas), config)
+    return points if np.ndim(alpha) else points.point(0)
 
 
 def max_sum_rates(realizations, config):
@@ -381,8 +384,7 @@ def max_sum_rates(realizations, config):
     def evaluate(owners, alphas):
         if owners is None:  # the grid of every realization
             owners, alphas = np.repeat(np.arange(n), alphas.size), np.tile(alphas, n)
-        points = _p2_batch([realizations[i] for i in owners.tolist()], alphas,
-                           table(alphas, owners), config)
+        points = _p2_batch(realizations, owners, alphas, table(alphas, owners), config)
         return points.values, points.point
 
     return _alpha_search(evaluate, n, config)

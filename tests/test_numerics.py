@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fdtwrc.numerics import maximize_1d, maximize_1d_lockstep, null_space_basis, real_cubic_roots
+from reference_search import golden_one_point_a_step
 
 
 def crandn(rng, *shape):
@@ -256,29 +257,57 @@ class TestMaximize1d:
             assert new == old
 
     def test_lookahead_uses_the_same_points_in_a_quarter_of_the_calls(self):
-        # lookahead evaluates each golden step's point with every point that
+        # a call evaluates each golden step's point with every point that
         # the next three steps may need; the points the search uses, their
-        # order and the result are those without it
+        # order and the result are those of one point a step, and
+        # maximize_1d, which evaluates each requested point as a float,
+        # returns what one point a step on floats does
         rng = np.random.default_rng(13)
         for _ in range(100):
             c = rng.uniform(-3, 3, size=6)
             plain, batched, calls = [], [], []
 
-            def f_plain(x):
-                plain.extend(np.atleast_1d(x).tolist())
-                return np.polyval(c, x)
+            def f_plain(_, xs):
+                plain.extend(xs.tolist())
+                return np.polyval(c, xs)
 
             def f_batched(xs):
                 calls.append(len(xs))
                 batched.extend(xs.tolist())
                 return np.polyval(c, xs)
 
-            ref = maximize_1d(f_plain, -1.0, 1.0, tol=1e-4, grid_points=21)
-            [got] = maximize_1d_lockstep(lambda _, xs: f_batched(xs), 1, -1.0, 1.0, 1e-4, 21, True)
-            assert got == ref
+            [ref] = golden_one_point_a_step(f_plain, 1, -1.0, 1.0, 1e-4, 21)
+            [got] = maximize_1d_lockstep(lambda _, xs: f_batched(xs), 1, -1.0, 1.0, 1e-4, 21)
+            assert got[:2] == ref
             assert set(plain) <= set(batched)
             assert calls[0] == 21 and max(calls[1:]) <= 16
             assert len(calls) - 1 <= math.ceil((len(plain) - 21) / 4) + 1
+            [on_floats] = golden_one_point_a_step(
+                lambda owners, xs: np.polyval(c, xs if owners is None else float(xs[0]))[None],
+                1, -1.0, 1.0, 1e-4, 21)
+            assert maximize_1d(lambda x: np.polyval(c, x), -1.0, 1.0, 1e-4, 21) == on_floats
+
+    @pytest.mark.parametrize("bad", [dict(tol=0.0), dict(tol=-1.0), dict(tol=math.nan),
+                                     dict(hi=math.nan), dict(lo=math.nan), dict(hi=math.inf),
+                                     dict(hi=-1.0), dict(grid_points=1), dict(grid_points=0)],
+                             ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+    @pytest.mark.parametrize("lockstep", [False, True], ids=["maximize_1d", "lockstep"])
+    def test_bad_arguments_are_refused_before_any_evaluation(self, bad, lockstep):
+        # tol <= 0 would never end, tol = nan would skip the refinement, a
+        # NaN bound would return (nan, nan), and a grid needs two points
+        args = dict(lo=0.0, hi=1.0, tol=1e-6, grid_points=21) | bad
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return -np.square(x - 0.3)
+
+        with pytest.raises(ValueError):
+            if lockstep:
+                maximize_1d_lockstep(lambda _, xs: f(xs), 1, *args.values())
+            else:
+                maximize_1d(f, **args)
+        assert calls == []
 
 
 class TestMaximize1dLockstep:
@@ -304,7 +333,7 @@ class TestMaximize1dLockstep:
                 seen[k].append(x)
             return np.concatenate([value(coeffs[k], [x]) for k, x in zip(owners, xs)])
 
-        got = maximize_1d_lockstep(f, len(coeffs), -1.0, 1.0, 1e-4, 21, True)
+        got = maximize_1d_lockstep(f, len(coeffs), -1.0, 1.0, 1e-4, 21)
         calls_alone, used = [], []
         for k, c in enumerate(coeffs):
             alone, sizes, plain = [], [], []
@@ -315,21 +344,50 @@ class TestMaximize1dLockstep:
                     sizes.append(len(xs))
                 return value(c, xs)
 
-            [alone_best] = maximize_1d_lockstep(lambda _, xs: g(xs), 1, -1.0, 1.0, 1e-4, 21, True)
-            assert got[k] == alone_best
+            [alone_best] = maximize_1d_lockstep(lambda _, xs: g(xs), 1, -1.0, 1.0, 1e-4, 21)
+            # the same point and value, found at the same call (its index
+            # in a shared call is offset by the other functions' points)
+            assert got[k][:3] == alone_best[:3]
             assert seen[k] == alone
             calls_alone.append(len(sizes))
 
-            # the points its search uses: those of its search without lookahead
+            # the points its search uses: those of one point a step
             def h(xs, c=c, plain=plain):
                 if len(xs) < 21:
                     plain.extend(xs.tolist())
                 return value(c, xs)
 
-            [plain_best] = maximize_1d_lockstep(lambda _, xs: h(xs), 1, -1.0, 1.0, 1e-4, 21, False)
-            assert plain_best == alone_best and set(plain) <= set(alone)
+            [plain_best] = golden_one_point_a_step(lambda _, xs: h(xs), 1, -1.0, 1.0, 1e-4, 21)
+            assert plain_best == alone_best[:2] and set(plain) <= set(alone)
             used.append(len(plain))
         assert got[5][0] == 1.0 and got[6][0] == -1.0 and got[7][1] == -np.inf
         assert seen[7] == [] and used[5] < used[0]
         # one call per step of the longest search
         assert len(calls) == max(calls_alone)
+
+    def test_each_call_and_index_holds_the_best_point(self):
+        # the (call, index) returned with each function's best point is
+        # where that point and value were evaluated: the grid call (call 0,
+        # function-major) for an end, a constant and an infeasible function,
+        # a golden call for parabolas peaking between grid points
+        rng = np.random.default_rng(19)
+        coeffs = [np.array([-1.0, 2.0 * m, 0.0]) for m in rng.uniform(-0.9, 0.9, 6)]
+        coeffs += [np.array([1.0, 0.0]), np.array([-1.0, 0.0]), np.array([2.5]), None]
+        calls = []
+
+        def f(owners, xs):
+            if owners is None:
+                owners, xs = np.repeat(np.arange(len(coeffs)), xs.size), np.tile(xs, len(coeffs))
+            values = np.array([-np.inf if coeffs[k] is None else np.polyval(coeffs[k], x)
+                               for k, x in zip(owners.tolist(), xs.tolist())])
+            calls.append((owners, xs, values))
+            return values
+
+        got = maximize_1d_lockstep(f, len(coeffs), -1.0, 1.0, 1e-4, 21)
+        for k, (x, value, call, i) in enumerate(got):
+            owners, xs, values = calls[call]
+            assert (owners[i], xs[i], values[i]) == (k, x, value)
+            if call == 0:
+                assert value == values[owners == k].max()
+        assert [call for _, _, call, _ in got[6:]] == [0, 0, 0, 0]
+        assert all(call > 0 for _, _, call, _ in got[:6])

@@ -315,12 +315,12 @@ def test_batch_equals_batches_of_one(cfg, seed, edge, extra):
     for k, alpha in enumerate(alphas):
         one = optimize_fixed_alpha_p2(ch, alphas[k:k + 1], cfg)
         assert np.array_equal(one.powers[0], batch.powers[k])
-        assert len(one.traces[0]) == len(batch.traces[k])
-        assert np.allclose(one.traces[0], batch.traces[k], rtol=1e-12, atol=0.0)
+        assert len(one.trace(0)) == len(batch.trace(k))
+        assert np.allclose(one.trace(0), batch.trace(k), rtol=1e-12, atol=0.0)
         w_t = batch.w_t[k]
         assert np.linalg.norm(one.w_t[0] - w_t) <= 1e-12 * np.linalg.norm(w_t)
         pt = optimize_fixed_alpha_p2(ch, float(alpha), cfg)
-        assert pt.trace == batch.traces[k] and np.array_equal(pt.beamformer.w_t, w_t)
+        assert pt.trace == batch.trace(k) and np.array_equal(pt.beamformer.w_t, w_t)
     best_grid = max(batch.values[:cfg.alpha_grid])
     assert max_sum_rate(ch, cfg).sum_rate >= best_grid * (1.0 - 1e-12)
 

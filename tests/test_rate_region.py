@@ -48,6 +48,7 @@ from fdtwrc.rate_region import (
 from fdtwrc.sum_rate import max_sum_rate, max_sum_rates, optimize_fixed_alpha_p2
 from one_row import combiner_row, power_p1_row, txbf_p1_row
 from reference_dc import zf_residual
+from reference_search import golden_one_point_a_step
 
 CFG = SystemConfig()
 rate_region_module = importlib.import_module("fdtwrc.rate_region")
@@ -324,8 +325,9 @@ def stubbed_alternate(steps, starts=((10.0, 10.0),), refused=()):
         return np.array([p_a]), np.array([p_b]), np.array([values[-1]]), np.array([True])
 
     batch = combiner_row(sample_channels(CFG, 16), 0.5)[1]
-    _, powers, ok, traces = _alternate_rows(batch, CFG, list(starts), beam, power)
-    return traces[0], tuple(powers[0].tolist()) if ok[0] else None, solved, len(values)
+    _, powers, ok, history, steps = _alternate_rows(batch, CFG, list(starts), beam, power)
+    return (history[:steps[0], 0].tolist(), tuple(powers[0].tolist()) if ok[0] else None, solved,
+            len(values))
 
 
 class TestAlternate:
@@ -629,7 +631,7 @@ class TestCombinerTable:
         best = grids[0].argmax(axis=1)
         ends = (best == 0) | (best == CFG.alpha_grid - 1)
         assert 0 in best and CFG.alpha_grid - 1 in best and not ends.all()
-        # the points each target's search uses: its search without lookahead,
+        # the points each target's search uses: its search one point a step,
         # replayed on the values the lockstep requested, finds every point there
         used = np.zeros(len(r_bs), dtype=int)
 
@@ -639,7 +641,7 @@ class TestCombinerTable:
             np.add.at(used, owners, 1)
             return np.array([seen[k, alpha] for k, alpha in zip(owners.tolist(), alphas.tolist())])
 
-        plain = lockstep(replay, len(r_bs), 0.0, 1.0, 1e-3, CFG.alpha_grid, False)
+        plain = golden_one_point_a_step(replay, len(r_bs), 0.0, 1.0, 1e-3, CFG.alpha_grid)
         assert [alpha for alpha, _ in plain] == [pt.beamformer.alpha for pt in points]
         assert used[ends].max() < used[~ends].min()
         monkeypatch.undo()

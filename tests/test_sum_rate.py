@@ -837,7 +837,7 @@ class TestCombinerTable:
         points = optimize_fixed_alpha_p2(ch, alphas, cfg)
         for k, alpha in enumerate(alphas):
             alone = optimize_fixed_alpha_p2(ch, float(alpha), cfg)
-            assert alone.trace == points.traces[k]
+            assert alone.trace == points.trace(k)
             assert np.array_equal(alone.beamformer.w_t, points.w_t[k])
             assert zf_residual(ch, alone.beamformer.w_t, alone.beamformer.w_r) <= 1e-12
         assert max_sum_rate(ch, cfg).sum_rate >= max(points.values) * (1.0 - 1e-12)
@@ -853,7 +853,7 @@ class TestCombinerTable:
                         optimize_fixed_alpha_p1(ch, float(alpha), gamma_b, cfg)
                     continue
                 alone = optimize_fixed_alpha_p1(ch, float(alpha), gamma_b, cfg)
-                assert alone.trace == points.traces[k]
+                assert alone.trace == points.trace(k)
                 assert np.array_equal(alone.beamformer.w_t, points.w_t[k])
                 assert zf_residual(ch, alone.beamformer.w_t, alone.beamformer.w_r) <= 1e-12
             assert max_rate_given_rb(ch, math.log2(1.0 + gamma_b), cfg).gamma_a >= (
