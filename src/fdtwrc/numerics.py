@@ -1,7 +1,7 @@
 """Numerical kernels shared by all solvers: squared moduli, row-wise vdot and
-norm, the null-space basis of complex vectors and a grid + golden-section
-1-D maximizer, for one function or for many in lockstep; plus the real
-roots of one cubic, which no solver calls (see ``real_cubic_roots``).
+norm, the null-space basis of complex vectors, a grid + golden-section 1-D
+maximizer of one or many functions in lockstep that says where it found
+each maximum, and the real roots of one cubic, which no solver calls.
 """
 
 import math
